@@ -30,7 +30,9 @@ fn bench_pruning(c: &mut Criterion) {
             "pruned search: {} cost evals, {} quality evals, {} pruned by cost",
             stats.cost_evaluations, stats.quality_evaluations, stats.pruned_by_cost
         );
-        let frontier = tier_pareto_frontier(&ctx, "application", load, &options).unwrap();
+        let frontier = tier_pareto_frontier(&ctx, "application", load, &options)
+            .unwrap()
+            .0;
         println!("exhaustive frontier: {} Pareto steps", frontier.len());
     }
 
@@ -52,8 +54,9 @@ fn bench_pruning(c: &mut Criterion) {
             let inner = DecompositionEngine::default();
             let engine = CachingEngine::new(&inner);
             let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
-            let frontier =
-                tier_pareto_frontier(&ctx, "application", black_box(load), &options).unwrap();
+            let frontier = tier_pareto_frontier(&ctx, "application", black_box(load), &options)
+                .unwrap()
+                .0;
             black_box(
                 frontier
                     .iter()

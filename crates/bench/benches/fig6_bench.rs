@@ -44,8 +44,9 @@ fn bench_fig6(c: &mut Criterion) {
             let inner = DecompositionEngine::default();
             let engine = CachingEngine::new(&inner);
             let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
-            let frontier =
-                tier_pareto_frontier(&ctx, "application", black_box(1000.0), &options).unwrap();
+            let frontier = tier_pareto_frontier(&ctx, "application", black_box(1000.0), &options)
+                .unwrap()
+                .0;
             black_box(frontier.len());
         });
     });

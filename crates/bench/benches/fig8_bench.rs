@@ -26,8 +26,9 @@ fn bench_fig8(c: &mut Criterion) {
                 let inner = DecompositionEngine::default();
                 let engine = CachingEngine::new(&inner);
                 let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
-                let frontier =
-                    tier_pareto_frontier(&ctx, "application", black_box(load), &options).unwrap();
+                let frontier = tier_pareto_frontier(&ctx, "application", black_box(load), &options)
+                    .unwrap()
+                    .0;
                 let base = frontier[0].cost();
                 let mut acc = 0.0;
                 for &budget in &budgets {

@@ -40,7 +40,9 @@ fn run_sweep(jobs: usize) -> usize {
     let inner = DecompositionEngine::default();
     let engine = CachingEngine::new(&inner);
     let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
-    let frontier = job_frontier(&ctx, "computation", &TOTALS, &options().with_jobs(jobs)).unwrap();
+    let frontier = job_frontier(&ctx, "computation", &TOTALS, &options().with_jobs(jobs))
+        .unwrap()
+        .0;
     frontier.len()
 }
 

@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // family -> load -> (downtime minutes, cost)
     let mut curves: BTreeMap<Family, BTreeMap<u32, (f64, f64)>> = BTreeMap::new();
     for &load in &loads {
-        let frontier = tier_pareto_frontier(&ctx, "application", load, &options)?;
+        let frontier = tier_pareto_frontier(&ctx, "application", load, &options)?.0;
         for e in &frontier {
             let dt = e.annual_downtime().minutes();
             if !(0.05..=20_000.0).contains(&dt) {

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut csv = Csv::with_header(&["load", "downtime_budget_minutes", "extra_cost_dollars"]);
     let mut frontiers = Vec::new();
     for &load in &loads {
-        frontiers.push(tier_pareto_frontier(&ctx, "application", load, &options)?);
+        frontiers.push(tier_pareto_frontier(&ctx, "application", load, &options)?.0);
     }
     for &budget in &budgets {
         print!("{budget:>14.2}");

@@ -502,7 +502,7 @@ fn parse_pins(flags: &Flags<'_>, options: &mut SearchOptions) -> Result<(), CliE
 /// a designer needs to pick their own point on the tradeoff.
 fn sweep(flags: &Flags<'_>) -> Result<(), CliError> {
     use aved::avail::DecompositionEngine;
-    use aved::search::{tier_pareto_frontier_with_health, CachingEngine, EvalContext};
+    use aved::search::{tier_pareto_frontier, CachingEngine, EvalContext};
 
     let infrastructure = load_infrastructure(flags)?;
     let service = load_service(flags)?;
@@ -523,8 +523,8 @@ fn sweep(flags: &Flags<'_>) -> Result<(), CliError> {
     let inner = DecompositionEngine::default();
     let engine = CachingEngine::new(&inner);
     let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
-    let (frontier, mut health) = tier_pareto_frontier_with_health(&ctx, tier, load, &options)
-        .map_err(|e| CliError::engine(&e))?;
+    let (frontier, mut health) =
+        tier_pareto_frontier(&ctx, tier, load, &options).map_err(|e| CliError::engine(&e))?;
     health.cache_hits = engine.hits();
     health.cache_misses = engine.misses();
     report_health(&health);

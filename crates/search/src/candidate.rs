@@ -230,19 +230,14 @@ impl SearchOptions {
         self
     }
 
-    /// The absolute whole-search deadline for a search that started at
-    /// `start`, when one is configured.
-    pub(crate) fn deadline_from(&self, start: Instant) -> Option<Instant> {
-        self.search_deadline.map(|d| start + d)
-    }
-
-    /// The solve budget every evaluation session runs under: the absolute
-    /// search deadline, the per-candidate timeout and state cap, and the
-    /// cancellation token, all folded into one [`SolveBudget`].
-    pub(crate) fn eval_budget(&self, deadline: Option<Instant>) -> SolveBudget {
+    /// The solve budget every evaluation session of a search that started
+    /// at `start` runs under: the absolute search deadline, the
+    /// per-candidate timeout and state cap, and the cancellation token,
+    /// all folded into one [`SolveBudget`].
+    pub(crate) fn eval_budget(&self, start: Instant) -> SolveBudget {
         let mut budget = SolveBudget::unlimited();
-        if let Some(d) = deadline {
-            budget = budget.with_deadline(d);
+        if let Some(d) = self.search_deadline {
+            budget = budget.with_deadline(start + d);
         }
         if let Some(t) = self.candidate_timeout {
             budget = budget.with_candidate_timeout(t);
@@ -254,16 +249,6 @@ impl SearchOptions {
             budget = budget.with_cancel(c.clone());
         }
         budget
-    }
-
-    /// `true` once the search should stop at the next candidate boundary:
-    /// the cancellation token fired or the whole-search deadline passed.
-    /// Monotone — once true it stays true — so one post-batch check
-    /// suffices to convert worker-observed interruptions into a clean
-    /// best-so-far stop.
-    pub(crate) fn stop_requested(&self, deadline: Option<Instant>) -> bool {
-        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-            || deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 

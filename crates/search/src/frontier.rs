@@ -1,59 +1,21 @@
 //! Cost/quality Pareto frontiers — the data behind the paper's Figs. 6–8.
 //!
-//! Unlike the guided tier search, a frontier sweep must evaluate *every*
-//! candidate (each one might be a frontier point), so no cost pruning
-//! applies — but the evaluations are independent, which makes the sweep the
-//! best-parallelizing entry point: candidates are enumerated serially,
-//! evaluated across [`SearchOptions::jobs`] workers (each carrying a
-//! warm-started [`aved_avail::EvalSession`] over its contiguous,
-//! locality-ordered shard), and folded back in enumeration order, so the
-//! frontier is identical at any worker count and with warm starts on or
-//! off.
+//! A frontier must evaluate *every* candidate (each one might be a frontier
+//! point), so no cost pruning applies: all options and levels go into one
+//! [`Sweep`] batch.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use aved_avail::EvalSession;
 use aved_units::Duration;
 
-use crate::evaluate::{evaluate_enterprise_design_in, evaluate_job_design_in};
-use crate::health::isolate_candidate;
-use crate::journal::{enterprise_key, job_key};
-use crate::parallel::{effective_jobs, parallel_map_with};
-use crate::{
-    enumerate_tier_candidates, EvalContext, EvaluatedDesign, SearchError, SearchHealth,
-    SearchOptions,
-};
-
-/// What happened to one candidate of a frontier sweep, in the worker.
-enum SweepOutcome {
-    /// Skipped without evaluation: a worker already hit a fatal error
-    /// (the fold surfaces it) or the sweep is stopping (the post-fold
-    /// check records the interruption).
-    Skipped,
-    /// Restored bit-for-bit from the resume journal.
-    Replayed(Result<Option<EvaluatedDesign>, SearchError>),
-    /// Evaluated live.
-    Evaluated(Result<Option<EvaluatedDesign>, SearchError>),
-}
-
-/// Raises the abort flag for fatal (or strict-mode) failures; a
-/// cancellation is never fatal — it resolves into a clean interruption.
-fn flag_fatal(
-    result: &Result<Option<EvaluatedDesign>, SearchError>,
-    strict: bool,
-    abort: &AtomicBool,
-) {
-    if let Err(e) = result {
-        if !e.is_cancellation() && (strict || !e.is_candidate_scoped()) {
-            abort.store(true, Ordering::Relaxed);
-        }
-    }
-}
+use crate::sweep::{Objective, Sweep};
+use crate::{EvalContext, EvaluatedDesign, SearchError, SearchHealth, SearchOptions};
 
 /// Computes the cost/downtime Pareto frontier of one enterprise tier at a
 /// fixed load: every design that is the cheapest way to reach its downtime
-/// level, sorted by increasing cost (and hence decreasing downtime).
+/// level, sorted by increasing cost (and hence decreasing downtime), with
+/// the sweep's [`SearchHealth`] (candidates skipped after evaluation
+/// failures, solver fallbacks, worst accepted residual, wall time).
 ///
 /// Fig. 6 of the paper is exactly this frontier swept over loads: for a
 /// requirement point `(load, downtime)` the optimal design family is the
@@ -69,127 +31,15 @@ pub fn tier_pareto_frontier(
     tier_name: &str,
     load: f64,
     options: &SearchOptions,
-) -> Result<Vec<EvaluatedDesign>, SearchError> {
-    tier_pareto_frontier_with_health(ctx, tier_name, load, options).map(|(f, _)| f)
-}
-
-/// Like [`tier_pareto_frontier`], additionally reporting the sweep's
-/// [`SearchHealth`] (candidates skipped after evaluation failures, solver
-/// fallbacks, worst accepted residual, wall time).
-///
-/// # Errors
-///
-/// Returns [`SearchError`] for unknown tiers, or for evaluation failures
-/// in strict mode.
-pub fn tier_pareto_frontier_with_health(
-    ctx: &EvalContext<'_>,
-    tier_name: &str,
-    load: f64,
-    options: &SearchOptions,
 ) -> Result<(Vec<EvaluatedDesign>, SearchHealth), SearchError> {
-    let started = Instant::now();
-    let tier = ctx.tier(tier_name)?;
-    let deadline = options.deadline_from(started);
-    let budget = options.eval_budget(deadline);
-    let jobs = effective_jobs(options.jobs);
-    let mut health = SearchHealth {
-        jobs,
-        ..SearchHealth::default()
-    };
-
-    let mut items: Vec<(&aved_model::ResourceOption, aved_model::TierDesign)> = Vec::new();
-    for option in tier.options() {
-        let perf = ctx.catalog().resolve_perf(option.performance())?;
-        let Some(min_perf) = perf.min_active_for(load) else {
-            continue;
-        };
-        let Some(start_active) = option.n_active().next_at_or_above(min_perf.max(1)) else {
-            continue;
-        };
-        for n_total in start_active..=start_active + options.max_extra_active + options.max_spares {
-            items.extend(
-                enumerate_tier_candidates(
-                    ctx.infrastructure(),
-                    tier.name(),
-                    option,
-                    n_total,
-                    start_active,
-                    options,
-                )
-                .into_iter()
-                .map(|td| (option, td)),
-            );
-        }
-    }
-    health.enumeration_time = started.elapsed();
-
-    let solving = Instant::now();
-    let abort = AtomicBool::new(false);
-    let mut sessions: Vec<EvalSession> = (0..jobs.max(1))
-        .map(|_| EvalSession::new().with_budget(budget.clone()))
-        .collect();
-    let outcomes = parallel_map_with(jobs, &mut sessions, &items, |session, _, (option, td)| {
-        if abort.load(Ordering::Relaxed) || options.stop_requested(deadline) {
-            return SweepOutcome::Skipped;
-        }
-        if let Some(replay) = &options.resume {
-            if let Some(entry) = replay.lookup(&enterprise_key(tier_name, load, td)) {
-                let result = entry.clone().into_result(td);
-                flag_fatal(&result, options.strict, &abort);
-                return SweepOutcome::Replayed(result);
-            }
-        }
-        let mut cold = EvalSession::new().with_budget(budget.clone());
-        let session = if options.warm_start {
-            session
-        } else {
-            &mut cold
-        };
-        let result = evaluate_enterprise_design_in(ctx, option, td, load, session);
-        flag_fatal(&result, options.strict, &abort);
-        SweepOutcome::Evaluated(result)
-    });
-    for session in &sessions {
-        health.absorb_session(session.stats());
-    }
-    health.solve_time = solving.elapsed();
-
-    let merging = Instant::now();
-    let mut all: Vec<EvaluatedDesign> = Vec::new();
-    for ((_, td), outcome) in items.iter().zip(outcomes) {
-        let (result, replayed) = match outcome {
-            SweepOutcome::Skipped => continue,
-            SweepOutcome::Replayed(r) => (r, true),
-            SweepOutcome::Evaluated(r) => (r, false),
-        };
-        if matches!(&result, Err(e) if e.is_cancellation()) {
-            continue;
-        }
-        if replayed {
-            health.journal_replayed += 1;
-        }
-        if matches!(&result, Err(e) if e.is_budget_exhaustion()) {
-            health.budget_exhausted += 1;
-        }
-        if let Some(journal) = &options.journal {
-            journal.record(&enterprise_key(tier_name, load, td), &result);
-        }
-        if let Some(e) = isolate_candidate(result, options.strict, &mut health, td)? {
-            all.push(e);
-        }
-    }
-    if options.stop_requested(deadline) {
-        health.interrupted = true;
-    }
-    let frontier = pareto_by(all, |e| e.annual_downtime());
-    health.merge_time = merging.elapsed();
-    health.wall_time = started.elapsed();
-    Ok((frontier, health))
+    let objective = Objective::downtime_at(load);
+    frontier(ctx, tier_name, &objective, None, options, Instant::now())
 }
 
 /// Computes the cost/completion-time Pareto frontier of a finite-job tier
 /// over an explicit grid of node counts (Fig. 7): every design that is the
-/// cheapest way to reach its expected execution time.
+/// cheapest way to reach its expected execution time, with the sweep's
+/// [`SearchHealth`].
 ///
 /// The caller supplies the totals grid so sweeps can trade resolution for
 /// time; the paper's Fig. 7 spans 1–1000 resources.
@@ -203,122 +53,57 @@ pub fn job_frontier(
     tier_name: &str,
     totals: &[u32],
     options: &SearchOptions,
-) -> Result<Vec<EvaluatedDesign>, SearchError> {
-    job_frontier_with_health(ctx, tier_name, totals, options).map(|(f, _)| f)
+) -> Result<(Vec<EvaluatedDesign>, SearchHealth), SearchError> {
+    let max_time = Duration::from_secs(f64::INFINITY);
+    let grid = Some(totals);
+    frontier(
+        ctx,
+        tier_name,
+        &Objective::Job { max_time },
+        grid,
+        options,
+        Instant::now(),
+    )
 }
 
-/// Like [`job_frontier`], additionally reporting the sweep's
-/// [`SearchHealth`].
-///
-/// # Errors
-///
-/// Returns [`SearchError`] for unknown tiers, missing job size, or
-/// evaluation failures in strict mode.
-pub fn job_frontier_with_health(
+/// Sweeps every candidate of `tier_name` in one batch and keeps the
+/// Pareto-optimal ones; the deadline counts from `search_start`. The
+/// resource totals are the objective's levels, or `grid` (any active count
+/// allowed) when one is given.
+pub(crate) fn frontier(
     ctx: &EvalContext<'_>,
     tier_name: &str,
-    totals: &[u32],
+    objective: &Objective,
+    grid: Option<&[u32]>,
     options: &SearchOptions,
+    search_start: Instant,
 ) -> Result<(Vec<EvaluatedDesign>, SearchHealth), SearchError> {
     let started = Instant::now();
-    let tier = ctx.tier(tier_name)?;
-    let deadline = options.deadline_from(started);
-    let budget = options.eval_budget(deadline);
-    let jobs = effective_jobs(options.jobs);
-    let mut health = SearchHealth {
-        jobs,
-        ..SearchHealth::default()
-    };
-
-    let mut items: Vec<(&aved_model::ResourceOption, aved_model::TierDesign)> = Vec::new();
-    for option in tier.options() {
-        for &n_total in totals {
-            if n_total == 0 {
-                continue;
-            }
-            items.extend(
-                enumerate_tier_candidates(
-                    ctx.infrastructure(),
-                    tier.name(),
-                    option,
-                    n_total,
-                    1,
-                    options,
-                )
-                .into_iter()
-                .map(|td| (option, td)),
-            );
-        }
-    }
-    health.enumeration_time = started.elapsed();
-
-    let solving = Instant::now();
-    let abort = AtomicBool::new(false);
-    let mut sessions: Vec<EvalSession> = (0..jobs.max(1))
-        .map(|_| EvalSession::new().with_budget(budget.clone()))
-        .collect();
-    let outcomes = parallel_map_with(jobs, &mut sessions, &items, |session, _, (option, td)| {
-        if abort.load(Ordering::Relaxed) || options.stop_requested(deadline) {
-            return SweepOutcome::Skipped;
-        }
-        if let Some(replay) = &options.resume {
-            if let Some(entry) = replay.lookup(&job_key(tier_name, td)) {
-                let result = entry.clone().into_result(td);
-                flag_fatal(&result, options.strict, &abort);
-                return SweepOutcome::Replayed(result);
-            }
-        }
-        let mut cold = EvalSession::new().with_budget(budget.clone());
-        let session = if options.warm_start {
-            session
-        } else {
-            &mut cold
+    let mut sweep = Sweep::new(ctx, tier_name, objective, options, search_start)?;
+    let mut batch = Vec::new();
+    for option in sweep.tier.options() {
+        let (min_active, totals): (u32, Vec<u32>) = match grid {
+            Some(grid) => (1, grid.to_vec()),
+            None => match objective.levels(ctx, option, options)? {
+                Some((min_active, totals)) => (min_active, totals.collect()),
+                None => continue,
+            },
         };
-        let result = evaluate_job_design_in(ctx, option, td, session);
-        flag_fatal(&result, options.strict, &abort);
-        SweepOutcome::Evaluated(result)
-    });
-    for session in &sessions {
-        health.absorb_session(session.stats());
+        for n_total in totals.into_iter().filter(|&n| n > 0) {
+            batch.extend(sweep.level(option, n_total, min_active, false)?);
+        }
     }
-    health.solve_time = solving.elapsed();
 
-    let merging = Instant::now();
     let mut all: Vec<EvaluatedDesign> = Vec::new();
-    for ((_, td), outcome) in items.iter().zip(outcomes) {
-        let (result, replayed) = match outcome {
-            SweepOutcome::Skipped => continue,
-            SweepOutcome::Replayed(r) => (r, true),
-            SweepOutcome::Evaluated(r) => (r, false),
-        };
-        if matches!(&result, Err(e) if e.is_cancellation()) {
-            continue;
-        }
-        if replayed {
-            health.journal_replayed += 1;
-        }
-        if matches!(&result, Err(e) if e.is_budget_exhaustion()) {
-            health.budget_exhausted += 1;
-        }
-        if let Some(journal) = &options.journal {
-            journal.record(&job_key(tier_name, td), &result);
-        }
-        if let Some(e) = isolate_candidate(result, options.strict, &mut health, td)? {
-            all.push(e);
-        }
-    }
-    if options.stop_requested(deadline) {
-        health.interrupted = true;
-    }
-    // Job evaluations always carry a completion time; should one ever
-    // not, ranking it last keeps it off the frontier.
-    let frontier = pareto_by(all, |e| {
-        e.expected_job_time()
-            .unwrap_or(Duration::from_secs(f64::INFINITY))
-    });
-    health.merge_time = merging.elapsed();
-    health.wall_time = started.elapsed();
-    Ok((frontier, health))
+    sweep.run(&batch, None, |e| {
+        all.push(e);
+        Ok(())
+    })?;
+    let ranking = Instant::now();
+    let unranked = Duration::from_secs(f64::INFINITY);
+    let frontier = pareto_by(all, |e| objective.quality(e).unwrap_or(unranked));
+    sweep.health.merge_time += ranking.elapsed();
+    Ok((frontier, sweep.finish(started)))
 }
 
 /// Keeps the Pareto-optimal designs under (cost, quality) where smaller is
@@ -374,7 +159,9 @@ mod tests {
         let fx = app_tier_fixture();
         let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
-        let frontier = tier_pareto_frontier(&ctx, "application", 800.0, &small_opts()).unwrap();
+        let frontier = tier_pareto_frontier(&ctx, "application", 800.0, &small_opts())
+            .unwrap()
+            .0;
         assert!(frontier.len() >= 3, "frontier should have several steps");
         for pair in frontier.windows(2) {
             assert!(pair[0].cost() < pair[1].cost());
@@ -387,7 +174,9 @@ mod tests {
         let fx = app_tier_fixture();
         let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
-        let frontier = tier_pareto_frontier(&ctx, "application", 400.0, &small_opts()).unwrap();
+        let frontier = tier_pareto_frontier(&ctx, "application", 400.0, &small_opts())
+            .unwrap()
+            .0;
         let first = &frontier[0];
         // Minimum cost: 2 rC machines, bronze, nothing else.
         assert_eq!(first.design().resource().as_str(), "rC");
@@ -421,7 +210,9 @@ mod tests {
         let ctx = fx.context(&engine);
         let o = small_opts();
         let load = 1000.0;
-        let frontier = tier_pareto_frontier(&ctx, "application", load, &o).unwrap();
+        let frontier = tier_pareto_frontier(&ctx, "application", load, &o)
+            .unwrap()
+            .0;
         let mut mismatches: Vec<FrontierMismatch> = Vec::new();
         for budget_mins in [20.0, 100.0, 1000.0] {
             let budget = aved_units::Duration::from_mins(budget_mins);
@@ -465,7 +256,9 @@ mod tests {
         // appear at the frontier's extreme tail — outside the paper's
         // plotted range.)
         for load in [400.0, 1600.0, 3200.0] {
-            let frontier = tier_pareto_frontier(&ctx, "application", load, &small_opts()).unwrap();
+            let frontier = tier_pareto_frontier(&ctx, "application", load, &small_opts())
+                .unwrap()
+                .0;
             for e in frontier
                 .iter()
                 .filter(|e| e.annual_downtime().minutes() >= 0.1)
@@ -515,7 +308,7 @@ mod tests {
         let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
         let (frontier, health) =
-            tier_pareto_frontier_with_health(&ctx, "application", 800.0, &small_opts()).unwrap();
+            tier_pareto_frontier(&ctx, "application", 800.0, &small_opts()).unwrap();
         assert!(!frontier.is_empty());
         assert!(!health.is_degraded());
         assert_eq!(health.candidates_skipped(), 0);
@@ -527,9 +320,8 @@ mod tests {
         let fx = app_tier_fixture();
         let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
-        let (warm, wh) =
-            tier_pareto_frontier_with_health(&ctx, "application", 800.0, &small_opts()).unwrap();
-        let (cold, ch) = tier_pareto_frontier_with_health(
+        let (warm, wh) = tier_pareto_frontier(&ctx, "application", 800.0, &small_opts()).unwrap();
+        let (cold, ch) = tier_pareto_frontier(
             &ctx,
             "application",
             800.0,
@@ -563,7 +355,7 @@ mod tests {
         .with_pin("maintenanceA", "level", ParamValue::Level("bronze".into()))
         .with_pin("maintenanceB", "level", ParamValue::Level("bronze".into()));
         let totals = [1, 2, 4, 8, 16, 32, 64];
-        let frontier = job_frontier(&ctx, "computation", &totals, &o).unwrap();
+        let frontier = job_frontier(&ctx, "computation", &totals, &o).unwrap().0;
         assert!(frontier.len() >= 3);
         for pair in frontier.windows(2) {
             assert!(pair[0].cost() < pair[1].cost());

@@ -229,33 +229,6 @@ impl std::fmt::Display for SearchHealth {
     }
 }
 
-/// Applies the per-candidate isolation policy to one evaluation result.
-///
-/// Candidate-scoped failures (engine errors, non-finite metrics) are
-/// recorded in `health` and converted to "not a candidate" unless the
-/// search is strict; structural errors (unknown tiers, unresolvable
-/// references, inconsistent models) always propagate — they would fail
-/// every candidate, so skipping is just slower failure.
-pub(crate) fn isolate_candidate(
-    result: Result<Option<crate::EvaluatedDesign>, SearchError>,
-    strict: bool,
-    health: &mut SearchHealth,
-    td: &TierDesign,
-) -> Result<Option<crate::EvaluatedDesign>, SearchError> {
-    match result {
-        Ok(Some(e)) => {
-            health.absorb_eval(e.eval_health());
-            Ok(Some(e))
-        }
-        Ok(None) => Ok(None),
-        Err(e) if !strict && e.is_candidate_scoped() => {
-            health.record_skip(td, &e);
-            Ok(None)
-        }
-        Err(e) => Err(e),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

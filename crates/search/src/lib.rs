@@ -18,8 +18,8 @@
 //!   execution time;
 //! * [`tier_pareto_frontier`] and [`job_frontier`] compute the full
 //!   cost/quality tradeoff curves behind the paper's Figs. 6–8;
-//! * [`search_service`] composes per-tier frontiers into a minimum-cost
-//!   multi-tier design by greedy marginal-cost refinement.
+//! * [`search_service_with_health`] composes per-tier frontiers into a
+//!   minimum-cost multi-tier design by greedy marginal-cost refinement.
 //!
 //! Searches are resilient by default: an engine failure or non-finite
 //! metric on one candidate skips that candidate rather than aborting the
@@ -32,8 +32,8 @@
 //! clamped to the machine's parallelism), sharing one [`CachingEngine`]
 //! and a dominance-pruning best-cost cell, with results merged in
 //! candidate order so the selected design is bit-identical to the serial
-//! walk at any worker count (see the [`parallel`](parallel_map) module
-//! docs for the argument).
+//! walk at any worker count (see the [`parallel`](parallel_map_with)
+//! module docs for the argument).
 //!
 //! Searches are governed: a [`SolveBudget`](aved_avail::SolveBudget)
 //! derived from [`SearchOptions`] bounds each candidate's evaluation
@@ -64,6 +64,7 @@ mod journal;
 mod multi_tier;
 mod parallel;
 mod sensitivity;
+mod sweep;
 #[cfg(test)]
 mod test_fixtures;
 mod tier_search;
@@ -76,12 +77,10 @@ pub use evaluate::{
     evaluate_enterprise_design, evaluate_enterprise_design_in, evaluate_job_design,
     evaluate_job_design_in, EvaluatedDesign,
 };
-pub use frontier::{
-    job_frontier, job_frontier_with_health, tier_pareto_frontier, tier_pareto_frontier_with_health,
-};
+pub use frontier::{job_frontier, tier_pareto_frontier};
 pub use health::{SearchHealth, SkippedCandidate};
 pub use journal::{enterprise_key, job_key, JournalReplay, ReplayEntry, SweepJournal};
-pub use multi_tier::{search_service, search_service_with_health, ServiceDesign};
-pub use parallel::{effective_jobs, parallel_map, parallel_map_with};
+pub use multi_tier::{search_service_with_health, ServiceDesign};
+pub use parallel::{effective_jobs, parallel_map_with};
 pub use sensitivity::{mtbf_sensitivity, scale_mtbfs, SensitivityRow};
 pub use tier_search::{search_job_tier, search_tier, SearchOutcome, SearchStats};

@@ -6,11 +6,10 @@ use aved_avail::combine_series;
 use aved_model::Design;
 use aved_units::{Duration, Money};
 
-use crate::parallel::{effective_jobs, parallel_map, BestCost};
-use crate::{
-    tier_pareto_frontier_with_health, EvalContext, EvaluatedDesign, SearchError, SearchHealth,
-    SearchOptions,
-};
+use crate::frontier::frontier;
+use crate::parallel::{parallel_map_with, BestCost};
+use crate::sweep::Objective;
+use crate::{EvalContext, EvaluatedDesign, SearchError, SearchHealth, SearchOptions};
 
 /// A complete multi-tier design with its evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,7 +76,7 @@ fn compose_exact(
         .step_by(chunk)
         .map(|start| start..(start + chunk).min(total))
         .collect();
-    let per_chunk = parallel_map(jobs, &ranges, |_, range| {
+    let per_chunk = parallel_map_with(jobs, &mut vec![(); jobs.max(1)], &ranges, |(), _, range| {
         let mut local: Option<(Money, usize)> = None;
         for flat in range.clone() {
             let mut rem = flat;
@@ -129,7 +128,10 @@ fn compose_exact(
 }
 
 /// Finds the minimum-cost multi-tier design meeting a service-level
-/// throughput and downtime requirement.
+/// throughput and downtime requirement, and reports the aggregated
+/// [`SearchHealth`] of every per-tier frontier sweep: candidates skipped
+/// after evaluation failures, solver fallbacks taken, the worst accepted
+/// residual, and the total wall time.
 ///
 /// Following §4.1: each tier is first optimized in isolation (its own
 /// cost/downtime frontier, computed as if the other tiers never fail). If
@@ -141,26 +143,8 @@ fn compose_exact(
 /// service requirement holds or every frontier is exhausted.
 ///
 /// Candidate evaluation failures are isolated to the failing candidate
-/// (unless [`SearchOptions::strict`]); use
-/// [`search_service_with_health`] to see how degraded the run was.
-///
-/// # Errors
-///
-/// Returns [`SearchError`] for evaluation failures; an unsatisfiable
-/// requirement yields `Ok(None)`.
-pub fn search_service(
-    ctx: &EvalContext<'_>,
-    load: f64,
-    max_downtime: Duration,
-    options: &SearchOptions,
-) -> Result<Option<ServiceDesign>, SearchError> {
-    search_service_with_health(ctx, load, max_downtime, options).map(|(d, _)| d)
-}
-
-/// Like [`search_service`], additionally reporting the aggregated
-/// [`SearchHealth`] of every per-tier frontier sweep: candidates skipped
-/// after evaluation failures, solver fallbacks taken, the worst accepted
-/// residual, and the total wall time.
+/// (unless [`SearchOptions::strict`]). [`SearchOptions::search_deadline`]
+/// bounds the whole search, every tier's sweep included.
 ///
 /// # Errors
 ///
@@ -173,22 +157,14 @@ pub fn search_service_with_health(
     options: &SearchOptions,
 ) -> Result<(Option<ServiceDesign>, SearchHealth), SearchError> {
     let started = Instant::now();
-    let jobs = effective_jobs(options.jobs);
-    let mut health = SearchHealth {
-        jobs,
-        ..SearchHealth::default()
-    };
-    let tier_names: Vec<String> = ctx
-        .service()
-        .tiers()
-        .iter()
-        .map(|t| t.name().as_str().to_owned())
-        .collect();
-
-    // Per-tier frontiers, cheapest first.
-    let mut frontiers: Vec<Vec<EvaluatedDesign>> = Vec::with_capacity(tier_names.len());
-    for name in &tier_names {
-        let (f, tier_health) = tier_pareto_frontier_with_health(ctx, name, load, options)?;
+    let objective = Objective::downtime_at(load);
+    // Per-tier frontiers, cheapest first; their health (worker count
+    // included) accumulates into the service search's.
+    let mut health = SearchHealth::default();
+    let mut frontiers: Vec<Vec<EvaluatedDesign>> = Vec::new();
+    for tier in ctx.service().tiers() {
+        let name = tier.name().as_str();
+        let (f, tier_health) = frontier(ctx, name, &objective, None, options, started)?;
         health.merge(tier_health);
         if f.is_empty() {
             health.wall_time = started.elapsed();
@@ -200,16 +176,22 @@ pub fn search_service_with_health(
     // Exact composition when the cross product is small (the common case:
     // frontiers have tens of steps); greedy marginal-cost refinement as
     // the scalable fallback.
+    let composing = Instant::now();
     let product: usize = frontiers.iter().map(Vec::len).product();
-    if product <= EXACT_COMPOSITION_LIMIT {
-        let composing = Instant::now();
-        let found = compose_exact(&frontiers, max_downtime, jobs);
-        health.merge_time += composing.elapsed();
-        health.wall_time = started.elapsed();
-        return Ok((found, health));
-    }
+    let found = if product <= EXACT_COMPOSITION_LIMIT {
+        compose_exact(&frontiers, max_downtime, health.jobs)
+    } else {
+        refine(&frontiers, max_downtime)
+    };
+    health.merge_time += composing.elapsed();
+    health.wall_time = started.elapsed();
+    Ok((found, health))
+}
 
-    // Start from the individually-cheapest choices.
+/// Greedy refinement from the individually-cheapest choices: repeatedly
+/// upgrade the tier whose next frontier step buys downtime at the lowest
+/// marginal cost, until the requirement holds or the frontiers run out.
+fn refine(frontiers: &[Vec<EvaluatedDesign>], max_downtime: Duration) -> Option<ServiceDesign> {
     let mut index: Vec<usize> = vec![0; frontiers.len()];
     loop {
         let current: Vec<EvaluatedDesign> = index
@@ -219,18 +201,12 @@ pub fn search_service_with_health(
             .collect();
         let (cost, downtime) = compose(&current);
         if downtime <= max_downtime {
-            health.wall_time = started.elapsed();
-            return Ok((
-                Some(ServiceDesign {
-                    tiers: current,
-                    cost,
-                    annual_downtime: downtime,
-                }),
-                health,
-            ));
+            return Some(ServiceDesign {
+                tiers: current,
+                cost,
+                annual_downtime: downtime,
+            });
         }
-        // Upgrade the tier with the best marginal downtime reduction per
-        // dollar.
         let mut best_step: Option<(usize, f64)> = None;
         for (t, f) in frontiers.iter().enumerate() {
             let i = index[t];
@@ -248,13 +224,7 @@ pub fn search_service_with_health(
                 best_step = Some((t, ratio));
             }
         }
-        match best_step {
-            Some((t, _)) => index[t] += 1,
-            None => {
-                health.wall_time = started.elapsed();
-                return Ok((None, health)); // frontiers exhausted
-            }
-        }
+        index[best_step?.0] += 1;
     }
 }
 
@@ -279,9 +249,11 @@ mod tests {
         let inner = DecompositionEngine::default();
         let engine = CachingEngine::new(&inner);
         let ctx = fx.context(&engine);
-        let design = search_service(&ctx, 400.0, Duration::from_mins(5000.0), &small_opts())
-            .unwrap()
-            .expect("feasible");
+        let design =
+            search_service_with_health(&ctx, 400.0, Duration::from_mins(5000.0), &small_opts())
+                .unwrap()
+                .0
+                .expect("feasible");
         assert_eq!(design.tiers().len(), 3);
         assert!(design.annual_downtime() <= Duration::from_mins(5000.0));
         let d = design.to_design();
@@ -296,12 +268,16 @@ mod tests {
         let inner = DecompositionEngine::default();
         let engine = CachingEngine::new(&inner);
         let ctx = fx.context(&engine);
-        let loose = search_service(&ctx, 400.0, Duration::from_mins(8000.0), &small_opts())
-            .unwrap()
-            .unwrap();
-        let tight = search_service(&ctx, 400.0, Duration::from_mins(800.0), &small_opts())
-            .unwrap()
-            .unwrap();
+        let loose =
+            search_service_with_health(&ctx, 400.0, Duration::from_mins(8000.0), &small_opts())
+                .unwrap()
+                .0
+                .unwrap();
+        let tight =
+            search_service_with_health(&ctx, 400.0, Duration::from_mins(800.0), &small_opts())
+                .unwrap()
+                .0
+                .unwrap();
         assert!(tight.cost() >= loose.cost());
         assert!(tight.annual_downtime() <= Duration::from_mins(800.0));
     }
@@ -312,7 +288,10 @@ mod tests {
         let inner = DecompositionEngine::default();
         let engine = CachingEngine::new(&inner);
         let ctx = fx.context(&engine);
-        let out = search_service(&ctx, 400.0, Duration::from_secs(0.0001), &small_opts()).unwrap();
+        let out =
+            search_service_with_health(&ctx, 400.0, Duration::from_secs(0.0001), &small_opts())
+                .unwrap()
+                .0;
         assert!(out.is_none());
     }
 
@@ -353,13 +332,16 @@ mod tests {
         let engine = CachingEngine::new(&inner);
         let ctx = fx.context(&engine);
         let budget = Duration::from_mins(800.0);
-        let serial = search_service(&ctx, 400.0, budget, &small_opts())
+        let serial = search_service_with_health(&ctx, 400.0, budget, &small_opts())
             .unwrap()
+            .0
             .unwrap();
         for jobs in [2, 8] {
-            let parallel = search_service(&ctx, 400.0, budget, &small_opts().with_jobs(jobs))
-                .unwrap()
-                .unwrap();
+            let parallel =
+                search_service_with_health(&ctx, 400.0, budget, &small_opts().with_jobs(jobs))
+                    .unwrap()
+                    .0
+                    .unwrap();
             assert_eq!(parallel.cost(), serial.cost(), "jobs={jobs}");
             assert_eq!(parallel.to_design(), serial.to_design(), "jobs={jobs}");
             assert_eq!(parallel.annual_downtime(), serial.annual_downtime());
@@ -374,7 +356,8 @@ mod tests {
             .with_fault_at(0, aved_avail::InjectedFault::NonConvergence);
         let ctx = fx.context(&faulty);
         let strict = small_opts().with_strict();
-        let err = search_service(&ctx, 400.0, Duration::from_mins(5000.0), &strict).unwrap_err();
+        let err = search_service_with_health(&ctx, 400.0, Duration::from_mins(5000.0), &strict)
+            .unwrap_err();
         assert!(matches!(err, crate::SearchError::Avail(_)), "{err}");
     }
 
@@ -385,11 +368,56 @@ mod tests {
         let inner = DecompositionEngine::default();
         let engine = CachingEngine::new(&inner);
         let ctx = fx.context(&engine);
-        let design = search_service(&ctx, 800.0, Duration::from_mins(6000.0), &small_opts())
-            .unwrap()
-            .unwrap();
+        let design =
+            search_service_with_health(&ctx, 800.0, Duration::from_mins(6000.0), &small_opts())
+                .unwrap()
+                .0
+                .unwrap();
         for tier in design.tiers() {
             assert!(design.annual_downtime() >= tier.annual_downtime() * 0.999);
         }
+    }
+
+    /// Sleeps about 2 ms per evaluation and records when each call starts.
+    struct SlowEngine {
+        inner: DecompositionEngine,
+        starts: std::sync::Mutex<Vec<Instant>>,
+    }
+
+    impl aved_avail::AvailabilityEngine for SlowEngine {
+        fn evaluate(
+            &self,
+            model: &aved_avail::TierModel,
+        ) -> Result<aved_avail::TierAvailability, aved_avail::AvailError> {
+            self.starts.lock().unwrap().push(Instant::now());
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            self.inner.evaluate(model)
+        }
+    }
+
+    #[test]
+    fn search_deadline_bounds_the_whole_service_search() {
+        // Every tier's frontier alone outlasts the deadline, so a deadline
+        // measured per tier would let the later tiers start evaluating
+        // long after the whole search should have stopped.
+        let fx = app_tier_fixture();
+        let engine = SlowEngine {
+            inner: DecompositionEngine::default(),
+            starts: std::sync::Mutex::new(Vec::new()),
+        };
+        let ctx = fx.context(&engine);
+        let deadline = std::time::Duration::from_millis(20);
+        let o = small_opts().with_jobs(1).with_search_deadline(deadline);
+        let started = Instant::now();
+        let (_, health) =
+            search_service_with_health(&ctx, 400.0, Duration::from_mins(5000.0), &o).unwrap();
+        assert!(health.interrupted, "{health}");
+        let starts = engine.starts.into_inner().unwrap();
+        let last = starts.iter().max().expect("some candidate ran");
+        let late = last.saturating_duration_since(started);
+        assert!(
+            late <= deadline + std::time::Duration::from_millis(1),
+            "an evaluation started {late:?} into a search bounded to {deadline:?}"
+        );
     }
 }

@@ -4,18 +4,14 @@
 //! search is embarrassingly parallel — the only care is keeping the result
 //! *bit-identical* to the serial walk. The contract here:
 //!
-//! * [`parallel_map`] evaluates a slice of work items on up to `jobs`
-//!   workers (plain `std::thread::scope`, no external runtime). Workers
-//!   pull item indices from a shared atomic counter — a degenerate but
-//!   effective form of work stealing that keeps all workers busy even when
-//!   per-item cost varies by orders of magnitude — and the results are
-//!   merged back **in item order**, so callers fold them exactly as the
-//!   serial loop would have.
-//! * [`parallel_map_with`] additionally hands each worker one mutable
-//!   state for its whole run and shards the items into **contiguous
-//!   chunks** instead of stealing, so a worker's shard is a consecutive
-//!   run of the (parameter-locality-ordered) candidate list — the
-//!   substrate for warm-started evaluation sessions.
+//! * [`parallel_map_with`] evaluates a slice of work items on up to `jobs`
+//!   workers (plain `std::thread::scope`, no external runtime), handing
+//!   each worker one mutable state for its whole run. Items are sharded
+//!   into **contiguous chunks**, so a worker's shard is a consecutive run
+//!   of the (parameter-locality-ordered) candidate list — the substrate for
+//!   warm-started evaluation sessions — and the results are merged back
+//!   **in item order**, so callers fold them exactly as the serial loop
+//!   would have.
 //! * With `jobs <= 1` the map degenerates to an in-order sequential loop on
 //!   the calling thread: the serial path is literally the parallel path at
 //!   width 1, not a separate implementation that could drift.
@@ -36,7 +32,7 @@
 //! the same no matter which thread computes it.
 
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use aved_units::Money;
 
@@ -59,59 +55,11 @@ pub fn effective_jobs(requested: usize) -> usize {
 }
 
 /// Maps `f` over `items` on up to `jobs` scoped threads, returning results
-/// in item order.
-///
-/// `f` receives `(index, &item)` and must be pure up to interior-mutable
-/// shared state it synchronizes itself (the engine cache, [`BestCost`]).
-/// With `jobs <= 1` or a single item, `f` runs sequentially in order on the
-/// calling thread.
-///
-/// # Panics
-///
-/// Propagates panics from worker threads.
-pub fn parallel_map<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let workers = jobs.min(items.len());
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        local.push((i, f(i, item)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("search worker panicked"))
-            .collect()
-    });
-    // Deterministic merge: scatter back into item order.
-    let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
-    for (i, r) in per_worker.into_iter().flatten() {
-        out[i] = Some(r);
-    }
-    out.into_iter()
-        .map(|r| r.expect("every index is claimed exactly once"))
-        .collect()
-}
-
-/// Like [`parallel_map`], but each worker additionally borrows one mutable
-/// state from `states` for its whole run — the hook that threads
-/// warm-start evaluation sessions through the search workers.
+/// in item order. Each worker borrows one mutable state from `states` for
+/// its whole run — the hook that threads warm-start evaluation sessions
+/// through the search workers. `f` receives `(state, index, &item)` and
+/// must be pure up to that state and interior-mutable shared state it
+/// synchronizes itself (the engine cache, `BestCost`).
 ///
 /// Work is split into **contiguous chunks** (worker `w` gets items
 /// `[w·⌈n/k⌉, (w+1)·⌈n/k⌉)`), not stolen item-by-item: the candidate lists
@@ -122,9 +70,8 @@ where
 /// balance on skewed items; candidate evaluations within one batch are
 /// near-uniform, so locality wins.
 ///
-/// Results come back in item order, so callers fold them exactly as the
-/// serial loop would. With `jobs <= 1` or a single item the map runs
-/// sequentially on the calling thread using `states[0]`, preserving the
+/// With `jobs <= 1` or a single item the map runs sequentially on the
+/// calling thread using `states[0]`, preserving the
 /// serial-is-parallel-at-width-1 property. Unused states (when there are
 /// fewer chunks than states) are simply not touched.
 ///
@@ -244,21 +191,24 @@ mod tests {
         let items: Vec<u64> = (0..103).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
         for jobs in [1, 2, 3, 8, 200] {
-            assert_eq!(parallel_map(jobs, &items, |_, x| x * x), expect, "{jobs}");
+            let got = parallel_map_with(jobs, &mut vec![(); jobs], &items, |(), _, x| x * x);
+            assert_eq!(got, expect, "{jobs}");
         }
     }
 
     #[test]
     fn map_handles_empty_and_singleton_inputs() {
         let empty: Vec<u32> = Vec::new();
-        assert!(parallel_map(8, &empty, |_, x| *x).is_empty());
-        assert_eq!(parallel_map(8, &[41_u32], |_, x| x + 1), vec![42]);
+        let mut states = [(); 8];
+        assert!(parallel_map_with(8, &mut states, &empty, |(), _, x| *x).is_empty());
+        let got = parallel_map_with(8, &mut states, &[41_u32], |(), _, x| x + 1);
+        assert_eq!(got, vec![42]);
     }
 
     #[test]
     fn map_passes_the_item_index() {
         let items = ["a", "b", "c"];
-        let got = parallel_map(2, &items, |i, s| format!("{i}{s}"));
+        let got = parallel_map_with(2, &mut [(); 2], &items, |(), i, s| format!("{i}{s}"));
         assert_eq!(got, vec!["0a", "1b", "2c"]);
     }
 
@@ -266,7 +216,7 @@ mod tests {
     #[should_panic(expected = "search worker panicked")]
     fn worker_panics_propagate() {
         let items: Vec<u32> = (0..64).collect();
-        let _ = parallel_map(4, &items, |_, x| {
+        let _ = parallel_map_with(4, &mut [(); 4], &items, |(), _, x| {
             assert!(*x != 13, "boom");
             *x
         });

@@ -1,90 +1,16 @@
-//! The per-tier search algorithm of paper §4.1.
-//!
-//! Each resource-count level is evaluated as a batch: candidates are
-//! enumerated serially (cheap) and kept in **enumeration order** — which
-//! is parameter-locality order: neighboring candidates differ in one knob
-//! (one more spare, the next maintenance level). The batch fans out across
-//! [`SearchOptions::jobs`] scoped threads in contiguous shards, so each
-//! worker's warm-started [`aved_avail::EvalSession`] sees a chain of
-//! near-identical models and reuses chain structure and steady-state
-//! vectors from one candidate to the next. Results are folded back **in
-//! candidate order** to select the winner — so the selected design is
-//! identical at any worker count and with warm starts on or off. A shared
-//! [`BestCost`] cell lets workers skip candidates that already cost
-//! strictly more than a known-feasible design (dominance pruning; see
-//! [`crate::parallel`](crate::parallel_map) for why neither changes the
-//! result).
+//! The per-tier search algorithm of paper §4.1: one [`Sweep`] batch per
+//! resource-count level, with a shared [`BestCost`] cell letting workers
+//! skip candidates that already cost strictly more than a known-feasible
+//! design (dominance pruning; see [`crate::parallel`](crate::parallel_map_with)
+//! for why it never changes the winner).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use aved_avail::{EvalSession, SolveBudget};
-use aved_units::Duration;
+use aved_units::{Duration, Money};
 
-use crate::evaluate::{evaluate_enterprise_design_in, evaluate_job_design_in};
-use crate::health::isolate_candidate;
-use crate::journal::{enterprise_key, job_key};
-use crate::parallel::{effective_jobs, parallel_map_with, BestCost};
-use crate::{
-    enumerate_tier_candidates, EvalContext, EvaluatedDesign, SearchError, SearchHealth,
-    SearchOptions,
-};
-
-/// Builds one evaluation session per worker, each governed by `budget`.
-/// When warm starts are disabled the sessions still exist (the executor
-/// needs per-worker states) but every candidate gets a throwaway session,
-/// so nothing is carried between solves.
-fn worker_sessions(jobs: usize, budget: &SolveBudget) -> Vec<EvalSession> {
-    (0..jobs.max(1))
-        .map(|_| EvalSession::new().with_budget(budget.clone()))
-        .collect()
-}
-
-/// What happened to one candidate of a level batch, in the worker.
-///
-/// The fold over these (in candidate order) makes every search decision;
-/// workers only evaluate and classify.
-enum CandidateOutcome {
-    /// Skipped without evaluation: a known-feasible design is strictly
-    /// cheaper, so this candidate cannot win.
-    Pruned,
-    /// Skipped because a worker already hit a fatal error; the fold will
-    /// surface that error, so this candidate's fate is irrelevant.
-    Aborted,
-    /// Skipped without evaluation because the search is stopping — the
-    /// whole-search deadline passed or the cancellation token fired. The
-    /// post-batch check turns this into a clean best-so-far stop.
-    Interrupted,
-    /// Not evaluated: the resume journal already holds this candidate's
-    /// recorded outcome, restored bit-for-bit.
-    Replayed(Result<Option<EvaluatedDesign>, SearchError>),
-    /// Evaluated (successfully or not); the fold applies the isolation
-    /// policy and the win/tie rules.
-    Evaluated(Result<Option<EvaluatedDesign>, SearchError>),
-}
-
-/// Publishes a worker-side result's consequences before the merge fold
-/// sees it: feasible costs go to the shared pruning cell (replayed results
-/// included, so pruning warms up during a resume exactly as it would
-/// live), and fatal — or strict-mode — failures raise the abort flag.
-/// Cancellations never abort: the post-batch check converts them into a
-/// clean best-so-far interruption instead of an error.
-fn classify_result(
-    result: &Result<Option<EvaluatedDesign>, SearchError>,
-    feasible: impl Fn(&EvaluatedDesign) -> bool,
-    options: &SearchOptions,
-    best_cost: &BestCost,
-    abort: &AtomicBool,
-) {
-    match result {
-        Ok(Some(e)) if feasible(e) => best_cost.offer(e.cost()),
-        Err(e) if e.is_cancellation() => {}
-        Err(e) if options.strict || !e.is_candidate_scoped() => {
-            abort.store(true, Ordering::Relaxed);
-        }
-        _ => {}
-    }
-}
+use crate::parallel::BestCost;
+use crate::sweep::{Objective, Sweep};
+use crate::{EvalContext, EvaluatedDesign, SearchError, SearchHealth, SearchOptions};
 
 /// Counters describing how much work a search did — the basis of the
 /// pruning-effectiveness ablation.
@@ -104,41 +30,24 @@ pub struct SearchStats {
 
 /// The outcome of a tier search.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SearchOutcome {
-    /// A minimum-cost feasible design was found.
-    Found {
-        /// The winning design and its evaluation.
-        best: EvaluatedDesign,
-        /// Work counters.
-        stats: SearchStats,
-        /// Degraded-mode report: skips, fallbacks, worst residual.
-        health: SearchHealth,
-    },
-    /// No design in the (bounded) space satisfies the requirement.
-    Infeasible {
-        /// Work counters.
-        stats: SearchStats,
-        /// Degraded-mode report: skips, fallbacks, worst residual.
-        health: SearchHealth,
-    },
+pub struct SearchOutcome {
+    best: Option<EvaluatedDesign>,
+    stats: SearchStats,
+    health: SearchHealth,
 }
 
 impl SearchOutcome {
-    /// The winning design, if any.
+    /// The minimum-cost feasible design, or `None` when no design in the
+    /// (bounded) space satisfies the requirement.
     #[must_use]
     pub fn best(&self) -> Option<&EvaluatedDesign> {
-        match self {
-            SearchOutcome::Found { best, .. } => Some(best),
-            SearchOutcome::Infeasible { .. } => None,
-        }
+        self.best.as_ref()
     }
 
     /// The work counters.
     #[must_use]
     pub fn stats(&self) -> &SearchStats {
-        match self {
-            SearchOutcome::Found { stats, .. } | SearchOutcome::Infeasible { stats, .. } => stats,
-        }
+        &self.stats
     }
 
     /// The degraded-mode report: candidates skipped after evaluation
@@ -146,11 +55,7 @@ impl SearchOutcome {
     /// time. A trustworthy result has [`SearchHealth::is_degraded`] false.
     #[must_use]
     pub fn health(&self) -> &SearchHealth {
-        match self {
-            SearchOutcome::Found { health, .. } | SearchOutcome::Infeasible { health, .. } => {
-                health
-            }
-        }
+        &self.health
     }
 }
 
@@ -194,207 +99,12 @@ pub fn search_tier(
     max_downtime: Duration,
     options: &SearchOptions,
 ) -> Result<SearchOutcome, SearchError> {
-    let started = Instant::now();
-    let tier = ctx.tier(tier_name)?;
-    let deadline = options.deadline_from(started);
-    let budget = options.eval_budget(deadline);
-    let jobs = effective_jobs(options.jobs);
-    let mut stats = SearchStats::default();
-    let mut health = SearchHealth {
-        jobs,
-        ..SearchHealth::default()
-    };
-    let mut best: Option<EvaluatedDesign> = None;
-    // The cheapest feasible cost any worker has proven, across the whole
-    // search; mirrors `best.cost()` but is shared lock-free with workers.
-    let best_cost = BestCost::new();
-    // One warm-start session per worker, reused across every level batch of
-    // every option: chain shapes recur between levels (same n/m/s splits
-    // with different rates), so the sessions keep paying off search-wide.
-    let mut sessions = worker_sessions(jobs, &budget);
-
-    'options: for option in tier.options() {
-        let perf = ctx.catalog().resolve_perf(option.performance())?;
-        let Some(min_perf) = perf.min_active_for(load) else {
-            continue; // this option can never meet the load
-        };
-        let Some(start_active) = option.n_active().next_at_or_above(min_perf.max(1)) else {
-            continue;
-        };
-        let max_total = start_active + options.max_extra_active + options.max_spares;
-
-        let mut best_quality_prev: Option<Duration> = None;
-        let mut degrading = 0_usize;
-        for n_total in start_active..=max_total {
-            let enumerating = Instant::now();
-            let candidates = enumerate_tier_candidates(
-                ctx.infrastructure(),
-                tier.name(),
-                option,
-                n_total,
-                start_active,
-                options,
-            );
-            if candidates.is_empty() {
-                health.enumeration_time += enumerating.elapsed();
-                continue;
-            }
-            stats.totals_explored += 1;
-
-            // Cost is cheap: compute it for every candidate up front. The
-            // batch stays in enumeration (parameter-locality) order — the
-            // win rule below compares cost explicitly, so a cost sort would
-            // only destroy the locality the warm-start sessions feed on.
-            let costed: Vec<(aved_units::Money, &aved_model::TierDesign)> = candidates
-                .iter()
-                .map(|td| {
-                    stats.cost_evaluations += 1;
-                    aved_model::tier_design_cost(ctx.infrastructure(), td).map(|c| (c.total(), td))
-                })
-                .collect::<Result<_, _>>()?;
-            health.enumeration_time += enumerating.elapsed();
-
-            // Termination: every candidate at this count (and, since cost
-            // grows with the count, at later counts) costs more than the
-            // incumbent.
-            if let Some(b) = &best {
-                let cheapest = costed.iter().map(|(c, _)| *c).min_by(|a, b| a.total_cmp(b));
-                if cheapest.is_some_and(|c| c > b.cost()) {
-                    break;
-                }
-            }
-
-            // Fan the level out in contiguous shards: workers prune against
-            // the shared cell (strictly more expensive candidates cannot
-            // win; equal cost still competes on downtime), evaluate the
-            // rest through their warm session, and publish feasible costs
-            // so other workers prune harder.
-            let solving = Instant::now();
-            let abort = AtomicBool::new(false);
-            let outcomes =
-                parallel_map_with(jobs, &mut sessions, &costed, |session, _, &(cost, td)| {
-                    if abort.load(Ordering::Relaxed) {
-                        return CandidateOutcome::Aborted;
-                    }
-                    if options.stop_requested(deadline) {
-                        return CandidateOutcome::Interrupted;
-                    }
-                    if options.prune && best_cost.beats(cost) {
-                        return CandidateOutcome::Pruned;
-                    }
-                    if let Some(replay) = &options.resume {
-                        if let Some(entry) = replay.lookup(&enterprise_key(tier_name, load, td)) {
-                            let result = entry.clone().into_result(td);
-                            let ok = |e: &EvaluatedDesign| e.annual_downtime() <= max_downtime;
-                            classify_result(&result, ok, options, &best_cost, &abort);
-                            return CandidateOutcome::Replayed(result);
-                        }
-                    }
-                    let mut cold = EvalSession::new().with_budget(budget.clone());
-                    let session = if options.warm_start {
-                        session
-                    } else {
-                        &mut cold
-                    };
-                    let result = evaluate_enterprise_design_in(ctx, option, td, load, session);
-                    let ok = |e: &EvaluatedDesign| e.annual_downtime() <= max_downtime;
-                    classify_result(&result, ok, options, &best_cost, &abort);
-                    CandidateOutcome::Evaluated(result)
-                });
-            health.solve_time += solving.elapsed();
-
-            // Deterministic merge: every decision happens here, folding
-            // outcomes in candidate (enumeration) order.
-            let merging = Instant::now();
-            let mut best_quality_here: Option<Duration> = None;
-            for ((_, td), outcome) in costed.iter().zip(outcomes) {
-                let (result, replayed) = match outcome {
-                    CandidateOutcome::Aborted | CandidateOutcome::Interrupted => continue,
-                    CandidateOutcome::Pruned => {
-                        stats.pruned_by_cost += 1;
-                        health.candidates_pruned += 1;
-                        continue;
-                    }
-                    CandidateOutcome::Replayed(result) => (result, true),
-                    CandidateOutcome::Evaluated(result) => (result, false),
-                };
-                // A cancellation is not a candidate outcome: the post-batch
-                // check below turns it into a clean interruption, and it is
-                // never journaled (re-evaluate it on resume).
-                if matches!(&result, Err(e) if e.is_cancellation()) {
-                    continue;
-                }
-                if replayed {
-                    health.journal_replayed += 1;
-                }
-                if matches!(&result, Err(e) if e.is_budget_exhaustion()) {
-                    health.budget_exhausted += 1;
-                }
-                if let Some(journal) = &options.journal {
-                    journal.record(&enterprise_key(tier_name, load, td), &result);
-                }
-                let Some(evaluated) = isolate_candidate(result, options.strict, &mut health, td)?
-                else {
-                    continue;
-                };
-                stats.quality_evaluations += 1;
-                let downtime = evaluated.annual_downtime();
-                if best_quality_here.is_none_or(|q| downtime < q) {
-                    best_quality_here = Some(downtime);
-                }
-                let wins = downtime <= max_downtime
-                    && best.as_ref().is_none_or(|b| {
-                        evaluated.cost() < b.cost()
-                            || (evaluated.cost() == b.cost() && downtime < b.annual_downtime())
-                    });
-                if wins {
-                    best = Some(evaluated);
-                }
-            }
-
-            // Interruption stops the whole search at this batch boundary
-            // with its best-so-far result; partial batch data must not feed
-            // the degradation heuristic below.
-            if options.stop_requested(deadline) {
-                health.merge_time += merging.elapsed();
-                health.interrupted = true;
-                break 'options;
-            }
-
-            // Infeasibility detection: adding resources no longer improves
-            // the best achievable downtime. (Pruning cannot distort this:
-            // while `best` is none nothing feasible has been offered, so
-            // nothing has been pruned and the quality fold is exhaustive.)
-            if best.is_none() {
-                match (best_quality_prev, best_quality_here) {
-                    (Some(prev), Some(here)) if here >= prev => degrading += 1,
-                    (_, Some(_)) => degrading = 0,
-                    _ => {}
-                }
-                if degrading >= DEGRADE_PATIENCE {
-                    health.merge_time += merging.elapsed();
-                    break;
-                }
-            }
-            if let Some(q) = best_quality_here {
-                best_quality_prev = Some(q);
-            }
-            health.merge_time += merging.elapsed();
-        }
-    }
-
-    for session in &sessions {
-        health.absorb_session(session.stats());
-    }
-    health.wall_time = started.elapsed();
-    Ok(match best {
-        Some(best) => SearchOutcome::Found {
-            best,
-            stats,
-            health,
-        },
-        None => SearchOutcome::Infeasible { stats, health },
-    })
+    search(
+        ctx,
+        tier_name,
+        &Objective::Enterprise { load, max_downtime },
+        options,
+    )
 }
 
 /// Searches a finite-job tier for the minimum-cost design whose expected
@@ -413,213 +123,109 @@ pub fn search_job_tier(
     max_execution_time: Duration,
     options: &SearchOptions,
 ) -> Result<SearchOutcome, SearchError> {
-    let started = Instant::now();
-    let tier = ctx.tier(tier_name)?;
-    let job_size = ctx
-        .service()
-        .job_size()
-        .ok_or_else(|| SearchError::RequirementMismatch {
-            detail: "service declares no jobsize".into(),
-        })?;
-    let deadline = options.deadline_from(started);
-    let budget = options.eval_budget(deadline);
-    let jobs = effective_jobs(options.jobs);
-    let mut stats = SearchStats::default();
-    let mut health = SearchHealth {
-        jobs,
-        ..SearchHealth::default()
+    let objective = Objective::Job {
+        max_time: max_execution_time,
     };
+    search(ctx, tier_name, &objective, options)
+}
+
+/// The §4.1 loop for either objective.
+fn search(
+    ctx: &EvalContext<'_>,
+    tier_name: &str,
+    objective: &Objective,
+    options: &SearchOptions,
+) -> Result<SearchOutcome, SearchError> {
+    let started = Instant::now();
+    let mut sweep = Sweep::new(ctx, tier_name, objective, options, started)?;
+    let mut stats = SearchStats::default();
     let mut best: Option<EvaluatedDesign> = None;
+    // The cheapest feasible cost any worker has proven, across the whole
+    // search; mirrors `best.cost()` but is shared lock-free with workers.
     let best_cost = BestCost::new();
-    let mut sessions = worker_sessions(jobs, &budget);
 
-    'options: for option in tier.options() {
-        let perf = ctx.catalog().resolve_perf(option.performance())?;
-        // Failure-free lower bound on throughput demand: finishing a job of
-        // `job_size` within T requires throughput >= job_size / T.
-        let needed_throughput = job_size / max_execution_time.hours();
-        let Some(min_nodes) = perf.min_active_for(needed_throughput) else {
-            continue;
+    'options: for option in sweep.tier.options() {
+        let Some((min_active, totals)) = objective.levels(ctx, option, options)? else {
+            continue; // this option can never meet the requirement
         };
-        let Some(start_active) = option.n_active().next_at_or_above(min_nodes.max(1)) else {
-            continue;
-        };
-        // Unlike the enterprise search, job designs often need resources
-        // well beyond the failure-free minimum: checkpoint overhead and
-        // re-execution inflate the wall-clock time, and only more (or
-        // faster) nodes claw it back. Growth is therefore bounded only by
-        // the option's own nActive ceiling (plus spares); the cost and
-        // degradation rules below terminate the scan long before that in
-        // practice.
-        let max_total = option
-            .n_active()
-            .max_value()
-            .unwrap_or(start_active)
-            .saturating_add(options.max_spares);
-
         let mut best_quality_prev: Option<Duration> = None;
         let mut degrading = 0_usize;
-        for n_total in start_active..=max_total {
-            let enumerating = Instant::now();
-            let candidates = enumerate_tier_candidates(
-                ctx.infrastructure(),
-                tier.name(),
-                option,
-                n_total,
-                start_active,
-                options,
-            );
-            if candidates.is_empty() {
-                health.enumeration_time += enumerating.elapsed();
+        for n_total in totals {
+            // The batch stays in enumeration (parameter-locality) order —
+            // the win rule compares cost explicitly, so a cost sort would
+            // only destroy the locality the warm-start sessions feed on.
+            let batch = sweep.level(option, n_total, min_active, true)?;
+            if batch.is_empty() {
                 continue;
             }
+            stats.cost_evaluations += batch.len();
             stats.totals_explored += 1;
-            // Enumeration (locality) order, as in `search_tier`.
-            let costed: Vec<(aved_units::Money, &aved_model::TierDesign)> = candidates
-                .iter()
-                .map(|td| {
-                    stats.cost_evaluations += 1;
-                    aved_model::tier_design_cost(ctx.infrastructure(), td).map(|c| (c.total(), td))
-                })
-                .collect::<Result<_, _>>()?;
-            health.enumeration_time += enumerating.elapsed();
 
+            // Termination: every candidate at this count (and, since cost
+            // grows with the count, at later counts) costs more than the
+            // incumbent.
             if let Some(b) = &best {
-                let cheapest = costed.iter().map(|(c, _)| *c).min_by(|a, b| a.total_cmp(b));
+                let cheapest = batch.iter().filter_map(|c| c.cost).min_by(Money::total_cmp);
                 if cheapest.is_some_and(|c| c > b.cost()) {
                     break;
                 }
             }
 
-            // Equal-cost candidates still compete on completion time:
-            // checkpoint settings are free, and Fig. 7 reports the
-            // quality-optimal interval within the winning configuration —
-            // which is why the cell prunes only *strictly* more expensive
-            // candidates.
-            let solving = Instant::now();
-            let abort = AtomicBool::new(false);
-            let outcomes =
-                parallel_map_with(jobs, &mut sessions, &costed, |session, _, &(cost, td)| {
-                    if abort.load(Ordering::Relaxed) {
-                        return CandidateOutcome::Aborted;
-                    }
-                    if options.stop_requested(deadline) {
-                        return CandidateOutcome::Interrupted;
-                    }
-                    if options.prune && best_cost.beats(cost) {
-                        return CandidateOutcome::Pruned;
-                    }
-                    let ok = |e: &EvaluatedDesign| {
-                        e.expected_job_time()
-                            .is_some_and(|t| t <= max_execution_time)
-                    };
-                    if let Some(replay) = &options.resume {
-                        if let Some(entry) = replay.lookup(&job_key(tier_name, td)) {
-                            let result = entry.clone().into_result(td);
-                            classify_result(&result, ok, options, &best_cost, &abort);
-                            return CandidateOutcome::Replayed(result);
-                        }
-                    }
-                    let mut cold = EvalSession::new().with_budget(budget.clone());
-                    let session = if options.warm_start {
-                        session
-                    } else {
-                        &mut cold
-                    };
-                    let result = evaluate_job_design_in(ctx, option, td, session);
-                    classify_result(&result, ok, options, &best_cost, &abort);
-                    CandidateOutcome::Evaluated(result)
-                });
-            health.solve_time += solving.elapsed();
-
-            let merging = Instant::now();
+            // Cheaper wins; equal cost competes on quality — checkpoint
+            // settings are free, and Fig. 7 reports the quality-optimal
+            // interval within the winning configuration.
             let mut best_quality_here: Option<Duration> = None;
-            for ((_, td), outcome) in costed.iter().zip(outcomes) {
-                let (result, replayed) = match outcome {
-                    CandidateOutcome::Aborted | CandidateOutcome::Interrupted => continue,
-                    CandidateOutcome::Pruned => {
-                        stats.pruned_by_cost += 1;
-                        health.candidates_pruned += 1;
-                        continue;
-                    }
-                    CandidateOutcome::Replayed(result) => (result, true),
-                    CandidateOutcome::Evaluated(result) => (result, false),
-                };
-                if matches!(&result, Err(e) if e.is_cancellation()) {
-                    continue;
-                }
-                if replayed {
-                    health.journal_replayed += 1;
-                }
-                if matches!(&result, Err(e) if e.is_budget_exhaustion()) {
-                    health.budget_exhausted += 1;
-                }
-                if let Some(journal) = &options.journal {
-                    journal.record(&job_key(tier_name, td), &result);
-                }
-                let Some(evaluated) = isolate_candidate(result, options.strict, &mut health, td)?
-                else {
-                    continue;
-                };
+            sweep.run(&batch, Some(&best_cost), |evaluated| {
                 stats.quality_evaluations += 1;
-                let Some(time) = evaluated.expected_job_time() else {
-                    return Err(SearchError::RequirementMismatch {
+                let q = objective.quality(&evaluated).ok_or_else(|| {
+                    SearchError::RequirementMismatch {
                         detail: "job evaluation yielded no completion time".into(),
-                    });
-                };
-                if best_quality_here.is_none_or(|q| time < q) {
-                    best_quality_here = Some(time);
+                    }
+                })?;
+                if best_quality_here.is_none_or(|h| q < h) {
+                    best_quality_here = Some(q);
                 }
-                let wins = time <= max_execution_time
+                let wins = objective.meets(q)
                     && best.as_ref().is_none_or(|b| {
                         evaluated.cost() < b.cost()
                             || (evaluated.cost() == b.cost()
-                                && b.expected_job_time().is_none_or(|bt| time < bt))
+                                && objective.quality(b).is_none_or(|bq| q < bq))
                     });
                 if wins {
                     best = Some(evaluated);
                 }
-            }
+                Ok(())
+            })?;
 
-            if options.stop_requested(deadline) {
-                health.merge_time += merging.elapsed();
-                health.interrupted = true;
+            // Interruption stops the whole search at this batch boundary
+            // with its best-so-far result; partial batch data must not feed
+            // the degradation heuristic below.
+            if sweep.health.interrupted {
                 break 'options;
             }
-
+            // Infeasibility detection: adding resources no longer improves
+            // the best achievable quality. (Pruning cannot distort this:
+            // while `best` is none nothing feasible has been offered, so
+            // nothing has been pruned and the quality fold is exhaustive.)
             if best.is_none() {
-                // Degradation includes "no meaningful progress": near a
-                // performance asymptote the completion time improves by
-                // vanishing amounts per added node while cost keeps
-                // climbing, so sub-0.1% steps also count down the patience.
                 match (best_quality_prev, best_quality_here) {
-                    (Some(prev), Some(here)) if here >= prev * 0.999 => degrading += 1,
+                    (Some(prev), Some(here)) if objective.stalled(prev, here) => degrading += 1,
                     (_, Some(_)) => degrading = 0,
                     _ => {}
                 }
                 if degrading >= DEGRADE_PATIENCE {
-                    health.merge_time += merging.elapsed();
                     break;
                 }
             }
-            if let Some(q) = best_quality_here {
-                best_quality_prev = Some(q);
-            }
-            health.merge_time += merging.elapsed();
+            best_quality_prev = best_quality_here.or(best_quality_prev);
         }
     }
 
-    for session in &sessions {
-        health.absorb_session(session.stats());
-    }
-    health.wall_time = started.elapsed();
-    Ok(match best {
-        Some(best) => SearchOutcome::Found {
-            best,
-            stats,
-            health,
-        },
-        None => SearchOutcome::Infeasible { stats, health },
+    stats.pruned_by_cost = usize::try_from(sweep.health.candidates_pruned).unwrap_or(usize::MAX);
+    Ok(SearchOutcome {
+        best,
+        stats,
+        health: sweep.finish(started),
     })
 }
 
@@ -627,7 +233,9 @@ pub fn search_job_tier(
 mod tests {
     use super::*;
     use crate::test_fixtures::{app_tier_fixture, job_fixture};
-    use crate::{evaluate_enterprise_design, CachingEngine};
+    use crate::{
+        effective_jobs, enumerate_tier_candidates, evaluate_enterprise_design, CachingEngine,
+    };
     use aved_avail::DecompositionEngine;
     use aved_model::ParamValue;
     use aved_units::Duration;
@@ -753,6 +361,17 @@ mod tests {
         .unwrap();
         assert!(out.best().is_some());
         assert!(out.stats().pruned_by_cost > 0, "stats: {:?}", out.stats());
+        // The exact work of the serial search, not just its winner: a
+        // search that costs, evaluates or prunes differently shows here.
+        assert_eq!(
+            *out.stats(),
+            SearchStats {
+                cost_evaluations: 44,
+                quality_evaluations: 9,
+                pruned_by_cost: 7,
+                totals_explored: 7,
+            }
+        );
     }
 
     #[test]
@@ -819,6 +438,45 @@ mod tests {
         // Loose requirement: the cheap machineA-based resource wins.
         assert_eq!(best.design().resource().as_str(), "rH");
         assert!(engine.hits() > 0, "availability cache should be exercised");
+        assert_eq!(
+            *out.stats(),
+            SearchStats {
+                cost_evaluations: 1200,
+                quality_evaluations: 300,
+                pruned_by_cost: 0,
+                totals_explored: 3,
+            }
+        );
+    }
+
+    #[test]
+    fn job_search_gives_up_when_nodes_stop_paying_off() {
+        // No design finishes the job in 0.8 h: the completion time of rI
+        // designs levels off near 1.03 h, and once two added nodes in a row
+        // each shorten it by less than 0.1% the search gives up.
+        let fx = job_fixture();
+        let inner = DecompositionEngine::default();
+        let engine = CachingEngine::new(&inner);
+        let ctx = fx.context(&engine);
+        let o = SearchOptions {
+            max_extra_active: 2,
+            max_spares: 1,
+            ..SearchOptions::default()
+        }
+        .with_pin("maintenanceA", "level", ParamValue::Level("bronze".into()))
+        .with_pin("maintenanceB", "level", ParamValue::Level("bronze".into()));
+        let out = search_job_tier(&ctx, "computation", Duration::from_hours(0.8), &o).unwrap();
+        assert!(out.best().is_none());
+        assert!(!out.health().is_degraded(), "{}", out.health());
+        assert_eq!(
+            *out.stats(),
+            SearchStats {
+                cost_evaluations: 8100,
+                quality_evaluations: 8100,
+                pruned_by_cost: 0,
+                totals_explored: 14,
+            }
+        );
     }
 
     #[test]

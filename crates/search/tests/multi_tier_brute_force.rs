@@ -5,7 +5,7 @@
 
 use aved_avail::DecompositionEngine;
 use aved_search::{
-    search_service, tier_pareto_frontier, CachingEngine, EvalContext, SearchOptions,
+    search_service_with_health, tier_pareto_frontier, CachingEngine, EvalContext, SearchOptions,
 };
 use aved_units::Duration;
 
@@ -30,7 +30,9 @@ fn brute_force_cost(
 ) -> Option<f64> {
     let mut frontiers = Vec::new();
     for tier in ctx.service().tiers() {
-        let f = tier_pareto_frontier(ctx, tier.name().as_str(), load, options).unwrap();
+        let f = tier_pareto_frontier(ctx, tier.name().as_str(), load, options)
+            .unwrap()
+            .0;
         if f.is_empty() {
             return None;
         }
@@ -70,7 +72,9 @@ fn greedy_matches_brute_force_on_small_frontiers() {
     };
     for budget_mins in [8000.0, 2000.0, 600.0] {
         let budget = Duration::from_mins(budget_mins);
-        let greedy = search_service(&ctx, 400.0, budget, &options).unwrap();
+        let greedy = search_service_with_health(&ctx, 400.0, budget, &options)
+            .unwrap()
+            .0;
         let brute = brute_force_cost(&ctx, 400.0, budget, &options);
         match (greedy, brute) {
             (Some(g), Some(b)) => {
@@ -106,8 +110,9 @@ fn greedy_is_exact_when_one_tier_dominates() {
         ..SearchOptions::default()
     };
     let budget = Duration::from_mins(300.0);
-    let greedy = search_service(&ctx, 400.0, budget, &options)
+    let greedy = search_service_with_health(&ctx, 400.0, budget, &options)
         .unwrap()
+        .0
         .expect("feasible");
     let brute = brute_force_cost(&ctx, 400.0, budget, &options).expect("feasible");
     assert!(

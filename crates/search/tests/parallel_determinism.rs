@@ -114,7 +114,9 @@ fn fig6_frontier_is_identical_at_any_worker_count() {
     let inner = DecompositionEngine::default();
     let engine = CachingEngine::new(&inner);
     let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &engine);
-    let serial = tier_pareto_frontier(&ctx, "application", 800.0, &enterprise_opts()).unwrap();
+    let serial = tier_pareto_frontier(&ctx, "application", 800.0, &enterprise_opts())
+        .unwrap()
+        .0;
     assert!(serial.len() >= 3);
     for jobs in JOB_COUNTS {
         let parallel = tier_pareto_frontier(
@@ -123,7 +125,8 @@ fn fig6_frontier_is_identical_at_any_worker_count() {
             800.0,
             &enterprise_opts().with_jobs(jobs),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_same_frontier(&serial, &parallel, &format!("fig6 jobs={jobs}"));
     }
 }
@@ -154,11 +157,14 @@ fn fig7_frontier_is_identical_at_any_worker_count() {
     let engine = CachingEngine::new(&inner);
     let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &engine);
     let totals = [1, 2, 4, 8, 16, 32, 64];
-    let serial = job_frontier(&ctx, "computation", &totals, &job_opts()).unwrap();
+    let serial = job_frontier(&ctx, "computation", &totals, &job_opts())
+        .unwrap()
+        .0;
     assert!(serial.len() >= 3);
     for jobs in JOB_COUNTS {
-        let parallel =
-            job_frontier(&ctx, "computation", &totals, &job_opts().with_jobs(jobs)).unwrap();
+        let parallel = job_frontier(&ctx, "computation", &totals, &job_opts().with_jobs(jobs))
+            .unwrap()
+            .0;
         assert_same_frontier(&serial, &parallel, &format!("fig7 jobs={jobs}"));
     }
 }
@@ -214,11 +220,14 @@ fn faulty_engine_frontier_is_identical_at_any_worker_count() {
         FaultInjectingEngine::new(&inner).with_fault_when(|m| m.s() == 1, InjectedFault::NanResult);
     let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &faulty);
     let totals = [1, 2, 4, 8, 16];
-    let serial = job_frontier(&ctx, "computation", &totals, &job_opts()).unwrap();
+    let serial = job_frontier(&ctx, "computation", &totals, &job_opts())
+        .unwrap()
+        .0;
     assert!(!serial.is_empty());
     for jobs in JOB_COUNTS {
-        let parallel =
-            job_frontier(&ctx, "computation", &totals, &job_opts().with_jobs(jobs)).unwrap();
+        let parallel = job_frontier(&ctx, "computation", &totals, &job_opts().with_jobs(jobs))
+            .unwrap()
+            .0;
         assert_same_frontier(&serial, &parallel, &format!("faulty fig7 jobs={jobs}"));
     }
 }

@@ -170,7 +170,8 @@ fn fig6_frontier_is_identical_warm_or_cold() {
         800.0,
         &enterprise_opts().without_warm_start(),
     )
-    .unwrap();
+    .unwrap()
+    .0;
     assert!(cold.len() >= 3);
     for jobs in JOB_COUNTS {
         let warm = tier_pareto_frontier(
@@ -179,7 +180,8 @@ fn fig6_frontier_is_identical_warm_or_cold() {
             800.0,
             &enterprise_opts().with_jobs(jobs),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(cold.len(), warm.len(), "jobs={jobs}: frontier size");
         for (i, (c, w)) in cold.iter().zip(&warm).enumerate() {
             assert_bit_identical(c, w, &format!("fig6 frontier point {i} jobs={jobs}"));
@@ -221,10 +223,13 @@ fn fig7_frontier_is_identical_warm_or_cold() {
         &totals,
         &job_opts().without_warm_start(),
     )
-    .unwrap();
+    .unwrap()
+    .0;
     assert!(cold.len() >= 3);
     for jobs in JOB_COUNTS {
-        let warm = job_frontier(&ctx, "computation", &totals, &job_opts().with_jobs(jobs)).unwrap();
+        let warm = job_frontier(&ctx, "computation", &totals, &job_opts().with_jobs(jobs))
+            .unwrap()
+            .0;
         assert_eq!(cold.len(), warm.len(), "jobs={jobs}: frontier size");
         for (i, (c, w)) in cold.iter().zip(&warm).enumerate() {
             assert_bit_identical(c, w, &format!("fig7 frontier point {i} jobs={jobs}"));

@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  {:<10} {:>9} {:>8} {:>8} {:>10} {:>14}",
             "resource", "contract", "n_extra", "n_spare", "cost ($/y)", "downtime (m/y)"
         );
-        let frontier = tier_pareto_frontier(&ctx, "application", load, &options)?;
+        let frontier = tier_pareto_frontier(&ctx, "application", load, &options)?.0;
         for e in frontier
             .iter()
             .filter(|e| e.annual_downtime().minutes() >= 0.1)
@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "load", "10000 m/y", "100 m/y", "10 m/y", "1 m/y"
     );
     for load in [400.0, 800.0, 1600.0, 3200.0] {
-        let frontier = tier_pareto_frontier(&ctx, "application", load, &options)?;
+        let frontier = tier_pareto_frontier(&ctx, "application", load, &options)?.0;
         let baseline: Money = frontier
             .first()
             .map(aved::search::EvaluatedDesign::cost)

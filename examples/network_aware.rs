@@ -14,7 +14,7 @@ use aved::avail::{
 };
 use aved::model::{FailureScope, Sizing};
 use aved::scenario;
-use aved::search::{search_service, CachingEngine, EvalContext, SearchOptions};
+use aved::search::{search_service_with_health, CachingEngine, EvalContext, SearchOptions};
 use aved::units::Duration;
 use aved::DecompositionEngine;
 
@@ -33,7 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Design the compute side for a 200-minute service budget.
     let budget = Duration::from_mins(200.0);
-    let design = search_service(&ctx, 800.0, budget, &options)?
+    let design = search_service_with_health(&ctx, 800.0, budget, &options)?
+        .0
         .ok_or("the compute budget should be satisfiable")?;
     println!("compute design ({} min/yr budget):", budget.minutes());
     for tier in design.tiers() {

@@ -5,7 +5,7 @@
 
 use aved::avail::{combine_series, SharedSubsystem, TierAvailability};
 use aved::scenario;
-use aved::search::{search_service, CachingEngine, EvalContext, SearchOptions};
+use aved::search::{search_service_with_health, CachingEngine, EvalContext, SearchOptions};
 use aved::units::{Duration, Rate};
 use aved::DecompositionEngine;
 
@@ -21,8 +21,9 @@ fn designed_tiers() -> Vec<TierAvailability> {
         max_spares: 1,
         ..SearchOptions::default()
     };
-    let design = search_service(&ctx, 800.0, Duration::from_mins(500.0), &options)
+    let design = search_service_with_health(&ctx, 800.0, Duration::from_mins(500.0), &options)
         .unwrap()
+        .0
         .expect("feasible");
     design.tiers().iter().map(|t| *t.availability()).collect()
 }

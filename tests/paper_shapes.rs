@@ -39,7 +39,9 @@ fn frontier_at(fx: &Fx, load: f64) -> Vec<EvaluatedDesign> {
     let inner = DecompositionEngine::default();
     let engine = CachingEngine::new(&inner);
     let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &engine);
-    tier_pareto_frontier(&ctx, "application", load, &SearchOptions::default()).unwrap()
+    tier_pareto_frontier(&ctx, "application", load, &SearchOptions::default())
+        .unwrap()
+        .0
 }
 
 fn family(e: &EvaluatedDesign) -> (String, String, u32, u32) {
