@@ -12,11 +12,21 @@ use crate::{
 
 /// State of the tier CTMC: failed-resource count per failure class, plus an
 /// optional in-progress failover (the class that triggered it).
+///
+/// Both fit in a `u8`: counts never exceed the truncation depth, which
+/// [`CtmcEngine::with_max_concurrent`] caps at [`MAX_DEPTH`], and class
+/// indices stay below [`MAX_CLASSES`], which [`TierModel::check`] enforces.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct St {
     pub(crate) failed: Vec<u8>,
     pub(crate) failover: Option<u8>,
 }
+
+/// The deepest truncation a `u8` failed count can hold.
+const MAX_DEPTH: u32 = u8::MAX as u32;
+
+/// The most failure classes whose indices fit in a `u8`.
+pub(crate) const MAX_CLASSES: usize = u8::MAX as usize + 1;
 
 /// Derived per-state quantities shared by the transition rules and the
 /// reward function.
@@ -115,10 +125,15 @@ impl CtmcEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `max_concurrent` is zero.
+    /// Panics if `max_concurrent` is zero or above 255 (the chain stores
+    /// per-class failed counts in a byte).
     #[must_use]
     pub fn with_max_concurrent(mut self, max_concurrent: u32) -> CtmcEngine {
         assert!(max_concurrent > 0, "truncation depth must be positive");
+        assert!(
+            max_concurrent <= MAX_DEPTH,
+            "truncation depth must be at most {MAX_DEPTH}, got {max_concurrent}"
+        );
         self.max_concurrent = max_concurrent;
         self
     }
@@ -788,6 +803,124 @@ mod tests {
             governed.unavailability().to_bits(),
             one_shot.unavailability().to_bits()
         );
+    }
+
+    /// Paper-style four-class tier models whose exact chains have the two
+    /// sizes that dominate exact-engine design queries.
+    fn paper_tier(n: u32, m: u32, s: u32) -> TierModel {
+        let soft = |label: &str, mtbf_days: f64, restart_mins: f64| {
+            FailureClass::new(
+                label,
+                Duration::from_days(mtbf_days).rate(),
+                Duration::from_mins(restart_mins),
+                Duration::from_mins(5.0),
+                false,
+            )
+        };
+        TierModel::new(n, m, s)
+            .with_class(FailureClass::new(
+                "machineA/hard",
+                Duration::from_days(650.0).rate(),
+                Duration::from_hours(38.0),
+                Duration::from_mins(5.0),
+                s > 0,
+            ))
+            .with_class(soft("machineA/soft", 75.0, 4.2))
+            .with_class(soft("linux/soft", 60.0, 3.1))
+            .with_class(soft("webserver/soft", 60.0, 0.5))
+    }
+
+    #[test]
+    fn tier_chain_solutions_keep_their_recorded_bits() {
+        // Recorded from the scalar elimination kernel the dense stage used
+        // before it was vectorised; a kernel change that moves any bit of π
+        // on these real tier chains fails here.
+        let cases = [
+            (
+                paper_tier(10, 6, 0),
+                126,
+                0xa3cc_4837_02de_3f69_u64,
+                0x3dbb_4439_5217_0771_u64,
+                0x3ddb_3438_94a2_895b_u64,
+            ),
+            (
+                paper_tier(6, 6, 1),
+                252,
+                0x726d_5e54_6052_a1d4,
+                0x3f44_5422_26da_4f0a,
+                0x3f88_aa6c_3b94_bbe7,
+            ),
+        ];
+        let engine = CtmcEngine::default();
+        for (model, n_states, pi_print, unavail_bits, rate_bits) in cases {
+            let explored = engine.explore_chain(&model).unwrap();
+            assert_eq!(explored.n_states(), n_states);
+            let (pi, _) = FallbackSolver::default().solve_with_diagnostics(explored.ctmc());
+            let print = pi
+                .unwrap()
+                .iter()
+                .fold(0_u64, |h, p| h.rotate_left(7) ^ p.to_bits());
+            let r = engine.evaluate(&model).unwrap();
+            assert_eq!(print, pi_print, "{n_states}-state chain: π fingerprint");
+            assert_eq!(r.unavailability().to_bits(), unavail_bits);
+            assert_eq!(r.down_event_rate().per_hour_value().to_bits(), rate_bits);
+        }
+    }
+
+    #[test]
+    fn first_solve_of_a_structure_checks_irreducibility() {
+        use aved_markov::MarkovError;
+        // An absorbing chain, 0 -> 1 with no way back. Elimination alone
+        // would accept it (all mass in state 1 balances), so only the
+        // connectivity check can reject it.
+        let st = |k: u8| St {
+            failed: vec![k],
+            failover: None,
+        };
+        let explored = aved_markov::explore(st(0), 10, |s: &St| {
+            if s.failed[0] == 0 {
+                vec![(1.0, st(1))]
+            } else {
+                vec![]
+            }
+        })
+        .unwrap();
+        let mut chain = CachedChain {
+            explored,
+            down: vec![false, true],
+            pi: Vec::new(),
+            cold_iterations: None,
+        };
+        let engine = CtmcEngine::default();
+        let mut scratch = SolveScratch::new();
+        let mut stats = SessionStats::default();
+        let budget = SolveBudget::unlimited();
+        let first = engine.evaluate_chain(&mut chain, &mut scratch, &mut stats, &budget);
+        assert!(
+            matches!(
+                first,
+                Err(AvailError::Markov(MarkovError::Reducible { .. }))
+            ),
+            "{first:?}"
+        );
+        // A chain carrying an earlier π is a structure that already passed
+        // a solve, so the check is skipped and elimination runs.
+        chain.pi = vec![0.5, 0.5];
+        let again = engine.evaluate_chain(&mut chain, &mut scratch, &mut stats, &budget);
+        assert!(again.is_ok(), "{again:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "truncation depth must be at most 255")]
+    fn truncation_depth_must_fit_a_byte() {
+        // 255 is the deepest count a `u8` holds; 256 would wrap.
+        assert_eq!(
+            CtmcEngine::default()
+                .with_max_concurrent(255)
+                .max_concurrent(),
+            255
+        );
+        let _ = CtmcEngine::default().with_max_concurrent(256);
     }
 
     #[test]

@@ -65,7 +65,8 @@ impl DecompositionEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `max_concurrent` is zero.
+    /// Panics if `max_concurrent` is zero or above 255 (see
+    /// [`CtmcEngine::with_max_concurrent`]).
     #[must_use]
     pub fn with_max_concurrent(mut self, max_concurrent: u32) -> DecompositionEngine {
         self.inner = self.inner.with_max_concurrent(max_concurrent);

@@ -3,6 +3,7 @@
 use aved_units::{Duration, Rate};
 use serde::{Deserialize, Serialize};
 
+use crate::engine_ctmc::MAX_CLASSES;
 use crate::AvailError;
 
 /// One failure class: a (component, failure mode) pair of the tier's
@@ -227,8 +228,9 @@ impl TierModel {
     /// # Errors
     ///
     /// Returns [`AvailError::InvalidModel`] when `m == 0`, `m > n`, no
-    /// failure classes are present, or a class that uses failover exists in
-    /// a spare-less model.
+    /// failure classes are present, more than 256 are (the exact chain
+    /// indexes classes with a byte), or a class that uses failover exists
+    /// in a spare-less model.
     pub fn check(&self) -> Result<(), AvailError> {
         if self.m == 0 {
             return Err(AvailError::InvalidModel {
@@ -243,6 +245,14 @@ impl TierModel {
         if self.classes.is_empty() {
             return Err(AvailError::InvalidModel {
                 detail: "tier model has no failure classes".into(),
+            });
+        }
+        if self.classes.len() > MAX_CLASSES {
+            return Err(AvailError::InvalidModel {
+                detail: format!(
+                    "tier model has {} failure classes; at most {MAX_CLASSES} are supported",
+                    self.classes.len()
+                ),
             });
         }
         if self.s == 0 && self.classes.iter().any(FailureClass::uses_failover) {
@@ -355,6 +365,18 @@ mod tests {
     #[test]
     fn check_rejects_empty_classes() {
         assert!(TierModel::new(2, 1, 0).check().is_err());
+    }
+
+    #[test]
+    fn check_rejects_more_classes_than_a_byte_can_index() {
+        let with_classes = |k: usize| {
+            (0..k).fold(TierModel::new(2, 1, 1), |m, i| {
+                m.with_class(class(&format!("c{i}"), 1.0, 1.0))
+            })
+        };
+        assert!(with_classes(256).check().is_ok());
+        let err = with_classes(257).check().unwrap_err();
+        assert!(err.to_string().contains("257 failure classes"), "{err}");
     }
 
     #[test]

@@ -27,9 +27,13 @@ const EXPLORE_CHECK_INTERVAL: usize = 256;
 pub struct Explored<S> {
     ctmc: Ctmc,
     states: Vec<S>,
-    /// Inverse of `states`, retained so [`Explored::repatch`] can map rule
-    /// successors back to indices without re-running BFS.
-    index: HashMap<S, usize>,
+    /// The patch plan: every nonzero-rate rule output of the exploration,
+    /// state by state in rule order, as `(successor index, CSR entry
+    /// index)`. [`Explored::repatch`] replays it instead of looking states
+    /// up.
+    plan: Vec<(usize, usize)>,
+    /// State `i`'s outputs are `plan[plan_starts[i]..plan_starts[i + 1]]`.
+    plan_starts: Vec<usize>,
     /// Reusable per-entry rate accumulator for `repatch`.
     patch_values: Vec<f64>,
 }
@@ -69,19 +73,26 @@ impl<S> Explored<S> {
     }
 }
 
-impl<S: Eq + Hash> Explored<S> {
+impl<S: PartialEq> Explored<S> {
     /// Rate-only rebuild: re-runs `successors` over the already-discovered
     /// states and patches the transition rates in place, keeping the state
-    /// indexing and sparsity structure — no BFS, no hashing of new states,
-    /// no CSR re-sort.
+    /// indexing and sparsity structure — no BFS, no hashing, no CSR
+    /// re-sort.
+    ///
+    /// The exploration recorded, for every state, its nonzero-rate rule
+    /// outputs in order. Repatch requires the rule to reproduce that list
+    /// exactly: zero-rate outputs are skipped as exploration skipped them,
+    /// and every other output must name the same successor state, in the
+    /// same position, with as many outputs per state as before. Each rate
+    /// is then added to the recorded CSR entry.
     ///
     /// Returns `true` on success. Returns `false` — leaving the chain
-    /// untouched — whenever the rule's nonzero transition structure differs
-    /// from the stored one in any way: a successor state that was never
-    /// discovered, a `from → to` pair with no stored entry, a stored entry
-    /// receiving no (or non-positive) contribution, or a non-finite or
-    /// negative rate. The caller then falls back to a full
-    /// [`explore`], which also surfaces the proper error for invalid rules.
+    /// untouched — whenever the rule's output differs from the recorded
+    /// one in any way: a different successor (including one never
+    /// discovered, or the same successors in a different order), a missing
+    /// or extra output, or a non-finite or negative rate. The caller then
+    /// falls back to a full [`explore`], which also surfaces the proper
+    /// error for invalid rules.
     ///
     /// When it succeeds, the patched chain is **bit-identical** to the one
     /// a fresh `explore` of the same rule would build: contributions to
@@ -99,6 +110,7 @@ impl<S: Eq + Hash> Explored<S> {
         values.resize(nnz, 0.0);
         let mut ok = true;
         'outer: for (from, state) in self.states.iter().enumerate() {
+            let mut expected = self.plan[self.plan_starts[from]..self.plan_starts[from + 1]].iter();
             for (rate, next) in successors(state) {
                 if rate == 0.0 {
                     continue;
@@ -107,21 +119,22 @@ impl<S: Eq + Hash> Explored<S> {
                     ok = false; // invalid rule: rebuild reports the error
                     break 'outer;
                 }
-                let Some(&to) = self.index.get(&next) else {
-                    ok = false; // new state: topology changed
-                    break 'outer;
-                };
-                let Some(idx) = self.ctmc.entry_index(from, to) else {
-                    ok = false; // new edge (or self-loop): topology changed
-                    break 'outer;
-                };
-                values[idx] += rate;
+                match expected.next() {
+                    Some(&(to, idx)) if self.states[to] == next => values[idx] += rate,
+                    _ => {
+                        ok = false; // different or extra successor
+                        break 'outer;
+                    }
+                }
+            }
+            if expected.next().is_some() {
+                ok = false; // a recorded successor vanished
+                break;
             }
         }
-        // Every stored entry must be re-fed: rates are positive, so a zero
-        // accumulator means the edge vanished and the reachable set (or at
-        // least the structure) may differ.
-        ok = ok && values.iter().all(|&v| v > 0.0 && v.is_finite());
+        // Every stored entry was fed at least one positive rate; the sum
+        // can still overflow.
+        ok = ok && values.iter().all(|v| v.is_finite());
         if ok {
             self.ctmc.patch_rates(&values);
         }
@@ -277,14 +290,30 @@ where
     }
 
     let mut builder = CtmcBuilder::new(states.len());
-    for (from, to, rate) in transitions {
+    for &(from, to, rate) in &transitions {
         builder.rate(from, to, rate);
     }
     let ctmc = builder.build_lenient()?;
+    // Transitions were recorded state by state in rule order, so they are
+    // already the patch plan once each carries its CSR entry index.
+    let mut plan_starts = Vec::with_capacity(states.len() + 1);
+    plan_starts.push(0);
+    let mut plan = Vec::with_capacity(transitions.len());
+    for &(from, to, _) in &transitions {
+        while plan_starts.len() <= from {
+            plan_starts.push(plan.len());
+        }
+        let idx = ctmc
+            .entry_index(from, to)
+            .expect("every explored transition is stored");
+        plan.push((to, idx));
+    }
+    plan_starts.resize(states.len() + 1, plan.len());
     Ok(Explored {
         ctmc,
         states,
-        index,
+        plan,
+        plan_starts,
         patch_values: Vec::new(),
     })
 }
@@ -518,6 +547,33 @@ mod tests {
         };
         assert!(e.repatch(scaled));
         assert_eq!(e.ctmc(), explore(0_u8, 100, scaled).unwrap().ctmc());
+    }
+
+    #[test]
+    fn repatch_rejects_reordered_successors_and_leaves_chain_untouched() {
+        let rule = |reversed: bool| {
+            move |&k: &u8| {
+                let mut out = Vec::new();
+                if k < 3 {
+                    out.push((1.0, k + 1));
+                }
+                if k > 0 {
+                    out.push((2.0, k - 1));
+                }
+                if reversed {
+                    out.reverse();
+                }
+                out
+            }
+        };
+        let mut e = explore(0_u8, 100, rule(false)).unwrap();
+        let before = e.ctmc().clone();
+        // Same successors, same rates, different order: the recorded plan
+        // no longer lines up, so the caller must re-explore.
+        assert!(!e.repatch(rule(true)));
+        assert_eq!(e.ctmc(), &before, "failed repatch must not corrupt");
+        assert!(e.repatch(rule(false)));
+        assert_eq!(e.ctmc(), &before);
     }
 
     #[test]

@@ -31,6 +31,8 @@ pub struct SolveScratch {
     pub(crate) dense: Vec<f64>,
     /// Right-hand side / solution vector of the dense solve.
     pub(crate) rhs: Vec<f64>,
+    /// Per-state inflow accumulator of the fallback solver's residual check.
+    pub(crate) net_flow: Vec<f64>,
 }
 
 impl SolveScratch {
@@ -48,6 +50,7 @@ impl SolveScratch {
             + self.next.capacity()
             + self.dense.capacity()
             + self.rhs.capacity()
+            + self.net_flow.capacity()
             + 2 * self.in_edges.capacity()
             + self.in_starts.capacity()
             + self.in_cursor.capacity()

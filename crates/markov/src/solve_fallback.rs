@@ -268,8 +268,9 @@ impl FallbackSolver {
         self
     }
 
-    /// Declares the chain's structure already verified: the iterative
-    /// stages skip their up-front strong-connectivity traversals.
+    /// Declares the chain's structure already verified: every stage skips
+    /// its strong-connectivity check (the Gauss–Seidel stage's up-front
+    /// traversals and the dense stage's reachability check).
     ///
     /// Only sound when the identical transition structure previously
     /// produced an accepted solution — the warm-start engines set this for
@@ -287,30 +288,20 @@ impl FallbackSolver {
     /// probability flow that a true stationary distribution would make zero.
     #[must_use]
     pub fn residual_inf_norm(ctmc: &Ctmc, pi: &[f64]) -> f64 {
-        let n = ctmc.n_states();
-        let mut net_flow = vec![0.0_f64; n];
-        for t in ctmc.transitions() {
-            net_flow[t.to] += pi[t.from] * t.rate;
-        }
-        let mut worst = 0.0_f64;
-        for j in 0..n {
-            let r = (net_flow[j] - pi[j] * ctmc.exit_rate(j)).abs();
-            worst = worst.max(r);
-        }
-        worst
+        residual_inf_norm_in(ctmc, pi, &mut Vec::new())
     }
 
     /// Validates a produced solution: finite, non-negative (up to rounding),
     /// normalized mass, and balance residual under the tolerance. Returns
-    /// the measured residual on success.
-    fn accept(&self, ctmc: &Ctmc, pi: &[f64]) -> Result<f64, MarkovError> {
+    /// the measured residual on success. `net_flow` is a reusable buffer.
+    fn accept(&self, ctmc: &Ctmc, pi: &[f64], net_flow: &mut Vec<f64>) -> Result<f64, MarkovError> {
         if pi.iter().any(|p| !p.is_finite()) {
             return Err(MarkovError::NonFiniteSolution);
         }
         if pi.iter().any(|&p| p < -1e-9) || (pi.iter().sum::<f64>() - 1.0).abs() > 1e-6 {
             return Err(MarkovError::Singular);
         }
-        let residual = FallbackSolver::residual_inf_norm(ctmc, pi);
+        let residual = residual_inf_norm_in(ctmc, pi, net_flow);
         if residual > self.residual_tolerance {
             return Err(MarkovError::ResidualTooLarge {
                 residual,
@@ -320,24 +311,17 @@ impl FallbackSolver {
         Ok(residual)
     }
 
-    fn attempt_order(&self, n_states: usize) -> Vec<SolverKind> {
-        let mut order = if n_states < self.dense_preferred_below {
-            vec![
-                SolverKind::Dense,
-                SolverKind::GaussSeidel,
-                SolverKind::Power,
-            ]
+    fn attempt_order(&self, n_states: usize) -> impl Iterator<Item = SolverKind> {
+        use SolverKind::{Dense, GaussSeidel, Power};
+        let order = if n_states < self.dense_preferred_below {
+            [Dense, GaussSeidel, Power]
         } else {
-            vec![
-                SolverKind::GaussSeidel,
-                SolverKind::Power,
-                SolverKind::Dense,
-            ]
+            [GaussSeidel, Power, Dense]
         };
-        if n_states > self.dense_state_limit {
-            order.retain(|k| *k != SolverKind::Dense);
-        }
+        let skip_dense = n_states > self.dense_state_limit;
         order
+            .into_iter()
+            .filter(move |&kind| !(skip_dense && kind == Dense))
     }
 
     /// Runs the fallback chain, returning the accepted solution (or the
@@ -424,10 +408,12 @@ impl FallbackSolver {
                     }
                     solver.power_into_budgeted(ctmc, warm.as_deref(), scratch, budget)
                 }
-                SolverKind::Dense => DenseSolver::new().solve_into(ctmc, scratch).map(|()| 0),
+                SolverKind::Dense => DenseSolver::new()
+                    .solve_into(ctmc, scratch, self.assume_irreducible)
+                    .map(|()| 0),
             };
             let (checked, residual) = match raw {
-                Ok(iterations) => match self.accept(ctmc, &scratch.pi) {
+                Ok(iterations) => match self.accept(ctmc, &scratch.pi, &mut scratch.net_flow) {
                     Ok(residual) => (Ok(iterations), Some(residual)),
                     Err(e) => {
                         let residual = match e {
@@ -490,6 +476,23 @@ impl FallbackSolver {
         }
         (Err(last_error), diagnostics)
     }
+}
+
+/// [`FallbackSolver::residual_inf_norm`] accumulating the inflows into a
+/// caller-owned buffer.
+fn residual_inf_norm_in(ctmc: &Ctmc, pi: &[f64], net_flow: &mut Vec<f64>) -> f64 {
+    let n = ctmc.n_states();
+    net_flow.clear();
+    net_flow.resize(n, 0.0);
+    for t in ctmc.transitions() {
+        net_flow[t.to] += pi[t.from] * t.rate;
+    }
+    let mut worst = 0.0_f64;
+    for j in 0..n {
+        let r = (net_flow[j] - pi[j] * ctmc.exit_rate(j)).abs();
+        worst = worst.max(r);
+    }
+    worst
 }
 
 impl Default for FallbackSolver {
