@@ -139,8 +139,9 @@ pub trait AvailabilityEngine: Send + Sync {
     }
 
     /// Evaluates the tier using a caller-owned [`EvalSession`] that carries
-    /// reusable solver scratch, cached chain structures, and warm-start
-    /// state between calls.
+    /// reusable solver scratch and cached chain structures between calls.
+    /// The session only saves work: the result is bit-identical to a
+    /// one-shot evaluation's.
     ///
     /// The default implementation ignores the session and delegates to
     /// [`evaluate_with_health`](Self::evaluate_with_health), so engines

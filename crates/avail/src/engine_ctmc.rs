@@ -1,7 +1,7 @@
 //! The reference engine: a truncated multi-class CTMC with failover
 //! transients.
 
-use aved_markov::{explore_budgeted, Explored, FallbackSolver, SolveBudget, SolveScratch};
+use aved_markov::{explore, Explored, FallbackSolver, SolveBudget, SolveScratch};
 use aved_units::Rate;
 
 use crate::session::{CachedChain, ChainKey};
@@ -27,6 +27,10 @@ const MAX_DEPTH: u32 = u8::MAX as u32;
 
 /// The most failure classes whose indices fit in a `u8`.
 pub(crate) const MAX_CLASSES: usize = u8::MAX as usize + 1;
+
+/// The largest chain solved dense first; larger chains start with the
+/// iterative stages.
+const DENSE_MAX_STATES: usize = 3000;
 
 /// Derived per-state quantities shared by the transition rules and the
 /// reward function.
@@ -107,18 +111,14 @@ fn is_down(model: &TierModel, st: &St) -> bool {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CtmcEngine {
     max_concurrent: u32,
-    dense_cutover: usize,
 }
 
 impl CtmcEngine {
     /// Creates an engine with the default truncation depth (5 concurrent
-    /// failures) and solver cutover.
+    /// failures).
     #[must_use]
     pub fn new() -> CtmcEngine {
-        CtmcEngine {
-            max_concurrent: 5,
-            dense_cutover: 3000,
-        }
+        CtmcEngine { max_concurrent: 5 }
     }
 
     /// Sets the maximum number of simultaneous failed resources modeled.
@@ -142,23 +142,6 @@ impl CtmcEngine {
     #[must_use]
     pub fn max_concurrent(&self) -> u32 {
         self.max_concurrent
-    }
-
-    /// Sets the state count below which the solver prefers the dense direct
-    /// solve (exact, hint-free) over the iterative chain. Defaults to 3000,
-    /// which covers every chain the tier models produce — lowering it (e.g.
-    /// to 0) forces the iterative, warm-startable path and is how the
-    /// `solver_warm` bench exposes warm-start iteration savings.
-    #[must_use]
-    pub fn with_dense_cutover(mut self, dense_cutover: usize) -> CtmcEngine {
-        self.dense_cutover = dense_cutover;
-        self
-    }
-
-    /// The dense-preferred state-count cutover.
-    #[must_use]
-    pub fn dense_cutover(&self) -> usize {
-        self.dense_cutover
     }
 
     /// Which explored states count as service-down (exposed for the
@@ -236,16 +219,11 @@ impl CtmcEngine {
         out
     }
 
-    /// Builds and explores the tier chain (exposed for tests and the
-    /// decomposition engine).
-    pub(crate) fn explore_chain(&self, model: &TierModel) -> Result<Explored<St>, AvailError> {
-        self.explore_chain_budgeted(model, &SolveBudget::unlimited())
-    }
-
-    /// [`Self::explore_chain`] under a cooperative [`SolveBudget`]: the
-    /// breadth-first frontier polls the budget's state, byte, deadline and
-    /// cancellation limits while it grows.
-    pub(crate) fn explore_chain_budgeted(
+    /// Builds and explores the tier chain under a cooperative
+    /// [`SolveBudget`]: the breadth-first frontier polls the budget's state
+    /// cap, deadline and cancellation token while it grows. Exposed for
+    /// the export and mission-time analyses and for tests.
+    pub(crate) fn explore_chain(
         &self,
         model: &TierModel,
         budget: &SolveBudget,
@@ -256,7 +234,7 @@ impl CtmcEngine {
             failed: vec![0; n_classes],
             failover: None,
         };
-        let explored = explore_budgeted(
+        let explored = explore(
             initial,
             2_000_000,
             |st: &St| self.successor_rates(model, cap, st),
@@ -265,10 +243,9 @@ impl CtmcEngine {
         Ok(explored)
     }
 
-    /// Solves a prepared chain (explored + down mask, possibly carrying a
-    /// previous π of the same shape) and folds the solve into the result
-    /// and the session counters. The single code path behind both the cold
-    /// and the warm-started evaluations.
+    /// Solves a prepared chain (explored + down mask) and folds the solve
+    /// into the result and the session counters. The single code path
+    /// behind both one-shot and session evaluations.
     fn evaluate_chain(
         &self,
         cached: &mut CachedChain,
@@ -277,37 +254,23 @@ impl CtmcEngine {
         budget: &SolveBudget,
     ) -> Result<(TierAvailability, EvalHealth), AvailError> {
         let ctmc = cached.explored.ctmc();
-        // Resilient solve: dense first below the cutover (exact and fastest
-        // there), Gauss-Seidel -> power -> dense above it; every accepted
-        // solution passes an independent `‖πQ‖∞ <= 1e-9` residual check.
-        let hint = if cached.pi.len() == ctmc.n_states() {
-            Some(cached.pi.as_slice())
-        } else {
-            None
-        };
-        // A hint exists exactly when this structure already produced an
-        // accepted solve (repatching only changes rates), so the iterative
-        // stages can skip re-verifying strong connectivity.
+        // Resilient solve: dense first up to `DENSE_MAX_STATES` (exact and
+        // fastest there), Gauss-Seidel -> power -> dense above it; every
+        // accepted solution passes an independent `‖πQ‖∞ <= 1e-9` residual
+        // check. A structure that already produced an accepted solve
+        // (repatching only changes rates) skips re-verifying strong
+        // connectivity.
         let solver = FallbackSolver::default()
-            .with_dense_preferred_below(self.dense_cutover + 1)
-            .with_irreducibility_assumed(hint.is_some());
-        let (pi, diagnostics) = solver.solve_warm_budgeted(ctmc, hint, session_scratch, budget);
+            .with_dense_preferred_below(DENSE_MAX_STATES + 1)
+            .with_irreducibility_assumed(cached.solved);
+        let (pi, diagnostics) = solver.solve(ctmc, session_scratch, budget);
         let pi = pi?;
 
         stats.solves += 1;
-        if diagnostics.warm_hint_used {
+        if cached.solved {
             stats.warm_hits += 1;
         }
-        let iterations = diagnostics.total_iterations();
-        stats.iterations += iterations;
-        if diagnostics.warm_start_consumed() {
-            stats.warm_consumed += 1;
-            if let Some(cold) = cached.cold_iterations {
-                stats.iterations_saved += cold.saturating_sub(iterations);
-            }
-        } else if !diagnostics.warm_hint_used && cached.cold_iterations.is_none() {
-            cached.cold_iterations = Some(iterations);
-        }
+        stats.iterations += diagnostics.total_iterations();
 
         let health = EvalHealth {
             fallbacks: u32::try_from(diagnostics.fallbacks_taken()).unwrap_or(u32::MAX),
@@ -339,7 +302,7 @@ impl CtmcEngine {
                 ),
             });
         }
-        cached.pi = pi;
+        cached.solved = true;
         Ok((
             TierAvailability::new(unavailability.clamp(0.0, 1.0), Rate::per_hour(event_rate)),
             health,
@@ -362,9 +325,8 @@ impl AvailabilityEngine for CtmcEngine {
         &self,
         model: &TierModel,
     ) -> Result<(TierAvailability, EvalHealth), AvailError> {
-        // One-shot evaluation is the session path with a throwaway session:
-        // the first solve of a fresh session is cold by construction, so
-        // the result is bit-identical to the historical direct path.
+        // One-shot evaluation is the session path with a throwaway session;
+        // a session changes how fast an answer comes, never its bits.
         let mut session = EvalSession::new();
         self.evaluate_with_session(model, &mut session)
     }
@@ -390,13 +352,12 @@ impl AvailabilityEngine for CtmcEngine {
         let Some(key) = ChainKey::for_model(model, cap) else {
             // Shape too wide for a key (>64 classes): evaluate uncached but
             // still through the shared solve path and scratch arena.
-            let explored = self.explore_chain_budgeted(model, &budget)?;
+            let explored = self.explore_chain(model, &budget)?;
             let down = self.down_mask(model, &explored);
             let mut local = CachedChain {
                 explored,
                 down,
-                pi: Vec::new(),
-                cold_iterations: None,
+                solved: false,
             };
             return self.evaluate_chain(&mut local, scratch, stats, &budget);
         };
@@ -414,15 +375,14 @@ impl AvailabilityEngine for CtmcEngine {
         if repatched {
             stats.rebuilds_avoided += 1;
         } else {
-            let explored = self.explore_chain_budgeted(model, &budget)?;
+            let explored = self.explore_chain(model, &budget)?;
             let down = self.down_mask(model, &explored);
             chains.insert(
                 key.clone(),
                 CachedChain {
                     explored,
                     down,
-                    pi: Vec::new(),
-                    cold_iterations: None,
+                    solved: false,
                 },
             );
         }
@@ -647,14 +607,20 @@ mod tests {
             ))
         };
         let e = CtmcEngine::default();
-        let small = e.explore_chain(&mk(4)).unwrap().n_states();
-        let large = e.explore_chain(&mk(400)).unwrap().n_states();
+        let small = e
+            .explore_chain(&mk(4), &SolveBudget::unlimited())
+            .unwrap()
+            .n_states();
+        let large = e
+            .explore_chain(&mk(400), &SolveBudget::unlimited())
+            .unwrap()
+            .n_states();
         assert_eq!(small, large);
         assert!(large < 50, "truncated chain should stay tiny, got {large}");
     }
 
     /// A Fig.-7-style rate sweep: same structure, different MTBF/MTTR per
-    /// step, which is exactly the neighborhood the repatch + warm-start
+    /// step, which is exactly the neighborhood the session's repatch
     /// machinery targets.
     fn rate_sweep(step: u32) -> TierModel {
         let mtbf_days = 400.0 + 50.0 * f64::from(step);
@@ -672,10 +638,10 @@ mod tests {
 
     #[test]
     fn session_evaluation_is_bit_identical_to_one_shot() {
-        // With the default dense-first solver, warm state must not perturb
-        // anything: the session path has to reproduce the one-shot result
-        // bit for bit at every step of the sweep, regardless of what the
-        // session accumulated from earlier (different-rate) models.
+        // Session state must not perturb anything: the session path has to
+        // reproduce the one-shot result bit for bit at every step of the
+        // sweep, regardless of what the session accumulated from earlier
+        // (different-rate) models.
         let engine = CtmcEngine::default();
         let mut session = EvalSession::new();
         for step in 0..6 {
@@ -695,7 +661,7 @@ mod tests {
             assert_eq!(health_warm.fallbacks, health_cold.fallbacks);
         }
         // All six models share one structural shape: one exploration, five
-        // in-place rebuilds, every later solve warm-hinted.
+        // in-place rebuilds, every later solve a warm hit.
         assert_eq!(session.cached_chains(), 1);
         assert_eq!(session.stats().solves, 6);
         assert_eq!(session.stats().rebuilds_avoided, 5);
@@ -704,37 +670,62 @@ mod tests {
 
     #[test]
     fn session_agrees_with_one_shot_on_the_iterative_path() {
-        // Force the warm-startable iterative solvers (dense cutover 0) and
-        // check the warm results stay within the residual-gate tolerance of
-        // the cold ones while actually consuming the warm starts.
-        let engine = CtmcEngine::default().with_dense_cutover(0);
+        // A seven-class chain is past the dense cutover, so every solve runs
+        // the iterative stages; a session still reproduces the one-shot
+        // result bit for bit at every step of a rate sweep.
+        let engine = CtmcEngine::default();
         let mut session = EvalSession::new();
-        for step in 0..6 {
-            let model = rate_sweep(step);
-            let cold = engine.evaluate_with_health(&model).unwrap().0;
-            let warm = engine
+        for step in 0..3 {
+            let model = wide_tier(1.0 + 0.1 * f64::from(step));
+            let one_shot = engine.evaluate_with_health(&model).unwrap().0;
+            let reused = engine
                 .evaluate_with_session(&model, &mut session)
                 .unwrap()
                 .0;
-            assert!(
-                (warm.unavailability() - cold.unavailability()).abs() < 1e-9,
-                "step {step}: warm {} vs cold {}",
-                warm.unavailability(),
-                cold.unavailability()
+            assert_eq!(
+                reused.unavailability().to_bits(),
+                one_shot.unavailability().to_bits(),
+                "step {step}"
             );
         }
-        assert_eq!(session.stats().warm_consumed, 5);
+        let stats = session.stats();
+        assert_eq!((stats.warm_hits, stats.rebuilds_avoided), (2, 2));
         assert!(
-            session.stats().iterations_saved > 0,
-            "warm starts should shave sweeps off the cold baseline: {:?}",
-            session.stats()
+            stats.iterations > 0,
+            "the iterative path must run: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn iterative_result_does_not_depend_on_the_previous_model() {
+        // The same large chain, solved in a session right after a different
+        // model of its shape, keeps the one-shot result's bits.
+        let engine = CtmcEngine::default();
+        let model = wide_tier(1.0);
+        let one_shot = engine.evaluate(&model).unwrap();
+        let mut session = EvalSession::new();
+        engine
+            .evaluate_with_session(&wide_tier(0.5), &mut session)
+            .unwrap();
+        let after = engine
+            .evaluate_with_session(&model, &mut session)
+            .unwrap()
+            .0;
+        assert_eq!(session.stats().rebuilds_avoided, 1);
+        assert_eq!(
+            after.unavailability().to_bits(),
+            one_shot.unavailability().to_bits()
+        );
+        assert_eq!(
+            after.down_event_rate().per_hour_value().to_bits(),
+            one_shot.down_event_rate().per_hour_value().to_bits()
         );
     }
 
     #[test]
     fn session_survives_structural_changes() {
         // Interleave two different shapes: each keeps its own cached chain
-        // and warm state, and results still match the one-shot path.
+        // and solved flag, and results still match the one-shot path.
         let engine = CtmcEngine::default();
         let mut session = EvalSession::new();
         for step in 0..4 {
@@ -805,6 +796,20 @@ mod tests {
         );
     }
 
+    /// A seven-class tier whose exact chain (3960 states) is past the dense
+    /// cutover. `mtbf_scale` varies the rates, not the structure.
+    fn wide_tier(mtbf_scale: f64) -> TierModel {
+        (0..7).fold(TierModel::new(6, 6, 1), |tier, i| {
+            tier.with_class(FailureClass::new(
+                format!("class{i}"),
+                Duration::from_days(mtbf_scale * (60.0 + 90.0 * f64::from(i))).rate(),
+                Duration::from_hours(0.1 + 6.0 * f64::from(i)),
+                Duration::from_mins(5.0),
+                i < 4,
+            ))
+        })
+    }
+
     /// Paper-style four-class tier models whose exact chains have the two
     /// sizes that dominate exact-engine design queries.
     fn paper_tier(n: u32, m: u32, s: u32) -> TierModel {
@@ -853,9 +858,15 @@ mod tests {
         ];
         let engine = CtmcEngine::default();
         for (model, n_states, pi_print, unavail_bits, rate_bits) in cases {
-            let explored = engine.explore_chain(&model).unwrap();
+            let explored = engine
+                .explore_chain(&model, &SolveBudget::unlimited())
+                .unwrap();
             assert_eq!(explored.n_states(), n_states);
-            let (pi, _) = FallbackSolver::default().solve_with_diagnostics(explored.ctmc());
+            let (pi, _) = FallbackSolver::default().solve(
+                explored.ctmc(),
+                &mut SolveScratch::new(),
+                &SolveBudget::unlimited(),
+            );
             let print = pi
                 .unwrap()
                 .iter()
@@ -877,19 +888,18 @@ mod tests {
             failed: vec![k],
             failover: None,
         };
-        let explored = aved_markov::explore(st(0), 10, |s: &St| {
+        let rule = |s: &St| {
             if s.failed[0] == 0 {
                 vec![(1.0, st(1))]
             } else {
                 vec![]
             }
-        })
-        .unwrap();
+        };
+        let explored = explore(st(0), 10, rule, &SolveBudget::unlimited()).unwrap();
         let mut chain = CachedChain {
             explored,
             down: vec![false, true],
-            pi: Vec::new(),
-            cold_iterations: None,
+            solved: false,
         };
         let engine = CtmcEngine::default();
         let mut scratch = SolveScratch::new();
@@ -903,9 +913,9 @@ mod tests {
             ),
             "{first:?}"
         );
-        // A chain carrying an earlier π is a structure that already passed
-        // a solve, so the check is skipped and elimination runs.
-        chain.pi = vec![0.5, 0.5];
+        // A chain marked solved is a structure that already passed a
+        // solve, so the check is skipped and elimination runs.
+        chain.solved = true;
         let again = engine.evaluate_chain(&mut chain, &mut scratch, &mut stats, &budget);
         assert!(again.is_ok(), "{again:?}");
     }
@@ -921,12 +931,5 @@ mod tests {
             255
         );
         let _ = CtmcEngine::default().with_max_concurrent(256);
-    }
-
-    #[test]
-    fn dense_cutover_builder_round_trips() {
-        let e = CtmcEngine::default().with_dense_cutover(17);
-        assert_eq!(e.dense_cutover(), 17);
-        assert_eq!(CtmcEngine::default().dense_cutover(), 3000);
     }
 }

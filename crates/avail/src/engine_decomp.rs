@@ -131,8 +131,7 @@ impl AvailabilityEngine for DecompositionEngine {
         let mut health = EvalHealth::default();
         // The per-class chains share one structural shape whenever their
         // failover flags agree, so within a single evaluation the session
-        // repatches one cached chain from class to class and warm-starts
-        // each solve from the previous class's distribution.
+        // repatches one cached chain from class to class.
         for class in model.classes() {
             let single = TierModel::new(model.n(), model.m(), model.s())
                 .with_exposed_spares(model.spares_exposed())

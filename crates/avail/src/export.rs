@@ -14,6 +14,8 @@
 
 use std::fmt::Write as _;
 
+use aved_markov::SolveBudget;
+
 use crate::{AvailError, CtmcEngine, TierModel};
 
 /// Renders the §4.2 availability-model parameter list.
@@ -80,7 +82,7 @@ pub fn export_parameters(model: &TierModel) -> String {
 /// Returns [`AvailError`] for inconsistent models.
 pub fn export_sharpe_markov(engine: &CtmcEngine, model: &TierModel) -> Result<String, AvailError> {
     model.check()?;
-    let explored = engine.explore_chain(model)?;
+    let explored = engine.explore_chain(model, &SolveBudget::unlimited())?;
     let ctmc = explored.ctmc();
     let down = engine.down_mask(model, &explored);
 
@@ -168,7 +170,9 @@ mod tests {
             .filter(|l| l.starts_with('S') && l.split_whitespace().count() == 3)
             .filter(|l| l.split_whitespace().nth(2).unwrap().contains('e'))
             .count();
-        let explored = engine.explore_chain(&model()).unwrap();
+        let explored = engine
+            .explore_chain(&model(), &SolveBudget::unlimited())
+            .unwrap();
         assert_eq!(n_transitions, explored.ctmc().n_transitions());
         // At least one down state is rewarded (the failover transient).
         let reward_lines = text

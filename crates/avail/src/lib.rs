@@ -25,10 +25,10 @@
 //! tiers are up).
 //!
 //! For sweeps over many neighboring models, [`EvalSession`] carries
-//! reusable solver scratch, structurally-cached chains (rebuilt in place
-//! when only rates change) and warm-start state between
+//! reusable solver scratch and structurally-cached chains (rebuilt in
+//! place when only rates change) between
 //! [`AvailabilityEngine::evaluate_with_session`] calls; [`SessionStats`]
-//! reports how much work that avoided.
+//! reports how much work that avoided. A session never changes a result.
 
 mod derive;
 mod engine;

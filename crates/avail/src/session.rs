@@ -1,13 +1,14 @@
-//! Per-call evaluation context for warm-started solver pipelines.
+//! Per-worker evaluation context that makes repeated solves cheap.
 //!
 //! The search layer evaluates thousands of neighboring candidate designs.
 //! Neighbors differ in a handful of rates (a maintenance contract swap, a
-//! restart-mechanism toggle) far more often than in chain topology, and
-//! their steady-state distributions are close. [`EvalSession`] exploits
-//! both facts: it owns a reusable [`SolveScratch`] arena, caches explored
-//! chains by structural shape for rate-only in-place rebuilds
-//! ([`Explored::repatch`]), and carries the previous steady-state vector
-//! per shape as a warm-start hint for the next solve.
+//! restart-mechanism toggle) far more often than in chain topology.
+//! [`EvalSession`] exploits that: it owns a reusable [`SolveScratch`]
+//! arena, caches explored chains by structural shape for rate-only
+//! in-place rebuilds ([`Explored::repatch`]), and remembers which shapes
+//! already passed a solve so their irreducibility check is skipped. It
+//! carries no solution from one solve to the next, so every result is
+//! bit-identical to a one-shot evaluation.
 //!
 //! Engines stay `Send + Sync` because all mutable state lives here: each
 //! search worker thread owns its own session and passes it down by
@@ -51,7 +52,7 @@ pub(crate) struct ChainKey {
 impl ChainKey {
     /// The key for `model` under truncation `cap`, or `None` when the model
     /// has more classes than the mask can hold (such a model is evaluated
-    /// uncached — correct, just cold).
+    /// without the chain cache).
     pub(crate) fn for_model(model: &TierModel, cap: u32) -> Option<ChainKey> {
         let classes = model.classes();
         if classes.len() > 64 {
@@ -77,39 +78,28 @@ impl ChainKey {
 
 /// A cached chain for one structural shape: the explored chain (rebuilt in
 /// place when rates change), the down-state mask (purely structural, so it
-/// never needs recomputing), and the last accepted steady-state vector used
-/// to warm-start the next solve of the same shape.
+/// never needs recomputing), and whether the shape has produced an
+/// accepted solve yet.
 #[derive(Debug, Clone)]
 pub(crate) struct CachedChain {
     pub(crate) explored: Explored<St>,
     pub(crate) down: Vec<bool>,
-    /// Last accepted π for this shape; empty until the first solve lands.
-    pub(crate) pi: Vec<f64>,
-    /// Iteration count of the first cold (hint-free) solve of this shape,
-    /// the baseline that [`SessionStats::iterations_saved`] measures
-    /// against.
-    pub(crate) cold_iterations: Option<u64>,
+    /// `true` once a solve of this shape was accepted; later solves skip
+    /// the (purely structural) irreducibility check.
+    pub(crate) solved: bool,
 }
 
-/// Counters describing how much work warm starts and in-place rebuilds
-/// avoided over the lifetime of a session.
+/// Counters describing how much work the session's reuse avoided over its
+/// lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Steady-state solves run through this session.
     pub solves: u64,
-    /// Solves that were offered a usable warm-start hint (a previous π of
-    /// the same chain shape) — the locality hit rate of the candidate
-    /// ordering, whether or not the accepted solver consumed the hint.
+    /// Solves of a chain shape this session had already solved — the
+    /// locality hit rate of the candidate ordering.
     pub warm_hits: u64,
-    /// Solves whose *accepted* solution came from an iterative solver that
-    /// started at the hint (dense acceptance leaves the hint unused).
-    pub warm_consumed: u64,
     /// Total iterative sweeps across all solves and attempts.
     pub iterations: u64,
-    /// Iterations the warm starts saved versus each shape's first cold
-    /// solve (`Σ max(0, cold_baseline − warm_iterations)` over consumed
-    /// warm solves).
-    pub iterations_saved: u64,
     /// Chain constructions replaced by a rate-only in-place rebuild.
     pub rebuilds_avoided: u64,
 }
@@ -119,9 +109,7 @@ impl SessionStats {
     pub fn absorb(&mut self, other: &SessionStats) {
         self.solves += other.solves;
         self.warm_hits += other.warm_hits;
-        self.warm_consumed += other.warm_consumed;
         self.iterations += other.iterations;
-        self.iterations_saved += other.iterations_saved;
         self.rebuilds_avoided += other.rebuilds_avoided;
     }
 }
@@ -131,10 +119,9 @@ impl SessionStats {
 ///
 /// A session is cheap to create and grows to the working-set size of the
 /// chains it has seen; each search worker thread keeps one for its whole
-/// shard. Dropping the session drops all cached state — results never
-/// depend on it beyond the solver's residual-checked tolerance, and with
-/// the dense-first solver configuration results are bit-identical with or
-/// without a session (see the `DESIGN.md` soundness notes).
+/// shard. Dropping the session drops all cached state. Results never
+/// depend on it: on every solver path they are bit-identical with or
+/// without a session (see `DESIGN.md`, "Evaluation sessions").
 ///
 /// [`AvailabilityEngine::evaluate_with_session`]: crate::AvailabilityEngine::evaluate_with_session
 #[derive(Debug, Default)]
@@ -251,17 +238,13 @@ mod tests {
         let mut a = SessionStats {
             solves: 1,
             warm_hits: 2,
-            warm_consumed: 3,
             iterations: 4,
-            iterations_saved: 5,
             rebuilds_avoided: 6,
         };
         let b = SessionStats {
             solves: 10,
             warm_hits: 20,
-            warm_consumed: 30,
             iterations: 40,
-            iterations_saved: 50,
             rebuilds_avoided: 60,
         };
         a.absorb(&b);
@@ -270,9 +253,7 @@ mod tests {
             SessionStats {
                 solves: 11,
                 warm_hits: 22,
-                warm_consumed: 33,
                 iterations: 44,
-                iterations_saved: 55,
                 rebuilds_avoided: 66,
             }
         );

@@ -6,7 +6,9 @@
 //! cost. The `tier` cases solve the chains the exact CTMC engine actually
 //! builds for paper-style four-class tiers (126 and 252 states), where
 //! partial pivoting fills every pivot row, and replay one explore followed
-//! by repatched solves through an evaluation session.
+//! by repatched solves through an evaluation session. A seven-class tier
+//! (3960 states) replays the same session pattern past the dense cutover,
+//! where every solve runs the iterative stages from a cold start.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -24,6 +26,8 @@ use aved::units::Duration;
 const TIER_SOLVES: usize = 20;
 /// Repatched solves after the initial explore in the session case.
 const REPATCHES: u32 = 100;
+/// Repatched solves after the initial explore in the large-chain case.
+const WIDE_REPATCHES: u32 = 10;
 
 /// A machine-repairman chain with `n + 1` states.
 fn repair_chain(n: usize) -> aved::markov::Ctmc {
@@ -61,6 +65,21 @@ fn paper_tier(n: u32, m: u32, s: u32, mtbf_scale: f64) -> TierModel {
         .with_class(soft("machineA/soft", 75.0, 4.2))
         .with_class(soft("linux/soft", 60.0, 3.1))
         .with_class(soft("webserver/soft", 60.0, 0.5))
+}
+
+/// A seven-class tier — four failover classes, three restart classes —
+/// whose exact chain has 3960 states, past the 3000-state dense cutover.
+/// `mtbf_scale` varies the rates without changing the chain's structure.
+fn wide_tier(mtbf_scale: f64) -> TierModel {
+    (0..7).fold(TierModel::new(6, 6, 1), |tier, i| {
+        tier.with_class(FailureClass::new(
+            format!("class{i}"),
+            Duration::from_days(mtbf_scale * (60.0 + 90.0 * f64::from(i))).rate(),
+            Duration::from_hours(0.1 + 6.0 * f64::from(i)),
+            Duration::from_mins(5.0),
+            i < 4,
+        ))
+    })
 }
 
 /// The exact engine's chain for `model`, read back from its SHARPE export
@@ -124,6 +143,25 @@ fn bench_tier_chains(c: &mut Criterion) {
                     black_box(r.unavailability());
                 }
                 assert_eq!(session.stats().rebuilds_avoided, u64::from(REPATCHES));
+            });
+        },
+    );
+
+    // The same pattern on the large chain: one explore, then rate-only
+    // neighbours solved by Gauss-Seidel from the uniform distribution.
+    let wide: Vec<TierModel> = (0..=WIDE_REPATCHES)
+        .map(|i| wide_tier(1.0 + f64::from(i) / 100.0))
+        .collect();
+    group.bench_function(
+        format!("session_explore_then_{WIDE_REPATCHES}_repatched_n3960"),
+        |b| {
+            b.iter(|| {
+                let mut session = EvalSession::new();
+                for model in &wide {
+                    let (r, _) = engine.evaluate_with_session(model, &mut session).unwrap();
+                    black_box(r.unavailability());
+                }
+                assert_eq!(session.stats().rebuilds_avoided, u64::from(WIDE_REPATCHES));
             });
         },
     );

@@ -456,12 +456,12 @@ fn parse_search_options(flags: &Flags<'_>) -> Result<SearchOptions, CliError> {
 }
 
 /// One-line workload summary on stderr: worker count, cache traffic,
-/// dominance pruning, warm-start effectiveness, per-phase timing. Stderr
+/// dominance pruning, session reuse, per-phase timing. Stderr
 /// so pipelines that consume the design on stdout are unaffected.
 fn report_stats(health: &aved::search::SearchHealth) {
     eprintln!(
         "search: {} job(s), cache {}/{} hit, {} candidate(s) pruned by cost, \
-         warm {}/{} hit, {} rebuild(s) avoided, {} iteration(s) saved, \
+         warm {}/{} hit, {} rebuild(s) avoided, \
          {} budget-exhausted, {} replayed from journal, \
          enumerate {:.1} ms + solve {:.1} ms + merge {:.1} ms (total {:.1} ms)",
         health.jobs,
@@ -471,7 +471,6 @@ fn report_stats(health: &aved::search::SearchHealth) {
         health.warm_hits,
         health.warm_solves,
         health.chain_rebuilds_avoided,
-        health.iterations_saved,
         health.budget_exhausted,
         health.journal_replayed,
         health.enumeration_time.as_secs_f64() * 1e3,

@@ -1,14 +1,17 @@
 //! Cooperative resource budgets and cancellation for solvers and
 //! state-space exploration.
 //!
-//! A [`SolveBudget`] bounds how much wall-clock time, how many sweeps, how
-//! many explored states and how much CSR memory a computation may consume;
-//! a [`CancelToken`] lets an external party (a signal handler, another
-//! thread) request that the computation stop at its next checkpoint. Both
-//! are checked *cooperatively*: the hot loops in the Gauss–Seidel and power
-//! solvers and the breadth-first exploration frontier poll them at cheap
-//! intervals (every 64 sweeps, every 256 dequeued states) so governance
-//! costs nothing measurable when unlimited.
+//! A [`SolveBudget`] bounds how much wall-clock time and how many explored
+//! states a computation may consume; a [`CancelToken`] lets an external
+//! party (a signal handler, another thread) request that the computation
+//! stop at its next checkpoint. Both are checked *cooperatively*: the hot
+//! loops in the Gauss–Seidel and power solvers and the breadth-first
+//! exploration frontier poll them at cheap intervals (every 64 sweeps,
+//! every 256 dequeued states) so governance costs nothing measurable when
+//! unlimited. This is the one budget type: the solvers' sweep caps are
+//! their own configuration, and the fallback solver's per-attempt
+//! wall-clock allowance is applied as a tighter deadline on a copy of the
+//! caller's budget.
 //!
 //! Exhaustion is a first-class outcome, not a panic: the loop returns
 //! [`MarkovError::BudgetExhausted`] naming the phase, the exhausted
@@ -28,21 +31,15 @@ use crate::MarkovError;
 pub enum BudgetResource {
     /// The wall-clock deadline passed.
     WallClock,
-    /// The iterative-sweep cap was reached.
-    Sweeps,
     /// The explored-state cap was reached.
     States,
-    /// The estimated CSR memory cap was reached.
-    CsrBytes,
 }
 
 impl std::fmt::Display for BudgetResource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BudgetResource::WallClock => write!(f, "wall-clock"),
-            BudgetResource::Sweeps => write!(f, "sweep"),
             BudgetResource::States => write!(f, "explored-states"),
-            BudgetResource::CsrBytes => write!(f, "csr-bytes"),
         }
     }
 }
@@ -101,9 +98,7 @@ impl PartialEq for CancelToken {
 pub struct SolveBudget {
     deadline: Option<Instant>,
     candidate_timeout: Option<Duration>,
-    max_sweeps: Option<u64>,
     max_states: Option<usize>,
-    max_csr_bytes: Option<usize>,
     cancel: Option<CancelToken>,
 }
 
@@ -119,9 +114,7 @@ impl SolveBudget {
     pub fn is_unlimited(&self) -> bool {
         self.deadline.is_none()
             && self.candidate_timeout.is_none()
-            && self.max_sweeps.is_none()
             && self.max_states.is_none()
-            && self.max_csr_bytes.is_none()
             && self.cancel.is_none()
     }
 
@@ -132,19 +125,12 @@ impl SolveBudget {
         self
     }
 
-    /// Sets a per-candidate wall-clock allowance; [`for_candidate`]
-    /// (SolveBudget::for_candidate) converts it to a deadline when the
-    /// candidate's evaluation starts.
+    /// Sets a per-candidate wall-clock allowance;
+    /// [`for_candidate`](SolveBudget::for_candidate) converts it to a
+    /// deadline when the candidate's evaluation starts.
     #[must_use]
     pub fn with_candidate_timeout(mut self, timeout: Duration) -> SolveBudget {
         self.candidate_timeout = Some(timeout);
-        self
-    }
-
-    /// Caps the total iterative sweeps of one solve attempt.
-    #[must_use]
-    pub fn with_max_sweeps(mut self, max_sweeps: u64) -> SolveBudget {
-        self.max_sweeps = Some(max_sweeps);
         self
     }
 
@@ -152,13 +138,6 @@ impl SolveBudget {
     #[must_use]
     pub fn with_max_states(mut self, max_states: usize) -> SolveBudget {
         self.max_states = Some(max_states);
-        self
-    }
-
-    /// Caps the estimated CSR memory of an explored chain.
-    #[must_use]
-    pub fn with_max_csr_bytes(mut self, max_csr_bytes: usize) -> SolveBudget {
-        self.max_csr_bytes = Some(max_csr_bytes);
         self
     }
 
@@ -181,22 +160,10 @@ impl SolveBudget {
         self.candidate_timeout
     }
 
-    /// The sweep cap, if any.
-    #[must_use]
-    pub fn max_sweeps(&self) -> Option<u64> {
-        self.max_sweeps
-    }
-
     /// The explored-state cap, if any.
     #[must_use]
     pub fn max_states(&self) -> Option<usize> {
         self.max_states
-    }
-
-    /// The CSR memory cap, if any.
-    #[must_use]
-    pub fn max_csr_bytes(&self) -> Option<usize> {
-        self.max_csr_bytes
     }
 
     /// The cancellation token, if any.
@@ -210,14 +177,17 @@ impl SolveBudget {
     /// and keeping whichever deadline (global or per-candidate) is sooner.
     #[must_use]
     pub fn for_candidate(&self) -> SolveBudget {
-        let mut b = self.clone();
-        if let Some(timeout) = self.candidate_timeout {
-            let candidate_deadline = Instant::now() + timeout;
-            b.deadline = Some(match self.deadline {
-                Some(d) => d.min(candidate_deadline),
-                None => candidate_deadline,
-            });
+        match self.candidate_timeout {
+            Some(timeout) => self.with_deadline_by(Instant::now() + timeout),
+            None => self.clone(),
         }
+    }
+
+    /// This budget with its deadline moved up to `deadline` when that is
+    /// sooner; every other limit is unchanged.
+    pub(crate) fn with_deadline_by(&self, deadline: Instant) -> SolveBudget {
+        let mut b = self.clone();
+        b.deadline = Some(self.deadline.map_or(deadline, |d| d.min(deadline)));
         b
     }
 
@@ -345,18 +315,10 @@ mod tests {
 
     #[test]
     fn resources_render_distinct_names() {
-        let names: Vec<String> = [
-            BudgetResource::WallClock,
-            BudgetResource::Sweeps,
-            BudgetResource::States,
-            BudgetResource::CsrBytes,
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect();
-        assert_eq!(
-            names,
-            ["wall-clock", "sweep", "explored-states", "csr-bytes"]
-        );
+        let names: Vec<String> = [BudgetResource::WallClock, BudgetResource::States]
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        assert_eq!(names, ["wall-clock", "explored-states"]);
     }
 }

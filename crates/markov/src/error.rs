@@ -46,13 +46,6 @@ pub enum MarkovError {
         /// Residual at the point of giving up.
         residual: f64,
     },
-    /// An iterative solver exceeded its wall-clock budget.
-    TimedOut {
-        /// Number of iterations performed before the deadline hit.
-        iterations: usize,
-        /// The configured budget, in seconds.
-        budget_secs: f64,
-    },
     /// A solver produced a solution whose balance residual `‖πQ‖∞`
     /// exceeded the acceptance tolerance — a silently-wrong answer that a
     /// per-sweep convergence criterion alone would have accepted.
@@ -70,10 +63,9 @@ pub enum MarkovError {
         /// Human-readable description of the rejected parameter.
         detail: String,
     },
-    /// A cooperative resource budget was exhausted mid-computation. Unlike
-    /// [`TimedOut`](MarkovError::TimedOut) (a solver's own per-attempt
-    /// allowance) this names the externally-imposed
-    /// [`SolveBudget`](crate::SolveBudget) limit that tripped.
+    /// A cooperative resource budget was exhausted mid-computation: the
+    /// [`SolveBudget`](crate::SolveBudget) limit that tripped, or the
+    /// fallback solver's fixed per-attempt allowance.
     BudgetExhausted {
         /// The phase that hit the limit (`"explore"`, `"gauss-seidel"`,
         /// `"power"`, `"search"`, ...).
@@ -81,7 +73,7 @@ pub enum MarkovError {
         /// Which resource ran out.
         resource: crate::BudgetResource,
         /// Progress made at the cutoff, in the phase's own unit (states
-        /// explored, sweeps performed, bytes consumed, elapsed work).
+        /// explored, sweeps performed, attempts made).
         progress: u64,
         /// The configured limit, in the same unit (`0` when the limit is a
         /// point in time rather than a count).
@@ -118,13 +110,6 @@ impl fmt::Display for MarkovError {
             } => write!(
                 f,
                 "iterative solver did not converge after {iterations} iterations (residual {residual:e})"
-            ),
-            MarkovError::TimedOut {
-                iterations,
-                budget_secs,
-            } => write!(
-                f,
-                "solver exceeded its {budget_secs} s budget after {iterations} iterations"
             ),
             MarkovError::ResidualTooLarge {
                 residual,
@@ -193,13 +178,6 @@ mod tests {
                     residual: 0.5,
                 },
                 "converge",
-            ),
-            (
-                MarkovError::TimedOut {
-                    iterations: 12,
-                    budget_secs: 1.5,
-                },
-                "budget",
             ),
             (
                 MarkovError::ResidualTooLarge {

@@ -12,12 +12,6 @@ use std::hash::Hash;
 
 use crate::{BudgetResource, Ctmc, CtmcBuilder, MarkovError, SolveBudget};
 
-/// Estimated CSR bytes per stored transition: an `f64` value, a column
-/// index and its share of the row-start array, mirroring the layout of
-/// [`crate::CsrMatrix`].
-const CSR_BYTES_PER_EDGE: usize = 8 + 8;
-/// Estimated CSR bytes per state (one row-start slot per matrix).
-const CSR_BYTES_PER_STATE: usize = 2 * 8;
 /// How many dequeued states pass between cooperative budget checkpoints.
 const EXPLORE_CHECK_INTERVAL: usize = 256;
 
@@ -153,23 +147,29 @@ impl<S: PartialEq> Explored<S> {
 /// model: the initial state is index 0.
 ///
 /// `max_states` bounds exploration as a defense against runaway models.
+/// On top of it, `budget` may impose a (tighter) explored-state cap, a
+/// wall-clock deadline and a cancellation token. Deadline and cancellation
+/// are polled every 256 dequeued states; the state cap is enforced
+/// exactly, on every newly discovered state.
 ///
 /// # Errors
 ///
 /// Returns [`MarkovError::StateOutOfRange`] (with `state == max_states`) if
-/// the bound is exceeded, or any construction error from the underlying
-/// [`CtmcBuilder`]. Irreducibility is *not* checked here — truncated
-/// availability models are frequently solved with solvers that check it
-/// themselves.
+/// the caller's own bound is exceeded, [`MarkovError::BudgetExhausted`]
+/// naming the exhausted resource (`phase = "explore"`) when the budget's
+/// state cap or deadline is, [`MarkovError::Cancelled`] when the token
+/// fired, or any construction error from the underlying [`CtmcBuilder`].
+/// Irreducibility is *not* checked here — truncated availability models
+/// are frequently solved with solvers that check it themselves.
 ///
 /// # Examples
 ///
 /// ```
-/// use aved_markov::{explore, DenseSolver, SteadyStateSolver};
+/// use aved_markov::{explore, DenseSolver, SolveBudget, SteadyStateSolver};
 ///
 /// // 3 machines, each failing at 0.01/h and repaired at 1/h; state = number
 /// // failed, capped at 2 concurrent failures (truncation).
-/// let explored = explore(0_u32, 10_000, |&k| {
+/// let rule = |&k: &u32| {
 ///     let mut out = Vec::new();
 ///     if k < 2 {
 ///         out.push(((3 - k) as f64 * 0.01, k + 1));
@@ -178,41 +178,14 @@ impl<S: PartialEq> Explored<S> {
 ///         out.push((k as f64 * 1.0, k - 1));
 ///     }
 ///     out
-/// })?;
+/// };
+/// let explored = explore(0_u32, 10_000, rule, &SolveBudget::unlimited())?;
 /// assert_eq!(explored.n_states(), 3);
 /// let pi = DenseSolver::default().steady_state(explored.ctmc())?;
 /// assert!(pi[0] > 0.95);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn explore<S, F, I>(
-    initial: S,
-    max_states: usize,
-    successors: F,
-) -> Result<Explored<S>, MarkovError>
-where
-    S: Clone + Eq + Hash,
-    F: Fn(&S) -> I,
-    I: IntoIterator<Item = (f64, S)>,
-{
-    explore_budgeted(initial, max_states, successors, &SolveBudget::unlimited())
-}
-
-/// [`explore`] under a cooperative [`SolveBudget`].
-///
-/// On top of the caller's `max_states` truncation bound, the budget may
-/// impose a (tighter) explored-state cap, an estimated CSR-memory cap, a
-/// wall-clock deadline and a cancellation token. Deadline and cancellation
-/// are polled every 256 dequeued states; the state and byte caps are
-/// enforced exactly, on every newly discovered state.
-///
-/// # Errors
-///
-/// Returns [`MarkovError::BudgetExhausted`] naming the exhausted resource
-/// (`phase = "explore"`), [`MarkovError::Cancelled`] when the token fired,
-/// [`MarkovError::StateOutOfRange`] when the caller's own `max_states`
-/// bound (not the budget's) was exceeded, or any construction error from
-/// the underlying [`CtmcBuilder`].
-pub fn explore_budgeted<S, F, I>(
     initial: S,
     max_states: usize,
     successors: F,
@@ -231,7 +204,6 @@ where
     // The budget's cap coexists with the caller's truncation bound; which
     // one trips determines the error (budget exhaustion vs. model runaway).
     let budget_states = budget.max_states().unwrap_or(usize::MAX);
-    let budget_bytes = budget.max_csr_bytes().unwrap_or(usize::MAX);
     let governed = !budget.is_unlimited();
     let mut popped: usize = 0;
 
@@ -274,18 +246,6 @@ where
                 }
             };
             transitions.push((from, to, rate));
-            if governed {
-                let bytes = transitions.len() * CSR_BYTES_PER_EDGE
-                    + (states.len() + 1) * CSR_BYTES_PER_STATE;
-                if bytes > budget_bytes {
-                    return Err(MarkovError::BudgetExhausted {
-                        phase: "explore",
-                        resource: BudgetResource::CsrBytes,
-                        progress: bytes as u64,
-                        limit: budget_bytes as u64,
-                    });
-                }
-            }
         }
     }
 
@@ -323,9 +283,23 @@ mod tests {
     use super::*;
     use crate::{DenseSolver, SteadyStateSolver};
 
+    /// [`explore`] under an unlimited budget.
+    fn explore_unlimited<S, F, I>(
+        initial: S,
+        max_states: usize,
+        successors: F,
+    ) -> Result<Explored<S>, MarkovError>
+    where
+        S: Clone + Eq + Hash,
+        F: Fn(&S) -> I,
+        I: IntoIterator<Item = (f64, S)>,
+    {
+        explore(initial, max_states, successors, &SolveBudget::unlimited())
+    }
+
     #[test]
     fn explores_birth_death_chain() {
-        let e = explore(0_u8, 100, |&k| {
+        let e = explore_unlimited(0_u8, 100, |&k| {
             let mut out = Vec::new();
             if k < 3 {
                 out.push((1.0, k + 1));
@@ -349,7 +323,7 @@ mod tests {
 
     #[test]
     fn respects_state_bound() {
-        let res = explore(0_u64, 5, |&k| {
+        let res = explore_unlimited(0_u64, 5, |&k| {
             vec![(1.0, k + 1), (1.0, k.saturating_sub(1))]
         });
         assert!(res.is_err());
@@ -359,7 +333,7 @@ mod tests {
     fn budget_state_cap_trips_before_the_truncation_bound() {
         let runaway = |&k: &u64| vec![(1.0, k + 1), (1.0, k.saturating_sub(1))];
         let budget = SolveBudget::unlimited().with_max_states(5);
-        match explore_budgeted(0_u64, 1000, runaway, &budget) {
+        match explore(0_u64, 1000, runaway, &budget) {
             Err(MarkovError::BudgetExhausted {
                 phase: "explore",
                 resource: BudgetResource::States,
@@ -370,23 +344,9 @@ mod tests {
         }
         // The caller's own bound still reports the legacy error.
         assert!(matches!(
-            explore_budgeted(0_u64, 5, runaway, &SolveBudget::unlimited()),
+            explore(0_u64, 5, runaway, &SolveBudget::unlimited()),
             Err(MarkovError::StateOutOfRange { .. })
         ));
-    }
-
-    #[test]
-    fn budget_byte_cap_trips_on_runaway_edges() {
-        let runaway = |&k: &u64| vec![(1.0, k + 1), (1.0, k.saturating_sub(1))];
-        let budget = SolveBudget::unlimited().with_max_csr_bytes(512);
-        match explore_budgeted(0_u64, usize::MAX, runaway, &budget) {
-            Err(MarkovError::BudgetExhausted {
-                phase: "explore",
-                resource: BudgetResource::CsrBytes,
-                ..
-            }) => {}
-            other => panic!("expected csr-bytes exhaustion, got {other:?}"),
-        }
     }
 
     #[test]
@@ -395,7 +355,7 @@ mod tests {
         token.cancel();
         let budget = SolveBudget::unlimited().with_cancel(token);
         assert!(matches!(
-            explore_budgeted(0_u64, 10, |&k| vec![(1.0, (k + 1) % 3)], &budget),
+            explore(0_u64, 10, |&k| vec![(1.0, (k + 1) % 3)], &budget),
             Err(MarkovError::Cancelled { phase: "explore" })
         ));
     }
@@ -412,8 +372,8 @@ mod tests {
             }
             out
         };
-        let plain = explore(0_u8, 100, rule).unwrap();
-        let governed = explore_budgeted(
+        let plain = explore_unlimited(0_u8, 100, rule).unwrap();
+        let governed = explore(
             0_u8,
             100,
             rule,
@@ -426,7 +386,7 @@ mod tests {
 
     #[test]
     fn drops_zero_rate_transitions() {
-        let e = explore(0_u8, 10, |&k| match k {
+        let e = explore_unlimited(0_u8, 10, |&k| match k {
             0 => vec![(0.0, 5_u8), (1.0, 1)],
             1 => vec![(1.0, 0)],
             _ => vec![],
@@ -438,7 +398,7 @@ mod tests {
 
     #[test]
     fn reward_vector_maps_states() {
-        let e = explore(0_u8, 10, |&k| {
+        let e = explore_unlimited(0_u8, 10, |&k| {
             if k == 0 {
                 vec![(1.0, 1_u8)]
             } else {
@@ -464,16 +424,19 @@ mod tests {
                 out
             }
         };
-        let mut warm = explore(0_u8, 100, rule(1.0)).unwrap();
+        let mut warm = explore_unlimited(0_u8, 100, rule(1.0)).unwrap();
         // Same topology, different rates: must patch in place...
         assert!(warm.repatch(rule(1.7)));
         // ...and agree bit-for-bit with a from-scratch exploration.
-        let cold = explore(0_u8, 100, rule(1.7)).unwrap();
+        let cold = explore_unlimited(0_u8, 100, rule(1.7)).unwrap();
         assert_eq!(warm.ctmc(), cold.ctmc());
         assert_eq!(warm.states(), cold.states());
         // Repeated repatching keeps working (buffers are recycled).
         assert!(warm.repatch(rule(0.3)));
-        assert_eq!(warm.ctmc(), explore(0_u8, 100, rule(0.3)).unwrap().ctmc());
+        assert_eq!(
+            warm.ctmc(),
+            explore_unlimited(0_u8, 100, rule(0.3)).unwrap().ctmc()
+        );
     }
 
     #[test]
@@ -488,7 +451,7 @@ mod tests {
             }
             out
         };
-        let mut e = explore(0_u8, 100, base).unwrap();
+        let mut e = explore_unlimited(0_u8, 100, base).unwrap();
         let before = e.ctmc().clone();
 
         // Deeper chain: introduces a state never discovered.
@@ -546,7 +509,10 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert!(e.repatch(scaled));
-        assert_eq!(e.ctmc(), explore(0_u8, 100, scaled).unwrap().ctmc());
+        assert_eq!(
+            e.ctmc(),
+            explore_unlimited(0_u8, 100, scaled).unwrap().ctmc()
+        );
     }
 
     #[test]
@@ -566,7 +532,7 @@ mod tests {
                 out
             }
         };
-        let mut e = explore(0_u8, 100, rule(false)).unwrap();
+        let mut e = explore_unlimited(0_u8, 100, rule(false)).unwrap();
         let before = e.ctmc().clone();
         // Same successors, same rates, different order: the recorded plan
         // no longer lines up, so the caller must re-explore.
@@ -586,9 +552,9 @@ mod tests {
                 _ => vec![(1.0, 0_u8)],
             }
         };
-        let mut warm = explore(0_u8, 10, rule(0.1, 0.2)).unwrap();
+        let mut warm = explore_unlimited(0_u8, 10, rule(0.1, 0.2)).unwrap();
         assert!(warm.repatch(rule(0.3, 0.4)));
-        let cold = explore(0_u8, 10, rule(0.3, 0.4)).unwrap();
+        let cold = explore_unlimited(0_u8, 10, rule(0.3, 0.4)).unwrap();
         assert_eq!(warm.ctmc(), cold.ctmc());
     }
 
@@ -599,7 +565,7 @@ mod tests {
             failed: u8,
             failover: bool,
         }
-        let e = explore(
+        let e = explore_unlimited(
             St {
                 failed: 0,
                 failover: false,

@@ -16,11 +16,15 @@
 //!   ([`PowerSolver`]);
 //! * [`FallbackSolver`] — a resilient policy chaining the three solvers
 //!   with per-attempt budgets and a `‖πQ‖∞` residual acceptance check,
-//!   recording every attempt in a [`SolveDiagnostics`] trail; its
-//!   [`FallbackSolver::solve_warm`] entry point threads an optional
-//!   warm-start hint and a reusable [`SolveScratch`] workspace through the
-//!   chain, and [`Explored::repatch`] rebuilds a chain's rates in place
-//!   when only the rates (not the topology) changed;
+//!   recording every attempt in a [`SolveDiagnostics`] trail. Its one entry
+//!   point, [`FallbackSolver::solve`], takes a reusable [`SolveScratch`]
+//!   workspace and a [`SolveBudget`] — the one budget type, bounding wall
+//!   time, explored states and cancellation. Every stage starts cold, so
+//!   an accepted answer is a pure function of the chain: neither the
+//!   scratch nor earlier solves can move a bit of it;
+//! * [`Explored::repatch`] rebuilds an explored chain's rates in place
+//!   when only the rates (not the topology) changed, bit-identically to a
+//!   fresh [`explore`];
 //! * [`birth_death::steady_state`] — the closed-form product solution for
 //!   birth–death chains, used to cross-check the general solvers;
 //! * [`transient`] — uniformization-based transient analysis (probability
@@ -62,7 +66,7 @@ pub use builder::CtmcBuilder;
 pub use csr::CsrMatrix;
 pub use ctmc::{Ctmc, Transition};
 pub use error::MarkovError;
-pub use explore::{explore, explore_budgeted, Explored};
+pub use explore::{explore, Explored};
 pub use scratch::SolveScratch;
 pub use solve_dense::DenseSolver;
 pub use solve_fallback::{FallbackSolver, SolveAttempt, SolveDiagnostics, SolverKind};

@@ -4,23 +4,34 @@
 //! One non-converged Gauss–Seidel sweep used to abort an entire design
 //! search. [`FallbackSolver`] instead treats solver failure as an expected
 //! event: it tries Gauss–Seidel first, falls back to uniformized power
-//! iteration, then to dense direct elimination, giving each attempt its own
-//! iteration and wall-clock budget. Every produced solution — whichever
-//! solver made it — must pass an independent acceptance test before it is
-//! returned: the balance residual `‖πQ‖∞` has to be below
-//! [`FallbackSolver::residual_tolerance`], all probabilities finite and
-//! non-negative, and the mass normalized. A solver that converged to the
+//! iteration, then to dense direct elimination, giving each iterative
+//! attempt its own sweep cap and a fixed wall-clock allowance. Every
+//! produced solution — whichever solver made it — must pass an independent
+//! acceptance test before it is returned: the balance residual `‖πQ‖∞`
+//! has to be below [`FallbackSolver::residual_tolerance`], all
+//! probabilities finite and non-negative, and the mass normalized. A solver that converged to the
 //! wrong answer is therefore rejected, not silently propagated.
 //!
 //! The full attempt trail is recorded in [`SolveDiagnostics`] so callers
 //! (the availability engines and, above them, the design search) can report
 //! how degraded an evaluation was.
+//!
+//! Every stage starts cold — elimination is direct, and the iterative
+//! stages start from the uniform distribution — so a solve is a pure
+//! function of the chain and the solver configuration.
 
-use crate::scratch::{sanitize_hint, SolveScratch};
+use crate::scratch::SolveScratch;
 use crate::{
     Ctmc, DenseSolver, GaussSeidelSolver, MarkovError, PowerSolver, SolveBudget, SteadyStateSolver,
 };
 use std::time::{Duration, Instant};
+
+/// Wall-clock allowance of one iterative attempt. It tightens the
+/// attempt's copy of the caller's [`SolveBudget`] deadline; running out of
+/// it moves on to the next stage, while running out of the caller's own
+/// deadline ends the chain. Without it, power iteration's sweep cap would
+/// be its only bound.
+const ATTEMPT_ALLOWANCE: Duration = Duration::from_secs(30);
 
 /// Which concrete algorithm a fallback attempt used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,9 +68,6 @@ pub struct SolveAttempt {
     pub wall_time: Duration,
     /// Iterative sweeps the attempt used (`0` for the direct dense solve).
     pub iterations: usize,
-    /// Whether the attempt started from a warm hint rather than the uniform
-    /// distribution (always `false` for the dense solve, which is direct).
-    pub warm_started: bool,
 }
 
 impl SolveAttempt {
@@ -76,9 +84,6 @@ pub struct SolveDiagnostics {
     /// Attempts in the order they ran; the last one is the accepted attempt
     /// when the solve succeeded.
     pub attempts: Vec<SolveAttempt>,
-    /// Whether a usable (correctly sized, finite, positive-mass) warm-start
-    /// hint was supplied to this solve.
-    pub warm_hint_used: bool,
 }
 
 impl SolveDiagnostics {
@@ -121,17 +126,6 @@ impl SolveDiagnostics {
         self.attempts.iter().map(|a| a.iterations as u64).sum()
     }
 
-    /// Whether the accepted solution actually consumed the warm hint (an
-    /// iterative solver started from it). Dense acceptance leaves this
-    /// `false` even when a hint was offered.
-    #[must_use]
-    pub fn warm_start_consumed(&self) -> bool {
-        self.attempts
-            .iter()
-            .find(|a| a.accepted())
-            .is_some_and(|a| a.warm_started)
-    }
-
     /// Total wall-clock time across all attempts.
     #[must_use]
     pub fn total_wall_time(&self) -> Duration {
@@ -153,12 +147,13 @@ impl SolveDiagnostics {
 /// # Examples
 ///
 /// ```
-/// use aved_markov::{CtmcBuilder, FallbackSolver, SteadyStateSolver};
+/// use aved_markov::{CtmcBuilder, FallbackSolver, SolveBudget, SolveScratch};
 ///
 /// let mut b = CtmcBuilder::new(2);
 /// b.rate(0, 1, 1.0 / 1000.0).rate(1, 0, 1.0 / 10.0);
 /// let ctmc = b.build()?;
-/// let (pi, diagnostics) = FallbackSolver::default().solve_with_diagnostics(&ctmc);
+/// let (pi, diagnostics) =
+///     FallbackSolver::default().solve(&ctmc, &mut SolveScratch::new(), &SolveBudget::unlimited());
 /// let pi = pi?;
 /// assert!((pi[1] - 10.0 / 1010.0).abs() < 1e-12);
 /// assert!(diagnostics.accepted_residual().unwrap() <= 1e-9);
@@ -169,7 +164,6 @@ pub struct FallbackSolver {
     gauss_seidel: GaussSeidelSolver,
     power: PowerSolver,
     residual_tolerance: f64,
-    attempt_budget: Option<Duration>,
     dense_preferred_below: usize,
     dense_state_limit: usize,
     assume_irreducible: bool,
@@ -203,7 +197,6 @@ impl FallbackSolver {
                 .with_residual_exit(residual_tolerance * 1e-3),
             power: PowerSolver::default(),
             residual_tolerance,
-            attempt_budget: Some(Duration::from_secs(30)),
             dense_preferred_below: 3000,
             dense_state_limit: 20_000,
             assume_irreducible: false,
@@ -243,15 +236,6 @@ impl FallbackSolver {
         self
     }
 
-    /// Caps the wall-clock time of each *iterative* attempt (dense
-    /// elimination is non-preemptible and bounded by the state limit
-    /// instead). `None` removes the cap. Defaults to 30 s.
-    #[must_use]
-    pub fn with_attempt_budget(mut self, budget: Option<Duration>) -> FallbackSolver {
-        self.attempt_budget = budget;
-        self
-    }
-
     /// Below this state count the dense direct solve runs first. Defaults
     /// to 3000, matching the availability engines' historical cutover.
     #[must_use]
@@ -273,7 +257,7 @@ impl FallbackSolver {
     /// traversals and the dense stage's reachability check).
     ///
     /// Only sound when the identical transition structure previously
-    /// produced an accepted solution — the warm-start engines set this for
+    /// produced an accepted solution — the evaluation sessions set this for
     /// rate-only in-place rebuilds of cached chains, where irreducibility
     /// (a purely structural property) cannot have changed. The acceptance
     /// gate still re-verifies every solution.
@@ -324,60 +308,41 @@ impl FallbackSolver {
             .filter(move |&kind| !(skip_dense && kind == Dense))
     }
 
-    /// Runs the fallback chain, returning the accepted solution (or the
-    /// last attempt's error) together with the full attempt trail.
-    pub fn solve_with_diagnostics(
-        &self,
-        ctmc: &Ctmc,
-    ) -> (Result<Vec<f64>, MarkovError>, SolveDiagnostics) {
-        self.solve_warm(ctmc, None, &mut SolveScratch::new())
-    }
-
-    /// Runs the fallback chain with an optional warm-start hint and a
-    /// reusable solve workspace.
+    /// Runs the fallback chain under a cooperative [`SolveBudget`],
+    /// returning the accepted solution (or the last attempt's error)
+    /// together with the full attempt trail.
     ///
-    /// The hint seeds the *iterative* stages (Gauss–Seidel, power); the
-    /// dense direct solve ignores it. Soundness does not depend on the
-    /// hint: every produced solution still has to pass the same acceptance
-    /// test (finite, non-negative, normalized, `‖πQ‖∞` under the residual
-    /// tolerance), so a warm start can only change how fast an acceptable
-    /// solution is found, never *whether* a solution is acceptable.
+    /// `scratch` carries the iteration vectors, transposed adjacency and
+    /// dense matrix across calls so repeated solves stop reallocating them;
+    /// it never changes the result.
     ///
-    /// Adversarial hints degrade to a cold start: a wrong-sized, non-finite
-    /// or zero-mass hint is discarded (see `SolveDiagnostics::warm_hint_used`),
-    /// and a non-normalized one is renormalized. `scratch` carries the
-    /// iteration vectors, transposed adjacency, and dense matrix across
-    /// calls so repeated solves stop reallocating them.
-    pub fn solve_warm(
-        &self,
-        ctmc: &Ctmc,
-        hint: Option<&[f64]>,
-        scratch: &mut SolveScratch,
-    ) -> (Result<Vec<f64>, MarkovError>, SolveDiagnostics) {
-        self.solve_warm_budgeted(ctmc, hint, scratch, &SolveBudget::unlimited())
-    }
-
-    /// Runs the fallback chain under a cooperative [`SolveBudget`].
-    ///
-    /// Identical to [`Self::solve_warm`] except that every iterative stage
-    /// polls the budget's deadline and cancellation token between sweeps,
-    /// and the budget is re-checked before each attempt starts (so an
+    /// The iterative stages poll the budget's deadline and cancellation
+    /// token between sweeps, each under a fixed wall-clock allowance of its
+    /// own, and the budget is re-checked before each attempt starts (so an
     /// already-exhausted budget never launches the non-preemptible dense
-    /// solve). Budget exhaustion and cancellation abort the whole chain —
-    /// falling back to another solver after the deadline would only burn
-    /// more of the resource that just ran out.
-    pub fn solve_warm_budgeted(
+    /// solve). An attempt that outlives its allowance falls back to the
+    /// next stage. The caller's deadline and cancellation abort the whole
+    /// chain — falling back to another solver then would only burn more of
+    /// the resource that just ran out.
+    pub fn solve(
         &self,
         ctmc: &Ctmc,
-        hint: Option<&[f64]>,
         scratch: &mut SolveScratch,
         budget: &SolveBudget,
     ) -> (Result<Vec<f64>, MarkovError>, SolveDiagnostics) {
-        let warm = hint.and_then(|h| sanitize_hint(ctmc.n_states(), h));
-        let mut diagnostics = SolveDiagnostics {
-            warm_hint_used: warm.is_some(),
-            ..SolveDiagnostics::default()
-        };
+        self.solve_within(ctmc, scratch, budget, ATTEMPT_ALLOWANCE)
+    }
+
+    /// [`Self::solve`] with `allowance` as each iterative attempt's
+    /// wall-clock allowance.
+    fn solve_within(
+        &self,
+        ctmc: &Ctmc,
+        scratch: &mut SolveScratch,
+        budget: &SolveBudget,
+        allowance: Duration,
+    ) -> (Result<Vec<f64>, MarkovError>, SolveDiagnostics) {
+        let mut diagnostics = SolveDiagnostics::default();
         let governed = !budget.is_unlimited();
         let mut last_error = MarkovError::EmptyChain;
         for kind in self.attempt_order(ctmc.n_states()) {
@@ -389,25 +354,19 @@ impl FallbackSolver {
                 }
             }
             let started = Instant::now();
-            let warm_started = warm.is_some() && kind != SolverKind::Dense;
             let raw = match kind {
                 SolverKind::GaussSeidel => {
                     let mut solver = self.gauss_seidel;
-                    if let Some(allowance) = self.attempt_budget {
-                        solver = solver.with_time_budget(allowance);
-                    }
                     if self.assume_irreducible {
                         solver = solver.assuming_irreducible();
                     }
-                    solver.sweep_into_budgeted(ctmc, warm.as_deref(), scratch, budget)
+                    solver.sweep_into(ctmc, scratch, &budget.with_deadline_by(started + allowance))
                 }
-                SolverKind::Power => {
-                    let mut solver = self.power;
-                    if let Some(allowance) = self.attempt_budget {
-                        solver = solver.with_time_budget(allowance);
-                    }
-                    solver.power_into_budgeted(ctmc, warm.as_deref(), scratch, budget)
-                }
+                SolverKind::Power => self.power.power_into(
+                    ctmc,
+                    scratch,
+                    &budget.with_deadline_by(started + allowance),
+                ),
                 SolverKind::Dense => DenseSolver::new()
                     .solve_into(ctmc, scratch, self.assume_irreducible)
                     .map(|()| 0),
@@ -427,8 +386,12 @@ impl FallbackSolver {
                     // Failed iterative attempts still burned sweeps; the
                     // count rides in the error.
                     let iterations = match e {
-                        MarkovError::NoConvergence { iterations, .. }
-                        | MarkovError::TimedOut { iterations, .. } => iterations,
+                        MarkovError::NoConvergence { iterations, .. } => iterations,
+                        MarkovError::BudgetExhausted {
+                            phase: "gauss-seidel" | "power",
+                            progress,
+                            ..
+                        } => usize::try_from(progress).unwrap_or(usize::MAX),
                         _ => 0,
                     };
                     (Err((e, iterations)), None)
@@ -443,32 +406,32 @@ impl FallbackSolver {
                         residual,
                         wall_time,
                         iterations,
-                        warm_started,
                     });
                     return (Ok(scratch.pi.clone()), diagnostics);
                 }
                 Err((e, iterations)) => {
                     // Structural failures apply to every solver: stop early
                     // rather than re-diagnosing the same chain three times.
-                    // Budget exhaustion and cancellation likewise end the
-                    // chain — the resource is gone for every later stage too.
-                    let structural = matches!(
-                        e,
+                    // Cancellation and the caller's deadline likewise end
+                    // the chain — the resource is gone for every later stage
+                    // too. An attempt that only used up its own allowance
+                    // leaves the next stage a fresh one.
+                    let fatal = match e {
                         MarkovError::Reducible { .. }
-                            | MarkovError::EmptyChain
-                            | MarkovError::BudgetExhausted { .. }
-                            | MarkovError::Cancelled { .. }
-                    );
+                        | MarkovError::EmptyChain
+                        | MarkovError::Cancelled { .. } => true,
+                        MarkovError::BudgetExhausted { .. } => budget.deadline_exceeded(),
+                        _ => false,
+                    };
                     diagnostics.attempts.push(SolveAttempt {
                         solver: kind,
                         error: Some(e.clone()),
                         residual,
                         wall_time,
                         iterations,
-                        warm_started,
                     });
                     last_error = e;
-                    if structural {
+                    if fatal {
                         break;
                     }
                 }
@@ -505,7 +468,8 @@ impl Default for FallbackSolver {
 
 impl SteadyStateSolver for FallbackSolver {
     fn steady_state(&self, ctmc: &Ctmc) -> Result<Vec<f64>, MarkovError> {
-        self.solve_with_diagnostics(ctmc).0
+        self.solve(ctmc, &mut SolveScratch::new(), &SolveBudget::unlimited())
+            .0
     }
 }
 
@@ -524,10 +488,40 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// One solve in a fresh scratch under an unlimited budget.
+    fn solve(
+        solver: &FallbackSolver,
+        ctmc: &Ctmc,
+    ) -> (Result<Vec<f64>, MarkovError>, SolveDiagnostics) {
+        solver.solve(ctmc, &mut SolveScratch::new(), &SolveBudget::unlimited())
+    }
+
+    /// A 2000-state ring with uneven rates: Gauss–Seidel needs far more
+    /// sweeps to settle it than fit in a fraction of a second, so a run
+    /// stopped by a deadline is always cut mid-iteration.
+    fn slow_ring() -> Ctmc {
+        let n = 2000;
+        let rates: Vec<f64> = (0..2 * n)
+            .map(|i| 1.0 + (i % 7) as f64 * 0.3 + (i % 5) as f64 * 0.2)
+            .collect();
+        ring_chain(n, &rates)
+    }
+
+    /// An iterative-first solve of [`slow_ring`] whose Gauss–Seidel stage
+    /// has no residual exit, cut by a caller deadline 200 ms out.
+    fn cut_by_caller_deadline() -> (Result<Vec<f64>, MarkovError>, SolveDiagnostics) {
+        let solver = FallbackSolver::default()
+            .with_dense_preferred_below(0)
+            .with_gauss_seidel(GaussSeidelSolver::new(1e-300, usize::MAX));
+        let deadline =
+            SolveBudget::unlimited().with_deadline(Instant::now() + Duration::from_millis(200));
+        solver.solve(&slow_ring(), &mut SolveScratch::new(), &deadline)
+    }
+
     #[test]
     fn accepts_first_solver_on_easy_chain() {
         let ctmc = ring_chain(4, &[3.0, 1.5, 0.5, 2.0, 0.25, 1.0, 4.0, 0.75]);
-        let (pi, diag) = FallbackSolver::default().solve_with_diagnostics(&ctmc);
+        let (pi, diag) = solve(&FallbackSolver::default(), &ctmc);
         let pi = pi.unwrap();
         assert_eq!(diag.attempts.len(), 1);
         assert_eq!(diag.fallbacks_taken(), 0);
@@ -540,7 +534,7 @@ mod tests {
     fn large_chains_start_iterative() {
         let ctmc = ring_chain(4, &[3.0, 1.5, 0.5, 2.0, 0.25, 1.0, 4.0, 0.75]);
         let solver = FallbackSolver::default().with_dense_preferred_below(0);
-        let (pi, diag) = solver.solve_with_diagnostics(&ctmc);
+        let (pi, diag) = solve(&solver, &ctmc);
         assert!(pi.is_ok());
         assert_eq!(diag.accepted_solver(), Some(SolverKind::GaussSeidel));
     }
@@ -556,7 +550,7 @@ mod tests {
         let solver = FallbackSolver::default()
             .with_dense_preferred_below(0)
             .with_gauss_seidel(GaussSeidelSolver::new(1e-300, 1));
-        let (pi, diag) = solver.solve_with_diagnostics(&ctmc);
+        let (pi, diag) = solve(&solver, &ctmc);
         let pi = pi.unwrap();
         assert!(diag.fallbacks_taken() >= 1);
         assert!(matches!(
@@ -578,7 +572,7 @@ mod tests {
             .with_dense_state_limit(0) // dense stage removed
             .with_gauss_seidel(GaussSeidelSolver::new(1e-300, 1))
             .with_power(PowerSolver::new(1e-300, 1));
-        let (pi, diag) = solver.solve_with_diagnostics(&ctmc);
+        let (pi, diag) = solve(&solver, &ctmc);
         assert!(pi.is_err());
         assert_eq!(diag.attempts.len(), 2);
         assert!(diag.attempts.iter().all(|a| !a.accepted()));
@@ -590,7 +584,7 @@ mod tests {
         let mut b = CtmcBuilder::new(2);
         b.rate(0, 1, 1.0);
         let ctmc = b.build_unchecked();
-        let (pi, diag) = FallbackSolver::default().solve_with_diagnostics(&ctmc);
+        let (pi, diag) = solve(&FallbackSolver::default(), &ctmc);
         assert!(matches!(pi, Err(MarkovError::Reducible { .. })));
         assert_eq!(diag.attempts.len(), 1, "structural errors are not retried");
     }
@@ -604,7 +598,7 @@ mod tests {
         let solver = FallbackSolver::default()
             .with_dense_preferred_below(0)
             .with_gauss_seidel(GaussSeidelSolver::new(1e300, 100_000));
-        let (pi, diag) = solver.solve_with_diagnostics(&ctmc);
+        let (pi, diag) = solve(&solver, &ctmc);
         assert!(pi.is_ok());
         assert!(matches!(
             diag.attempts[0].error,
@@ -625,29 +619,67 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let cancelled = SolveBudget::unlimited().with_cancel(token);
-        let (pi, diag) =
-            solver.solve_warm_budgeted(&ctmc, None, &mut SolveScratch::new(), &cancelled);
+        let (pi, diag) = solver.solve(&ctmc, &mut SolveScratch::new(), &cancelled);
         assert!(matches!(pi, Err(MarkovError::Cancelled { .. })));
         assert!(diag.attempts.is_empty(), "no attempt should have launched");
 
-        // A sweep cap starves Gauss-Seidel mid-chain; the budget error must
-        // NOT trigger a fallback to power iteration or dense elimination.
-        let capped = SolveBudget::unlimited().with_max_sweeps(2);
-        let (pi, diag) = solver.solve_warm_budgeted(&ctmc, None, &mut SolveScratch::new(), &capped);
+        // The caller's deadline cuts Gauss-Seidel mid-chain; the budget
+        // error must NOT trigger a fallback to power iteration or dense
+        // elimination.
+        let (pi, diag) = cut_by_caller_deadline();
         assert!(matches!(pi, Err(MarkovError::BudgetExhausted { .. })));
         assert_eq!(diag.attempts.len(), 1, "budget errors are not retried");
 
-        // The unlimited budget reproduces the plain path bit-for-bit.
-        let (plain, _) = solver.solve_warm(&ctmc, None, &mut SolveScratch::new());
-        let (governed, _) = solver.solve_warm_budgeted(
-            &ctmc,
-            None,
-            &mut SolveScratch::new(),
-            &SolveBudget::unlimited(),
-        );
+        // A governed budget that never trips reproduces the plain path
+        // bit-for-bit.
+        let (plain, _) = solve(&solver, &ctmc);
+        let far =
+            SolveBudget::unlimited().with_deadline(Instant::now() + Duration::from_secs(3600));
+        let (governed, _) = solver.solve(&ctmc, &mut SolveScratch::new(), &far);
         let (plain, governed) = (plain.unwrap(), governed.unwrap());
         for (a, b) in plain.iter().zip(governed.iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn deadline_cut_attempt_reports_its_sweeps() {
+        let (_, diag) = cut_by_caller_deadline();
+        let Some(MarkovError::BudgetExhausted { progress, .. }) = diag.attempts[0].error else {
+            panic!("expected a budget cut, got {diag:?}");
+        };
+        assert!(progress > 0, "the attempt swept before the deadline");
+        assert_eq!(diag.total_iterations(), progress);
+    }
+
+    #[test]
+    fn exhausted_attempt_allowance_falls_through_to_the_next_stage() {
+        let ctmc = ring_chain(4, &[3.0, 1.5, 0.5, 2.0, 0.25, 1.0, 4.0, 0.75]);
+        let solver = FallbackSolver::default().with_dense_preferred_below(0);
+        let far =
+            SolveBudget::unlimited().with_deadline(Instant::now() + Duration::from_secs(3600));
+        for budget in [SolveBudget::unlimited(), far] {
+            // A zero allowance cuts both iterative stages at their first
+            // checkpoint; the dense stage, which has none, still answers.
+            let (pi, diag) =
+                solver.solve_within(&ctmc, &mut SolveScratch::new(), &budget, Duration::ZERO);
+            assert!(pi.is_ok(), "{diag:?}");
+            let kinds: Vec<SolverKind> = diag.attempts.iter().map(|a| a.solver).collect();
+            assert_eq!(
+                kinds,
+                [
+                    SolverKind::GaussSeidel,
+                    SolverKind::Power,
+                    SolverKind::Dense
+                ]
+            );
+            for attempt in &diag.attempts[..2] {
+                assert!(matches!(
+                    attempt.error,
+                    Some(MarkovError::BudgetExhausted { progress: 0, .. })
+                ));
+            }
+            assert_eq!(diag.accepted_solver(), Some(SolverKind::Dense));
         }
     }
 
@@ -683,8 +715,8 @@ mod tests {
         let ctmc = b.build().unwrap();
         let fast = FallbackSolver::default().with_dense_preferred_below(0);
         let slow = fast.with_gauss_seidel(GaussSeidelSolver::default());
-        let (pi_fast, diag_fast) = fast.solve_with_diagnostics(&ctmc);
-        let (pi_slow, diag_slow) = slow.solve_with_diagnostics(&ctmc);
+        let (pi_fast, diag_fast) = solve(&fast, &ctmc);
+        let (pi_slow, diag_slow) = solve(&slow, &ctmc);
         let (pi_fast, pi_slow) = (pi_fast.unwrap(), pi_slow.unwrap());
         assert!(diag_fast.accepted_residual().unwrap() <= 1e-9);
         assert!(
@@ -724,7 +756,7 @@ mod tests {
             let dense = DenseSolver::new().steady_state(&ctmc).unwrap();
             // Exercise the iterative-first path regardless of size.
             let solver = FallbackSolver::default().with_dense_preferred_below(0);
-            let (pi, diag) = solver.solve_with_diagnostics(&ctmc);
+            let (pi, diag) = solve(&solver, &ctmc);
             let pi = pi.unwrap();
             prop_assert!(diag.accepted_residual().unwrap() <= 1e-9);
             for (d, p) in dense.iter().zip(pi.iter()) {
@@ -732,16 +764,16 @@ mod tests {
             }
         }
 
-        // Satellite requirement: a warm-started FallbackSolver agrees with
-        // the cold solve to 1e-9 on random ergodic chains, including
-        // adversarial warm starts (wrong-size hint rejected, non-normalized
-        // hint renormalized, NaN hint ignored → cold path).
+        // A warm start — a scratch whose last solve was a different chain —
+        // agrees with a cold start bit for bit on the iterative-first path:
+        // the scratch carries capacity, never state.
         #[test]
         fn warm_start_agrees_with_cold_on_random_ergodic_chains(
             n in 2_usize..65,
             rates in proptest::collection::vec(0.05_f64..20.0, 2 * 64),
             chords in proptest::collection::vec((0_usize..64, 0_usize..64, 0.05_f64..20.0), 0..12),
-            perturb in 0.5_f64..2.0,
+            previous_n in 2_usize..65,
+            scale in 0.5_f64..2.0,
         ) {
             let mut b = CtmcBuilder::new(n);
             for i in 0..n {
@@ -755,43 +787,21 @@ mod tests {
                 }
             }
             let ctmc = b.build().unwrap();
-            // Iterative-first so the hint is actually consumed.
+            let previous_rates: Vec<f64> = rates.iter().rev().map(|r| r * scale).collect();
+            let previous = ring_chain(previous_n, &previous_rates);
             let solver = FallbackSolver::default().with_dense_preferred_below(0);
-            let (cold, _) = solver.solve_with_diagnostics(&ctmc);
+            let (cold, cold_diag) = solve(&solver, &ctmc);
             let cold = cold.unwrap();
+
             let mut scratch = SolveScratch::new();
-
-            // A plausible neighbor hint: the cold solution perturbed and
-            // deliberately left non-normalized (renormalizing is the
-            // solver's job).
-            let hint: Vec<f64> = cold
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| if i % 2 == 0 { p * perturb } else { p })
-                .collect();
-            let (warm, warm_diag) = solver.solve_warm(&ctmc, Some(&hint), &mut scratch);
+            let unlimited = SolveBudget::unlimited();
+            solver.solve(&previous, &mut scratch, &unlimited).0.unwrap();
+            let (warm, warm_diag) = solver.solve(&ctmc, &mut scratch, &unlimited);
             let warm = warm.unwrap();
-            prop_assert!(warm_diag.warm_hint_used);
-            prop_assert!(warm_diag.warm_start_consumed());
-            prop_assert!(warm_diag.accepted_residual().unwrap() <= 1e-9);
+            prop_assert_eq!(warm_diag.accepted_solver(), cold_diag.accepted_solver());
+            prop_assert_eq!(warm_diag.total_iterations(), cold_diag.total_iterations());
             for (c, w) in cold.iter().zip(warm.iter()) {
-                prop_assert!((c - w).abs() < 1e-9, "cold={} warm={}", c, w);
-            }
-
-            // Adversarial hints are discarded and the solve degrades to the
-            // cold path — bit-identically, since a discarded hint leaves no
-            // trace in the arithmetic.
-            let wrong_size = vec![1.0; n + 1];
-            let mut with_nan = cold.clone();
-            with_nan[0] = f64::NAN;
-            let no_mass = vec![0.0; n];
-            for bad in [&wrong_size[..], &with_nan[..], &no_mass[..]] {
-                let (pi, diag) = solver.solve_warm(&ctmc, Some(bad), &mut scratch);
-                let pi = pi.unwrap();
-                prop_assert!(!diag.warm_hint_used, "unusable hint must be discarded");
-                for (c, p) in cold.iter().zip(pi.iter()) {
-                    prop_assert_eq!(c.to_bits(), p.to_bits());
-                }
+                prop_assert_eq!(c.to_bits(), w.to_bits());
             }
         }
     }

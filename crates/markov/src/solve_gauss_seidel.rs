@@ -1,7 +1,7 @@
 //! Iterative steady-state solution by Gauss–Seidel sweeps.
 
-use crate::scratch::{sanitize_hint, SolveScratch};
-use crate::{BudgetResource, Ctmc, MarkovError, SolveBudget, SteadyStateSolver};
+use crate::scratch::SolveScratch;
+use crate::{Ctmc, MarkovError, SolveBudget, SteadyStateSolver};
 
 /// Gauss–Seidel steady-state solver.
 ///
@@ -31,7 +31,6 @@ pub struct GaussSeidelSolver {
     tolerance: f64,
     max_sweeps: usize,
     relaxation: f64,
-    time_budget: Option<std::time::Duration>,
     residual_exit: Option<f64>,
     assume_irreducible: bool,
 }
@@ -59,7 +58,6 @@ impl GaussSeidelSolver {
             tolerance,
             max_sweeps,
             relaxation: 0.9,
-            time_budget: None,
             residual_exit: None,
             assume_irreducible: false,
         })
@@ -118,17 +116,6 @@ impl GaussSeidelSolver {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Caps the wall-clock time one solve may take; the budget is checked
-    /// every few sweeps, so overshoot is bounded by a handful of sweeps.
-    ///
-    /// Used by fallback policies to keep a stuck attempt from starving the
-    /// rest of the chain.
-    #[must_use]
-    pub fn with_time_budget(mut self, budget: std::time::Duration) -> GaussSeidelSolver {
-        self.time_budget = Some(budget);
-        self
-    }
-
     /// Lets the sweep loop stop as soon as the measured balance residual
     /// `‖πQ‖∞` drops to `threshold`, even though the per-sweep delta has
     /// not reached the solver's own tolerance yet.
@@ -171,58 +158,15 @@ impl GaussSeidelSolver {
         self
     }
 
-    /// Like [`SteadyStateSolver::steady_state`] but starts the sweeps from
-    /// `pi0` instead of the uniform distribution — a warm start.
+    /// The sweep loop, starting from the uniform distribution, writing the
+    /// solution into `scratch.pi` and reusing the scratch's
+    /// transposed-adjacency buffers. Returns the number of sweeps used.
     ///
-    /// Acceptance is unaffected: the convergence criterion is relative
-    /// per-sweep change, and the downstream
-    /// [`FallbackSolver`](crate::FallbackSolver) re-verifies any solution
-    /// against the balance residual `‖πQ‖∞`, so a good hint saves sweeps
-    /// while a bad one merely costs them. `pi0` is renormalized to unit
-    /// mass before use.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidSolverConfig`] when the hint is
-    /// unusable (wrong length, non-finite or negative entries, zero mass),
-    /// plus every error `steady_state` can return.
-    pub fn steady_state_from(&self, ctmc: &Ctmc, pi0: &[f64]) -> Result<Vec<f64>, MarkovError> {
-        let hint = sanitize_hint(ctmc.n_states(), pi0).ok_or_else(|| {
-            MarkovError::InvalidSolverConfig {
-                detail: format!(
-                    "warm-start hint unusable: need {} finite non-negative entries with positive mass",
-                    ctmc.n_states()
-                ),
-            }
-        })?;
-        let mut scratch = SolveScratch::new();
-        self.sweep_into(ctmc, Some(&hint), &mut scratch)?;
-        Ok(std::mem::take(&mut scratch.pi))
-    }
-
-    /// The sweep loop, writing the solution into `scratch.pi` and reusing
-    /// the scratch's transposed-adjacency buffers. Returns the number of
-    /// sweeps used. `warm`, when given, must already be sanitized
-    /// (normalized, non-negative, correct length).
+    /// The deadline and cancellation token of `budget` are polled every 64
+    /// sweeps; an unlimited budget is never polled.
     pub(crate) fn sweep_into(
         &self,
         ctmc: &Ctmc,
-        warm: Option<&[f64]>,
-        scratch: &mut SolveScratch,
-    ) -> Result<usize, MarkovError> {
-        self.sweep_into_budgeted(ctmc, warm, scratch, &SolveBudget::unlimited())
-    }
-
-    /// [`sweep_into`](Self::sweep_into) under a cooperative
-    /// [`SolveBudget`]: the deadline and cancellation token are polled at
-    /// the same every-64-sweeps checkpoint as the solver's own time budget,
-    /// and the budget's sweep cap (when tighter than `max_sweeps`) turns
-    /// exhaustion into a [`MarkovError::BudgetExhausted`] naming the
-    /// resource.
-    pub(crate) fn sweep_into_budgeted(
-        &self,
-        ctmc: &Ctmc,
-        warm: Option<&[f64]>,
         scratch: &mut SolveScratch,
         budget: &SolveBudget,
     ) -> Result<usize, MarkovError> {
@@ -265,38 +209,13 @@ impl GaussSeidelSolver {
             in_cursor[t.to] += 1;
         }
 
-        let start = self.time_budget.map(|_| std::time::Instant::now());
         pi.clear();
-        match warm {
-            Some(hint) => pi.extend_from_slice(hint),
-            None => pi.resize(n, 1.0 / n as f64),
-        }
+        pi.resize(n, 1.0 / n as f64);
         let governed = !budget.is_unlimited();
-        let sweep_cap = budget.max_sweeps();
         for sweep in 0..self.max_sweeps {
-            if let (Some(allowance), Some(start)) = (self.time_budget, start) {
-                // Check every 64 sweeps: cheap, bounded overshoot.
-                if sweep % 64 == 0 && start.elapsed() > allowance {
-                    return Err(MarkovError::TimedOut {
-                        iterations: sweep,
-                        budget_secs: allowance.as_secs_f64(),
-                    });
-                }
-            }
-            if governed {
-                if sweep % 64 == 0 {
-                    budget.checkpoint("gauss-seidel", sweep as u64)?;
-                }
-                if let Some(cap) = sweep_cap {
-                    if sweep as u64 >= cap {
-                        return Err(MarkovError::BudgetExhausted {
-                            phase: "gauss-seidel",
-                            resource: BudgetResource::Sweeps,
-                            progress: sweep as u64,
-                            limit: cap,
-                        });
-                    }
-                }
+            // Check every 64 sweeps: cheap, bounded overshoot.
+            if governed && sweep % 64 == 0 {
+                budget.checkpoint("gauss-seidel", sweep as u64)?;
             }
             let mut delta = 0.0_f64;
             for j in 0..n {
@@ -376,7 +295,7 @@ impl Default for GaussSeidelSolver {
 impl SteadyStateSolver for GaussSeidelSolver {
     fn steady_state(&self, ctmc: &Ctmc) -> Result<Vec<f64>, MarkovError> {
         let mut scratch = SolveScratch::new();
-        self.sweep_into(ctmc, None, &mut scratch)?;
+        self.sweep_into(ctmc, &mut scratch, &SolveBudget::unlimited())?;
         Ok(std::mem::take(&mut scratch.pi))
     }
 }
@@ -445,14 +364,9 @@ mod tests {
     #[test]
     fn respects_sweep_limit() {
         // A 6-state asymmetric ring takes more than two sweeps to settle.
-        let mut b = CtmcBuilder::new(6);
-        for i in 0..6 {
-            b.rate(i, (i + 1) % 6, 1.0 + i as f64);
-            b.rate((i + 1) % 6, i, 2.5 / (1.0 + i as f64));
-        }
         let solver = GaussSeidelSolver::new(1e-300, 2);
         assert!(matches!(
-            solver.steady_state(&b.build().unwrap()),
+            solver.steady_state(&slow_ring()),
             Err(MarkovError::NoConvergence { iterations: 2, .. })
         ));
     }
@@ -514,96 +428,57 @@ mod tests {
         assert!(solver.try_with_relaxation(1.0).is_ok());
     }
 
-    #[test]
-    fn zero_time_budget_times_out() {
+    fn slow_ring() -> Ctmc {
         let mut b = CtmcBuilder::new(6);
         for i in 0..6 {
             b.rate(i, (i + 1) % 6, 1.0 + i as f64);
             b.rate((i + 1) % 6, i, 2.5 / (1.0 + i as f64));
         }
-        let solver =
-            GaussSeidelSolver::new(1e-300, 100_000).with_time_budget(std::time::Duration::ZERO);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn zero_time_budget_times_out() {
+        let budget = SolveBudget::unlimited().with_deadline(std::time::Instant::now());
+        let solver = GaussSeidelSolver::new(1e-300, 100_000);
         assert!(matches!(
-            solver.steady_state(&b.build().unwrap()),
-            Err(MarkovError::TimedOut { .. })
+            solver.sweep_into(&slow_ring(), &mut SolveScratch::new(), &budget),
+            Err(MarkovError::BudgetExhausted {
+                phase: "gauss-seidel",
+                resource: crate::BudgetResource::WallClock,
+                progress: 0,
+                ..
+            })
         ));
     }
 
     #[test]
     fn budget_sweep_cap_and_cancellation_stop_the_sweeps() {
-        let mut b = CtmcBuilder::new(6);
-        for i in 0..6 {
-            b.rate(i, (i + 1) % 6, 1.0 + i as f64);
-            b.rate((i + 1) % 6, i, 2.5 / (1.0 + i as f64));
-        }
-        let ctmc = b.build().unwrap();
-        let solver = GaussSeidelSolver::new(1e-300, 100_000);
+        let ctmc = slow_ring();
         let mut scratch = SolveScratch::new();
-        let capped = SolveBudget::unlimited().with_max_sweeps(3);
+        // A governed run still stops at the solver's own sweep cap.
+        let far = SolveBudget::unlimited()
+            .with_deadline(std::time::Instant::now() + std::time::Duration::from_secs(3600));
         assert!(matches!(
-            solver.sweep_into_budgeted(&ctmc, None, &mut scratch, &capped),
-            Err(MarkovError::BudgetExhausted {
-                phase: "gauss-seidel",
-                resource: BudgetResource::Sweeps,
-                limit: 3,
-                ..
-            })
+            GaussSeidelSolver::new(1e-300, 3).sweep_into(&ctmc, &mut scratch, &far),
+            Err(MarkovError::NoConvergence { iterations: 3, .. })
         ));
         let token = crate::CancelToken::new();
         token.cancel();
         let cancelled = SolveBudget::unlimited().with_cancel(token);
         assert!(matches!(
-            solver.sweep_into_budgeted(&ctmc, None, &mut scratch, &cancelled),
+            GaussSeidelSolver::new(1e-300, 100_000).sweep_into(&ctmc, &mut scratch, &cancelled),
             Err(MarkovError::Cancelled {
                 phase: "gauss-seidel"
             })
         ));
-        // An unlimited budget is bit-identical to the plain path.
+        // A governed budget that never trips is bit-identical to the plain
+        // path.
         let plain = GaussSeidelSolver::default().steady_state(&ctmc).unwrap();
         GaussSeidelSolver::default()
-            .sweep_into_budgeted(&ctmc, None, &mut scratch, &SolveBudget::unlimited())
+            .sweep_into(&ctmc, &mut scratch, &far)
             .unwrap();
         assert_eq!(plain, scratch.pi);
-    }
-
-    #[test]
-    fn warm_start_reaches_the_same_fixed_point_in_fewer_sweeps() {
-        let mut b = CtmcBuilder::new(6);
-        for i in 0..6 {
-            b.rate(i, (i + 1) % 6, 1.0 + i as f64);
-            b.rate((i + 1) % 6, i, 2.5 / (1.0 + i as f64));
-        }
-        let ctmc = b.build().unwrap();
-        let solver = GaussSeidelSolver::default();
-        let cold = solver.steady_state(&ctmc).unwrap();
-        let warm = solver.steady_state_from(&ctmc, &cold).unwrap();
-        for (c, w) in cold.iter().zip(warm.iter()) {
-            assert!((c - w).abs() < 1e-12, "cold={c} warm={w}");
-        }
-        // A converged hint needs strictly fewer sweeps than the cold run.
-        let mut scratch = crate::SolveScratch::new();
-        let cold_sweeps = solver.sweep_into(&ctmc, None, &mut scratch).unwrap();
-        let warm_sweeps = solver.sweep_into(&ctmc, Some(&cold), &mut scratch).unwrap();
-        assert!(
-            warm_sweeps < cold_sweeps,
-            "warm {warm_sweeps} vs cold {cold_sweeps}"
-        );
-    }
-
-    #[test]
-    fn steady_state_from_rejects_unusable_hints() {
-        let mut b = CtmcBuilder::new(2);
-        b.rate(0, 1, 1.0).rate(1, 0, 2.0);
-        let ctmc = b.build().unwrap();
-        let solver = GaussSeidelSolver::default();
-        for bad in [vec![1.0], vec![f64::NAN, 1.0], vec![0.0, 0.0]] {
-            assert!(matches!(
-                solver.steady_state_from(&ctmc, &bad),
-                Err(MarkovError::InvalidSolverConfig { .. })
-            ));
-        }
-        // Non-normalized hints are renormalized, not rejected.
-        assert!(solver.steady_state_from(&ctmc, &[5.0, 5.0]).is_ok());
     }
 
     #[test]
@@ -615,11 +490,12 @@ mod tests {
         }
         let ctmc = b.build().unwrap();
         let mut scratch = SolveScratch::new();
+        let unlimited = SolveBudget::unlimited();
         let full = GaussSeidelSolver::default()
-            .sweep_into(&ctmc, None, &mut scratch)
+            .sweep_into(&ctmc, &mut scratch, &unlimited)
             .unwrap();
         let gated = GaussSeidelSolver::default().with_residual_exit(1e-6);
-        let sweeps = gated.sweep_into(&ctmc, None, &mut scratch).unwrap();
+        let sweeps = gated.sweep_into(&ctmc, &mut scratch, &unlimited).unwrap();
         assert!(
             sweeps < full,
             "residual exit must beat the per-sweep-delta criterion ({sweeps} vs {full})"
@@ -640,7 +516,7 @@ mod tests {
         let mut scratch = SolveScratch::new();
         GaussSeidelSolver::default()
             .assuming_irreducible()
-            .sweep_into(&ctmc, None, &mut scratch)
+            .sweep_into(&ctmc, &mut scratch, &SolveBudget::unlimited())
             .unwrap();
         assert_eq!(plain, scratch.pi, "the skip is a pure fast path");
     }

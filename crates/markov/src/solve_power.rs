@@ -1,7 +1,7 @@
 //! Iterative steady-state solution by uniformized power iteration.
 
-use crate::scratch::{sanitize_hint, SolveScratch};
-use crate::{BudgetResource, Ctmc, MarkovError, SolveBudget, SteadyStateSolver};
+use crate::scratch::SolveScratch;
+use crate::{Ctmc, MarkovError, SolveBudget, SteadyStateSolver};
 
 /// Iterative steady-state solver for large sparse chains.
 ///
@@ -30,7 +30,6 @@ use crate::{BudgetResource, Ctmc, MarkovError, SolveBudget, SteadyStateSolver};
 pub struct PowerSolver {
     tolerance: f64,
     max_sweeps: usize,
-    time_budget: Option<std::time::Duration>,
 }
 
 impl PowerSolver {
@@ -55,7 +54,6 @@ impl PowerSolver {
         Ok(PowerSolver {
             tolerance,
             max_sweeps,
-            time_budget: None,
         })
     }
 
@@ -74,14 +72,6 @@ impl PowerSolver {
         PowerSolver::try_new(tolerance, max_sweeps).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Caps the wall-clock time one solve may take; the budget is checked
-    /// every few sweeps, so overshoot is bounded by a handful of sweeps.
-    #[must_use]
-    pub fn with_time_budget(mut self, budget: std::time::Duration) -> PowerSolver {
-        self.time_budget = Some(budget);
-        self
-    }
-
     /// The convergence tolerance.
     #[must_use]
     pub fn tolerance(&self) -> f64 {
@@ -94,54 +84,15 @@ impl PowerSolver {
         self.max_sweeps
     }
 
-    /// Like [`SteadyStateSolver::steady_state`] but starts iteration from
-    /// `pi0` instead of the uniform distribution — a warm start.
+    /// The iteration loop, starting from the uniform distribution, writing
+    /// the solution into `scratch.pi` and reusing the scratch's iterate
+    /// buffers. Returns the number of sweeps used.
     ///
-    /// The per-sweep convergence criterion and downstream residual checks
-    /// are independent of the starting point, so a good hint saves sweeps
-    /// while a bad one merely costs them. `pi0` is renormalized to unit
-    /// mass before use.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidSolverConfig`] when the hint is
-    /// unusable (wrong length, non-finite or negative entries, zero mass),
-    /// plus every error `steady_state` can return.
-    pub fn steady_state_from(&self, ctmc: &Ctmc, pi0: &[f64]) -> Result<Vec<f64>, MarkovError> {
-        let hint = sanitize_hint(ctmc.n_states(), pi0).ok_or_else(|| {
-            MarkovError::InvalidSolverConfig {
-                detail: format!(
-                    "warm-start hint unusable: need {} finite non-negative entries with positive mass",
-                    ctmc.n_states()
-                ),
-            }
-        })?;
-        let mut scratch = SolveScratch::new();
-        self.power_into(ctmc, Some(&hint), &mut scratch)?;
-        Ok(std::mem::take(&mut scratch.pi))
-    }
-
-    /// The iteration loop, writing the solution into `scratch.pi` and
-    /// reusing the scratch's iterate buffers. Returns the number of sweeps
-    /// used. `warm`, when given, must already be sanitized.
+    /// The deadline and cancellation token of `budget` are polled every 64
+    /// sweeps; an unlimited budget is never polled.
     pub(crate) fn power_into(
         &self,
         ctmc: &Ctmc,
-        warm: Option<&[f64]>,
-        scratch: &mut SolveScratch,
-    ) -> Result<usize, MarkovError> {
-        self.power_into_budgeted(ctmc, warm, scratch, &SolveBudget::unlimited())
-    }
-
-    /// [`power_into`](Self::power_into) under a cooperative
-    /// [`SolveBudget`]: deadline and cancellation are polled at the same
-    /// every-64-sweeps checkpoint as the solver's own time budget, and the
-    /// budget's sweep cap (when tighter than `max_sweeps`) turns exhaustion
-    /// into a [`MarkovError::BudgetExhausted`] naming the resource.
-    pub(crate) fn power_into_budgeted(
-        &self,
-        ctmc: &Ctmc,
-        warm: Option<&[f64]>,
         scratch: &mut SolveScratch,
         budget: &SolveBudget,
     ) -> Result<usize, MarkovError> {
@@ -163,41 +114,16 @@ impl PowerSolver {
             return Err(MarkovError::Reducible { state: 0 });
         }
 
-        let start = self.time_budget.map(|_| std::time::Instant::now());
         let SolveScratch { pi, next, .. } = scratch;
         pi.clear();
-        match warm {
-            Some(hint) => pi.extend_from_slice(hint),
-            None => pi.resize(n, 1.0 / n as f64),
-        }
+        pi.resize(n, 1.0 / n as f64);
         next.clear();
         next.resize(n, 0.0);
         let mut last_delta = f64::INFINITY;
         let governed = !budget.is_unlimited();
-        let sweep_cap = budget.max_sweeps();
         for sweep in 0..self.max_sweeps {
-            if let (Some(allowance), Some(start)) = (self.time_budget, start) {
-                if sweep % 64 == 0 && start.elapsed() > allowance {
-                    return Err(MarkovError::TimedOut {
-                        iterations: sweep,
-                        budget_secs: allowance.as_secs_f64(),
-                    });
-                }
-            }
-            if governed {
-                if sweep % 64 == 0 {
-                    budget.checkpoint("power", sweep as u64)?;
-                }
-                if let Some(cap) = sweep_cap {
-                    if sweep as u64 >= cap {
-                        return Err(MarkovError::BudgetExhausted {
-                            phase: "power",
-                            resource: BudgetResource::Sweeps,
-                            progress: sweep as u64,
-                            limit: cap,
-                        });
-                    }
-                }
+            if governed && sweep % 64 == 0 {
+                budget.checkpoint("power", sweep as u64)?;
             }
             // next = pi * P = pi + (pi * Q) / lambda
             next.copy_from_slice(pi);
@@ -244,7 +170,7 @@ impl Default for PowerSolver {
 impl SteadyStateSolver for PowerSolver {
     fn steady_state(&self, ctmc: &Ctmc) -> Result<Vec<f64>, MarkovError> {
         let mut scratch = SolveScratch::new();
-        self.power_into(ctmc, None, &mut scratch)?;
+        self.power_into(ctmc, &mut scratch, &SolveBudget::unlimited())?;
         Ok(std::mem::take(&mut scratch.pi))
     }
 }
@@ -328,10 +254,15 @@ mod tests {
     fn zero_time_budget_times_out() {
         let mut b = CtmcBuilder::new(2);
         b.rate(0, 1, 1e-9).rate(1, 0, 1e3);
-        let solver = PowerSolver::new(1e-16, 1_000_000).with_time_budget(std::time::Duration::ZERO);
+        let budget = SolveBudget::unlimited().with_deadline(std::time::Instant::now());
+        let solver = PowerSolver::new(1e-16, 1_000_000);
         assert!(matches!(
-            solver.steady_state(&b.build().unwrap()),
-            Err(MarkovError::TimedOut { .. })
+            solver.power_into(&b.build().unwrap(), &mut SolveScratch::new(), &budget),
+            Err(MarkovError::BudgetExhausted {
+                phase: "power",
+                progress: 0,
+                ..
+            })
         ));
     }
 
@@ -340,66 +271,24 @@ mod tests {
         let mut b = CtmcBuilder::new(2);
         b.rate(0, 1, 1e-9).rate(1, 0, 1e3);
         let ctmc = b.build().unwrap();
-        let solver = PowerSolver::new(1e-16, 1_000_000);
         let mut scratch = SolveScratch::new();
         let expired = SolveBudget::unlimited()
             .with_deadline(std::time::Instant::now() - std::time::Duration::from_millis(1));
         assert!(matches!(
-            solver.power_into_budgeted(&ctmc, None, &mut scratch, &expired),
+            PowerSolver::new(1e-16, 1_000_000).power_into(&ctmc, &mut scratch, &expired),
             Err(MarkovError::BudgetExhausted {
                 phase: "power",
-                resource: BudgetResource::WallClock,
+                resource: crate::BudgetResource::WallClock,
                 ..
             })
         ));
-        let capped = SolveBudget::unlimited().with_max_sweeps(5);
+        // A governed run still stops at the solver's own sweep cap.
+        let far = SolveBudget::unlimited()
+            .with_deadline(std::time::Instant::now() + std::time::Duration::from_secs(3600));
         assert!(matches!(
-            solver.power_into_budgeted(&ctmc, None, &mut scratch, &capped),
-            Err(MarkovError::BudgetExhausted {
-                phase: "power",
-                resource: BudgetResource::Sweeps,
-                limit: 5,
-                ..
-            })
+            PowerSolver::new(1e-16, 5).power_into(&ctmc, &mut scratch, &far),
+            Err(MarkovError::NoConvergence { iterations: 5, .. })
         ));
-    }
-
-    #[test]
-    fn warm_start_reaches_the_same_fixed_point_in_fewer_sweeps() {
-        let mut b = CtmcBuilder::new(4);
-        b.rate(0, 1, 3.0)
-            .rate(1, 2, 1.5)
-            .rate(2, 3, 0.5)
-            .rate(3, 0, 2.0)
-            .rate(2, 0, 1.0)
-            .rate(1, 0, 0.25);
-        let ctmc = b.build().unwrap();
-        let solver = PowerSolver::default();
-        let cold = solver.steady_state(&ctmc).unwrap();
-        let warm = solver.steady_state_from(&ctmc, &cold).unwrap();
-        for (c, w) in cold.iter().zip(warm.iter()) {
-            assert!((c - w).abs() < 1e-10, "cold={c} warm={w}");
-        }
-        let mut scratch = crate::SolveScratch::new();
-        let cold_sweeps = solver.power_into(&ctmc, None, &mut scratch).unwrap();
-        let warm_sweeps = solver.power_into(&ctmc, Some(&cold), &mut scratch).unwrap();
-        assert!(
-            warm_sweeps < cold_sweeps,
-            "warm {warm_sweeps} vs cold {cold_sweeps}"
-        );
-    }
-
-    #[test]
-    fn steady_state_from_rejects_unusable_hints() {
-        let mut b = CtmcBuilder::new(2);
-        b.rate(0, 1, 1.0).rate(1, 0, 2.0);
-        let ctmc = b.build().unwrap();
-        for bad in [vec![1.0], vec![f64::NAN, 1.0], vec![-0.5, 1.5]] {
-            assert!(matches!(
-                PowerSolver::default().steady_state_from(&ctmc, &bad),
-                Err(MarkovError::InvalidSolverConfig { .. })
-            ));
-        }
     }
 
     proptest! {

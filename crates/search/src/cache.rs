@@ -126,8 +126,8 @@ impl AvailabilityEngine for CachingEngine<'_> {
         session: &mut EvalSession,
     ) -> Result<(TierAvailability, EvalHealth), AvailError> {
         // Identical to the sessionless path, except a miss hands the
-        // caller's session down to the inner engine so the solve itself can
-        // warm-start. Hits bypass the session entirely (no solve happens).
+        // caller's session down to the inner engine so the solve reuses its
+        // cached chains. Hits bypass the session entirely (no solve happens).
         let key = model.structural_hash();
         let shard = &self.shards[(key as usize) & (SHARDS - 1)];
         if let Some(bucket) = shard.read().expect("cache shard poisoned").get(&key) {

@@ -44,12 +44,6 @@ pub struct SearchOptions {
     /// `SearchStats::pruned_by_cost`). Disable to force exhaustive
     /// evaluation, e.g. when auditing the pruning itself.
     pub prune: bool,
-    /// Warm-started evaluation: each worker carries an `EvalSession` so
-    /// neighboring candidates (the enumeration order is parameter-locality
-    /// order) reuse chain structure and steady-state vectors. On by
-    /// default; the selected design is bit-identical either way — disable
-    /// only to measure the speedup or to force fully independent solves.
-    pub warm_start: bool,
     /// Per-candidate wall-clock allowance: each candidate's availability
     /// evaluation (exploration + every solver attempt) must finish within
     /// this much time or it is abandoned with a budget-exhaustion
@@ -101,7 +95,6 @@ impl PartialEq for SearchOptions {
             && self.strict == other.strict
             && self.jobs == other.jobs
             && self.prune == other.prune
-            && self.warm_start == other.warm_start
             && self.candidate_timeout == other.candidate_timeout
             && self.max_states == other.max_states
             && self.search_deadline == other.search_deadline
@@ -124,7 +117,6 @@ impl Default for SearchOptions {
             strict: false,
             jobs: 1,
             prune: true,
-            warm_start: true,
             candidate_timeout: None,
             max_states: None,
             search_deadline: None,
@@ -165,14 +157,6 @@ impl SearchOptions {
     #[must_use]
     pub fn without_pruning(mut self) -> SearchOptions {
         self.prune = false;
-        self
-    }
-
-    /// Disables warm-started evaluation sessions, forcing every candidate
-    /// to be solved cold from a fresh chain build.
-    #[must_use]
-    pub fn without_warm_start(mut self) -> SearchOptions {
-        self.warm_start = false;
         self
     }
 

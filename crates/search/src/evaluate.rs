@@ -145,10 +145,10 @@ pub fn evaluate_enterprise_design(
 }
 
 /// [`evaluate_enterprise_design`] with a caller-owned [`EvalSession`]: the
-/// session carries solver scratch, cached chain structure and warm-start
-/// state across calls, so sweeps over neighboring designs (the search
-/// workers' locality-ordered shards) avoid re-exploring and re-solving from
-/// scratch. The result is identical to the session-free path.
+/// session carries solver scratch and cached chain structure across calls,
+/// so sweeps over neighboring designs (the search workers' locality-ordered
+/// shards) avoid re-exploring chains and reallocating solver buffers. The
+/// result is bit-identical to the session-free path.
 ///
 /// # Errors
 ///

@@ -316,29 +316,30 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_toggle_leaves_the_frontier_bit_identical() {
+    fn reported_frontier_matches_fresh_session_evaluations() {
         let fx = app_tier_fixture();
         let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
-        let (warm, wh) = tier_pareto_frontier(&ctx, "application", 800.0, &small_opts()).unwrap();
-        let (cold, ch) = tier_pareto_frontier(
-            &ctx,
-            "application",
-            800.0,
-            &small_opts().without_warm_start(),
-        )
-        .unwrap();
-        assert_eq!(warm.len(), cold.len());
-        for (w, c) in warm.iter().zip(&cold) {
-            assert_eq!(w.design(), c.design());
-            assert_eq!(w.cost(), c.cost());
+        let load = 800.0;
+        let (frontier, health) =
+            tier_pareto_frontier(&ctx, "application", load, &small_opts()).unwrap();
+        let tier = ctx.tier("application").unwrap();
+        for e in &frontier {
+            let option = tier.option_for(e.design().resource().as_str()).unwrap();
+            let fresh = crate::evaluate_enterprise_design(&ctx, option, e.design(), load)
+                .unwrap()
+                .unwrap();
+            assert_eq!(e.design(), fresh.design());
+            assert_eq!(e.cost(), fresh.cost());
             assert_eq!(
-                w.annual_downtime().minutes().to_bits(),
-                c.annual_downtime().minutes().to_bits()
+                e.annual_downtime().minutes().to_bits(),
+                fresh.annual_downtime().minutes().to_bits()
             );
         }
-        assert!(wh.warm_solves > 0 && wh.chain_rebuilds_avoided > 0, "{wh}");
-        assert_eq!(ch.warm_solves, 0);
+        assert!(
+            health.warm_solves > 0 && health.chain_rebuilds_avoided > 0,
+            "{health}"
+        );
     }
 
     #[test]

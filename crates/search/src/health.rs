@@ -79,19 +79,16 @@ pub struct SearchHealth {
     pub solve_time: std::time::Duration,
     /// Wall-clock time spent merging results and selecting designs.
     pub merge_time: std::time::Duration,
-    /// Steady-state solves run through warm-started evaluation sessions.
+    /// Steady-state solves run through the workers' evaluation sessions.
     pub warm_solves: u64,
-    /// Solves that were offered a usable warm-start hint (a previous π of
-    /// matching shape) — the locality hit rate of the candidate ordering.
+    /// Solves of a chain shape the session had already solved — the
+    /// locality hit rate of the candidate ordering.
     pub warm_hits: u64,
     /// Chain rebuilds avoided by patching rates into a structurally
     /// identical cached chain instead of re-exploring the state space.
     pub chain_rebuilds_avoided: u64,
     /// Total solver iterations across session solves.
     pub solver_iterations: u64,
-    /// Iterations saved by warm starts, relative to each chain shape's
-    /// cold-solve baseline.
-    pub iterations_saved: u64,
     /// Candidates abandoned because a per-candidate resource budget ran
     /// out (deadline, sweep cap, state cap). Each is also recorded in
     /// `skipped` with a diagnostic naming the exhausted resource.
@@ -159,7 +156,6 @@ impl SearchHealth {
         self.warm_hits += other.warm_hits;
         self.chain_rebuilds_avoided += other.chain_rebuilds_avoided;
         self.solver_iterations += other.solver_iterations;
-        self.iterations_saved += other.iterations_saved;
         self.budget_exhausted += other.budget_exhausted;
         self.journal_replayed += other.journal_replayed;
         self.interrupted |= other.interrupted;
@@ -172,7 +168,6 @@ impl SearchHealth {
         self.warm_hits += stats.warm_hits;
         self.chain_rebuilds_avoided += stats.rebuilds_avoided;
         self.solver_iterations += stats.iterations;
-        self.iterations_saved += stats.iterations_saved;
     }
 
     /// Records a candidate skipped because `error` occurred.
@@ -209,11 +204,8 @@ impl std::fmt::Display for SearchHealth {
         if self.warm_solves > 0 {
             write!(
                 f,
-                ", warm {}/{} hit, {} rebuild(s) avoided, {} iteration(s) saved",
-                self.warm_hits,
-                self.warm_solves,
-                self.chain_rebuilds_avoided,
-                self.iterations_saved
+                ", warm {}/{} hit, {} rebuild(s) avoided",
+                self.warm_hits, self.warm_solves, self.chain_rebuilds_avoided
             )?;
         }
         if self.budget_exhausted > 0 {
@@ -287,7 +279,6 @@ mod tests {
             warm_hits: 15,
             chain_rebuilds_avoided: 12,
             solver_iterations: 900,
-            iterations_saved: 300,
             budget_exhausted: 2,
             journal_replayed: 9,
             interrupted: false,
@@ -308,7 +299,6 @@ mod tests {
             warm_hits: 5,
             chain_rebuilds_avoided: 3,
             solver_iterations: 100,
-            iterations_saved: 40,
             budget_exhausted: 1,
             journal_replayed: 4,
             interrupted: true,
@@ -329,7 +319,6 @@ mod tests {
         assert_eq!(a.warm_hits, 20);
         assert_eq!(a.chain_rebuilds_avoided, 15);
         assert_eq!(a.solver_iterations, 1000);
-        assert_eq!(a.iterations_saved, 340);
         assert_eq!(a.budget_exhausted, 3);
         assert_eq!(a.journal_replayed, 13);
         assert!(a.interrupted, "interruption is sticky across merges");
@@ -341,24 +330,19 @@ mod tests {
         h.absorb_session(&aved_avail::SessionStats {
             solves: 8,
             warm_hits: 6,
-            warm_consumed: 5,
             iterations: 400,
-            iterations_saved: 120,
             rebuilds_avoided: 7,
         });
         h.absorb_session(&aved_avail::SessionStats {
             solves: 2,
             warm_hits: 1,
-            warm_consumed: 1,
             iterations: 100,
-            iterations_saved: 30,
             rebuilds_avoided: 1,
         });
         assert_eq!(h.warm_solves, 10);
         assert_eq!(h.warm_hits, 7);
         assert_eq!(h.chain_rebuilds_avoided, 8);
         assert_eq!(h.solver_iterations, 500);
-        assert_eq!(h.iterations_saved, 150);
         assert!(!h.is_degraded(), "warm stats are not degradation");
     }
 
@@ -376,7 +360,6 @@ mod tests {
             warm_solves: 12,
             warm_hits: 10,
             chain_rebuilds_avoided: 8,
-            iterations_saved: 450,
             budget_exhausted: 3,
             journal_replayed: 6,
             interrupted: true,
@@ -391,7 +374,6 @@ mod tests {
         assert!(s.contains("4 job(s)"), "{s}");
         assert!(s.contains("warm 10/12 hit"), "{s}");
         assert!(s.contains("8 rebuild(s) avoided"), "{s}");
-        assert!(s.contains("450 iteration(s) saved"), "{s}");
         assert!(s.contains("3 budget-exhausted"), "{s}");
         assert!(s.contains("6 replayed from journal"), "{s}");
         assert!(s.contains("interrupted (best-so-far)"), "{s}");
@@ -424,7 +406,6 @@ mod tests {
             solve_time: std::time::Duration::from_millis(50),
             warm_solves: 11,
             warm_hits: 6,
-            iterations_saved: 1234,
             ..a.clone()
         };
         assert_eq!(a, b, "same decisions, different workload: still equal");

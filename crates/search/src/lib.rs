@@ -44,14 +44,13 @@
 //! sweep resumes ([`SearchOptions::with_resume`]) and provably selects the
 //! same winner, bit-for-bit.
 //!
-//! Searches are warm-started by default: candidate batches stay in
-//! enumeration order — parameter-locality order, where neighbors differ in
-//! one knob — and are sharded contiguously across workers, each carrying an
-//! [`aved_avail::EvalSession`] that reuses chain structure (rate-only
-//! in-place rebuilds) and the previous steady-state vector between
-//! neighboring solves. The selected designs are bit-identical with warm
-//! starts on or off ([`SearchOptions::without_warm_start`] disables them);
-//! [`SearchHealth`] reports the hit rates and iterations saved.
+//! Candidate batches stay in enumeration order — parameter-locality order,
+//! where neighbors differ in one knob — and are sharded contiguously across
+//! workers, each carrying an [`aved_avail::EvalSession`] that reuses solver
+//! scratch and chain structure (rate-only in-place rebuilds) between
+//! neighboring solves. A session only saves work: every reported metric is
+//! bit-identical to a fresh-session evaluation of the same design.
+//! [`SearchHealth`] reports the hit rates and rebuilds avoided.
 
 mod cache;
 mod candidate;

@@ -9,7 +9,7 @@
 //!   each worker one mutable state for its whole run. Items are sharded
 //!   into **contiguous chunks**, so a worker's shard is a consecutive run
 //!   of the (parameter-locality-ordered) candidate list — the substrate for
-//!   warm-started evaluation sessions — and the results are merged back
+//!   the workers' evaluation sessions — and the results are merged back
 //!   **in item order**, so callers fold them exactly as the serial loop
 //!   would have.
 //! * With `jobs <= 1` the map degenerates to an in-order sequential loop on
@@ -56,8 +56,8 @@ pub fn effective_jobs(requested: usize) -> usize {
 
 /// Maps `f` over `items` on up to `jobs` scoped threads, returning results
 /// in item order. Each worker borrows one mutable state from `states` for
-/// its whole run — the hook that threads warm-start evaluation sessions
-/// through the search workers. `f` receives `(state, index, &item)` and
+/// its whole run — the hook that threads evaluation sessions through the
+/// search workers. `f` receives `(state, index, &item)` and
 /// must be pure up to that state and interior-mutable shared state it
 /// synchronizes itself (the engine cache, `BestCost`).
 ///
@@ -66,7 +66,7 @@ pub fn effective_jobs(requested: usize) -> usize {
 /// the search produces are in parameter-locality order (neighboring items
 /// differ in one knob), and a worker whose shard is a consecutive run of
 /// that order sees a chain of near-identical models — exactly what its
-/// session's warm starts and in-place rebuilds exploit. The price is load
+/// session's in-place rebuilds exploit. The price is load
 /// balance on skewed items; candidate evaluations within one batch are
 /// near-uniform, so locality wins.
 ///

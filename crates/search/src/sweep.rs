@@ -3,11 +3,10 @@
 //! A [`Sweep`] evaluates batches of one tier's candidates. [`Sweep::run`]
 //! fans a batch out across [`SearchOptions::jobs`] scoped threads in
 //! contiguous shards of enumeration order — parameter-locality order, where
-//! neighbors differ in one knob — so each worker's warm-started
-//! [`EvalSession`] reuses chain structure and steady-state vectors from one
-//! candidate to the next. It then folds the outcomes back **in candidate
-//! order**, where every decision is made, so results are identical at any
-//! worker count and with warm starts on or off (see
+//! neighbors differ in one knob — so each worker's [`EvalSession`] reuses
+//! chain structure from one candidate to the next. It then folds the
+//! outcomes back **in candidate order**, where every decision is made, so
+//! results are identical at any worker count (see
 //! [`crate::parallel`](crate::parallel_map_with) for the argument). The
 //! searches run one batch per resource-count level; the frontiers run one
 //! batch over every option and level. [`Objective`] supplies everything
@@ -193,7 +192,7 @@ pub(crate) struct Sweep<'s, 'c> {
     /// The whole sweep's budget: the absolute deadline, the per-candidate
     /// limits and the cancellation token.
     budget: SolveBudget,
-    /// One warm-start session per worker, reused across every batch: chain
+    /// One evaluation session per worker, reused across every batch: chain
     /// shapes recur between levels (same n/m/s splits with different
     /// rates), so the sessions keep paying off sweep-wide.
     sessions: Vec<EvalSession>,
@@ -306,13 +305,7 @@ impl<'s, 'c> Sweep<'s, 'c> {
                     .and_then(|replay| replay.lookup(&objective.journal_key(tier, &c.design)));
                 let result = match replay {
                     Some(entry) => entry.clone().into_result(&c.design),
-                    None if options.warm_start => {
-                        objective.evaluate(ctx, c.option, &c.design, session)
-                    }
-                    None => {
-                        let cold = &mut EvalSession::new().with_budget(budget.clone());
-                        objective.evaluate(ctx, c.option, &c.design, cold)
-                    }
+                    None => objective.evaluate(ctx, c.option, &c.design, session),
                 };
                 match (&result, best_cost) {
                     (Ok(Some(e)), Some(b))

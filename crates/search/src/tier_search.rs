@@ -153,7 +153,7 @@ fn search(
         for n_total in totals {
             // The batch stays in enumeration (parameter-locality) order —
             // the win rule compares cost explicitly, so a cost sort would
-            // only destroy the locality the warm-start sessions feed on.
+            // only destroy the locality the evaluation sessions feed on.
             let batch = sweep.level(option, n_total, min_active, true)?;
             if batch.is_empty() {
                 continue;
@@ -642,39 +642,34 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_toggle_never_changes_the_winner() {
+    fn reported_winner_matches_a_fresh_session_evaluation() {
         let fx = app_tier_fixture();
         let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
         let load = 800.0;
         let budget = Duration::from_mins(500.0);
-        let warm = search_tier(&ctx, "application", load, budget, &opts()).unwrap();
-        let cold = search_tier(
-            &ctx,
-            "application",
-            load,
-            budget,
-            &opts().without_warm_start(),
-        )
-        .unwrap();
-        let (w, c) = (warm.best().unwrap(), cold.best().unwrap());
-        assert_eq!(w.cost(), c.cost());
-        assert_eq!(w.design(), c.design());
+        let out = search_tier(&ctx, "application", load, budget, &opts()).unwrap();
+        let best = out.best().unwrap();
+        let option = ctx
+            .tier("application")
+            .unwrap()
+            .option_for(best.design().resource().as_str())
+            .unwrap();
+        let fresh = evaluate_enterprise_design(&ctx, option, best.design(), load)
+            .unwrap()
+            .unwrap();
+        assert_eq!(best.cost(), fresh.cost());
+        assert_eq!(best.design(), fresh.design());
         assert_eq!(
-            w.annual_downtime().minutes().to_bits(),
-            c.annual_downtime().minutes().to_bits(),
-            "warm starts must be bit-identical, not just close"
+            best.annual_downtime().minutes().to_bits(),
+            fresh.annual_downtime().minutes().to_bits(),
+            "reused sessions must be bit-identical, not just close"
         );
-        assert!(warm.health().warm_solves > 0, "{}", warm.health());
+        assert!(out.health().warm_solves > 0, "{}", out.health());
         assert!(
-            warm.health().chain_rebuilds_avoided > 0,
+            out.health().chain_rebuilds_avoided > 0,
             "locality order must make chains recur: {}",
-            warm.health()
-        );
-        assert_eq!(
-            cold.health().warm_solves,
-            0,
-            "disabled warm starts leave the worker sessions untouched"
+            out.health()
         );
     }
 
