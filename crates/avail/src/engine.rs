@@ -94,10 +94,17 @@ impl EvalHealth {
     /// Folds another evaluation's health into this one.
     pub fn absorb(&mut self, other: EvalHealth) {
         self.fallbacks += other.fallbacks;
-        self.worst_residual = match (self.worst_residual, other.worst_residual) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
+        self.worst_residual = worse_residual(self.worst_residual, other.worst_residual);
+    }
+}
+
+/// The worse of two optional residuals: the larger when both are
+/// measured, otherwise whichever is.
+#[must_use]
+pub fn worse_residual(a: Option<f64>, b: Option<f64>) -> Option<f64> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.max(b)),
+        (a, b) => a.or(b),
     }
 }
 
@@ -108,6 +115,11 @@ impl EvalHealth {
 /// own simplified Markov model); this trait is that plug point. All three
 /// engines in this crate implement it, so the design-search code is
 /// engine-agnostic.
+///
+/// An implementor writes one method,
+/// [`evaluate_with_session`](Self::evaluate_with_session). The other two
+/// are provided: they run it on a fresh [`EvalSession`] and drop what the
+/// caller did not ask for.
 ///
 /// Engines are required to be `Send + Sync`: the search layer fans
 /// candidate evaluations out across scoped threads, all sharing one
@@ -120,13 +132,12 @@ pub trait AvailabilityEngine: Send + Sync {
     /// # Errors
     ///
     /// Returns [`AvailError`] for inconsistent models or solver failures.
-    fn evaluate(&self, model: &TierModel) -> Result<TierAvailability, AvailError>;
+    fn evaluate(&self, model: &TierModel) -> Result<TierAvailability, AvailError> {
+        self.evaluate_with_health(model).map(|(r, _)| r)
+    }
 
     /// Evaluates the tier and also reports how degraded the evaluation was
     /// (solver fallbacks, worst accepted residual).
-    ///
-    /// The default implementation reports a clean [`EvalHealth`]; engines
-    /// with internal fallback machinery override it.
     ///
     /// # Errors
     ///
@@ -135,21 +146,19 @@ pub trait AvailabilityEngine: Send + Sync {
         &self,
         model: &TierModel,
     ) -> Result<(TierAvailability, EvalHealth), AvailError> {
-        self.evaluate(model).map(|r| (r, EvalHealth::default()))
+        self.evaluate_with_session(model, &mut EvalSession::new())
     }
 
     /// Evaluates the tier using a caller-owned [`EvalSession`] that carries
-    /// reusable solver scratch and cached chain structures between calls.
+    /// reusable solver scratch, cached chain structures and the resource
+    /// budget between calls, and reports how degraded the evaluation was.
     /// The session only saves work: the result is bit-identical to a
     /// one-shot evaluation's.
     ///
-    /// The default implementation ignores the session and delegates to
-    /// [`evaluate_with_health`](Self::evaluate_with_health), so engines
-    /// without per-call reusable state (the simulator, the fault injector)
-    /// stay correct for free; engines with solver state override it. Each
-    /// session must only be used from one thread at a time — the engine
-    /// itself stays `Send + Sync` because all mutation lives in the
-    /// session.
+    /// Engines without reusable solver state (the simulator) ignore the
+    /// session; decorators pass it on to the engine they wrap. Each session
+    /// must only be used from one thread at a time — the engine itself
+    /// stays `Send + Sync` because all mutation lives in the session.
     ///
     /// # Errors
     ///
@@ -157,10 +166,8 @@ pub trait AvailabilityEngine: Send + Sync {
     fn evaluate_with_session(
         &self,
         model: &TierModel,
-        _session: &mut EvalSession,
-    ) -> Result<(TierAvailability, EvalHealth), AvailError> {
-        self.evaluate_with_health(model)
-    }
+        session: &mut EvalSession,
+    ) -> Result<(TierAvailability, EvalHealth), AvailError>;
 }
 
 #[cfg(test)]
@@ -189,5 +196,54 @@ mod tests {
     #[should_panic(expected = "probability")]
     fn out_of_range_unavailability_panics() {
         let _ = TierAvailability::new(1.5, Rate::ZERO);
+    }
+
+    /// Bit patterns of one evaluation's result and health.
+    fn bits((r, health): (TierAvailability, EvalHealth)) -> (u64, u64, u32, Option<u64>) {
+        (
+            r.unavailability().to_bits(),
+            r.down_event_rate().per_hour_value().to_bits(),
+            health.fallbacks,
+            health.worst_residual.map(f64::to_bits),
+        )
+    }
+
+    #[test]
+    fn the_three_entry_points_agree_bit_for_bit() {
+        use crate::{
+            CtmcEngine, DecompositionEngine, FailureClass, FaultInjectingEngine, SimulationEngine,
+        };
+        use aved_units::Duration;
+        let model = TierModel::new(3, 2, 1)
+            .with_class(FailureClass::new(
+                "hw/hard",
+                Duration::from_days(650.0).rate(),
+                Duration::from_hours(38.0),
+                Duration::from_mins(5.0),
+                true,
+            ))
+            .with_class(FailureClass::new(
+                "os/soft",
+                Duration::from_days(60.0).rate(),
+                Duration::from_mins(4.0),
+                Duration::from_mins(5.0),
+                false,
+            ));
+        let ctmc = CtmcEngine::default();
+        let engines: [(&str, &dyn AvailabilityEngine); 4] = [
+            ("ctmc", &ctmc),
+            ("decomposition", &DecompositionEngine::default()),
+            ("simulation", &SimulationEngine::new(7).with_years(50.0)),
+            ("fault injector", &FaultInjectingEngine::new(&ctmc)),
+        ];
+        for (name, engine) in engines {
+            let with_session = engine
+                .evaluate_with_session(&model, &mut EvalSession::new())
+                .unwrap();
+            let with_health = engine.evaluate_with_health(&model).unwrap();
+            let plain = engine.evaluate(&model).unwrap();
+            assert_eq!(bits(with_health), bits(with_session), "{name}");
+            assert_eq!(bits((plain, with_session.1)), bits(with_session), "{name}");
+        }
     }
 }

@@ -28,10 +28,6 @@ const MAX_DEPTH: u32 = u8::MAX as u32;
 /// The most failure classes whose indices fit in a `u8`.
 pub(crate) const MAX_CLASSES: usize = u8::MAX as usize + 1;
 
-/// The largest chain solved dense first; larger chains start with the
-/// iterative stages.
-const DENSE_MAX_STATES: usize = 3000;
-
 /// Derived per-state quantities shared by the transition rules and the
 /// reward function.
 #[derive(Debug, Clone, Copy)]
@@ -244,8 +240,7 @@ impl CtmcEngine {
     }
 
     /// Solves a prepared chain (explored + down mask) and folds the solve
-    /// into the result and the session counters. The single code path
-    /// behind both one-shot and session evaluations.
+    /// into the result and the session counters.
     fn evaluate_chain(
         &self,
         cached: &mut CachedChain,
@@ -254,15 +249,11 @@ impl CtmcEngine {
         budget: &SolveBudget,
     ) -> Result<(TierAvailability, EvalHealth), AvailError> {
         let ctmc = cached.explored.ctmc();
-        // Resilient solve: dense first up to `DENSE_MAX_STATES` (exact and
-        // fastest there), Gauss-Seidel -> power -> dense above it; every
-        // accepted solution passes an independent `‖πQ‖∞ <= 1e-9` residual
-        // check. A structure that already produced an accepted solve
+        // The fallback policy picks the stages and gates every answer on
+        // its residual. A structure that already produced an accepted solve
         // (repatching only changes rates) skips re-verifying strong
         // connectivity.
-        let solver = FallbackSolver::default()
-            .with_dense_preferred_below(DENSE_MAX_STATES + 1)
-            .with_irreducibility_assumed(cached.solved);
+        let solver = FallbackSolver::default().with_irreducibility_assumed(cached.solved);
         let (pi, diagnostics) = solver.solve(ctmc, session_scratch, budget);
         let pi = pi?;
 
@@ -317,20 +308,6 @@ impl Default for CtmcEngine {
 }
 
 impl AvailabilityEngine for CtmcEngine {
-    fn evaluate(&self, model: &TierModel) -> Result<TierAvailability, AvailError> {
-        self.evaluate_with_health(model).map(|(r, _)| r)
-    }
-
-    fn evaluate_with_health(
-        &self,
-        model: &TierModel,
-    ) -> Result<(TierAvailability, EvalHealth), AvailError> {
-        // One-shot evaluation is the session path with a throwaway session;
-        // a session changes how fast an answer comes, never its bits.
-        let mut session = EvalSession::new();
-        self.evaluate_with_session(model, &mut session)
-    }
-
     fn evaluate_with_session(
         &self,
         model: &TierModel,
@@ -349,23 +326,11 @@ impl AvailabilityEngine for CtmcEngine {
         // cancellation token carry over unchanged.
         let budget = budget.for_candidate();
 
-        let Some(key) = ChainKey::for_model(model, cap) else {
-            // Shape too wide for a key (>64 classes): evaluate uncached but
-            // still through the shared solve path and scratch arena.
-            let explored = self.explore_chain(model, &budget)?;
-            let down = self.down_mask(model, &explored);
-            let mut local = CachedChain {
-                explored,
-                down,
-                solved: false,
-            };
-            return self.evaluate_chain(&mut local, scratch, stats, &budget);
-        };
-
         // Same shape seen before: patch the cached chain's rates in place
         // instead of re-exploring. `repatch` verifies the structure exactly
         // and leaves the chain untouched on any mismatch, so a (practically
         // impossible) key collision falls back to a full re-explore below.
+        let key = ChainKey::for_model(model, cap);
         let repatched = match chains.get_mut(&key) {
             Some(cached) => cached
                 .explored
@@ -720,6 +685,52 @@ mod tests {
             after.down_event_rate().per_hour_value().to_bits(),
             one_shot.down_event_rate().per_hour_value().to_bits()
         );
+    }
+
+    #[test]
+    fn tiers_with_more_classes_than_a_word_go_through_the_chain_cache() {
+        // 65 classes need a failover mask wider than 64 bits. One active
+        // resource and no spare keep the chain at 66 states (cap 1).
+        let tier = |mtbf_scale: f64| {
+            (0..65).fold(TierModel::new(1, 1, 0), |tier, i| {
+                tier.with_class(FailureClass::new(
+                    format!("class{i}"),
+                    Duration::from_days(mtbf_scale * (100.0 + f64::from(i))).rate(),
+                    Duration::from_hours(1.0 + f64::from(i % 5)),
+                    Duration::ZERO,
+                    false,
+                ))
+            })
+        };
+        let engine = CtmcEngine::default();
+        let mut session = EvalSession::new();
+        for scale in [1.0, 1.5] {
+            let model = tier(scale);
+            let one_shot = engine.evaluate(&model).unwrap();
+            let reused = engine
+                .evaluate_with_session(&model, &mut session)
+                .unwrap()
+                .0;
+            assert_eq!(
+                reused.unavailability().to_bits(),
+                one_shot.unavailability().to_bits(),
+                "scale {scale}"
+            );
+            assert_eq!(
+                reused.down_event_rate().per_hour_value().to_bits(),
+                one_shot.down_event_rate().per_hour_value().to_bits(),
+                "scale {scale}"
+            );
+        }
+        assert_eq!(
+            engine
+                .explore_chain(&tier(1.0), &SolveBudget::unlimited())
+                .unwrap()
+                .n_states(),
+            66
+        );
+        assert_eq!(session.cached_chains(), 1);
+        assert_eq!(session.stats().rebuilds_avoided, 1);
     }
 
     #[test]

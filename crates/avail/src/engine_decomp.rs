@@ -3,8 +3,8 @@
 use aved_units::Rate;
 
 use crate::{
-    AvailError, AvailabilityEngine, CtmcEngine, EvalHealth, EvalSession, TierAvailability,
-    TierModel,
+    AvailError, AvailabilityEngine, CtmcEngine, EvalHealth, EvalSession, FailureClass,
+    TierAvailability, TierModel,
 };
 
 /// Fast approximate engine: evaluates each failure class in isolation
@@ -88,16 +88,34 @@ impl DecompositionEngine {
         &self,
         model: &TierModel,
     ) -> Result<Vec<(String, TierAvailability)>, AvailError> {
-        model.check()?;
         let mut out = Vec::with_capacity(model.classes().len());
+        self.for_each_class(model, &mut EvalSession::new(), |class, r, _| {
+            out.push((class.label().to_owned(), r));
+        })?;
+        Ok(out)
+    }
+
+    /// Evaluates each failure class of `model` in isolation through
+    /// `session`, handing `visit` every class with its result and health in
+    /// the model's class order.
+    fn for_each_class(
+        &self,
+        model: &TierModel,
+        session: &mut EvalSession,
+        mut visit: impl FnMut(&FailureClass, TierAvailability, EvalHealth),
+    ) -> Result<(), AvailError> {
+        model.check()?;
+        // The per-class chains share one structural shape whenever their
+        // failover flags agree, so within a single evaluation the session
+        // repatches one cached chain from class to class.
         for class in model.classes() {
             let single = TierModel::new(model.n(), model.m(), model.s())
                 .with_exposed_spares(model.spares_exposed())
                 .with_class(class.clone());
-            let r = self.inner.evaluate(&single)?;
-            out.push((class.label().to_owned(), r));
+            let (r, health) = self.inner.evaluate_with_session(&single, session)?;
+            visit(class, r, health);
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -108,39 +126,19 @@ impl Default for DecompositionEngine {
 }
 
 impl AvailabilityEngine for DecompositionEngine {
-    fn evaluate(&self, model: &TierModel) -> Result<TierAvailability, AvailError> {
-        self.evaluate_with_health(model).map(|(r, _)| r)
-    }
-
-    fn evaluate_with_health(
-        &self,
-        model: &TierModel,
-    ) -> Result<(TierAvailability, EvalHealth), AvailError> {
-        let mut session = EvalSession::new();
-        self.evaluate_with_session(model, &mut session)
-    }
-
     fn evaluate_with_session(
         &self,
         model: &TierModel,
         session: &mut EvalSession,
     ) -> Result<(TierAvailability, EvalHealth), AvailError> {
-        model.check()?;
         let mut unavailability = 0.0;
         let mut event_rate = Rate::ZERO;
         let mut health = EvalHealth::default();
-        // The per-class chains share one structural shape whenever their
-        // failover flags agree, so within a single evaluation the session
-        // repatches one cached chain from class to class.
-        for class in model.classes() {
-            let single = TierModel::new(model.n(), model.m(), model.s())
-                .with_exposed_spares(model.spares_exposed())
-                .with_class(class.clone());
-            let (r, class_health) = self.inner.evaluate_with_session(&single, session)?;
+        self.for_each_class(model, session, |_, r, class_health| {
             health.absorb(class_health);
             unavailability += r.unavailability();
             event_rate += r.down_event_rate();
-        }
+        })?;
         Ok((
             TierAvailability::new(unavailability.min(1.0), event_rate),
             health,

@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 
 use aved_units::{Rate, HOURS_PER_YEAR};
 
-use crate::{AvailError, AvailabilityEngine, TierAvailability, TierModel};
+use crate::{AvailError, AvailabilityEngine, EvalHealth, EvalSession, TierAvailability, TierModel};
 
 /// The distribution family used for repair and failover completion times.
 ///
@@ -170,8 +170,12 @@ impl SimulationEngine {
 }
 
 impl AvailabilityEngine for SimulationEngine {
-    fn evaluate(&self, model: &TierModel) -> Result<TierAvailability, AvailError> {
-        Ok(self.run(model)?.availability())
+    fn evaluate_with_session(
+        &self,
+        model: &TierModel,
+        _session: &mut EvalSession,
+    ) -> Result<(TierAvailability, EvalHealth), AvailError> {
+        Ok((self.run(model)?.availability(), EvalHealth::default()))
     }
 }
 

@@ -4,7 +4,7 @@
 //! search crate's `CachingEngine` decorator) and injects failures into
 //! chosen evaluations: solver non-convergence errors, NaN availability
 //! results, and artificial delays. Faults are selected **deterministically**
-//! — by the 0-based index of the `evaluate` call (which, in an uncached
+//! — by the 0-based index of the evaluation call (which, in an uncached
 //! serial search, is the candidate index), by a structural predicate on the
 //! model being evaluated, or by a seeded pseudo-random schedule — so a
 //! failing search reproduces exactly.
@@ -28,7 +28,7 @@ use std::time::Duration;
 use aved_markov::MarkovError;
 use aved_units::Rate;
 
-use crate::{AvailError, AvailabilityEngine, EvalHealth, TierAvailability, TierModel};
+use crate::{AvailError, AvailabilityEngine, EvalHealth, EvalSession, TierAvailability, TierModel};
 
 /// The failure a [`FaultInjectingEngine`] injects into an evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -180,48 +180,33 @@ impl<'a> FaultInjectingEngine<'a> {
         z ^= z >> 31;
         z.is_multiple_of(seeded.one_in).then_some(seeded.fault)
     }
-
-    fn apply(
-        &self,
-        fault: Option<InjectedFault>,
-        model: &TierModel,
-    ) -> Result<(TierAvailability, EvalHealth), AvailError> {
-        match fault {
-            None => self.inner.evaluate_with_health(model),
-            Some(InjectedFault::Delay(d)) => {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(d);
-                self.inner.evaluate_with_health(model)
-            }
-            Some(InjectedFault::NonConvergence) => {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                Err(AvailError::Markov(MarkovError::NoConvergence {
-                    iterations: 0,
-                    residual: f64::INFINITY,
-                }))
-            }
-            Some(InjectedFault::NanResult) => {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                Ok((
-                    TierAvailability::new_unchecked(f64::NAN, Rate::ZERO),
-                    EvalHealth::default(),
-                ))
-            }
-        }
-    }
 }
 
 impl AvailabilityEngine for FaultInjectingEngine<'_> {
-    fn evaluate(&self, model: &TierModel) -> Result<TierAvailability, AvailError> {
-        self.evaluate_with_health(model).map(|(r, _)| r)
-    }
-
-    fn evaluate_with_health(
+    fn evaluate_with_session(
         &self,
         model: &TierModel,
+        session: &mut EvalSession,
     ) -> Result<(TierAvailability, EvalHealth), AvailError> {
         let call = self.calls.fetch_add(1, Ordering::Relaxed);
-        self.apply(self.fault_for(call, model), model)
+        let Some(fault) = self.fault_for(call, model) else {
+            return self.inner.evaluate_with_session(model, session);
+        };
+        self.injected.fetch_add(1, Ordering::Relaxed);
+        match fault {
+            InjectedFault::Delay(d) => {
+                std::thread::sleep(d);
+                self.inner.evaluate_with_session(model, session)
+            }
+            InjectedFault::NonConvergence => Err(AvailError::Markov(MarkovError::NoConvergence {
+                iterations: 0,
+                residual: f64::INFINITY,
+            })),
+            InjectedFault::NanResult => Ok((
+                TierAvailability::new_unchecked(f64::NAN, Rate::ZERO),
+                EvalHealth::default(),
+            )),
+        }
     }
 }
 

@@ -7,7 +7,8 @@
 //! failover time (detection + reconfiguration + inactive-spare startup).
 //! Failover is considered only for modes whose MTTR exceeds their failover
 //! time (§4.2). The model is then solved by an external availability
-//! engine; this crate *is* that engine, three ways:
+//! engine; this crate *is* that engine, three ways, each an
+//! [`AvailabilityEngine`]:
 //!
 //! * [`CtmcEngine`] — a truncated multi-failure-class continuous-time
 //!   Markov chain with explicit failover-transient states, solved exactly
@@ -29,6 +30,11 @@
 //! place when only rates change) between
 //! [`AvailabilityEngine::evaluate_with_session`] calls; [`SessionStats`]
 //! reports how much work that avoided. A session never changes a result.
+//!
+//! An engine — including a decorator such as [`FaultInjectingEngine`] —
+//! implements only [`AvailabilityEngine::evaluate_with_session`];
+//! [`AvailabilityEngine::evaluate`] and
+//! [`AvailabilityEngine::evaluate_with_health`] run it on a fresh session.
 
 mod derive;
 mod engine;
@@ -46,7 +52,7 @@ mod tier_model;
 
 pub use aved_markov::{BudgetResource, CancelToken, SolveBudget};
 pub use derive::{derive_tier_model, loss_window, required_active};
-pub use engine::{AvailabilityEngine, EvalHealth, TierAvailability};
+pub use engine::{worse_residual, AvailabilityEngine, EvalHealth, TierAvailability};
 pub use engine_ctmc::CtmcEngine;
 pub use engine_decomp::DecompositionEngine;
 pub use engine_sim::{RepairDistribution, SimulationEngine, SimulationReport};

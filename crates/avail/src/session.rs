@@ -21,7 +21,7 @@ use std::collections::HashMap;
 
 use aved_markov::{Explored, SolveBudget, SolveScratch};
 
-use crate::engine_ctmc::St;
+use crate::engine_ctmc::{St, MAX_CLASSES};
 use crate::TierModel;
 
 /// Structural shape of a tier chain: every model attribute that determines
@@ -45,26 +45,23 @@ pub(crate) struct ChainKey {
     cap: u32,
     n_classes: usize,
     /// Bit `i` set iff class `i` uses failover (the only per-class attribute
-    /// that shapes the state space).
-    failover_mask: u64,
+    /// that shapes the state space); wide enough for every class index
+    /// [`TierModel::check`] allows.
+    failover_mask: [u64; MAX_CLASSES / 64],
 }
 
 impl ChainKey {
-    /// The key for `model` under truncation `cap`, or `None` when the model
-    /// has more classes than the mask can hold (such a model is evaluated
-    /// without the chain cache).
-    pub(crate) fn for_model(model: &TierModel, cap: u32) -> Option<ChainKey> {
+    /// The key for `model` under truncation `cap`. `model` must have passed
+    /// [`TierModel::check`], which bounds its class count.
+    pub(crate) fn for_model(model: &TierModel, cap: u32) -> ChainKey {
         let classes = model.classes();
-        if classes.len() > 64 {
-            return None;
-        }
-        let mut failover_mask = 0_u64;
+        let mut failover_mask = [0_u64; MAX_CLASSES / 64];
         for (i, class) in classes.iter().enumerate() {
             if class.uses_failover() {
-                failover_mask |= 1 << i;
+                failover_mask[i / 64] |= 1 << (i % 64);
             }
         }
-        Some(ChainKey {
+        ChainKey {
             n: model.n(),
             m: model.m(),
             s: model.s(),
@@ -72,7 +69,7 @@ impl ChainKey {
             cap,
             n_classes: classes.len(),
             failover_mask,
-        })
+        }
     }
 }
 
@@ -152,17 +149,6 @@ impl EvalSession {
         self
     }
 
-    /// Replaces the session's resource budget in place.
-    pub fn set_budget(&mut self, budget: SolveBudget) {
-        self.budget = budget;
-    }
-
-    /// The resource budget governing evaluations in this session.
-    #[must_use]
-    pub fn budget(&self) -> &SolveBudget {
-        &self.budget
-    }
-
     /// The work-avoidance counters accumulated so far.
     #[must_use]
     pub fn stats(&self) -> &SessionStats {
@@ -231,6 +217,21 @@ mod tests {
         let c = TierModel::new(2, 2, 1).with_class(class("x", false));
         assert_ne!(ChainKey::for_model(&a, 3), ChainKey::for_model(&c, 3));
         assert_ne!(ChainKey::for_model(&a, 3), ChainKey::for_model(&a, 2));
+    }
+
+    #[test]
+    fn key_sees_failover_flags_past_the_first_word() {
+        let wide = |last_fails_over: bool| {
+            (0..64)
+                .fold(TierModel::new(2, 2, 1), |t, i| {
+                    t.with_class(class(&format!("c{i}"), false))
+                })
+                .with_class(class("c64", last_fails_over))
+        };
+        assert_ne!(
+            ChainKey::for_model(&wide(false), 3),
+            ChainKey::for_model(&wide(true), 3)
+        );
     }
 
     #[test]

@@ -282,11 +282,8 @@ fn parse_duration(s: &str) -> Result<Duration, CliError> {
 /// Parses a spec-syntax duration into the `std` duration the budget layer
 /// speaks.
 fn parse_std_duration(s: &str) -> Result<std::time::Duration, CliError> {
-    let d = parse_duration(s)?;
-    if !d.seconds().is_finite() || d.seconds() < 0.0 {
-        return Err(CliError::usage(format!("bad duration {s:?}")));
-    }
-    Ok(std::time::Duration::from_secs_f64(d.seconds()))
+    std::time::Duration::try_from_secs_f64(parse_duration(s)?.seconds())
+        .map_err(|e| CliError::usage(format!("bad duration {s:?}: {e}")))
 }
 
 fn design(flags: &Flags<'_>) -> Result<(), CliError> {

@@ -175,12 +175,14 @@ impl SolveBudget {
     /// Derives the budget governing one candidate's evaluation, converting
     /// the per-candidate timeout into an absolute deadline starting *now*
     /// and keeping whichever deadline (global or per-candidate) is sooner.
+    /// A timeout reaching past the last representable instant sets no
+    /// deadline.
     #[must_use]
     pub fn for_candidate(&self) -> SolveBudget {
-        match self.candidate_timeout {
-            Some(timeout) => self.with_deadline_by(Instant::now() + timeout),
-            None => self.clone(),
-        }
+        let deadline = self
+            .candidate_timeout
+            .and_then(|t| Instant::now().checked_add(t));
+        deadline.map_or_else(|| self.clone(), |d| self.with_deadline_by(d))
     }
 
     /// This budget with its deadline moved up to `deadline` when that is
@@ -295,6 +297,15 @@ mod tests {
         // Without a timeout the deadline is untouched.
         let plain = SolveBudget::unlimited().with_deadline(far).for_candidate();
         assert_eq!(plain.deadline(), Some(far));
+    }
+
+    #[test]
+    fn unrepresentable_candidate_timeout_sets_no_deadline() {
+        let b = SolveBudget::unlimited().with_candidate_timeout(Duration::MAX);
+        assert_eq!(b.for_candidate().deadline(), None);
+        let far = Instant::now() + Duration::from_secs(3600);
+        let global = b.with_deadline(far).for_candidate();
+        assert_eq!(global.deadline(), Some(far));
     }
 
     #[test]

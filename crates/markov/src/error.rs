@@ -57,12 +57,6 @@ pub enum MarkovError {
     },
     /// A solution contained NaN or infinite probabilities.
     NonFiniteSolution,
-    /// A solver was configured with an invalid parameter (non-positive
-    /// tolerance, zero iteration budget, relaxation outside `(0, 1]`, ...).
-    InvalidSolverConfig {
-        /// Human-readable description of the rejected parameter.
-        detail: String,
-    },
     /// A cooperative resource budget was exhausted mid-computation: the
     /// [`SolveBudget`](crate::SolveBudget) limit that tripped, or the
     /// fallback solver's fixed per-attempt allowance.
@@ -120,9 +114,6 @@ impl fmt::Display for MarkovError {
             ),
             MarkovError::NonFiniteSolution => {
                 write!(f, "solution contains NaN or infinite probabilities")
-            }
-            MarkovError::InvalidSolverConfig { detail } => {
-                write!(f, "invalid solver configuration: {detail}")
             }
             MarkovError::BudgetExhausted {
                 phase,
@@ -187,12 +178,6 @@ mod tests {
                 "residual",
             ),
             (MarkovError::NonFiniteSolution, "NaN"),
-            (
-                MarkovError::InvalidSolverConfig {
-                    detail: "tolerance must be positive".into(),
-                },
-                "configuration",
-            ),
             (
                 MarkovError::BudgetExhausted {
                     phase: "explore",

@@ -14,14 +14,17 @@
 //!   Gaussian elimination ([`DenseSolver`]), Gauss–Seidel sweeps
 //!   ([`GaussSeidelSolver`]) and uniformized power iteration
 //!   ([`PowerSolver`]);
-//! * [`FallbackSolver`] — a resilient policy chaining the three solvers
-//!   with per-attempt budgets and a `‖πQ‖∞` residual acceptance check,
-//!   recording every attempt in a [`SolveDiagnostics`] trail. Its one entry
-//!   point, [`FallbackSolver::solve`], takes a reusable [`SolveScratch`]
+//! * [`FallbackSolver`] — the one steady-state solve policy, with no
+//!   settings: dense elimination first on chains of up to 3000 states,
+//!   Gauss–Seidel then power iteration first on larger ones, and a
+//!   `‖πQ‖∞ ≤ 1e-9` residual acceptance check on every answer, recording
+//!   every attempt in a [`SolveDiagnostics`] trail. Its one entry point,
+//!   [`FallbackSolver::solve`], takes a reusable [`SolveScratch`]
 //!   workspace and a [`SolveBudget`] — the one budget type, bounding wall
 //!   time, explored states and cancellation. Every stage starts cold, so
 //!   an accepted answer is a pure function of the chain: neither the
-//!   scratch nor earlier solves can move a bit of it;
+//!   scratch nor earlier solves can move a bit of it. The individual
+//!   solvers stay public as reference implementations;
 //! * [`Explored::repatch`] rebuilds an explored chain's rates in place
 //!   when only the rates (not the topology) changed, bit-identically to a
 //!   fresh [`explore`];

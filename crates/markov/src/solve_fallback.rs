@@ -1,24 +1,19 @@
-//! Resilient steady-state solution: a fallback chain of solvers with a
+//! Resilient steady-state solution: a fixed chain of solvers with a
 //! post-hoc residual check.
 //!
 //! One non-converged Gauss–Seidel sweep used to abort an entire design
 //! search. [`FallbackSolver`] instead treats solver failure as an expected
-//! event: it tries Gauss–Seidel first, falls back to uniformized power
-//! iteration, then to dense direct elimination, giving each iterative
-//! attempt its own sweep cap and a fixed wall-clock allowance. Every
-//! produced solution — whichever solver made it — must pass an independent
-//! acceptance test before it is returned: the balance residual `‖πQ‖∞`
-//! has to be below [`FallbackSolver::residual_tolerance`], all
-//! probabilities finite and non-negative, and the mass normalized. A solver that converged to the
-//! wrong answer is therefore rejected, not silently propagated.
-//!
-//! The full attempt trail is recorded in [`SolveDiagnostics`] so callers
-//! (the availability engines and, above them, the design search) can report
-//! how degraded an evaluation was.
+//! event and moves on to the next stage. Every produced solution —
+//! whichever solver made it — must pass an independent acceptance test
+//! (balance residual, finiteness, normalization), so a solver that
+//! converged to the wrong answer is rejected, not silently propagated. The
+//! policy has no settings: the constants below are the whole of it, and
+//! [`SolveDiagnostics`] records every attempt so callers can report how
+//! degraded an evaluation was.
 //!
 //! Every stage starts cold — elimination is direct, and the iterative
 //! stages start from the uniform distribution — so a solve is a pure
-//! function of the chain and the solver configuration.
+//! function of the chain.
 
 use crate::scratch::SolveScratch;
 use crate::{
@@ -32,6 +27,25 @@ use std::time::{Duration, Instant};
 /// deadline ends the chain. Without it, power iteration's sweep cap would
 /// be its only bound.
 const ATTEMPT_ALLOWANCE: Duration = Duration::from_secs(30);
+
+/// The acceptance gate: every returned solution balances to
+/// `‖πQ‖∞ ≤ 1e-9`.
+const RESIDUAL_TOLERANCE: f64 = 1e-9;
+
+/// The Gauss–Seidel stage stops once its measured balance residual is
+/// three decades below the acceptance gate (about `1e-12`): the gate
+/// re-verifies every solution anyway, and the margin keeps the returned
+/// vector accurate to roughly the gate itself even on weakly-ergodic
+/// chains (entry error ~ residual x the chain's slowest-mode
+/// amplification).
+const GAUSS_SEIDEL_RESIDUAL_EXIT: f64 = RESIDUAL_TOLERANCE * 1e-3;
+
+/// The largest chain solved dense first; larger chains start with the
+/// iterative stages.
+const DENSE_MAX_STATES: usize = 3000;
+
+/// Past this many states the dense stage is skipped.
+const DENSE_STATE_LIMIT: usize = 20_000;
 
 /// Which concrete algorithm a fallback attempt used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,31 +107,28 @@ impl SolveDiagnostics {
         self.attempts.len().saturating_sub(1)
     }
 
+    /// The accepted attempt, if any: a solve stops at its first accepted
+    /// attempt, so it is the last one.
+    fn accepted(&self) -> Option<&SolveAttempt> {
+        self.attempts.last().filter(|a| a.accepted())
+    }
+
     /// The solver whose solution was accepted, if any.
     #[must_use]
     pub fn accepted_solver(&self) -> Option<SolverKind> {
-        self.attempts
-            .iter()
-            .find(|a| a.accepted())
-            .map(|a| a.solver)
+        self.accepted().map(|a| a.solver)
     }
 
     /// The residual of the accepted solution, if any.
     #[must_use]
     pub fn accepted_residual(&self) -> Option<f64> {
-        self.attempts
-            .iter()
-            .find(|a| a.accepted())
-            .and_then(|a| a.residual)
+        self.accepted().and_then(|a| a.residual)
     }
 
     /// Sweeps used by the accepted attempt, if any (`Some(0)` for dense).
     #[must_use]
     pub fn accepted_iterations(&self) -> Option<usize> {
-        self.attempts
-            .iter()
-            .find(|a| a.accepted())
-            .map(|a| a.iterations)
+        self.accepted().map(|a| a.iterations)
     }
 
     /// Total iterative sweeps across all attempts, accepted or not.
@@ -125,24 +136,19 @@ impl SolveDiagnostics {
     pub fn total_iterations(&self) -> u64 {
         self.attempts.iter().map(|a| a.iterations as u64).sum()
     }
-
-    /// Total wall-clock time across all attempts.
-    #[must_use]
-    pub fn total_wall_time(&self) -> Duration {
-        self.attempts.iter().map(|a| a.wall_time).sum()
-    }
 }
 
-/// A steady-state policy that chains solvers and verifies their output.
+/// The steady-state solve policy: a fixed chain of solvers whose every
+/// output must pass the residual gate.
 ///
-/// Attempt order depends on chain size: below
-/// [`FallbackSolver::with_dense_preferred_below`] states the dense direct
+/// Attempt order depends on chain size. Up to 3000 states the dense direct
 /// solve runs first (it is exact and fastest there), falling back to
-/// Gauss–Seidel then power iteration if elimination fails. At or above the
-/// cutover the order is Gauss–Seidel → power iteration → dense (the dense
-/// attempt is skipped entirely past
-/// [`FallbackSolver::with_dense_state_limit`], where O(n³) elimination
-/// would dwarf any iterative budget).
+/// Gauss–Seidel then power iteration if elimination fails. Above that the
+/// order is Gauss–Seidel → power iteration → dense, and past 20 000 states
+/// the dense attempt is skipped entirely, where O(n³) elimination would
+/// dwarf any iterative budget. Every accepted solution balances to
+/// `‖πQ‖∞ ≤ 1e-9`; the Gauss–Seidel stage stops early once its own
+/// residual is three decades under that gate.
 ///
 /// # Examples
 ///
@@ -159,99 +165,12 @@ impl SolveDiagnostics {
 /// assert!(diagnostics.accepted_residual().unwrap() <= 1e-9);
 /// # Ok::<(), aved_markov::MarkovError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FallbackSolver {
-    gauss_seidel: GaussSeidelSolver,
-    power: PowerSolver,
-    residual_tolerance: f64,
-    dense_preferred_below: usize,
-    dense_state_limit: usize,
     assume_irreducible: bool,
 }
 
 impl FallbackSolver {
-    /// Creates a fallback policy with the given residual acceptance
-    /// tolerance, validating it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidSolverConfig`] if the tolerance is not
-    /// a positive finite number.
-    pub fn try_new(residual_tolerance: f64) -> Result<FallbackSolver, MarkovError> {
-        if !(residual_tolerance > 0.0 && residual_tolerance.is_finite()) {
-            return Err(MarkovError::InvalidSolverConfig {
-                detail: format!(
-                    "residual tolerance must be positive and finite, got {residual_tolerance}"
-                ),
-            });
-        }
-        Ok(FallbackSolver {
-            // The Gauss–Seidel stage may stop once its measured balance
-            // residual is three decades below the acceptance tolerance:
-            // the acceptance gate re-verifies every solution anyway, and
-            // the margin keeps the returned state vector accurate to
-            // roughly the gate itself even on weakly-ergodic chains
-            // (entry error ~ residual x the chain's slowest-mode
-            // amplification).
-            gauss_seidel: GaussSeidelSolver::default()
-                .with_residual_exit(residual_tolerance * 1e-3),
-            power: PowerSolver::default(),
-            residual_tolerance,
-            dense_preferred_below: 3000,
-            dense_state_limit: 20_000,
-            assume_irreducible: false,
-        })
-    }
-
-    /// Creates a fallback policy with the given residual acceptance
-    /// tolerance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tolerance is not a positive finite number; use
-    /// [`Self::try_new`] for user-supplied values.
-    #[must_use]
-    pub fn new(residual_tolerance: f64) -> FallbackSolver {
-        FallbackSolver::try_new(residual_tolerance).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The residual acceptance tolerance.
-    #[must_use]
-    pub fn residual_tolerance(&self) -> f64 {
-        self.residual_tolerance
-    }
-
-    /// Replaces the Gauss–Seidel stage (tolerance, sweep budget,
-    /// relaxation).
-    #[must_use]
-    pub fn with_gauss_seidel(mut self, solver: GaussSeidelSolver) -> FallbackSolver {
-        self.gauss_seidel = solver;
-        self
-    }
-
-    /// Replaces the power-iteration stage.
-    #[must_use]
-    pub fn with_power(mut self, solver: PowerSolver) -> FallbackSolver {
-        self.power = solver;
-        self
-    }
-
-    /// Below this state count the dense direct solve runs first. Defaults
-    /// to 3000, matching the availability engines' historical cutover.
-    #[must_use]
-    pub fn with_dense_preferred_below(mut self, n_states: usize) -> FallbackSolver {
-        self.dense_preferred_below = n_states;
-        self
-    }
-
-    /// Above this state count the dense attempt is skipped entirely.
-    /// Defaults to 20 000.
-    #[must_use]
-    pub fn with_dense_state_limit(mut self, n_states: usize) -> FallbackSolver {
-        self.dense_state_limit = n_states;
-        self
-    }
-
     /// Declares the chain's structure already verified: every stage skips
     /// its strong-connectivity check (the Gauss–Seidel stage's up-front
     /// traversals and the dense stage's reachability check).
@@ -273,39 +192,6 @@ impl FallbackSolver {
     #[must_use]
     pub fn residual_inf_norm(ctmc: &Ctmc, pi: &[f64]) -> f64 {
         residual_inf_norm_in(ctmc, pi, &mut Vec::new())
-    }
-
-    /// Validates a produced solution: finite, non-negative (up to rounding),
-    /// normalized mass, and balance residual under the tolerance. Returns
-    /// the measured residual on success. `net_flow` is a reusable buffer.
-    fn accept(&self, ctmc: &Ctmc, pi: &[f64], net_flow: &mut Vec<f64>) -> Result<f64, MarkovError> {
-        if pi.iter().any(|p| !p.is_finite()) {
-            return Err(MarkovError::NonFiniteSolution);
-        }
-        if pi.iter().any(|&p| p < -1e-9) || (pi.iter().sum::<f64>() - 1.0).abs() > 1e-6 {
-            return Err(MarkovError::Singular);
-        }
-        let residual = residual_inf_norm_in(ctmc, pi, net_flow);
-        if residual > self.residual_tolerance {
-            return Err(MarkovError::ResidualTooLarge {
-                residual,
-                tolerance: self.residual_tolerance,
-            });
-        }
-        Ok(residual)
-    }
-
-    fn attempt_order(&self, n_states: usize) -> impl Iterator<Item = SolverKind> {
-        use SolverKind::{Dense, GaussSeidel, Power};
-        let order = if n_states < self.dense_preferred_below {
-            [Dense, GaussSeidel, Power]
-        } else {
-            [GaussSeidel, Power, Dense]
-        };
-        let skip_dense = n_states > self.dense_state_limit;
-        order
-            .into_iter()
-            .filter(move |&kind| !(skip_dense && kind == Dense))
     }
 
     /// Runs the fallback chain under a cooperative [`SolveBudget`],
@@ -330,22 +216,32 @@ impl FallbackSolver {
         scratch: &mut SolveScratch,
         budget: &SolveBudget,
     ) -> (Result<Vec<f64>, MarkovError>, SolveDiagnostics) {
-        self.solve_within(ctmc, scratch, budget, ATTEMPT_ALLOWANCE)
+        self.solve_within(
+            ctmc,
+            scratch,
+            budget,
+            attempt_order(ctmc.n_states()),
+            ATTEMPT_ALLOWANCE,
+            GaussSeidelSolver::default().with_residual_exit(GAUSS_SEIDEL_RESIDUAL_EXIT),
+        )
     }
 
-    /// [`Self::solve`] with `allowance` as each iterative attempt's
-    /// wall-clock allowance.
+    /// [`Self::solve`] running the stages in `order`, with `allowance` as
+    /// each iterative attempt's wall-clock allowance and `gauss_seidel` as
+    /// the Gauss–Seidel stage.
     fn solve_within(
         &self,
         ctmc: &Ctmc,
         scratch: &mut SolveScratch,
         budget: &SolveBudget,
+        order: &[SolverKind],
         allowance: Duration,
+        gauss_seidel: GaussSeidelSolver,
     ) -> (Result<Vec<f64>, MarkovError>, SolveDiagnostics) {
         let mut diagnostics = SolveDiagnostics::default();
         let governed = !budget.is_unlimited();
         let mut last_error = MarkovError::EmptyChain;
-        for kind in self.attempt_order(ctmc.n_states()) {
+        for &kind in order {
             // Re-check before every attempt: the dense stage is
             // non-preemptible, so this gate is its only cancellation point.
             if governed {
@@ -356,13 +252,13 @@ impl FallbackSolver {
             let started = Instant::now();
             let raw = match kind {
                 SolverKind::GaussSeidel => {
-                    let mut solver = self.gauss_seidel;
+                    let mut solver = gauss_seidel;
                     if self.assume_irreducible {
                         solver = solver.assuming_irreducible();
                     }
                     solver.sweep_into(ctmc, scratch, &budget.with_deadline_by(started + allowance))
                 }
-                SolverKind::Power => self.power.power_into(
+                SolverKind::Power => PowerSolver::default().power_into(
                     ctmc,
                     scratch,
                     &budget.with_deadline_by(started + allowance),
@@ -371,15 +267,15 @@ impl FallbackSolver {
                     .solve_into(ctmc, scratch, self.assume_irreducible)
                     .map(|()| 0),
             };
-            let (checked, residual) = match raw {
-                Ok(iterations) => match self.accept(ctmc, &scratch.pi, &mut scratch.net_flow) {
-                    Ok(residual) => (Ok(iterations), Some(residual)),
+            let (error, iterations, residual) = match raw {
+                Ok(iterations) => match accept(ctmc, &scratch.pi, &mut scratch.net_flow) {
+                    Ok(residual) => (None, iterations, Some(residual)),
                     Err(e) => {
                         let residual = match e {
                             MarkovError::ResidualTooLarge { residual, .. } => Some(residual),
                             _ => None,
                         };
-                        (Err((e, iterations)), residual)
+                        (Some(e), iterations, residual)
                     }
                 },
                 Err(e) => {
@@ -394,47 +290,35 @@ impl FallbackSolver {
                         } => usize::try_from(progress).unwrap_or(usize::MAX),
                         _ => 0,
                     };
-                    (Err((e, iterations)), None)
+                    (Some(e), iterations, None)
                 }
             };
-            let wall_time = started.elapsed();
-            match checked {
-                Ok(iterations) => {
-                    diagnostics.attempts.push(SolveAttempt {
-                        solver: kind,
-                        error: None,
-                        residual,
-                        wall_time,
-                        iterations,
-                    });
-                    return (Ok(scratch.pi.clone()), diagnostics);
-                }
-                Err((e, iterations)) => {
-                    // Structural failures apply to every solver: stop early
-                    // rather than re-diagnosing the same chain three times.
-                    // Cancellation and the caller's deadline likewise end
-                    // the chain — the resource is gone for every later stage
-                    // too. An attempt that only used up its own allowance
-                    // leaves the next stage a fresh one.
-                    let fatal = match e {
-                        MarkovError::Reducible { .. }
-                        | MarkovError::EmptyChain
-                        | MarkovError::Cancelled { .. } => true,
-                        MarkovError::BudgetExhausted { .. } => budget.deadline_exceeded(),
-                        _ => false,
-                    };
-                    diagnostics.attempts.push(SolveAttempt {
-                        solver: kind,
-                        error: Some(e.clone()),
-                        residual,
-                        wall_time,
-                        iterations,
-                    });
-                    last_error = e;
-                    if fatal {
-                        break;
-                    }
-                }
+            diagnostics.attempts.push(SolveAttempt {
+                solver: kind,
+                error: error.clone(),
+                residual,
+                wall_time: started.elapsed(),
+                iterations,
+            });
+            let Some(e) = error else {
+                return (Ok(scratch.pi.clone()), diagnostics);
+            };
+            // Structural failures apply to every solver: stop early rather
+            // than re-diagnosing the same chain three times. Cancellation
+            // and the caller's deadline likewise end the chain — the
+            // resource is gone for every later stage too. An attempt that
+            // only used up its own allowance leaves the next stage a fresh
+            // one.
+            let fatal = match e {
+                MarkovError::Reducible { .. }
+                | MarkovError::EmptyChain
+                | MarkovError::Cancelled { .. } => true,
+                MarkovError::BudgetExhausted { .. } => budget.deadline_exceeded(),
+                _ => false,
+            };
+            last_error = e;
+            if fatal {
+                break;
             }
         }
         (Err(last_error), diagnostics)
@@ -458,12 +342,37 @@ fn residual_inf_norm_in(ctmc: &Ctmc, pi: &[f64], net_flow: &mut Vec<f64>) -> f64
     worst
 }
 
-impl Default for FallbackSolver {
-    /// Residual tolerance `1e-9`, default Gauss–Seidel and power stages,
-    /// 30 s per iterative attempt, dense preferred below 3000 states.
-    fn default() -> FallbackSolver {
-        FallbackSolver::new(1e-9)
+/// The stages to try, in order, for a chain of `n_states`.
+fn attempt_order(n_states: usize) -> &'static [SolverKind] {
+    use SolverKind::{Dense, GaussSeidel, Power};
+    if n_states <= DENSE_MAX_STATES {
+        &[Dense, GaussSeidel, Power]
+    } else if n_states <= DENSE_STATE_LIMIT {
+        &[GaussSeidel, Power, Dense]
+    } else {
+        &[GaussSeidel, Power]
     }
+}
+
+/// Validates a produced solution: finite, non-negative (up to rounding),
+/// normalized mass, and balance residual under [`RESIDUAL_TOLERANCE`].
+/// Returns the measured residual on success. `net_flow` is a reusable
+/// buffer.
+fn accept(ctmc: &Ctmc, pi: &[f64], net_flow: &mut Vec<f64>) -> Result<f64, MarkovError> {
+    if pi.iter().any(|p| !p.is_finite()) {
+        return Err(MarkovError::NonFiniteSolution);
+    }
+    if pi.iter().any(|&p| p < -1e-9) || (pi.iter().sum::<f64>() - 1.0).abs() > 1e-6 {
+        return Err(MarkovError::Singular);
+    }
+    let residual = residual_inf_norm_in(ctmc, pi, net_flow);
+    if residual > RESIDUAL_TOLERANCE {
+        return Err(MarkovError::ResidualTooLarge {
+            residual,
+            tolerance: RESIDUAL_TOLERANCE,
+        });
+    }
+    Ok(residual)
 }
 
 impl SteadyStateSolver for FallbackSolver {
@@ -478,6 +387,7 @@ mod tests {
     use super::*;
     use crate::CtmcBuilder;
     use proptest::prelude::*;
+    use SolverKind::{Dense, GaussSeidel, Power};
 
     fn ring_chain(n: usize, rates: &[f64]) -> Ctmc {
         let mut b = CtmcBuilder::new(n);
@@ -489,11 +399,60 @@ mod tests {
     }
 
     /// One solve in a fresh scratch under an unlimited budget.
-    fn solve(
-        solver: &FallbackSolver,
+    fn solve(ctmc: &Ctmc) -> (Result<Vec<f64>, MarkovError>, SolveDiagnostics) {
+        FallbackSolver::default().solve(ctmc, &mut SolveScratch::new(), &SolveBudget::unlimited())
+    }
+
+    /// The order a chain past the dense cutover runs, forced on a chain of
+    /// any size.
+    const ITERATIVE_FIRST: &[SolverKind] = &[GaussSeidel, Power, Dense];
+
+    /// The policy's Gauss–Seidel stage.
+    fn policy_gauss_seidel() -> GaussSeidelSolver {
+        GaussSeidelSolver::default().with_residual_exit(GAUSS_SEIDEL_RESIDUAL_EXIT)
+    }
+
+    /// One solve through `order` under `budget`, in `scratch`.
+    fn solve_in_order(
         ctmc: &Ctmc,
+        scratch: &mut SolveScratch,
+        budget: &SolveBudget,
+        order: &[SolverKind],
+        allowance: Duration,
     ) -> (Result<Vec<f64>, MarkovError>, SolveDiagnostics) {
-        solver.solve(ctmc, &mut SolveScratch::new(), &SolveBudget::unlimited())
+        FallbackSolver::default().solve_within(
+            ctmc,
+            scratch,
+            budget,
+            order,
+            allowance,
+            policy_gauss_seidel(),
+        )
+    }
+
+    /// An [`ITERATIVE_FIRST`] solve in a fresh scratch with the default
+    /// allowance and `gauss_seidel` as the Gauss–Seidel stage.
+    fn solve_with_gauss_seidel(
+        ctmc: &Ctmc,
+        budget: &SolveBudget,
+        gauss_seidel: GaussSeidelSolver,
+    ) -> (Result<Vec<f64>, MarkovError>, SolveDiagnostics) {
+        FallbackSolver::default().solve_within(
+            ctmc,
+            &mut SolveScratch::new(),
+            budget,
+            ITERATIVE_FIRST,
+            ATTEMPT_ALLOWANCE,
+            gauss_seidel,
+        )
+    }
+
+    /// [`solve_with_gauss_seidel`] with the policy's own stage.
+    fn solve_iterative_first(
+        ctmc: &Ctmc,
+        budget: &SolveBudget,
+    ) -> (Result<Vec<f64>, MarkovError>, SolveDiagnostics) {
+        solve_with_gauss_seidel(ctmc, budget, policy_gauss_seidel())
     }
 
     /// A 2000-state ring with uneven rates: Gauss–Seidel needs far more
@@ -508,20 +467,26 @@ mod tests {
     }
 
     /// An iterative-first solve of [`slow_ring`] whose Gauss–Seidel stage
-    /// has no residual exit, cut by a caller deadline 200 ms out.
+    /// has no residual exit and no usable sweep cap, cut by a caller
+    /// deadline 200 ms out.
     fn cut_by_caller_deadline() -> (Result<Vec<f64>, MarkovError>, SolveDiagnostics) {
-        let solver = FallbackSolver::default()
-            .with_dense_preferred_below(0)
-            .with_gauss_seidel(GaussSeidelSolver::new(1e-300, usize::MAX));
         let deadline =
             SolveBudget::unlimited().with_deadline(Instant::now() + Duration::from_millis(200));
-        solver.solve(&slow_ring(), &mut SolveScratch::new(), &deadline)
+        solve_with_gauss_seidel(
+            &slow_ring(),
+            &deadline,
+            GaussSeidelSolver::new(1e-300, usize::MAX),
+        )
+    }
+
+    fn kinds(diag: &SolveDiagnostics) -> Vec<SolverKind> {
+        diag.attempts.iter().map(|a| a.solver).collect()
     }
 
     #[test]
     fn accepts_first_solver_on_easy_chain() {
         let ctmc = ring_chain(4, &[3.0, 1.5, 0.5, 2.0, 0.25, 1.0, 4.0, 0.75]);
-        let (pi, diag) = solve(&FallbackSolver::default(), &ctmc);
+        let (pi, diag) = solve(&ctmc);
         let pi = pi.unwrap();
         assert_eq!(diag.attempts.len(), 1);
         assert_eq!(diag.fallbacks_taken(), 0);
@@ -531,26 +496,43 @@ mod tests {
     }
 
     #[test]
+    fn attempt_order_switches_at_the_dense_cutover() {
+        assert_eq!(attempt_order(1), [Dense, GaussSeidel, Power]);
+        assert_eq!(attempt_order(3000), [Dense, GaussSeidel, Power]);
+        assert_eq!(attempt_order(3001), [GaussSeidel, Power, Dense]);
+        assert_eq!(attempt_order(20_000), [GaussSeidel, Power, Dense]);
+        assert_eq!(attempt_order(20_001), [GaussSeidel, Power]);
+    }
+
+    #[test]
     fn large_chains_start_iterative() {
-        let ctmc = ring_chain(4, &[3.0, 1.5, 0.5, 2.0, 0.25, 1.0, 4.0, 0.75]);
-        let solver = FallbackSolver::default().with_dense_preferred_below(0);
-        let (pi, diag) = solve(&solver, &ctmc);
-        assert!(pi.is_ok());
-        assert_eq!(diag.accepted_solver(), Some(SolverKind::GaussSeidel));
+        // A 3001-state birth-death chain drifting toward its last state:
+        // one state past the cutover, and settled by a few in-order
+        // Gauss-Seidel sweeps.
+        let n = DENSE_MAX_STATES + 1;
+        let mut b = CtmcBuilder::new(n);
+        for i in 0..n - 1 {
+            b.rate(i, i + 1, 1.0).rate(i + 1, i, 0.01);
+        }
+        let (pi, diag) = solve(&b.build().unwrap());
+        assert_eq!(kinds(&diag), [GaussSeidel], "{diag:?}");
+        let last = pi.unwrap()[n - 1];
+        assert!((last - 0.99).abs() < 1e-9, "geometric head {last}");
     }
 
     #[test]
     fn falls_back_when_first_stage_is_starved() {
-        // A Gauss-Seidel stage with a 1-sweep budget cannot converge; the
+        // A Gauss-Seidel stage with a 1-sweep cap cannot converge; the
         // chain must fall back and still produce a verified answer.
         let ctmc = ring_chain(
             6,
             &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 2.5, 1.25, 0.8, 0.6, 0.5, 0.4],
         );
-        let solver = FallbackSolver::default()
-            .with_dense_preferred_below(0)
-            .with_gauss_seidel(GaussSeidelSolver::new(1e-300, 1));
-        let (pi, diag) = solve(&solver, &ctmc);
+        let (pi, diag) = solve_with_gauss_seidel(
+            &ctmc,
+            &SolveBudget::unlimited(),
+            GaussSeidelSolver::new(1e-300, 1),
+        );
         let pi = pi.unwrap();
         assert!(diag.fallbacks_taken() >= 1);
         assert!(matches!(
@@ -567,14 +549,17 @@ mod tests {
     #[test]
     fn exhausting_every_stage_reports_the_trail() {
         let ctmc = ring_chain(4, &[3.0, 1.5, 0.5, 2.0, 0.25, 1.0, 4.0, 0.75]);
-        let solver = FallbackSolver::default()
-            .with_dense_preferred_below(0)
-            .with_dense_state_limit(0) // dense stage removed
-            .with_gauss_seidel(GaussSeidelSolver::new(1e-300, 1))
-            .with_power(PowerSolver::new(1e-300, 1));
-        let (pi, diag) = solve(&solver, &ctmc);
+        // Both iterative stages starved, no dense stage (as past 20 000
+        // states).
+        let (pi, diag) = solve_in_order(
+            &ctmc,
+            &mut SolveScratch::new(),
+            &SolveBudget::unlimited(),
+            attempt_order(DENSE_STATE_LIMIT + 1),
+            Duration::ZERO,
+        );
         assert!(pi.is_err());
-        assert_eq!(diag.attempts.len(), 2);
+        assert_eq!(kinds(&diag), [GaussSeidel, Power]);
         assert!(diag.attempts.iter().all(|a| !a.accepted()));
         assert!(diag.accepted_solver().is_none());
     }
@@ -584,42 +569,53 @@ mod tests {
         let mut b = CtmcBuilder::new(2);
         b.rate(0, 1, 1.0);
         let ctmc = b.build_unchecked();
-        let (pi, diag) = solve(&FallbackSolver::default(), &ctmc);
+        let (pi, diag) = solve(&ctmc);
         assert!(matches!(pi, Err(MarkovError::Reducible { .. })));
         assert_eq!(diag.attempts.len(), 1, "structural errors are not retried");
     }
 
     #[test]
     fn residual_check_rejects_sloppy_solutions() {
-        // A solver tolerance so loose it stops on the uniform initial guess
-        // must be caught by the residual acceptance test, then rescued by
-        // the next stage.
+        // A Gauss-Seidel stage so loose it stops on the uniform initial
+        // guess must be caught by the residual acceptance test, then
+        // rescued by the next stage.
         let ctmc = ring_chain(4, &[30.0, 0.15, 5.0, 0.02, 0.25, 10.0, 4.0, 0.75]);
-        let solver = FallbackSolver::default()
-            .with_dense_preferred_below(0)
-            .with_gauss_seidel(GaussSeidelSolver::new(1e300, 100_000));
-        let (pi, diag) = solve(&solver, &ctmc);
-        assert!(pi.is_ok());
+        let (pi, diag) = solve_with_gauss_seidel(
+            &ctmc,
+            &SolveBudget::unlimited(),
+            GaussSeidelSolver::new(1e300, 100_000),
+        );
+        assert!(pi.is_ok(), "{diag:?}");
         assert!(matches!(
             diag.attempts[0].error,
             Some(MarkovError::ResidualTooLarge { .. })
         ));
         assert!(diag.attempts[0].residual.unwrap() > 1e-9);
         assert!(diag.accepted_residual().unwrap() <= 1e-9);
+
+        // The gate itself: the uniform guess is normalized and finite but
+        // far from balanced; the exact answer passes.
+        let mut net_flow = Vec::new();
+        let sloppy = accept(&ctmc, &[0.25; 4], &mut net_flow);
+        assert!(
+            matches!(sloppy, Err(MarkovError::ResidualTooLarge { residual, .. }) if residual > 1e-9),
+            "{sloppy:?}"
+        );
+        let exact = DenseSolver::new().steady_state(&ctmc).unwrap();
+        assert!(accept(&ctmc, &exact, &mut net_flow).unwrap() <= 1e-9);
     }
 
     #[test]
     fn exhausted_budget_aborts_the_chain_without_fallbacks() {
         use crate::CancelToken;
         let ctmc = ring_chain(4, &[3.0, 1.5, 0.5, 2.0, 0.25, 1.0, 4.0, 0.75]);
-        let solver = FallbackSolver::default().with_dense_preferred_below(0);
 
         // A cancelled token trips the pre-attempt gate before any solver
         // runs — including the non-preemptible dense stage.
         let token = CancelToken::new();
         token.cancel();
         let cancelled = SolveBudget::unlimited().with_cancel(token);
-        let (pi, diag) = solver.solve(&ctmc, &mut SolveScratch::new(), &cancelled);
+        let (pi, diag) = solve_iterative_first(&ctmc, &cancelled);
         assert!(matches!(pi, Err(MarkovError::Cancelled { .. })));
         assert!(diag.attempts.is_empty(), "no attempt should have launched");
 
@@ -632,10 +628,10 @@ mod tests {
 
         // A governed budget that never trips reproduces the plain path
         // bit-for-bit.
-        let (plain, _) = solve(&solver, &ctmc);
+        let (plain, _) = solve_iterative_first(&ctmc, &SolveBudget::unlimited());
         let far =
             SolveBudget::unlimited().with_deadline(Instant::now() + Duration::from_secs(3600));
-        let (governed, _) = solver.solve(&ctmc, &mut SolveScratch::new(), &far);
+        let (governed, _) = solve_iterative_first(&ctmc, &far);
         let (plain, governed) = (plain.unwrap(), governed.unwrap());
         for (a, b) in plain.iter().zip(governed.iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -655,24 +651,20 @@ mod tests {
     #[test]
     fn exhausted_attempt_allowance_falls_through_to_the_next_stage() {
         let ctmc = ring_chain(4, &[3.0, 1.5, 0.5, 2.0, 0.25, 1.0, 4.0, 0.75]);
-        let solver = FallbackSolver::default().with_dense_preferred_below(0);
         let far =
             SolveBudget::unlimited().with_deadline(Instant::now() + Duration::from_secs(3600));
         for budget in [SolveBudget::unlimited(), far] {
             // A zero allowance cuts both iterative stages at their first
             // checkpoint; the dense stage, which has none, still answers.
-            let (pi, diag) =
-                solver.solve_within(&ctmc, &mut SolveScratch::new(), &budget, Duration::ZERO);
-            assert!(pi.is_ok(), "{diag:?}");
-            let kinds: Vec<SolverKind> = diag.attempts.iter().map(|a| a.solver).collect();
-            assert_eq!(
-                kinds,
-                [
-                    SolverKind::GaussSeidel,
-                    SolverKind::Power,
-                    SolverKind::Dense
-                ]
+            let (pi, diag) = solve_in_order(
+                &ctmc,
+                &mut SolveScratch::new(),
+                &budget,
+                ITERATIVE_FIRST,
+                Duration::ZERO,
             );
+            assert!(pi.is_ok(), "{diag:?}");
+            assert_eq!(kinds(&diag), ITERATIVE_FIRST);
             for attempt in &diag.attempts[..2] {
                 assert!(matches!(
                     attempt.error,
@@ -693,39 +685,30 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_bad_tolerance() {
-        for tol in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            assert!(matches!(
-                FallbackSolver::try_new(tol),
-                Err(MarkovError::InvalidSolverConfig { .. })
-            ));
-        }
-    }
-
-    #[test]
     fn iterative_path_accepts_early_via_the_residual_exit() {
-        // The default policy's Gauss-Seidel stage stops once the balance
-        // residual is three decades under the acceptance gate; a stage
-        // without the exit grinds on to its per-sweep-delta tolerance.
+        // The policy's Gauss-Seidel stage stops once the balance residual
+        // is three decades under the acceptance gate; a stage without the
+        // exit grinds on to its per-sweep-delta tolerance.
         let mut b = CtmcBuilder::new(12);
         for i in 0..12_usize {
             b.rate(i, (i + 1) % 12, 0.2 + i as f64 / 2.0);
             b.rate((i + 1) % 12, i, 1.0 + i as f64 / 5.0);
         }
         let ctmc = b.build().unwrap();
-        let fast = FallbackSolver::default().with_dense_preferred_below(0);
-        let slow = fast.with_gauss_seidel(GaussSeidelSolver::default());
-        let (pi_fast, diag_fast) = solve(&fast, &ctmc);
-        let (pi_slow, diag_slow) = solve(&slow, &ctmc);
-        let (pi_fast, pi_slow) = (pi_fast.unwrap(), pi_slow.unwrap());
+        let (pi_fast, diag_fast) = solve_iterative_first(&ctmc, &SolveBudget::unlimited());
+        let pi_fast = pi_fast.unwrap();
+        let mut scratch = SolveScratch::new();
+        let slow_sweeps = GaussSeidelSolver::default()
+            .sweep_into(&ctmc, &mut scratch, &SolveBudget::unlimited())
+            .unwrap();
+        assert_eq!(diag_fast.accepted_solver(), Some(GaussSeidel));
         assert!(diag_fast.accepted_residual().unwrap() <= 1e-9);
         assert!(
-            diag_fast.accepted_iterations().unwrap() < diag_slow.accepted_iterations().unwrap(),
-            "residual exit saved no sweeps: {:?} vs {:?}",
+            diag_fast.accepted_iterations().unwrap() < slow_sweeps,
+            "residual exit saved no sweeps: {:?} vs {slow_sweeps}",
             diag_fast.accepted_iterations(),
-            diag_slow.accepted_iterations()
         );
-        for (f, s) in pi_fast.iter().zip(pi_slow.iter()) {
+        for (f, s) in pi_fast.iter().zip(scratch.pi.iter()) {
             assert!((f - s).abs() < 1e-9, "early-exit drifted: {f} vs {s}");
         }
     }
@@ -755,8 +738,7 @@ mod tests {
             let ctmc = b.build().unwrap();
             let dense = DenseSolver::new().steady_state(&ctmc).unwrap();
             // Exercise the iterative-first path regardless of size.
-            let solver = FallbackSolver::default().with_dense_preferred_below(0);
-            let (pi, diag) = solve(&solver, &ctmc);
+            let (pi, diag) = solve_iterative_first(&ctmc, &SolveBudget::unlimited());
             let pi = pi.unwrap();
             prop_assert!(diag.accepted_residual().unwrap() <= 1e-9);
             for (d, p) in dense.iter().zip(pi.iter()) {
@@ -789,14 +771,16 @@ mod tests {
             let ctmc = b.build().unwrap();
             let previous_rates: Vec<f64> = rates.iter().rev().map(|r| r * scale).collect();
             let previous = ring_chain(previous_n, &previous_rates);
-            let solver = FallbackSolver::default().with_dense_preferred_below(0);
-            let (cold, cold_diag) = solve(&solver, &ctmc);
+            let unlimited = SolveBudget::unlimited();
+            let (cold, cold_diag) = solve_iterative_first(&ctmc, &unlimited);
             let cold = cold.unwrap();
 
             let mut scratch = SolveScratch::new();
-            let unlimited = SolveBudget::unlimited();
-            solver.solve(&previous, &mut scratch, &unlimited).0.unwrap();
-            let (warm, warm_diag) = solver.solve(&ctmc, &mut scratch, &unlimited);
+            solve_in_order(&previous, &mut scratch, &unlimited, ITERATIVE_FIRST, ATTEMPT_ALLOWANCE)
+                .0
+                .unwrap();
+            let (warm, warm_diag) =
+                solve_in_order(&ctmc, &mut scratch, &unlimited, ITERATIVE_FIRST, ATTEMPT_ALLOWANCE);
             let warm = warm.unwrap();
             prop_assert_eq!(warm_diag.accepted_solver(), cold_diag.accepted_solver());
             prop_assert_eq!(warm_diag.total_iterations(), cold_diag.total_iterations());

@@ -30,44 +30,22 @@ use crate::{Ctmc, MarkovError, SolveBudget, SteadyStateSolver};
 pub struct GaussSeidelSolver {
     tolerance: f64,
     max_sweeps: usize,
-    relaxation: f64,
     residual_exit: Option<f64>,
     assume_irreducible: bool,
 }
 
+/// The relaxation factor `ω` applied to each update
+/// (`π_j ← (1−ω)·π_j + ω·v`).
+///
+/// Pure Gauss–Seidel (`ω = 1`) can enter period-2 limit cycles on some
+/// chain structures (the update operator can carry an eigenvalue at −1);
+/// any `ω < 1` maps that mode inside the unit circle. 0.9 damps
+/// oscillations at a ~10 % cost in per-mode convergence rate.
+const RELAXATION: f64 = 0.9;
+
 impl GaussSeidelSolver {
     /// Creates a solver with the given relative per-sweep tolerance and
-    /// sweep limit, validating both.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidSolverConfig`] if `tolerance` is not a
-    /// positive finite number or `max_sweeps` is zero.
-    pub fn try_new(tolerance: f64, max_sweeps: usize) -> Result<GaussSeidelSolver, MarkovError> {
-        if !(tolerance > 0.0 && tolerance.is_finite()) {
-            return Err(MarkovError::InvalidSolverConfig {
-                detail: format!("tolerance must be positive and finite, got {tolerance}"),
-            });
-        }
-        if max_sweeps == 0 {
-            return Err(MarkovError::InvalidSolverConfig {
-                detail: "max_sweeps must be positive".into(),
-            });
-        }
-        Ok(GaussSeidelSolver {
-            tolerance,
-            max_sweeps,
-            relaxation: 0.9,
-            residual_exit: None,
-            assume_irreducible: false,
-        })
-    }
-
-    /// Creates a solver with the given relative per-sweep tolerance and
     /// sweep limit.
-    ///
-    /// Convenience for hard-coded parameters; use [`Self::try_new`] to
-    /// validate user-supplied values without panicking.
     ///
     /// # Panics
     ///
@@ -75,66 +53,29 @@ impl GaussSeidelSolver {
     /// zero.
     #[must_use]
     pub fn new(tolerance: f64, max_sweeps: usize) -> GaussSeidelSolver {
-        GaussSeidelSolver::try_new(tolerance, max_sweeps).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Sets the relaxation factor `ω ∈ (0, 1]` applied to each update
-    /// (`π_j ← (1−ω)·π_j + ω·v`), validating it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidSolverConfig`] if `relaxation` is
-    /// outside `(0, 1]`.
-    pub fn try_with_relaxation(
-        mut self,
-        relaxation: f64,
-    ) -> Result<GaussSeidelSolver, MarkovError> {
-        if !(relaxation > 0.0 && relaxation <= 1.0) {
-            return Err(MarkovError::InvalidSolverConfig {
-                detail: format!("relaxation must be in (0, 1], got {relaxation}"),
-            });
+        assert!(
+            tolerance > 0.0 && tolerance.is_finite(),
+            "tolerance must be positive and finite, got {tolerance}"
+        );
+        assert!(max_sweeps > 0, "max_sweeps must be positive");
+        GaussSeidelSolver {
+            tolerance,
+            max_sweeps,
+            residual_exit: None,
+            assume_irreducible: false,
         }
-        self.relaxation = relaxation;
-        Ok(self)
-    }
-
-    /// Sets the relaxation factor `ω ∈ (0, 1]` applied to each update
-    /// (`π_j ← (1−ω)·π_j + ω·v`).
-    ///
-    /// Pure Gauss–Seidel (`ω = 1`) can enter period-2 limit cycles on some
-    /// chain structures (the update operator can carry an eigenvalue at
-    /// −1); any `ω < 1` maps that mode inside the unit circle. The default
-    /// 0.9 damps oscillations at a ~10 % cost in per-mode convergence
-    /// rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `relaxation` is outside `(0, 1]`.
-    #[must_use]
-    pub fn with_relaxation(self, relaxation: f64) -> GaussSeidelSolver {
-        self.try_with_relaxation(relaxation)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Lets the sweep loop stop as soon as the measured balance residual
-    /// `‖πQ‖∞` drops to `threshold`, even though the per-sweep delta has
-    /// not reached the solver's own tolerance yet.
-    ///
-    /// The per-sweep relative-change criterion is a *proxy* for solution
-    /// quality; callers that judge solutions by their balance residual (the
-    /// [`FallbackSolver`](crate::FallbackSolver) acceptance gate) would
-    /// otherwise pay for sweeps long past the point where the solution is
-    /// already acceptable. The residual is checked every few sweeps (it
-    /// costs about as much as a sweep), so overshoot is bounded; callers
-    /// that need the exit to *guarantee* acceptance should leave a margin
-    /// below their acceptance tolerance to absorb summation-order
-    /// differences between this check and their own.
+    /// `‖πQ‖∞` drops to `threshold`, before the per-sweep delta reaches
+    /// the solver's own tolerance. The residual is checked every 4th sweep
+    /// (it costs about as much as a sweep), so overshoot is bounded.
     ///
     /// # Panics
     ///
     /// Panics if `threshold` is not a positive finite number.
     #[must_use]
-    pub fn with_residual_exit(mut self, threshold: f64) -> GaussSeidelSolver {
+    pub(crate) fn with_residual_exit(mut self, threshold: f64) -> GaussSeidelSolver {
         assert!(
             threshold > 0.0 && threshold.is_finite(),
             "residual-exit threshold must be positive and finite, got {threshold}"
@@ -143,17 +84,14 @@ impl GaussSeidelSolver {
         self
     }
 
-    /// Skips the up-front strong-connectivity check.
+    /// Skips the up-front strong-connectivity check; only sound for a
+    /// structure that already produced an accepted solve (see
+    /// [`FallbackSolver::with_irreducibility_assumed`]). The in-sweep guard
+    /// against zero exit rates stays active.
     ///
-    /// Irreducibility is purely structural (rates are always positive), so
-    /// a caller re-solving a chain whose structure already passed a solve —
-    /// e.g. a rate-only in-place rebuild of a cached chain — pays two full
-    /// graph traversals per solve for a property that cannot have changed.
-    /// The in-sweep guard against zero exit rates stays active, and callers
-    /// must only set this when the same structure was previously solved
-    /// successfully.
+    /// [`FallbackSolver::with_irreducibility_assumed`]: crate::FallbackSolver::with_irreducibility_assumed
     #[must_use]
-    pub fn assuming_irreducible(mut self) -> GaussSeidelSolver {
+    pub(crate) fn assuming_irreducible(mut self) -> GaussSeidelSolver {
         self.assume_irreducible = true;
         self
     }
@@ -230,7 +168,7 @@ impl GaussSeidelSolver {
                     .map(|&(i, q)| pi[i] * q)
                     .sum();
                 let old = pi[j];
-                let v = (1.0 - self.relaxation) * old + self.relaxation * (inflow / exit);
+                let v = (1.0 - RELAXATION) * old + RELAXATION * (inflow / exit);
                 pi[j] = v;
                 // States with negligible stationary mass are exempt from
                 // the relative criterion: a slowly decaying tiny state
@@ -401,31 +339,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "relaxation")]
-    fn bad_relaxation_panics() {
-        let _ = GaussSeidelSolver::default().with_relaxation(1.5);
-    }
-
-    #[test]
     #[should_panic(expected = "tolerance")]
     fn zero_tolerance_panics() {
         let _ = GaussSeidelSolver::new(0.0, 1);
     }
 
     #[test]
-    fn try_new_rejects_bad_parameters_without_panicking() {
-        for (tol, sweeps) in [(0.0, 10), (-1.0, 10), (f64::NAN, 10), (1e-12, 0)] {
-            assert!(matches!(
-                GaussSeidelSolver::try_new(tol, sweeps),
-                Err(MarkovError::InvalidSolverConfig { .. })
-            ));
-        }
-        let solver = GaussSeidelSolver::try_new(1e-12, 10).unwrap();
-        assert!(matches!(
-            solver.try_with_relaxation(1.5),
-            Err(MarkovError::InvalidSolverConfig { .. })
-        ));
-        assert!(solver.try_with_relaxation(1.0).is_ok());
+    #[should_panic(expected = "tolerance")]
+    fn nan_tolerance_panics() {
+        let _ = GaussSeidelSolver::new(f64::NAN, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_sweeps")]
+    fn zero_sweep_cap_panics() {
+        let _ = GaussSeidelSolver::new(1e-12, 0);
     }
 
     fn slow_ring() -> Ctmc {

@@ -34,34 +34,7 @@ pub struct PowerSolver {
 
 impl PowerSolver {
     /// Creates a solver with the given per-sweep convergence tolerance
-    /// (max-norm of the change in `π`) and sweep limit, validating both.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidSolverConfig`] if `tolerance` is not a
-    /// positive finite number or `max_sweeps` is zero.
-    pub fn try_new(tolerance: f64, max_sweeps: usize) -> Result<PowerSolver, MarkovError> {
-        if !(tolerance > 0.0 && tolerance.is_finite()) {
-            return Err(MarkovError::InvalidSolverConfig {
-                detail: format!("tolerance must be positive and finite, got {tolerance}"),
-            });
-        }
-        if max_sweeps == 0 {
-            return Err(MarkovError::InvalidSolverConfig {
-                detail: "max_sweeps must be positive".into(),
-            });
-        }
-        Ok(PowerSolver {
-            tolerance,
-            max_sweeps,
-        })
-    }
-
-    /// Creates a solver with the given per-sweep convergence tolerance
     /// (max-norm of the change in `π`) and sweep limit.
-    ///
-    /// Convenience for hard-coded parameters; use [`Self::try_new`] to
-    /// validate user-supplied values without panicking.
     ///
     /// # Panics
     ///
@@ -69,19 +42,15 @@ impl PowerSolver {
     /// zero.
     #[must_use]
     pub fn new(tolerance: f64, max_sweeps: usize) -> PowerSolver {
-        PowerSolver::try_new(tolerance, max_sweeps).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The convergence tolerance.
-    #[must_use]
-    pub fn tolerance(&self) -> f64 {
-        self.tolerance
-    }
-
-    /// The sweep limit.
-    #[must_use]
-    pub fn max_sweeps(&self) -> usize {
-        self.max_sweeps
+        assert!(
+            tolerance > 0.0 && tolerance.is_finite(),
+            "tolerance must be positive and finite, got {tolerance}"
+        );
+        assert!(max_sweeps > 0, "max_sweeps must be positive");
+        PowerSolver {
+            tolerance,
+            max_sweeps,
+        }
     }
 
     /// The iteration loop, starting from the uniform distribution, writing
@@ -237,17 +206,15 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_bad_parameters_without_panicking() {
-        for (tol, sweeps) in [(0.0, 10), (-2.0, 10), (f64::INFINITY, 10), (1e-12, 0)] {
-            assert!(matches!(
-                PowerSolver::try_new(tol, sweeps),
-                Err(MarkovError::InvalidSolverConfig { .. })
-            ));
-        }
-        assert_eq!(
-            PowerSolver::try_new(1e-13, 5_000_000).unwrap(),
-            PowerSolver::default()
-        );
+    #[should_panic(expected = "tolerance")]
+    fn nan_tolerance_panics() {
+        let _ = PowerSolver::new(f64::NAN, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_sweeps")]
+    fn zero_sweep_cap_panics() {
+        let _ = PowerSolver::new(1e-12, 0);
     }
 
     #[test]

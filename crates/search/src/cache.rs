@@ -92,42 +92,15 @@ impl<'a> CachingEngine<'a> {
 }
 
 impl AvailabilityEngine for CachingEngine<'_> {
-    fn evaluate(&self, model: &TierModel) -> Result<TierAvailability, AvailError> {
-        self.evaluate_with_health(model).map(|(r, _)| r)
-    }
-
-    fn evaluate_with_health(
-        &self,
-        model: &TierModel,
-    ) -> Result<(TierAvailability, EvalHealth), AvailError> {
-        // Health is cached alongside the result so fallback accounting
-        // reflects what the solve would have cost, hit or miss.
-        let key = model.structural_hash();
-        let shard = &self.shards[(key as usize) & (SHARDS - 1)];
-        if let Some(bucket) = shard.read().expect("cache shard poisoned").get(&key) {
-            if let Some((_, cached)) = bucket.iter().find(|(m, _)| m == model) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(*cached);
-            }
-        }
-        let result = self.inner.evaluate_with_health(model)?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut shard = shard.write().expect("cache shard poisoned");
-        let bucket = shard.entry(key).or_default();
-        if !bucket.iter().any(|(m, _)| m == model) {
-            bucket.push((model.clone(), result));
-        }
-        Ok(result)
-    }
-
     fn evaluate_with_session(
         &self,
         model: &TierModel,
         session: &mut EvalSession,
     ) -> Result<(TierAvailability, EvalHealth), AvailError> {
-        // Identical to the sessionless path, except a miss hands the
-        // caller's session down to the inner engine so the solve reuses its
-        // cached chains. Hits bypass the session entirely (no solve happens).
+        // Health is cached alongside the result so fallback accounting
+        // reflects what the solve would have cost, hit or miss. A miss
+        // hands the caller's session down so the solve reuses its cached
+        // chains; a hit bypasses the session entirely (no solve happens).
         let key = model.structural_hash();
         let shard = &self.shards[(key as usize) & (SHARDS - 1)];
         if let Some(bucket) = shard.read().expect("cache shard poisoned").get(&key) {
@@ -159,7 +132,7 @@ impl std::fmt::Debug for CachingEngine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aved_avail::{CtmcEngine, FailureClass};
+    use aved_avail::{CtmcEngine, DecompositionEngine, FailureClass};
     use aved_units::Duration;
 
     fn model(n: u32) -> TierModel {
@@ -259,6 +232,35 @@ mod tests {
         assert_eq!(session.stats().solves, 1, "a hit does not solve at all");
         assert_eq!(engine.hits(), 1);
         assert_eq!(engine.misses(), 1);
+    }
+
+    #[test]
+    fn the_three_entry_points_agree_bit_for_bit_on_misses_and_hits() {
+        let inner = DecompositionEngine::default();
+        let m = model(3);
+        let bits = |r: TierAvailability| {
+            (
+                r.unavailability().to_bits(),
+                r.down_event_rate().per_hour_value().to_bits(),
+            )
+        };
+        let (reference, health) = inner.evaluate_with_health(&m).unwrap();
+        // One cache per entry point: each first call misses, the second hits.
+        let caches = [(); 3].map(|()| CachingEngine::new(&inner));
+        let mut session = EvalSession::new();
+        for _ in 0..2 {
+            let with_session = caches[0].evaluate_with_session(&m, &mut session).unwrap();
+            let with_health = caches[1].evaluate_with_health(&m).unwrap();
+            let plain = caches[2].evaluate(&m).unwrap();
+            for r in [with_session.0, with_health.0, plain] {
+                assert_eq!(bits(r), bits(reference));
+            }
+            assert_eq!(with_session.1, health);
+            assert_eq!(with_health.1, health);
+        }
+        for cache in &caches {
+            assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        }
     }
 
     #[test]

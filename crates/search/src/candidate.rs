@@ -217,11 +217,12 @@ impl SearchOptions {
     /// The solve budget every evaluation session of a search that started
     /// at `start` runs under: the absolute search deadline, the
     /// per-candidate timeout and state cap, and the cancellation token,
-    /// all folded into one [`SolveBudget`].
+    /// all folded into one [`SolveBudget`]. A search deadline past the last
+    /// representable instant sets no deadline.
     pub(crate) fn eval_budget(&self, start: Instant) -> SolveBudget {
         let mut budget = SolveBudget::unlimited();
-        if let Some(d) = self.search_deadline {
-            budget = budget.with_deadline(start + d);
+        if let Some(deadline) = self.search_deadline.and_then(|d| start.checked_add(d)) {
+            budget = budget.with_deadline(deadline);
         }
         if let Some(t) = self.candidate_timeout {
             budget = budget.with_candidate_timeout(t);
@@ -487,5 +488,15 @@ mod tests {
         let cands = enumerate_tier_candidates(&infra(), &"t".into(), &option(), 2, 2, &opts);
         // Only the (2 active, 0 spare) split exists; spare mode collapses.
         assert_eq!(cands.len(), 2); // two maintenance levels
+    }
+
+    #[test]
+    fn unrepresentable_search_deadline_sets_no_deadline() {
+        let start = Instant::now();
+        let endless = SearchOptions::default().with_search_deadline(std::time::Duration::MAX);
+        assert_eq!(endless.eval_budget(start).deadline(), None);
+        let hour = std::time::Duration::from_secs(3600);
+        let bounded = SearchOptions::default().with_search_deadline(hour);
+        assert_eq!(bounded.eval_budget(start).deadline(), Some(start + hour));
     }
 }

@@ -63,7 +63,7 @@ impl SearchError {
     }
 
     /// `true` when the error reports a per-candidate resource budget
-    /// running out (deadline, sweep cap, state cap — see
+    /// running out (wall-clock deadline or explored-state cap — see
     /// [`SolveBudget`](aved_avail::SolveBudget)). Candidate-scoped: the
     /// candidate is skipped and counted, the sweep continues.
     #[must_use]

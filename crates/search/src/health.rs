@@ -7,7 +7,7 @@
 //! produces one; a clean run has zero skips, zero fallbacks and no
 //! residual worth mentioning.
 
-use aved_avail::EvalHealth;
+use aved_avail::{worse_residual, EvalHealth};
 use aved_model::TierDesign;
 
 use crate::SearchError;
@@ -90,8 +90,9 @@ pub struct SearchHealth {
     /// Total solver iterations across session solves.
     pub solver_iterations: u64,
     /// Candidates abandoned because a per-candidate resource budget ran
-    /// out (deadline, sweep cap, state cap). Each is also recorded in
-    /// `skipped` with a diagnostic naming the exhausted resource.
+    /// out (wall-clock deadline or explored-state cap). Each is also
+    /// recorded in `skipped` with a diagnostic naming the exhausted
+    /// resource.
     pub budget_exhausted: u64,
     /// Candidates whose results were replayed bit-for-bit from a resume
     /// journal instead of being re-evaluated.
@@ -128,10 +129,7 @@ impl SearchHealth {
     /// Folds one successful evaluation's health into this report.
     pub fn absorb_eval(&mut self, eval: EvalHealth) {
         self.fallbacks_taken += u64::from(eval.fallbacks);
-        self.worst_residual = match (self.worst_residual, eval.worst_residual) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
+        self.worst_residual = worse_residual(self.worst_residual, eval.worst_residual);
     }
 
     /// Folds another search's health into this one (used when a service
@@ -140,10 +138,7 @@ impl SearchHealth {
     pub fn merge(&mut self, other: SearchHealth) {
         self.skipped.extend(other.skipped);
         self.fallbacks_taken += other.fallbacks_taken;
-        self.worst_residual = match (self.worst_residual, other.worst_residual) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
+        self.worst_residual = worse_residual(self.worst_residual, other.worst_residual);
         self.wall_time += other.wall_time;
         self.candidates_pruned += other.candidates_pruned;
         self.cache_hits += other.cache_hits;

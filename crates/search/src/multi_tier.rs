@@ -385,13 +385,15 @@ mod tests {
     }
 
     impl aved_avail::AvailabilityEngine for SlowEngine {
-        fn evaluate(
+        fn evaluate_with_session(
             &self,
             model: &aved_avail::TierModel,
-        ) -> Result<aved_avail::TierAvailability, aved_avail::AvailError> {
+            session: &mut aved_avail::EvalSession,
+        ) -> Result<(aved_avail::TierAvailability, aved_avail::EvalHealth), aved_avail::AvailError>
+        {
             self.starts.lock().unwrap().push(Instant::now());
             std::thread::sleep(std::time::Duration::from_millis(2));
-            self.inner.evaluate(model)
+            self.inner.evaluate_with_session(model, session)
         }
     }
 

@@ -15,7 +15,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use aved_avail::{
-    AvailError, AvailabilityEngine, CancelToken, DecompositionEngine, TierAvailability, TierModel,
+    AvailError, AvailabilityEngine, CancelToken, DecompositionEngine, EvalHealth, EvalSession,
+    TierAvailability, TierModel,
 };
 use aved_model::{Infrastructure, ParamValue, Service};
 use aved_perf::Catalog;
@@ -121,7 +122,11 @@ impl CancelAfter {
 }
 
 impl AvailabilityEngine for CancelAfter {
-    fn evaluate(&self, model: &TierModel) -> Result<TierAvailability, AvailError> {
+    fn evaluate_with_session(
+        &self,
+        model: &TierModel,
+        session: &mut EvalSession,
+    ) -> Result<(TierAvailability, EvalHealth), AvailError> {
         let spent = self
             .remaining
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
@@ -131,7 +136,7 @@ impl AvailabilityEngine for CancelAfter {
         if spent == 0 {
             self.token.cancel();
         }
-        self.inner.evaluate(model)
+        self.inner.evaluate_with_session(model, session)
     }
 }
 

@@ -185,6 +185,36 @@ fn bad_usage_exits_nonzero_with_usage() {
 }
 
 #[test]
+fn governance_durations_past_the_clock_range_are_handled() {
+    for flag in ["--candidate-timeout", "--search-deadline"] {
+        let design = |duration: &str| {
+            run(&[
+                "design",
+                "--paper-ecommerce",
+                "--load",
+                "400",
+                "--max-downtime",
+                "2000m",
+                "--max-extra",
+                "1",
+                "--max-spares",
+                "1",
+                flag,
+                duration,
+            ])
+        };
+        // Too large for a `std::time::Duration`: a usage error, not a panic.
+        let out = design("1e20s");
+        assert_eq!(out.status.code(), Some(2), "{flag}: {}", stderr(&out));
+        assert!(stderr(&out).contains("bad duration"), "{}", stderr(&out));
+        // Representable but past the last `Instant`: no deadline at all.
+        let out = design("1e19s");
+        assert!(out.status.success(), "{flag}: {}", stderr(&out));
+        assert!(stdout(&out).contains("minimum-cost design"));
+    }
+}
+
+#[test]
 fn missing_file_is_a_clean_error() {
     let out = run(&["check", "--infrastructure", "/nonexistent/infra.aved"]);
     assert!(!out.status.success());
