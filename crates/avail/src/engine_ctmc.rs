@@ -1,7 +1,9 @@
 //! The reference engine: a truncated multi-class CTMC with failover
 //! transients.
 
-use aved_markov::{explore, Explored, FallbackSolver, SolveBudget, SolveScratch};
+use std::collections::hash_map::Entry;
+
+use aved_markov::{explore, ExploreScratch, Explored, FallbackSolver, SolveBudget, SolveScratch};
 use aved_units::Rate;
 
 use crate::session::{CachedChain, ChainKey};
@@ -16,10 +18,58 @@ use crate::{
 /// Both fit in a `u8`: counts never exceed the truncation depth, which
 /// [`CtmcEngine::with_max_concurrent`] caps at [`MAX_DEPTH`], and class
 /// indices stay below [`MAX_CLASSES`], which [`TierModel::check`] enforces.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// A state is a plain `Copy` value, so exploring and repatching a chain
+/// never touches the heap per state or per successor. The counts live
+/// inline in an array wide enough for every class count a model may have;
+/// only the first `classes` entries are in use and the rest stay zero.
+/// Equality and hashing read the used entries only, so a one-class chain
+/// compares one byte, not 256.
+#[derive(Clone, Copy)]
 pub(crate) struct St {
-    pub(crate) failed: Vec<u8>,
-    pub(crate) failover: Option<u8>,
+    counts: [u8; MAX_CLASSES],
+    classes: u16,
+    failover: Option<u8>,
+}
+
+impl St {
+    /// The all-up state of a chain over `classes` failure classes.
+    fn initial(classes: usize) -> St {
+        St {
+            counts: [0; MAX_CLASSES],
+            classes: classes as u16,
+            failover: None,
+        }
+    }
+
+    /// Failed-resource count per failure class.
+    fn failed(&self) -> &[u8] {
+        &self.counts[..usize::from(self.classes)]
+    }
+}
+
+impl PartialEq for St {
+    fn eq(&self, other: &St) -> bool {
+        self.failover == other.failover && self.failed() == other.failed()
+    }
+}
+
+impl Eq for St {}
+
+impl std::hash::Hash for St {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.failed().hash(state);
+        self.failover.hash(state);
+    }
+}
+
+impl std::fmt::Debug for St {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("St")
+            .field("failed", &self.failed())
+            .field("failover", &self.failover)
+            .finish()
+    }
 }
 
 /// The deepest truncation a `u8` failed count can hold.
@@ -44,7 +94,7 @@ fn view(model: &TierModel, st: &St) -> View {
     let n_total = model.n_total();
     let mut failed_total: u32 = 0;
     let mut failed_failover: u32 = 0;
-    for (i, &k) in st.failed.iter().enumerate() {
+    for (i, &k) in st.failed().iter().enumerate() {
         failed_total += u32::from(k);
         if model.classes()[i].uses_failover() {
             failed_failover += u32::from(k);
@@ -150,19 +200,20 @@ impl CtmcEngine {
             .collect()
     }
 
-    /// The transition rules of the tier chain: successors of `st` with
-    /// their rates, in a deterministic rule order. Shared between the
-    /// initial exploration and the rate-only in-place rebuild
-    /// ([`Explored::repatch`]) so both see the exact same rule sequence.
+    /// The transition rules of the tier chain: appends the successors of
+    /// `st` with their rates to `out`, in a deterministic rule order.
+    /// Shared between the initial exploration and the rate-only in-place
+    /// rebuild ([`Explored::repatch`]) so both see the exact same rule
+    /// sequence.
     ///
     /// Every emitted rate is positive (failure rates, MTTRs and failover
     /// times are validated positive, and the resource-count factors gate
     /// the rule), so the chain's sparsity structure is a function of the
     /// model's *shape* only — the invariant [`ChainKey`] relies on.
-    fn successor_rates(&self, model: &TierModel, cap: u32, st: &St) -> Vec<(f64, St)> {
-        let mut out: Vec<(f64, St)> = Vec::new();
+    fn successor_rates(&self, model: &TierModel, cap: u32, st: &St, out: &mut Vec<(f64, St)>) {
         let v = view(model, st);
-        let failed_total: u32 = st.failed.iter().map(|&k| u32::from(k)).sum();
+        let failed = st.failed();
+        let failed_total: u32 = failed.iter().map(|&k| u32::from(k)).sum();
 
         // Failures (only below the truncation cap).
         if failed_total < cap {
@@ -171,8 +222,8 @@ impl CtmcEngine {
                 // Active-resource failures.
                 let active_rate = f64::from(v.working) * lambda;
                 if active_rate > 0.0 {
-                    let mut next = st.clone();
-                    next.failed[i] += 1;
+                    let mut next = *st;
+                    next.counts[i] += 1;
                     if st.failover.is_none()
                         && class.uses_failover()
                         && v.backfill_available
@@ -187,8 +238,8 @@ impl CtmcEngine {
                 if model.spares_exposed() {
                     let spare_rate = f64::from(v.free_spares) * lambda;
                     if spare_rate > 0.0 {
-                        let mut next = st.clone();
-                        next.failed[i] += 1;
+                        let mut next = *st;
+                        next.counts[i] += 1;
                         out.push((spare_rate, next));
                     }
                 }
@@ -197,22 +248,21 @@ impl CtmcEngine {
 
         // Repairs: each failed resource repairs independently.
         for (i, class) in model.classes().iter().enumerate() {
-            if st.failed[i] > 0 {
+            if failed[i] > 0 {
                 let mu = 1.0 / class.mttr().hours();
-                let mut next = st.clone();
-                next.failed[i] -= 1;
-                out.push((f64::from(st.failed[i]) * mu, next));
+                let mut next = *st;
+                next.counts[i] -= 1;
+                out.push((f64::from(failed[i]) * mu, next));
             }
         }
 
         // Failover completion.
         if let Some(fo) = st.failover {
             let class = &model.classes()[fo as usize];
-            let mut next = st.clone();
+            let mut next = *st;
             next.failover = None;
             out.push((1.0 / class.failover_time().hours(), next));
         }
-        out
     }
 
     /// Builds and explores the tier chain under a cooperative
@@ -222,21 +272,35 @@ impl CtmcEngine {
     pub(crate) fn explore_chain(
         &self,
         model: &TierModel,
+        scratch: &mut ExploreScratch<St>,
         budget: &SolveBudget,
     ) -> Result<Explored<St>, AvailError> {
         let cap = self.max_concurrent.min(model.n_total());
-        let n_classes = model.classes().len();
-        let initial = St {
-            failed: vec![0; n_classes],
-            failover: None,
-        };
         let explored = explore(
-            initial,
+            St::initial(model.classes().len()),
             2_000_000,
-            |st: &St| self.successor_rates(model, cap, st),
+            scratch,
+            |st, out| self.successor_rates(model, cap, st, out),
             budget,
         )?;
         Ok(explored)
+    }
+
+    /// A freshly explored chain for `model`, with its down mask, not yet
+    /// solved.
+    fn cached_chain(
+        &self,
+        model: &TierModel,
+        scratch: &mut ExploreScratch<St>,
+        budget: &SolveBudget,
+    ) -> Result<CachedChain, AvailError> {
+        let explored = self.explore_chain(model, scratch, budget)?;
+        let down = self.down_mask(model, &explored);
+        Ok(CachedChain {
+            explored,
+            down,
+            solved: false,
+        })
     }
 
     /// Solves a prepared chain (explored + down mask) and folds the solve
@@ -318,8 +382,10 @@ impl AvailabilityEngine for CtmcEngine {
         let EvalSession {
             scratch,
             chains,
+            chain_scratch,
             stats,
             budget,
+            ..
         } = session;
         // Per-candidate view of the session budget: a candidate timeout
         // restarts its clock here, while the global deadline, caps and
@@ -330,28 +396,23 @@ impl AvailabilityEngine for CtmcEngine {
         // instead of re-exploring. `repatch` verifies the structure exactly
         // and leaves the chain untouched on any mismatch, so a (practically
         // impossible) key collision falls back to a full re-explore below.
-        let key = ChainKey::for_model(model, cap);
-        let repatched = match chains.get_mut(&key) {
-            Some(cached) => cached
-                .explored
-                .repatch(|st| self.successor_rates(model, cap, st)),
-            None => false,
+        let cached = match chains.entry(ChainKey::for_model(model, cap)) {
+            Entry::Occupied(entry) => {
+                let cached = entry.into_mut();
+                let rule = |st: &St, out: &mut Vec<(f64, St)>| {
+                    self.successor_rates(model, cap, st, out);
+                };
+                if cached.explored.repatch(chain_scratch, rule) {
+                    stats.rebuilds_avoided += 1;
+                } else {
+                    *cached = self.cached_chain(model, chain_scratch, &budget)?;
+                }
+                cached
+            }
+            Entry::Vacant(entry) => {
+                entry.insert(self.cached_chain(model, chain_scratch, &budget)?)
+            }
         };
-        if repatched {
-            stats.rebuilds_avoided += 1;
-        } else {
-            let explored = self.explore_chain(model, &budget)?;
-            let down = self.down_mask(model, &explored);
-            chains.insert(
-                key.clone(),
-                CachedChain {
-                    explored,
-                    down,
-                    solved: false,
-                },
-            );
-        }
-        let cached = chains.get_mut(&key).expect("entry inserted above");
         self.evaluate_chain(cached, scratch, stats, &budget)
     }
 }
@@ -573,11 +634,19 @@ mod tests {
         };
         let e = CtmcEngine::default();
         let small = e
-            .explore_chain(&mk(4), &SolveBudget::unlimited())
+            .explore_chain(
+                &mk(4),
+                &mut ExploreScratch::new(),
+                &SolveBudget::unlimited(),
+            )
             .unwrap()
             .n_states();
         let large = e
-            .explore_chain(&mk(400), &SolveBudget::unlimited())
+            .explore_chain(
+                &mk(400),
+                &mut ExploreScratch::new(),
+                &SolveBudget::unlimited(),
+            )
             .unwrap()
             .n_states();
         assert_eq!(small, large);
@@ -724,7 +793,11 @@ mod tests {
         }
         assert_eq!(
             engine
-                .explore_chain(&tier(1.0), &SolveBudget::unlimited())
+                .explore_chain(
+                    &tier(1.0),
+                    &mut ExploreScratch::new(),
+                    &SolveBudget::unlimited()
+                )
                 .unwrap()
                 .n_states(),
             66
@@ -870,12 +943,17 @@ mod tests {
         let engine = CtmcEngine::default();
         for (model, n_states, pi_print, unavail_bits, rate_bits) in cases {
             let explored = engine
-                .explore_chain(&model, &SolveBudget::unlimited())
+                .explore_chain(
+                    &model,
+                    &mut ExploreScratch::new(),
+                    &SolveBudget::unlimited(),
+                )
                 .unwrap();
             assert_eq!(explored.n_states(), n_states);
+            let mut scratch = SolveScratch::new();
             let (pi, _) = FallbackSolver::default().solve(
                 explored.ctmc(),
-                &mut SolveScratch::new(),
+                &mut scratch,
                 &SolveBudget::unlimited(),
             );
             let print = pi
@@ -895,18 +973,24 @@ mod tests {
         // An absorbing chain, 0 -> 1 with no way back. Elimination alone
         // would accept it (all mass in state 1 balances), so only the
         // connectivity check can reject it.
-        let st = |k: u8| St {
-            failed: vec![k],
-            failover: None,
+        let st = |k: u8| {
+            let mut st = St::initial(1);
+            st.counts[0] = k;
+            st
         };
-        let rule = |s: &St| {
-            if s.failed[0] == 0 {
-                vec![(1.0, st(1))]
-            } else {
-                vec![]
+        let rule = |s: &St, out: &mut Vec<(f64, St)>| {
+            if s.failed()[0] == 0 {
+                out.push((1.0, st(1)));
             }
         };
-        let explored = explore(st(0), 10, rule, &SolveBudget::unlimited()).unwrap();
+        let explored = explore(
+            st(0),
+            10,
+            &mut ExploreScratch::new(),
+            rule,
+            &SolveBudget::unlimited(),
+        )
+        .unwrap();
         let mut chain = CachedChain {
             explored,
             down: vec![false, true],

@@ -73,6 +73,12 @@ impl DecompositionEngine {
         self
     }
 
+    /// The truncation depth of the per-class chains.
+    #[must_use]
+    pub fn max_concurrent(&self) -> u32 {
+        self.inner.max_concurrent()
+    }
+
     /// The per-failure-class downtime breakdown: each class evaluated in
     /// isolation, labeled, in the model's class order.
     ///
@@ -105,17 +111,24 @@ impl DecompositionEngine {
         mut visit: impl FnMut(&FailureClass, TierAvailability, EvalHealth),
     ) -> Result<(), AvailError> {
         model.check()?;
-        // The per-class chains share one structural shape whenever their
-        // failover flags agree, so within a single evaluation the session
-        // repatches one cached chain from class to class.
-        for class in model.classes() {
-            let single = TierModel::new(model.n(), model.m(), model.s())
-                .with_exposed_spares(model.spares_exposed())
-                .with_class(class.clone());
+        // Every class is evaluated through the session's one single-class
+        // model, rewritten in place; it is lent out of the session for the
+        // loop and handed back whatever the outcome. The per-class chains
+        // share one structural shape whenever their failover flags agree,
+        // so within a single evaluation the session repatches one cached
+        // chain from class to class.
+        let mut single = session
+            .single_class
+            .take()
+            .unwrap_or_else(|| TierModel::new(0, 0, 0));
+        let outcome = model.classes().iter().try_for_each(|class| {
+            single.assign_single_class(model, class);
             let (r, health) = self.inner.evaluate_with_session(&single, session)?;
             visit(class, r, health);
-        }
-        Ok(())
+            Ok(())
+        });
+        session.single_class = Some(single);
+        outcome
     }
 }
 

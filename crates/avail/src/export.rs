@@ -14,7 +14,7 @@
 
 use std::fmt::Write as _;
 
-use aved_markov::SolveBudget;
+use aved_markov::{ExploreScratch, SolveBudget};
 
 use crate::{AvailError, CtmcEngine, TierModel};
 
@@ -82,7 +82,8 @@ pub fn export_parameters(model: &TierModel) -> String {
 /// Returns [`AvailError`] for inconsistent models.
 pub fn export_sharpe_markov(engine: &CtmcEngine, model: &TierModel) -> Result<String, AvailError> {
     model.check()?;
-    let explored = engine.explore_chain(model, &SolveBudget::unlimited())?;
+    let explored =
+        engine.explore_chain(model, &mut ExploreScratch::new(), &SolveBudget::unlimited())?;
     let ctmc = explored.ctmc();
     let down = engine.down_mask(model, &explored);
 
@@ -171,7 +172,11 @@ mod tests {
             .filter(|l| l.split_whitespace().nth(2).unwrap().contains('e'))
             .count();
         let explored = engine
-            .explore_chain(&model(), &SolveBudget::unlimited())
+            .explore_chain(
+                &model(),
+                &mut ExploreScratch::new(),
+                &SolveBudget::unlimited(),
+            )
             .unwrap();
         assert_eq!(n_transitions, explored.ctmc().n_transitions());
         // At least one down state is rewarded (the failover transient).

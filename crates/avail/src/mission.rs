@@ -12,7 +12,7 @@
 //!   than the steady-state pro-rata during the early life of a deployment
 //!   (the chain starts in its best state).
 
-use aved_markov::{transient, CtmcBuilder, SolveBudget};
+use aved_markov::{transient, CtmcBuilder, ExploreScratch, SolveBudget};
 use aved_units::Duration;
 
 use crate::{AvailError, CtmcEngine, TierModel};
@@ -31,7 +31,8 @@ impl CtmcEngine {
     /// this resolution).
     pub fn mean_time_to_first_outage(&self, model: &TierModel) -> Result<Duration, AvailError> {
         model.check()?;
-        let explored = self.explore_chain(model, &SolveBudget::unlimited())?;
+        let explored =
+            self.explore_chain(model, &mut ExploreScratch::new(), &SolveBudget::unlimited())?;
         let ctmc = explored.ctmc();
         let down = self.down_mask(model, &explored);
         if !down.iter().any(|&d| d) {
@@ -74,7 +75,8 @@ impl CtmcEngine {
     ) -> Result<Duration, AvailError> {
         assert!(!mission.is_zero(), "mission must have positive length");
         model.check()?;
-        let explored = self.explore_chain(model, &SolveBudget::unlimited())?;
+        let explored =
+            self.explore_chain(model, &mut ExploreScratch::new(), &SolveBudget::unlimited())?;
         let ctmc = explored.ctmc();
         let down = self.down_mask(model, &explored);
         let reward: Vec<f64> = down.iter().map(|&d| if d { 1.0 } else { 0.0 }).collect();

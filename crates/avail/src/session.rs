@@ -7,8 +7,13 @@
 //! arena, caches explored chains by structural shape for rate-only
 //! in-place rebuilds ([`Explored::repatch`]), and remembers which shapes
 //! already passed a solve so their irreducibility check is skipped. It
-//! carries no solution from one solve to the next, so every result is
-//! bit-identical to a one-shot evaluation.
+//! also owns the explore scratch (the successor buffer explorations and
+//! repatches fill, and the repatch rate accumulator) and the single-class
+//! model the decomposition engine rewrites for each class, so once its
+//! buffers have grown a repatched evaluation allocates only its solve's
+//! attempt trail. It carries no solution from one solve
+//! to the next, so every result is bit-identical to a one-shot
+//! evaluation.
 //!
 //! Engines stay `Send + Sync` because all mutable state lives here: each
 //! search worker thread owns its own session and passes it down by
@@ -18,8 +23,9 @@
 //! [`AvailabilityEngine::evaluate_with_session`]: crate::AvailabilityEngine::evaluate_with_session
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use aved_markov::{Explored, SolveBudget, SolveScratch};
+use aved_markov::{ExploreScratch, Explored, SolveBudget, SolveScratch};
 
 use crate::engine_ctmc::{St, MAX_CLASSES};
 use crate::TierModel;
@@ -70,6 +76,50 @@ impl ChainKey {
             n_classes: classes.len(),
             failover_mask,
         }
+    }
+}
+
+/// The hasher of the chain cache: a word-at-a-time multiply–rotate mix
+/// (the `FxHash` scheme). Keys are a handful of integers derived from the
+/// caller's own models, so `std`'s flood-resistant `SipHash` buys nothing
+/// here and costs more than the lookup it serves, which runs once per
+/// engine call.
+#[derive(Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0_u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.mix(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.mix(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.mix(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.mix(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -124,7 +174,13 @@ impl SessionStats {
 #[derive(Debug, Default)]
 pub struct EvalSession {
     pub(crate) scratch: SolveScratch,
-    pub(crate) chains: HashMap<ChainKey, CachedChain>,
+    pub(crate) chains: HashMap<ChainKey, CachedChain, BuildHasherDefault<KeyHasher>>,
+    /// The successor buffer and rate accumulator every exploration and
+    /// repatch uses, shared by all cached chains.
+    pub(crate) chain_scratch: ExploreScratch<St>,
+    /// The single-class model the decomposition engine rewrites in place
+    /// for each class it evaluates; `None` until the first one.
+    pub(crate) single_class: Option<TierModel>,
     pub(crate) stats: SessionStats,
     pub(crate) budget: SolveBudget,
 }

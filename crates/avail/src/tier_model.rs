@@ -223,6 +223,26 @@ impl TierModel {
         h.finish()
     }
 
+    /// Turns `self` into the single-class model of `class` under `tier`'s
+    /// resource counts and spare exposure, overwriting in place: once the
+    /// label's buffer has grown to fit, this allocates nothing.
+    pub(crate) fn assign_single_class(&mut self, tier: &TierModel, class: &FailureClass) {
+        self.n = tier.n;
+        self.m = tier.m;
+        self.s = tier.s;
+        self.spares_exposed = tier.spares_exposed;
+        if let [only] = self.classes.as_mut_slice() {
+            only.label.clone_from(&class.label);
+            only.rate = class.rate;
+            only.mttr = class.mttr;
+            only.failover_time = class.failover_time;
+            only.uses_failover = class.uses_failover;
+        } else {
+            self.classes.clear();
+            self.classes.push(class.clone());
+        }
+    }
+
     /// Validates the model parameters.
     ///
     /// # Errors

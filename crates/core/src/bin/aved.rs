@@ -18,6 +18,7 @@ use std::process::ExitCode;
 
 use aved::avail::{CtmcEngine, DecompositionEngine, SimulationEngine};
 use aved::model::{Infrastructure, ParamValue, Service};
+use aved::search::JournalEngine;
 use aved::units::Duration;
 use aved::{Aved, SearchOptions, ServiceRequirement};
 
@@ -158,9 +159,11 @@ process exits with code 6.
 --journal FILE checkpoints every candidate outcome to an append-only
 file as the sweep runs; --resume FILE replays such a journal so an
 interrupted sweep continues where it stopped and provably selects the
-same winner. The same path may be passed to both.
+same winner. The same path may be passed to both. A journal records its
+engine and truncation depth, and resuming it under another engine or
+depth is refused (exit 3).
 
-exit codes: 0 success, 2 usage, 3 unreadable/unparsable model files,
+exit codes: 0 success, 2 usage, 3 unreadable/unparsable model or journal files,
 4 no feasible design, 5 evaluation-engine failure,
 6 search interrupted (best-so-far result printed)";
 
@@ -317,17 +320,27 @@ fn design(flags: &Flags<'_>) -> Result<(), CliError> {
             }
         };
 
-    let options = parse_search_options(flags)?;
-
-    let mut aved = Aved::new(infrastructure)
-        .with_catalog(aved::scenario::catalog())
-        .with_search_options(options);
-    match flags.value("--engine").unwrap_or("decomp") {
-        "decomp" => aved = aved.with_engine(DecompositionEngine::default()),
-        "ctmc" => aved = aved.with_engine(CtmcEngine::default()),
-        "sim" => aved = aved.with_engine(SimulationEngine::new(42).with_years(2000.0)),
+    let mut aved = Aved::new(infrastructure).with_catalog(aved::scenario::catalog());
+    let engine = match flags.value("--engine").unwrap_or("decomp") {
+        "decomp" => {
+            let engine = DecompositionEngine::default();
+            let depth = engine.max_concurrent();
+            aved = aved.with_engine(engine);
+            JournalEngine::new("decomp", depth)
+        }
+        "ctmc" => {
+            let engine = CtmcEngine::default();
+            let depth = engine.max_concurrent();
+            aved = aved.with_engine(engine);
+            JournalEngine::new("ctmc", depth)
+        }
+        "sim" => {
+            aved = aved.with_engine(SimulationEngine::new(42).with_years(2000.0));
+            JournalEngine::new("sim", 0)
+        }
         other => return Err(CliError::usage(format!("unknown engine {other:?}"))),
-    }
+    };
+    let aved = aved.with_search_options(parse_search_options(flags, &engine)?);
 
     let (report, health) = aved
         .design_with_health(&service, &requirement)
@@ -388,8 +401,12 @@ fn report_health(health: &aved::search::SearchHealth) {
     }
 }
 
-/// Parses the search-bound flags shared by `design` and `sweep`.
-fn parse_search_options(flags: &Flags<'_>) -> Result<SearchOptions, CliError> {
+/// Parses the search-bound flags shared by `design` and `sweep`. A
+/// journal is written, and may only be resumed, under `engine`.
+fn parse_search_options(
+    flags: &Flags<'_>,
+    engine: &JournalEngine,
+) -> Result<SearchOptions, CliError> {
     let mut options = SearchOptions::default();
     if let Some(v) = flags.value("--max-spares") {
         options.max_spares = v
@@ -423,8 +440,8 @@ fn parse_search_options(flags: &Flags<'_>) -> Result<SearchOptions, CliError> {
     // Load the replay before creating the journal so that passing the same
     // path to --resume and --journal reads the old run before truncating.
     if let Some(path) = flags.value("--resume") {
-        let replay =
-            aved::search::JournalReplay::load(path).map_err(|e| CliError::spec(path, &e))?;
+        let replay = aved::search::JournalReplay::load(path, engine)
+            .map_err(|e| CliError::spec(path, &e))?;
         if replay.malformed() > 0 {
             eprintln!(
                 "warning: {path}: ignored {} malformed journal line(s)",
@@ -438,8 +455,8 @@ fn parse_search_options(flags: &Flags<'_>) -> Result<SearchOptions, CliError> {
         options = options.with_resume(std::sync::Arc::new(replay));
     }
     if let Some(path) = flags.value("--journal") {
-        let journal =
-            aved::search::SweepJournal::create(path).map_err(|e| CliError::spec(path, &e))?;
+        let journal = aved::search::SweepJournal::create(path, engine)
+            .map_err(|e| CliError::spec(path, &e))?;
         options = options.with_journal(std::sync::Arc::new(journal));
     }
     // Every search is cancellable: SIGINT/SIGTERM stop it at the next
@@ -513,10 +530,11 @@ fn sweep(flags: &Flags<'_>) -> Result<(), CliError> {
         .ok_or_else(|| CliError::usage("missing --load UNITS"))?
         .parse()
         .map_err(|_| CliError::usage("bad --load value"))?;
-    let options = parse_search_options(flags)?;
+    let inner = DecompositionEngine::default();
+    let options =
+        parse_search_options(flags, &JournalEngine::new("decomp", inner.max_concurrent()))?;
 
     let catalog = aved::scenario::catalog();
-    let inner = DecompositionEngine::default();
     let engine = CachingEngine::new(&inner);
     let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
     let (frontier, mut health) =

@@ -19,6 +19,7 @@
 //! token fired. Callers route these through the same candidate-isolation
 //! path as any other solve failure.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -177,12 +178,20 @@ impl SolveBudget {
     /// and keeping whichever deadline (global or per-candidate) is sooner.
     /// A timeout reaching past the last representable instant sets no
     /// deadline.
+    ///
+    /// Without a per-candidate deadline this is `self`, borrowed: a budget
+    /// shared by concurrent workers holds one cancellation token, and
+    /// cloning it on every evaluation would make the workers contend for
+    /// the token's reference count.
     #[must_use]
-    pub fn for_candidate(&self) -> SolveBudget {
-        let deadline = self
+    pub fn for_candidate(&self) -> Cow<'_, SolveBudget> {
+        match self
             .candidate_timeout
-            .and_then(|t| Instant::now().checked_add(t));
-        deadline.map_or_else(|| self.clone(), |d| self.with_deadline_by(d))
+            .and_then(|t| Instant::now().checked_add(t))
+        {
+            Some(deadline) => Cow::Owned(self.with_deadline_by(deadline)),
+            None => Cow::Borrowed(self),
+        }
     }
 
     /// This budget with its deadline moved up to `deadline` when that is
@@ -294,9 +303,10 @@ mod tests {
             .with_candidate_timeout(Duration::from_millis(1));
         let per = b.for_candidate();
         assert!(per.deadline().unwrap() < far);
-        // Without a timeout the deadline is untouched.
-        let plain = SolveBudget::unlimited().with_deadline(far).for_candidate();
-        assert_eq!(plain.deadline(), Some(far));
+        // Without a timeout the deadline is untouched, and the budget is
+        // lent, not copied.
+        let plain = SolveBudget::unlimited().with_deadline(far);
+        assert!(matches!(plain.for_candidate(), Cow::Borrowed(b) if b.deadline() == Some(far)));
     }
 
     #[test]
@@ -304,8 +314,8 @@ mod tests {
         let b = SolveBudget::unlimited().with_candidate_timeout(Duration::MAX);
         assert_eq!(b.for_candidate().deadline(), None);
         let far = Instant::now() + Duration::from_secs(3600);
-        let global = b.with_deadline(far).for_candidate();
-        assert_eq!(global.deadline(), Some(far));
+        let global = b.with_deadline(far);
+        assert_eq!(global.for_candidate().deadline(), Some(far));
     }
 
     #[test]

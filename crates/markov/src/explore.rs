@@ -15,6 +15,38 @@ use crate::{BudgetResource, Ctmc, CtmcBuilder, MarkovError, SolveBudget};
 /// How many dequeued states pass between cooperative budget checkpoints.
 const EXPLORE_CHECK_INTERVAL: usize = 256;
 
+/// Reusable buffers for [`explore`] and [`Explored::repatch`]: the
+/// successor buffer the transition rule fills, and the per-entry rate
+/// accumulator of a repatch.
+///
+/// One scratch serves chains of every size and shape, and it carries
+/// capacity, never state: both buffers are cleared before they are read,
+/// so reusing a scratch changes no result. Once it has grown to the
+/// largest out-degree and transition count it has seen, exploring and
+/// repatching stop allocating in it.
+#[derive(Debug, Clone)]
+pub struct ExploreScratch<S> {
+    successors: Vec<(f64, S)>,
+    rates: Vec<f64>,
+}
+
+impl<S> ExploreScratch<S> {
+    /// An empty scratch; its buffers grow on first use.
+    #[must_use]
+    pub fn new() -> ExploreScratch<S> {
+        ExploreScratch {
+            successors: Vec::new(),
+            rates: Vec::new(),
+        }
+    }
+}
+
+impl<S> Default for ExploreScratch<S> {
+    fn default() -> ExploreScratch<S> {
+        ExploreScratch::new()
+    }
+}
+
 /// The result of exploring a procedural model: the chain plus the mapping
 /// between model states and CTMC indices.
 #[derive(Debug, Clone)]
@@ -24,12 +56,11 @@ pub struct Explored<S> {
     /// The patch plan: every nonzero-rate rule output of the exploration,
     /// state by state in rule order, as `(successor index, CSR entry
     /// index)`. [`Explored::repatch`] replays it instead of looking states
-    /// up.
-    plan: Vec<(usize, usize)>,
+    /// up. Indices are 32-bit: a chain with more entries could not be
+    /// stored anyway.
+    plan: Vec<(u32, u32)>,
     /// State `i`'s outputs are `plan[plan_starts[i]..plan_starts[i + 1]]`.
-    plan_starts: Vec<usize>,
-    /// Reusable per-entry rate accumulator for `repatch`.
-    patch_values: Vec<f64>,
+    plan_starts: Vec<u32>,
 }
 
 impl<S> Explored<S> {
@@ -73,6 +104,11 @@ impl<S: PartialEq> Explored<S> {
     /// indexing and sparsity structure — no BFS, no hashing, no CSR
     /// re-sort.
     ///
+    /// The rule works as in [`explore`], filling `scratch`'s successor
+    /// buffer, and the rates are summed in `scratch`'s accumulator. With
+    /// the scratch this chain was explored in, or any other that has grown
+    /// as large, a repatch allocates nothing.
+    ///
     /// The exploration recorded, for every state, its nonzero-rate rule
     /// outputs in order. Repatch requires the rule to reproduce that list
     /// exactly: zero-rate outputs are skipped as exploration skipped them,
@@ -93,19 +129,24 @@ impl<S: PartialEq> Explored<S> {
     /// each entry are accumulated in rule-output order, which matches the
     /// insertion-order summation of the (stable-sorted) triplet build, and
     /// exit rates are re-derived the same way.
-    pub fn repatch<F, I>(&mut self, successors: F) -> bool
+    pub fn repatch<F>(&mut self, scratch: &mut ExploreScratch<S>, mut successors: F) -> bool
     where
-        F: Fn(&S) -> I,
-        I: IntoIterator<Item = (f64, S)>,
+        F: FnMut(&S, &mut Vec<(f64, S)>),
     {
-        let nnz = self.ctmc.n_transitions();
-        let mut values = std::mem::take(&mut self.patch_values);
+        let ExploreScratch {
+            successors: out,
+            rates: values,
+        } = scratch;
         values.clear();
-        values.resize(nnz, 0.0);
+        values.resize(self.ctmc.n_transitions(), 0.0);
         let mut ok = true;
         'outer: for (from, state) in self.states.iter().enumerate() {
-            let mut expected = self.plan[self.plan_starts[from]..self.plan_starts[from + 1]].iter();
-            for (rate, next) in successors(state) {
+            let plan =
+                &self.plan[self.plan_starts[from] as usize..self.plan_starts[from + 1] as usize];
+            let mut expected = plan.iter();
+            out.clear();
+            successors(state, out);
+            for &(rate, ref next) in out.iter() {
                 if rate == 0.0 {
                     continue;
                 }
@@ -114,7 +155,9 @@ impl<S: PartialEq> Explored<S> {
                     break 'outer;
                 }
                 match expected.next() {
-                    Some(&(to, idx)) if self.states[to] == next => values[idx] += rate,
+                    Some(&(to, idx)) if self.states[to as usize] == *next => {
+                        values[idx as usize] += rate;
+                    }
                     _ => {
                         ok = false; // different or extra successor
                         break 'outer;
@@ -130,9 +173,8 @@ impl<S: PartialEq> Explored<S> {
         // can still overflow.
         ok = ok && values.iter().all(|v| v.is_finite());
         if ok {
-            self.ctmc.patch_rates(&values);
+            self.ctmc.patch_rates(values);
         }
-        self.patch_values = values;
         ok
     }
 }
@@ -140,8 +182,12 @@ impl<S: PartialEq> Explored<S> {
 /// Explores the state space reachable from `initial` under `successors` and
 /// builds the corresponding CTMC.
 ///
-/// `successors(state)` returns the outgoing transitions as
-/// `(rate, next_state)` pairs. Transitions with zero rate are dropped;
+/// `successors(state, out)` appends the outgoing transitions of `state` to
+/// `out` as `(rate, next_state)` pairs. `out` is `scratch`'s successor
+/// buffer, cleared before every state, so a rule that only pushes
+/// allocates nothing per state, and a scratch reused across explorations
+/// and [`Explored::repatch`]es stops allocating once it has grown to the
+/// largest out-degree. Transitions with zero rate are dropped;
 /// transitions that lead back to the same state are rejected (model bug).
 /// Exploration is breadth-first, so state indices are stable for a given
 /// model: the initial state is index 0.
@@ -165,36 +211,35 @@ impl<S: PartialEq> Explored<S> {
 /// # Examples
 ///
 /// ```
-/// use aved_markov::{explore, DenseSolver, SolveBudget, SteadyStateSolver};
+/// use aved_markov::{explore, DenseSolver, ExploreScratch, SolveBudget, SteadyStateSolver};
 ///
 /// // 3 machines, each failing at 0.01/h and repaired at 1/h; state = number
 /// // failed, capped at 2 concurrent failures (truncation).
-/// let rule = |&k: &u32| {
-///     let mut out = Vec::new();
+/// let rule = |&k: &u32, out: &mut Vec<(f64, u32)>| {
 ///     if k < 2 {
 ///         out.push(((3 - k) as f64 * 0.01, k + 1));
 ///     }
 ///     if k > 0 {
 ///         out.push((k as f64 * 1.0, k - 1));
 ///     }
-///     out
 /// };
-/// let explored = explore(0_u32, 10_000, rule, &SolveBudget::unlimited())?;
+/// let mut scratch = ExploreScratch::new();
+/// let explored = explore(0_u32, 10_000, &mut scratch, rule, &SolveBudget::unlimited())?;
 /// assert_eq!(explored.n_states(), 3);
 /// let pi = DenseSolver::default().steady_state(explored.ctmc())?;
 /// assert!(pi[0] > 0.95);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn explore<S, F, I>(
+pub fn explore<S, F>(
     initial: S,
     max_states: usize,
-    successors: F,
+    scratch: &mut ExploreScratch<S>,
+    mut successors: F,
     budget: &SolveBudget,
 ) -> Result<Explored<S>, MarkovError>
 where
     S: Clone + Eq + Hash,
-    F: Fn(&S) -> I,
-    I: IntoIterator<Item = (f64, S)>,
+    F: FnMut(&S, &mut Vec<(f64, S)>),
 {
     let mut index: HashMap<S, usize> = HashMap::new();
     let mut states: Vec<S> = Vec::new();
@@ -216,8 +261,10 @@ where
             budget.checkpoint("explore", states.len() as u64)?;
         }
         popped += 1;
-        let outgoing = successors(&states[from]);
-        for (rate, next) in outgoing {
+        let out = &mut scratch.successors;
+        out.clear();
+        successors(&states[from], out);
+        for (rate, next) in out.drain(..) {
             if rate == 0.0 {
                 continue;
             }
@@ -249,6 +296,11 @@ where
         }
     }
 
+    // The index and the queue are done with; the states stay for the
+    // chain's lifetime, so they give back their growth slack.
+    drop((index, queue));
+    states.shrink_to_fit();
+
     let mut builder = CtmcBuilder::new(states.len());
     for &(from, to, rate) in &transitions {
         builder.rate(from, to, rate);
@@ -256,25 +308,28 @@ where
     let ctmc = builder.build_lenient()?;
     // Transitions were recorded state by state in rule order, so they are
     // already the patch plan once each carries its CSR entry index.
+    let narrow = |i: usize| u32::try_from(i).expect("chain indices fit 32 bits");
     let mut plan_starts = Vec::with_capacity(states.len() + 1);
     plan_starts.push(0);
     let mut plan = Vec::with_capacity(transitions.len());
     for &(from, to, _) in &transitions {
         while plan_starts.len() <= from {
-            plan_starts.push(plan.len());
+            plan_starts.push(narrow(plan.len()));
         }
         let idx = ctmc
             .entry_index(from, to)
             .expect("every explored transition is stored");
-        plan.push((to, idx));
+        plan.push((narrow(to), narrow(idx)));
     }
-    plan_starts.resize(states.len() + 1, plan.len());
+    plan_starts.resize(states.len() + 1, narrow(plan.len()));
+    // Sized now, so the first repatch of this chain allocates nothing.
+    scratch.rates.clear();
+    scratch.rates.reserve(ctmc.n_transitions());
     Ok(Explored {
         ctmc,
         states,
         plan,
         plan_starts,
-        patch_values: Vec::new(),
     })
 }
 
@@ -284,32 +339,39 @@ mod tests {
     use crate::{DenseSolver, SteadyStateSolver};
 
     /// [`explore`] under an unlimited budget.
-    fn explore_unlimited<S, F, I>(
+    fn explore_unlimited<S, F>(
         initial: S,
         max_states: usize,
         successors: F,
     ) -> Result<Explored<S>, MarkovError>
     where
         S: Clone + Eq + Hash,
-        F: Fn(&S) -> I,
-        I: IntoIterator<Item = (f64, S)>,
+        F: FnMut(&S, &mut Vec<(f64, S)>),
     {
-        explore(initial, max_states, successors, &SolveBudget::unlimited())
+        explore(
+            initial,
+            max_states,
+            &mut ExploreScratch::new(),
+            successors,
+            &SolveBudget::unlimited(),
+        )
+    }
+
+    /// A birth–death rule on `0..=top`: births at `up`, deaths at `down`.
+    fn birth_death(top: u8, up: f64, down: f64) -> impl Fn(&u8, &mut Vec<(f64, u8)>) + Copy {
+        move |&k, out| {
+            if k < top {
+                out.push((up, k + 1));
+            }
+            if k > 0 {
+                out.push((down, k - 1));
+            }
+        }
     }
 
     #[test]
     fn explores_birth_death_chain() {
-        let e = explore_unlimited(0_u8, 100, |&k| {
-            let mut out = Vec::new();
-            if k < 3 {
-                out.push((1.0, k + 1));
-            }
-            if k > 0 {
-                out.push((2.0, k - 1));
-            }
-            out
-        })
-        .unwrap();
+        let e = explore_unlimited(0_u8, 100, birth_death(3, 1.0, 2.0)).unwrap();
         assert_eq!(e.n_states(), 4);
         assert_eq!(*e.state(0), 0);
         // BFS ordering: states discovered in increasing k.
@@ -323,17 +385,19 @@ mod tests {
 
     #[test]
     fn respects_state_bound() {
-        let res = explore_unlimited(0_u64, 5, |&k| {
-            vec![(1.0, k + 1), (1.0, k.saturating_sub(1))]
+        let res = explore_unlimited(0_u64, 5, |&k, out| {
+            out.extend([(1.0, k + 1), (1.0, k.saturating_sub(1))]);
         });
         assert!(res.is_err());
     }
 
     #[test]
     fn budget_state_cap_trips_before_the_truncation_bound() {
-        let runaway = |&k: &u64| vec![(1.0, k + 1), (1.0, k.saturating_sub(1))];
+        let runaway = |&k: &u64, out: &mut Vec<(f64, u64)>| {
+            out.extend([(1.0, k + 1), (1.0, k.saturating_sub(1))]);
+        };
         let budget = SolveBudget::unlimited().with_max_states(5);
-        match explore(0_u64, 1000, runaway, &budget) {
+        match explore(0_u64, 1000, &mut ExploreScratch::new(), runaway, &budget) {
             Err(MarkovError::BudgetExhausted {
                 phase: "explore",
                 resource: BudgetResource::States,
@@ -344,7 +408,13 @@ mod tests {
         }
         // The caller's own bound still reports the legacy error.
         assert!(matches!(
-            explore(0_u64, 5, runaway, &SolveBudget::unlimited()),
+            explore(
+                0_u64,
+                5,
+                &mut ExploreScratch::new(),
+                runaway,
+                &SolveBudget::unlimited()
+            ),
             Err(MarkovError::StateOutOfRange { .. })
         ));
     }
@@ -355,27 +425,25 @@ mod tests {
         token.cancel();
         let budget = SolveBudget::unlimited().with_cancel(token);
         assert!(matches!(
-            explore(0_u64, 10, |&k| vec![(1.0, (k + 1) % 3)], &budget),
+            explore(
+                0_u64,
+                10,
+                &mut ExploreScratch::new(),
+                |&k, out| out.push((1.0, (k + 1) % 3)),
+                &budget
+            ),
             Err(MarkovError::Cancelled { phase: "explore" })
         ));
     }
 
     #[test]
     fn unlimited_budget_explores_identically() {
-        let rule = |&k: &u8| {
-            let mut out = Vec::new();
-            if k < 3 {
-                out.push((1.0, k + 1));
-            }
-            if k > 0 {
-                out.push((2.0, k - 1));
-            }
-            out
-        };
+        let rule = birth_death(3, 1.0, 2.0);
         let plain = explore_unlimited(0_u8, 100, rule).unwrap();
         let governed = explore(
             0_u8,
             100,
+            &mut ExploreScratch::new(),
             rule,
             &SolveBudget::unlimited().with_max_states(50),
         )
@@ -386,10 +454,10 @@ mod tests {
 
     #[test]
     fn drops_zero_rate_transitions() {
-        let e = explore_unlimited(0_u8, 10, |&k| match k {
-            0 => vec![(0.0, 5_u8), (1.0, 1)],
-            1 => vec![(1.0, 0)],
-            _ => vec![],
+        let e = explore_unlimited(0_u8, 10, |&k, out| match k {
+            0 => out.extend([(0.0, 5_u8), (1.0, 1)]),
+            1 => out.push((1.0, 0)),
+            _ => {}
         })
         .unwrap();
         // State 5 is never materialized because its only incoming rate is 0.
@@ -398,14 +466,7 @@ mod tests {
 
     #[test]
     fn reward_vector_maps_states() {
-        let e = explore_unlimited(0_u8, 10, |&k| {
-            if k == 0 {
-                vec![(1.0, 1_u8)]
-            } else {
-                vec![(1.0, 0)]
-            }
-        })
-        .unwrap();
+        let e = explore_unlimited(0_u8, 10, |&k, out| out.push((1.0, 1 - k))).unwrap();
         let r = e.reward_vector(|&k| if k == 1 { 1.0 } else { 0.0 });
         assert_eq!(r, vec![0.0, 1.0]);
     }
@@ -413,26 +474,25 @@ mod tests {
     #[test]
     fn repatch_matches_fresh_explore_bit_for_bit() {
         let rule = |scale: f64| {
-            move |&k: &u8| {
-                let mut out = Vec::new();
+            move |&k: &u8, out: &mut Vec<(f64, u8)>| {
                 if k < 3 {
                     out.push((scale * (3 - k) as f64, k + 1));
                 }
                 if k > 0 {
                     out.push((2.0 * scale * k as f64, k - 1));
                 }
-                out
             }
         };
+        let mut scratch = ExploreScratch::new();
         let mut warm = explore_unlimited(0_u8, 100, rule(1.0)).unwrap();
         // Same topology, different rates: must patch in place...
-        assert!(warm.repatch(rule(1.7)));
+        assert!(warm.repatch(&mut scratch, rule(1.7)));
         // ...and agree bit-for-bit with a from-scratch exploration.
         let cold = explore_unlimited(0_u8, 100, rule(1.7)).unwrap();
         assert_eq!(warm.ctmc(), cold.ctmc());
         assert_eq!(warm.states(), cold.states());
         // Repeated repatching keeps working (buffers are recycled).
-        assert!(warm.repatch(rule(0.3)));
+        assert!(warm.repatch(&mut scratch, rule(0.3)));
         assert_eq!(
             warm.ctmc(),
             explore_unlimited(0_u8, 100, rule(0.3)).unwrap().ctmc()
@@ -440,75 +500,71 @@ mod tests {
     }
 
     #[test]
+    fn repatch_ignores_what_the_scratch_held_before() {
+        // Both buffers are cleared before they are read, so leftovers from
+        // an unrelated chain cannot leak into the patched one.
+        let rule = birth_death(3, 1.0, 2.0);
+        let mut e = explore_unlimited(0_u8, 100, rule).unwrap();
+        let mut scratch = ExploreScratch::new();
+        let mut other = explore(
+            0_u8,
+            100,
+            &mut scratch,
+            birth_death(9, 5.0, 0.5),
+            &SolveBudget::unlimited(),
+        )
+        .unwrap();
+        assert!(other.repatch(&mut scratch, birth_death(9, 4.0, 0.25)));
+        assert!(e.repatch(&mut scratch, rule));
+        assert_eq!(e.ctmc(), explore_unlimited(0_u8, 100, rule).unwrap().ctmc());
+    }
+
+    #[test]
     fn repatch_rejects_topology_changes_and_leaves_chain_untouched() {
-        let base = |&k: &u8| {
-            let mut out = Vec::new();
-            if k < 2 {
-                out.push((1.0, k + 1));
-            }
-            if k > 0 {
-                out.push((2.0, k - 1));
-            }
-            out
-        };
+        let base = birth_death(2, 1.0, 2.0);
+        let mut scratch = ExploreScratch::new();
         let mut e = explore_unlimited(0_u8, 100, base).unwrap();
         let before = e.ctmc().clone();
 
         // Deeper chain: introduces a state never discovered.
-        let deeper = |&k: &u8| {
-            let mut out = Vec::new();
-            if k < 3 {
-                out.push((1.0, k + 1));
-            }
-            if k > 0 {
-                out.push((2.0, k - 1));
-            }
-            out
-        };
-        assert!(!e.repatch(deeper));
+        let deeper = birth_death(3, 1.0, 2.0);
+        assert!(!e.repatch(&mut scratch, deeper));
         assert_eq!(e.ctmc(), &before, "failed repatch must not corrupt");
 
         // Extra edge between existing states.
-        let chord = |&k: &u8| {
-            let mut out = base(&k);
+        let chord = |&k: &u8, out: &mut Vec<(f64, u8)>| {
+            base(&k, out);
             if k == 0 {
                 out.push((0.5, 2_u8));
             }
-            out
         };
-        assert!(!e.repatch(chord));
+        assert!(!e.repatch(&mut scratch, chord));
         assert_eq!(e.ctmc(), &before);
 
         // Vanished edge (rate dropped to zero).
-        let pruned = |&k: &u8| {
-            let mut out = base(&k);
+        let pruned = |&k: &u8, out: &mut Vec<(f64, u8)>| {
+            base(&k, out);
             if k == 2 {
                 out.clear();
             }
-            out
         };
-        assert!(!e.repatch(pruned));
+        assert!(!e.repatch(&mut scratch, pruned));
         assert_eq!(e.ctmc(), &before);
 
         // Invalid rate: bail so a full rebuild reports the real error.
-        let negative = |&k: &u8| {
+        let negative = |&k: &u8, out: &mut Vec<(f64, u8)>| {
             if k == 0 {
-                vec![(-1.0, 1_u8)]
+                out.push((-1.0, 1_u8));
             } else {
-                base(&k)
+                base(&k, out);
             }
         };
-        assert!(!e.repatch(negative));
+        assert!(!e.repatch(&mut scratch, negative));
         assert_eq!(e.ctmc(), &before);
 
         // The chain still repatches fine with a rate-only change.
-        let scaled = |&k: &u8| {
-            base(&k)
-                .into_iter()
-                .map(|(r, s)| (3.0 * r, s))
-                .collect::<Vec<_>>()
-        };
-        assert!(e.repatch(scaled));
+        let scaled = birth_death(2, 3.0, 6.0);
+        assert!(e.repatch(&mut scratch, scaled));
         assert_eq!(
             e.ctmc(),
             explore_unlimited(0_u8, 100, scaled).unwrap().ctmc()
@@ -518,27 +574,21 @@ mod tests {
     #[test]
     fn repatch_rejects_reordered_successors_and_leaves_chain_untouched() {
         let rule = |reversed: bool| {
-            move |&k: &u8| {
-                let mut out = Vec::new();
-                if k < 3 {
-                    out.push((1.0, k + 1));
-                }
-                if k > 0 {
-                    out.push((2.0, k - 1));
-                }
+            move |&k: &u8, out: &mut Vec<(f64, u8)>| {
+                birth_death(3, 1.0, 2.0)(&k, out);
                 if reversed {
                     out.reverse();
                 }
-                out
             }
         };
+        let mut scratch = ExploreScratch::new();
         let mut e = explore_unlimited(0_u8, 100, rule(false)).unwrap();
         let before = e.ctmc().clone();
         // Same successors, same rates, different order: the recorded plan
         // no longer lines up, so the caller must re-explore.
-        assert!(!e.repatch(rule(true)));
+        assert!(!e.repatch(&mut scratch, rule(true)));
         assert_eq!(e.ctmc(), &before, "failed repatch must not corrupt");
-        assert!(e.repatch(rule(false)));
+        assert!(e.repatch(&mut scratch, rule(false)));
         assert_eq!(e.ctmc(), &before);
     }
 
@@ -547,20 +597,20 @@ mod tests {
         // Two rule outputs landing on the same (from, to) pair must merge
         // by summation in output order, exactly like the triplet build.
         let rule = |a: f64, b: f64| {
-            move |&k: &u8| match k {
-                0 => vec![(a, 1_u8), (b, 1_u8)],
-                _ => vec![(1.0, 0_u8)],
+            move |&k: &u8, out: &mut Vec<(f64, u8)>| match k {
+                0 => out.extend([(a, 1_u8), (b, 1_u8)]),
+                _ => out.push((1.0, 0_u8)),
             }
         };
         let mut warm = explore_unlimited(0_u8, 10, rule(0.1, 0.2)).unwrap();
-        assert!(warm.repatch(rule(0.3, 0.4)));
+        assert!(warm.repatch(&mut ExploreScratch::new(), rule(0.3, 0.4)));
         let cold = explore_unlimited(0_u8, 10, rule(0.3, 0.4)).unwrap();
         assert_eq!(warm.ctmc(), cold.ctmc());
     }
 
     #[test]
     fn structured_states_work() {
-        #[derive(Clone, PartialEq, Eq, Hash, Debug)]
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
         struct St {
             failed: u8,
             failover: bool,
@@ -571,8 +621,7 @@ mod tests {
                 failover: false,
             },
             100,
-            |s| {
-                let mut out = Vec::new();
+            |s, out| {
                 if s.failed == 0 && !s.failover {
                     out.push((
                         0.01,
@@ -600,7 +649,6 @@ mod tests {
                         },
                     ));
                 }
-                out
             },
         )
         .unwrap();

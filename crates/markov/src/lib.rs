@@ -8,8 +8,12 @@
 //! * [`Ctmc`] — a validated continuous-time Markov chain (states +
 //!   transition rates), assembled via [`CtmcBuilder`];
 //! * [`explore`] — breadth-first state-space exploration from an initial
-//!   state and a successor function, for models whose state space is easier
-//!   to describe procedurally than to enumerate by hand;
+//!   state and a transition rule, for models whose state space is easier
+//!   to describe procedurally than to enumerate by hand. The rule fills a
+//!   buffer with each state's `(rate, successor)` pairs
+//!   (`FnMut(&S, &mut Vec<(f64, S)>)`); the buffer lives in a caller-owned
+//!   [`ExploreScratch`], so a caller that reuses the scratch pays no
+//!   allocation per state;
 //! * steady-state solvers: [`SteadyStateSolver`] implementations using dense
 //!   Gaussian elimination ([`DenseSolver`]), Gauss–Seidel sweeps
 //!   ([`GaussSeidelSolver`]) and uniformized power iteration
@@ -20,14 +24,16 @@
 //!   `‖πQ‖∞ ≤ 1e-9` residual acceptance check on every answer, recording
 //!   every attempt in a [`SolveDiagnostics`] trail. Its one entry point,
 //!   [`FallbackSolver::solve`], takes a reusable [`SolveScratch`]
-//!   workspace and a [`SolveBudget`] — the one budget type, bounding wall
+//!   workspace, which it lends the accepted `π` out of, and a
+//!   [`SolveBudget`] — the one budget type, bounding wall
 //!   time, explored states and cancellation. Every stage starts cold, so
 //!   an accepted answer is a pure function of the chain: neither the
 //!   scratch nor earlier solves can move a bit of it. The individual
 //!   solvers stay public as reference implementations;
 //! * [`Explored::repatch`] rebuilds an explored chain's rates in place
 //!   when only the rates (not the topology) changed, bit-identically to a
-//!   fresh [`explore`];
+//!   fresh [`explore`]. It takes the same rule and scratch, and checks
+//!   every successor the rule emits against the recorded chain;
 //! * [`birth_death::steady_state`] — the closed-form product solution for
 //!   birth–death chains, used to cross-check the general solvers;
 //! * [`transient`] — uniformization-based transient analysis (probability
@@ -69,7 +75,7 @@ pub use builder::CtmcBuilder;
 pub use csr::CsrMatrix;
 pub use ctmc::{Ctmc, Transition};
 pub use error::MarkovError;
-pub use explore::{explore, Explored};
+pub use explore::{explore, ExploreScratch, Explored};
 pub use scratch::SolveScratch;
 pub use solve_dense::DenseSolver;
 pub use solve_fallback::{FallbackSolver, SolveAttempt, SolveDiagnostics, SolverKind};

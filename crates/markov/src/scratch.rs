@@ -5,8 +5,9 @@
 //! structure, and the dense elimination matrix fresh for every solve is
 //! pure churn. [`SolveScratch`] owns those buffers so consecutive solves
 //! recycle them — pass one to
-//! [`FallbackSolver::solve`](crate::FallbackSolver::solve) and the only
-//! per-solve allocation left is the returned `π` vector itself.
+//! [`FallbackSolver::solve`](crate::FallbackSolver::solve), which lends
+//! the accepted `π` out of the scratch, and the only per-solve allocation
+//! left is the attempt trail.
 //!
 //! The scratch carries capacity, never state: every solve overwrites the
 //! buffers it reads before reading them, so a solve's result does not

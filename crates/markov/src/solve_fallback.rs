@@ -158,8 +158,9 @@ impl SolveDiagnostics {
 /// let mut b = CtmcBuilder::new(2);
 /// b.rate(0, 1, 1.0 / 1000.0).rate(1, 0, 1.0 / 10.0);
 /// let ctmc = b.build()?;
+/// let mut scratch = SolveScratch::new();
 /// let (pi, diagnostics) =
-///     FallbackSolver::default().solve(&ctmc, &mut SolveScratch::new(), &SolveBudget::unlimited());
+///     FallbackSolver::default().solve(&ctmc, &mut scratch, &SolveBudget::unlimited());
 /// let pi = pi?;
 /// assert!((pi[1] - 10.0 / 1010.0).abs() < 1e-12);
 /// assert!(diagnostics.accepted_residual().unwrap() <= 1e-9);
@@ -200,7 +201,9 @@ impl FallbackSolver {
     ///
     /// `scratch` carries the iteration vectors, transposed adjacency and
     /// dense matrix across calls so repeated solves stop reallocating them;
-    /// it never changes the result.
+    /// it never changes the result. The accepted `π` is lent out of
+    /// `scratch` rather than copied, so once the scratch has grown to the
+    /// chain's size a solve allocates only its attempt trail.
     ///
     /// The iterative stages poll the budget's deadline and cancellation
     /// token between sweeps, each under a fixed wall-clock allowance of its
@@ -210,12 +213,12 @@ impl FallbackSolver {
     /// next stage. The caller's deadline and cancellation abort the whole
     /// chain — falling back to another solver then would only burn more of
     /// the resource that just ran out.
-    pub fn solve(
+    pub fn solve<'s>(
         &self,
         ctmc: &Ctmc,
-        scratch: &mut SolveScratch,
+        scratch: &'s mut SolveScratch,
         budget: &SolveBudget,
-    ) -> (Result<Vec<f64>, MarkovError>, SolveDiagnostics) {
+    ) -> (Result<&'s [f64], MarkovError>, SolveDiagnostics) {
         self.solve_within(
             ctmc,
             scratch,
@@ -229,15 +232,15 @@ impl FallbackSolver {
     /// [`Self::solve`] running the stages in `order`, with `allowance` as
     /// each iterative attempt's wall-clock allowance and `gauss_seidel` as
     /// the Gauss–Seidel stage.
-    fn solve_within(
+    fn solve_within<'s>(
         &self,
         ctmc: &Ctmc,
-        scratch: &mut SolveScratch,
+        scratch: &'s mut SolveScratch,
         budget: &SolveBudget,
         order: &[SolverKind],
         allowance: Duration,
         gauss_seidel: GaussSeidelSolver,
-    ) -> (Result<Vec<f64>, MarkovError>, SolveDiagnostics) {
+    ) -> (Result<&'s [f64], MarkovError>, SolveDiagnostics) {
         let mut diagnostics = SolveDiagnostics::default();
         let governed = !budget.is_unlimited();
         let mut last_error = MarkovError::EmptyChain;
@@ -301,7 +304,7 @@ impl FallbackSolver {
                 iterations,
             });
             let Some(e) = error else {
-                return (Ok(scratch.pi.clone()), diagnostics);
+                return (Ok(&scratch.pi), diagnostics);
             };
             // Structural failures apply to every solver: stop early rather
             // than re-diagnosing the same chain three times. Cancellation
@@ -379,6 +382,7 @@ impl SteadyStateSolver for FallbackSolver {
     fn steady_state(&self, ctmc: &Ctmc) -> Result<Vec<f64>, MarkovError> {
         self.solve(ctmc, &mut SolveScratch::new(), &SolveBudget::unlimited())
             .0
+            .map(<[f64]>::to_vec)
     }
 }
 
@@ -398,9 +402,20 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// A solve's outcome with `π` copied out of its scratch.
+    type Owned = (Result<Vec<f64>, MarkovError>, SolveDiagnostics);
+
+    fn owned((pi, diagnostics): (Result<&[f64], MarkovError>, SolveDiagnostics)) -> Owned {
+        (pi.map(<[f64]>::to_vec), diagnostics)
+    }
+
     /// One solve in a fresh scratch under an unlimited budget.
-    fn solve(ctmc: &Ctmc) -> (Result<Vec<f64>, MarkovError>, SolveDiagnostics) {
-        FallbackSolver::default().solve(ctmc, &mut SolveScratch::new(), &SolveBudget::unlimited())
+    fn solve(ctmc: &Ctmc) -> Owned {
+        owned(FallbackSolver::default().solve(
+            ctmc,
+            &mut SolveScratch::new(),
+            &SolveBudget::unlimited(),
+        ))
     }
 
     /// The order a chain past the dense cutover runs, forced on a chain of
@@ -419,15 +434,15 @@ mod tests {
         budget: &SolveBudget,
         order: &[SolverKind],
         allowance: Duration,
-    ) -> (Result<Vec<f64>, MarkovError>, SolveDiagnostics) {
-        FallbackSolver::default().solve_within(
+    ) -> Owned {
+        owned(FallbackSolver::default().solve_within(
             ctmc,
             scratch,
             budget,
             order,
             allowance,
             policy_gauss_seidel(),
-        )
+        ))
     }
 
     /// An [`ITERATIVE_FIRST`] solve in a fresh scratch with the default
@@ -436,22 +451,19 @@ mod tests {
         ctmc: &Ctmc,
         budget: &SolveBudget,
         gauss_seidel: GaussSeidelSolver,
-    ) -> (Result<Vec<f64>, MarkovError>, SolveDiagnostics) {
-        FallbackSolver::default().solve_within(
+    ) -> Owned {
+        owned(FallbackSolver::default().solve_within(
             ctmc,
             &mut SolveScratch::new(),
             budget,
             ITERATIVE_FIRST,
             ATTEMPT_ALLOWANCE,
             gauss_seidel,
-        )
+        ))
     }
 
     /// [`solve_with_gauss_seidel`] with the policy's own stage.
-    fn solve_iterative_first(
-        ctmc: &Ctmc,
-        budget: &SolveBudget,
-    ) -> (Result<Vec<f64>, MarkovError>, SolveDiagnostics) {
+    fn solve_iterative_first(ctmc: &Ctmc, budget: &SolveBudget) -> Owned {
         solve_with_gauss_seidel(ctmc, budget, policy_gauss_seidel())
     }
 
@@ -469,7 +481,7 @@ mod tests {
     /// An iterative-first solve of [`slow_ring`] whose Gauss–Seidel stage
     /// has no residual exit and no usable sweep cap, cut by a caller
     /// deadline 200 ms out.
-    fn cut_by_caller_deadline() -> (Result<Vec<f64>, MarkovError>, SolveDiagnostics) {
+    fn cut_by_caller_deadline() -> Owned {
         let deadline =
             SolveBudget::unlimited().with_deadline(Instant::now() + Duration::from_millis(200));
         solve_with_gauss_seidel(

@@ -33,8 +33,72 @@ use crate::{EvaluatedDesign, SearchError};
 /// disappears behind the solves.
 const FLUSH_INTERVAL: usize = 64;
 
-/// First line of every journal; replay refuses files without it.
-const HEADER: &str = r#"{"format":"aved-sweep-journal","version":1}"#;
+/// The format marker of a journal's first line; replay refuses files
+/// without it.
+const FORMAT: &str = "aved-sweep-journal";
+
+/// The header version. Version 2 added the engine identity.
+const VERSION: u64 = 2;
+
+/// The engine a journal's outcomes were computed by: its kind and its
+/// truncation depth. A journal records it in its header, and replays only
+/// into a run of the same engine at the same depth, because the recorded
+/// outcomes are that engine's answers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JournalEngine {
+    /// The engine kind, as the command line names it (`decomp`, `ctmc`,
+    /// `sim`).
+    pub kind: String,
+    /// The truncation depth of the engine's chains; `0` for an engine
+    /// without one (the simulator).
+    pub depth: u32,
+}
+
+impl JournalEngine {
+    /// The identity of engine `kind` at truncation `depth`.
+    #[must_use]
+    pub fn new(kind: impl Into<String>, depth: u32) -> JournalEngine {
+        JournalEngine {
+            kind: kind.into(),
+            depth,
+        }
+    }
+
+    /// The journal's first line for this engine.
+    fn header(&self) -> String {
+        format!(
+            r#"{{"format":"{FORMAT}","version":{VERSION},"engine":"{}","depth":{}}}"#,
+            json_escape(&self.kind),
+            self.depth
+        )
+    }
+
+    /// Checks a journal's first line: it must be a journal header that
+    /// names this engine and depth.
+    fn check_header(&self, line: &str) -> std::io::Result<()> {
+        let invalid = |detail: String| std::io::Error::new(std::io::ErrorKind::InvalidData, detail);
+        if raw_str_field(line, "format") != Some(FORMAT) {
+            return Err(invalid(format!("not a sweep journal (header {line:?})")));
+        }
+        let recorded = str_field(line, "engine")
+            .zip(u64_field(line, "depth").and_then(|d| u32::try_from(d).ok()));
+        match recorded {
+            None => Err(invalid(format!(
+                "the journal header records no engine and truncation depth, so its \
+                 outcomes cannot be matched to this run (engine {} at depth {})",
+                self.kind, self.depth
+            ))),
+            Some((kind, depth)) if kind != self.kind || depth != self.depth => {
+                Err(invalid(format!(
+                    "the journal was written by engine {kind} at depth {depth}, but this run \
+                     uses engine {} at depth {}",
+                    self.kind, self.depth
+                )))
+            }
+            Some(_) => Ok(()),
+        }
+    }
+}
 
 /// Escapes a string for embedding in a JSON string literal.
 fn json_escape(s: &str) -> String {
@@ -310,16 +374,20 @@ impl std::fmt::Debug for JournalWriter {
 }
 
 impl SweepJournal {
-    /// Creates (truncating) a journal at `path` and writes the header.
+    /// Creates (truncating) a journal at `path` and writes the header,
+    /// which names `engine`.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error when the file cannot be created.
-    pub fn create<P: AsRef<Path>>(path: P) -> std::io::Result<SweepJournal> {
+    pub fn create<P: AsRef<Path>>(
+        path: P,
+        engine: &JournalEngine,
+    ) -> std::io::Result<SweepJournal> {
         let path = path.as_ref().to_path_buf();
         let file = File::create(&path)?;
         let mut out = BufWriter::new(file);
-        writeln!(out, "{HEADER}")?;
+        writeln!(out, "{}", engine.header())?;
         out.flush()?;
         Ok(SweepJournal {
             path,
@@ -397,23 +465,19 @@ pub struct JournalReplay {
 }
 
 impl JournalReplay {
-    /// Loads a journal written by [`SweepJournal`].
+    /// Loads a journal written by [`SweepJournal`] for a run of `engine`.
     ///
     /// # Errors
     ///
     /// Returns an I/O error when the file cannot be read, or
-    /// `InvalidData` when it does not start with the journal header.
-    pub fn load<P: AsRef<Path>>(path: P) -> std::io::Result<JournalReplay> {
+    /// `InvalidData` when it does not start with a journal header naming
+    /// `engine`'s kind and depth: a header without them (an older journal)
+    /// or with another engine or depth is refused, naming both.
+    pub fn load<P: AsRef<Path>>(path: P, engine: &JournalEngine) -> std::io::Result<JournalReplay> {
         let file = File::open(path)?;
         let mut lines = BufReader::new(file).lines();
         match lines.next() {
-            Some(Ok(first)) if first.trim() == HEADER => {}
-            Some(Ok(other)) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("not a sweep journal (header {other:?})"),
-                ));
-            }
+            Some(Ok(first)) => engine.check_header(first.trim())?,
             Some(Err(e)) => return Err(e),
             None => {
                 return Err(std::io::Error::new(
@@ -483,6 +547,10 @@ mod tests {
         p
     }
 
+    fn decomp() -> JournalEngine {
+        JournalEngine::new("decomp", 5)
+    }
+
     fn sample_design() -> EvaluatedDesign {
         EvaluatedDesign::from_parts(
             TierDesign::new("application", "rC", 3, 1),
@@ -513,7 +581,7 @@ mod tests {
     #[test]
     fn record_and_replay_are_bit_identical() {
         let path = tmp("roundtrip");
-        let journal = SweepJournal::create(&path).unwrap();
+        let journal = SweepJournal::create(&path, &decomp()).unwrap();
         let e = sample_design();
         let key = enterprise_key("application", 800.0, e.design());
         journal.record(&key, &Ok(Some(e.clone())));
@@ -526,7 +594,7 @@ mod tests {
         );
         journal.flush().unwrap();
 
-        let replay = JournalReplay::load(&path).unwrap();
+        let replay = JournalReplay::load(&path, &decomp()).unwrap();
         assert_eq!(replay.len(), 3);
         assert_eq!(replay.malformed(), 0);
 
@@ -569,7 +637,7 @@ mod tests {
     #[test]
     fn truncated_tail_is_tolerated() {
         let path = tmp("truncated");
-        let journal = SweepJournal::create(&path).unwrap();
+        let journal = SweepJournal::create(&path, &decomp()).unwrap();
         let e = sample_design();
         let key = enterprise_key("application", 400.0, e.design());
         journal.record(&key, &Ok(Some(e.clone())));
@@ -581,7 +649,7 @@ mod tests {
         let full = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 17]).unwrap();
 
-        let replay = JournalReplay::load(&path).unwrap();
+        let replay = JournalReplay::load(&path, &decomp()).unwrap();
         assert_eq!(replay.len(), 1, "only the intact record survives");
         assert_eq!(replay.malformed(), 0, "a chopped tail is not corruption");
         assert!(replay.lookup(&key).is_some());
@@ -593,8 +661,49 @@ mod tests {
     fn non_journal_files_are_rejected() {
         let path = tmp("not-a-journal");
         std::fs::write(&path, "just some text\n").unwrap();
-        let err = JournalReplay::load(&path).unwrap_err();
+        let err = JournalReplay::load(&path, &decomp()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn replay_refuses_another_engine_or_depth() {
+        let path = tmp("engine-identity");
+        let journal = SweepJournal::create(&path, &decomp()).unwrap();
+        journal.record("k", &Ok(None));
+        drop(journal);
+        for other in [
+            JournalEngine::new("ctmc", 5),
+            JournalEngine::new("decomp", 6),
+        ] {
+            let err = JournalReplay::load(&path, &other).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            for named in [
+                "engine decomp at depth 5".to_owned(),
+                format!("engine {} at depth {}", other.kind, other.depth),
+            ] {
+                assert!(msg.contains(&named), "{msg:?} must name {named:?}");
+            }
+        }
+        assert_eq!(JournalReplay::load(&path, &decomp()).unwrap().len(), 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn replay_refuses_a_header_without_engine_identity() {
+        let path = tmp("version-1");
+        std::fs::write(
+            &path,
+            "{\"format\":\"aved-sweep-journal\",\"version\":1}\n{\"key\":\"k\",\"outcome\":\"rejected\"}\n",
+        )
+        .unwrap();
+        let err = JournalReplay::load(&path, &decomp()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("no engine and truncation depth"),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -78,7 +78,9 @@ pub use evaluate::{
 };
 pub use frontier::{job_frontier, tier_pareto_frontier};
 pub use health::{SearchHealth, SkippedCandidate};
-pub use journal::{enterprise_key, job_key, JournalReplay, ReplayEntry, SweepJournal};
+pub use journal::{
+    enterprise_key, job_key, JournalEngine, JournalReplay, ReplayEntry, SweepJournal,
+};
 pub use multi_tier::{search_service_with_health, ServiceDesign};
 pub use parallel::{effective_jobs, parallel_map_with};
 pub use sensitivity::{mtbf_sensitivity, scale_mtbfs, SensitivityRow};

@@ -852,7 +852,8 @@ mod tests {
             "aved-tier-search-resume-{}.jsonl",
             std::process::id()
         ));
-        let journal = std::sync::Arc::new(crate::SweepJournal::create(&path).unwrap());
+        let identity = crate::JournalEngine::new("decomp", 5);
+        let journal = std::sync::Arc::new(crate::SweepJournal::create(&path, &identity).unwrap());
         let journaled = search_tier(
             &ctx,
             "application",
@@ -864,7 +865,7 @@ mod tests {
         journal.flush().unwrap();
         drop(journal);
 
-        let replay = std::sync::Arc::new(crate::JournalReplay::load(&path).unwrap());
+        let replay = std::sync::Arc::new(crate::JournalReplay::load(&path, &identity).unwrap());
         assert!(!replay.is_empty());
         let resumed = search_tier(
             &ctx,

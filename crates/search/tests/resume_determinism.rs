@@ -21,12 +21,18 @@ use aved_avail::{
 use aved_model::{Infrastructure, ParamValue, Service};
 use aved_perf::Catalog;
 use aved_search::{
-    search_job_tier, search_tier, EvalContext, EvaluatedDesign, JournalReplay, SearchOptions,
-    SweepJournal,
+    search_job_tier, search_tier, EvalContext, EvaluatedDesign, JournalEngine, JournalReplay,
+    SearchOptions, SweepJournal,
 };
 use aved_units::Duration;
 
 const JOB_COUNTS: [usize; 2] = [1, 8];
+
+/// The engine every journal here is written and replayed under: the
+/// default decomposition engine at its default depth.
+fn decomp() -> JournalEngine {
+    JournalEngine::new("decomp", 5)
+}
 
 struct Fixture {
     infrastructure: Infrastructure,
@@ -164,7 +170,7 @@ fn fig6_killed_sweep_resumes_to_the_reference_winner() {
         let token = CancelToken::new();
         let engine = CancelAfter::new(5, token.clone());
         let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &engine);
-        let journal = Arc::new(SweepJournal::create(&path).unwrap());
+        let journal = Arc::new(SweepJournal::create(&path, &decomp()).unwrap());
         let opts = enterprise_opts()
             .with_cancel(token)
             .with_journal(journal.clone());
@@ -178,7 +184,7 @@ fn fig6_killed_sweep_resumes_to_the_reference_winner() {
     }
 
     // Resume at one worker and at eight; both must land on the reference.
-    let replay = Arc::new(JournalReplay::load(&path).unwrap());
+    let replay = Arc::new(JournalReplay::load(&path, &decomp()).unwrap());
     assert!(
         !replay.is_empty(),
         "the killed sweep journaled its progress"
@@ -223,14 +229,14 @@ fn fig7_killed_job_sweep_resumes_to_the_reference_winner() {
         let token = CancelToken::new();
         let engine = CancelAfter::new(10, token.clone());
         let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &engine);
-        let journal = Arc::new(SweepJournal::create(&path).unwrap());
+        let journal = Arc::new(SweepJournal::create(&path, &decomp()).unwrap());
         let opts = job_opts().with_cancel(token).with_journal(journal.clone());
         let killed = search_job_tier(&ctx, "computation", deadline, &opts).unwrap();
         assert!(killed.health().interrupted, "{}", killed.health());
         journal.flush().unwrap();
     }
 
-    let replay = Arc::new(JournalReplay::load(&path).unwrap());
+    let replay = Arc::new(JournalReplay::load(&path, &decomp()).unwrap());
     assert!(!replay.is_empty());
     for jobs in JOB_COUNTS {
         let opts = job_opts().with_jobs(jobs).with_resume(replay.clone());
@@ -262,7 +268,7 @@ fn journal_truncated_mid_record_still_resumes_to_the_reference_winner() {
 
     let path = temp_journal("fig6-torn");
     {
-        let journal = Arc::new(SweepJournal::create(&path).unwrap());
+        let journal = Arc::new(SweepJournal::create(&path, &decomp()).unwrap());
         search_tier(
             &ctx,
             "application",
@@ -284,7 +290,7 @@ fn journal_truncated_mid_record_still_resumes_to_the_reference_winner() {
     torn.push_str(&lines[keep][..lines[keep].len() / 2]);
     std::fs::write(&path, &torn).unwrap();
 
-    let replay = Arc::new(JournalReplay::load(&path).unwrap());
+    let replay = Arc::new(JournalReplay::load(&path, &decomp()).unwrap());
     assert!(!replay.is_empty(), "the intact prefix must survive");
     for jobs in JOB_COUNTS {
         let opts = enterprise_opts()

@@ -220,3 +220,82 @@ fn missing_file_is_a_clean_error() {
     assert!(!out.status.success());
     assert!(stderr(&out).contains("/nonexistent/infra.aved"));
 }
+
+#[test]
+fn resume_is_refused_under_another_engine() {
+    // The load-400 / 88-min fixture, where the two engines pick different
+    // designs: a journal the default engine wrote must not stand in for
+    // exact-engine answers.
+    let dir = std::env::temp_dir();
+    let journal = dir.join(format!("aved-cli-engine-{}.jsonl", std::process::id()));
+    let journal = journal.to_str().unwrap();
+    let design = |extra: &[&str]| {
+        let mut args = vec![
+            "design",
+            "--paper-ecommerce",
+            "--load",
+            "400",
+            "--max-downtime",
+            "88m",
+            "--max-extra",
+            "4",
+            "--max-spares",
+            "2",
+        ];
+        args.extend_from_slice(extra);
+        run(&args)
+    };
+    let written = design(&["--journal", journal]);
+    assert!(written.status.success(), "stderr: {}", stderr(&written));
+    let header = std::fs::read_to_string(journal).unwrap();
+    assert!(
+        header
+            .lines()
+            .next()
+            .unwrap()
+            .contains(r#""engine":"decomp","depth":5"#),
+        "{header:.200}"
+    );
+
+    let refused = design(&["--engine", "ctmc", "--resume", journal]);
+    assert_eq!(
+        refused.status.code(),
+        Some(3),
+        "stderr: {}",
+        stderr(&refused)
+    );
+    let err = stderr(&refused);
+    assert!(err.contains("engine decomp at depth 5"), "{err}");
+    assert!(err.contains("engine ctmc at depth 5"), "{err}");
+    assert!(stdout(&refused).is_empty(), "no design is printed");
+
+    // The same engine still resumes, replaying to the same answer.
+    let resumed = design(&["--resume", journal]);
+    assert!(resumed.status.success(), "stderr: {}", stderr(&resumed));
+    assert_eq!(stdout(&resumed), stdout(&written));
+
+    // A journal whose header names no engine is refused too.
+    let records: Vec<&str> = header.lines().skip(1).collect();
+    std::fs::write(
+        journal,
+        format!(
+            "{}\n{}\n",
+            r#"{"format":"aved-sweep-journal","version":1}"#,
+            records.join("\n")
+        ),
+    )
+    .unwrap();
+    let headless = design(&["--resume", journal]);
+    assert_eq!(
+        headless.status.code(),
+        Some(3),
+        "stderr: {}",
+        stderr(&headless)
+    );
+    assert!(
+        stderr(&headless).contains("no engine and truncation depth"),
+        "{}",
+        stderr(&headless)
+    );
+    std::fs::remove_file(journal).ok();
+}
