@@ -2,6 +2,7 @@
 
 use aved_units::Rate;
 
+use crate::session::ClassKey;
 use crate::{
     AvailError, AvailabilityEngine, CtmcEngine, EvalHealth, EvalSession, FailureClass,
     TierAvailability, TierModel,
@@ -104,6 +105,12 @@ impl DecompositionEngine {
     /// Evaluates each failure class of `model` in isolation through
     /// `session`, handing `visit` every class with its result and health in
     /// the model's class order.
+    ///
+    /// A class whose exact inputs match one in the session's class memo
+    /// replays that result and its health instead of solving; every solve
+    /// is a pure function of its single-class model, so the replay is the
+    /// solve's own answer. A replay still passes the budget check a solve
+    /// makes on entry.
     fn for_each_class(
         &self,
         model: &TierModel,
@@ -111,6 +118,7 @@ impl DecompositionEngine {
         mut visit: impl FnMut(&FailureClass, TierAvailability, EvalHealth),
     ) -> Result<(), AvailError> {
         model.check()?;
+        let cap = self.max_concurrent().min(model.n_total());
         // Every class is evaluated through the session's one single-class
         // model, rewritten in place; it is lent out of the session for the
         // loop and handed back whatever the outcome. The per-class chains
@@ -122,8 +130,25 @@ impl DecompositionEngine {
             .take()
             .unwrap_or_else(|| TierModel::new(0, 0, 0));
         let outcome = model.classes().iter().try_for_each(|class| {
-            single.assign_single_class(model, class);
-            let (r, health) = self.inner.evaluate_with_session(&single, session)?;
+            let key = ClassKey::new(model, class, cap);
+            let (r, health) = match session.class_memo.get(&key) {
+                Some(found) => {
+                    // The check a solve makes on entry: a spent budget
+                    // fails a replay with the error the solve would return.
+                    let budget = session.budget.for_candidate();
+                    if !budget.is_unlimited() {
+                        budget.checkpoint("solve", 0)?;
+                    }
+                    session.stats.class_hits += 1;
+                    found
+                }
+                None => {
+                    single.assign_single_class(model, class);
+                    let solved = self.inner.evaluate_with_session(&single, session)?;
+                    session.class_memo.insert(key, solved);
+                    solved
+                }
+            };
             visit(class, r, health);
             Ok(())
         });
@@ -238,7 +263,8 @@ mod tests {
     fn session_path_is_bit_identical_and_shares_chains_across_classes() {
         use crate::EvalSession;
         // Four same-shape classes: the session should explore once and
-        // repatch for every subsequent class, across repeated evaluations.
+        // repatch for every subsequent class; repeated evaluations of the
+        // same model replay every class from the class memo.
         let model = TierModel::new(5, 5, 0)
             .with_class(class("machineA/hard", 650.0, 38.0 * 60.0))
             .with_class(class("machineA/soft", 75.0, 4.5))
@@ -259,8 +285,154 @@ mod tests {
             );
         }
         assert_eq!(session.cached_chains(), 1, "all classes share one shape");
-        assert_eq!(session.stats().solves, 12);
-        assert_eq!(session.stats().rebuilds_avoided, 11);
+        assert_eq!(session.stats().solves, 4);
+        assert_eq!(session.stats().rebuilds_avoided, 3);
+        assert_eq!(session.stats().class_hits, 8);
+    }
+
+    /// A paper-style tier: a hard class repaired in `hard_repair_mins`
+    /// (failing over when `fails_over`) and three restart-class soft
+    /// failures.
+    fn paper_tier(n: u32, s: u32, hard_repair_mins: f64, fails_over: bool) -> TierModel {
+        let with = |label: &str, mtbf_days: f64, mttr_mins: f64, fo: bool| {
+            FailureClass::new(
+                label,
+                Duration::from_days(mtbf_days).rate(),
+                Duration::from_mins(mttr_mins),
+                Duration::from_mins(5.0),
+                fo,
+            )
+        };
+        TierModel::new(n, 4, s)
+            .with_class(with("machineA/hard", 650.0, hard_repair_mins, fails_over))
+            .with_class(with("machineA/soft", 75.0, 4.2, fails_over && s > 1))
+            .with_class(with("linux/soft", 60.0, 3.1, fails_over && s > 1))
+            .with_class(with("webserver/soft", 60.0, 0.5, fails_over && s > 1))
+    }
+
+    fn result_bits(r: &TierAvailability, h: &EvalHealth) -> (u64, u64, u32, Option<u64>) {
+        (
+            r.unavailability().to_bits(),
+            r.down_event_rate().per_hour_value().to_bits(),
+            h.fallbacks,
+            h.worst_residual.map(f64::to_bits),
+        )
+    }
+
+    #[test]
+    fn class_memo_replays_exactly_the_unchanged_classes() {
+        let engine = DecompositionEngine::default();
+        let base = paper_tier(5, 2, 38.0 * 60.0, true);
+        // (variant, class results the memo must replay after `base`)
+        let variants = [
+            // The §4.1 contract swap: only the hard class changes.
+            (paper_tier(5, 2, 8.0 * 60.0, true), 3),
+            (base.clone(), 4),
+            (paper_tier(6, 2, 38.0 * 60.0, true), 0),
+            (paper_tier(5, 1, 38.0 * 60.0, true), 0),
+            (base.clone().with_exposed_spares(true), 0),
+            // Every class's failover flag flipped (soft classes fail over
+            // only with two spares).
+            (paper_tier(5, 2, 38.0 * 60.0, false), 0),
+            (paper_tier(5, 1, 38.0 * 60.0, false), 0),
+        ];
+        for (variant, hits) in &variants {
+            let mut session = EvalSession::new();
+            engine.evaluate_with_session(&base, &mut session).unwrap();
+            let before = *session.stats();
+            let (r, h) = engine.evaluate_with_session(variant, &mut session).unwrap();
+            let after = session.stats();
+            assert_eq!(after.class_hits - before.class_hits, *hits, "{variant:?}");
+            assert_eq!(
+                after.solves - before.solves,
+                4 - hits,
+                "every other class solves: {variant:?}"
+            );
+            let (one_r, one_h) = engine.evaluate_with_health(variant).unwrap();
+            assert_eq!(
+                result_bits(&r, &h),
+                result_bits(&one_r, &one_h),
+                "{variant:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn class_memo_keys_on_the_effective_truncation_cap() {
+        let model = paper_tier(5, 2, 38.0 * 60.0, true);
+        let mut session = EvalSession::new();
+        DecompositionEngine::default()
+            .with_max_concurrent(3)
+            .evaluate_with_session(&model, &mut session)
+            .unwrap();
+        // Depth 2 caps the chain lower: nothing may be replayed.
+        let (r, h) = DecompositionEngine::default()
+            .with_max_concurrent(2)
+            .evaluate_with_session(&model, &mut session)
+            .unwrap();
+        assert_eq!(session.stats().class_hits, 0);
+        let (one_r, one_h) = DecompositionEngine::default()
+            .with_max_concurrent(2)
+            .evaluate_with_health(&model)
+            .unwrap();
+        assert_eq!(result_bits(&r, &h), result_bits(&one_r, &one_h));
+        // Depths 7 and 8 both cap this 7-resource tier at 7: same chains.
+        let mut session = EvalSession::new();
+        for depth in [7, 8] {
+            DecompositionEngine::default()
+                .with_max_concurrent(depth)
+                .evaluate_with_session(&model, &mut session)
+                .unwrap();
+        }
+        assert_eq!(session.stats().class_hits, 4);
+    }
+
+    #[test]
+    fn a_memoised_class_fails_on_a_spent_budget_like_a_solve() {
+        use aved_markov::{CancelToken, MarkovError, SolveBudget};
+        let engine = DecompositionEngine::default();
+        let tier = |scale: f64| {
+            TierModel::new(5, 4, 1)
+                .with_class(class("hw/hard", 650.0 * scale, 38.0 * 60.0))
+                .with_class(class("os/soft", 60.0 * scale, 4.0))
+        };
+        let model = tier(1.0);
+        // A rate variant: the session has its chain shape cached but none
+        // of its classes, so each of them reaches a solve's entry check.
+        let unsolved = tier(1.1);
+        let token = CancelToken::new();
+        let spent = [
+            SolveBudget::unlimited().with_deadline(std::time::Instant::now()),
+            SolveBudget::unlimited().with_cancel(token.clone()),
+        ];
+        token.cancel();
+        for budget in spent {
+            let mut session = EvalSession::new();
+            engine.evaluate_with_session(&model, &mut session).unwrap();
+            session.budget = budget;
+            let solving = engine
+                .evaluate_with_session(&unsolved, &mut session)
+                .unwrap_err();
+            let hits = session.stats().class_hits;
+            let replaying = engine
+                .evaluate_with_session(&model, &mut session)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    replaying,
+                    AvailError::Markov(
+                        MarkovError::Cancelled { .. } | MarkovError::BudgetExhausted { .. }
+                    )
+                ),
+                "{replaying:?}"
+            );
+            assert_eq!(replaying, solving, "a replay fails as a solve would");
+            assert_eq!(
+                session.stats().class_hits,
+                hits,
+                "a refused replay is no hit"
+            );
+        }
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //! to the next, so every result is bit-identical to a one-shot
 //! evaluation.
 //!
+//! For the decomposition engine the session also keeps a small memo of
+//! per-class results ([`ClassMemo`]): a §4.1 level swap changes only the
+//! hard-failure class, so the other classes of the next candidate replay
+//! the result of an identical class solved just before. A solve is a pure
+//! function of its single-class model, so a replayed result is the
+//! result the solve would have produced.
+//!
 //! Engines stay `Send + Sync` because all mutable state lives here: each
 //! search worker thread owns its own session and passes it down by
 //! `&mut` through [`AvailabilityEngine::evaluate_with_session`].
@@ -28,7 +35,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use aved_markov::{ExploreScratch, Explored, SolveBudget, SolveScratch};
 
 use crate::engine_ctmc::{St, MAX_CLASSES};
-use crate::TierModel;
+use crate::{EvalHealth, FailureClass, TierAvailability, TierModel};
 
 /// Structural shape of a tier chain: every model attribute that determines
 /// the explored state space and transition topology, but none of the rates.
@@ -136,6 +143,91 @@ pub(crate) struct CachedChain {
     pub(crate) solved: bool,
 }
 
+/// Every input of one per-class chain solve, compared bit for bit: the
+/// tier's shape, the effective truncation cap and the class's rates and
+/// failover flag. The label is not an input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ClassKey {
+    n: u32,
+    m: u32,
+    s: u32,
+    spares_exposed: bool,
+    /// Effective truncation cap (`max_concurrent.min(n_total)`).
+    cap: u32,
+    rate_bits: u64,
+    mttr_bits: u64,
+    failover_time_bits: u64,
+    uses_failover: bool,
+}
+
+impl ClassKey {
+    /// The key of `class` evaluated alone in `model`'s tier under
+    /// truncation `cap`.
+    pub(crate) fn new(model: &TierModel, class: &FailureClass, cap: u32) -> ClassKey {
+        ClassKey {
+            n: model.n(),
+            m: model.m(),
+            s: model.s(),
+            spares_exposed: model.spares_exposed(),
+            cap,
+            rate_bits: class.rate().per_hour_value().to_bits(),
+            mttr_bits: class.mttr().seconds().to_bits(),
+            failover_time_bits: class.failover_time().seconds().to_bits(),
+            uses_failover: class.uses_failover(),
+        }
+    }
+}
+
+/// Per-class results kept by the memo: enough to keep the previous
+/// evaluation of any tier of up to 8 classes (see `DESIGN.md`,
+/// "Evaluation sessions").
+const CLASS_MEMO_SLOTS: usize = 16;
+
+/// One memo slot: a class's key and its accepted result, stamped with the
+/// last time it was stored or replayed.
+#[derive(Debug, Clone, Copy, Default)]
+struct ClassSlot {
+    entry: Option<(ClassKey, TierAvailability, EvalHealth)>,
+    used: u64,
+}
+
+/// The decomposition engine's memo of recent per-class results: a fixed
+/// array of [`CLASS_MEMO_SLOTS`] entries, searched by exact key
+/// comparison and refilled least-recently-used first. It never allocates
+/// and never hashes. Only accepted results are stored, never errors.
+#[derive(Debug, Default)]
+pub(crate) struct ClassMemo {
+    slots: [ClassSlot; CLASS_MEMO_SLOTS],
+    clock: u64,
+}
+
+impl ClassMemo {
+    /// The stored result of `key`, if any, marked as just used.
+    pub(crate) fn get(&mut self, key: &ClassKey) -> Option<(TierAvailability, EvalHealth)> {
+        self.clock += 1;
+        let slot = self
+            .slots
+            .iter_mut()
+            .find(|slot| matches!(&slot.entry, Some((k, ..)) if k == key))?;
+        slot.used = self.clock;
+        slot.entry.map(|(_, r, health)| (r, health))
+    }
+
+    /// Stores `key`'s result in place of the least recently used one.
+    pub(crate) fn insert(&mut self, key: ClassKey, result: (TierAvailability, EvalHealth)) {
+        self.clock += 1;
+        let oldest = self
+            .slots
+            .iter_mut()
+            .min_by_key(|slot| slot.used)
+            .expect("the memo has slots");
+        *oldest = ClassSlot {
+            entry: Some((key, result.0, result.1)),
+            used: self.clock,
+        };
+    }
+}
+
 /// Counters describing how much work the session's reuse avoided over its
 /// lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -149,6 +241,10 @@ pub struct SessionStats {
     pub iterations: u64,
     /// Chain constructions replaced by a rate-only in-place rebuild.
     pub rebuilds_avoided: u64,
+    /// Per-class results the decomposition engine replayed from the
+    /// session's class memo instead of solving; each one is a class
+    /// evaluation that ran no solve.
+    pub class_hits: u64,
 }
 
 impl SessionStats {
@@ -158,6 +254,7 @@ impl SessionStats {
         self.warm_hits += other.warm_hits;
         self.iterations += other.iterations;
         self.rebuilds_avoided += other.rebuilds_avoided;
+        self.class_hits += other.class_hits;
     }
 }
 
@@ -181,6 +278,8 @@ pub struct EvalSession {
     /// The single-class model the decomposition engine rewrites in place
     /// for each class it evaluates; `None` until the first one.
     pub(crate) single_class: Option<TierModel>,
+    /// Recent per-class results of the decomposition engine.
+    pub(crate) class_memo: ClassMemo,
     pub(crate) stats: SessionStats,
     pub(crate) budget: SolveBudget,
 }
@@ -297,12 +396,14 @@ mod tests {
             warm_hits: 2,
             iterations: 4,
             rebuilds_avoided: 6,
+            class_hits: 8,
         };
         let b = SessionStats {
             solves: 10,
             warm_hits: 20,
             iterations: 40,
             rebuilds_avoided: 60,
+            class_hits: 80,
         };
         a.absorb(&b);
         assert_eq!(
@@ -312,6 +413,7 @@ mod tests {
                 warm_hits: 22,
                 iterations: 44,
                 rebuilds_avoided: 66,
+                class_hits: 88,
             }
         );
     }

@@ -6,7 +6,9 @@
 //! grows with the chain: states are inline values, the successor buffer,
 //! the solve scratch and the single-class model belong to the session, and
 //! the solver lends its answer out of the scratch. What remains is the one
-//! attempt trail each solve returns.
+//! attempt trail each solve returns. A decomposition evaluation whose
+//! classes all replay from the session's class memo runs no solve and
+//! allocates nothing at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -160,6 +162,32 @@ fn decomposition_evaluations_allocate_at_most_once_per_class_solve() {
         assert!(
             made <= classes,
             "{classes} class solves made {made} allocations (soft {soft}, spares {spares})"
+        );
+    }
+}
+
+#[test]
+fn memoised_decomposition_evaluations_allocate_nothing() {
+    let engine = DecompositionEngine::default();
+    for (soft, spares) in [(3, 1), (3, 0), (0, 2)] {
+        let model = paper_tier(5, 4, spares, soft, 1.0);
+        let classes = model.classes().len() as u64;
+        let mut session = EvalSession::new();
+        engine.evaluate_with_session(&model, &mut session).unwrap();
+        let warm = *session.stats();
+        let made = allocations(|| engine.evaluate_with_session(&model, &mut session).unwrap());
+        let stats = session.stats();
+        assert_eq!(
+            (
+                stats.class_hits - warm.class_hits,
+                stats.solves - warm.solves
+            ),
+            (classes, 0),
+            "every class replayed: {stats:?}"
+        );
+        assert_eq!(
+            made, 0,
+            "a replayed evaluation allocated (soft {soft}, spares {spares})"
         );
     }
 }

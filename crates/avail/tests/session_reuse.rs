@@ -7,6 +7,12 @@
 //! rates, so every buffer holds data from an unrelated earlier model when
 //! the next one starts. Every answer must equal a one-shot evaluation's
 //! bit for bit.
+//!
+//! The decomposition engine also replays per-class results from the
+//! session's class memo. Further passes evaluate every model twice in a
+//! row and then a variant of it with one class changed, so that most
+//! classes are replayed rather than solved; the replayed answers must
+//! equal one-shot evaluations bit for bit too.
 
 use aved_avail::{
     AvailabilityEngine, CtmcEngine, DecompositionEngine, EvalHealth, EvalSession, FailureClass,
@@ -49,6 +55,14 @@ impl Shape {
                 ))
             },
         )
+    }
+
+    /// This shape's model over its first `classes` classes, with the MTTR
+    /// of class `changed` scaled by `scale`.
+    fn one_class_variant(&self, classes: usize, changed: usize, scale: f64) -> TierModel {
+        let mut shape = self.clone();
+        shape.classes[changed].1 *= scale;
+        shape.model(classes, 1.0)
     }
 
     /// The most classes whose exact chain at truncation `depth` stays
@@ -99,16 +113,16 @@ fn bits(r: &TierAvailability, h: &EvalHealth) -> (u64, u64, u32, Option<u64>) {
     )
 }
 
-/// Evaluates `models` in order through one session and checks each answer
+/// Evaluates `models` in order through `session` and checks each answer
 /// against a one-shot evaluation.
 fn reused_matches_one_shot(
     engine: &dyn AvailabilityEngine,
+    session: &mut EvalSession,
     models: &[TierModel],
 ) -> Result<(), String> {
-    let mut session = EvalSession::new();
     for (i, model) in models.iter().enumerate() {
         let (one_shot, one_shot_health) = engine.evaluate_with_health(model).unwrap();
-        let (reused, reused_health) = engine.evaluate_with_session(model, &mut session).unwrap();
+        let (reused, reused_health) = engine.evaluate_with_session(model, session).unwrap();
         let (reused, one_shot) = (
             bits(&reused, &reused_health),
             bits(&one_shot, &one_shot_health),
@@ -125,6 +139,11 @@ fn reused_matches_one_shot(
     }
     Ok(())
 }
+
+/// Classes a model may have for the class memo to be sure to keep the
+/// previous evaluation's results: the memo holds 16, and the previous
+/// and the current evaluation must fit together.
+const MEMO_CLASSES: usize = 8;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -147,9 +166,14 @@ proptest! {
         let exact: Vec<TierModel> = pass(1.0, true).chain(pass(1.3, true)).collect();
         reused_matches_one_shot(
             &DecompositionEngine::default().with_max_concurrent(depth),
+            &mut EvalSession::new(),
             &decomp,
         )?;
-        reused_matches_one_shot(&CtmcEngine::default().with_max_concurrent(depth), &exact)?;
+        reused_matches_one_shot(
+            &CtmcEngine::default().with_max_concurrent(depth),
+            &mut EvalSession::new(),
+            &exact,
+        )?;
     }
 
     #[test]
@@ -180,6 +204,41 @@ proptest! {
                 expected.down_event_rate().per_hour_value().to_bits(),
                 "{}", label
             );
+        }
+    }
+
+    #[test]
+    fn repeated_and_one_class_variants_replay_the_memoised_classes(
+        shapes in proptest::collection::vec(arb_shape(), 1..4),
+        depth in 1_u32..9,
+        changed in 0_usize..70,
+    ) {
+        let engine = DecompositionEngine::default().with_max_concurrent(depth);
+        let mut session = EvalSession::new();
+        // Each shape in full, where the memo may be too small to keep a
+        // whole evaluation, and cut to the classes it is sure to keep.
+        let sizes = |shape: &Shape| [shape.classes.len(), shape.classes.len().min(MEMO_CLASSES)];
+        for (shape, classes) in shapes.iter().flat_map(|s| sizes(s).map(|c| (s, c))) {
+            let model = shape.model(classes, 1.0);
+            let variant = shape.one_class_variant(classes, changed % classes, 1.7);
+            for (pass, model) in [&model, &model, &variant].into_iter().enumerate() {
+                let hits = session.stats().class_hits;
+                reused_matches_one_shot(&engine, &mut session, std::slice::from_ref(model))?;
+                let replayed = session.stats().class_hits - hits;
+                if classes <= MEMO_CLASSES {
+                    // The repeat replays every class; the variant every
+                    // class but the changed one.
+                    let expected = match pass {
+                        0 => 0,
+                        1 => classes,
+                        _ => classes - 1,
+                    };
+                    prop_assert!(
+                        replayed >= expected as u64,
+                        "pass {}: {} of {} classes replayed", pass, replayed, classes
+                    );
+                }
+            }
         }
     }
 }

@@ -1,6 +1,12 @@
 //! Benchmark: one Fig.-7 data point — the optimal scientific-application
 //! design at one execution-time requirement, including the checkpoint
 //! parameter sweep.
+//!
+//! Before timing, it runs the Fig. 7 job frontier twice and prints how
+//! much each reuse layer absorbs there: the evaluation sessions' class
+//! memo behind a bare `DecompositionEngine` (share of class evaluations
+//! replayed), and the `CachingEngine` model cache (share of tier
+//! evaluations served from the cache).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -8,8 +14,11 @@ use std::hint::black_box;
 use aved::avail::DecompositionEngine;
 use aved::model::ParamValue;
 use aved::scenario;
-use aved::search::{search_job_tier, CachingEngine, EvalContext, SearchOptions};
+use aved::search::{
+    job_frontier, search_job_tier, CachingEngine, EvalContext, SearchHealth, SearchOptions,
+};
 use aved::units::Duration;
+use aved::{Catalog, Infrastructure, Service};
 
 fn bench_fig7(c: &mut Criterion) {
     let infrastructure = scenario::infrastructure().unwrap();
@@ -21,6 +30,8 @@ fn bench_fig7(c: &mut Criterion) {
     }
     .with_pin("maintenanceA", "level", ParamValue::Level("bronze".into()))
     .with_pin("maintenanceB", "level", ParamValue::Level("bronze".into()));
+
+    print_reuse_on_the_job_frontier(&infrastructure, &service, &catalog, &options);
 
     let mut group = c.benchmark_group("fig7");
     group.sample_size(10);
@@ -44,6 +55,42 @@ fn bench_fig7(c: &mut Criterion) {
     }
 
     group.finish();
+}
+
+/// Resource totals of the job frontier: Fig. 7 spans 1 to 1000 nodes.
+const FRONTIER_TOTALS: [u32; 11] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000];
+
+/// Prints the class memo's replay share on the job frontier through a bare
+/// decomposition engine, next to the model cache's hit share on the same
+/// frontier.
+fn print_reuse_on_the_job_frontier(
+    infrastructure: &Infrastructure,
+    service: &Service,
+    catalog: &Catalog,
+    options: &SearchOptions,
+) {
+    let frontier = |engine: &dyn aved::AvailabilityEngine| -> SearchHealth {
+        let ctx = EvalContext::new(infrastructure, service, catalog, engine);
+        job_frontier(&ctx, "computation", &FRONTIER_TOTALS, options)
+            .unwrap()
+            .1
+    };
+    let bare = DecompositionEngine::default();
+    let health = frontier(&bare);
+    let classes = health.warm_solves + health.class_hits;
+    let caching = CachingEngine::new(&bare);
+    let cached = frontier(&caching);
+    let tiers = caching.hits() + caching.misses();
+    println!(
+        "fig7 job frontier ({} job(s)): class memo replays {:.4} of {classes} class evaluations \
+         in {:.1} ms (bare DecompositionEngine); CachingEngine hits {:.4} of {tiers} tier \
+         evaluations in {:.1} ms",
+        health.jobs,
+        health.class_hits as f64 / classes as f64,
+        health.wall_time.as_secs_f64() * 1e3,
+        caching.hits() as f64 / tiers as f64,
+        cached.wall_time.as_secs_f64() * 1e3,
+    );
 }
 
 criterion_group!(benches, bench_fig7);

@@ -13,7 +13,13 @@
 //! The `decomp_paper_tier_per_class` case measures the default engine's
 //! unit of work: one per-class chain solve of a four-class paper tier
 //! (n = 5, m = 4, s = 1), repatched in one reused session across a rate
-//! sweep, as a design search runs it. It prints the time per class solve.
+//! sweep, as a design search runs it. Every model of the sweep differs
+//! from the one before it in every class, so the session's class memo
+//! replays nothing and every class is solved; the case asserts that. It
+//! prints the time per class solve. The `decomp_paper_tier_contract_swap`
+//! case sweeps models that differ only in the hard class's repair time,
+//! as a §4.1 maintenance-level swap does: three of four classes replay
+//! from the memo. It prints the time per tier evaluation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -56,6 +62,17 @@ fn repair_chain(n: usize) -> aved::markov::Ctmc {
 /// spares) and three restart-class soft failures. `mtbf_scale` varies the
 /// rates without changing the chain's structure.
 fn paper_tier(n: u32, m: u32, s: u32, mtbf_scale: f64) -> TierModel {
+    paper_tier_repaired_in(n, m, s, mtbf_scale, Duration::from_hours(38.0))
+}
+
+/// [`paper_tier`] with the hard failure repaired in `hard_repair`.
+fn paper_tier_repaired_in(
+    n: u32,
+    m: u32,
+    s: u32,
+    mtbf_scale: f64,
+    hard_repair: Duration,
+) -> TierModel {
     let soft = |label: &str, mtbf_days: f64, restart_mins: f64| {
         FailureClass::new(
             label,
@@ -69,7 +86,7 @@ fn paper_tier(n: u32, m: u32, s: u32, mtbf_scale: f64) -> TierModel {
         .with_class(FailureClass::new(
             "machineA/hard",
             Duration::from_days(650.0 * mtbf_scale).rate(),
-            Duration::from_hours(38.0),
+            hard_repair,
             Duration::from_mins(5.0),
             s > 0,
         ))
@@ -190,32 +207,69 @@ fn bench_decomp_per_class(c: &mut Criterion) {
         .collect();
     let class_solves = models.len() * models[0].classes().len();
     let mut session = EvalSession::new();
-    let sweep = |session: &mut EvalSession| {
-        for model in &models {
+    let sweep = |session: &mut EvalSession, models: &[TierModel]| {
+        for model in models {
             let (r, _) = engine.evaluate_with_session(model, session).unwrap();
             black_box(r.unavailability());
         }
     };
     // Warm-up: the session explores the per-class chain shapes once, so
     // every timed class solve is a repatch.
-    sweep(&mut session);
+    sweep(&mut session, &models);
     group.bench_function(
         format!("decomp_paper_tier_per_class_x{class_solves}"),
-        |b| b.iter(|| sweep(&mut session)),
+        |b| b.iter(|| sweep(&mut session, &models)),
     );
-    // The fastest of a few sweeps: the least disturbed by other load.
-    let best = (0..PER_CLASS_ROUNDS)
-        .map(|_| {
-            let started = Instant::now();
-            sweep(&mut session);
-            started.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min);
+    let best = best_sweep(|| sweep(&mut session, &models));
+    assert_eq!(
+        session.stats().class_hits,
+        0,
+        "the per-class case must time solves, not class-memo replays"
+    );
     println!(
         "  decomp_paper_tier_per_class: {:.3} us per class solve (best of {PER_CLASS_ROUNDS} sweeps)",
         best * 1e6 / class_solves as f64
     );
+
+    // The §4.1 contract swap: consecutive models differ only in the hard
+    // class's repair time, so the memo replays the three soft classes.
+    let swaps: Vec<TierModel> = (0..PER_CLASS_SWEEP)
+        .map(|i| {
+            let repair = Duration::from_hours(4.0 + f64::from(i) / 100.0);
+            paper_tier_repaired_in(5, 4, 1, 1.0, repair)
+        })
+        .collect();
+    let mut session = EvalSession::new();
+    sweep(&mut session, &swaps);
+    group.bench_function(
+        format!("decomp_paper_tier_contract_swap_x{}", swaps.len()),
+        |b| b.iter(|| sweep(&mut session, &swaps)),
+    );
+    let before = *session.stats();
+    let best = best_sweep(|| sweep(&mut session, &swaps));
+    let stats = session.stats();
+    assert_eq!(
+        stats.class_hits - before.class_hits,
+        3 * u64::from(PER_CLASS_SWEEP * PER_CLASS_ROUNDS),
+        "every soft class replays from the memo"
+    );
+    println!(
+        "  decomp_paper_tier_contract_swap: {:.3} us per tier evaluation (best of {PER_CLASS_ROUNDS} sweeps)",
+        best * 1e6 / swaps.len() as f64
+    );
     group.finish();
+}
+
+/// The fastest of [`PER_CLASS_ROUNDS`] runs of `sweep`, in seconds: the
+/// least disturbed by other load.
+fn best_sweep(mut sweep: impl FnMut()) -> f64 {
+    (0..PER_CLASS_ROUNDS)
+        .map(|_| {
+            let started = Instant::now();
+            sweep();
+            started.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 fn bench_solvers(c: &mut Criterion) {

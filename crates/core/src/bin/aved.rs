@@ -470,18 +470,22 @@ fn parse_search_options(
 }
 
 /// One-line workload summary on stderr: worker count, cache traffic,
-/// dominance pruning, session reuse, per-phase timing. Stderr
+/// dominance pruning, class evaluations solved against all of them (the
+/// rest replayed from the class memo), session reuse, per-phase timing.
+/// Stderr
 /// so pipelines that consume the design on stdout are unaffected.
 fn report_stats(health: &aved::search::SearchHealth) {
     eprintln!(
         "search: {} job(s), cache {}/{} hit, {} candidate(s) pruned by cost, \
-         warm {}/{} hit, {} rebuild(s) avoided, \
+         classes {} solved / {}, warm {}/{} hit, {} rebuild(s) avoided, \
          {} budget-exhausted, {} replayed from journal, \
          enumerate {:.1} ms + solve {:.1} ms + merge {:.1} ms (total {:.1} ms)",
         health.jobs,
         health.cache_hits,
         health.cache_hits + health.cache_misses,
         health.candidates_pruned,
+        health.warm_solves,
+        health.warm_solves + health.class_hits,
         health.warm_hits,
         health.warm_solves,
         health.chain_rebuilds_avoided,

@@ -89,6 +89,10 @@ pub struct SearchHealth {
     pub chain_rebuilds_avoided: u64,
     /// Total solver iterations across session solves.
     pub solver_iterations: u64,
+    /// Per-class results the decomposition engine replayed from the
+    /// sessions' class memos instead of solving; with `warm_solves` they
+    /// make up every class evaluation.
+    pub class_hits: u64,
     /// Candidates abandoned because a per-candidate resource budget ran
     /// out (wall-clock deadline or explored-state cap). Each is also
     /// recorded in `skipped` with a diagnostic naming the exhausted
@@ -151,6 +155,7 @@ impl SearchHealth {
         self.warm_hits += other.warm_hits;
         self.chain_rebuilds_avoided += other.chain_rebuilds_avoided;
         self.solver_iterations += other.solver_iterations;
+        self.class_hits += other.class_hits;
         self.budget_exhausted += other.budget_exhausted;
         self.journal_replayed += other.journal_replayed;
         self.interrupted |= other.interrupted;
@@ -163,6 +168,7 @@ impl SearchHealth {
         self.warm_hits += stats.warm_hits;
         self.chain_rebuilds_avoided += stats.rebuilds_avoided;
         self.solver_iterations += stats.iterations;
+        self.class_hits += stats.class_hits;
     }
 
     /// Records a candidate skipped because `error` occurred.
@@ -202,6 +208,9 @@ impl std::fmt::Display for SearchHealth {
                 ", warm {}/{} hit, {} rebuild(s) avoided",
                 self.warm_hits, self.warm_solves, self.chain_rebuilds_avoided
             )?;
+        }
+        if self.class_hits > 0 {
+            write!(f, ", {} class result(s) reused", self.class_hits)?;
         }
         if self.budget_exhausted > 0 {
             write!(f, ", {} budget-exhausted", self.budget_exhausted)?;
@@ -274,6 +283,7 @@ mod tests {
             warm_hits: 15,
             chain_rebuilds_avoided: 12,
             solver_iterations: 900,
+            class_hits: 30,
             budget_exhausted: 2,
             journal_replayed: 9,
             interrupted: false,
@@ -294,6 +304,7 @@ mod tests {
             warm_hits: 5,
             chain_rebuilds_avoided: 3,
             solver_iterations: 100,
+            class_hits: 8,
             budget_exhausted: 1,
             journal_replayed: 4,
             interrupted: true,
@@ -314,6 +325,7 @@ mod tests {
         assert_eq!(a.warm_hits, 20);
         assert_eq!(a.chain_rebuilds_avoided, 15);
         assert_eq!(a.solver_iterations, 1000);
+        assert_eq!(a.class_hits, 38);
         assert_eq!(a.budget_exhausted, 3);
         assert_eq!(a.journal_replayed, 13);
         assert!(a.interrupted, "interruption is sticky across merges");
@@ -327,17 +339,20 @@ mod tests {
             warm_hits: 6,
             iterations: 400,
             rebuilds_avoided: 7,
+            class_hits: 24,
         });
         h.absorb_session(&aved_avail::SessionStats {
             solves: 2,
             warm_hits: 1,
             iterations: 100,
             rebuilds_avoided: 1,
+            class_hits: 3,
         });
         assert_eq!(h.warm_solves, 10);
         assert_eq!(h.warm_hits, 7);
         assert_eq!(h.chain_rebuilds_avoided, 8);
         assert_eq!(h.solver_iterations, 500);
+        assert_eq!(h.class_hits, 27);
         assert!(!h.is_degraded(), "warm stats are not degradation");
     }
 
@@ -355,6 +370,7 @@ mod tests {
             warm_solves: 12,
             warm_hits: 10,
             chain_rebuilds_avoided: 8,
+            class_hits: 5,
             budget_exhausted: 3,
             journal_replayed: 6,
             interrupted: true,
@@ -369,6 +385,7 @@ mod tests {
         assert!(s.contains("4 job(s)"), "{s}");
         assert!(s.contains("warm 10/12 hit"), "{s}");
         assert!(s.contains("8 rebuild(s) avoided"), "{s}");
+        assert!(s.contains("5 class result(s) reused"), "{s}");
         assert!(s.contains("3 budget-exhausted"), "{s}");
         assert!(s.contains("6 replayed from journal"), "{s}");
         assert!(s.contains("interrupted (best-so-far)"), "{s}");
@@ -401,6 +418,7 @@ mod tests {
             solve_time: std::time::Duration::from_millis(50),
             warm_solves: 11,
             warm_hits: 6,
+            class_hits: 4,
             ..a.clone()
         };
         assert_eq!(a, b, "same decisions, different workload: still equal");

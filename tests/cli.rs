@@ -229,22 +229,7 @@ fn resume_is_refused_under_another_engine() {
     let dir = std::env::temp_dir();
     let journal = dir.join(format!("aved-cli-engine-{}.jsonl", std::process::id()));
     let journal = journal.to_str().unwrap();
-    let design = |extra: &[&str]| {
-        let mut args = vec![
-            "design",
-            "--paper-ecommerce",
-            "--load",
-            "400",
-            "--max-downtime",
-            "88m",
-            "--max-extra",
-            "4",
-            "--max-spares",
-            "2",
-        ];
-        args.extend_from_slice(extra);
-        run(&args)
-    };
+    let design = fixture_design;
     let written = design(&["--journal", journal]);
     assert!(written.status.success(), "stderr: {}", stderr(&written));
     let header = std::fs::read_to_string(journal).unwrap();
@@ -298,4 +283,52 @@ fn resume_is_refused_under_another_engine() {
         stderr(&headless)
     );
     std::fs::remove_file(journal).ok();
+}
+
+/// The load-400 / 88-min fixture's `design` command with `extra` flags.
+fn fixture_design(extra: &[&str]) -> Output {
+    let mut args = vec![
+        "design",
+        "--paper-ecommerce",
+        "--load",
+        "400",
+        "--max-downtime",
+        "88m",
+        "--max-extra",
+        "4",
+        "--max-spares",
+        "2",
+    ];
+    args.extend_from_slice(extra);
+    run(&args)
+}
+
+#[test]
+fn most_class_evaluations_replay_from_the_class_memo() {
+    // Candidates are enumerated with mechanism settings innermost, so a
+    // maintenance-level swap leaves every class but the hard one as the
+    // previous candidate had it. An enumeration order that separated them
+    // would leave the memo idle and show here.
+    let out = fixture_design(&["--jobs", "1"]);
+    let err = stderr(&out);
+    assert!(out.status.success(), "stderr: {err}");
+    let (solved, total) = err
+        .split_once("classes ")
+        .and_then(|(_, rest)| rest.split_once(','))
+        .and_then(|(counts, _)| counts.split_once(" solved / "))
+        .map(|(solved, total)| (solved.parse::<u64>(), total.parse::<u64>()))
+        .and_then(|(solved, total)| Some((solved.ok()?, total.ok()?)))
+        .unwrap_or_else(|| panic!("no class counts in: {err}"));
+    assert!(
+        2 * (total - solved) > total,
+        "only {} of {total} class evaluations replayed: {err}",
+        total - solved
+    );
+}
+
+#[test]
+fn an_expired_deadline_interrupts_the_default_engine() {
+    let out = fixture_design(&["--jobs", "1", "--search-deadline", "0s"]);
+    assert_eq!(out.status.code(), Some(6), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("interrupted"), "{}", stderr(&out));
 }
