@@ -1,9 +1,9 @@
 //! Deterministic fault injection for resilience testing.
 //!
-//! [`FaultInjectingEngine`] wraps any [`AvailabilityEngine`] (mirroring the
-//! search crate's `CachingEngine` decorator) and injects failures into
-//! chosen evaluations: solver non-convergence errors, NaN availability
-//! results, and artificial delays. Faults are selected **deterministically**
+//! [`FaultInjectingEngine`] wraps any [`AvailabilityEngine`] (like the
+//! [`CachingEngine`](crate::CachingEngine) decorator) and injects
+//! failures into chosen evaluations: solver non-convergence errors, NaN
+//! availability results, and artificial delays. Faults are selected **deterministically**
 //! — by the 0-based index of the evaluation call (which, in an uncached
 //! serial search, is the candidate index), by a structural predicate on the
 //! model being evaluated, or by a seeded pseudo-random schedule — so a

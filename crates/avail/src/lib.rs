@@ -26,16 +26,18 @@
 //! tiers are up).
 //!
 //! For sweeps over many neighboring models, [`EvalSession`] carries
-//! reusable solver scratch and structurally-cached chains (rebuilt in
-//! place when only rates change) between
+//! reusable solver scratch, structurally-cached chains (rebuilt in place
+//! when only rates change) and small memos of recent results between
 //! [`AvailabilityEngine::evaluate_with_session`] calls; [`SessionStats`]
 //! reports how much work that avoided. A session never changes a result.
+//! [`CachingEngine`] memoizes whole tier evaluations in the session.
 //!
-//! An engine — including a decorator such as [`FaultInjectingEngine`] —
-//! implements only [`AvailabilityEngine::evaluate_with_session`];
+//! An engine — including a decorator such as [`CachingEngine`] or
+//! [`FaultInjectingEngine`] — implements only [`AvailabilityEngine::evaluate_with_session`];
 //! [`AvailabilityEngine::evaluate`] and
 //! [`AvailabilityEngine::evaluate_with_health`] run it on a fresh session.
 
+mod cache;
 mod derive;
 mod engine;
 mod engine_ctmc;
@@ -51,6 +53,7 @@ mod shared;
 mod tier_model;
 
 pub use aved_markov::{BudgetResource, CancelToken, SolveBudget};
+pub use cache::CachingEngine;
 pub use derive::{derive_tier_model, loss_window, required_active};
 pub use engine::{worse_residual, AvailabilityEngine, EvalHealth, TierAvailability};
 pub use engine_ctmc::CtmcEngine;

@@ -15,12 +15,16 @@
 //! to the next, so every result is bit-identical to a one-shot
 //! evaluation.
 //!
-//! For the decomposition engine the session also keeps a small memo of
-//! per-class results ([`ClassMemo`]): a §4.1 level swap changes only the
-//! hard-failure class, so the other classes of the next candidate replay
-//! the result of an identical class solved just before. A solve is a pure
-//! function of its single-class model, so a replayed result is the
-//! result the solve would have produced.
+//! The session also keeps two small memos of recent results, both one
+//! [`SlotMemo`] design: the decomposition engine's per-class results (a
+//! §4.1 level swap changes only the hard-failure class, so the other
+//! classes of the next candidate replay the result of an identical class
+//! solved just before) and the tier results of every
+//! [`CachingEngine`](crate::CachingEngine) evaluating through the session
+//! (candidates that differ only in settings the availability model does
+//! not read share one model, and sit next to each other). A solve is a
+//! pure function of its model, so a replayed result is the result the
+//! solve would have produced.
 //!
 //! Engines stay `Send + Sync` because all mutable state lives here: each
 //! search worker thread owns its own session and passes it down by
@@ -178,53 +182,80 @@ impl ClassKey {
     }
 }
 
-/// Per-class results kept by the memo: enough to keep the previous
-/// evaluation of any tier of up to 8 classes (see `DESIGN.md`,
+/// Per-class results the decomposition engine keeps: enough to keep the
+/// previous evaluation of any tier of up to 8 classes (see `DESIGN.md`,
 /// "Evaluation sessions").
-const CLASS_MEMO_SLOTS: usize = 16;
+const CLASS_SLOTS: usize = 16;
 
-/// One memo slot: a class's key and its accepted result, stamped with the
+/// Tier results every [`CachingEngine`] evaluating through one session
+/// keeps between them (see `DESIGN.md`, "Session memo").
+///
+/// [`CachingEngine`]: crate::CachingEngine
+const TIER_SLOTS: usize = 4;
+
+/// One memo slot: a result filed under its owner and key, stamped with the
 /// last time it was stored or replayed.
-#[derive(Debug, Clone, Copy, Default)]
-struct ClassSlot {
-    entry: Option<(ClassKey, TierAvailability, EvalHealth)>,
+#[derive(Debug)]
+struct Slot<K> {
+    entry: Option<(u64, K, (TierAvailability, EvalHealth))>,
     used: u64,
 }
 
-/// The decomposition engine's memo of recent per-class results: a fixed
-/// array of [`CLASS_MEMO_SLOTS`] entries, searched by exact key
-/// comparison and refilled least-recently-used first. It never allocates
-/// and never hashes. Only accepted results are stored, never errors.
-#[derive(Debug, Default)]
-pub(crate) struct ClassMemo {
-    slots: [ClassSlot; CLASS_MEMO_SLOTS],
+/// A memo of the `N` most recently used results: a fixed array searched
+/// by exact `==` on the owner id and key, refilled least recently used
+/// first. A refill overwrites the slot's key through `clone_from`, so once
+/// every slot holds a key as large as the ones it is refilled with, the
+/// memo neither hashes nor allocates. Only accepted results are stored,
+/// never errors.
+#[derive(Debug)]
+pub(crate) struct SlotMemo<K, const N: usize> {
+    slots: [Slot<K>; N],
     clock: u64,
 }
 
-impl ClassMemo {
-    /// The stored result of `key`, if any, marked as just used.
-    pub(crate) fn get(&mut self, key: &ClassKey) -> Option<(TierAvailability, EvalHealth)> {
+impl<K, const N: usize> Default for SlotMemo<K, N> {
+    fn default() -> SlotMemo<K, N> {
+        SlotMemo {
+            slots: std::array::from_fn(|_| Slot {
+                entry: None,
+                used: 0,
+            }),
+            clock: 0,
+        }
+    }
+}
+
+impl<K: Clone + PartialEq, const N: usize> SlotMemo<K, N> {
+    /// The result stored under `owner` and `key`, if any, marked as just
+    /// used.
+    pub(crate) fn get(&mut self, owner: u64, key: &K) -> Option<(TierAvailability, EvalHealth)> {
         self.clock += 1;
         let slot = self
             .slots
             .iter_mut()
-            .find(|slot| matches!(&slot.entry, Some((k, ..)) if k == key))?;
+            .find(|slot| matches!(&slot.entry, Some((o, k, _)) if *o == owner && k == key))?;
         slot.used = self.clock;
-        slot.entry.map(|(_, r, health)| (r, health))
+        slot.entry.as_ref().map(|(.., result)| *result)
     }
 
-    /// Stores `key`'s result in place of the least recently used one.
-    pub(crate) fn insert(&mut self, key: ClassKey, result: (TierAvailability, EvalHealth)) {
+    /// Stores `result` under `owner` and `key` in place of the least
+    /// recently used entry.
+    pub(crate) fn insert(&mut self, owner: u64, key: &K, result: (TierAvailability, EvalHealth)) {
         self.clock += 1;
         let oldest = self
             .slots
             .iter_mut()
             .min_by_key(|slot| slot.used)
             .expect("the memo has slots");
-        *oldest = ClassSlot {
-            entry: Some((key, result.0, result.1)),
-            used: self.clock,
-        };
+        oldest.used = self.clock;
+        match &mut oldest.entry {
+            Some((o, k, r)) => {
+                *o = owner;
+                k.clone_from(key);
+                *r = result;
+            }
+            None => oldest.entry = Some((owner, key.clone(), result)),
+        }
     }
 }
 
@@ -278,8 +309,12 @@ pub struct EvalSession {
     /// The single-class model the decomposition engine rewrites in place
     /// for each class it evaluates; `None` until the first one.
     pub(crate) single_class: Option<TierModel>,
-    /// Recent per-class results of the decomposition engine.
-    pub(crate) class_memo: ClassMemo,
+    /// Recent per-class results of the decomposition engine, all filed
+    /// under owner 0: the key holds every input of the class's solve.
+    pub(crate) class_memo: SlotMemo<ClassKey, CLASS_SLOTS>,
+    /// Recent tier results of `CachingEngine`s, each filed under the id of
+    /// the cache that stored it.
+    pub(crate) tier_memo: SlotMemo<TierModel, TIER_SLOTS>,
     pub(crate) stats: SessionStats,
     pub(crate) budget: SolveBudget,
 }

@@ -16,13 +16,32 @@ use crate::AvailError;
 ///   startup of the spare's inactive components;
 /// * `uses_failover` — per the paper, failover is only considered when the
 ///   MTTR exceeds the failover time (and the design has spares).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct FailureClass {
     label: String,
     rate: Rate,
     mttr: Duration,
     failover_time: Duration,
     uses_failover: bool,
+}
+
+/// `clone_from` reuses the label's buffer, so a memo refilling a stored
+/// model in place allocates nothing once the buffer fits.
+impl Clone for FailureClass {
+    fn clone(&self) -> FailureClass {
+        FailureClass {
+            label: self.label.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &FailureClass) {
+        self.label.clone_from(&source.label);
+        self.rate = source.rate;
+        self.mttr = source.mttr;
+        self.failover_time = source.failover_time;
+        self.uses_failover = source.uses_failover;
+    }
 }
 
 impl FailureClass {
@@ -103,13 +122,31 @@ impl FailureClass {
 /// model.check()?;
 /// # Ok::<(), aved_avail::AvailError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct TierModel {
     n: u32,
     m: u32,
     s: u32,
     spares_exposed: bool,
     classes: Vec<FailureClass>,
+}
+
+/// `clone_from` reuses the class list and every label buffer that fits.
+impl Clone for TierModel {
+    fn clone(&self) -> TierModel {
+        TierModel {
+            classes: self.classes.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &TierModel) {
+        self.n = source.n;
+        self.m = source.m;
+        self.s = source.s;
+        self.spares_exposed = source.spares_exposed;
+        self.classes.clone_from(&source.classes);
+    }
 }
 
 impl TierModel {
@@ -195,34 +232,6 @@ impl TierModel {
         self.per_resource_failure_rate() * f64::from(self.n)
     }
 
-    /// A structural 64-bit hash of the model: FNV-1a over every field,
-    /// with `f64` values hashed by canonical bit pattern (`-0.0` is
-    /// normalized to `0.0` so numerically-equal models hash equally,
-    /// matching `PartialEq`). Two models with the same hash are almost
-    /// certainly identical; two unequal models differing by even one ULP
-    /// in any rate or duration hash differently.
-    ///
-    /// This is the cache key the search layer memoizes evaluations under —
-    /// unlike a formatted-string key it costs no allocation and cannot
-    /// conflate distinct float values that render alike.
-    #[must_use]
-    pub fn structural_hash(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_u64(u64::from(self.n));
-        h.write_u64(u64::from(self.m));
-        h.write_u64(u64::from(self.s));
-        h.write_u64(u64::from(self.spares_exposed));
-        h.write_u64(self.classes.len() as u64);
-        for c in &self.classes {
-            h.write_bytes(c.label.as_bytes());
-            h.write_u64(canonical_bits(c.rate.per_hour_value()));
-            h.write_u64(canonical_bits(c.mttr.seconds()));
-            h.write_u64(canonical_bits(c.failover_time.seconds()));
-            h.write_u64(u64::from(c.uses_failover));
-        }
-        h.finish()
-    }
-
     /// Turns `self` into the single-class model of `class` under `tier`'s
     /// resource counts and spare exposure, overwriting in place: once the
     /// label's buffer has grown to fit, this allocates nothing.
@@ -231,15 +240,10 @@ impl TierModel {
         self.m = tier.m;
         self.s = tier.s;
         self.spares_exposed = tier.spares_exposed;
-        if let [only] = self.classes.as_mut_slice() {
-            only.label.clone_from(&class.label);
-            only.rate = class.rate;
-            only.mttr = class.mttr;
-            only.failover_time = class.failover_time;
-            only.uses_failover = class.uses_failover;
-        } else {
-            self.classes.clear();
-            self.classes.push(class.clone());
+        self.classes.truncate(1);
+        match self.classes.first_mut() {
+            Some(only) => only.clone_from(class),
+            None => self.classes.push(class.clone()),
         }
     }
 
@@ -296,44 +300,6 @@ impl TierModel {
             }
         }
         Ok(())
-    }
-}
-
-/// The bit pattern of `x` with `-0.0` normalized to `0.0`, so hashing
-/// agrees with `==` on the one equal-but-differently-encoded float pair
-/// that can actually occur in a validated model.
-fn canonical_bits(x: f64) -> u64 {
-    if x == 0.0 {
-        0.0_f64.to_bits()
-    } else {
-        x.to_bits()
-    }
-}
-
-/// Minimal FNV-1a, enough to hash a model without pulling in a hasher
-/// dependency or going through `std`'s `RandomState` (which would make
-/// hashes differ between processes — these keys index a cache that tests
-/// and benches want reproducible).
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -433,71 +399,6 @@ mod tests {
             Duration::ZERO,
             false,
         );
-    }
-
-    #[test]
-    fn structural_hash_distinguishes_every_field() {
-        let base = TierModel::new(4, 2, 1).with_class(class("a", 100.0, 1.0));
-        assert_eq!(base.structural_hash(), base.clone().structural_hash());
-        let variants = [
-            TierModel::new(5, 2, 1).with_class(class("a", 100.0, 1.0)),
-            TierModel::new(4, 3, 1).with_class(class("a", 100.0, 1.0)),
-            TierModel::new(4, 2, 2).with_class(class("a", 100.0, 1.0)),
-            TierModel::new(4, 2, 1)
-                .with_class(class("a", 100.0, 1.0))
-                .with_exposed_spares(true),
-            TierModel::new(4, 2, 1).with_class(class("b", 100.0, 1.0)),
-            TierModel::new(4, 2, 1).with_class(class("a", 101.0, 1.0)),
-            TierModel::new(4, 2, 1).with_class(class("a", 100.0, 2.0)),
-        ];
-        for v in &variants {
-            assert_ne!(base.structural_hash(), v.structural_hash(), "{v:?}");
-        }
-    }
-
-    #[test]
-    fn structural_hash_uses_bit_patterns_not_formatting() {
-        // One ULP apart: a formatted key may round both to the same string;
-        // the bit-pattern key must not.
-        let mttr = 1.0_f64;
-        let mttr_ulp = f64::from_bits(mttr.to_bits() + 1);
-        let a = TierModel::new(1, 1, 0).with_class(FailureClass::new(
-            "x",
-            Rate::per_hour(0.001),
-            Duration::from_hours(mttr),
-            Duration::ZERO,
-            false,
-        ));
-        let b = TierModel::new(1, 1, 0).with_class(FailureClass::new(
-            "x",
-            Rate::per_hour(0.001),
-            Duration::from_hours(mttr_ulp),
-            Duration::ZERO,
-            false,
-        ));
-        assert_ne!(a.structural_hash(), b.structural_hash());
-    }
-
-    #[test]
-    fn structural_hash_canonicalizes_negative_zero() {
-        // -0.0 == 0.0, and the two models evaluate identically; their keys
-        // must agree so a cache fill under one serves the other.
-        let a = TierModel::new(2, 2, 1).with_class(FailureClass::new(
-            "x",
-            Rate::per_hour(0.001),
-            Duration::from_hours(1.0),
-            Duration::from_secs(0.0),
-            false,
-        ));
-        let b = TierModel::new(2, 2, 1).with_class(FailureClass::new(
-            "x",
-            Rate::per_hour(0.001),
-            Duration::from_hours(1.0),
-            Duration::from_secs(-0.0),
-            false,
-        ));
-        assert_eq!(a, b, "models are numerically equal");
-        assert_eq!(a.structural_hash(), b.structural_hash());
     }
 
     #[test]

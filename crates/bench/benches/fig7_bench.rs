@@ -5,8 +5,8 @@
 //! Before timing, it runs the Fig. 7 job frontier twice and prints how
 //! much each reuse layer absorbs there: the evaluation sessions' class
 //! memo behind a bare `DecompositionEngine` (share of class evaluations
-//! replayed), and the `CachingEngine` model cache (share of tier
-//! evaluations served from the cache).
+//! replayed), and the `CachingEngine` tier memo (share of tier
+//! evaluations served from the sessions' memos).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -61,7 +61,7 @@ fn bench_fig7(c: &mut Criterion) {
 const FRONTIER_TOTALS: [u32; 11] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000];
 
 /// Prints the class memo's replay share on the job frontier through a bare
-/// decomposition engine, next to the model cache's hit share on the same
+/// decomposition engine, next to the tier memo's hit share on the same
 /// frontier.
 fn print_reuse_on_the_job_frontier(
     infrastructure: &Infrastructure,
@@ -77,7 +77,7 @@ fn print_reuse_on_the_job_frontier(
     };
     let bare = DecompositionEngine::default();
     let health = frontier(&bare);
-    let classes = health.warm_solves + health.class_hits;
+    let classes = health.session.solves + health.session.class_hits;
     let caching = CachingEngine::new(&bare);
     let cached = frontier(&caching);
     let tiers = caching.hits() + caching.misses();
@@ -86,7 +86,7 @@ fn print_reuse_on_the_job_frontier(
          in {:.1} ms (bare DecompositionEngine); CachingEngine hits {:.4} of {tiers} tier \
          evaluations in {:.1} ms",
         health.jobs,
-        health.class_hits as f64 / classes as f64,
+        health.session.class_hits as f64 / classes as f64,
         health.wall_time.as_secs_f64() * 1e3,
         caching.hits() as f64 / tiers as f64,
         cached.wall_time.as_secs_f64() * 1e3,

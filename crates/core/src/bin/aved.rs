@@ -465,7 +465,10 @@ fn parse_search_options(
     #[cfg(unix)]
     signals::install(&cancel);
     options = options.with_cancel(cancel);
-    parse_pins(flags, &mut options)?;
+    for pin in flags.values("--pin") {
+        let (mech, param, value) = parse_pin(pin)?;
+        options = options.with_pin(mech, param, value);
+    }
     Ok(options)
 }
 
@@ -484,11 +487,11 @@ fn report_stats(health: &aved::search::SearchHealth) {
         health.cache_hits,
         health.cache_hits + health.cache_misses,
         health.candidates_pruned,
-        health.warm_solves,
-        health.warm_solves + health.class_hits,
-        health.warm_hits,
-        health.warm_solves,
-        health.chain_rebuilds_avoided,
+        health.session.solves,
+        health.session.solves + health.session.class_hits,
+        health.session.warm_hits,
+        health.session.solves,
+        health.session.rebuilds_avoided,
         health.budget_exhausted,
         health.journal_replayed,
         health.enumeration_time.as_secs_f64() * 1e3,
@@ -498,21 +501,17 @@ fn report_stats(health: &aved::search::SearchHealth) {
     );
 }
 
-fn parse_pins(flags: &Flags<'_>, options: &mut SearchOptions) -> Result<(), CliError> {
-    for pin in flags.values("--pin") {
-        let (target, value) = pin
-            .split_once('=')
-            .ok_or_else(|| CliError::usage("pins look like MECH.PARAM=VALUE"))?;
-        let (mech, param) = target
-            .split_once('.')
-            .ok_or_else(|| CliError::usage("pins look like MECH.PARAM=VALUE"))?;
-        let value = match value.parse::<Duration>() {
-            Ok(d) => ParamValue::Duration(d),
-            Err(_) => ParamValue::Level(value.to_owned()),
-        };
-        *options = options.clone().with_pin(mech, param, value);
-    }
-    Ok(())
+/// Splits one `--pin MECH.PARAM=VALUE` into its mechanism, parameter and
+/// value: a duration when the value parses as one, a level name otherwise.
+fn parse_pin(pin: &str) -> Result<(&str, &str, ParamValue), CliError> {
+    let malformed = || CliError::usage("pins look like MECH.PARAM=VALUE");
+    let (target, value) = pin.split_once('=').ok_or_else(malformed)?;
+    let (mech, param) = target.split_once('.').ok_or_else(malformed)?;
+    let value = match value.parse::<Duration>() {
+        Ok(d) => ParamValue::Duration(d),
+        Err(_) => ParamValue::Level(value.to_owned()),
+    };
+    Ok((mech, param, value))
 }
 
 /// The cost/downtime Pareto frontier of one tier at a fixed load: the data
@@ -598,16 +597,7 @@ fn export_markov(flags: &Flags<'_>) -> Result<(), CliError> {
 
     let mut td = TierDesign::new("export", resource, n, s);
     for pin in flags.values("--pin") {
-        let (target, value) = pin
-            .split_once('=')
-            .ok_or_else(|| CliError::usage("pins look like MECH.PARAM=VALUE"))?;
-        let (mech, param) = target
-            .split_once('.')
-            .ok_or_else(|| CliError::usage("pins look like MECH.PARAM=VALUE"))?;
-        let value = match value.parse::<Duration>() {
-            Ok(d) => ParamValue::Duration(d),
-            Err(_) => ParamValue::Level(value.to_owned()),
-        };
+        let (mech, param, value) = parse_pin(pin)?;
         td = td.with_setting(mech, param, value);
     }
 

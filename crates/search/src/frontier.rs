@@ -337,7 +337,7 @@ mod tests {
             );
         }
         assert!(
-            health.warm_solves > 0 && health.chain_rebuilds_avoided > 0,
+            health.session.solves > 0 && health.session.rebuilds_avoided > 0,
             "{health}"
         );
     }

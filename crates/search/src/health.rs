@@ -7,7 +7,7 @@
 //! produces one; a clean run has zero skips, zero fallbacks and no
 //! residual worth mentioning.
 
-use aved_avail::{worse_residual, EvalHealth};
+use aved_avail::{worse_residual, EvalHealth, SessionStats};
 use aved_model::TierDesign;
 
 use crate::SearchError;
@@ -79,20 +79,9 @@ pub struct SearchHealth {
     pub solve_time: std::time::Duration,
     /// Wall-clock time spent merging results and selecting designs.
     pub merge_time: std::time::Duration,
-    /// Steady-state solves run through the workers' evaluation sessions.
-    pub warm_solves: u64,
-    /// Solves of a chain shape the session had already solved — the
-    /// locality hit rate of the candidate ordering.
-    pub warm_hits: u64,
-    /// Chain rebuilds avoided by patching rates into a structurally
-    /// identical cached chain instead of re-exploring the state space.
-    pub chain_rebuilds_avoided: u64,
-    /// Total solver iterations across session solves.
-    pub solver_iterations: u64,
-    /// Per-class results the decomposition engine replayed from the
-    /// sessions' class memos instead of solving; with `warm_solves` they
-    /// make up every class evaluation.
-    pub class_hits: u64,
+    /// The workers' evaluation-session counters, summed: solves, warm
+    /// hits, iterations, rebuilds avoided and class results replayed.
+    pub session: SessionStats,
     /// Candidates abandoned because a per-candidate resource budget ran
     /// out (wall-clock deadline or explored-state cap). Each is also
     /// recorded in `skipped` with a diagnostic naming the exhausted
@@ -151,11 +140,7 @@ impl SearchHealth {
         self.enumeration_time += other.enumeration_time;
         self.solve_time += other.solve_time;
         self.merge_time += other.merge_time;
-        self.warm_solves += other.warm_solves;
-        self.warm_hits += other.warm_hits;
-        self.chain_rebuilds_avoided += other.chain_rebuilds_avoided;
-        self.solver_iterations += other.solver_iterations;
-        self.class_hits += other.class_hits;
+        self.session.absorb(&other.session);
         self.budget_exhausted += other.budget_exhausted;
         self.journal_replayed += other.journal_replayed;
         self.interrupted |= other.interrupted;
@@ -163,12 +148,8 @@ impl SearchHealth {
 
     /// Folds one evaluation session's accumulated statistics into this
     /// report (called once per worker session when a search finishes).
-    pub fn absorb_session(&mut self, stats: &aved_avail::SessionStats) {
-        self.warm_solves += stats.solves;
-        self.warm_hits += stats.warm_hits;
-        self.chain_rebuilds_avoided += stats.rebuilds_avoided;
-        self.solver_iterations += stats.iterations;
-        self.class_hits += stats.class_hits;
+    pub fn absorb_session(&mut self, stats: &SessionStats) {
+        self.session.absorb(stats);
     }
 
     /// Records a candidate skipped because `error` occurred.
@@ -202,15 +183,16 @@ impl std::fmt::Display for SearchHealth {
         if self.jobs > 0 {
             write!(f, ", {} job(s)", self.jobs)?;
         }
-        if self.warm_solves > 0 {
+        let session = &self.session;
+        if session.solves > 0 {
             write!(
                 f,
                 ", warm {}/{} hit, {} rebuild(s) avoided",
-                self.warm_hits, self.warm_solves, self.chain_rebuilds_avoided
+                session.warm_hits, session.solves, session.rebuilds_avoided
             )?;
         }
-        if self.class_hits > 0 {
-            write!(f, ", {} class result(s) reused", self.class_hits)?;
+        if session.class_hits > 0 {
+            write!(f, ", {} class result(s) reused", session.class_hits)?;
         }
         if self.budget_exhausted > 0 {
             write!(f, ", {} budget-exhausted", self.budget_exhausted)?;
@@ -279,11 +261,13 @@ mod tests {
             enumeration_time: ms(1),
             solve_time: ms(3),
             merge_time: ms(1),
-            warm_solves: 20,
-            warm_hits: 15,
-            chain_rebuilds_avoided: 12,
-            solver_iterations: 900,
-            class_hits: 30,
+            session: SessionStats {
+                solves: 20,
+                warm_hits: 15,
+                iterations: 900,
+                rebuilds_avoided: 12,
+                class_hits: 30,
+            },
             budget_exhausted: 2,
             journal_replayed: 9,
             interrupted: false,
@@ -300,11 +284,13 @@ mod tests {
             enumeration_time: ms(2),
             solve_time: ms(4),
             merge_time: ms(1),
-            warm_solves: 10,
-            warm_hits: 5,
-            chain_rebuilds_avoided: 3,
-            solver_iterations: 100,
-            class_hits: 8,
+            session: SessionStats {
+                solves: 10,
+                warm_hits: 5,
+                iterations: 100,
+                rebuilds_avoided: 3,
+                class_hits: 8,
+            },
             budget_exhausted: 1,
             journal_replayed: 4,
             interrupted: true,
@@ -321,11 +307,16 @@ mod tests {
         assert_eq!(a.enumeration_time, ms(3));
         assert_eq!(a.solve_time, ms(7));
         assert_eq!(a.merge_time, ms(2));
-        assert_eq!(a.warm_solves, 30);
-        assert_eq!(a.warm_hits, 20);
-        assert_eq!(a.chain_rebuilds_avoided, 15);
-        assert_eq!(a.solver_iterations, 1000);
-        assert_eq!(a.class_hits, 38);
+        assert_eq!(
+            a.session,
+            SessionStats {
+                solves: 30,
+                warm_hits: 20,
+                iterations: 1000,
+                rebuilds_avoided: 15,
+                class_hits: 38,
+            }
+        );
         assert_eq!(a.budget_exhausted, 3);
         assert_eq!(a.journal_replayed, 13);
         assert!(a.interrupted, "interruption is sticky across merges");
@@ -334,25 +325,30 @@ mod tests {
     #[test]
     fn absorbing_session_stats_accumulates_warm_counters() {
         let mut h = SearchHealth::default();
-        h.absorb_session(&aved_avail::SessionStats {
+        h.absorb_session(&SessionStats {
             solves: 8,
             warm_hits: 6,
             iterations: 400,
             rebuilds_avoided: 7,
             class_hits: 24,
         });
-        h.absorb_session(&aved_avail::SessionStats {
+        h.absorb_session(&SessionStats {
             solves: 2,
             warm_hits: 1,
             iterations: 100,
             rebuilds_avoided: 1,
             class_hits: 3,
         });
-        assert_eq!(h.warm_solves, 10);
-        assert_eq!(h.warm_hits, 7);
-        assert_eq!(h.chain_rebuilds_avoided, 8);
-        assert_eq!(h.solver_iterations, 500);
-        assert_eq!(h.class_hits, 27);
+        assert_eq!(
+            h.session,
+            SessionStats {
+                solves: 10,
+                warm_hits: 7,
+                iterations: 500,
+                rebuilds_avoided: 8,
+                class_hits: 27,
+            }
+        );
         assert!(!h.is_degraded(), "warm stats are not degradation");
     }
 
@@ -367,10 +363,13 @@ mod tests {
             cache_hits: 9,
             cache_misses: 3,
             jobs: 4,
-            warm_solves: 12,
-            warm_hits: 10,
-            chain_rebuilds_avoided: 8,
-            class_hits: 5,
+            session: SessionStats {
+                solves: 12,
+                warm_hits: 10,
+                rebuilds_avoided: 8,
+                class_hits: 5,
+                ..SessionStats::default()
+            },
             budget_exhausted: 3,
             journal_replayed: 6,
             interrupted: true,
@@ -416,9 +415,12 @@ mod tests {
             cache_misses: 9,
             jobs: 8,
             solve_time: std::time::Duration::from_millis(50),
-            warm_solves: 11,
-            warm_hits: 6,
-            class_hits: 4,
+            session: SessionStats {
+                solves: 11,
+                warm_hits: 6,
+                class_hits: 4,
+                ..SessionStats::default()
+            },
             ..a.clone()
         };
         assert_eq!(a, b, "same decisions, different workload: still equal");

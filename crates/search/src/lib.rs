@@ -29,11 +29,12 @@
 //!
 //! Searches are also parallel: candidate evaluations fan out across scoped
 //! threads ([`SearchOptions::with_jobs`], `0` = auto-detect, requests
-//! clamped to the machine's parallelism), sharing one [`CachingEngine`]
-//! and a dominance-pruning best-cost cell, with results merged in
-//! candidate order so the selected design is bit-identical to the serial
-//! walk at any worker count (see the [`parallel`](parallel_map_with)
-//! module docs for the argument).
+//! clamped to the machine's parallelism), sharing the engine and a
+//! dominance-pruning best-cost cell, with results merged in candidate
+//! order so the selected design is bit-identical to the serial walk at
+//! any worker count (see the [`parallel`](parallel_map_with) module docs
+//! for the argument). A [`CachingEngine`] shared by the workers keeps its
+//! results in each worker's evaluation session.
 //!
 //! Searches are governed: a [`SolveBudget`](aved_avail::SolveBudget)
 //! derived from [`SearchOptions`] bounds each candidate's evaluation
@@ -52,7 +53,6 @@
 //! bit-identical to a fresh-session evaluation of the same design.
 //! [`SearchHealth`] reports the hit rates and rebuilds avoided.
 
-mod cache;
 mod candidate;
 mod context;
 mod error;
@@ -68,7 +68,7 @@ mod sweep;
 mod test_fixtures;
 mod tier_search;
 
-pub use cache::CachingEngine;
+pub use aved_avail::CachingEngine;
 pub use candidate::{enumerate_settings, enumerate_tier_candidates, SearchOptions};
 pub use context::EvalContext;
 pub use error::SearchError;

@@ -665,9 +665,9 @@ mod tests {
             fresh.annual_downtime().minutes().to_bits(),
             "reused sessions must be bit-identical, not just close"
         );
-        assert!(out.health().warm_solves > 0, "{}", out.health());
+        assert!(out.health().session.solves > 0, "{}", out.health());
         assert!(
-            out.health().chain_rebuilds_avoided > 0,
+            out.health().session.rebuilds_avoided > 0,
             "locality order must make chains recur: {}",
             out.health()
         );

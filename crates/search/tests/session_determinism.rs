@@ -146,7 +146,10 @@ fn fig6_search_in_reused_sessions_matches_fresh_sessions_at_any_worker_count() {
         .unwrap();
         let w = reused.best().expect("feasible");
         assert_bit_identical(s, w, &format!("fig6 jobs={jobs}"));
-        assert!(reused.health().warm_solves > 0, "sessions must be reused");
+        assert!(
+            reused.health().session.solves > 0,
+            "sessions must be reused"
+        );
     }
 }
 
@@ -166,7 +169,7 @@ fn fig6_search_is_identical_under_the_exact_ctmc_engine() {
     };
     let reused = search_tier(&ctx, "application", 1000.0, budget, &opts).unwrap();
     assert!(
-        reused.health().chain_rebuilds_avoided > 0,
+        reused.health().session.rebuilds_avoided > 0,
         "{}",
         reused.health()
     );

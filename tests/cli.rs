@@ -185,6 +185,46 @@ fn bad_usage_exits_nonzero_with_usage() {
 }
 
 #[test]
+fn a_malformed_pin_exits_2_with_usage() {
+    let infrastructure = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../data/infrastructure.aved"
+    );
+    let commands: [&[&str]; 2] = [
+        &[
+            "design",
+            "--paper-ecommerce",
+            "--load",
+            "400",
+            "--max-downtime",
+            "2000m",
+        ],
+        &[
+            "export-markov",
+            "--infrastructure",
+            infrastructure,
+            "--resource",
+            "rC",
+            "--active",
+            "2",
+            "--min",
+            "2",
+        ],
+    ];
+    for command in commands {
+        for pin in ["maintenanceA.level", "maintenanceA=gold"] {
+            let mut args = command.to_vec();
+            args.extend(["--pin", pin]);
+            let out = run(&args);
+            let err = stderr(&out);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+            assert!(err.contains("MECH.PARAM=VALUE"), "{args:?}: {err}");
+            assert!(err.contains("usage"), "{args:?}: {err}");
+        }
+    }
+}
+
+#[test]
 fn governance_durations_past_the_clock_range_are_handled() {
     for flag in ["--candidate-timeout", "--search-deadline"] {
         let design = |duration: &str| {

@@ -8,8 +8,8 @@ use aved::avail::DecompositionEngine;
 use aved::model::ParamValue;
 use aved::scenario;
 use aved::search::{
-    search_job_tier, tier_pareto_frontier, CachingEngine, EvalContext, EvaluatedDesign,
-    SearchOptions,
+    job_frontier, search_job_tier, tier_pareto_frontier, CachingEngine, EvalContext,
+    EvaluatedDesign, SearchOptions,
 };
 use aved::units::Duration;
 
@@ -200,6 +200,33 @@ fn fig7_best(req_hours: f64) -> EvaluatedDesign {
     .best()
     .cloned()
     .unwrap_or_else(|| panic!("requirement {req_hours} h should be feasible"))
+}
+
+#[test]
+fn fig7_job_frontier_replays_tier_results_from_the_session_memo() {
+    // Checkpoint settings are enumerated innermost and leave the tier
+    // model alone, so each worker's session memo serves almost every tier
+    // evaluation. An enumeration order that separated the candidates
+    // sharing a model would leave the memo idle and show here.
+    let fx = scientific_fx();
+    let inner = DecompositionEngine::default();
+    let engine = CachingEngine::new(&inner);
+    let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &engine);
+    let options = SearchOptions {
+        max_spares: 3,
+        ..SearchOptions::default()
+    }
+    .with_pin("maintenanceA", "level", ParamValue::Level("bronze".into()))
+    .with_pin("maintenanceB", "level", ParamValue::Level("bronze".into()))
+    .with_jobs(2);
+    let totals = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000];
+    job_frontier(&ctx, "computation", &totals, &options).unwrap();
+    let (hits, misses) = (engine.hits(), engine.misses());
+    assert!(
+        hits as f64 >= 0.99 * (hits + misses) as f64,
+        "{hits} hits of {} tier evaluations",
+        hits + misses
+    );
 }
 
 #[test]
