@@ -2,12 +2,11 @@
 //!
 //! [`FaultInjectingEngine`] wraps any [`AvailabilityEngine`] (like the
 //! [`CachingEngine`](crate::CachingEngine) decorator) and injects
-//! failures into chosen evaluations: solver non-convergence errors, NaN
-//! availability results, and artificial delays. Faults are selected **deterministically**
-//! — by the 0-based index of the evaluation call (which, in an uncached
-//! serial search, is the candidate index), by a structural predicate on the
-//! model being evaluated, or by a seeded pseudo-random schedule — so a
-//! failing search reproduces exactly.
+//! failures into chosen evaluations: solver non-convergence errors and NaN
+//! availability results. Faults are selected **deterministically** — by
+//! the 0-based index of the evaluation call (which, in an uncached serial
+//! search, is the candidate index) or by a structural predicate on the
+//! model being evaluated — so a failing search reproduces exactly.
 //!
 //! Call-index schedules are only deterministic for serial searches: a
 //! parallel search interleaves calls from several workers, so the call at
@@ -23,7 +22,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use aved_markov::MarkovError;
 use aved_units::Rate;
@@ -38,9 +36,6 @@ pub enum InjectedFault {
     /// The evaluation "succeeds" but returns a NaN unavailability —
     /// modeling a silently-wrong engine that downstream guards must catch.
     NanResult,
-    /// The evaluation is delayed by the given duration, then forwarded to
-    /// the inner engine unchanged.
-    Delay(Duration),
 }
 
 /// A deterministic fault-injecting decorator around an availability engine.
@@ -72,7 +67,6 @@ pub struct FaultInjectingEngine<'a> {
     inner: &'a dyn AvailabilityEngine,
     faults_by_call: BTreeMap<u64, InjectedFault>,
     faults_by_model: Vec<(ModelPredicate, InjectedFault)>,
-    seeded: Option<SeededFaults>,
     // Atomics, not `Cell`s: the engine trait is `Send + Sync` so one
     // decorator can be shared across the parallel search's workers.
     calls: AtomicU64,
@@ -83,13 +77,6 @@ pub struct FaultInjectingEngine<'a> {
 /// `Send + Sync` without bounds bookkeeping.
 type ModelPredicate = fn(&TierModel) -> bool;
 
-#[derive(Debug, Clone, Copy)]
-struct SeededFaults {
-    seed: u64,
-    one_in: u64,
-    fault: InjectedFault,
-}
-
 impl<'a> FaultInjectingEngine<'a> {
     /// Wraps `inner` with no faults scheduled; every call is forwarded.
     #[must_use]
@@ -98,7 +85,6 @@ impl<'a> FaultInjectingEngine<'a> {
             inner,
             faults_by_call: BTreeMap::new(),
             faults_by_model: Vec::new(),
-            seeded: None,
             calls: AtomicU64::new(0),
             injected: AtomicU64::new(0),
         }
@@ -128,29 +114,6 @@ impl<'a> FaultInjectingEngine<'a> {
         self
     }
 
-    /// Additionally injects `fault` on a pseudo-random ~`1/one_in` fraction
-    /// of calls, chosen by a deterministic hash of `(seed, call index)`.
-    /// Explicit [`Self::with_fault_at`] schedules take precedence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `one_in` is zero.
-    #[must_use]
-    pub fn with_seeded_faults(
-        mut self,
-        seed: u64,
-        one_in: u64,
-        fault: InjectedFault,
-    ) -> FaultInjectingEngine<'a> {
-        assert!(one_in > 0, "one_in must be positive");
-        self.seeded = Some(SeededFaults {
-            seed,
-            one_in,
-            fault,
-        });
-        self
-    }
-
     /// Number of evaluations seen so far.
     #[must_use]
     pub fn calls(&self) -> u64 {
@@ -167,18 +130,10 @@ impl<'a> FaultInjectingEngine<'a> {
         if let Some(f) = self.faults_by_call.get(&call) {
             return Some(*f);
         }
-        for (predicate, fault) in &self.faults_by_model {
-            if predicate(model) {
-                return Some(*fault);
-            }
-        }
-        let seeded = self.seeded?;
-        // splitmix64 of (seed ^ call): deterministic, well-mixed.
-        let mut z = (seeded.seed ^ call).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        z.is_multiple_of(seeded.one_in).then_some(seeded.fault)
+        self.faults_by_model
+            .iter()
+            .find(|(predicate, _)| predicate(model))
+            .map(|&(_, fault)| fault)
     }
 }
 
@@ -194,10 +149,6 @@ impl AvailabilityEngine for FaultInjectingEngine<'_> {
         };
         self.injected.fetch_add(1, Ordering::Relaxed);
         match fault {
-            InjectedFault::Delay(d) => {
-                std::thread::sleep(d);
-                self.inner.evaluate_with_session(model, session)
-            }
             InjectedFault::NonConvergence => Err(AvailError::Markov(MarkovError::NoConvergence {
                 iterations: 0,
                 residual: f64::INFINITY,
@@ -214,7 +165,6 @@ impl std::fmt::Debug for FaultInjectingEngine<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultInjectingEngine")
             .field("faults_by_call", &self.faults_by_call)
-            .field("seeded", &self.seeded)
             .field("calls", &self.calls())
             .field("injected", &self.injected())
             .finish_non_exhaustive()
@@ -272,18 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn delay_faults_forward_the_inner_result() {
-        let inner = CtmcEngine::default();
-        let engine = FaultInjectingEngine::new(&inner)
-            .with_fault_at(0, InjectedFault::Delay(std::time::Duration::from_millis(5)));
-        let started = std::time::Instant::now();
-        let r = engine.evaluate(&model()).unwrap();
-        assert!(started.elapsed() >= std::time::Duration::from_millis(5));
-        assert_eq!(r, inner.evaluate(&model()).unwrap());
-        assert_eq!(engine.injected(), 1);
-    }
-
-    #[test]
     fn model_predicate_faults_follow_the_model_not_the_call_order() {
         let inner = CtmcEngine::default();
         let engine = FaultInjectingEngine::new(&inner)
@@ -319,25 +257,5 @@ mod tests {
             }
         });
         assert_eq!(engine.calls(), 32);
-    }
-
-    #[test]
-    fn seeded_schedule_is_deterministic_and_sparse() {
-        let inner = CtmcEngine::default();
-        let run = |seed: u64| {
-            let engine = FaultInjectingEngine::new(&inner).with_seeded_faults(
-                seed,
-                4,
-                InjectedFault::NonConvergence,
-            );
-            (0..64)
-                .map(|_| engine.evaluate(&model()).is_err())
-                .collect::<Vec<bool>>()
-        };
-        let a = run(7);
-        assert_eq!(a, run(7), "same seed, same schedule");
-        assert_ne!(a, run(8), "different seed, different schedule");
-        let hits = a.iter().filter(|&&h| h).count();
-        assert!((4..=28).contains(&hits), "~1/4 of 64 calls, got {hits}");
     }
 }

@@ -18,8 +18,9 @@
 //!   execution time;
 //! * [`tier_pareto_frontier`] and [`job_frontier`] compute the full
 //!   cost/quality tradeoff curves behind the paper's Figs. 6–8;
-//! * [`search_service_with_health`] composes per-tier frontiers into a
-//!   minimum-cost multi-tier design by greedy marginal-cost refinement.
+//! * [`search_service_with_health`] composes per-tier frontiers into the
+//!   exact minimum-cost multi-tier design meeting a service downtime
+//!   requirement.
 //!
 //! Searches are resilient by default: an engine failure or non-finite
 //! metric on one candidate skips that candidate rather than aborting the

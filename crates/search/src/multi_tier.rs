@@ -1,4 +1,6 @@
-//! Multi-tier composition and refinement (paper §4.1, first paragraph).
+//! Multi-tier service search (paper §4.1, first paragraph): one
+//! cost/downtime frontier per tier, then the exact cheapest composition of
+//! one point per frontier that meets the service downtime requirement.
 
 use std::time::Instant;
 
@@ -7,7 +9,6 @@ use aved_model::Design;
 use aved_units::{Duration, Money};
 
 use crate::frontier::frontier;
-use crate::parallel::{parallel_map_with, BestCost};
 use crate::sweep::Objective;
 use crate::{EvalContext, EvaluatedDesign, SearchError, SearchHealth, SearchOptions};
 
@@ -52,78 +53,66 @@ fn compose(tiers: &[EvaluatedDesign]) -> (Money, Duration) {
     (cost, service.annual_downtime())
 }
 
-/// Largest frontier cross product we enumerate exactly before switching to
-/// the greedy refinement.
-const EXACT_COMPOSITION_LIMIT: usize = 250_000;
-
-/// Exhaustive minimum-cost composition over the frontier cross product.
+/// The cheapest composition of one point per frontier whose service
+/// downtime meets `max_downtime`, or `None` when no composition does (or
+/// there are no frontiers).
 ///
-/// The flat index range is split into one contiguous chunk per worker;
-/// each chunk scans ascending with a local best and a shared [`BestCost`]
-/// cell pruning strictly-more-expensive compositions, and the chunk optima
-/// merge by `(cost, flat index)` — the same "cheapest, earliest" winner the
-/// serial ascending scan selects, at any worker count.
-fn compose_exact(
+/// Every frontier is non-empty and sorted by strictly increasing cost and
+/// strictly decreasing downtime, so for one choice of all tiers but the
+/// last, the last-tier points meeting the requirement form a suffix of its
+/// frontier and the first of them is the cheapest: a binary search finds
+/// it. The other tiers' choices are visited in increasing flat index
+/// (first tier fastest), and an equal-cost composition replaces the kept
+/// one only when its last-tier index is smaller. The winner is therefore
+/// the (cost, flat index) minimum over the whole cross product, with the
+/// last tier's index most significant. Costs and availabilities are
+/// combined in tier order, so every comparison rounds as [`compose`] does.
+fn cheapest_composition(
     frontiers: &[Vec<EvaluatedDesign>],
     max_downtime: Duration,
-    jobs: usize,
 ) -> Option<ServiceDesign> {
-    let sizes: Vec<usize> = frontiers.iter().map(Vec::len).collect();
-    let total: usize = sizes.iter().product();
-    let best_cost = BestCost::new();
-    let chunk = total.div_ceil(jobs.max(1)).max(1);
-    let ranges: Vec<std::ops::Range<usize>> = (0..total)
-        .step_by(chunk)
-        .map(|start| start..(start + chunk).min(total))
+    let (last, rest) = frontiers.split_last()?;
+    let mut index = vec![0; rest.len()];
+    let mut best: Option<(Money, Vec<usize>, usize)> = None;
+    loop {
+        let mut cost = Money::ZERO;
+        let mut availability = 1.0;
+        for (f, &i) in rest.iter().zip(&index) {
+            cost += f[i].cost();
+            availability *= f[i].availability().availability();
+        }
+        let j = last.partition_point(|e| {
+            let a = availability * e.availability().availability();
+            Duration::from_mins((1.0 - a) * aved_units::MINUTES_PER_YEAR) > max_downtime
+        });
+        if let Some(e) = last.get(j) {
+            let cost = cost + e.cost();
+            if best
+                .as_ref()
+                .is_none_or(|(c, _, k)| cost < *c || (cost == *c && j < *k))
+            {
+                best = Some((cost, index.clone(), j));
+            }
+        }
+        // Advance like an odometer, the first tier's index fastest.
+        let Some(t) = (0..rest.len()).find(|&t| index[t] + 1 < rest[t].len()) else {
+            break;
+        };
+        index[t] += 1;
+        index[..t].fill(0);
+    }
+    let (_, index, j) = best?;
+    let tiers: Vec<EvaluatedDesign> = rest
+        .iter()
+        .zip(&index)
+        .map(|(f, &i)| f[i].clone())
+        .chain(std::iter::once(last[j].clone()))
         .collect();
-    let per_chunk = parallel_map_with(jobs, &mut vec![(); jobs.max(1)], &ranges, |(), _, range| {
-        let mut local: Option<(Money, usize)> = None;
-        for flat in range.clone() {
-            let mut rem = flat;
-            let mut cost = Money::ZERO;
-            let mut availability = 1.0;
-            for (f, &size) in frontiers.iter().zip(&sizes) {
-                let i = rem % size;
-                rem /= size;
-                cost += f[i].cost();
-                availability *= f[i].availability().availability();
-            }
-            // Only strictly cheaper compositions displace a known feasible
-            // one; equal-cost ones stay recorded locally so the merge can
-            // fall back to the smallest flat index, exactly like the
-            // serial ascending scan.
-            if local.is_some_and(|(c, _)| cost >= c) || best_cost.beats(cost) {
-                continue;
-            }
-            let downtime = Duration::from_mins((1.0 - availability) * aved_units::MINUTES_PER_YEAR);
-            if downtime <= max_downtime {
-                best_cost.offer(cost);
-                local = Some((cost, flat));
-            }
-        }
-        local
-    });
-    let best = per_chunk
-        .into_iter()
-        .flatten()
-        .min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-    best.map(|(_, flat)| {
-        let mut rem = flat;
-        let tiers: Vec<EvaluatedDesign> = frontiers
-            .iter()
-            .zip(&sizes)
-            .map(|(f, &size)| {
-                let i = rem % size;
-                rem /= size;
-                f[i].clone()
-            })
-            .collect();
-        let (cost, annual_downtime) = compose(&tiers);
-        ServiceDesign {
-            tiers,
-            cost,
-            annual_downtime,
-        }
+    let (cost, annual_downtime) = compose(&tiers);
+    Some(ServiceDesign {
+        tiers,
+        cost,
+        annual_downtime,
     })
 }
 
@@ -133,14 +122,17 @@ fn compose_exact(
 /// after evaluation failures, solver fallbacks taken, the worst accepted
 /// residual, and the total wall time.
 ///
-/// Following §4.1: each tier is first optimized in isolation (its own
-/// cost/downtime frontier, computed as if the other tiers never fail). If
-/// the combination of the individually-cheapest designs already meets the
-/// service downtime requirement, it is optimal. Otherwise the design is
-/// refined by repeatedly upgrading, among all tiers, the one whose next
-/// frontier step buys downtime at the lowest marginal cost — "making the
-/// requirements for that tier incrementally more aggressive" — until the
-/// service requirement holds or every frontier is exhausted.
+/// Following §4.1, each tier is first optimized in isolation: its own
+/// cost/downtime frontier, computed as if the other tiers never fail. The
+/// paper then refines the combination by making one tier's requirement
+/// "incrementally more aggressive" until the service requirement holds;
+/// here the composition step instead returns the optimum that refinement
+/// approximates — the cheapest choice of one frontier point per tier whose
+/// series downtime meets `max_downtime`, ties going to the smallest
+/// cross-product index (last tier most significant). It runs serially on
+/// the calling thread; its work is the product of all frontier sizes but
+/// the last, times the log of the last. A service with no tiers has no
+/// design.
 ///
 /// Candidate evaluation failures are isolated to the failing candidate
 /// (unless [`SearchOptions::strict`]). [`SearchOptions::search_deadline`]
@@ -173,59 +165,11 @@ pub fn search_service_with_health(
         frontiers.push(f);
     }
 
-    // Exact composition when the cross product is small (the common case:
-    // frontiers have tens of steps); greedy marginal-cost refinement as
-    // the scalable fallback.
     let composing = Instant::now();
-    let product: usize = frontiers.iter().map(Vec::len).product();
-    let found = if product <= EXACT_COMPOSITION_LIMIT {
-        compose_exact(&frontiers, max_downtime, health.jobs)
-    } else {
-        refine(&frontiers, max_downtime)
-    };
+    let found = cheapest_composition(&frontiers, max_downtime);
     health.merge_time += composing.elapsed();
     health.wall_time = started.elapsed();
     Ok((found, health))
-}
-
-/// Greedy refinement from the individually-cheapest choices: repeatedly
-/// upgrade the tier whose next frontier step buys downtime at the lowest
-/// marginal cost, until the requirement holds or the frontiers run out.
-fn refine(frontiers: &[Vec<EvaluatedDesign>], max_downtime: Duration) -> Option<ServiceDesign> {
-    let mut index: Vec<usize> = vec![0; frontiers.len()];
-    loop {
-        let current: Vec<EvaluatedDesign> = index
-            .iter()
-            .zip(frontiers.iter())
-            .map(|(&i, f)| f[i].clone())
-            .collect();
-        let (cost, downtime) = compose(&current);
-        if downtime <= max_downtime {
-            return Some(ServiceDesign {
-                tiers: current,
-                cost,
-                annual_downtime: downtime,
-            });
-        }
-        let mut best_step: Option<(usize, f64)> = None;
-        for (t, f) in frontiers.iter().enumerate() {
-            let i = index[t];
-            if i + 1 >= f.len() {
-                continue;
-            }
-            let delta_cost = (f[i + 1].cost() - f[i].cost()).dollars();
-            let delta_downtime =
-                f[i].annual_downtime().minutes() - f[i + 1].annual_downtime().minutes();
-            if delta_downtime <= 0.0 {
-                continue;
-            }
-            let ratio = delta_cost / delta_downtime;
-            if best_step.is_none_or(|(_, r)| ratio < r) {
-                best_step = Some((t, ratio));
-            }
-        }
-        index[best_step?.0] += 1;
-    }
 }
 
 #[cfg(test)]
@@ -376,6 +320,170 @@ mod tests {
         for tier in design.tiers() {
             assert!(design.annual_downtime() >= tier.annual_downtime() * 0.999);
         }
+    }
+
+    /// A splitmix64 stream: seeded, dependency-free test randomness.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1_u64 << 53) as f64
+        }
+    }
+
+    /// A synthetic frontier of `len` points: costs rise in coarse $10
+    /// steps, so sums across tiers tie often, and unavailability falls by
+    /// a factor of 0.2–0.9 per point, far enough down that some points
+    /// round to availability 1.
+    fn synthetic_frontier(rng: &mut Rng, tier: usize, len: usize) -> Vec<EvaluatedDesign> {
+        let mut cost = 10.0 * rng.below(5) as f64;
+        let mut unavailability = 10_f64.powf(-1.0 - 2.0 * rng.unit());
+        (0..len)
+            .map(|k| {
+                if k > 0 {
+                    cost += 10.0 * (1 + rng.below(3)) as f64;
+                    unavailability *= 0.2 + 0.7 * rng.unit();
+                }
+                EvaluatedDesign::for_tests(
+                    aved_model::TierDesign::new(format!("t{tier}"), "r", k as u32 + 1, 0),
+                    Money::from_dollars(cost),
+                    aved_avail::TierAvailability::new(unavailability, aved_units::Rate::ZERO),
+                    None,
+                )
+            })
+            .collect()
+    }
+
+    /// Each tier's index for a flat cross-product index, first tier fastest.
+    fn unflatten(frontiers: &[Vec<EvaluatedDesign>], mut flat: usize) -> Vec<usize> {
+        frontiers
+            .iter()
+            .map(|f| {
+                let i = flat % f.len();
+                flat /= f.len();
+                i
+            })
+            .collect()
+    }
+
+    /// The (cost, service downtime) of every composition, in flat order.
+    fn every_composition(frontiers: &[Vec<EvaluatedDesign>]) -> Vec<(Money, Duration)> {
+        let total: usize = frontiers.iter().map(Vec::len).product();
+        (0..total)
+            .map(|mut flat| {
+                let mut cost = Money::ZERO;
+                let mut availability = 1.0;
+                for f in frontiers {
+                    let p = &f[flat % f.len()];
+                    flat /= f.len();
+                    cost += p.cost();
+                    availability *= p.availability().availability();
+                }
+                let downtime =
+                    Duration::from_mins((1.0 - availability) * aved_units::MINUTES_PER_YEAR);
+                (cost, downtime)
+            })
+            .collect()
+    }
+
+    /// The reference rule: the feasible composition with the smallest
+    /// (cost, flat index) over the whole cross product.
+    fn reference(all: &[(Money, Duration)], max_downtime: Duration) -> Option<usize> {
+        let mut best: Option<(Money, usize)> = None;
+        for (flat, &(cost, downtime)) in all.iter().enumerate() {
+            if downtime <= max_downtime && best.is_none_or(|(c, _)| cost < c) {
+                best = Some((cost, flat));
+            }
+        }
+        best.map(|(_, flat)| flat)
+    }
+
+    fn assert_matches_reference(frontiers: &[Vec<EvaluatedDesign>], rng: &mut Rng) {
+        let all = every_composition(frontiers);
+        for budget in budgets(rng, &all) {
+            let found = cheapest_composition(frontiers, budget);
+            let Some(flat) = reference(&all, budget) else {
+                assert!(found.is_none(), "budget {budget}: {found:?}");
+                continue;
+            };
+            let found = found.unwrap_or_else(|| panic!("budget {budget}: no design"));
+            let chosen: Vec<usize> = frontiers
+                .iter()
+                .zip(found.tiers())
+                .map(|(f, e)| f.iter().position(|p| p == e).expect("a frontier point"))
+                .collect();
+            assert_eq!(chosen, unflatten(frontiers, flat), "budget {budget}");
+            let (cost, downtime) = all[flat];
+            assert_eq!(found.cost().dollars().to_bits(), cost.dollars().to_bits());
+            assert_eq!(
+                found.annual_downtime().minutes().to_bits(),
+                downtime.minutes().to_bits()
+            );
+        }
+    }
+
+    /// Budgets from infeasible to all-feasible: zero, log-spaced between
+    /// the best and worst service downtime, a few compositions' exact
+    /// downtimes, and twice the worst.
+    fn budgets(rng: &mut Rng, all: &[(Money, Duration)]) -> Vec<Duration> {
+        let best = all
+            .iter()
+            .map(|c| c.1.minutes())
+            .fold(f64::INFINITY, f64::min);
+        let worst = all.iter().map(|c| c.1.minutes()).fold(0.0, f64::max);
+        let low = best.max(1e-12);
+        let mut out = vec![Duration::ZERO, Duration::from_mins(2.0 * worst)];
+        out.extend(
+            (0..=6).map(|k| {
+                Duration::from_mins(low * (worst / low).max(1.0).powf(f64::from(k) / 6.0))
+            }),
+        );
+        for _ in 0..4 {
+            out.push(all[rng.below(all.len() as u64) as usize].1);
+        }
+        out
+    }
+
+    #[test]
+    fn composition_matches_the_cross_product_reference() {
+        let mut rng = Rng(0x5EED);
+        for _ in 0..120 {
+            let tiers = 1 + rng.below(4) as usize;
+            let frontiers: Vec<Vec<EvaluatedDesign>> = (0..tiers)
+                .map(|t| {
+                    let len = 1 + rng.below(30) as usize;
+                    synthetic_frontier(&mut rng, t, len)
+                })
+                .collect();
+            assert_matches_reference(&frontiers, &mut rng);
+        }
+    }
+
+    #[test]
+    fn composition_is_exact_above_a_quarter_million_combinations() {
+        let mut rng = Rng(70);
+        let frontiers: Vec<Vec<EvaluatedDesign>> = (0..3)
+            .map(|t| synthetic_frontier(&mut rng, t, 70))
+            .collect();
+        assert!(frontiers.iter().map(Vec::len).product::<usize>() > 250_000);
+        assert_matches_reference(&frontiers, &mut rng);
+    }
+
+    #[test]
+    fn no_frontiers_compose_to_none() {
+        assert!(cheapest_composition(&[], Duration::from_mins(f64::MAX)).is_none());
     }
 
     /// Sleeps about 2 ms per evaluation and records when each call starts.

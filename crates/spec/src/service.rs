@@ -12,7 +12,8 @@ use crate::{Line, SpecError};
 /// # Errors
 ///
 /// Returns [`SpecError`] on syntax errors, unknown attribute values
-/// (`sizing=sometimes`), or structurally misplaced attributes.
+/// (`sizing=sometimes`), structurally misplaced attributes, an application
+/// with no tiers, or a tier with no resource options.
 pub fn parse_services(text: &str) -> Result<Vec<Service>, SpecError> {
     let lines = crate::lex_document(text)?;
     let mut parser = ServiceParser::default();
@@ -26,7 +27,11 @@ pub fn parse_services(text: &str) -> Result<Vec<Service>, SpecError> {
 struct ServiceParser {
     done: Vec<Service>,
     service: Option<Service>,
+    /// Line of the open `application=` (for errors naming it).
+    service_line: usize,
     tier: Option<Tier>,
+    /// Line of the open `tier=`.
+    tier_line: usize,
     option: Option<OptionBuilder>,
 }
 
@@ -105,6 +110,12 @@ impl ServiceParser {
     fn flush_tier(&mut self) -> Result<(), SpecError> {
         self.flush_option()?;
         if let Some(t) = self.tier.take() {
+            if t.options().is_empty() {
+                return Err(structure(
+                    self.tier_line,
+                    format!("tier {} has no resource options", t.name().as_str()),
+                ));
+            }
             let svc = self.service.take().ok_or_else(|| {
                 structure(
                     0,
@@ -119,6 +130,12 @@ impl ServiceParser {
     fn flush_service(&mut self) -> Result<(), SpecError> {
         self.flush_tier()?;
         if let Some(s) = self.service.take() {
+            if s.tiers().is_empty() {
+                return Err(structure(
+                    self.service_line,
+                    format!("application {} has no tiers", s.name()),
+                ));
+            }
             self.done.push(s);
         }
         Ok(())
@@ -138,6 +155,7 @@ impl ServiceParser {
             svc = svc.with_job_size(size);
         }
         self.service = Some(svc);
+        self.service_line = line.number;
         Ok(())
     }
 
@@ -151,6 +169,7 @@ impl ServiceParser {
         self.flush_tier()?;
         let name = word(line.number, line.keyword())?;
         self.tier = Some(Tier::new(name));
+        self.tier_line = line.number;
         Ok(())
     }
 
@@ -522,6 +541,31 @@ application=scientific jobsize=10000
         )
         .unwrap_err();
         assert!(err.to_string().contains("sometimes"));
+    }
+
+    #[test]
+    fn application_without_tiers_is_error() {
+        let err = parse_services("\\\\ no tiers yet\napplication=empty\n").unwrap_err();
+        let text = err.to_string();
+        assert!(text.contains("application empty has no tiers"), "{text}");
+        assert!(text.contains("line 2"), "{text}");
+        // A tier-less application is rejected even when another follows.
+        let both = format!("application=empty\n{SCIENTIFIC}");
+        assert!(parse_services(&both).is_err());
+    }
+
+    #[test]
+    fn tier_without_resource_options_is_error() {
+        let err = parse_services("application=x\n  tier=web\n").unwrap_err();
+        let text = err.to_string();
+        assert!(text.contains("tier web has no resource options"), "{text}");
+        assert!(text.contains("line 2"), "{text}");
+        // An empty tier followed by a full one is still an error.
+        let err = parse_services(
+            "application=x\ntier=web\ntier=db\nresource=rG sizing=static failurescope=resource\nnActive=[1] performance=1\n",
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("tier web"), "{err}");
     }
 
     #[test]

@@ -115,6 +115,57 @@ fn check_and_dump_bundled_files() {
 }
 
 #[test]
+fn services_without_tiers_or_options_exit_3() {
+    let infrastructure = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../data/infrastructure.aved"
+    );
+    let dir = std::env::temp_dir();
+    let cases = [
+        (
+            "empty",
+            "application=empty\n",
+            "application empty has no tiers",
+        ),
+        (
+            "bare-tier",
+            "application=x\ntier=web\n",
+            "tier web has no resource options",
+        ),
+    ];
+    for (name, text, message) in cases {
+        let path = dir.join(format!("aved-cli-{name}-{}.aved", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        let service = path.to_str().unwrap();
+        let check = run(&[
+            "check",
+            "--infrastructure",
+            infrastructure,
+            "--service",
+            service,
+        ]);
+        let design = run(&[
+            "design",
+            "--infrastructure",
+            infrastructure,
+            "--service",
+            service,
+            "--load",
+            "400",
+            "--max-downtime",
+            "100m",
+        ]);
+        for out in [check, design] {
+            assert_eq!(out.status.code(), Some(3), "{name}: {}", stderr(&out));
+            assert!(stderr(&out).contains(message), "{name}: {}", stderr(&out));
+            assert!(!stdout(&out).contains("OK: 0 tier(s)"), "{name}");
+            assert!(!stdout(&out).contains("minimum-cost design"), "{name}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
 fn export_markov_produces_sharpe_model() {
     let out = run(&[
         "export-markov",
