@@ -17,10 +17,11 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 /// parameters change the loss window and the performance overhead but not
 /// the failure/repair dynamics, so the thousands of checkpoint-interval
 /// candidates the Fig.-7 search enumerates map to a handful of distinct
-/// tier models. Candidates are enumerated with mechanism settings
-/// innermost, so the candidates that share a model sit next to each other
-/// and a worker's session only needs to remember the last few models it
-/// evaluated.
+/// tier models. The search sweeps group those candidates themselves and
+/// evaluate each distinct model once, so inside a search this cache only
+/// counts the evaluations and never hits; it serves callers that evaluate
+/// one model repeatedly through one session, remembering the last few
+/// models it evaluated.
 ///
 /// The results live in the session, filed under this cache's id and the
 /// model and compared by exact `==` (so `-0.0` and `0.0` are one model,

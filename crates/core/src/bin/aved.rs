@@ -472,18 +472,21 @@ fn parse_search_options(
     Ok(options)
 }
 
-/// One-line workload summary on stderr: worker count, cache traffic,
+/// One-line workload summary on stderr: worker count, availability models
+/// evaluated against the candidates scored from them, cache traffic,
 /// dominance pruning, class evaluations solved against all of them (the
 /// rest replayed from the class memo), session reuse, per-phase timing.
 /// Stderr
 /// so pipelines that consume the design on stdout are unaffected.
 fn report_stats(health: &aved::search::SearchHealth) {
     eprintln!(
-        "search: {} job(s), cache {}/{} hit, {} candidate(s) pruned by cost, \
+        "search: {} job(s), models {} / {}, cache {}/{} hit, {} candidate(s) pruned by cost, \
          classes {} solved / {}, warm {}/{} hit, {} rebuild(s) avoided, \
          {} budget-exhausted, {} replayed from journal, \
          enumerate {:.1} ms + solve {:.1} ms + merge {:.1} ms (total {:.1} ms)",
         health.jobs,
+        health.models_evaluated,
+        health.candidates_scored,
         health.cache_hits,
         health.cache_hits + health.cache_misses,
         health.candidates_pruned,

@@ -1,6 +1,6 @@
 //! Incremental CTMC construction with validation.
 
-use crate::{CsrMatrix, Ctmc, MarkovError};
+use crate::{CsrMatrix, Ctmc, MarkovError, SolveScratch};
 
 /// Builder for [`Ctmc`] values.
 ///
@@ -94,7 +94,7 @@ impl CtmcBuilder {
     /// requires irreducibility).
     pub fn build(&self) -> Result<Ctmc, MarkovError> {
         let ctmc = self.build_lenient()?;
-        ctmc.check_irreducible()
+        ctmc.check_irreducible(&mut SolveScratch::new())
             .map_err(|state| MarkovError::Reducible { state })?;
         Ok(ctmc)
     }

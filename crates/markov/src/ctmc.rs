@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::CsrMatrix;
+use crate::{CsrMatrix, SolveScratch};
 
 /// A single off-diagonal transition of a CTMC.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -115,58 +115,49 @@ impl Ctmc {
     ///
     /// Returns `Ok(())` when every state can reach every other state, or the
     /// index of a state outside the single strongly-connected component.
+    /// The check runs in `scratch`'s buffers — visited flags, a stack, and
+    /// the in-edge transpose it leaves behind — so a scratch grown to the
+    /// chain's size checks it without allocating.
     ///
     /// # Errors
     ///
     /// Returns the representative offending state index.
-    pub fn check_irreducible(&self) -> Result<(), usize> {
-        // Forward reachability from state 0 and backward reachability to
-        // state 0; irreducible iff both cover all states.
-        let fwd = self.reachable(0, false);
-        if let Some(s) = fwd.iter().position(|&v| !v) {
-            return Err(s);
-        }
-        let bwd = self.reachable(0, true);
-        if let Some(s) = bwd.iter().position(|&v| !v) {
-            return Err(s);
+    pub fn check_irreducible(&self, scratch: &mut SolveScratch) -> Result<(), usize> {
+        // Forward reachability from state 0 over the rows and backward
+        // reachability over the transpose; irreducible iff both cover all
+        // states.
+        scratch.transpose(self);
+        let SolveScratch {
+            in_starts,
+            in_edges,
+            seen,
+            stack,
+            ..
+        } = scratch;
+        for backward in [false, true] {
+            seen.clear();
+            seen.resize(self.n_states, false);
+            stack.clear();
+            stack.push(0);
+            seen[0] = true;
+            while let Some(s) = stack.pop() {
+                let next = if backward {
+                    &in_edges[in_starts[s]..in_starts[s + 1]]
+                } else {
+                    self.rows.row(s)
+                };
+                for &(t, rate) in next {
+                    if rate > 0.0 && !seen[t] {
+                        seen[t] = true;
+                        stack.push(t);
+                    }
+                }
+            }
+            if let Some(s) = seen.iter().position(|&v| !v) {
+                return Err(s);
+            }
         }
         Ok(())
-    }
-
-    fn reachable(&self, start: usize, reversed: bool) -> Vec<bool> {
-        let mut seen = vec![false; self.n_states];
-        // For the reversed direction, precompute a reversed adjacency list.
-        let rev_adj: Vec<Vec<usize>> = if reversed {
-            let mut adj = vec![Vec::new(); self.n_states];
-            for t in self.transitions() {
-                if t.rate > 0.0 {
-                    adj[t.to].push(t.from);
-                }
-            }
-            adj
-        } else {
-            Vec::new()
-        };
-        let mut stack = vec![start];
-        seen[start] = true;
-        while let Some(s) = stack.pop() {
-            if reversed {
-                for &p in &rev_adj[s] {
-                    if !seen[p] {
-                        seen[p] = true;
-                        stack.push(p);
-                    }
-                }
-            } else {
-                for &(to, rate) in self.rows.row(s) {
-                    if rate > 0.0 && !seen[to] {
-                        seen[to] = true;
-                        stack.push(to);
-                    }
-                }
-            }
-        }
-        seen
     }
 
     /// Computes the expected steady-state reward `Σ_s π_s · reward(s)`.
@@ -187,7 +178,7 @@ impl Ctmc {
 
 #[cfg(test)]
 mod tests {
-    use crate::CtmcBuilder;
+    use crate::{CtmcBuilder, SolveScratch};
 
     #[test]
     fn exit_rates_sum_outgoing() {
@@ -225,7 +216,7 @@ mod tests {
         // state 2 is isolated
         b.rate(2, 0, 1.0); // can reach 0 but cannot be reached
         let c = b.build_unchecked();
-        assert!(c.check_irreducible().is_err());
+        assert!(c.check_irreducible(&mut SolveScratch::new()).is_err());
     }
 
     #[test]
@@ -233,7 +224,7 @@ mod tests {
         let mut b = CtmcBuilder::new(2);
         b.rate(0, 1, 1.0); // 1 is absorbing
         let c = b.build_unchecked();
-        assert_eq!(c.check_irreducible(), Err(1));
+        assert_eq!(c.check_irreducible(&mut SolveScratch::new()), Err(1));
     }
 
     #[test]

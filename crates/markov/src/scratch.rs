@@ -2,16 +2,18 @@
 //!
 //! A design search solves thousands of chains of nearly identical size
 //! back to back; allocating the iteration vectors, the transposed in-edge
-//! structure, and the dense elimination matrix fresh for every solve is
-//! pure churn. [`SolveScratch`] owns those buffers so consecutive solves
-//! recycle them — pass one to
-//! [`FallbackSolver::solve`](crate::FallbackSolver::solve), which lends
-//! the accepted `π` out of the scratch, and the only per-solve allocation
-//! left is the attempt trail.
+//! structure, the irreducibility check's visited flags and stack, and the
+//! dense elimination matrix fresh for every solve is pure churn.
+//! [`SolveScratch`] owns those buffers so consecutive solves recycle them
+//! — pass one to [`FallbackSolver::solve`](crate::FallbackSolver::solve),
+//! which lends the accepted `π` out of the scratch, and the only per-solve
+//! allocation left is the attempt trail.
 //!
 //! The scratch carries capacity, never state: every solve overwrites the
 //! buffers it reads before reading them, so a solve's result does not
 //! depend on what the scratch solved before.
+
+use crate::Ctmc;
 
 /// Reusable buffers for steady-state solves.
 ///
@@ -37,6 +39,10 @@ pub struct SolveScratch {
     pub(crate) rhs: Vec<f64>,
     /// Per-state inflow accumulator of the fallback solver's residual check.
     pub(crate) net_flow: Vec<f64>,
+    /// Per-state visited flags of the irreducibility check.
+    pub(crate) seen: Vec<bool>,
+    /// Depth-first work stack of the irreducibility check.
+    pub(crate) stack: Vec<usize>,
 }
 
 impl SolveScratch {
@@ -58,6 +64,37 @@ impl SolveScratch {
             + 2 * self.in_edges.capacity()
             + self.in_starts.capacity()
             + self.in_cursor.capacity()
+            + self.stack.capacity()
+            + self.seen.capacity().div_ceil(8)
+    }
+
+    /// Builds `ctmc`'s incoming transitions in flat transposed-CSR form:
+    /// `in_edges[in_starts[j]..in_starts[j+1]]` lists the `(i, q_ij)`
+    /// pairs of state `j`, in source-ascending order.
+    pub(crate) fn transpose(&mut self, ctmc: &Ctmc) {
+        let n = ctmc.n_states();
+        let SolveScratch {
+            in_starts,
+            in_edges,
+            in_cursor,
+            ..
+        } = self;
+        in_starts.clear();
+        in_starts.resize(n + 1, 0);
+        for t in ctmc.transitions() {
+            in_starts[t.to + 1] += 1;
+        }
+        for j in 0..n {
+            in_starts[j + 1] += in_starts[j];
+        }
+        in_cursor.clear();
+        in_cursor.extend_from_slice(&in_starts[..n]);
+        in_edges.clear();
+        in_edges.resize(in_starts[n], (0, 0.0));
+        for t in ctmc.transitions() {
+            in_edges[in_cursor[t.to]] = (t.from, t.rate);
+            in_cursor[t.to] += 1;
+        }
     }
 }
 

@@ -48,7 +48,7 @@ impl DenseSolver {
         assume_irreducible: bool,
     ) -> Result<(), MarkovError> {
         if !assume_irreducible {
-            ctmc.check_irreducible()
+            ctmc.check_irreducible(scratch)
                 .map_err(|state| MarkovError::Reducible { state })?;
         }
         let n = ctmc.n_states();

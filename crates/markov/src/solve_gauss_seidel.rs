@@ -108,8 +108,12 @@ impl GaussSeidelSolver {
         scratch: &mut SolveScratch,
         budget: &SolveBudget,
     ) -> Result<usize, MarkovError> {
-        if !self.assume_irreducible {
-            ctmc.check_irreducible()
+        // The check leaves the in-edge transpose the sweeps read in the
+        // scratch; an assumed-irreducible structure builds it alone.
+        if self.assume_irreducible {
+            scratch.transpose(ctmc);
+        } else {
+            ctmc.check_irreducible(scratch)
                 .map_err(|state| MarkovError::Reducible { state })?;
         }
         let n = ctmc.n_states();
@@ -119,33 +123,14 @@ impl GaussSeidelSolver {
             return Ok(0);
         }
 
-        // Incoming transitions per state, in flat transposed-CSR form:
-        // in_edges[in_starts[j]..in_starts[j+1]] = [(i, q_ij)]. Entries per
-        // state arrive in the same (source-ascending) order the old
-        // Vec<Vec<_>> build produced, so sweep arithmetic is bit-identical.
+        // Incoming transitions per state: in_edges[in_starts[j]..in_starts[j+1]]
+        // = [(i, q_ij)], in source-ascending order.
         let SolveScratch {
             pi,
             in_starts,
             in_edges,
-            in_cursor,
             ..
         } = scratch;
-        in_starts.clear();
-        in_starts.resize(n + 1, 0);
-        for t in ctmc.transitions() {
-            in_starts[t.to + 1] += 1;
-        }
-        for j in 0..n {
-            in_starts[j + 1] += in_starts[j];
-        }
-        in_cursor.clear();
-        in_cursor.extend_from_slice(&in_starts[..n]);
-        in_edges.clear();
-        in_edges.resize(in_starts[n], (0, 0.0));
-        for t in ctmc.transitions() {
-            in_edges[in_cursor[t.to]] = (t.from, t.rate);
-            in_cursor[t.to] += 1;
-        }
 
         pi.clear();
         pi.resize(n, 1.0 / n as f64);

@@ -65,7 +65,7 @@ impl PowerSolver {
         scratch: &mut SolveScratch,
         budget: &SolveBudget,
     ) -> Result<usize, MarkovError> {
-        ctmc.check_irreducible()
+        ctmc.check_irreducible(scratch)
             .map_err(|state| MarkovError::Reducible { state })?;
         let n = ctmc.n_states();
         if n == 1 {

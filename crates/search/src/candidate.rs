@@ -309,6 +309,133 @@ pub fn enumerate_settings(
     combos
 }
 
+/// The mechanisms whose settings enter an option's tier model: those the
+/// failure modes of the resource's components name for their MTBF or
+/// repair time. A mechanism's effect reads only its own parameters
+/// ([`Mechanism::resolve_effect`](aved_model::Mechanism::resolve_effect)),
+/// so the settings of every other relevant mechanism — a checkpoint's
+/// interval and storage location — leave the tier model alone.
+fn model_mechanisms<'i>(
+    infrastructure: &'i Infrastructure,
+    option: &ResourceOption,
+) -> Vec<&'i MechanismName> {
+    let mut out: Vec<&MechanismName> = Vec::new();
+    let Some(resource) = infrastructure.resource(option.resource().as_str()) else {
+        return out;
+    };
+    for slot in resource.components() {
+        let Some(component) = infrastructure.component(slot.component().as_str()) else {
+            continue;
+        };
+        for mode in component.failure_modes() {
+            for m in [mode.mtbf_spec().mechanism(), mode.repair().mechanism()]
+                .into_iter()
+                .flatten()
+            {
+                if !out.contains(&m) {
+                    out.push(m);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// One option's mechanism-setting combinations, enumerated once per sweep.
+///
+/// Each combination is tagged with its projection onto the settings the
+/// tier model reads (see `model_mechanisms`), numbered in order of first
+/// appearance. Two candidates with the same active/spare split and spare
+/// mode therefore share an *availability design* — one tier model —
+/// exactly when their combinations share a projection, wherever they sit
+/// in enumeration order.
+pub(crate) struct SettingsPlan {
+    combos: Vec<Vec<(MechanismName, String, ParamValue)>>,
+    /// The projection of each combination.
+    projection: Vec<usize>,
+    /// The number of distinct projections.
+    projections: usize,
+}
+
+impl SettingsPlan {
+    /// Enumerates `option`'s settings combinations under `pins` and
+    /// projects each onto the settings its tier model reads.
+    pub(crate) fn new(
+        infrastructure: &Infrastructure,
+        option: &ResourceOption,
+        pins: &[(MechanismName, String, ParamValue)],
+    ) -> SettingsPlan {
+        let mechanisms = relevant_mechanisms(infrastructure, option);
+        let combos = enumerate_settings(infrastructure, &mechanisms, pins);
+        let read = model_mechanisms(infrastructure, option);
+        let mut seen: Vec<Vec<&ParamValue>> = Vec::new();
+        let projection = combos
+            .iter()
+            .map(|combo| {
+                let key: Vec<&ParamValue> = combo
+                    .iter()
+                    .filter(|(m, _, _)| read.contains(&m))
+                    .map(|(_, _, v)| v)
+                    .collect();
+                seen.iter().position(|k| *k == key).unwrap_or_else(|| {
+                    seen.push(key);
+                    seen.len() - 1
+                })
+            })
+            .collect();
+        let projections = seen.len();
+        SettingsPlan {
+            combos,
+            projection,
+            projections,
+        }
+    }
+
+    /// Calls `emit` with each of `option`'s resolved tier designs with
+    /// exactly `n_total` resources, in enumeration order: every
+    /// active/spare split (respecting the option's `nActive` constraint and
+    /// the minimum `min_active`), every spare mode, every settings
+    /// combination. Next to each design comes the number of its
+    /// availability design within these `n_total` resources — its split,
+    /// spare mode and projection — numbered in order of first appearance.
+    pub(crate) fn for_each_candidate(
+        &self,
+        tier: &TierName,
+        option: &ResourceOption,
+        n_total: u32,
+        min_active: u32,
+        options: &SearchOptions,
+        mut emit: impl FnMut(TierDesign, usize),
+    ) {
+        let max_spares = options.max_spares.min(n_total.saturating_sub(1));
+        let mut block = 0;
+        for n_spare in 0..=max_spares {
+            let n_active = n_total - n_spare;
+            if n_active < min_active.max(1) || !option.n_active().contains(n_active) {
+                continue;
+            }
+            let spare_modes: &[SpareMode] = if n_spare == 0 {
+                // Spare mode is irrelevant without spares; emit one variant.
+                &options.spare_modes[..1.min(options.spare_modes.len())]
+            } else {
+                &options.spare_modes
+            };
+            for spare_mode in spare_modes {
+                for (combo, projection) in self.combos.iter().zip(&self.projection) {
+                    let mut td =
+                        TierDesign::new(tier.clone(), option.resource().clone(), n_active, n_spare)
+                            .with_spare_mode(spare_mode.clone());
+                    for (mech, param, value) in combo {
+                        td = td.with_setting(mech.clone(), param.as_str(), value.clone());
+                    }
+                    emit(td, block * self.projections + projection);
+                }
+                block += 1;
+            }
+        }
+    }
+}
+
 /// Enumerates all resolved tier designs with exactly `n_total` resources
 /// for one resource option: every active/spare split (respecting the
 /// option's `nActive` constraint and the minimum `min_active`), every spare
@@ -322,33 +449,15 @@ pub fn enumerate_tier_candidates(
     min_active: u32,
     options: &SearchOptions,
 ) -> Vec<TierDesign> {
-    let mechanisms = relevant_mechanisms(infrastructure, option);
-    let settings = enumerate_settings(infrastructure, &mechanisms, &options.pins);
     let mut out = Vec::new();
-    let max_spares = options.max_spares.min(n_total.saturating_sub(1));
-    for n_spare in 0..=max_spares {
-        let n_active = n_total - n_spare;
-        if n_active < min_active.max(1) || !option.n_active().contains(n_active) {
-            continue;
-        }
-        let spare_modes: &[SpareMode] = if n_spare == 0 {
-            // Spare mode is irrelevant without spares; emit one variant.
-            &options.spare_modes[..1.min(options.spare_modes.len())]
-        } else {
-            &options.spare_modes
-        };
-        for spare_mode in spare_modes {
-            for combo in &settings {
-                let mut td =
-                    TierDesign::new(tier.clone(), option.resource().clone(), n_active, n_spare)
-                        .with_spare_mode(spare_mode.clone());
-                for (mech, param, value) in combo {
-                    td = td.with_setting(mech.clone(), param.as_str(), value.clone());
-                }
-                out.push(td);
-            }
-        }
-    }
+    SettingsPlan::new(infrastructure, option, &options.pins).for_each_candidate(
+        tier,
+        option,
+        n_total,
+        min_active,
+        options,
+        |td, _| out.push(td),
+    );
     out
 }
 

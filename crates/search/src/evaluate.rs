@@ -3,7 +3,7 @@
 use aved_avail::{derive_tier_model, loss_window, EvalHealth, EvalSession, TierAvailability};
 use aved_jobtime::JobParams;
 use aved_model::{tier_design_cost, ResourceOption, TierDesign};
-use aved_units::{Duration, Money};
+use aved_units::{Duration, Money, Rate};
 
 use crate::{EvalContext, SearchError};
 
@@ -124,6 +124,105 @@ fn ensure_finite(metric: &str, value: f64) -> Result<(), SearchError> {
     }
 }
 
+/// The evaluation of one availability design: everything a candidate's
+/// score reads from its tier model. Candidates that differ only in
+/// settings the tier model does not read (a checkpoint's interval and
+/// storage location) share one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Assessment {
+    availability: TierAvailability,
+    health: EvalHealth,
+    /// The tier model's total failure rate.
+    failure_rate: Rate,
+    /// The `m` the availability model was derived with.
+    min_for_perf: u32,
+    /// Throughput of the design's active resources under the option's
+    /// performance function.
+    throughput: f64,
+}
+
+/// Derives the tier model of `td` with `min_for_perf` as its performance
+/// minimum and runs the context's engine on it.
+fn assess(
+    ctx: &EvalContext<'_>,
+    option: &ResourceOption,
+    td: &TierDesign,
+    min_for_perf: u32,
+    throughput: f64,
+    session: &mut EvalSession,
+) -> Result<Assessment, SearchError> {
+    let model = derive_tier_model(
+        ctx.infrastructure(),
+        td,
+        option.sizing(),
+        option.failure_scope(),
+        min_for_perf,
+    )?;
+    let (availability, health) = ctx.engine().evaluate_with_session(&model, session)?;
+    ensure_finite("unavailability", availability.unavailability())?;
+    Ok(Assessment {
+        availability,
+        health,
+        failure_rate: model.tier_failure_rate(),
+        min_for_perf,
+        throughput,
+    })
+}
+
+/// The annual cost of `td`: `cost` when the caller already computed it,
+/// and computed otherwise.
+fn design_cost(
+    ctx: &EvalContext<'_>,
+    td: &TierDesign,
+    cost: Option<Money>,
+) -> Result<Money, SearchError> {
+    let cost = match cost {
+        Some(cost) => cost,
+        None => tier_design_cost(ctx.infrastructure(), td)?.total(),
+    };
+    ensure_finite("cost", cost.dollars())?;
+    Ok(cost)
+}
+
+/// The model half of an enterprise evaluation: the availability of `td`'s
+/// design under a throughput requirement (`load`), or `None` when the
+/// design has too few active resources to meet the load at all.
+pub(crate) fn assess_enterprise_design(
+    ctx: &EvalContext<'_>,
+    option: &ResourceOption,
+    td: &TierDesign,
+    load: f64,
+    session: &mut EvalSession,
+) -> Result<Option<Assessment>, SearchError> {
+    let perf = ctx.catalog().resolve_perf(option.performance())?;
+    let Some(min_for_perf) = perf.min_active_for(load) else {
+        return Ok(None);
+    };
+    if td.n_active() < min_for_perf {
+        return Ok(None);
+    }
+    let throughput = perf.throughput(td.n_active());
+    assess(ctx, option, td, min_for_perf, throughput, session).map(Some)
+}
+
+/// The scoring half of an enterprise evaluation: `td`'s cost (`cost`, when
+/// the caller already computed it) next to its design's availability.
+pub(crate) fn score_enterprise_design(
+    ctx: &EvalContext<'_>,
+    td: &TierDesign,
+    cost: Option<Money>,
+    assessment: &Assessment,
+) -> Result<Option<EvaluatedDesign>, SearchError> {
+    Ok(Some(EvaluatedDesign {
+        design: td.clone(),
+        cost: design_cost(ctx, td, cost)?,
+        availability: assessment.availability,
+        min_for_perf: assessment.min_for_perf,
+        expected_job_time: None,
+        health: assessment.health,
+    }))
+}
+
 /// Evaluates a candidate design of an enterprise-service tier under a
 /// throughput requirement (`load`): computes the cost, derives the
 /// availability model (with `m` from the performance function) and runs
@@ -160,31 +259,101 @@ pub fn evaluate_enterprise_design_in(
     load: f64,
     session: &mut EvalSession,
 ) -> Result<Option<EvaluatedDesign>, SearchError> {
+    match assess_enterprise_design(ctx, option, td, load, session)? {
+        Some(assessment) => score_enterprise_design(ctx, td, None, &assessment),
+        None => Ok(None),
+    }
+}
+
+/// The service's job size, which every finite-job evaluation needs.
+fn job_size(ctx: &EvalContext<'_>) -> Result<f64, SearchError> {
+    ctx.service()
+        .job_size()
+        .ok_or_else(|| SearchError::RequirementMismatch {
+            detail: "service declares no jobsize; use evaluate_enterprise_design".into(),
+        })
+}
+
+/// The model half of a finite-job evaluation: the availability of `td`'s
+/// design, or `None` when the option's performance function yields zero
+/// throughput at the design's node count.
+pub(crate) fn assess_job_design(
+    ctx: &EvalContext<'_>,
+    option: &ResourceOption,
+    td: &TierDesign,
+    session: &mut EvalSession,
+) -> Result<Option<Assessment>, SearchError> {
+    job_size(ctx)?;
     let perf = ctx.catalog().resolve_perf(option.performance())?;
-    let Some(min_for_perf) = perf.min_active_for(load) else {
-        return Ok(None);
-    };
-    if td.n_active() < min_for_perf {
+    let throughput = perf.throughput(td.n_active());
+    if throughput <= 0.0 {
         return Ok(None);
     }
-    let cost = tier_design_cost(ctx.infrastructure(), td)?.total();
-    ensure_finite("cost", cost.dollars())?;
-    let model = derive_tier_model(
-        ctx.infrastructure(),
-        td,
-        option.sizing(),
-        option.failure_scope(),
-        min_for_perf,
-    )?;
-    let (availability, health) = ctx.engine().evaluate_with_session(&model, session)?;
-    ensure_finite("unavailability", availability.unavailability())?;
+    assess(ctx, option, td, td.n_active(), throughput, session).map(Some)
+}
+
+/// The scoring half of a finite-job evaluation: `td`'s cost (`cost`, when
+/// the caller already computed it) and its expected completion time per
+/// §4.2 (loss-window re-execution, checkpoint overhead, downtime scaling)
+/// from its design's availability. Everything read here beyond the
+/// assessment is `td`'s own: its checkpoint settings and loss window.
+pub(crate) fn score_job_design(
+    ctx: &EvalContext<'_>,
+    option: &ResourceOption,
+    td: &TierDesign,
+    cost: Option<Money>,
+    assessment: &Assessment,
+) -> Result<Option<EvaluatedDesign>, SearchError> {
+    let cost = design_cost(ctx, td, cost)?;
+
+    // Failure-free computation time, inflated by checkpoint overhead when
+    // the option uses a checkpoint mechanism with an mperformance function.
+    let base_hours = job_size(ctx)? / assessment.throughput;
+    let mut multiplier = 1.0;
+    for mu in option.mechanisms() {
+        let Some(mperf_name) = mu.mperformance() else {
+            continue;
+        };
+        let mperf = ctx.catalog().resolve_mperf(mperf_name)?;
+        let storage = match td.setting(mu.mechanism().as_str(), "storage_location") {
+            Some(aved_model::ParamValue::Level(l)) => l
+                .parse()
+                .map_err(|e: String| SearchError::RequirementMismatch { detail: e })?,
+            _ => aved_perf::StorageLocation::Central,
+        };
+        let interval = match td.setting(mu.mechanism().as_str(), "checkpoint_interval") {
+            Some(aved_model::ParamValue::Duration(d)) => *d,
+            _ => {
+                return Err(SearchError::RequirementMismatch {
+                    detail: format!("design does not set {}.checkpoint_interval", mu.mechanism()),
+                })
+            }
+        };
+        multiplier *= mperf.multiplier(storage, interval, td.n_active());
+    }
+    let work_time = Duration::from_hours(base_hours * multiplier);
+
+    let lw = loss_window(ctx.infrastructure(), td)?;
+    let system_mtbf = assessment.failure_rate.mean_time();
+    let availability = assessment.availability;
+    let mut params = JobParams::new(work_time)
+        .with_uptime_fraction(availability.availability().max(f64::MIN_POSITIVE));
+    if system_mtbf.seconds().is_finite() && !system_mtbf.is_zero() {
+        params = params.with_system_mtbf(system_mtbf);
+    }
+    if let Some(lw) = lw {
+        params = params.with_loss_window(lw);
+    }
+    let expected = params.expected_completion();
+    ensure_finite("expected job time", expected.seconds())?;
+
     Ok(Some(EvaluatedDesign {
         design: td.clone(),
         cost,
         availability,
-        min_for_perf,
-        expected_job_time: None,
-        health,
+        min_for_perf: assessment.min_for_perf,
+        expected_job_time: Some(expected),
+        health: assessment.health,
     }))
 }
 
@@ -222,77 +391,10 @@ pub fn evaluate_job_design_in(
     td: &TierDesign,
     session: &mut EvalSession,
 ) -> Result<Option<EvaluatedDesign>, SearchError> {
-    let job_size = ctx
-        .service()
-        .job_size()
-        .ok_or_else(|| SearchError::RequirementMismatch {
-            detail: "service declares no jobsize; use evaluate_enterprise_design".into(),
-        })?;
-    let perf = ctx.catalog().resolve_perf(option.performance())?;
-    let throughput = perf.throughput(td.n_active());
-    if throughput <= 0.0 {
-        return Ok(None);
+    match assess_job_design(ctx, option, td, session)? {
+        Some(assessment) => score_job_design(ctx, option, td, None, &assessment),
+        None => Ok(None),
     }
-    let cost = tier_design_cost(ctx.infrastructure(), td)?.total();
-    ensure_finite("cost", cost.dollars())?;
-    let model = derive_tier_model(
-        ctx.infrastructure(),
-        td,
-        option.sizing(),
-        option.failure_scope(),
-        td.n_active(),
-    )?;
-    let (availability, health) = ctx.engine().evaluate_with_session(&model, session)?;
-    ensure_finite("unavailability", availability.unavailability())?;
-
-    // Failure-free computation time, inflated by checkpoint overhead when
-    // the option uses a checkpoint mechanism with an mperformance function.
-    let base_hours = job_size / throughput;
-    let mut multiplier = 1.0;
-    for mu in option.mechanisms() {
-        let Some(mperf_name) = mu.mperformance() else {
-            continue;
-        };
-        let mperf = ctx.catalog().resolve_mperf(mperf_name)?;
-        let storage = match td.setting(mu.mechanism().as_str(), "storage_location") {
-            Some(aved_model::ParamValue::Level(l)) => l
-                .parse()
-                .map_err(|e: String| SearchError::RequirementMismatch { detail: e })?,
-            _ => aved_perf::StorageLocation::Central,
-        };
-        let interval = match td.setting(mu.mechanism().as_str(), "checkpoint_interval") {
-            Some(aved_model::ParamValue::Duration(d)) => *d,
-            _ => {
-                return Err(SearchError::RequirementMismatch {
-                    detail: format!("design does not set {}.checkpoint_interval", mu.mechanism()),
-                })
-            }
-        };
-        multiplier *= mperf.multiplier(storage, interval, td.n_active());
-    }
-    let work_time = Duration::from_hours(base_hours * multiplier);
-
-    let lw = loss_window(ctx.infrastructure(), td)?;
-    let system_mtbf = model.tier_failure_rate().mean_time();
-    let mut params = JobParams::new(work_time)
-        .with_uptime_fraction(availability.availability().max(f64::MIN_POSITIVE));
-    if system_mtbf.seconds().is_finite() && !system_mtbf.is_zero() {
-        params = params.with_system_mtbf(system_mtbf);
-    }
-    if let Some(lw) = lw {
-        params = params.with_loss_window(lw);
-    }
-    let expected = params.expected_completion();
-    ensure_finite("expected job time", expected.seconds())?;
-
-    Ok(Some(EvaluatedDesign {
-        design: td.clone(),
-        cost,
-        availability,
-        min_for_perf: td.n_active(),
-        expected_job_time: Some(expected),
-        health,
-    }))
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use aved_units::Duration;
 
-use crate::sweep::{Objective, Sweep};
+use crate::sweep::{Batch, Objective, Sweep};
 use crate::{EvalContext, EvaluatedDesign, SearchError, SearchHealth, SearchOptions};
 
 /// Computes the cost/downtime Pareto frontier of one enterprise tier at a
@@ -80,8 +80,8 @@ pub(crate) fn frontier(
 ) -> Result<(Vec<EvaluatedDesign>, SearchHealth), SearchError> {
     let started = Instant::now();
     let mut sweep = Sweep::new(ctx, tier_name, objective, options, search_start)?;
-    let mut batch = Vec::new();
-    for option in sweep.tier.options() {
+    let mut batch = Batch::default();
+    for (index, option) in sweep.tier.options().iter().enumerate() {
         let (min_active, totals): (u32, Vec<u32>) = match grid {
             Some(grid) => (1, grid.to_vec()),
             None => match objective.levels(ctx, option, options)? {
@@ -90,12 +90,12 @@ pub(crate) fn frontier(
             },
         };
         for n_total in totals.into_iter().filter(|&n| n > 0) {
-            batch.extend(sweep.level(option, n_total, min_active, false)?);
+            sweep.level(&mut batch, index, n_total, min_active, false)?;
         }
     }
 
     let mut all: Vec<EvaluatedDesign> = Vec::new();
-    sweep.run(&batch, None, |e| {
+    sweep.run(batch, |e| {
         all.push(e);
         Ok(())
     })?;
@@ -141,8 +141,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_fixtures::{app_tier_fixture, job_fixture};
-    use crate::CachingEngine;
+    use crate::test_fixtures::{
+        app_tier_fixture, distinct_job_models, job_fixture, maintenance_innermost_job_fixture,
+        RecordingEngine,
+    };
+    use crate::{enumerate_tier_candidates, evaluate_job_design, CachingEngine};
     use aved_avail::DecompositionEngine;
     use aved_model::ParamValue;
 
@@ -364,5 +367,69 @@ mod tests {
         }
         // Cheap end uses few machineA nodes; expensive end more/faster ones.
         assert!(frontier[0].cost() < frontier.last().unwrap().cost());
+    }
+
+    /// Bit-level equality of every metric two evaluations carry.
+    fn assert_bit_identical(a: &EvaluatedDesign, b: &EvaluatedDesign, label: &str) {
+        assert_eq!(a.design(), b.design(), "{label}");
+        assert_eq!(a.cost().dollars().to_bits(), b.cost().dollars().to_bits());
+        assert_eq!(a.availability(), b.availability(), "{label}");
+        assert_eq!(a.min_for_perf(), b.min_for_perf(), "{label}");
+        let bits = |e: &EvaluatedDesign| e.expected_job_time().map(|t| t.seconds().to_bits());
+        assert_eq!(bits(a), bits(b), "{label}");
+        assert_eq!(a.eval_health(), b.eval_health(), "{label}");
+    }
+
+    #[test]
+    fn job_frontier_evaluates_each_distinct_model_once_and_matches_per_candidate_evaluation() {
+        // The second fixture enumerates the model-read maintenance level
+        // fastest, so the candidates sharing a model are scattered through
+        // enumeration order; the grouping must not care.
+        let grid = [1, 2, 4, 8, 16, 32];
+        let options = small_opts().with_pin(
+            "checkpoint",
+            "checkpoint_interval",
+            ParamValue::Duration(Duration::from_hours(1.0)),
+        );
+        for fx in [job_fixture(), maintenance_innermost_job_fixture()] {
+            let plain = DecompositionEngine::default();
+            let ctx = fx.context(&plain);
+            let mut every = Vec::new();
+            for option in ctx.tier("computation").unwrap().options() {
+                for &n_total in &grid {
+                    for td in enumerate_tier_candidates(
+                        ctx.infrastructure(),
+                        &"computation".into(),
+                        option,
+                        n_total,
+                        1,
+                        &options,
+                    ) {
+                        every.extend(evaluate_job_design(&ctx, option, &td).unwrap());
+                    }
+                }
+            }
+            let expected = pareto_by(every, |e| e.expected_job_time().unwrap());
+            let distinct = distinct_job_models(&ctx, "computation", &grid, &options);
+            for jobs in [1, 2] {
+                let engine = RecordingEngine::default();
+                let ctx = fx.context(&engine);
+                let (frontier, health) =
+                    job_frontier(&ctx, "computation", &grid, &options.clone().with_jobs(jobs))
+                        .unwrap();
+                assert_eq!(engine.calls(), distinct, "jobs={jobs}");
+                assert_eq!(engine.distinct(), distinct, "jobs={jobs}");
+                assert_eq!(health.models_evaluated, distinct as u64, "jobs={jobs}");
+                assert_eq!(
+                    health.candidates_scored,
+                    2 * health.models_evaluated,
+                    "jobs={jobs}: each model serves both storage locations"
+                );
+                assert_eq!(frontier.len(), expected.len(), "jobs={jobs}");
+                for (got, want) in frontier.iter().zip(&expected) {
+                    assert_bit_identical(got, want, &format!("jobs={jobs}"));
+                }
+            }
+        }
     }
 }

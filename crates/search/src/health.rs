@@ -42,13 +42,14 @@ impl SkippedCandidate {
 
 /// How degraded a search run was: candidates skipped after evaluation
 /// failures, solver fallbacks taken, the worst accepted balance residual,
-/// and how the work got done — worker count, cache traffic, candidates
-/// pruned by cost dominance, and per-phase wall-clock time.
+/// and how the work got done — worker count, availability models
+/// evaluated, cache traffic, candidates pruned by cost dominance, and
+/// per-phase wall-clock time.
 ///
 /// Equality ignores the timing and workload fields (`wall_time`, the phase
-/// times, `jobs`, cache and pruning counters): two runs that made the same
-/// decisions are equal even though timing — and, under parallel pruning,
-/// the exact amount of work avoided — is never reproducible.
+/// times, `jobs`, model, cache and pruning counters): two runs that made
+/// the same decisions are equal even though their timing is never
+/// reproducible.
 #[derive(Debug, Clone, Default)]
 pub struct SearchHealth {
     /// Candidates dropped because their evaluation failed.
@@ -61,9 +62,15 @@ pub struct SearchHealth {
     /// Wall-clock time the search took.
     pub wall_time: std::time::Duration,
     /// Candidates skipped without evaluation because they already cost more
-    /// than a known-feasible design. Varies with scheduling under parallel
-    /// runs; the selected design does not.
+    /// than a known-feasible design.
     pub candidates_pruned: u64,
+    /// Availability designs whose tier model was derived and evaluated:
+    /// one per distinct model the sweep needed, however many candidates
+    /// share it.
+    pub models_evaluated: u64,
+    /// Candidates scored from an evaluated availability design (neither
+    /// pruned, replayed from a journal, nor skipped).
+    pub candidates_scored: u64,
     /// Model-cache hits during the search, when the caller wired a
     /// `CachingEngine` in and reported its counters.
     pub cache_hits: u64,
@@ -75,9 +82,10 @@ pub struct SearchHealth {
     pub jobs: usize,
     /// Wall-clock time spent enumerating candidates.
     pub enumeration_time: std::time::Duration,
-    /// Wall-clock time spent evaluating candidates (the parallel phase).
+    /// Wall-clock time spent evaluating availability models.
     pub solve_time: std::time::Duration,
-    /// Wall-clock time spent merging results and selecting designs.
+    /// Wall-clock time spent scoring candidates from their models,
+    /// merging results and selecting designs.
     pub merge_time: std::time::Duration,
     /// The workers' evaluation-session counters, summed: solves, warm
     /// hits, iterations, rebuilds avoided and class results replayed.
@@ -134,6 +142,8 @@ impl SearchHealth {
         self.worst_residual = worse_residual(self.worst_residual, other.worst_residual);
         self.wall_time += other.wall_time;
         self.candidates_pruned += other.candidates_pruned;
+        self.models_evaluated += other.models_evaluated;
+        self.candidates_scored += other.candidates_scored;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.jobs = self.jobs.max(other.jobs);
@@ -171,6 +181,13 @@ impl std::fmt::Display for SearchHealth {
         }
         if self.candidates_pruned > 0 {
             write!(f, ", {} pruned by cost", self.candidates_pruned)?;
+        }
+        if self.candidates_scored > 0 {
+            write!(
+                f,
+                ", models {} / {}",
+                self.models_evaluated, self.candidates_scored
+            )?;
         }
         if self.cache_hits + self.cache_misses > 0 {
             write!(
@@ -255,6 +272,8 @@ mod tests {
             worst_residual: Some(1e-12),
             wall_time: ms(5),
             candidates_pruned: 10,
+            models_evaluated: 12,
+            candidates_scored: 400,
             cache_hits: 100,
             cache_misses: 4,
             jobs: 4,
@@ -278,6 +297,8 @@ mod tests {
             worst_residual: Some(1e-10),
             wall_time: ms(7),
             candidates_pruned: 5,
+            models_evaluated: 6,
+            candidates_scored: 200,
             cache_hits: 50,
             cache_misses: 6,
             jobs: 2,
@@ -301,6 +322,8 @@ mod tests {
         assert_eq!(a.worst_residual, Some(1e-10));
         assert_eq!(a.wall_time, ms(12));
         assert_eq!(a.candidates_pruned, 15);
+        assert_eq!(a.models_evaluated, 18);
+        assert_eq!(a.candidates_scored, 600);
         assert_eq!(a.cache_hits, 150);
         assert_eq!(a.cache_misses, 10);
         assert_eq!(a.jobs, 4, "worker count keeps the maximum");
@@ -360,6 +383,8 @@ mod tests {
             worst_residual: Some(1.5e-11),
             wall_time: std::time::Duration::from_millis(3),
             candidates_pruned: 7,
+            models_evaluated: 4,
+            candidates_scored: 40,
             cache_hits: 9,
             cache_misses: 3,
             jobs: 4,
@@ -380,6 +405,7 @@ mod tests {
         assert!(s.contains("2 solver fallback(s)"), "{s}");
         assert!(s.contains("1.50e-11"), "{s}");
         assert!(s.contains("7 pruned by cost"), "{s}");
+        assert!(s.contains("models 4 / 40"), "{s}");
         assert!(s.contains("cache 9/12 hit"), "{s}");
         assert!(s.contains("4 job(s)"), "{s}");
         assert!(s.contains("warm 10/12 hit"), "{s}");
@@ -411,6 +437,8 @@ mod tests {
         let b = SearchHealth {
             wall_time: std::time::Duration::from_millis(99),
             candidates_pruned: 42,
+            models_evaluated: 3,
+            candidates_scored: 30,
             cache_hits: 7,
             cache_misses: 9,
             jobs: 8,

@@ -1,40 +1,29 @@
 //! The scoped-thread executor behind the parallel search.
 //!
-//! The design space factors into independent candidate evaluations, so the
-//! search is embarrassingly parallel — the only care is keeping the result
-//! *bit-identical* to the serial walk. The contract here:
+//! The design space factors into independent availability-model
+//! evaluations, so the search is embarrassingly parallel — the only care
+//! is keeping the result *bit-identical* to the serial walk. The contract
+//! here:
 //!
 //! * [`parallel_map_with`] evaluates a slice of work items on up to `jobs`
 //!   workers (plain `std::thread::scope`, no external runtime), handing
 //!   each worker one mutable state for its whole run. Items are sharded
 //!   into **contiguous chunks**, so a worker's shard is a consecutive run
-//!   of the (parameter-locality-ordered) candidate list — the substrate for
-//!   the workers' evaluation sessions — and the results are merged back
-//!   **in item order**, so callers fold them exactly as the serial loop
-//!   would have.
+//!   of the (parameter-locality-ordered) work list — the substrate for the
+//!   workers' evaluation sessions — and the results are merged back **in
+//!   item order**.
 //! * With `jobs <= 1` the map degenerates to an in-order sequential loop on
-//!   the calling thread: the serial path is literally the parallel path at
-//!   width 1, not a separate implementation that could drift.
-//! * [`BestCost`] is the shared dominance-pruning cell: the cheapest
-//!   *feasible* cost any worker has proven, stored as ordered `f64` bits in
-//!   an `AtomicU64` so workers can skip solving candidates that already
-//!   cost more. Pruning with it never changes the winner — only candidates
-//!   strictly more expensive than a known-feasible design are skipped, and
-//!   such candidates can never win a minimum-cost search.
+//!   the calling thread.
 //!
 //! Determinism argument, in one paragraph: every decision the search makes
-//! (winner selection, tie-breaking, level termination, degradation
-//! patience) happens in the *fold* over results ordered by candidate index
-//! — identical to the serial order. Worker scheduling only affects *which*
-//! over-budget candidates get pruned versus evaluated, and those candidates
-//! are decision-irrelevant by the dominance argument above. Engine
-//! evaluations themselves are pure functions of the model, so a result is
-//! the same no matter which thread computes it.
+//! (dominance pruning, winner selection, tie-breaking, level termination,
+//! degradation patience) happens in the sweep's *fold* over candidates in
+//! enumeration order, on the calling thread — identical at any worker
+//! count. Workers only evaluate availability models ahead of the fold, and
+//! engine evaluations are pure functions of the model, so a result is the
+//! same no matter which thread computes it.
 
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use aved_units::Money;
 
 /// Resolves a requested worker count: `0` means "use the machine's
 /// available parallelism" (the `--jobs` CLI default); any other request is
@@ -59,16 +48,16 @@ pub fn effective_jobs(requested: usize) -> usize {
 /// its whole run — the hook that threads evaluation sessions through the
 /// search workers. `f` receives `(state, index, &item)` and
 /// must be pure up to that state and interior-mutable shared state it
-/// synchronizes itself (the engine cache, `BestCost`).
+/// synchronizes itself (the engine's counters, the sweep's abort flag).
 ///
 /// Work is split into **contiguous chunks** (worker `w` gets items
-/// `[w·⌈n/k⌉, (w+1)·⌈n/k⌉)`), not stolen item-by-item: the candidate lists
-/// the search produces are in parameter-locality order (neighboring items
-/// differ in one knob), and a worker whose shard is a consecutive run of
-/// that order sees a chain of near-identical models — exactly what its
-/// session's in-place rebuilds exploit. The price is load
-/// balance on skewed items; candidate evaluations within one batch are
-/// near-uniform, so locality wins.
+/// `[w·⌈n/k⌉, (w+1)·⌈n/k⌉)`), not stolen item-by-item: the availability
+/// designs the search evaluates come in parameter-locality order
+/// (neighboring items differ in one knob), and a worker whose shard is a
+/// consecutive run of that order sees a chain of near-identical models —
+/// exactly what its session's in-place rebuilds exploit. The price is load
+/// balance on skewed items; evaluations within one batch are near-uniform,
+/// so locality wins.
 ///
 /// With `jobs <= 1` or a single item the map runs sequentially on the
 /// calling thread using `states[0]`, preserving the
@@ -136,37 +125,6 @@ where
         out.append(part);
     }
     out
-}
-
-/// The cheapest known-feasible cost, shared across search workers for
-/// dominance pruning.
-///
-/// Costs are non-negative finite `f64`s, for which the IEEE-754 bit
-/// pattern orders identically to the value — so a single `AtomicU64` with
-/// `fetch_min` gives a lock-free monotonically-decreasing cost cell.
-/// Empty is encoded as `+inf` (every real cost beats it).
-#[derive(Debug)]
-pub(crate) struct BestCost(AtomicU64);
-
-impl BestCost {
-    /// An empty cell: nothing feasible known yet, nothing is pruned.
-    pub(crate) fn new() -> BestCost {
-        BestCost(AtomicU64::new(f64::INFINITY.to_bits()))
-    }
-
-    /// Records a feasible design's cost; keeps the minimum.
-    pub(crate) fn offer(&self, cost: Money) {
-        debug_assert!(cost.dollars() >= 0.0, "costs are non-negative");
-        self.0
-            .fetch_min(cost.dollars().to_bits(), Ordering::Relaxed);
-    }
-
-    /// `true` when a feasible design strictly cheaper than `cost` is known
-    /// — i.e. `cost` can be pruned without evaluation. Equal-cost
-    /// candidates are *not* beaten: they still compete on quality.
-    pub(crate) fn beats(&self, cost: Money) -> bool {
-        f64::from_bits(self.0.load(Ordering::Relaxed)) < cost.dollars()
-    }
 }
 
 #[cfg(test)]
@@ -278,36 +236,5 @@ mod tests {
         let items: Vec<u32> = (0..10).collect();
         let mut states = vec![(); 1];
         let _ = parallel_map_with(4, &mut states, &items, |(), _, x| *x);
-    }
-
-    #[test]
-    fn best_cost_starts_empty_and_keeps_the_minimum() {
-        let cell = BestCost::new();
-        let m = Money::from_dollars;
-        assert!(!cell.beats(m(1e12)), "empty cell prunes nothing");
-        cell.offer(m(100.0));
-        cell.offer(m(250.0)); // worse offer is ignored
-        assert!(cell.beats(m(100.01)));
-        assert!(!cell.beats(m(100.0)), "equal cost still competes");
-        assert!(!cell.beats(m(99.9)));
-        cell.offer(m(50.0));
-        assert!(cell.beats(m(50.5)));
-    }
-
-    #[test]
-    fn best_cost_is_consistent_under_concurrent_offers() {
-        let cell = BestCost::new();
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let cell = &cell;
-                s.spawn(move || {
-                    for i in 0..1000 {
-                        cell.offer(Money::from_dollars(f64::from(i % 97 + t * 3 + 10)));
-                    }
-                });
-            }
-        });
-        assert!(cell.beats(Money::from_dollars(10.001)));
-        assert!(!cell.beats(Money::from_dollars(10.0)));
     }
 }

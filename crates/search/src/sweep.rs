@@ -1,12 +1,18 @@
 //! The one candidate sweep behind every search and frontier (paper §4.1).
 //!
-//! A [`Sweep`] evaluates batches of one tier's candidates. [`Sweep::run`]
-//! fans a batch out across [`SearchOptions::jobs`] scoped threads in
-//! contiguous shards of enumeration order — parameter-locality order, where
-//! neighbors differ in one knob — so each worker's [`EvalSession`] reuses
-//! chain structure from one candidate to the next. It then folds the
-//! outcomes back **in candidate order**, where every decision is made, so
-//! results are identical at any worker count (see
+//! A [`Sweep`] evaluates batches of one tier's candidates. Candidates that
+//! differ only in settings the tier model does not read — a checkpoint's
+//! interval and storage location (§4.2) — share one *availability design*:
+//! the active/spare split, the spare mode and the settings of the
+//! mechanisms the model reads, and so one tier model. [`Sweep::run`]
+//! derives and evaluates each design's model once and scores every
+//! candidate from that one result. With more than one worker
+//! ([`SearchOptions::jobs`]) the designs are evaluated first, on scoped
+//! threads in contiguous shards of enumeration order — parameter-locality
+//! order, where neighbors differ in one knob — so each worker's
+//! [`EvalSession`] reuses chain structure from one model to the next. The
+//! fold then walks the candidates **in enumeration order**, where every
+//! decision is made, so results are identical at any worker count (see
 //! [`crate::parallel`](crate::parallel_map_with) for the argument). The
 //! searches run one batch per resource-count level; the frontiers run one
 //! batch over every option and level. [`Objective`] supplies everything
@@ -20,13 +26,14 @@ use aved_avail::{EvalSession, SolveBudget};
 use aved_model::{tier_design_cost, ResourceOption, Tier, TierDesign};
 use aved_units::{Duration, Money};
 
-use crate::evaluate::{evaluate_enterprise_design_in, evaluate_job_design_in};
-use crate::journal::{enterprise_key, job_key};
-use crate::parallel::{effective_jobs, parallel_map_with, BestCost};
-use crate::{
-    enumerate_tier_candidates, EvalContext, EvaluatedDesign, SearchError, SearchHealth,
-    SearchOptions,
+use crate::candidate::SettingsPlan;
+use crate::evaluate::{
+    assess_enterprise_design, assess_job_design, score_enterprise_design, score_job_design,
+    Assessment,
 };
+use crate::journal::{enterprise_key, job_key};
+use crate::parallel::{effective_jobs, parallel_map_with};
+use crate::{EvalContext, EvaluatedDesign, ReplayEntry, SearchError, SearchHealth, SearchOptions};
 
 /// What a sweep optimizes.
 pub(crate) enum Objective {
@@ -90,18 +97,36 @@ impl Objective {
         Ok(Some((start, start..=last)))
     }
 
-    fn evaluate(
+    /// The model half of a candidate's evaluation, shared by every
+    /// candidate of its availability design; `td` is any one of them.
+    fn assess(
         &self,
         ctx: &EvalContext<'_>,
         option: &ResourceOption,
         td: &TierDesign,
         session: &mut EvalSession,
-    ) -> Result<Option<EvaluatedDesign>, SearchError> {
+    ) -> Result<Option<Assessment>, SearchError> {
         match *self {
             Objective::Enterprise { load, .. } => {
-                evaluate_enterprise_design_in(ctx, option, td, load, session)
+                assess_enterprise_design(ctx, option, td, load, session)
             }
-            Objective::Job { .. } => evaluate_job_design_in(ctx, option, td, session),
+            Objective::Job { .. } => assess_job_design(ctx, option, td, session),
+        }
+    }
+
+    /// The scoring half: candidate `td` of an availability design, scored
+    /// from that design's `assessment`.
+    fn score(
+        &self,
+        ctx: &EvalContext<'_>,
+        option: &ResourceOption,
+        td: &TierDesign,
+        cost: Option<Money>,
+        assessment: &Assessment,
+    ) -> Result<Option<EvaluatedDesign>, SearchError> {
+        match self {
+            Objective::Enterprise { .. } => score_enterprise_design(ctx, td, cost, assessment),
+            Objective::Job { .. } => score_job_design(ctx, option, td, cost, assessment),
         }
     }
 
@@ -142,27 +167,52 @@ impl Objective {
     }
 }
 
-/// One candidate of a batch. Searches cost their candidates before the
-/// fan-out, because they terminate and prune on cost; frontiers never
-/// prune, so theirs are costed only when evaluated.
-pub(crate) struct Candidate<'t> {
-    option: &'t ResourceOption,
+/// One candidate of a batch. Searches cost their candidates when they
+/// enumerate them, because they terminate and prune on cost; frontiers
+/// never prune, so theirs are costed only when scored.
+struct Candidate {
     design: TierDesign,
-    pub(crate) cost: Option<Money>,
+    /// The batch index of the candidate's availability design.
+    availability: usize,
+    cost: Option<Money>,
 }
 
-/// What happened to one candidate, in the worker.
-enum Outcome {
-    /// Not evaluated: a worker hit a fatal error (the fold surfaces it) or
-    /// the sweep is stopping (the caller's post-batch check records it).
-    Skipped,
-    /// Not evaluated: a known-feasible design is strictly cheaper.
-    Pruned,
-    /// Evaluated live, or restored bit-for-bit from the resume journal.
-    Done {
-        result: Result<Option<EvaluatedDesign>, SearchError>,
-        replayed: bool,
-    },
+/// Candidates of one or more levels and the availability designs they
+/// share, each design listed once, in order of first appearance.
+#[derive(Default)]
+pub(crate) struct Batch<'t> {
+    /// Each availability design's option and the index of its first
+    /// candidate, whose design stands in for all of them in the tier model.
+    designs: Vec<(&'t ResourceOption, usize)>,
+    candidates: Vec<Candidate>,
+}
+
+impl Batch<'_> {
+    /// The number of candidates.
+    pub(crate) fn len(&self) -> usize {
+        self.candidates.len()
+    }
+
+    /// `true` when the batch holds no candidate.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.candidates.is_empty()
+    }
+
+    /// The cost of the cheapest costed candidate.
+    pub(crate) fn cheapest(&self) -> Option<Money> {
+        self.candidates
+            .iter()
+            .filter_map(|c| c.cost)
+            .min_by(Money::total_cmp)
+    }
+}
+
+/// `true` when a known-feasible design of cost `bound` prunes a candidate
+/// of cost `cost`: only a strictly cheaper one does, since an equal-cost
+/// candidate still competes on quality. Uncosted candidates are never
+/// pruned.
+fn beaten(bound: Option<Money>, cost: Option<Money>) -> bool {
+    bound.zip(cost).is_some_and(|(bound, cost)| bound < cost)
 }
 
 /// `true` when `e` must end the sweep: a structural error (unknown tier,
@@ -175,10 +225,17 @@ fn fatal(e: &SearchError, strict: bool) -> bool {
     !e.is_cancellation() && (strict || !e.is_candidate_scoped())
 }
 
-/// `true` once the sweep must stop at the next candidate boundary: the
-/// cancellation token fired or the deadline passed. Monotone, so one
-/// post-batch check turns worker-observed stops into a clean best-so-far
-/// result.
+/// `true` when an availability design's evaluation derived its tier model
+/// and ran the engine, or failed trying; `false` when the design cannot
+/// serve the requirement at all.
+fn evaluated(assessment: &Result<Option<Assessment>, SearchError>) -> bool {
+    !matches!(assessment, Ok(None))
+}
+
+/// `true` once the sweep must stop at the next availability-design
+/// boundary: the cancellation token fired or the deadline passed.
+/// Monotone, so one post-batch check turns worker-observed stops into a
+/// clean best-so-far result.
 fn stopping(budget: &SolveBudget) -> bool {
     budget.is_cancelled() || budget.deadline_exceeded()
 }
@@ -189,6 +246,9 @@ pub(crate) struct Sweep<'s, 'c> {
     pub(crate) tier: &'c Tier,
     objective: &'s Objective,
     options: &'s SearchOptions,
+    /// The settings combinations of each of the tier's options, enumerated
+    /// once for the whole sweep.
+    plans: Vec<SettingsPlan>,
     /// The whole sweep's budget: the absolute deadline, the per-candidate
     /// limits and the cancellation token.
     budget: SolveBudget,
@@ -196,6 +256,9 @@ pub(crate) struct Sweep<'s, 'c> {
     /// shapes recur between levels (same n/m/s splits with different
     /// rates), so the sessions keep paying off sweep-wide.
     sessions: Vec<EvalSession>,
+    /// The cheapest feasible cost the sweep has folded, across batches:
+    /// no costed candidate dearer than it can win a minimum-cost search.
+    cheapest_feasible: Option<Money>,
     pub(crate) health: SearchHealth,
 }
 
@@ -210,61 +273,78 @@ impl<'s, 'c> Sweep<'s, 'c> {
         options: &'s SearchOptions,
         search_start: Instant,
     ) -> Result<Self, SearchError> {
+        let enumerating = Instant::now();
         let jobs = effective_jobs(options.jobs);
         let budget = options.eval_budget(search_start);
+        let tier = ctx.tier(tier_name)?;
+        let plans = tier
+            .options()
+            .iter()
+            .map(|option| SettingsPlan::new(ctx.infrastructure(), option, &options.pins))
+            .collect();
         Ok(Sweep {
             ctx,
-            tier: ctx.tier(tier_name)?,
+            tier,
             objective,
             options,
+            plans,
             sessions: (0..jobs.max(1))
                 .map(|_| EvalSession::new().with_budget(budget.clone()))
                 .collect(),
             budget,
+            cheapest_feasible: None,
             health: SearchHealth {
                 jobs,
+                enumeration_time: enumerating.elapsed(),
                 ..SearchHealth::default()
             },
         })
     }
 
-    /// `option`'s candidates with `n_total` resources, at least
-    /// `min_active` of them active, in enumeration order; costed when
+    /// Appends to `batch` the candidates of the tier's `option`-th option
+    /// with `n_total` resources, at least `min_active` of them active, in
+    /// enumeration order, and their availability designs; costed when
     /// `costed` is set.
-    pub(crate) fn level<'t>(
+    pub(crate) fn level(
         &mut self,
-        option: &'t ResourceOption,
+        batch: &mut Batch<'c>,
+        option: usize,
         n_total: u32,
         min_active: u32,
         costed: bool,
-    ) -> Result<Vec<Candidate<'t>>, SearchError> {
+    ) -> Result<(), SearchError> {
         let enumerating = Instant::now();
-        let infrastructure = self.ctx.infrastructure();
-        let name = self.tier.name();
-        let batch = enumerate_tier_candidates(
-            infrastructure,
-            name,
-            option,
+        let resource_option = &self.tier.options()[option];
+        let (first_design, first_candidate) = (batch.designs.len(), batch.candidates.len());
+        let Batch {
+            designs,
+            candidates,
+        } = batch;
+        self.plans[option].for_each_candidate(
+            self.tier.name(),
+            resource_option,
             n_total,
             min_active,
             self.options,
-        )
-        .into_iter()
-        .map(|design| {
-            let cost = if costed {
-                Some(tier_design_cost(infrastructure, &design)?.total())
-            } else {
-                None
-            };
-            Ok(Candidate {
-                option,
-                design,
-                cost,
-            })
-        })
-        .collect();
+            |design, availability| {
+                let availability = first_design + availability;
+                if availability == designs.len() {
+                    designs.push((resource_option, candidates.len()));
+                }
+                candidates.push(Candidate {
+                    design,
+                    availability,
+                    cost: None,
+                });
+            },
+        );
+        if costed {
+            for c in &mut batch.candidates[first_candidate..] {
+                c.cost = Some(tier_design_cost(self.ctx.infrastructure(), &c.design)?.total());
+            }
+        }
         self.health.enumeration_time += enumerating.elapsed();
-        batch
+        Ok(())
     }
 
     /// Runs one batch and hands every surviving evaluation, in candidate
@@ -272,67 +352,121 @@ impl<'s, 'c> Sweep<'s, 'c> {
     /// token fired or the deadline passed — is marked interrupted at the
     /// end of the batch; the caller then returns its best-so-far result.
     ///
-    /// A search passes its pruning cell in `best_cost`: workers skip
-    /// candidates that cost strictly more than a design it holds (equal
-    /// cost still competes on quality) and publish feasible costs to it,
-    /// replayed ones included, so that other workers prune harder. A fatal
-    /// failure skips the rest of the batch and is returned by the fold.
+    /// Each availability design is derived and evaluated once, however
+    /// many candidates share it, and the fold scores every candidate from
+    /// that one result. The fold walks the candidates in enumeration order
+    /// and makes every decision there — prune, replay or score, journal,
+    /// accept — so results are identical at any worker count. A candidate
+    /// is scored when it is neither pruned nor replayed from the resume
+    /// journal; a design whose evaluation failed gives that error to each
+    /// of its candidates.
+    ///
+    /// With more than one worker, the workers first evaluate, in parallel,
+    /// every design that has a candidate to score as of the batch's start;
+    /// a fatal failure stops them. The fold evaluates any design still
+    /// missing when it reaches the design's first candidate to score — on
+    /// one worker, every design — so a design whose candidates the fold
+    /// prunes before it gets there is never evaluated.
+    ///
+    /// Costed candidates — a search's — are pruned by cost dominance when
+    /// [`SearchOptions::prune`] is set: a candidate that costs strictly
+    /// more than a feasible design the sweep has folded, in this batch or
+    /// an earlier one, cannot win and is skipped.
     pub(crate) fn run(
         &mut self,
-        batch: &[Candidate<'_>],
-        best_cost: Option<&BestCost>,
+        batch: Batch<'_>,
         mut accept: impl FnMut(EvaluatedDesign) -> Result<(), SearchError>,
     ) -> Result<(), SearchError> {
         let solving = Instant::now();
-        let abort = AtomicBool::new(false);
         let (ctx, objective, options, budget) =
             (self.ctx, self.objective, self.options, &self.budget);
         let tier = self.tier.name().as_str();
-        let outcomes = parallel_map_with(
-            self.health.jobs,
-            &mut self.sessions,
-            batch,
-            |session, _, c| {
-                if abort.load(Ordering::Relaxed) || stopping(budget) {
-                    return Outcome::Skipped;
-                }
-                if options.prune && best_cost.zip(c.cost).is_some_and(|(b, cost)| b.beats(cost)) {
-                    return Outcome::Pruned;
-                }
-                let replay = options
-                    .resume
-                    .as_ref()
-                    .and_then(|replay| replay.lookup(&objective.journal_key(tier, &c.design)));
-                let result = match replay {
-                    Some(entry) => entry.clone().into_result(&c.design),
-                    None => objective.evaluate(ctx, c.option, &c.design, session),
-                };
-                match (&result, best_cost) {
-                    (Ok(Some(e)), Some(b))
-                        if objective.quality(e).is_some_and(|q| objective.meets(q)) =>
-                    {
-                        b.offer(e.cost());
+        let mut cheapest_feasible = self.cheapest_feasible;
+        let pruned = |bound, c: &Candidate| options.prune && beaten(bound, c.cost);
+        let keys: Vec<String> = if options.journal.is_some() || options.resume.is_some() {
+            let key = |c: &Candidate| objective.journal_key(tier, &c.design);
+            batch.candidates.iter().map(key).collect()
+        } else {
+            Vec::new()
+        };
+        let replays: Vec<Option<&ReplayEntry>> = match &options.resume {
+            Some(replay) => keys.iter().map(|key| replay.lookup(key)).collect(),
+            None => Vec::new(),
+        };
+
+        // Each design's evaluation, once made: `Ok(None)` when the design
+        // cannot serve the requirement at all.
+        let mut assessments: Vec<Option<Result<Option<Assessment>, SearchError>>> =
+            std::iter::repeat_with(|| None)
+                .take(batch.designs.len())
+                .collect();
+        if self.health.jobs > 1 {
+            let mut needed = vec![false; batch.designs.len()];
+            for (i, c) in batch.candidates.iter().enumerate() {
+                let replayed = replays.get(i).is_some_and(Option::is_some);
+                needed[c.availability] |= !replayed && !pruned(cheapest_feasible, c);
+            }
+            let work: Vec<usize> = (0..needed.len()).filter(|&d| needed[d]).collect();
+            let abort = AtomicBool::new(false);
+            let assessed = parallel_map_with(
+                self.health.jobs,
+                &mut self.sessions,
+                &work,
+                |session, _, &d| {
+                    if abort.load(Ordering::Relaxed) || stopping(budget) {
+                        return None;
                     }
-                    (Err(e), _) if fatal(e, options.strict) => abort.store(true, Ordering::Relaxed),
-                    _ => {}
-                }
-                Outcome::Done {
-                    result,
-                    replayed: replay.is_some(),
-                }
-            },
-        );
+                    let (option, first) = batch.designs[d];
+                    let td = &batch.candidates[first].design;
+                    let result = objective.assess(ctx, option, td, session);
+                    if matches!(&result, Err(e) if fatal(e, options.strict)) {
+                        abort.store(true, Ordering::Relaxed);
+                    }
+                    Some(result)
+                },
+            );
+            for (d, result) in work.into_iter().zip(assessed) {
+                self.health.models_evaluated += u64::from(result.as_ref().is_some_and(evaluated));
+                assessments[d] = result;
+            }
+        }
         self.health.solve_time += solving.elapsed();
 
         let merging = Instant::now();
-        for (c, outcome) in batch.iter().zip(outcomes) {
-            let (result, replayed) = match outcome {
-                Outcome::Skipped => continue,
-                Outcome::Pruned => {
-                    self.health.candidates_pruned += 1;
-                    continue;
+        let mut evaluating = std::time::Duration::ZERO;
+        for (i, c) in batch.candidates.iter().enumerate() {
+            if pruned(cheapest_feasible, c) {
+                self.health.candidates_pruned += 1;
+                continue;
+            }
+            let replay = replays.get(i).copied().flatten();
+            let result = if let Some(entry) = replay {
+                entry.clone().into_result(&c.design)
+            } else {
+                let assessment = &mut assessments[c.availability];
+                if assessment.is_none() {
+                    // Not evaluated by the workers: evaluate it here, unless
+                    // the sweep is stopping (the post-batch check records
+                    // the interruption).
+                    if stopping(budget) {
+                        continue;
+                    }
+                    let started = Instant::now();
+                    let option = batch.designs[c.availability].0;
+                    let result = objective.assess(ctx, option, &c.design, &mut self.sessions[0]);
+                    self.health.models_evaluated += u64::from(evaluated(&result));
+                    *assessment = Some(result);
+                    evaluating += started.elapsed();
                 }
-                Outcome::Done { result, replayed } => (result, replayed),
+                self.health.candidates_scored += 1;
+                match assessment.as_ref().expect("evaluated above") {
+                    Ok(Some(a)) => {
+                        let option = batch.designs[c.availability].0;
+                        objective.score(ctx, option, &c.design, c.cost, a)
+                    }
+                    Ok(None) => Ok(None),
+                    Err(e) => Err(e.clone()),
+                }
             };
             // A cancellation is not a candidate outcome: the caller's
             // post-batch check turns it into a clean interruption, and it
@@ -340,12 +474,18 @@ impl<'s, 'c> Sweep<'s, 'c> {
             if matches!(&result, Err(e) if e.is_cancellation()) {
                 continue;
             }
-            self.health.journal_replayed += u64::from(replayed);
+            if let Ok(Some(e)) = &result {
+                let feasible = objective.quality(e).is_some_and(|q| objective.meets(q));
+                if feasible && cheapest_feasible.is_none_or(|b| e.cost() < b) {
+                    cheapest_feasible = Some(e.cost());
+                }
+            }
+            self.health.journal_replayed += u64::from(replay.is_some());
             if matches!(&result, Err(e) if e.is_budget_exhaustion()) {
                 self.health.budget_exhausted += 1;
             }
             if let Some(journal) = &options.journal {
-                journal.record(&objective.journal_key(tier, &c.design), &result);
+                journal.record(&keys[i], &result);
             }
             match result {
                 Ok(Some(e)) => {
@@ -357,7 +497,9 @@ impl<'s, 'c> Sweep<'s, 'c> {
                 Err(e) => self.health.record_skip(&c.design, &e),
             }
         }
-        self.health.merge_time += merging.elapsed();
+        self.health.solve_time += evaluating;
+        self.health.merge_time += merging.elapsed().saturating_sub(evaluating);
+        self.cheapest_feasible = cheapest_feasible;
         self.health.interrupted |= stopping(&self.budget);
         Ok(())
     }
@@ -369,5 +511,26 @@ impl<'s, 'c> Sweep<'s, 'c> {
         }
         self.health.wall_time = started.elapsed();
         self.health
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_a_strictly_cheaper_feasible_cost_prunes() {
+        let m = |dollars| Some(Money::from_dollars(dollars));
+        assert!(
+            !beaten(None, m(1e12)),
+            "nothing feasible known prunes nothing"
+        );
+        assert!(beaten(m(100.0), m(100.01)));
+        assert!(!beaten(m(100.0), m(100.0)), "equal cost still competes");
+        assert!(!beaten(m(100.0), m(99.9)));
+        assert!(
+            !beaten(m(100.0), None),
+            "uncosted candidates are never pruned"
+        );
     }
 }

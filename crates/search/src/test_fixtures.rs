@@ -1,11 +1,17 @@
 //! Shared test fixtures: the paper's example models, parsed from the
 //! repository's `data/` specification files.
 
-use aved_avail::AvailabilityEngine;
+use std::collections::HashSet;
+use std::sync::Mutex;
+
+use aved_avail::{
+    derive_tier_model, AvailError, AvailabilityEngine, DecompositionEngine, EvalHealth,
+    EvalSession, TierAvailability, TierModel,
+};
 use aved_model::{Infrastructure, Service};
 use aved_perf::Catalog;
 
-use crate::EvalContext;
+use crate::{enumerate_tier_candidates, EvalContext, SearchOptions};
 
 /// A bundle of models sufficient to build an [`EvalContext`].
 pub struct Fixture {
@@ -45,4 +51,100 @@ pub fn job_fixture() -> Fixture {
             .expect("bundled scientific spec parses"),
         catalog: aved_perf::paper::catalog(),
     }
+}
+
+/// The scientific application on an infrastructure whose rH resource
+/// lists its mpi component, whose loss window the checkpoint mechanism
+/// sets, before the machine whose repairs the maintenance contract sets.
+/// The model-read maintenance level then varies fastest in enumeration
+/// order, so candidates sharing a tier model are never adjacent.
+pub fn maintenance_innermost_job_fixture() -> Fixture {
+    let paper = include_str!("../../../data/infrastructure.aved");
+    let rh = "resource=rH reconfig_time=0
+  component=machineA depend=null startup=30s
+  component=linux depend=machineA startup=2m
+  component=mpi depend=linux startup=2s";
+    let mpi_first = "resource=rH reconfig_time=0
+  component=mpi depend=null startup=2s
+  component=machineA depend=null startup=30s
+  component=linux depend=machineA startup=2m";
+    assert!(paper.contains(rh), "the bundled rH resource moved");
+    Fixture {
+        infrastructure: aved_spec::parse_infrastructure(&paper.replace(rh, mpi_first))
+            .expect("reordered infrastructure spec parses"),
+        ..job_fixture()
+    }
+}
+
+/// Delegates to the decomposition engine and records every model it is
+/// asked to evaluate (by its exact `Debug` rendering, which round-trips
+/// every rate bit for bit).
+#[derive(Default)]
+pub struct RecordingEngine {
+    inner: DecompositionEngine,
+    models: Mutex<Vec<String>>,
+}
+
+impl RecordingEngine {
+    /// Evaluations so far.
+    pub fn calls(&self) -> usize {
+        self.models.lock().unwrap().len()
+    }
+
+    /// Distinct models among them.
+    pub fn distinct(&self) -> usize {
+        self.models
+            .lock()
+            .unwrap()
+            .iter()
+            .collect::<HashSet<_>>()
+            .len()
+    }
+}
+
+impl AvailabilityEngine for RecordingEngine {
+    fn evaluate_with_session(
+        &self,
+        model: &TierModel,
+        session: &mut EvalSession,
+    ) -> Result<(TierAvailability, EvalHealth), AvailError> {
+        self.models.lock().unwrap().push(format!("{model:?}"));
+        self.inner.evaluate_with_session(model, session)
+    }
+}
+
+/// The distinct tier models among every candidate a job frontier of
+/// `tier` over the resource totals `grid` enumerates, derived one by one.
+pub fn distinct_job_models(
+    ctx: &EvalContext<'_>,
+    tier: &str,
+    grid: &[u32],
+    options: &SearchOptions,
+) -> usize {
+    let tier = ctx.tier(tier).unwrap();
+    let mut models = HashSet::new();
+    for option in tier.options() {
+        for &n_total in grid {
+            let candidates = enumerate_tier_candidates(
+                ctx.infrastructure(),
+                tier.name(),
+                option,
+                n_total,
+                1,
+                options,
+            );
+            for td in candidates {
+                let model = derive_tier_model(
+                    ctx.infrastructure(),
+                    &td,
+                    option.sizing(),
+                    option.failure_scope(),
+                    td.n_active(),
+                )
+                .unwrap();
+                models.insert(format!("{model:?}"));
+            }
+        }
+    }
+    models.len()
 }

@@ -1,15 +1,13 @@
 //! The per-tier search algorithm of paper §4.1: one [`Sweep`] batch per
-//! resource-count level, with a shared [`BestCost`] cell letting workers
-//! skip candidates that already cost strictly more than a known-feasible
-//! design (dominance pruning; see [`crate::parallel`](crate::parallel_map_with)
-//! for why it never changes the winner).
+//! resource-count level, skipping candidates that already cost strictly
+//! more than a known-feasible design (dominance pruning: such a candidate
+//! can never win a minimum-cost search).
 
 use std::time::Instant;
 
-use aved_units::{Duration, Money};
+use aved_units::Duration;
 
-use crate::parallel::BestCost;
-use crate::sweep::{Objective, Sweep};
+use crate::sweep::{Batch, Objective, Sweep};
 use crate::{EvalContext, EvaluatedDesign, SearchError, SearchHealth, SearchOptions};
 
 /// Counters describing how much work a search did — the basis of the
@@ -140,11 +138,8 @@ fn search(
     let mut sweep = Sweep::new(ctx, tier_name, objective, options, started)?;
     let mut stats = SearchStats::default();
     let mut best: Option<EvaluatedDesign> = None;
-    // The cheapest feasible cost any worker has proven, across the whole
-    // search; mirrors `best.cost()` but is shared lock-free with workers.
-    let best_cost = BestCost::new();
 
-    'options: for option in sweep.tier.options() {
+    'options: for (index, option) in sweep.tier.options().iter().enumerate() {
         let Some((min_active, totals)) = objective.levels(ctx, option, options)? else {
             continue; // this option can never meet the requirement
         };
@@ -154,7 +149,8 @@ fn search(
             // The batch stays in enumeration (parameter-locality) order —
             // the win rule compares cost explicitly, so a cost sort would
             // only destroy the locality the evaluation sessions feed on.
-            let batch = sweep.level(option, n_total, min_active, true)?;
+            let mut batch = Batch::default();
+            sweep.level(&mut batch, index, n_total, min_active, true)?;
             if batch.is_empty() {
                 continue;
             }
@@ -165,8 +161,7 @@ fn search(
             // grows with the count, at later counts) costs more than the
             // incumbent.
             if let Some(b) = &best {
-                let cheapest = batch.iter().filter_map(|c| c.cost).min_by(Money::total_cmp);
-                if cheapest.is_some_and(|c| c > b.cost()) {
+                if batch.cheapest().is_some_and(|c| c > b.cost()) {
                     break;
                 }
             }
@@ -175,7 +170,7 @@ fn search(
             // settings are free, and Fig. 7 reports the quality-optimal
             // interval within the winning configuration.
             let mut best_quality_here: Option<Duration> = None;
-            sweep.run(&batch, Some(&best_cost), |evaluated| {
+            sweep.run(batch, |evaluated| {
                 stats.quality_evaluations += 1;
                 let q = objective.quality(&evaluated).ok_or_else(|| {
                     SearchError::RequirementMismatch {
@@ -232,9 +227,12 @@ fn search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_fixtures::{app_tier_fixture, job_fixture};
+    use crate::test_fixtures::{
+        app_tier_fixture, job_fixture, maintenance_innermost_job_fixture, RecordingEngine,
+    };
     use crate::{
-        effective_jobs, enumerate_tier_candidates, evaluate_enterprise_design, CachingEngine,
+        effective_jobs, enumerate_tier_candidates, evaluate_enterprise_design, evaluate_job_design,
+        CachingEngine,
     };
     use aved_avail::DecompositionEngine;
     use aved_model::ParamValue;
@@ -437,7 +435,15 @@ mod tests {
         assert!(t <= Duration::from_hours(200.0));
         // Loose requirement: the cheap machineA-based resource wins.
         assert_eq!(best.design().resource().as_str(), "rH");
-        assert!(engine.hits() > 0, "availability cache should be exercised");
+        // The 300 candidates scored are the first level's: one split whose
+        // checkpoint settings all share one tier model, evaluated once.
+        assert_eq!(out.health().models_evaluated, 1);
+        assert_eq!(out.health().candidates_scored, 300);
+        assert_eq!(
+            (engine.hits(), engine.misses()),
+            (0, 1),
+            "one evaluation per distinct model leaves the tier memo nothing to replay"
+        );
         assert_eq!(
             *out.stats(),
             SearchStats {
@@ -447,6 +453,95 @@ mod tests {
                 totals_explored: 3,
             }
         );
+    }
+
+    #[test]
+    fn job_search_evaluates_each_distinct_model_once_and_matches_exhaustive_evaluation() {
+        // The model-read maintenance level varies fastest in this fixture's
+        // enumeration, so candidates sharing a model are never adjacent.
+        let fx = maintenance_innermost_job_fixture();
+        let plain = DecompositionEngine::default();
+        let ctx = fx.context(&plain);
+        let o = SearchOptions {
+            max_extra_active: 2,
+            max_spares: 1,
+            ..SearchOptions::default()
+        }
+        .with_pin(
+            "checkpoint",
+            "checkpoint_interval",
+            ParamValue::Duration(Duration::from_hours(1.0)),
+        );
+        let tier = ctx.tier("computation").unwrap();
+        let first = enumerate_tier_candidates(
+            ctx.infrastructure(),
+            tier.name(),
+            tier.option_for("rH").unwrap(),
+            1,
+            1,
+            &o,
+        );
+        assert_ne!(
+            first[0].setting("maintenanceA", "level"),
+            first[1].setting("maintenanceA", "level"),
+            "the maintenance level must vary fastest"
+        );
+        let deadline = Duration::from_hours(50.0);
+
+        let mut reference: Option<EvaluatedDesign> = None;
+        let quality = |e: &EvaluatedDesign| e.expected_job_time().unwrap();
+        for option in tier.options() {
+            for n_total in 1..=64 {
+                for td in enumerate_tier_candidates(
+                    ctx.infrastructure(),
+                    tier.name(),
+                    option,
+                    n_total,
+                    1,
+                    &o,
+                ) {
+                    let Some(e) = evaluate_job_design(&ctx, option, &td).unwrap() else {
+                        continue;
+                    };
+                    let wins = quality(&e) <= deadline
+                        && reference.as_ref().is_none_or(|b| {
+                            e.cost() < b.cost()
+                                || (e.cost() == b.cost() && quality(&e) < quality(b))
+                        });
+                    if wins {
+                        reference = Some(e);
+                    }
+                }
+            }
+        }
+        let reference = reference.expect("feasible");
+        assert!(
+            2 * reference.design().n_total() <= 64,
+            "the scan reaches twice the winner's size"
+        );
+
+        for jobs in [1, 2] {
+            let engine = RecordingEngine::default();
+            let ctx = fx.context(&engine);
+            let out =
+                search_job_tier(&ctx, "computation", deadline, &o.clone().with_jobs(jobs)).unwrap();
+            let best = out.best().expect("feasible");
+            assert_eq!(best, &reference, "jobs={jobs}");
+            assert_eq!(
+                best.expected_job_time().map(|t| t.seconds().to_bits()),
+                reference.expected_job_time().map(|t| t.seconds().to_bits()),
+                "jobs={jobs}"
+            );
+            let h = out.health();
+            assert!(h.models_evaluated > 4, "jobs={jobs}: {h}");
+            assert_eq!(
+                engine.calls(),
+                engine.distinct(),
+                "jobs={jobs}: a model evaluated twice"
+            );
+            assert_eq!(h.models_evaluated, engine.calls() as u64, "jobs={jobs}");
+            assert!(h.candidates_scored > h.models_evaluated, "jobs={jobs}: {h}");
+        }
     }
 
     #[test]

@@ -175,10 +175,9 @@ fn faulty_engine_skips_the_same_candidates_at_any_worker_count() {
     // call schedule) kills every spare-carrying evaluation; the skips and
     // the winner must be identical no matter how evaluations interleave.
     //
-    // Pruning is off: which *dominated* candidates get evaluated (and so
-    // can fail and be skipped) legitimately varies with worker scheduling,
-    // so exact skip-count equality is only promised for exhaustive runs.
-    // Winner equality holds either way — see the pruning-toggle test.
+    // Pruning is off, so every candidate is evaluated and can fail and be
+    // skipped. Winner equality holds with pruning on too — see the
+    // pruning-toggle test.
     let fx = fig6_fixture();
     let inner = DecompositionEngine::default();
     let faulty = FaultInjectingEngine::new(&inner)

@@ -209,10 +209,16 @@ fn fig6_killed_sweep_resumes_to_the_reference_winner() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Engine evaluations after which the killed Fig. 7 sweep is cancelled.
+const JOB_KILL_QUOTA: usize = 5;
+
 #[test]
 fn fig7_killed_job_sweep_resumes_to_the_reference_winner() {
     let fx = fig7_fixture();
-    let deadline = Duration::from_hours(200.0);
+    // The job search evaluates each availability model once, so the kill
+    // needs a deadline whose search evaluates many: 11 at 50 h, one at
+    // 200 h.
+    let deadline = Duration::from_hours(50.0);
 
     let reference_engine = DecompositionEngine::default();
     let ctx = EvalContext::new(
@@ -223,11 +229,16 @@ fn fig7_killed_job_sweep_resumes_to_the_reference_winner() {
     );
     let reference = search_job_tier(&ctx, "computation", deadline, &job_opts()).unwrap();
     let reference_best = reference.best().expect("feasible");
+    assert!(
+        reference.health().models_evaluated > 2 * JOB_KILL_QUOTA as u64,
+        "the kill must land mid-sweep: {}",
+        reference.health()
+    );
 
     let path = temp_journal("fig7-killed");
     {
         let token = CancelToken::new();
-        let engine = CancelAfter::new(10, token.clone());
+        let engine = CancelAfter::new(JOB_KILL_QUOTA, token.clone());
         let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &engine);
         let journal = Arc::new(SweepJournal::create(&path, &decomp()).unwrap());
         let opts = job_opts().with_cancel(token).with_journal(journal.clone());
@@ -247,6 +258,51 @@ fn fig7_killed_job_sweep_resumes_to_the_reference_winner() {
             resumed.health().journal_replayed > 0,
             "jobs={jobs}: {}",
             resumed.health()
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn partly_replayed_availability_designs_resume_to_the_reference_winner() {
+    // Every other record of a full job-sweep journal survives, so each
+    // availability design's candidates are split between replay and live
+    // scoring: the resumed sweep must evaluate every design again and
+    // still land on the reference winner, to the bit.
+    let fx = fig7_fixture();
+    let deadline = Duration::from_hours(50.0);
+    let engine = DecompositionEngine::default();
+    let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &engine);
+    let reference = search_job_tier(&ctx, "computation", deadline, &job_opts()).unwrap();
+    let reference_best = reference.best().expect("feasible");
+
+    let path = temp_journal("fig7-partial");
+    {
+        let journal = Arc::new(SweepJournal::create(&path, &decomp()).unwrap());
+        let opts = job_opts().with_journal(journal.clone());
+        search_job_tier(&ctx, "computation", deadline, &opts).unwrap();
+        journal.flush().unwrap();
+    }
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut lines = text.lines();
+    let header = lines.next().unwrap();
+    let kept: Vec<&str> = std::iter::once(header).chain(lines.step_by(2)).collect();
+    std::fs::write(&path, kept.join("\n") + "\n").unwrap();
+
+    let replay = Arc::new(JournalReplay::load(&path, &decomp()).unwrap());
+    assert_eq!(replay.len(), kept.len() - 1);
+    for jobs in JOB_COUNTS {
+        let opts = job_opts().with_jobs(jobs).with_resume(replay.clone());
+        let resumed = search_job_tier(&ctx, "computation", deadline, &opts).unwrap();
+        let label = format!("fig7 partial resume jobs={jobs}");
+        assert_bit_identical(reference_best, resumed.best().expect("feasible"), &label);
+        let (r, h) = (reference.health(), resumed.health());
+        assert_eq!(h.journal_replayed, replay.len() as u64, "{label}: {h}");
+        assert_eq!(h.models_evaluated, r.models_evaluated, "{label}: {h}");
+        assert_eq!(
+            h.candidates_scored + h.journal_replayed,
+            r.candidates_scored,
+            "{label}: every candidate is replayed or scored once"
         );
     }
     std::fs::remove_file(&path).ok();

@@ -85,6 +85,42 @@ fn job_design_with_pins() {
     assert!(text.contains("computation: rH"));
 }
 
+/// The two counts of a stats-line field that reads `<label><a><sep><b>`.
+fn stats_pair(err: &str, label: &str, sep: &str) -> (u64, u64) {
+    err.split_once(label)
+        .and_then(|(_, rest)| rest.split_once(sep))
+        .and_then(|(a, rest)| {
+            let b: String = rest.chars().take_while(char::is_ascii_digit).collect();
+            Some((a.parse().ok()?, b.parse().ok()?))
+        })
+        .unwrap_or_else(|| panic!("no `{label}` counts in: {err}"))
+}
+
+#[test]
+fn job_design_evaluates_each_availability_model_once() {
+    // Every checkpoint setting of a node count shares one tier model: the
+    // stats line shows each model evaluated once for its 300 checkpoint
+    // candidates, and the tier cache seeing exactly those evaluations.
+    let out = run(&[
+        "design",
+        "--paper-scientific",
+        "--max-execution-time",
+        "50h",
+        "--pin",
+        "maintenanceA.level=bronze",
+        "--pin",
+        "maintenanceB.level=bronze",
+        "--max-spares",
+        "1",
+    ]);
+    let err = stderr(&out);
+    assert!(out.status.success(), "stderr: {err}");
+    let (models, candidates) = stats_pair(&err, "models ", " / ");
+    let (hits, lookups) = stats_pair(&err, "cache ", "/");
+    assert_eq!((models, candidates), (11, 3300), "{err}");
+    assert_eq!((hits, lookups), (0, models), "{err}");
+}
+
 #[test]
 fn check_and_dump_bundled_files() {
     let out = run(&[

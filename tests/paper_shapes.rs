@@ -4,12 +4,12 @@
 //! comparative claim the paper makes about Figs. 6, 7 and 8 is asserted
 //! here against our engines.
 
-use aved::avail::DecompositionEngine;
+use aved::avail::{derive_tier_model, DecompositionEngine};
 use aved::model::ParamValue;
 use aved::scenario;
 use aved::search::{
-    job_frontier, search_job_tier, tier_pareto_frontier, CachingEngine, EvalContext,
-    EvaluatedDesign, SearchOptions,
+    enumerate_tier_candidates, job_frontier, search_job_tier, tier_pareto_frontier, CachingEngine,
+    EvalContext, EvaluatedDesign, SearchOptions,
 };
 use aved::units::Duration;
 
@@ -203,11 +203,11 @@ fn fig7_best(req_hours: f64) -> EvaluatedDesign {
 }
 
 #[test]
-fn fig7_job_frontier_replays_tier_results_from_the_session_memo() {
-    // Checkpoint settings are enumerated innermost and leave the tier
-    // model alone, so each worker's session memo serves almost every tier
-    // evaluation. An enumeration order that separated the candidates
-    // sharing a model would leave the memo idle and show here.
+fn fig7_job_frontier_evaluates_each_distinct_model_once() {
+    // Checkpoint settings leave the tier model alone, so the sweep derives
+    // and evaluates each distinct model once and scores every checkpoint
+    // candidate from it: the engine sees exactly the distinct models,
+    // each once, and the tier memo has nothing left to replay.
     let fx = scientific_fx();
     let inner = DecompositionEngine::default();
     let engine = CachingEngine::new(&inner);
@@ -220,12 +220,45 @@ fn fig7_job_frontier_replays_tier_results_from_the_session_memo() {
     .with_pin("maintenanceB", "level", ParamValue::Level("bronze".into()))
     .with_jobs(2);
     let totals = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000];
-    job_frontier(&ctx, "computation", &totals, &options).unwrap();
-    let (hits, misses) = (engine.hits(), engine.misses());
+    let (_, health) = job_frontier(&ctx, "computation", &totals, &options).unwrap();
+
+    let tier = ctx.tier("computation").unwrap();
+    let mut distinct: Vec<String> = Vec::new();
+    let mut candidates = 0;
+    for option in tier.options() {
+        for &n_total in &totals {
+            for td in enumerate_tier_candidates(
+                &fx.infrastructure,
+                tier.name(),
+                option,
+                n_total,
+                1,
+                &options,
+            ) {
+                let model = derive_tier_model(
+                    &fx.infrastructure,
+                    &td,
+                    option.sizing(),
+                    option.failure_scope(),
+                    td.n_active(),
+                )
+                .unwrap();
+                let key = format!("{model:?}");
+                if !distinct.contains(&key) {
+                    distinct.push(key);
+                }
+                candidates += 1;
+            }
+        }
+    }
+    assert_eq!(engine.hits(), 0, "no model is evaluated twice");
+    assert_eq!(engine.misses(), distinct.len() as u64);
+    assert_eq!(health.models_evaluated, distinct.len() as u64);
+    assert_eq!(health.candidates_scored, candidates);
     assert!(
-        hits as f64 >= 0.99 * (hits + misses) as f64,
-        "{hits} hits of {} tier evaluations",
-        hits + misses
+        100 * distinct.len() < candidates as usize,
+        "{} models for {candidates} candidates",
+        distinct.len()
     );
 }
 
