@@ -1,7 +1,7 @@
 //! Deriving a [`TierModel`] from design-space model types (paper §4.2).
 
 use aved_model::{
-    DurationSpec, FailureScope, Infrastructure, ModelError, OperationalMode, Sizing, TierDesign,
+    EffectKind, FailureScope, Infrastructure, ModelError, OperationalMode, Sizing, TierDesign,
 };
 use aved_units::Duration;
 
@@ -30,6 +30,8 @@ pub fn required_active(
 /// For every failure mode of every component of the selected resource type,
 /// this computes the derived attributes of §4.2:
 ///
+/// * the mode's MTBF, fixed or resolved through the mechanism it delegates
+///   to ([`Infrastructure::resolve_duration`]);
 /// * `MTTR_i` = detection time + component repair time (resolved through
 ///   the maintenance mechanism when delegated) + the sequential restart of
 ///   the failed component and its dependents;
@@ -40,6 +42,10 @@ pub fn required_active(
 ///
 /// Spares are failure-exposed iff any of their components is configured
 /// active (a fully powered-off spare cannot fail).
+///
+/// The model reads exactly the attributes whose [`EffectKind`] enters the
+/// tier model ([`EffectKind::enters_tier_model`]): the loss window does
+/// not, so no checkpoint setting changes the model.
 ///
 /// # Errors
 ///
@@ -78,46 +84,12 @@ pub fn derive_tier_model(
             })?;
         let restart = resource.restart_time_after(slot_idx);
         for mode in component.failure_modes() {
-            let repair = match mode.repair() {
-                DurationSpec::Fixed(d) => *d,
-                DurationSpec::FromMechanism(mech_name) => {
-                    let mech = infrastructure
-                        .mechanism(mech_name.as_str())
-                        .ok_or_else(|| ModelError::UnknownMechanism {
-                            context: format!(
-                                "component {} failure mode {}",
-                                component.name(),
-                                mode.name()
-                            ),
-                            mechanism: mech_name.to_string(),
-                        })?;
-                    mech.resolve_mttr(td)?
-                        .ok_or_else(|| AvailError::InvalidModel {
-                            detail: format!("mechanism {mech_name} declares no mttr effect"),
-                        })?
-                }
-            };
+            let resolve =
+                |kind, spec| infrastructure.resolve_duration(component, Some(mode), kind, spec, td);
+            let repair = resolve(EffectKind::Mttr, mode.repair())?;
             // MTBF: fixed, or produced by a mechanism (e.g. rejuvenation
             // intervals changing the effective soft-failure MTBF).
-            let mtbf = match mode.mtbf_spec() {
-                DurationSpec::Fixed(d) => *d,
-                DurationSpec::FromMechanism(mech_name) => {
-                    let mech = infrastructure
-                        .mechanism(mech_name.as_str())
-                        .ok_or_else(|| ModelError::UnknownMechanism {
-                            context: format!(
-                                "component {} failure mode {}",
-                                component.name(),
-                                mode.name()
-                            ),
-                            mechanism: mech_name.to_string(),
-                        })?;
-                    mech.resolve_mtbf(td)?
-                        .ok_or_else(|| AvailError::InvalidModel {
-                            detail: format!("mechanism {mech_name} declares no mtbf effect"),
-                        })?
-                }
-            };
+            let mtbf = resolve(EffectKind::Mtbf, mode.mtbf_spec())?;
             if mtbf.is_zero() {
                 return Err(AvailError::InvalidModel {
                     detail: format!(
@@ -183,23 +155,15 @@ pub fn loss_window(
                 resource: resource.name().to_string(),
                 component: slot.component().to_string(),
             })?;
-        match component.loss_window() {
-            None => continue,
-            Some(DurationSpec::Fixed(d)) => return Ok(Some(*d)),
-            Some(DurationSpec::FromMechanism(mech_name)) => {
-                let mech = infrastructure
-                    .mechanism(mech_name.as_str())
-                    .ok_or_else(|| ModelError::UnknownMechanism {
-                        context: format!("component {} loss window", component.name()),
-                        mechanism: mech_name.to_string(),
-                    })?;
-                let lw = mech
-                    .resolve_loss_window(td)?
-                    .ok_or_else(|| AvailError::InvalidModel {
-                        detail: format!("mechanism {mech_name} declares no loss_window effect"),
-                    })?;
-                return Ok(Some(lw));
-            }
+        if let Some(spec) = component.loss_window() {
+            let lw = infrastructure.resolve_duration(
+                component,
+                None,
+                EffectKind::LossWindow,
+                spec,
+                td,
+            )?;
+            return Ok(Some(lw));
         }
     }
     Ok(None)
@@ -209,8 +173,8 @@ pub fn loss_window(
 mod tests {
     use super::*;
     use aved_model::{
-        ComponentType, EffectValue, FailureMode, Mechanism, ParamRange, ParamValue, Parameter,
-        ResourceComponent, ResourceType, SpareMode,
+        ComponentType, DurationSpec, EffectValue, FailureMode, Mechanism, ParamRange, ParamValue,
+        Parameter, ResourceComponent, ResourceType, SpareMode,
     };
     use aved_units::Money;
 
@@ -271,15 +235,18 @@ mod tests {
                             Money::from_dollars(1500.0),
                         ],
                     )
-                    .with_mttr_effect(EffectValue::Table {
-                        param: "level".into(),
-                        values: vec![
-                            Duration::from_hours(38.0),
-                            Duration::from_hours(15.0),
-                            Duration::from_hours(8.0),
-                            Duration::from_hours(6.0),
-                        ],
-                    }),
+                    .with_effect(
+                        EffectKind::Mttr,
+                        EffectValue::Table {
+                            param: "level".into(),
+                            values: vec![
+                                Duration::from_hours(38.0),
+                                Duration::from_hours(15.0),
+                                Duration::from_hours(8.0),
+                                Duration::from_hours(6.0),
+                            ],
+                        },
+                    ),
             )
             .with_resource(
                 ResourceType::new("rC", Duration::ZERO)
@@ -458,7 +425,10 @@ mod tests {
                             factor: 1.05,
                         },
                     ))
-                    .with_loss_window_effect(EffectValue::Param("checkpoint_interval".into())),
+                    .with_effect(
+                        EffectKind::LossWindow,
+                        EffectValue::Param("checkpoint_interval".into()),
+                    ),
             )
             .with_resource(ResourceType::new("rH", Duration::ZERO).with_component(
                 ResourceComponent::new("mpi", None, Duration::from_secs(2.0)),

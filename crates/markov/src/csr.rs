@@ -5,11 +5,10 @@ use serde::{Deserialize, Serialize};
 /// A row-major sparse matrix of `(column, value)` entries.
 ///
 /// This is deliberately minimal: availability models produce generator
-/// matrices with a handful of entries per row, and the solvers only need
-/// row iteration and transpose-vector products.
+/// matrices with a handful of entries per row, and the chain only needs row
+/// iteration and in-place rate patches.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CsrMatrix {
-    n_rows: usize,
+pub(crate) struct CsrMatrix {
     row_starts: Vec<usize>,
     entries: Vec<(usize, f64)>,
 }
@@ -59,16 +58,9 @@ impl CsrMatrix {
         }
         debug_assert_eq!(row_starts.len(), n_rows + 1);
         CsrMatrix {
-            n_rows,
             row_starts,
             entries,
         }
-    }
-
-    /// Number of rows (== columns; the matrix is square).
-    #[must_use]
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
     }
 
     /// Number of stored entries.
@@ -105,17 +97,6 @@ impl CsrMatrix {
             .map(|i| start + i)
     }
 
-    /// The stored value at flat entry position `idx` (see
-    /// [`CsrMatrix::entry_index`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= nnz`.
-    #[must_use]
-    pub fn value_at(&self, idx: usize) -> f64 {
-        self.entries[idx].1
-    }
-
     /// Replaces every stored value in flat entry order, keeping the
     /// sparsity structure. This is the rate-only rebuild primitive: a
     /// neighbor model with identical topology patches its rates in place
@@ -128,39 +109,6 @@ impl CsrMatrix {
         assert_eq!(values.len(), self.entries.len(), "value count mismatch");
         for (e, &v) in self.entries.iter_mut().zip(values) {
             e.1 = v;
-        }
-    }
-
-    /// Multiplies every stored value in row `r` by `factor`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= n_rows`.
-    pub fn scale_row(&mut self, r: usize, factor: f64) {
-        for e in &mut self.entries[self.row_starts[r]..self.row_starts[r + 1]] {
-            e.1 *= factor;
-        }
-    }
-
-    /// Computes `y = xᵀ·A` (left multiplication by a row vector), writing
-    /// into `y`.
-    ///
-    /// This is the operation needed by power iteration on `π ← π·P`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` or `y.len()` differ from the matrix dimension.
-    pub fn left_mul(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n_rows);
-        assert_eq!(y.len(), self.n_rows);
-        y.fill(0.0);
-        for (r, &xr) in x.iter().enumerate() {
-            if xr == 0.0 {
-                continue;
-            }
-            for &(c, v) in self.row(r) {
-                y[c] += xr * v;
-            }
         }
     }
 }
@@ -203,16 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn left_mul_matches_dense() {
-        let m = CsrMatrix::from_triplets(3, vec![(0, 1, 2.0), (1, 2, 3.0), (2, 0, 4.0)]);
-        let x = [1.0, 10.0, 100.0];
-        let mut y = [0.0; 3];
-        m.left_mul(&x, &mut y);
-        // y_c = sum_r x_r * A[r][c]
-        assert_eq!(y, [400.0, 2.0, 30.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range() {
         let _ = CsrMatrix::from_triplets(2, vec![(0, 5, 1.0)]);
@@ -226,7 +164,7 @@ mod tests {
         assert_eq!(m.entry_index(2, 0), Some(2));
         assert_eq!(m.entry_index(0, 0), None);
         assert_eq!(m.entry_index(1, 2), None);
-        assert_eq!(m.value_at(2), 5.0);
+        assert_eq!(m.entries[2], (0, 5.0));
     }
 
     #[test]
@@ -242,16 +180,6 @@ mod tests {
     fn overwrite_values_rejects_wrong_length() {
         let mut m = CsrMatrix::from_triplets(2, vec![(0, 1, 1.0)]);
         m.overwrite_values(&[1.0, 2.0]);
-    }
-
-    #[test]
-    fn scale_row_touches_only_that_row() {
-        let mut m =
-            CsrMatrix::from_triplets(3, vec![(0, 1, 2.0), (0, 2, 4.0), (1, 0, 3.0), (2, 1, 5.0)]);
-        m.scale_row(0, 0.5);
-        assert_eq!(m.row(0), &[(1, 1.0), (2, 2.0)]);
-        assert_eq!(m.row(1), &[(0, 3.0)]);
-        assert_eq!(m.row(2), &[(1, 5.0)]);
     }
 
     proptest! {
@@ -278,7 +206,7 @@ mod tests {
                         .fold(None, |acc: Option<f64>, &(_, _, v)| {
                             Some(acc.map_or(v, |a| a + v))
                         });
-                    let got = m.entry_index(r, c).map(|i| m.value_at(i));
+                    let got = m.entry_index(r, c).map(|i| m.entries[i].1);
                     prop_assert_eq!(got.map(f64::to_bits), expect.map(f64::to_bits));
                 }
             }
@@ -340,32 +268,6 @@ mod tests {
             patched.overwrite_values(&values);
             // Bit-identical to a from-scratch rebuild with the new rates.
             prop_assert_eq!(patched, rebuilt);
-        }
-    }
-
-    proptest! {
-        #[test]
-        fn left_mul_agrees_with_naive(
-            n in 1_usize..8,
-            trips in proptest::collection::vec((0_usize..8, 0_usize..8, -10.0_f64..10.0), 0..30),
-            xs in proptest::collection::vec(-5.0_f64..5.0, 8),
-        ) {
-            let trips: Vec<_> = trips
-                .into_iter()
-                .map(|(r, c, v)| (r % n, c % n, v))
-                .collect();
-            let mut dense = vec![vec![0.0; n]; n];
-            for &(r, c, v) in &trips {
-                dense[r][c] += v;
-            }
-            let m = CsrMatrix::from_triplets(n, trips);
-            let x = &xs[..n];
-            let mut y = vec![0.0; n];
-            m.left_mul(x, &mut y);
-            for c in 0..n {
-                let expect: f64 = (0..n).map(|r| x[r] * dense[r][c]).sum();
-                prop_assert!((y[c] - expect).abs() < 1e-9);
-            }
         }
     }
 }

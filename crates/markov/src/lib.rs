@@ -70,9 +70,10 @@ mod solve_gauss_seidel;
 mod solve_power;
 pub mod transient;
 
+pub(crate) use csr::CsrMatrix;
+
 pub use budget::{BudgetResource, CancelToken, SolveBudget};
 pub use builder::CtmcBuilder;
-pub use csr::CsrMatrix;
 pub use ctmc::{Ctmc, Transition};
 pub use error::MarkovError;
 pub use explore::{explore, ExploreScratch, Explored};

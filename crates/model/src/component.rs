@@ -3,7 +3,7 @@
 use aved_units::{Duration, Money};
 use serde::{Deserialize, Serialize};
 
-use crate::{ComponentName, MechanismName};
+use crate::{ComponentName, EffectKind, MechanismName};
 
 /// A duration-valued attribute that is either a literal value or resolved
 /// at design time by an availability mechanism.
@@ -268,6 +268,57 @@ impl ComponentType {
     #[must_use]
     pub fn loss_window(&self) -> Option<&DurationSpec> {
         self.loss_window.as_ref()
+    }
+
+    /// The component's delegations: every attribute it leaves to a
+    /// mechanism, as the attribute's [`EffectKind`], the mechanism's name
+    /// and, for MTBF and MTTR, the failure mode the attribute belongs to.
+    ///
+    /// The walk visits each failure mode's MTBF, then its MTTR, in mode
+    /// order, and the loss window last. That order is the order in which a
+    /// design's mechanisms are enumerated, so it fixes the search's
+    /// enumeration order and tie-breaking.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use aved_model::{ComponentType, DurationSpec, EffectKind, FailureMode};
+    /// use aved_units::Duration;
+    ///
+    /// let mpi = ComponentType::new("mpi")
+    ///     .with_loss_window(DurationSpec::FromMechanism("checkpoint".into()))
+    ///     .with_failure_mode(FailureMode::new(
+    ///         "hard",
+    ///         Duration::from_days(650.0),
+    ///         DurationSpec::FromMechanism("maintenanceA".into()),
+    ///         Duration::from_mins(2.0),
+    ///     ));
+    /// let walk: Vec<(EffectKind, &str)> = mpi
+    ///     .delegations()
+    ///     .map(|(kind, mechanism, _)| (kind, mechanism.as_str()))
+    ///     .collect();
+    /// assert_eq!(
+    ///     walk,
+    ///     [(EffectKind::Mttr, "maintenanceA"), (EffectKind::LossWindow, "checkpoint")]
+    /// );
+    /// ```
+    pub fn delegations(
+        &self,
+    ) -> impl Iterator<Item = (EffectKind, &MechanismName, Option<&FailureMode>)> {
+        let modes = self.failure_modes.iter().flat_map(|mode| {
+            [
+                (EffectKind::Mtbf, &mode.mtbf),
+                (EffectKind::Mttr, &mode.repair),
+            ]
+            .into_iter()
+            .filter_map(move |(kind, spec)| Some((kind, spec.mechanism()?, Some(mode))))
+        });
+        let loss_window = self
+            .loss_window
+            .as_ref()
+            .and_then(DurationSpec::mechanism)
+            .map(|m| (EffectKind::LossWindow, m, None));
+        modes.chain(loss_window)
     }
 }
 

@@ -118,8 +118,8 @@ pub fn design_cost(
 mod tests {
     use super::*;
     use crate::{
-        ComponentType, DurationSpec, EffectValue, FailureMode, Mechanism, ParamRange, ParamValue,
-        Parameter, ResourceComponent, ResourceType, SpareMode,
+        ComponentType, DurationSpec, EffectKind, EffectValue, FailureMode, Mechanism, ParamRange,
+        ParamValue, Parameter, ResourceComponent, ResourceType, SpareMode,
     };
     use aved_units::Duration;
 
@@ -152,10 +152,13 @@ mod tests {
                         "level",
                         vec![Money::from_dollars(380.0), Money::from_dollars(760.0)],
                     )
-                    .with_mttr_effect(EffectValue::Table {
-                        param: "level".into(),
-                        values: vec![Duration::from_hours(38.0), Duration::from_hours(8.0)],
-                    }),
+                    .with_effect(
+                        EffectKind::Mttr,
+                        EffectValue::Table {
+                            param: "level".into(),
+                            values: vec![Duration::from_hours(38.0), Duration::from_hours(8.0)],
+                        },
+                    ),
             )
             .with_resource(
                 ResourceType::new("rC", Duration::ZERO)

@@ -4,9 +4,11 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
+use aved_units::Duration;
+
 use crate::{
-    ComponentName, ComponentType, DurationSpec, EffectValue, Mechanism, MechanismCost,
-    MechanismName, ModelError, ResourceType, ResourceTypeName,
+    ComponentName, ComponentType, DurationSpec, EffectKind, EffectValue, FailureMode, Mechanism,
+    MechanismCost, MechanismName, ModelError, ResourceType, ResourceTypeName, Settings,
 };
 
 /// The full infrastructure model: component types, availability mechanisms
@@ -109,27 +111,15 @@ impl Infrastructure {
         self.resources.values()
     }
 
-    /// The mechanisms referenced by a component's attributes (repair specs
-    /// and loss window), deduplicated.
+    /// The mechanisms a component delegates attributes to, deduplicated,
+    /// in the order of [`ComponentType::delegations`].
     #[must_use]
     pub fn mechanisms_of_component<'c>(
         &self,
         component: &'c ComponentType,
     ) -> Vec<&'c MechanismName> {
         let mut acc: Vec<&MechanismName> = Vec::new();
-        for fm in component.failure_modes() {
-            if let Some(m) = fm.mtbf_spec().mechanism() {
-                if !acc.contains(&m) {
-                    acc.push(m);
-                }
-            }
-            if let Some(m) = fm.repair().mechanism() {
-                if !acc.contains(&m) {
-                    acc.push(m);
-                }
-            }
-        }
-        if let Some(DurationSpec::FromMechanism(m)) = component.loss_window() {
+        for (_, m, _) in component.delegations() {
             if !acc.contains(&m) {
                 acc.push(m);
             }
@@ -137,13 +127,67 @@ impl Infrastructure {
         acc
     }
 
+    /// Resolves one duration attribute of `component` under a design's
+    /// `settings`: a fixed `spec` is its own value; a delegated one is the
+    /// value of the named mechanism's `kind` effect. `mode` is the failure
+    /// mode an MTBF or MTTR belongs to, `None` for the loss window.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError`] when the mechanism is unknown or declares no
+    /// `kind` effect (the same errors [`validate`](Self::validate)
+    /// reports), or its settings are missing or out of range.
+    pub fn resolve_duration(
+        &self,
+        component: &ComponentType,
+        mode: Option<&FailureMode>,
+        kind: EffectKind,
+        spec: &DurationSpec,
+        settings: &impl Settings,
+    ) -> Result<Duration, ModelError> {
+        match spec {
+            DurationSpec::Fixed(d) => Ok(*d),
+            DurationSpec::FromMechanism(name) => {
+                let (mechanism, effect) = self.delegate(component, mode, kind, name)?;
+                mechanism.resolve_effect(effect, settings)
+            }
+        }
+    }
+
+    /// The mechanism `component` delegates its `kind` attribute to, and
+    /// that mechanism's `kind` effect.
+    fn delegate(
+        &self,
+        component: &ComponentType,
+        mode: Option<&FailureMode>,
+        kind: EffectKind,
+        name: &MechanismName,
+    ) -> Result<(&Mechanism, &EffectValue), ModelError> {
+        let c = component.name();
+        let mechanism =
+            self.mechanism(name.as_str())
+                .ok_or_else(|| ModelError::UnknownMechanism {
+                    context: match mode {
+                        Some(mode) => format!("component {c} failure mode {}", mode.name()),
+                        None => format!("component {c} loss window"),
+                    },
+                    mechanism: name.to_string(),
+                })?;
+        let effect = mechanism.effect(kind).ok_or_else(|| ModelError::Invalid {
+            detail: format!(
+                "component {c} delegates {kind} to mechanism {name} \
+                 which declares no {kind} effect"
+            ),
+        })?;
+        Ok((mechanism, effect))
+    }
+
     /// Validates all cross-references:
     ///
     /// * each resource's components exist and its dependency graph is a
     ///   well-ordered forest;
-    /// * every `mttr=<mech>` reference names a mechanism that declares an
-    ///   MTTR effect, and every `loss_window=<mech>` one that declares a
-    ///   loss-window effect;
+    /// * every delegation ([`ComponentType::delegations`]) names a
+    ///   mechanism that declares an effect of the delegated kind;
     /// * every mechanism's cost table and effect tables are driven by a
     ///   declared parameter and match its range length.
     ///
@@ -163,79 +207,17 @@ impl Infrastructure {
             }
         }
         for component in self.components.values() {
-            for fm in component.failure_modes() {
-                if let Some(mech_name) = fm.mtbf_spec().mechanism() {
-                    let mech = self.mechanism(mech_name.as_str()).ok_or_else(|| {
-                        ModelError::UnknownMechanism {
-                            context: format!(
-                                "component {} failure mode {}",
-                                component.name(),
-                                fm.name()
-                            ),
-                            mechanism: mech_name.to_string(),
-                        }
-                    })?;
-                    if mech.mtbf_effect().is_none() {
-                        return Err(ModelError::Invalid {
-                            detail: format!(
-                                "component {} delegates mtbf to mechanism {} which declares no mtbf effect",
-                                component.name(),
-                                mech_name
-                            ),
-                        });
-                    }
-                }
-                if let Some(mech_name) = fm.repair().mechanism() {
-                    let mech = self.mechanism(mech_name.as_str()).ok_or_else(|| {
-                        ModelError::UnknownMechanism {
-                            context: format!(
-                                "component {} failure mode {}",
-                                component.name(),
-                                fm.name()
-                            ),
-                            mechanism: mech_name.to_string(),
-                        }
-                    })?;
-                    if mech.mttr_effect().is_none() {
-                        return Err(ModelError::Invalid {
-                            detail: format!(
-                                "component {} delegates mttr to mechanism {} which declares no mttr effect",
-                                component.name(),
-                                mech_name
-                            ),
-                        });
-                    }
-                }
-            }
-            if let Some(DurationSpec::FromMechanism(mech_name)) = component.loss_window() {
-                let mech = self.mechanism(mech_name.as_str()).ok_or_else(|| {
-                    ModelError::UnknownMechanism {
-                        context: format!("component {} loss window", component.name()),
-                        mechanism: mech_name.to_string(),
-                    }
-                })?;
-                if mech.loss_window_effect().is_none() {
-                    return Err(ModelError::Invalid {
-                        detail: format!(
-                            "component {} delegates loss_window to mechanism {} which declares no loss_window effect",
-                            component.name(),
-                            mech_name
-                        ),
-                    });
-                }
+            for (kind, name, mode) in component.delegations() {
+                self.delegate(component, mode, kind, name)?;
             }
         }
         for mech in self.mechanisms.values() {
             if let MechanismCost::Table { param, values } = mech.cost_spec() {
                 Self::check_table(mech, param.as_str(), values.len())?;
             }
-            for effect in [
-                mech.mtbf_effect(),
-                mech.mttr_effect(),
-                mech.loss_window_effect(),
-            ]
-            .into_iter()
-            .flatten()
+            for effect in EffectKind::ALL
+                .into_iter()
+                .filter_map(|kind| mech.effect(kind))
             {
                 match effect {
                     EffectValue::Table { param, values } => {
@@ -278,8 +260,8 @@ impl Infrastructure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FailureMode, ParamRange, Parameter, ResourceComponent};
-    use aved_units::{Duration, Money};
+    use crate::{ParamRange, Parameter, ResourceComponent};
+    use aved_units::Money;
 
     fn base() -> Infrastructure {
         Infrastructure::new()
@@ -303,10 +285,13 @@ mod tests {
                         "level",
                         vec![Money::from_dollars(380.0), Money::from_dollars(760.0)],
                     )
-                    .with_mttr_effect(EffectValue::Table {
-                        param: "level".into(),
-                        values: vec![Duration::from_hours(38.0), Duration::from_hours(8.0)],
-                    }),
+                    .with_effect(
+                        EffectKind::Mttr,
+                        EffectValue::Table {
+                            param: "level".into(),
+                            values: vec![Duration::from_hours(38.0), Duration::from_hours(8.0)],
+                        },
+                    ),
             )
             .with_resource(ResourceType::new("rA", Duration::ZERO).with_component(
                 ResourceComponent::new("machineA", None, Duration::from_secs(30.0)),
@@ -397,7 +382,8 @@ mod tests {
 
     #[test]
     fn detects_effect_over_unknown_param() {
-        let i = Infrastructure::new().with_mechanism(Mechanism::new("m").with_mttr_effect(
+        let i = Infrastructure::new().with_mechanism(Mechanism::new("m").with_effect(
+            EffectKind::Mttr,
             EffectValue::Table {
                 param: "ghost".into(),
                 values: vec![],

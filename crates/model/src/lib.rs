@@ -39,7 +39,7 @@ pub use design::{Design, DesignChange, SpareMode, TierDesign};
 pub use error::ModelError;
 pub use infrastructure::Infrastructure;
 pub use mechanism::{
-    EffectValue, Mechanism, MechanismCost, ParamRange, ParamValue, Parameter, Settings,
+    EffectKind, EffectValue, Mechanism, MechanismCost, ParamRange, ParamValue, Parameter, Settings,
 };
 pub use names::{ComponentName, MechanismName, ParamName, ResourceTypeName, TierName};
 pub use requirements::ServiceRequirement;

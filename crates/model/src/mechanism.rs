@@ -5,7 +5,8 @@
 //! `level` parameter into component repair times; a checkpoint mechanism
 //! turns its `checkpoint_interval` parameter into the application's loss
 //! window. Mechanisms are specified independently of components and applied
-//! per component at design time.
+//! per component at design time. The attributes a mechanism can set are the
+//! [`EffectKind`]s.
 
 use aved_units::{Duration, Money};
 use serde::{Deserialize, Serialize};
@@ -152,8 +153,51 @@ impl Parameter {
     }
 }
 
-/// How a mechanism produces a duration-valued attribute (MTTR, loss window)
-/// from its parameter settings.
+/// A duration attribute of a component that a mechanism can set: the three
+/// *effects* a mechanism may declare and a component may delegate.
+///
+/// This enum is the one list of mechanism-driven attributes. Everything
+/// that treats them per attribute — declaring and resolving effects,
+/// checking delegations, parsing and writing specifications, and deciding
+/// which settings a tier's availability model reads — goes through it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+pub enum EffectKind {
+    /// A failure mode's mean time between failures (`mtbf=<rejuvenation>`).
+    Mtbf,
+    /// A failure mode's repair time (`mttr=<maintenanceA>`).
+    Mttr,
+    /// A component's loss window (`loss_window=<checkpoint>`).
+    LossWindow,
+}
+
+impl EffectKind {
+    /// Every kind, in specification order: the order in which a mechanism's
+    /// effects are written and a component's delegations are walked.
+    pub const ALL: [EffectKind; 3] = [EffectKind::Mtbf, EffectKind::Mttr, EffectKind::LossWindow];
+
+    /// Whether the attribute enters a tier's availability model. MTBF and
+    /// MTTR set a failure class's rates; the loss window only feeds a job's
+    /// completion time. Settings of mechanisms reached by no kind that
+    /// enters the tier model leave that model unchanged.
+    #[must_use]
+    pub fn enters_tier_model(self) -> bool {
+        self != EffectKind::LossWindow
+    }
+}
+
+impl std::fmt::Display for EffectKind {
+    /// The attribute's name in the specification syntax.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            EffectKind::Mtbf => "mtbf",
+            EffectKind::Mttr => "mttr",
+            EffectKind::LossWindow => "loss_window",
+        })
+    }
+}
+
+/// How a mechanism produces a duration-valued attribute (MTBF, MTTR, loss
+/// window) from its parameter settings.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum EffectValue {
     /// A table indexed by a `Levels` parameter:
@@ -190,10 +234,15 @@ pub enum MechanismCost {
 
 /// A configurable availability mechanism.
 ///
+/// A mechanism has configuration parameters, an annual cost and up to one
+/// effect of each [`EffectKind`]: the duration it gives the attribute of
+/// every component that delegates that attribute to it, under a design's
+/// parameter settings.
+///
 /// # Examples
 ///
 /// ```
-/// use aved_model::{Mechanism, Parameter, ParamRange, EffectValue};
+/// use aved_model::{EffectKind, Mechanism, Parameter, ParamRange, EffectValue};
 /// use aved_units::{Duration, Money};
 ///
 /// let maintenance = Mechanism::new("maintenanceA")
@@ -207,7 +256,7 @@ pub enum MechanismCost {
 ///         Money::from_dollars(760.0),
 ///         Money::from_dollars(1500.0),
 ///     ])
-///     .with_mttr_effect(EffectValue::Table {
+///     .with_effect(EffectKind::Mttr, EffectValue::Table {
 ///         param: "level".into(),
 ///         values: vec![
 ///             Duration::from_hours(38.0),
@@ -217,15 +266,16 @@ pub enum MechanismCost {
 ///         ],
 ///     });
 /// assert_eq!(maintenance.params().len(), 1);
+/// assert!(maintenance.effect(EffectKind::Mttr).is_some());
+/// assert!(maintenance.effect(EffectKind::LossWindow).is_none());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Mechanism {
     name: MechanismName,
     params: Vec<Parameter>,
     cost: MechanismCost,
-    mtbf: Option<EffectValue>,
-    mttr: Option<EffectValue>,
-    loss_window: Option<EffectValue>,
+    /// The declared effects, indexed by [`EffectKind`].
+    effects: [Option<EffectValue>; 3],
 }
 
 impl Mechanism {
@@ -235,9 +285,7 @@ impl Mechanism {
             name: name.into(),
             params: Vec::new(),
             cost: MechanismCost::Fixed(Money::ZERO),
-            mtbf: None,
-            mttr: None,
-            loss_window: None,
+            effects: [None, None, None],
         }
     }
 
@@ -269,25 +317,12 @@ impl Mechanism {
         self
     }
 
-    /// Declares the MTBF effect of this mechanism (e.g. software
-    /// rejuvenation setting the effective MTBF per configured interval).
+    /// Declares the mechanism's `kind` effect (e.g. a maintenance contract's
+    /// MTTR table, or software rejuvenation setting the effective MTBF),
+    /// replacing any earlier one.
     #[must_use]
-    pub fn with_mtbf_effect(mut self, effect: EffectValue) -> Mechanism {
-        self.mtbf = Some(effect);
-        self
-    }
-
-    /// Declares the MTTR effect of this mechanism.
-    #[must_use]
-    pub fn with_mttr_effect(mut self, effect: EffectValue) -> Mechanism {
-        self.mttr = Some(effect);
-        self
-    }
-
-    /// Declares the loss-window effect of this mechanism.
-    #[must_use]
-    pub fn with_loss_window_effect(mut self, effect: EffectValue) -> Mechanism {
-        self.loss_window = Some(effect);
+    pub fn with_effect(mut self, kind: EffectKind, effect: EffectValue) -> Mechanism {
+        self.effects[kind as usize] = Some(effect);
         self
     }
 
@@ -315,22 +350,10 @@ impl Mechanism {
         &self.cost
     }
 
-    /// The MTBF effect, if declared.
+    /// The `kind` effect, if declared.
     #[must_use]
-    pub fn mtbf_effect(&self) -> Option<&EffectValue> {
-        self.mtbf.as_ref()
-    }
-
-    /// The MTTR effect, if declared.
-    #[must_use]
-    pub fn mttr_effect(&self) -> Option<&EffectValue> {
-        self.mttr.as_ref()
-    }
-
-    /// The loss-window effect, if declared.
-    #[must_use]
-    pub fn loss_window_effect(&self) -> Option<&EffectValue> {
-        self.loss_window.as_ref()
+    pub fn effect(&self, kind: EffectKind) -> Option<&EffectValue> {
+        self.effects[kind as usize].as_ref()
     }
 
     /// Resolves the mechanism's annual cost (per covered instance for
@@ -351,13 +374,26 @@ impl Mechanism {
         }
     }
 
-    /// Resolves an effect to a duration under the given settings.
+    /// Resolves the `kind` effect under the given settings; `Ok(None)` when
+    /// the mechanism declares no such effect. An effect reads only this
+    /// mechanism's own parameters.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError`] for missing or out-of-range settings, or a
     /// type mismatch (a duration effect driven by a level parameter).
-    pub fn resolve_effect(
+    pub fn resolve(
+        &self,
+        kind: EffectKind,
+        settings: &impl Settings,
+    ) -> Result<Option<Duration>, ModelError> {
+        self.effect(kind)
+            .map(|e| self.resolve_effect(e, settings))
+            .transpose()
+    }
+
+    /// Resolves one of this mechanism's effects under the given settings.
+    pub(crate) fn resolve_effect(
         &self,
         effect: &EffectValue,
         settings: &impl Settings,
@@ -385,46 +421,6 @@ impl Mechanism {
                 }
             }
         }
-    }
-
-    /// Resolves the MTBF effect; `Ok(None)` when not declared.
-    ///
-    /// # Errors
-    ///
-    /// See [`resolve_effect`](Self::resolve_effect).
-    pub fn resolve_mtbf(&self, settings: &impl Settings) -> Result<Option<Duration>, ModelError> {
-        self.mtbf
-            .as_ref()
-            .map(|e| self.resolve_effect(e, settings))
-            .transpose()
-    }
-
-    /// Resolves the MTTR effect; `Ok(None)` when the mechanism declares no
-    /// MTTR effect.
-    ///
-    /// # Errors
-    ///
-    /// See [`resolve_effect`](Self::resolve_effect).
-    pub fn resolve_mttr(&self, settings: &impl Settings) -> Result<Option<Duration>, ModelError> {
-        self.mttr
-            .as_ref()
-            .map(|e| self.resolve_effect(e, settings))
-            .transpose()
-    }
-
-    /// Resolves the loss-window effect; `Ok(None)` when not declared.
-    ///
-    /// # Errors
-    ///
-    /// See [`resolve_effect`](Self::resolve_effect).
-    pub fn resolve_loss_window(
-        &self,
-        settings: &impl Settings,
-    ) -> Result<Option<Duration>, ModelError> {
-        self.loss_window
-            .as_ref()
-            .map(|e| self.resolve_effect(e, settings))
-            .transpose()
     }
 
     fn level_index(
@@ -491,15 +487,18 @@ mod tests {
                     Money::from_dollars(1500.0),
                 ],
             )
-            .with_mttr_effect(EffectValue::Table {
-                param: "level".into(),
-                values: vec![
-                    Duration::from_hours(38.0),
-                    Duration::from_hours(15.0),
-                    Duration::from_hours(8.0),
-                    Duration::from_hours(6.0),
-                ],
-            })
+            .with_effect(
+                EffectKind::Mttr,
+                EffectValue::Table {
+                    param: "level".into(),
+                    values: vec![
+                        Duration::from_hours(38.0),
+                        Duration::from_hours(15.0),
+                        Duration::from_hours(8.0),
+                        Duration::from_hours(6.0),
+                    ],
+                },
+            )
     }
 
     fn settings_with(level: &str) -> BTreeMap<(MechanismName, ParamName), ParamValue> {
@@ -516,7 +515,10 @@ mod tests {
         let m = maintenance();
         let s = settings_with("gold");
         assert_eq!(m.resolve_cost(&s).unwrap(), Money::from_dollars(760.0));
-        assert_eq!(m.resolve_mttr(&s).unwrap(), Some(Duration::from_hours(8.0)));
+        assert_eq!(
+            m.resolve(EffectKind::Mttr, &s).unwrap(),
+            Some(Duration::from_hours(8.0))
+        );
     }
 
     #[test]
@@ -550,7 +552,10 @@ mod tests {
                     factor: 1.05,
                 },
             ))
-            .with_loss_window_effect(EffectValue::Param("checkpoint_interval".into()));
+            .with_effect(
+                EffectKind::LossWindow,
+                EffectValue::Param("checkpoint_interval".into()),
+            );
         let mut s = BTreeMap::new();
         s.insert(
             (
@@ -560,10 +565,10 @@ mod tests {
             ParamValue::Duration(Duration::from_mins(30.0)),
         );
         assert_eq!(
-            m.resolve_loss_window(&s).unwrap(),
+            m.resolve(EffectKind::LossWindow, &s).unwrap(),
             Some(Duration::from_mins(30.0))
         );
-        assert_eq!(m.resolve_mttr(&s).unwrap(), None);
+        assert_eq!(m.resolve(EffectKind::Mttr, &s).unwrap(), None);
     }
 
     #[test]
@@ -624,14 +629,14 @@ mod tests {
     fn effect_param_type_mismatch_is_error() {
         let m = Mechanism::new("x")
             .with_param(Parameter::new("p", ParamRange::Levels(vec!["l1".into()])))
-            .with_loss_window_effect(EffectValue::Param("p".into()));
+            .with_effect(EffectKind::LossWindow, EffectValue::Param("p".into()));
         let mut s = BTreeMap::new();
         s.insert(
             (MechanismName::new("x"), ParamName::new("p")),
             ParamValue::Level("l1".into()),
         );
         assert!(matches!(
-            m.resolve_loss_window(&s),
+            m.resolve(EffectKind::LossWindow, &s),
             Err(ModelError::ValueOutOfRange { .. })
         ));
     }

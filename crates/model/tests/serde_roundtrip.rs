@@ -9,10 +9,10 @@
 //! Restore the JSON assertions when the registry `serde_json` is available.
 
 use aved_model::{
-    ComponentType, Design, DurationSpec, EffectValue, FailureMode, FailureScope, Infrastructure,
-    Mechanism, MechanismUse, NActiveSpec, OperationalMode, ParamRange, ParamValue, Parameter,
-    PerfRef, ResourceComponent, ResourceOption, ResourceType, Service, ServiceRequirement, Sizing,
-    SpareMode, Tier, TierDesign,
+    ComponentType, Design, DurationSpec, EffectKind, EffectValue, FailureMode, FailureScope,
+    Infrastructure, Mechanism, MechanismUse, NActiveSpec, OperationalMode, ParamRange, ParamValue,
+    Parameter, PerfRef, ResourceComponent, ResourceOption, ResourceType, Service,
+    ServiceRequirement, Sizing, SpareMode, Tier, TierDesign,
 };
 use aved_units::{Duration, Money};
 
@@ -63,10 +63,13 @@ fn sample_infrastructure() -> Infrastructure {
                     "level",
                     vec![Money::from_dollars(380.0), Money::from_dollars(760.0)],
                 )
-                .with_mttr_effect(EffectValue::Table {
-                    param: "level".into(),
-                    values: vec![Duration::from_hours(38.0), Duration::from_hours(8.0)],
-                }),
+                .with_effect(
+                    EffectKind::Mttr,
+                    EffectValue::Table {
+                        param: "level".into(),
+                        values: vec![Duration::from_hours(38.0), Duration::from_hours(8.0)],
+                    },
+                ),
         )
         .with_mechanism(
             Mechanism::new("checkpoint")
@@ -78,7 +81,10 @@ fn sample_infrastructure() -> Infrastructure {
                         factor: 1.05,
                     },
                 ))
-                .with_loss_window_effect(EffectValue::Param("checkpoint_interval".into())),
+                .with_effect(
+                    EffectKind::LossWindow,
+                    EffectValue::Param("checkpoint_interval".into()),
+                ),
         )
         .with_resource(
             ResourceType::new("rH", Duration::from_secs(10.0))

@@ -5,7 +5,8 @@ use std::time::Instant;
 
 use aved_avail::{CancelToken, SolveBudget};
 use aved_model::{
-    Infrastructure, MechanismName, ParamValue, ResourceOption, SpareMode, TierDesign, TierName,
+    EffectKind, Infrastructure, MechanismName, MechanismUse, ParamValue, ResourceOption,
+    ResourceType, SpareMode, TierDesign, TierName,
 };
 
 use crate::journal::{JournalReplay, SweepJournal};
@@ -73,35 +74,6 @@ pub struct SearchOptions {
     /// Replay source: candidates whose keys appear in this loaded journal
     /// skip evaluation and reuse the recorded result bit-for-bit.
     pub resume: Option<Arc<JournalReplay>>,
-}
-
-impl PartialEq for SearchOptions {
-    /// Structural equality on the enumeration/evaluation knobs; the
-    /// journal and replay handles compare by identity (two options are
-    /// interchangeable only when they write to and replay from the same
-    /// journal objects).
-    fn eq(&self, other: &SearchOptions) -> bool {
-        fn same_arc<T>(a: &Option<Arc<T>>, b: &Option<Arc<T>>) -> bool {
-            match (a, b) {
-                (None, None) => true,
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                _ => false,
-            }
-        }
-        self.max_extra_active == other.max_extra_active
-            && self.max_spares == other.max_spares
-            && self.spare_modes == other.spare_modes
-            && self.pins == other.pins
-            && self.strict == other.strict
-            && self.jobs == other.jobs
-            && self.prune == other.prune
-            && self.candidate_timeout == other.candidate_timeout
-            && self.max_states == other.max_states
-            && self.search_deadline == other.search_deadline
-            && self.cancel == other.cancel
-            && same_arc(&self.journal, &other.journal)
-            && same_arc(&self.resume, &other.resume)
-    }
 }
 
 impl Default for SearchOptions {
@@ -237,6 +209,31 @@ impl SearchOptions {
     }
 }
 
+/// The delegations of the components of `option`'s resource, in walk
+/// order ([`ComponentType::delegations`](aved_model::ComponentType::delegations)).
+fn delegations<'i>(
+    infrastructure: &'i Infrastructure,
+    option: &ResourceOption,
+) -> impl Iterator<Item = (EffectKind, &'i MechanismName)> {
+    infrastructure
+        .resource(option.resource().as_str())
+        .into_iter()
+        .flat_map(|resource| resource.components())
+        .filter_map(|slot| infrastructure.component(slot.component().as_str()))
+        .flat_map(|component| component.delegations().map(|(kind, m, _)| (kind, m)))
+}
+
+/// `names` without repeats, in order of first appearance.
+fn distinct<'m>(names: impl Iterator<Item = &'m MechanismName>) -> Vec<&'m MechanismName> {
+    let mut out = Vec::new();
+    for m in names {
+        if !out.contains(&m) {
+            out.push(m);
+        }
+    }
+    out
+}
+
 /// The availability mechanisms relevant to a tier option: those referenced
 /// by the resource's components (maintenance contracts, checkpoint loss
 /// windows) plus those the service model attaches to the option.
@@ -245,24 +242,12 @@ pub fn relevant_mechanisms(
     infrastructure: &Infrastructure,
     option: &ResourceOption,
 ) -> Vec<MechanismName> {
-    let mut out: Vec<MechanismName> = Vec::new();
-    if let Some(resource) = infrastructure.resource(option.resource().as_str()) {
-        for slot in resource.components() {
-            if let Some(component) = infrastructure.component(slot.component().as_str()) {
-                for m in infrastructure.mechanisms_of_component(component) {
-                    if !out.contains(m) {
-                        out.push(m.clone());
-                    }
-                }
-            }
-        }
-    }
-    for mu in option.mechanisms() {
-        if !out.contains(mu.mechanism()) {
-            out.push(mu.mechanism().clone());
-        }
-    }
-    out
+    let delegated = delegations(infrastructure, option).map(|(_, m)| m);
+    let attached = option.mechanisms().iter().map(MechanismUse::mechanism);
+    distinct(delegated.chain(attached))
+        .into_iter()
+        .cloned()
+        .collect()
 }
 
 /// Enumerates every combination of parameter settings across the given
@@ -309,36 +294,38 @@ pub fn enumerate_settings(
     combos
 }
 
-/// The mechanisms whose settings enter an option's tier model: those the
-/// failure modes of the resource's components name for their MTBF or
-/// repair time. A mechanism's effect reads only its own parameters
-/// ([`Mechanism::resolve_effect`](aved_model::Mechanism::resolve_effect)),
-/// so the settings of every other relevant mechanism — a checkpoint's
-/// interval and storage location — leave the tier model alone.
+/// The mechanisms whose settings enter an option's tier model: those its
+/// resource's components delegate an attribute to whose kind
+/// [enters the tier model](EffectKind::enters_tier_model). An effect reads
+/// only its own mechanism's parameters
+/// ([`Mechanism::resolve`](aved_model::Mechanism::resolve)), so the settings
+/// of every other relevant mechanism — a checkpoint's interval and storage
+/// location — leave the tier model alone.
 fn model_mechanisms<'i>(
     infrastructure: &'i Infrastructure,
     option: &ResourceOption,
 ) -> Vec<&'i MechanismName> {
-    let mut out: Vec<&MechanismName> = Vec::new();
-    let Some(resource) = infrastructure.resource(option.resource().as_str()) else {
-        return out;
-    };
-    for slot in resource.components() {
-        let Some(component) = infrastructure.component(slot.component().as_str()) else {
-            continue;
-        };
-        for mode in component.failure_modes() {
-            for m in [mode.mtbf_spec().mechanism(), mode.repair().mechanism()]
-                .into_iter()
-                .flatten()
-            {
-                if !out.contains(&m) {
-                    out.push(m);
-                }
-            }
-        }
-    }
-    out
+    let read = delegations(infrastructure, option).filter(|(kind, _)| kind.enters_tier_model());
+    distinct(read.map(|(_, m)| m))
+}
+
+/// The most resources a tier design of `option` may hold: the tightest
+/// `max_instances` bound of its resource's components, divided by the
+/// number of the resource's slots that component fills. `u32::MAX` when no
+/// component is bounded.
+fn max_total(infrastructure: &Infrastructure, option: &ResourceOption) -> u32 {
+    let slots = infrastructure
+        .resource(option.resource().as_str())
+        .map_or(&[][..], ResourceType::components);
+    slots
+        .iter()
+        .filter_map(|slot| {
+            let component = infrastructure.component(slot.component().as_str())?;
+            let per_resource = slots.iter().filter(|s| s.component() == slot.component());
+            u32::try_from(component.max_instances()? / per_resource.count()).ok()
+        })
+        .min()
+        .unwrap_or(u32::MAX)
 }
 
 /// One option's mechanism-setting combinations, enumerated once per sweep.
@@ -355,6 +342,9 @@ pub(crate) struct SettingsPlan {
     projection: Vec<usize>,
     /// The number of distinct projections.
     projections: usize,
+    /// The most resources a design may hold under the components'
+    /// `max_instances` bounds.
+    max_total: u32,
 }
 
 impl SettingsPlan {
@@ -388,6 +378,7 @@ impl SettingsPlan {
             combos,
             projection,
             projections,
+            max_total: max_total(infrastructure, option),
         }
     }
 
@@ -395,7 +386,8 @@ impl SettingsPlan {
     /// exactly `n_total` resources, in enumeration order: every
     /// active/spare split (respecting the option's `nActive` constraint and
     /// the minimum `min_active`), every spare mode, every settings
-    /// combination. Next to each design comes the number of its
+    /// combination. There are none when `n_total` resources would need
+    /// more instances of a component than its `max_instances`. Next to each design comes the number of its
     /// availability design within these `n_total` resources — its split,
     /// spare mode and projection — numbered in order of first appearance.
     pub(crate) fn for_each_candidate(
@@ -407,6 +399,9 @@ impl SettingsPlan {
         options: &SearchOptions,
         mut emit: impl FnMut(TierDesign, usize),
     ) {
+        if n_total > self.max_total {
+            return;
+        }
         let max_spares = options.max_spares.min(n_total.saturating_sub(1));
         let mut block = 0;
         for n_spare in 0..=max_spares {
@@ -439,7 +434,8 @@ impl SettingsPlan {
 /// Enumerates all resolved tier designs with exactly `n_total` resources
 /// for one resource option: every active/spare split (respecting the
 /// option's `nActive` constraint and the minimum `min_active`), every spare
-/// mode, every mechanism-setting combination.
+/// mode, every mechanism-setting combination. None when `n_total` exceeds
+/// a component's `max_instances` bound.
 #[must_use]
 pub fn enumerate_tier_candidates(
     infrastructure: &Infrastructure,
@@ -466,8 +462,7 @@ mod tests {
     use super::*;
     use aved_model::{
         ComponentType, DurationSpec, EffectValue, FailureMode, FailureScope, Mechanism,
-        MechanismUse, NActiveSpec, ParamRange, Parameter, PerfRef, ResourceComponent, ResourceType,
-        Sizing,
+        NActiveSpec, ParamRange, Parameter, PerfRef, ResourceComponent, Sizing,
     };
     use aved_units::{Duration, Money};
 
@@ -491,10 +486,13 @@ mod tests {
                         "level",
                         vec![Money::from_dollars(380.0), Money::from_dollars(760.0)],
                     )
-                    .with_mttr_effect(EffectValue::Table {
-                        param: "level".into(),
-                        values: vec![Duration::from_hours(38.0), Duration::from_hours(8.0)],
-                    }),
+                    .with_effect(
+                        EffectKind::Mttr,
+                        EffectValue::Table {
+                            param: "level".into(),
+                            values: vec![Duration::from_hours(38.0), Duration::from_hours(8.0)],
+                        },
+                    ),
             )
             .with_resource(ResourceType::new("rX", Duration::ZERO).with_component(
                 ResourceComponent::new("machineA", None, Duration::from_secs(30.0)),
@@ -597,6 +595,118 @@ mod tests {
         let cands = enumerate_tier_candidates(&infra(), &"t".into(), &option(), 2, 2, &opts);
         // Only the (2 active, 0 spare) split exists; spare mode collapses.
         assert_eq!(cands.len(), 2); // two maintenance levels
+    }
+
+    /// `infra()` with rX also running an aging application whose MTBF
+    /// software rejuvenation sets (the mechanism of the rejuvenation
+    /// integration test) and whose loss window a checkpoint sets.
+    fn rejuvenation_and_checkpoint_infra() -> Infrastructure {
+        infra()
+            .with_component(
+                ComponentType::new("agingapp")
+                    .with_failure_mode(FailureMode::new(
+                        "wedge",
+                        DurationSpec::FromMechanism("rejuvenation".into()),
+                        Duration::ZERO,
+                        Duration::from_secs(30.0),
+                    ))
+                    .with_loss_window(DurationSpec::FromMechanism("checkpoint".into())),
+            )
+            .with_mechanism(
+                Mechanism::new("rejuvenation")
+                    .with_param(Parameter::new(
+                        "schedule",
+                        ParamRange::Levels(vec!["none".into(), "weekly".into(), "nightly".into()]),
+                    ))
+                    .with_effect(
+                        EffectKind::Mtbf,
+                        EffectValue::Table {
+                            param: "schedule".into(),
+                            values: vec![
+                                Duration::from_days(10.0),
+                                Duration::from_days(40.0),
+                                Duration::from_days(90.0),
+                            ],
+                        },
+                    ),
+            )
+            .with_mechanism(
+                Mechanism::new("checkpoint")
+                    .with_param(Parameter::new(
+                        "checkpoint_interval",
+                        ParamRange::GeometricDuration {
+                            min: Duration::from_hours(1.0),
+                            max: Duration::from_hours(2.0),
+                            factor: 2.0,
+                        },
+                    ))
+                    .with_effect(
+                        EffectKind::LossWindow,
+                        EffectValue::Param("checkpoint_interval".into()),
+                    ),
+            )
+            .with_resource(
+                ResourceType::new("rX", Duration::ZERO)
+                    .with_component(ResourceComponent::new(
+                        "machineA",
+                        None,
+                        Duration::from_secs(30.0),
+                    ))
+                    .with_component(ResourceComponent::new(
+                        "agingapp",
+                        Some("machineA".into()),
+                        Duration::from_mins(5.0),
+                    )),
+            )
+    }
+
+    #[test]
+    fn projection_reads_mtbf_and_mttr_mechanisms_only() {
+        let infra = rejuvenation_and_checkpoint_infra();
+        let names = |mechs: Vec<&MechanismName>| -> Vec<String> {
+            mechs.iter().map(ToString::to_string).collect()
+        };
+        let relevant = relevant_mechanisms(&infra, &option());
+        assert_eq!(
+            names(relevant.iter().collect()),
+            ["maintenanceA", "rejuvenation", "checkpoint"]
+        );
+        assert_eq!(
+            names(model_mechanisms(&infra, &option())),
+            ["maintenanceA", "rejuvenation"]
+        );
+        // 2 maintenance levels x 3 schedules x 2 checkpoint intervals, of
+        // which the tier model tells apart only the first two factors.
+        let plan = SettingsPlan::new(&infra, &option(), &[]);
+        assert_eq!(plan.combos.len(), 12);
+        assert_eq!(plan.projections, 6);
+    }
+
+    #[test]
+    fn max_instances_bounds_the_enumerated_totals() {
+        // Two slots of a machine bounded to 7 instances: at most 3 resources.
+        let infra = infra()
+            .with_component(
+                ComponentType::new("machineA")
+                    .with_max_instances(7)
+                    .with_failure_mode(FailureMode::new(
+                        "soft",
+                        Duration::from_days(75.0),
+                        Duration::ZERO,
+                        Duration::ZERO,
+                    )),
+            )
+            .with_resource(
+                ResourceType::new("rX", Duration::ZERO)
+                    .with_component(ResourceComponent::new("machineA", None, Duration::ZERO))
+                    .with_component(ResourceComponent::new("machineA", None, Duration::ZERO)),
+            );
+        let count = |n_total| {
+            let opts = SearchOptions::default();
+            enumerate_tier_candidates(&infra, &"t".into(), &option(), n_total, 1, &opts).len()
+        };
+        assert!(count(3) > 0);
+        assert_eq!(count(4), 0);
     }
 
     #[test]

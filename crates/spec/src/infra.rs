@@ -1,8 +1,8 @@
 //! Parser for infrastructure model documents (paper Fig. 3).
 
 use aved_model::{
-    ComponentType, DurationSpec, EffectValue, FailureMode, Infrastructure, Mechanism, ParamRange,
-    Parameter, ResourceComponent, ResourceType,
+    ComponentType, DurationSpec, EffectKind, EffectValue, FailureMode, Infrastructure, Mechanism,
+    ParamRange, Parameter, ResourceComponent, ResourceType,
 };
 use aved_units::{Duration, Money};
 
@@ -177,10 +177,7 @@ impl InfraParser {
 
     fn mechanism_effect(&mut self, line: &Line, kind: EffectKind) -> Result<(), SpecError> {
         let mech = self.mechanism.as_mut().ok_or_else(|| {
-            structure(
-                line.number,
-                format!("{}= outside a mechanism section", kind.name()),
-            )
+            structure(line.number, format!("{kind}= outside a mechanism section"))
         })?;
         let attr = line.keyword();
         let effect = if attr.args.is_empty() {
@@ -200,11 +197,7 @@ impl InfraParser {
                 values,
             }
         };
-        let rebuilt = match kind {
-            EffectKind::Mtbf => mech.clone().with_mtbf_effect(effect),
-            EffectKind::Mttr => mech.clone().with_mttr_effect(effect),
-            EffectKind::LossWindow => mech.clone().with_loss_window_effect(effect),
-        };
+        let rebuilt = mech.clone().with_effect(kind, effect);
         *mech = rebuilt;
         Ok(())
     }
@@ -238,23 +231,6 @@ impl InfraParser {
             .with_component(ResourceComponent::new(component, depend, startup));
         *resource = rebuilt;
         Ok(())
-    }
-}
-
-#[derive(Clone, Copy)]
-enum EffectKind {
-    Mtbf,
-    Mttr,
-    LossWindow,
-}
-
-impl EffectKind {
-    fn name(self) -> &'static str {
-        match self {
-            EffectKind::Mtbf => "mtbf",
-            EffectKind::Mttr => "mttr",
-            EffectKind::LossWindow => "loss_window",
-        }
     }
 }
 
@@ -432,7 +408,7 @@ resource=rA reconfig_time=0
         assert_eq!(m.params().len(), 1);
         let p = m.param("level").unwrap();
         assert_eq!(p.range().len(), 4);
-        assert!(m.mttr_effect().is_some());
+        assert!(m.effect(EffectKind::Mttr).is_some());
     }
 
     #[test]
@@ -475,7 +451,7 @@ mechanism=checkpoint
             ParamRange::GeometricDuration { .. }
         ));
         assert!(matches!(
-            c.loss_window_effect(),
+            c.effect(EffectKind::LossWindow),
             Some(EffectValue::Param(p)) if p.as_str() == "checkpoint_interval"
         ));
     }

@@ -8,8 +8,8 @@
 use std::fmt::Write as _;
 
 use aved_model::{
-    DurationSpec, EffectValue, FailureScope, Infrastructure, MechanismCost, NActiveSpec, PerfRef,
-    Service, Sizing,
+    DurationSpec, EffectKind, EffectValue, FailureScope, Infrastructure, MechanismCost,
+    NActiveSpec, PerfRef, Service, Sizing,
 };
 
 /// Renders an infrastructure model in the Fig.-3 syntax.
@@ -86,14 +86,17 @@ pub fn write_infrastructure(infra: &Infrastructure) -> String {
                 let _ = writeln!(out, "  cost({param})=[{}]", vals.join(" "));
             }
         }
-        if let Some(e) = m.mtbf_effect() {
-            write_effect(&mut out, "mtbf", e);
-        }
-        if let Some(e) = m.mttr_effect() {
-            write_effect(&mut out, "mttr", e);
-        }
-        if let Some(e) = m.loss_window_effect() {
-            write_effect(&mut out, "loss_window", e);
+        for kind in EffectKind::ALL {
+            match m.effect(kind) {
+                Some(EffectValue::Table { param, values }) => {
+                    let vals: Vec<String> = values.iter().map(ToString::to_string).collect();
+                    let _ = writeln!(out, "  {kind}({param})=[{}]", vals.join(" "));
+                }
+                Some(EffectValue::Param(param)) => {
+                    let _ = writeln!(out, "  {kind}={param}");
+                }
+                None => {}
+            }
         }
     }
     out.push_str("\\\\ RESOURCES DESCRIPTION\n");
@@ -118,18 +121,6 @@ pub fn write_infrastructure(infra: &Infrastructure) -> String {
         }
     }
     out
-}
-
-fn write_effect(out: &mut String, name: &str, effect: &EffectValue) {
-    match effect {
-        EffectValue::Table { param, values } => {
-            let vals: Vec<String> = values.iter().map(ToString::to_string).collect();
-            let _ = writeln!(out, "  {name}({param})=[{}]", vals.join(" "));
-        }
-        EffectValue::Param(param) => {
-            let _ = writeln!(out, "  {name}={param}");
-        }
-    }
 }
 
 /// Renders a service model in the Fig.-4/5 syntax.
@@ -237,10 +228,13 @@ mod tests {
                         "level",
                         vec![Money::from_dollars(380.0), Money::from_dollars(760.0)],
                     )
-                    .with_mttr_effect(EffectValue::Table {
-                        param: "level".into(),
-                        values: vec![Duration::from_hours(38.0), Duration::from_hours(8.0)],
-                    }),
+                    .with_effect(
+                        EffectKind::Mttr,
+                        EffectValue::Table {
+                            param: "level".into(),
+                            values: vec![Duration::from_hours(38.0), Duration::from_hours(8.0)],
+                        },
+                    ),
             )
             .with_resource(
                 ResourceType::new("rA", Duration::ZERO)
@@ -317,7 +311,10 @@ mod tests {
                         factor: 1.05,
                     },
                 ))
-                .with_loss_window_effect(EffectValue::Param("checkpoint_interval".into())),
+                .with_effect(
+                    EffectKind::LossWindow,
+                    EffectValue::Param("checkpoint_interval".into()),
+                ),
         );
         let text = write_infrastructure(&infra);
         let reparsed = crate::parse_infrastructure(&text).unwrap();

@@ -8,9 +8,9 @@
 //! Run with: `cargo run --release -p aved --example quickstart`
 
 use aved::model::{
-    ComponentType, DurationSpec, EffectValue, FailureMode, FailureScope, Infrastructure, Mechanism,
-    NActiveSpec, ParamRange, Parameter, PerfRef, ResourceComponent, ResourceOption, ResourceType,
-    Service, Sizing, Tier,
+    ComponentType, DurationSpec, EffectKind, EffectValue, FailureMode, FailureScope,
+    Infrastructure, Mechanism, NActiveSpec, ParamRange, Parameter, PerfRef, ResourceComponent,
+    ResourceOption, ResourceType, Service, Sizing, Tier,
 };
 use aved::perf::{Catalog, PerfFunction};
 use aved::units::{Duration, Money};
@@ -53,10 +53,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     "level",
                     vec![Money::from_dollars(250.0), Money::from_dollars(900.0)],
                 )
-                .with_mttr_effect(EffectValue::Table {
-                    param: "level".into(),
-                    values: vec![Duration::from_hours(24.0), Duration::from_hours(4.0)],
-                }),
+                .with_effect(
+                    EffectKind::Mttr,
+                    EffectValue::Table {
+                        param: "level".into(),
+                        values: vec![Duration::from_hours(24.0), Duration::from_hours(4.0)],
+                    },
+                ),
         )
         .with_resource(
             ResourceType::new("node", Duration::from_secs(20.0))

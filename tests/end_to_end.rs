@@ -157,6 +157,42 @@ fn max_instances_constrains_the_search() {
 }
 
 #[test]
+fn bounded_mpi_supply_bounds_the_job_design() {
+    // The bundled infrastructure with `max_instances=40` on mpi. Unbounded,
+    // the cheapest design finishing the job in 20 h uses 103 rH resources,
+    // one mpi each.
+    let bounded = scenario::INFRASTRUCTURE_SPEC.replace(
+        "component=mpi cost=0",
+        "component=mpi max_instances=40 cost=0",
+    );
+    assert_ne!(bounded, scenario::INFRASTRUCTURE_SPEC, "the mpi line moved");
+    let infrastructure = aved::spec::parse_infrastructure(&bounded).unwrap();
+    let options = SearchOptions::default()
+        .with_pin("maintenanceA", "level", ParamValue::Level("bronze".into()))
+        .with_pin("maintenanceB", "level", ParamValue::Level("bronze".into()));
+    let service = scenario::scientific().unwrap();
+    let req = ServiceRequirement::job(Duration::from_hours(20.0));
+    let design = |infrastructure: Infrastructure| {
+        let report = Aved::new(infrastructure)
+            .with_catalog(scenario::catalog())
+            .with_search_options(options.clone())
+            .design(&service, &req)
+            .unwrap()
+            .expect("feasible");
+        report.design().clone()
+    };
+    let unbounded = design(scenario::infrastructure().unwrap());
+    assert!(matches!(
+        unbounded.validate(&infrastructure, &service),
+        Err(aved::model::ModelError::TooManyInstances { allowed: 40, .. })
+    ));
+    // `validate` counts every component's instances across the design.
+    design(infrastructure.clone())
+        .validate(&infrastructure, &service)
+        .unwrap();
+}
+
+#[test]
 fn infeasible_load_yields_none() {
     // The database tier saturates at 10000 units.
     let aved = Aved::new(scenario::infrastructure().unwrap())

@@ -8,9 +8,9 @@
 //! budget makes it worthwhile.
 
 use aved::model::{
-    ComponentType, DurationSpec, EffectValue, FailureMode, FailureScope, Infrastructure, Mechanism,
-    NActiveSpec, ParamRange, ParamValue, Parameter, PerfRef, ResourceComponent, ResourceOption,
-    ResourceType, Service, Sizing, Tier,
+    ComponentType, DurationSpec, EffectKind, EffectValue, FailureMode, FailureScope,
+    Infrastructure, Mechanism, NActiveSpec, ParamRange, ParamValue, Parameter, PerfRef,
+    ResourceComponent, ResourceOption, ResourceType, Service, Sizing, Tier,
 };
 use aved::perf::{Catalog, PerfFunction};
 use aved::units::{Duration, Money};
@@ -53,14 +53,17 @@ fn infrastructure() -> Infrastructure {
                         Money::from_dollars(400.0),
                     ],
                 )
-                .with_mtbf_effect(EffectValue::Table {
-                    param: "schedule".into(),
-                    values: vec![
-                        Duration::from_days(10.0),
-                        Duration::from_days(40.0),
-                        Duration::from_days(90.0),
-                    ],
-                }),
+                .with_effect(
+                    EffectKind::Mtbf,
+                    EffectValue::Table {
+                        param: "schedule".into(),
+                        values: vec![
+                            Duration::from_days(10.0),
+                            Duration::from_days(40.0),
+                            Duration::from_days(90.0),
+                        ],
+                    },
+                ),
         )
         .with_resource(
             ResourceType::new("node", Duration::ZERO)

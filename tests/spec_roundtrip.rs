@@ -2,8 +2,8 @@
 //! paper models and randomly-generated models.
 
 use aved::model::{
-    ComponentType, DurationSpec, EffectValue, FailureMode, Infrastructure, Mechanism, ParamRange,
-    Parameter, ResourceComponent, ResourceType,
+    ComponentType, DurationSpec, EffectKind, EffectValue, FailureMode, Infrastructure, Mechanism,
+    ParamRange, Parameter, ResourceComponent, ResourceType,
 };
 use aved::scenario;
 use aved::spec::{parse_infrastructure, parse_services, write_infrastructure, write_service};
@@ -66,9 +66,110 @@ fn paper_figure3_values_survive_the_round_trip() {
         Money::from_dollars(25_300.0)
     );
     assert_eq!(
-        maint_b.resolve_mttr(&settings).unwrap(),
+        maint_b.resolve(EffectKind::Mttr, &settings).unwrap(),
         Some(Duration::from_hours(6.0))
     );
+}
+
+/// A one-component infrastructure whose component `c` delegates its `kind`
+/// attribute to mechanism `m`, which declares a `kind` effect when
+/// `declared` is set.
+fn delegating(kind: EffectKind, declared: bool) -> Infrastructure {
+    let to_m = || DurationSpec::FromMechanism("m".into());
+    let mode = match kind {
+        EffectKind::Mtbf => {
+            FailureMode::new("soft", to_m(), Duration::from_mins(5.0), Duration::ZERO)
+        }
+        EffectKind::Mttr => {
+            FailureMode::new("soft", Duration::from_days(60.0), to_m(), Duration::ZERO)
+        }
+        EffectKind::LossWindow => FailureMode::new(
+            "soft",
+            Duration::from_days(60.0),
+            Duration::from_mins(5.0),
+            Duration::ZERO,
+        ),
+    };
+    let mut component = ComponentType::new("c").with_failure_mode(mode);
+    if kind == EffectKind::LossWindow {
+        component = component.with_loss_window(to_m());
+    }
+    let mut mechanism = Mechanism::new("m").with_param(Parameter::new(
+        "level",
+        ParamRange::Levels(vec!["a".into(), "b".into()]),
+    ));
+    if declared {
+        mechanism = mechanism.with_effect(
+            kind,
+            EffectValue::Table {
+                param: "level".into(),
+                values: vec![Duration::from_hours(1.0), Duration::from_hours(2.0)],
+            },
+        );
+    }
+    Infrastructure::new()
+        .with_component(component)
+        .with_mechanism(mechanism)
+        .with_resource(
+            ResourceType::new("r", Duration::ZERO).with_component(ResourceComponent::new(
+                "c",
+                None,
+                Duration::from_secs(30.0),
+            )),
+        )
+}
+
+#[test]
+fn every_effect_kind_round_trips_validates_and_resolves() {
+    use aved::avail::{derive_tier_model, loss_window, AvailError};
+    use aved::model::{FailureScope, ParamValue, Sizing, TierDesign};
+
+    let td =
+        TierDesign::new("t", "r", 2, 0).with_setting("m", "level", ParamValue::Level("b".into()));
+    let derive = |infra: &Infrastructure| {
+        derive_tier_model(infra, &td, Sizing::Static, FailureScope::Resource, 2)
+    };
+    for (kind, name) in EffectKind::ALL
+        .into_iter()
+        .zip(["mtbf", "mttr", "loss_window"])
+    {
+        // A declared effect survives parse -> write -> parse.
+        let infra = delegating(kind, true);
+        let text = write_infrastructure(&infra);
+        assert!(
+            text.contains(&format!("  {name}(level)=[1h 2h]\n")),
+            "{kind}:\n{text}"
+        );
+        let parsed = parse_infrastructure(&text).unwrap();
+        assert_eq!(parsed, infra, "{kind}");
+        assert_eq!(
+            parse_infrastructure(&write_infrastructure(&parsed)).unwrap(),
+            infra
+        );
+        assert!(derive(&infra).is_ok(), "{kind}");
+        let lw = loss_window(&infra, &td).unwrap();
+        assert_eq!(lw.is_some(), !kind.enters_tier_model(), "{kind}");
+
+        // A delegation to a mechanism without the effect fails validation
+        // with the same message as ever...
+        let broken = delegating(kind, false);
+        let error = broken.validate().unwrap_err();
+        assert_eq!(
+            error.to_string(),
+            format!(
+                "invalid model: component c delegates {name} to mechanism m \
+                 which declares no {name} effect"
+            ),
+        );
+        // ...and the derivation that reads the attribute fails on it the
+        // same way when the infrastructure was never validated.
+        let failed = if kind.enters_tier_model() {
+            derive(&broken).map(|_| ())
+        } else {
+            loss_window(&broken, &td).map(|_| ())
+        };
+        assert_eq!(failed, Err(AvailError::Model(error)), "{kind}");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -144,7 +245,7 @@ proptest! {
         let mech = Mechanism::new("m")
             .with_param(Parameter::new("level", ParamRange::Levels(levels)))
             .with_cost_table("level", costs)
-            .with_mttr_effect(EffectValue::Table { param: "level".into(), values: mttrs });
+            .with_effect(EffectKind::Mttr, EffectValue::Table { param: "level".into(), values: mttrs });
         let infra = Infrastructure::new().with_mechanism(mech);
         let text = write_infrastructure(&infra);
         let reparsed = parse_infrastructure(&text).unwrap();
@@ -202,7 +303,7 @@ proptest! {
             infra = infra.with_mechanism(
                 Mechanism::new("fix")
                     .with_param(Parameter::new("level", ParamRange::Levels(vec!["a".into()])))
-                    .with_mttr_effect(EffectValue::Table {
+                    .with_effect(EffectKind::Mttr, EffectValue::Table {
                         param: "level".into(),
                         values: vec![Duration::from_hours(1.0)],
                     }),
