@@ -76,30 +76,66 @@ pub struct TierDesign {
     // Serialized as a list of (mechanism, param, value) triples: tuple map
     // keys have no JSON representation.
     #[serde(with = "settings_serde")]
-    settings: BTreeMap<(MechanismName, ParamName), ParamValue>,
+    settings: SettingList,
+}
+
+/// A tier design's mechanism settings, sorted by (mechanism, parameter),
+/// each key once: a map kept as a short sorted list, since a design has a
+/// few settings and a search builds and clones designs by the thousand. It
+/// prints as a map does.
+#[derive(Clone, PartialEq, Default)]
+struct SettingList(Vec<((MechanismName, ParamName), ParamValue)>);
+
+impl std::fmt::Debug for SettingList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map()
+            .entries(self.0.iter().map(|(key, value)| (key, value)))
+            .finish()
+    }
+}
+
+impl SettingList {
+    /// The position of the setting of `mechanism`'s `param`: `Ok` when
+    /// present, `Err` with its insertion point otherwise.
+    fn find(&self, mechanism: &str, param: &str) -> Result<usize, usize> {
+        self.0
+            .binary_search_by(|((m, p), _)| (m.as_str(), p.as_str()).cmp(&(mechanism, param)))
+    }
+
+    /// Sets `mechanism`'s `param` to `value`, replacing any earlier value.
+    fn set(&mut self, mechanism: MechanismName, param: ParamName, value: ParamValue) {
+        match self.find(mechanism.as_str(), param.as_str()) {
+            Ok(at) => self.0[at].1 = value,
+            Err(at) => self.0.insert(at, ((mechanism, param), value)),
+        }
+    }
 }
 
 // Referenced via `#[serde(with = ...)]`, which the offline serde stub's
 // derive ignores — hence the allow; remove it with the registry serde.
 #[allow(dead_code)]
 mod settings_serde {
-    use super::{BTreeMap, MechanismName, ParamName, ParamValue};
+    use super::{MechanismName, ParamName, ParamValue, SettingList};
     use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
     pub fn serialize<S: Serializer>(
-        map: &BTreeMap<(MechanismName, ParamName), ParamValue>,
+        settings: &SettingList,
         serializer: S,
     ) -> Result<S::Ok, S::Error> {
         let entries: Vec<(&MechanismName, &ParamName, &ParamValue)> =
-            map.iter().map(|((m, p), v)| (m, p, v)).collect();
+            settings.0.iter().map(|((m, p), v)| (m, p, v)).collect();
         entries.serialize(serializer)
     }
 
     pub fn deserialize<'de, D: Deserializer<'de>>(
         deserializer: D,
-    ) -> Result<BTreeMap<(MechanismName, ParamName), ParamValue>, D::Error> {
+    ) -> Result<SettingList, D::Error> {
         let entries: Vec<(MechanismName, ParamName, ParamValue)> = Vec::deserialize(deserializer)?;
-        Ok(entries.into_iter().map(|(m, p, v)| ((m, p), v)).collect())
+        let mut settings = SettingList::default();
+        for (m, p, v) in entries {
+            settings.set(m, p, v);
+        }
+        Ok(settings)
     }
 }
 
@@ -122,7 +158,7 @@ impl TierDesign {
             n_active,
             n_spare,
             spare_mode: SpareMode::AllInactive,
-            settings: BTreeMap::new(),
+            settings: SettingList::default(),
         }
     }
 
@@ -140,8 +176,7 @@ impl TierDesign {
         M: Into<MechanismName>,
         P: Into<ParamName>,
     {
-        self.settings
-            .insert((mechanism.into(), param.into()), value);
+        self.settings.set(mechanism.into(), param.into(), value);
         self
     }
 
@@ -181,27 +216,24 @@ impl TierDesign {
         &self.spare_mode
     }
 
-    /// All mechanism settings.
+    /// All mechanism settings, sorted by (mechanism, parameter), each
+    /// once.
     #[must_use]
-    pub fn settings(&self) -> &BTreeMap<(MechanismName, ParamName), ParamValue> {
-        &self.settings
+    pub fn settings(&self) -> &[((MechanismName, ParamName), ParamValue)] {
+        &self.settings.0
     }
 
     /// Reads one setting.
     #[must_use]
     pub fn setting(&self, mechanism: &str, param: &str) -> Option<&ParamValue> {
-        self.settings
-            .iter()
-            .find(|((m, p), _)| m.as_str() == mechanism && p.as_str() == param)
-            .map(|(_, v)| v)
+        let at = self.settings.find(mechanism, param).ok()?;
+        Some(&self.settings.0[at].1)
     }
 }
 
 impl Settings for TierDesign {
     fn get(&self, mechanism: &MechanismName, param: &ParamName) -> Option<ParamValue> {
-        self.settings
-            .get(&(mechanism.clone(), param.clone()))
-            .cloned()
+        self.setting(mechanism.as_str(), param.as_str()).cloned()
     }
 }
 
@@ -224,9 +256,10 @@ impl std::fmt::Display for TierDesign {
                 if self.n_spare == 1 { "" } else { "s" }
             )?;
         }
-        if !self.settings.is_empty() {
+        if !self.settings.0.is_empty() {
             let settings: Vec<String> = self
                 .settings
+                .0
                 .iter()
                 .map(|((m, p), v)| format!("{m}.{p}={v}"))
                 .collect();
@@ -522,13 +555,13 @@ impl Design {
             }
             let keys: std::collections::BTreeSet<_> = old
                 .settings()
-                .keys()
-                .chain(new.settings().keys())
-                .cloned()
+                .iter()
+                .chain(new.settings())
+                .map(|(key, _)| key.clone())
                 .collect();
             for (mech, param) in keys {
-                let from = old.settings().get(&(mech.clone(), param.clone())).cloned();
-                let to = new.settings().get(&(mech.clone(), param.clone())).cloned();
+                let from = old.setting(mech.as_str(), param.as_str()).cloned();
+                let to = new.setting(mech.as_str(), param.as_str()).cloned();
                 if from != to {
                     out.push(DesignChange::SettingChanged {
                         tier: old.tier().clone(),

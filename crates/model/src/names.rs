@@ -1,13 +1,17 @@
-//! Interned-string identifier newtypes.
+//! Shared-string identifier newtypes.
 //!
 //! Components, mechanisms, resource types, tiers and mechanism parameters
 //! are all referenced by name in the Aved specification language. Distinct
 //! newtypes keep the reference graph type-safe: a [`ComponentName`] can
 //! never be used where a [`MechanismName`] is required, even though both
-//! wrap a string.
+//! wrap a string. The string is shared (`Arc<str>`), so cloning a name
+//! copies a pointer: a search clones names into every candidate design it
+//! builds. (Serializing them through the registry `serde` needs its `rc`
+//! feature.)
 
 use std::borrow::Borrow;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -18,12 +22,12 @@ macro_rules! define_name {
             Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
         )]
         #[serde(transparent)]
-        pub struct $name(String);
+        pub struct $name(Arc<str>);
 
         impl $name {
             /// Creates a name from any string-like value.
             pub fn new<S: Into<String>>(s: S) -> $name {
-                $name(s.into())
+                $name(Arc::from(s.into()))
             }
 
             /// The name as a string slice.
@@ -41,13 +45,13 @@ macro_rules! define_name {
 
         impl From<&str> for $name {
             fn from(s: &str) -> $name {
-                $name(s.to_owned())
+                $name(Arc::from(s))
             }
         }
 
         impl From<String> for $name {
             fn from(s: String) -> $name {
-                $name(s)
+                $name(Arc::from(s))
             }
         }
 

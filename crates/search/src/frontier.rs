@@ -2,8 +2,11 @@
 //!
 //! A frontier must evaluate *every* candidate (each one might be a frontier
 //! point), so no cost pruning applies: all options and levels go into one
-//! [`Sweep`] batch.
+//! [`Sweep`] batch. A service query's capped frontiers
+//! ([`crate::search_service_with_health`]) run the same batch under a fixed
+//! cost bound.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use aved_units::Duration;
@@ -70,7 +73,7 @@ pub fn job_frontier(
 /// Pareto-optimal ones; the deadline counts from `search_start`. The
 /// resource totals are the objective's levels, or `grid` (any active count
 /// allowed) when one is given.
-pub(crate) fn frontier(
+fn frontier(
     ctx: &EvalContext<'_>,
     tier_name: &str,
     objective: &Objective,
@@ -79,8 +82,32 @@ pub(crate) fn frontier(
     search_start: Instant,
 ) -> Result<(Vec<EvaluatedDesign>, SearchHealth), SearchError> {
     let started = Instant::now();
-    let mut sweep = Sweep::new(ctx, tier_name, objective, options, search_start)?;
+    let mut sweep = Sweep::new(ctx, tier_name, options, search_start)?;
+    let mut tier = enumerate(&mut sweep, objective, grid, false)?;
+    let frontier = pareto_frontier(&mut sweep, objective, &mut tier.batch)?;
+    Ok((frontier, sweep.finish(started)))
+}
+
+/// Every candidate of one tier, enumerated up front.
+pub(crate) struct Enumerated<'c> {
+    pub(crate) batch: Batch<'c>,
+    /// Each level's option index, resource total and range of `batch`, in
+    /// enumeration order.
+    pub(crate) levels: Vec<(usize, u32, Range<usize>)>,
+}
+
+/// Enumerates every candidate of `sweep`'s tier into one batch, costed
+/// when `costed` is set. The resource totals are `objective`'s levels,
+/// or `grid` (any active count allowed) when one is given.
+pub(crate) fn enumerate<'c>(
+    sweep: &mut Sweep<'_, 'c>,
+    objective: &Objective,
+    grid: Option<&[u32]>,
+    costed: bool,
+) -> Result<Enumerated<'c>, SearchError> {
+    let (ctx, options) = (sweep.ctx(), sweep.options());
     let mut batch = Batch::default();
+    let mut levels = Vec::new();
     for (index, option) in sweep.tier.options().iter().enumerate() {
         let (min_active, totals): (u32, Vec<u32>) = match grid {
             Some(grid) => (1, grid.to_vec()),
@@ -90,12 +117,23 @@ pub(crate) fn frontier(
             },
         };
         for n_total in totals.into_iter().filter(|&n| n > 0) {
-            sweep.level(&mut batch, index, n_total, min_active, false)?;
+            let range = sweep.level(&mut batch, index, n_total, min_active, costed)?;
+            levels.push((index, n_total, range));
         }
     }
+    Ok(Enumerated { batch, levels })
+}
 
+/// Runs every candidate of `batch` under the sweep's cost bound and keeps
+/// the Pareto-optimal ones under `objective`'s quality.
+pub(crate) fn pareto_frontier(
+    sweep: &mut Sweep<'_, '_>,
+    objective: &Objective,
+    batch: &mut Batch<'_>,
+) -> Result<Vec<EvaluatedDesign>, SearchError> {
     let mut all: Vec<EvaluatedDesign> = Vec::new();
-    sweep.run(batch, |e| {
+    let candidates = 0..batch.len();
+    sweep.run(objective, batch, candidates, |e| {
         all.push(e);
         Ok(())
     })?;
@@ -103,7 +141,7 @@ pub(crate) fn frontier(
     let unranked = Duration::from_secs(f64::INFINITY);
     let frontier = pareto_by(all, |e| objective.quality(e).unwrap_or(unranked));
     sweep.health.merge_time += ranking.elapsed();
-    Ok((frontier, sweep.finish(started)))
+    Ok(frontier)
 }
 
 /// Keeps the Pareto-optimal designs under (cost, quality) where smaller is

@@ -61,8 +61,13 @@ pub struct SearchHealth {
     pub worst_residual: Option<f64>,
     /// Wall-clock time the search took.
     pub wall_time: std::time::Duration,
-    /// Candidates skipped without evaluation because they already cost more
-    /// than a known-feasible design.
+    /// Candidates never evaluated because they cannot be in the answer: in
+    /// a search, those costing more than a known-feasible design; in a
+    /// service query
+    /// ([`search_service_with_health`](crate::search_service_with_health)),
+    /// those above their tier's cost cap and those left once the query was
+    /// proved infeasible. A candidate skipped this way and evaluated later
+    /// in the same query is not counted.
     pub candidates_pruned: u64,
     /// Availability designs whose tier model was derived and evaluated:
     /// one per distinct model the sweep needed, however many candidates

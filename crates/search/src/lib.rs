@@ -20,7 +20,8 @@
 //!   cost/quality tradeoff curves behind the paper's Figs. 6–8;
 //! * [`search_service_with_health`] composes per-tier frontiers into the
 //!   exact minimum-cost multi-tier design meeting a service downtime
-//!   requirement.
+//!   requirement, evaluating only the candidates its budget leaves in
+//!   play.
 //!
 //! Searches are resilient by default: an engine failure or non-finite
 //! metric on one candidate skips that candidate rather than aborting the

@@ -1,6 +1,9 @@
 //! Multi-tier service search (paper §4.1, first paragraph): one
 //! cost/downtime frontier per tier, then the exact cheapest composition of
 //! one point per frontier that meets the service downtime requirement.
+//! The frontiers are budget-directed: a query evaluates only the
+//! candidates that can appear in its answer (see
+//! [`search_service_with_health`]).
 
 use std::time::Instant;
 
@@ -8,8 +11,9 @@ use aved_avail::combine_series;
 use aved_model::Design;
 use aved_units::{Duration, Money};
 
-use crate::frontier::frontier;
-use crate::sweep::Objective;
+use crate::frontier::{enumerate, pareto_frontier, Enumerated};
+use crate::sweep::{Objective, Sweep};
+use crate::tier_search::cost_first;
 use crate::{EvalContext, EvaluatedDesign, SearchError, SearchHealth, SearchOptions};
 
 /// A complete multi-tier design with its evaluation.
@@ -53,6 +57,13 @@ fn compose(tiers: &[EvaluatedDesign]) -> (Money, Duration) {
     (cost, service.annual_downtime())
 }
 
+/// `true` when a service of availability `availability` misses
+/// `max_downtime`. Monotone: a lower availability never meets a budget a
+/// higher one misses.
+fn misses(availability: f64, max_downtime: Duration) -> bool {
+    Duration::from_mins((1.0 - availability) * aved_units::MINUTES_PER_YEAR) > max_downtime
+}
+
 /// The cheapest composition of one point per frontier whose service
 /// downtime meets `max_downtime`, or `None` when no composition does (or
 /// there are no frontiers).
@@ -67,23 +78,23 @@ fn compose(tiers: &[EvaluatedDesign]) -> (Money, Duration) {
 /// the (cost, flat index) minimum over the whole cross product, with the
 /// last tier's index most significant. Costs and availabilities are
 /// combined in tier order, so every comparison rounds as [`compose`] does.
-fn cheapest_composition(
-    frontiers: &[Vec<EvaluatedDesign>],
+fn cheapest_composition<F: AsRef<[EvaluatedDesign]>>(
+    frontiers: &[F],
     max_downtime: Duration,
 ) -> Option<ServiceDesign> {
     let (last, rest) = frontiers.split_last()?;
+    let last = last.as_ref();
     let mut index = vec![0; rest.len()];
     let mut best: Option<(Money, Vec<usize>, usize)> = None;
     loop {
         let mut cost = Money::ZERO;
         let mut availability = 1.0;
         for (f, &i) in rest.iter().zip(&index) {
-            cost += f[i].cost();
-            availability *= f[i].availability().availability();
+            cost += f.as_ref()[i].cost();
+            availability *= f.as_ref()[i].availability().availability();
         }
         let j = last.partition_point(|e| {
-            let a = availability * e.availability().availability();
-            Duration::from_mins((1.0 - a) * aved_units::MINUTES_PER_YEAR) > max_downtime
+            misses(availability * e.availability().availability(), max_downtime)
         });
         if let Some(e) = last.get(j) {
             let cost = cost + e.cost();
@@ -95,7 +106,7 @@ fn cheapest_composition(
             }
         }
         // Advance like an odometer, the first tier's index fastest.
-        let Some(t) = (0..rest.len()).find(|&t| index[t] + 1 < rest[t].len()) else {
+        let Some(t) = (0..rest.len()).find(|&t| index[t] + 1 < rest[t].as_ref().len()) else {
             break;
         };
         index[t] += 1;
@@ -105,7 +116,7 @@ fn cheapest_composition(
     let tiers: Vec<EvaluatedDesign> = rest
         .iter()
         .zip(&index)
-        .map(|(f, &i)| f[i].clone())
+        .map(|(f, &i)| f.as_ref()[i].clone())
         .chain(std::iter::once(last[j].clone()))
         .collect();
     let (cost, annual_downtime) = compose(&tiers);
@@ -118,13 +129,13 @@ fn cheapest_composition(
 
 /// Finds the minimum-cost multi-tier design meeting a service-level
 /// throughput and downtime requirement, and reports the aggregated
-/// [`SearchHealth`] of every per-tier frontier sweep: candidates skipped
-/// after evaluation failures, solver fallbacks taken, the worst accepted
+/// [`SearchHealth`] of every per-tier sweep: candidates skipped after
+/// evaluation failures, solver fallbacks taken, the worst accepted
 /// residual, and the total wall time.
 ///
-/// Following §4.1, each tier is first optimized in isolation: its own
-/// cost/downtime frontier, computed as if the other tiers never fail. The
-/// paper then refines the combination by making one tier's requirement
+/// Following §4.1, the answer is composed from per-tier cost/downtime
+/// frontiers, each computed as if the other tiers never fail. The paper
+/// then refines the combination by making one tier's requirement
 /// "incrementally more aggressive" until the service requirement holds;
 /// here the composition step instead returns the optimum that refinement
 /// approximates — the cheapest choice of one frontier point per tier whose
@@ -134,14 +145,40 @@ fn cheapest_composition(
 /// the last, times the log of the last. A service with no tiers has no
 /// design.
 ///
+/// The frontiers are budget-directed, as §4.1's search is cost-first:
+///
+/// 1. every tier's candidates are enumerated and costed before any is
+///    evaluated;
+/// 2. the tier with the fewest candidates runs its full frontier. A
+///    composition is never more available than that tier's best point, so
+///    when that point misses `max_downtime` the query is infeasible and
+///    stops there;
+/// 3. a few cheap feasible compositions bound the answer's cost: a point
+///    of that tier, and each other tier's cheapest design within an even
+///    share of what the point leaves of the budget, found by a cost-first
+///    search ([`search_tier`](crate::search_tier)'s loop) on the tier's
+///    own sweep;
+/// 4. every other tier then evaluates only its candidates that can fit
+///    under that bound beside the other tiers' cheapest possible points.
+///    Their frontiers are prefixes of the full ones, so the answer is the
+///    one the full frontiers give, bit for bit.
+///
+/// When step 3 finds no bound, the other tiers run full frontiers, and the
+/// proof of step 2 is re-checked after each. [`SearchOptions::prune`] off
+/// (see [`SearchOptions::without_pruning`]) runs every tier's full frontier
+/// in tier order, with no proof and no cap. `DESIGN.md`, "Budget-directed
+/// evaluation", gives the arguments.
+///
 /// Candidate evaluation failures are isolated to the failing candidate
 /// (unless [`SearchOptions::strict`]). [`SearchOptions::search_deadline`]
-/// bounds the whole search, every tier's sweep included.
+/// bounds the whole search, every tier's sweep included; only an
+/// uninterrupted sweep proves a query infeasible.
 ///
 /// # Errors
 ///
-/// Returns [`SearchError`] for evaluation failures; an unsatisfiable
-/// requirement yields `Ok((None, health))`.
+/// Returns [`SearchError`] for unresolvable references in any tier and
+/// for evaluation failures; an unsatisfiable requirement yields
+/// `Ok((None, health))`.
 pub fn search_service_with_health(
     ctx: &EvalContext<'_>,
     load: f64,
@@ -149,27 +186,292 @@ pub fn search_service_with_health(
     options: &SearchOptions,
 ) -> Result<(Option<ServiceDesign>, SearchHealth), SearchError> {
     let started = Instant::now();
-    let objective = Objective::downtime_at(load);
-    // Per-tier frontiers, cheapest first; their health (worker count
-    // included) accumulates into the service search's.
-    let mut health = SearchHealth::default();
-    let mut frontiers: Vec<Vec<EvaluatedDesign>> = Vec::new();
+    let query = Query {
+        frontier: Objective::downtime_at(load),
+        load,
+        max_downtime,
+        prune: options.prune,
+    };
+    let mut tiers = Vec::new();
     for tier in ctx.service().tiers() {
-        let name = tier.name().as_str();
-        let (f, tier_health) = frontier(ctx, name, &objective, None, options, started)?;
-        health.merge(tier_health);
-        if f.is_empty() {
-            health.wall_time = started.elapsed();
-            return Ok((None, health)); // a tier cannot support the load at all
-        }
-        frontiers.push(f);
+        let mut sweep = Sweep::new(ctx, tier.name().as_str(), options, started)?;
+        let tier = enumerate(&mut sweep, &query.frontier, None, true)?;
+        tiers.push(TierQuery {
+            sweep,
+            tier,
+            frontier: Vec::new(),
+            complete: false,
+        });
     }
 
-    let composing = Instant::now();
-    let found = cheapest_composition(&frontiers, max_downtime);
-    health.merge_time += composing.elapsed();
+    let found = query.answer(&mut tiers)?;
+    let mut health = SearchHealth::default();
+    let mut pending = 0;
+    for t in tiers {
+        pending += t.tier.batch.pending();
+        health.merge(t.sweep.finish(started));
+    }
+    // Candidates no run reached count as pruned: never evaluated after the
+    // answer was proved, unless the deadline or a cancellation cut the
+    // query short.
+    if options.prune && !health.interrupted {
+        health.candidates_pruned += pending;
+    }
     health.wall_time = started.elapsed();
     Ok((found, health))
+}
+
+/// One tier of a service query: its sweep, every candidate, and its
+/// frontier as last run.
+struct TierQuery<'s, 'c> {
+    sweep: Sweep<'s, 'c>,
+    tier: Enumerated<'c>,
+    frontier: Vec<EvaluatedDesign>,
+    /// `true` once `frontier` is the full frontier of an uninterrupted
+    /// sweep.
+    complete: bool,
+}
+
+/// A service query's requirement.
+struct Query {
+    /// The frontiers' objective: downtime at the load, no requirement.
+    frontier: Objective,
+    load: f64,
+    max_downtime: Duration,
+    /// [`SearchOptions::prune`]: direct the frontiers by the budget.
+    prune: bool,
+}
+
+impl Query {
+    /// The query's answer over enumerated `tiers`, running as few
+    /// candidates as prove it when `prune` is set (steps 2–4 of
+    /// [`search_service_with_health`]).
+    fn answer(
+        &self,
+        tiers: &mut [TierQuery<'_, '_>],
+    ) -> Result<Option<ServiceDesign>, SearchError> {
+        if tiers.iter().any(|t| t.tier.batch.is_empty()) {
+            return Ok(None); // a tier cannot support the load at all
+        }
+        // Fewest candidates first (stable: ties keep tier order).
+        let mut order: Vec<usize> = (0..tiers.len()).collect();
+        if self.prune {
+            order.sort_by_key(|&i| tiers[i].tier.batch.len());
+        }
+        let Some((&first, rest)) = order.split_first() else {
+            return Ok(None);
+        };
+        if self.settled_infeasible(tiers, first)? {
+            return Ok(None);
+        }
+
+        let bound = if self.prune && !rest.is_empty() {
+            self.upper_bound(tiers, first, rest)?
+        } else {
+            None
+        };
+        if let Some(ub) = bound {
+            let mins: Vec<Money> = tiers.iter().map(|t| self.least_cost(t)).collect();
+            for &i in rest {
+                self.run(&mut tiers[i], Some(cap(&mins, i, ub)))?;
+            }
+            // The capped frontiers are prefixes of the full ones that hold
+            // every point of a composition costing at most `ub`, with the
+            // same indices. The full frontiers' (cost, flat index) winner
+            // costs at most the capped winner, so when that costs at most
+            // `ub` the two winners are one composition.
+            let found = compose_frontiers(tiers, self.max_downtime);
+            if found.as_ref().is_some_and(|sd| sd.cost() <= ub) {
+                return Ok(found);
+            }
+        }
+
+        for &i in rest {
+            if self.settled_infeasible(tiers, i)? {
+                return Ok(None);
+            }
+        }
+        let found = compose_frontiers(tiers, self.max_downtime);
+        // The capped frontiers above miss the answer only when it costs
+        // more than the bound, which takes two designs of one tier with
+        // equal downtime and different availability bits, right at the
+        // budget.
+        debug_assert!(
+            bound.is_none()
+                || tiers.iter().any(|t| !t.complete)
+                || found
+                    .as_ref()
+                    .is_none_or(|sd| bound.is_some_and(|ub| ub < sd.cost())),
+            "the capped frontiers missed an answer within the bound"
+        );
+        Ok(found)
+    }
+
+    /// A lower bound on `tier`'s cost in any composition that meets the
+    /// budget. A complete tier's points that miss the budget on their own
+    /// cannot be part of one, since a composition is never more available
+    /// than its points, so its cheapest point that meets the budget is the
+    /// bound; any other tier's is its cheapest candidate.
+    fn least_cost(&self, tier: &TierQuery<'_, '_>) -> Money {
+        let meets =
+            |e: &&EvaluatedDesign| !misses(e.availability().availability(), self.max_downtime);
+        match tier.frontier.iter().find(meets) {
+            Some(e) if tier.complete => e.cost(),
+            _ => tier
+                .tier
+                .batch
+                .cheapest(0..tier.tier.batch.len())
+                .expect("costed"),
+        }
+    }
+
+    /// Runs `tier`'s frontier over the candidates costing at most `cap`,
+    /// or over all of them. Candidates an earlier run folded are not
+    /// evaluated again.
+    fn run(&self, tier: &mut TierQuery<'_, '_>, cap: Option<Money>) -> Result<(), SearchError> {
+        tier.sweep.fix_bound(cap);
+        tier.frontier = pareto_frontier(&mut tier.sweep, &self.frontier, &mut tier.tier.batch)?;
+        tier.complete = cap.is_none() && !tier.sweep.health.interrupted;
+        Ok(())
+    }
+
+    /// Runs tier `i`'s full frontier; `true` when that proves the query
+    /// infeasible: the frontier is empty, or (with `prune`) the tiers run
+    /// in full so far cannot meet the budget whatever the others choose.
+    fn settled_infeasible(
+        &self,
+        tiers: &mut [TierQuery<'_, '_>],
+        i: usize,
+    ) -> Result<bool, SearchError> {
+        self.run(&mut tiers[i], None)?;
+        let floor = || misses(best_availability(tiers), self.max_downtime);
+        Ok(tiers[i].frontier.is_empty() || (self.prune && floor()))
+    }
+
+    /// An upper bound on the answer's cost: the cheapest of a few feasible
+    /// compositions, each checked through [`cheapest_composition`]. Each
+    /// takes one point of the complete tier `first` whose downtime leaves
+    /// some of the budget, and for each tier of `rest` its cheapest design
+    /// within an even share of what that point leaves, found by a
+    /// cost-first search on the tier's own sweep (the searches stop at the
+    /// first tier without one). The points are tried cheapest first, until
+    /// one costs too much, beside the other tiers' cheapest candidates, to
+    /// beat the bound so far. `None` when no composition is found.
+    fn upper_bound(
+        &self,
+        tiers: &mut [TierQuery<'_, '_>],
+        first: usize,
+        rest: &[usize],
+    ) -> Result<Option<Money>, SearchError> {
+        let shares = (tiers.len() - 1) as f64;
+        let least_rest: Money = rest.iter().map(|&i| self.least_cost(&tiers[i])).sum();
+        let mut bound: Option<Money> = None;
+        for p in 0..tiers[first].frontier.len() {
+            let point = &tiers[first].frontier[p];
+            if bound.is_some_and(|b| b <= point.cost() + least_rest) {
+                break;
+            }
+            if point.annual_downtime() >= self.max_downtime {
+                continue;
+            }
+            let share = Objective::Enterprise {
+                load: self.load,
+                max_downtime: (self.max_downtime - point.annual_downtime()) / shares,
+            };
+            let mut picks = vec![None; tiers.len()];
+            picks[first] = Some(vec![point.clone()]);
+            for &i in rest {
+                let TierQuery { sweep, tier, .. } = &mut tiers[i];
+                let level = |_: &mut Sweep<'_, '_>, _: &mut _, (option, n_total, _)| {
+                    let level = tier.levels.iter().find(|l| (l.0, l.1) == (option, n_total));
+                    Ok(level.map_or(0..0, |l| l.2.clone()))
+                };
+                let Some(pick) = cost_first(sweep, &share, &mut tier.batch, level)?.0 else {
+                    break;
+                };
+                picks[i] = Some(vec![pick]);
+            }
+            let singletons: Option<Vec<Vec<EvaluatedDesign>>> = picks.into_iter().collect();
+            let found = singletons.and_then(|s| cheapest_composition(&s, self.max_downtime));
+            if let Some(sd) = found {
+                bound = Some(bound.map_or(sd.cost(), |b| b.min(sd.cost())));
+            }
+        }
+        Ok(bound)
+    }
+}
+
+/// The highest service availability any composition can reach, as far as
+/// the complete frontiers tell: their best availabilities multiplied in
+/// tier order. Every availability is at most 1, so each product
+/// [`cheapest_composition`] forms, over every tier in tier order, is at
+/// most this one: multiplying by a factor ≤ 1 never raises a value, and
+/// rounding is monotone.
+fn best_availability(tiers: &[TierQuery<'_, '_>]) -> f64 {
+    tiers
+        .iter()
+        .filter(|t| t.complete)
+        .map(|t| {
+            let availabilities = t.frontier.iter().map(|e| e.availability().availability());
+            availabilities.fold(0.0, f64::max)
+        })
+        .fold(1.0, |product, best| product * best)
+}
+
+/// The cap of tier `i` under bound `ub`: the largest cost the tier's point
+/// can have in a composition costing at most `ub`, found with every other
+/// tier at its cheapest candidate (`mins`) and the costs summed in tier
+/// order as [`cheapest_composition`] sums them. That is `ub − Σ_{j≠i}
+/// mins[j]` rounded up to the last `f64` that still fits. Floating-point
+/// addition is monotone in each operand, so a point of any composition
+/// costing at most `ub` costs at most the cap.
+fn cap(mins: &[Money], i: usize, ub: Money) -> Money {
+    let total = |x: f64| {
+        let cost = |(j, &m): (usize, &Money)| if j == i { Money::from_dollars(x) } else { m };
+        mins.iter()
+            .enumerate()
+            .map(cost)
+            .fold(Money::ZERO, |sum, c| sum + c)
+    };
+    // Binary search over the f64s in order, through keys that order as
+    // the values do.
+    let key = |x: f64| {
+        let bits = x.to_bits();
+        if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        }
+    };
+    let value = |k: u64| f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k });
+    let (mut fits, mut over) = (key(f64::NEG_INFINITY), key(f64::INFINITY));
+    while over - fits > 1 {
+        let mid = fits + (over - fits) / 2;
+        if total(value(mid)) <= ub {
+            fits = mid;
+        } else {
+            over = mid;
+        }
+    }
+    Money::from_dollars(value(fits))
+}
+
+/// The cheapest composition of the tiers' frontiers as last run, or
+/// `None` when one is empty. Its time counts as the first tier's merge
+/// time, which the query's health sums.
+fn compose_frontiers(
+    tiers: &mut [TierQuery<'_, '_>],
+    max_downtime: Duration,
+) -> Option<ServiceDesign> {
+    let composing = Instant::now();
+    let frontiers: Vec<&[EvaluatedDesign]> = tiers.iter().map(|t| &t.frontier[..]).collect();
+    let found = if frontiers.iter().any(|f| f.is_empty()) {
+        None
+    } else {
+        cheapest_composition(&frontiers, max_downtime)
+    };
+    tiers[0].sweep.health.merge_time += composing.elapsed();
+    found
 }
 
 #[cfg(test)]
@@ -254,9 +556,11 @@ mod tests {
         let n_calls = counting.calls();
         assert!(n_calls > 1);
 
-        // Kill the last evaluated candidate: under a loose budget the
-        // winner is a cheap composition, never the maximal-redundancy tail
-        // candidate evaluated last.
+        // Kill the last evaluated candidate. The query evaluates it in a
+        // capped frontier (the application tier's rD x2 at gold, a point
+        // of that frontier), but the winning composition does not use it:
+        // its failure drops it from the frontier and the same winner
+        // stands.
         let faulty = aved_avail::FaultInjectingEngine::new(&inner)
             .with_fault_at(n_calls - 1, aved_avail::InjectedFault::NonConvergence);
         let ctx = fx.context(&faulty);
@@ -267,6 +571,28 @@ mod tests {
         assert_eq!(found.to_design(), baseline.to_design());
         assert_eq!(health.candidates_skipped(), 1);
         assert_eq!(faulty.injected(), 1);
+        let killed = &health.skipped[0];
+        assert_eq!(
+            (&killed.tier[..], &killed.resource[..], killed.n_active),
+            ("application", "rD", 2)
+        );
+        assert!(
+            !baseline.tiers().iter().any(|e| {
+                let d = e.design();
+                (
+                    d.tier().as_str(),
+                    d.resource().as_str(),
+                    d.n_active(),
+                    d.n_spare(),
+                ) == (
+                    &killed.tier[..],
+                    &killed.resource[..],
+                    killed.n_active,
+                    killed.n_spare,
+                )
+            }),
+            "the killed candidate is outside the winning composition: {killed:?}"
+        );
     }
 
     #[test]
@@ -483,7 +809,10 @@ mod tests {
 
     #[test]
     fn no_frontiers_compose_to_none() {
-        assert!(cheapest_composition(&[], Duration::from_mins(f64::MAX)).is_none());
+        assert!(
+            cheapest_composition::<Vec<EvaluatedDesign>>(&[], Duration::from_mins(f64::MAX))
+                .is_none()
+        );
     }
 
     /// Sleeps about 2 ms per evaluation and records when each call starts.

@@ -15,10 +15,14 @@
 //! decision is made, so results are identical at any worker count (see
 //! [`crate::parallel`](crate::parallel_map_with) for the argument). The
 //! searches run one batch per resource-count level; the frontiers run one
-//! batch over every option and level. [`Objective`] supplies everything
-//! that differs between enterprise and finite-job sweeps.
+//! batch over every option and level. A service query enumerates each
+//! tier's batch once and runs it several times — level ranges for a
+//! search, then the whole batch under a cost cap — and the batch keeps
+//! what each run evaluated, so no candidate is evaluated twice.
+//! [`Objective`] supplies everything that differs between enterprise and
+//! finite-job sweeps.
 
-use std::ops::RangeInclusive;
+use std::ops::{Range, RangeInclusive};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
@@ -167,23 +171,42 @@ impl Objective {
     }
 }
 
-/// One candidate of a batch. Searches cost their candidates when they
-/// enumerate them, because they terminate and prune on cost; frontiers
-/// never prune, so theirs are costed only when scored.
+/// One candidate of a batch. Searches and service queries cost their
+/// candidates when they enumerate them, because they terminate and prune
+/// on cost; a tier frontier never prunes, so its are costed only when
+/// scored.
 struct Candidate {
     design: TierDesign,
     /// The batch index of the candidate's availability design.
     availability: usize,
     cost: Option<Money>,
+    state: Fold,
+}
+
+/// Where a candidate stands in its batch's runs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Fold {
+    /// Not yet run, or run while the sweep was stopping.
+    Pending,
+    /// Pruned by cost, and never folded since.
+    Pruned,
+    /// Folded: scored, replayed or failed, and journaled if journaling.
+    Folded,
 }
 
 /// Candidates of one or more levels and the availability designs they
-/// share, each design listed once, in order of first appearance.
+/// share, each design listed once, in order of first appearance. A batch
+/// keeps each design's evaluation and each candidate's [`Fold`] across
+/// [`Sweep::run`]s, so running a candidate again re-delivers its result
+/// without evaluating, journaling or counting it again.
 #[derive(Default)]
 pub(crate) struct Batch<'t> {
     /// Each availability design's option and the index of its first
     /// candidate, whose design stands in for all of them in the tier model.
     designs: Vec<(&'t ResourceOption, usize)>,
+    /// Each design's evaluation, once made: `Ok(None)` when the design
+    /// cannot serve the requirement at all.
+    assessments: Vec<Option<Result<Option<Assessment>, SearchError>>>,
     candidates: Vec<Candidate>,
 }
 
@@ -198,12 +221,25 @@ impl Batch<'_> {
         self.candidates.is_empty()
     }
 
-    /// The cost of the cheapest costed candidate.
-    pub(crate) fn cheapest(&self) -> Option<Money> {
-        self.candidates
+    /// Empties the batch, keeping its allocations.
+    pub(crate) fn clear(&mut self) {
+        self.designs.clear();
+        self.assessments.clear();
+        self.candidates.clear();
+    }
+
+    /// The cost of the cheapest costed candidate in `range`.
+    pub(crate) fn cheapest(&self, range: Range<usize>) -> Option<Money> {
+        self.candidates[range]
             .iter()
             .filter_map(|c| c.cost)
             .min_by(Money::total_cmp)
+    }
+
+    /// The number of candidates no run has folded or pruned yet.
+    pub(crate) fn pending(&self) -> u64 {
+        let pending = self.candidates.iter().filter(|c| c.state == Fold::Pending);
+        pending.count() as u64
     }
 }
 
@@ -244,7 +280,6 @@ fn stopping(budget: &SolveBudget) -> bool {
 pub(crate) struct Sweep<'s, 'c> {
     ctx: &'s EvalContext<'c>,
     pub(crate) tier: &'c Tier,
-    objective: &'s Objective,
     options: &'s SearchOptions,
     /// The settings combinations of each of the tier's options, enumerated
     /// once for the whole sweep.
@@ -256,9 +291,13 @@ pub(crate) struct Sweep<'s, 'c> {
     /// shapes recur between levels (same n/m/s splits with different
     /// rates), so the sessions keep paying off sweep-wide.
     sessions: Vec<EvalSession>,
-    /// The cheapest feasible cost the sweep has folded, across batches:
-    /// no costed candidate dearer than it can win a minimum-cost search.
-    cheapest_feasible: Option<Money>,
+    /// The cost bound: no costed candidate dearer than it is evaluated.
+    /// A search starts without one and lowers it to the cheapest feasible
+    /// cost it folds, across batches, since no dearer candidate can win.
+    bound: Option<Money>,
+    /// `true` once [`Sweep::fix_bound`] has fixed `bound`: folding a
+    /// feasible design no longer lowers it.
+    bound_fixed: bool,
     pub(crate) health: SearchHealth,
 }
 
@@ -269,7 +308,6 @@ impl<'s, 'c> Sweep<'s, 'c> {
     pub(crate) fn new(
         ctx: &'s EvalContext<'c>,
         tier_name: &str,
-        objective: &'s Objective,
         options: &'s SearchOptions,
         search_start: Instant,
     ) -> Result<Self, SearchError> {
@@ -285,14 +323,14 @@ impl<'s, 'c> Sweep<'s, 'c> {
         Ok(Sweep {
             ctx,
             tier,
-            objective,
             options,
             plans,
             sessions: (0..jobs.max(1))
                 .map(|_| EvalSession::new().with_budget(budget.clone()))
                 .collect(),
             budget,
-            cheapest_feasible: None,
+            bound: None,
+            bound_fixed: false,
             health: SearchHealth {
                 jobs,
                 enumeration_time: enumerating.elapsed(),
@@ -301,10 +339,37 @@ impl<'s, 'c> Sweep<'s, 'c> {
         })
     }
 
+    /// The sweep's evaluation context.
+    pub(crate) fn ctx(&self) -> &'s EvalContext<'c> {
+        self.ctx
+    }
+
+    /// The sweep's options.
+    pub(crate) fn options(&self) -> &'s SearchOptions {
+        self.options
+    }
+
+    /// Fixes the cost bound at `bound`, or at none: from now on only
+    /// candidates costing at most `bound` are evaluated, whatever the runs
+    /// fold. A frontier run needs this, since its objective counts every
+    /// result as feasible and would otherwise lower the bound to the
+    /// cheapest candidate.
+    pub(crate) fn fix_bound(&mut self, bound: Option<Money>) {
+        self.bound = bound;
+        self.bound_fixed = true;
+    }
+
+    /// Starts a search's cost bound: none, lowered to the cheapest
+    /// feasible cost the runs fold from now on.
+    pub(crate) fn bound_by_feasible(&mut self) {
+        self.bound = None;
+        self.bound_fixed = false;
+    }
+
     /// Appends to `batch` the candidates of the tier's `option`-th option
     /// with `n_total` resources, at least `min_active` of them active, in
     /// enumeration order, and their availability designs; costed when
-    /// `costed` is set.
+    /// `costed` is set. Returns the range of the appended candidates.
     pub(crate) fn level(
         &mut self,
         batch: &mut Batch<'c>,
@@ -312,13 +377,14 @@ impl<'s, 'c> Sweep<'s, 'c> {
         n_total: u32,
         min_active: u32,
         costed: bool,
-    ) -> Result<(), SearchError> {
+    ) -> Result<Range<usize>, SearchError> {
         let enumerating = Instant::now();
         let resource_option = &self.tier.options()[option];
         let (first_design, first_candidate) = (batch.designs.len(), batch.candidates.len());
         let Batch {
             designs,
             candidates,
+            ..
         } = batch;
         self.plans[option].for_each_candidate(
             self.tier.name(),
@@ -335,22 +401,28 @@ impl<'s, 'c> Sweep<'s, 'c> {
                     design,
                     availability,
                     cost: None,
+                    state: Fold::Pending,
                 });
             },
         );
+        batch.assessments.resize_with(batch.designs.len(), || None);
         if costed {
             for c in &mut batch.candidates[first_candidate..] {
                 c.cost = Some(tier_design_cost(self.ctx.infrastructure(), &c.design)?.total());
             }
         }
         self.health.enumeration_time += enumerating.elapsed();
-        Ok(())
+        Ok(first_candidate..batch.candidates.len())
     }
 
-    /// Runs one batch and hands every surviving evaluation, in candidate
-    /// order, to `accept`. A sweep that is stopping — the cancellation
-    /// token fired or the deadline passed — is marked interrupted at the
-    /// end of the batch; the caller then returns its best-so-far result.
+    /// Runs the candidates of `batch` in `range` under `objective` and hands
+    /// every surviving evaluation, in candidate order, to `accept`. Every
+    /// run of one batch uses objectives of one kind and load, which
+    /// evaluate a design alike, since the batch keeps each design's
+    /// evaluation for the next run. A sweep that is
+    /// stopping — the cancellation token fired or the deadline passed — is
+    /// marked interrupted at the end of the run; the caller then returns
+    /// its best-so-far result.
     ///
     /// Each availability design is derived and evaluated once, however
     /// many candidates share it, and the fold scores every candidate from
@@ -359,33 +431,38 @@ impl<'s, 'c> Sweep<'s, 'c> {
     /// accept — so results are identical at any worker count. A candidate
     /// is scored when it is neither pruned nor replayed from the resume
     /// journal; a design whose evaluation failed gives that error to each
-    /// of its candidates.
+    /// of its candidates. A candidate an earlier run of the batch folded is
+    /// handed to `accept` again, unless pruned, but not evaluated,
+    /// journaled or counted again.
     ///
     /// With more than one worker, the workers first evaluate, in parallel,
-    /// every design that has a candidate to score as of the batch's start;
+    /// every design that has a candidate to score as of the run's start;
     /// a fatal failure stops them. The fold evaluates any design still
     /// missing when it reaches the design's first candidate to score — on
     /// one worker, every design — so a design whose candidates the fold
     /// prunes before it gets there is never evaluated.
     ///
-    /// Costed candidates — a search's — are pruned by cost dominance when
-    /// [`SearchOptions::prune`] is set: a candidate that costs strictly
-    /// more than a feasible design the sweep has folded, in this batch or
-    /// an earlier one, cannot win and is skipped.
+    /// Costed candidates are pruned by cost when [`SearchOptions::prune`]
+    /// is set: a candidate that costs strictly more than the sweep's bound
+    /// is skipped. Unless [`Sweep::fix_bound`] fixed it, the bound is the
+    /// cheapest feasible design the sweep has folded, in this run or an
+    /// earlier one, which a dearer candidate cannot beat.
     pub(crate) fn run(
         &mut self,
-        batch: Batch<'_>,
+        objective: &Objective,
+        batch: &mut Batch<'_>,
+        range: Range<usize>,
         mut accept: impl FnMut(EvaluatedDesign) -> Result<(), SearchError>,
     ) -> Result<(), SearchError> {
         let solving = Instant::now();
-        let (ctx, objective, options, budget) =
-            (self.ctx, self.objective, self.options, &self.budget);
+        let (ctx, options, budget) = (self.ctx, self.options, &self.budget);
         let tier = self.tier.name().as_str();
-        let mut cheapest_feasible = self.cheapest_feasible;
+        let mut bound = self.bound;
         let pruned = |bound, c: &Candidate| options.prune && beaten(bound, c.cost);
+        let first = range.start;
         let keys: Vec<String> = if options.journal.is_some() || options.resume.is_some() {
             let key = |c: &Candidate| objective.journal_key(tier, &c.design);
-            batch.candidates.iter().map(key).collect()
+            batch.candidates[range.clone()].iter().map(key).collect()
         } else {
             Vec::new()
         };
@@ -393,18 +470,18 @@ impl<'s, 'c> Sweep<'s, 'c> {
             Some(replay) => keys.iter().map(|key| replay.lookup(key)).collect(),
             None => Vec::new(),
         };
+        let Batch {
+            designs,
+            assessments,
+            candidates,
+        } = batch;
 
-        // Each design's evaluation, once made: `Ok(None)` when the design
-        // cannot serve the requirement at all.
-        let mut assessments: Vec<Option<Result<Option<Assessment>, SearchError>>> =
-            std::iter::repeat_with(|| None)
-                .take(batch.designs.len())
-                .collect();
         if self.health.jobs > 1 {
-            let mut needed = vec![false; batch.designs.len()];
-            for (i, c) in batch.candidates.iter().enumerate() {
+            let mut needed = vec![false; designs.len()];
+            for (i, c) in candidates[range.clone()].iter().enumerate() {
                 let replayed = replays.get(i).is_some_and(Option::is_some);
-                needed[c.availability] |= !replayed && !pruned(cheapest_feasible, c);
+                needed[c.availability] |=
+                    assessments[c.availability].is_none() && !replayed && !pruned(bound, c);
             }
             let work: Vec<usize> = (0..needed.len()).filter(|&d| needed[d]).collect();
             let abort = AtomicBool::new(false);
@@ -416,8 +493,8 @@ impl<'s, 'c> Sweep<'s, 'c> {
                     if abort.load(Ordering::Relaxed) || stopping(budget) {
                         return None;
                     }
-                    let (option, first) = batch.designs[d];
-                    let td = &batch.candidates[first].design;
+                    let (option, first) = designs[d];
+                    let td = &candidates[first].design;
                     let result = objective.assess(ctx, option, td, session);
                     if matches!(&result, Err(e) if fatal(e, options.strict)) {
                         abort.store(true, Ordering::Relaxed);
@@ -434,34 +511,39 @@ impl<'s, 'c> Sweep<'s, 'c> {
 
         let merging = Instant::now();
         let mut evaluating = std::time::Duration::ZERO;
-        for (i, c) in batch.candidates.iter().enumerate() {
-            if pruned(cheapest_feasible, c) {
-                self.health.candidates_pruned += 1;
+        for i in range {
+            let c = &mut candidates[i];
+            if pruned(bound, c) {
+                if c.state == Fold::Pending {
+                    c.state = Fold::Pruned;
+                    self.health.candidates_pruned += 1;
+                }
                 continue;
             }
-            let replay = replays.get(i).copied().flatten();
+            let fresh = c.state != Fold::Folded;
+            let replay = replays.get(i - first).copied().flatten();
             let result = if let Some(entry) = replay {
                 entry.clone().into_result(&c.design)
             } else {
                 let assessment = &mut assessments[c.availability];
                 if assessment.is_none() {
                     // Not evaluated by the workers: evaluate it here, unless
-                    // the sweep is stopping (the post-batch check records
-                    // the interruption).
+                    // the sweep is stopping (the post-run check records the
+                    // interruption).
                     if stopping(budget) {
                         continue;
                     }
                     let started = Instant::now();
-                    let option = batch.designs[c.availability].0;
+                    let option = designs[c.availability].0;
                     let result = objective.assess(ctx, option, &c.design, &mut self.sessions[0]);
                     self.health.models_evaluated += u64::from(evaluated(&result));
                     *assessment = Some(result);
                     evaluating += started.elapsed();
                 }
-                self.health.candidates_scored += 1;
+                self.health.candidates_scored += u64::from(fresh);
                 match assessment.as_ref().expect("evaluated above") {
                     Ok(Some(a)) => {
-                        let option = batch.designs[c.availability].0;
+                        let option = designs[c.availability].0;
                         objective.score(ctx, option, &c.design, c.cost, a)
                     }
                     Ok(None) => Ok(None),
@@ -469,37 +551,46 @@ impl<'s, 'c> Sweep<'s, 'c> {
                 }
             };
             // A cancellation is not a candidate outcome: the caller's
-            // post-batch check turns it into a clean interruption, and it
-            // is never journaled (re-evaluate it on resume).
+            // post-run check turns it into a clean interruption, and it is
+            // never journaled (re-evaluate it on resume).
             if matches!(&result, Err(e) if e.is_cancellation()) {
                 continue;
             }
             if let Ok(Some(e)) = &result {
                 let feasible = objective.quality(e).is_some_and(|q| objective.meets(q));
-                if feasible && cheapest_feasible.is_none_or(|b| e.cost() < b) {
-                    cheapest_feasible = Some(e.cost());
+                if !self.bound_fixed && feasible && bound.is_none_or(|b| e.cost() < b) {
+                    bound = Some(e.cost());
                 }
             }
-            self.health.journal_replayed += u64::from(replay.is_some());
-            if matches!(&result, Err(e) if e.is_budget_exhaustion()) {
-                self.health.budget_exhausted += 1;
-            }
-            if let Some(journal) = &options.journal {
-                journal.record(&keys[i], &result);
+            if fresh {
+                if c.state == Fold::Pruned {
+                    self.health.candidates_pruned -= 1;
+                }
+                c.state = Fold::Folded;
+                self.health.journal_replayed += u64::from(replay.is_some());
+                if matches!(&result, Err(e) if e.is_budget_exhaustion()) {
+                    self.health.budget_exhausted += 1;
+                }
+                if let Some(journal) = &options.journal {
+                    journal.record(&keys[i - first], &result);
+                }
             }
             match result {
                 Ok(Some(e)) => {
-                    self.health.absorb_eval(e.eval_health());
+                    if fresh {
+                        self.health.absorb_eval(e.eval_health());
+                    }
                     accept(e)?;
                 }
                 Ok(None) => {}
                 Err(e) if fatal(&e, options.strict) => return Err(e),
-                Err(e) => self.health.record_skip(&c.design, &e),
+                Err(e) if fresh => self.health.record_skip(&c.design, &e),
+                Err(_) => {}
             }
         }
         self.health.solve_time += evaluating;
         self.health.merge_time += merging.elapsed().saturating_sub(evaluating);
-        self.cheapest_feasible = cheapest_feasible;
+        self.bound = bound;
         self.health.interrupted |= stopping(&self.budget);
         Ok(())
     }

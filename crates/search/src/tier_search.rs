@@ -3,6 +3,7 @@
 //! more than a known-feasible design (dominance pruning: such a candidate
 //! can never win a minimum-cost search).
 
+use std::ops::Range;
 use std::time::Instant;
 
 use aved_units::Duration;
@@ -135,7 +136,41 @@ fn search(
     options: &SearchOptions,
 ) -> Result<SearchOutcome, SearchError> {
     let started = Instant::now();
-    let mut sweep = Sweep::new(ctx, tier_name, objective, options, started)?;
+    let mut sweep = Sweep::new(ctx, tier_name, options, started)?;
+    // Each level is enumerated when the loop reaches it, into one batch.
+    let mut batch = Batch::default();
+    let (best, mut stats) =
+        cost_first(&mut sweep, objective, &mut batch, |sweep, batch, level| {
+            batch.clear();
+            let (option, n_total, min_active) = level;
+            sweep.level(batch, option, n_total, min_active, true)
+        })?;
+    stats.pruned_by_cost = usize::try_from(sweep.health.candidates_pruned).unwrap_or(usize::MAX);
+    Ok(SearchOutcome {
+        best,
+        stats,
+        health: sweep.finish(started),
+    })
+}
+
+/// The cost-first loop of §4.1 over `sweep`'s tier: the minimum-cost
+/// design meeting `objective`, and the work counters (all but
+/// `pruned_by_cost`). `level` gives the range of `batch` holding the
+/// candidates of one (option index, resource total, minimum active count)
+/// level, costed: enumerated on demand by a tier search, or looked up in a
+/// batch a service query enumerated up front.
+pub(crate) fn cost_first<'c>(
+    sweep: &mut Sweep<'_, 'c>,
+    objective: &Objective,
+    batch: &mut Batch<'c>,
+    mut level: impl FnMut(
+        &mut Sweep<'_, 'c>,
+        &mut Batch<'c>,
+        (usize, u32, u32),
+    ) -> Result<Range<usize>, SearchError>,
+) -> Result<(Option<EvaluatedDesign>, SearchStats), SearchError> {
+    let (ctx, options) = (sweep.ctx(), sweep.options());
+    sweep.bound_by_feasible();
     let mut stats = SearchStats::default();
     let mut best: Option<EvaluatedDesign> = None;
 
@@ -149,19 +184,18 @@ fn search(
             // The batch stays in enumeration (parameter-locality) order —
             // the win rule compares cost explicitly, so a cost sort would
             // only destroy the locality the evaluation sessions feed on.
-            let mut batch = Batch::default();
-            sweep.level(&mut batch, index, n_total, min_active, true)?;
-            if batch.is_empty() {
+            let range = level(sweep, batch, (index, n_total, min_active))?;
+            if range.is_empty() {
                 continue;
             }
-            stats.cost_evaluations += batch.len();
+            stats.cost_evaluations += range.len();
             stats.totals_explored += 1;
 
             // Termination: every candidate at this count (and, since cost
             // grows with the count, at later counts) costs more than the
             // incumbent.
             if let Some(b) = &best {
-                if batch.cheapest().is_some_and(|c| c > b.cost()) {
+                if batch.cheapest(range.clone()).is_some_and(|c| c > b.cost()) {
                     break;
                 }
             }
@@ -170,7 +204,7 @@ fn search(
             // settings are free, and Fig. 7 reports the quality-optimal
             // interval within the winning configuration.
             let mut best_quality_here: Option<Duration> = None;
-            sweep.run(batch, |evaluated| {
+            sweep.run(objective, batch, range, |evaluated| {
                 stats.quality_evaluations += 1;
                 let q = objective.quality(&evaluated).ok_or_else(|| {
                     SearchError::RequirementMismatch {
@@ -215,13 +249,7 @@ fn search(
             best_quality_prev = best_quality_here.or(best_quality_prev);
         }
     }
-
-    stats.pruned_by_cost = usize::try_from(sweep.health.candidates_pruned).unwrap_or(usize::MAX);
-    Ok(SearchOutcome {
-        best,
-        stats,
-        health: sweep.finish(started),
-    })
+    Ok((best, stats))
 }
 
 #[cfg(test)]

@@ -21,8 +21,8 @@ use aved_avail::{
 use aved_model::{Infrastructure, ParamValue, Service};
 use aved_perf::Catalog;
 use aved_search::{
-    search_job_tier, search_tier, EvalContext, EvaluatedDesign, JournalEngine, JournalReplay,
-    SearchOptions, SweepJournal,
+    search_job_tier, search_service_with_health, search_tier, EvalContext, EvaluatedDesign,
+    JournalEngine, JournalReplay, SearchOptions, SweepJournal,
 };
 use aved_units::Duration;
 
@@ -357,6 +357,74 @@ fn journal_truncated_mid_record_still_resumes_to_the_reference_winner() {
             reference_best,
             resumed.best().expect("feasible"),
             &format!("fig6 torn-journal resume jobs={jobs}"),
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn capped_service_query_resumes_from_a_truncated_journal() {
+    // A service query evaluates the database tier in full, searches the
+    // other tiers for a cost bound and caps their frontiers under it. Each
+    // candidate it folds is journaled once, in a fixed order, so a journal
+    // cut mid-record resumes to the same answer, replaying every intact
+    // record.
+    let fx = fig6_fixture();
+    let load = 1000.0;
+    let budget = Duration::from_mins(100.0);
+    let engine = DecompositionEngine::default();
+    let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &engine);
+    let answer = |found: Option<aved_search::ServiceDesign>| {
+        let found = found.expect("feasible");
+        let designs: Vec<_> = found.tiers().iter().map(|e| e.design().clone()).collect();
+        let cost = found.cost().dollars().to_bits();
+        (designs, cost, found.annual_downtime().minutes().to_bits())
+    };
+
+    let path = temp_journal("service-torn");
+    let (reference, health) = {
+        let journal = Arc::new(SweepJournal::create(&path, &decomp()).unwrap());
+        let opts = enterprise_opts().with_journal(journal.clone());
+        let (found, health) = search_service_with_health(&ctx, load, budget, &opts).unwrap();
+        journal.flush().unwrap();
+        (answer(found), health)
+    };
+    assert!(
+        health.candidates_pruned > 0,
+        "the query is capped: {health}"
+    );
+    let text = std::fs::read_to_string(&path).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(
+        lines.len() as u64 - 1,
+        health.candidates_scored,
+        "one record per scored candidate: {health}"
+    );
+
+    // Keep half the records and cut the next one in two.
+    let keep = lines.len() / 2;
+    let mut torn = lines[..keep].join("\n");
+    torn.push('\n');
+    torn.push_str(&lines[keep][..lines[keep].len() / 2]);
+    std::fs::write(&path, &torn).unwrap();
+
+    let replay = Arc::new(JournalReplay::load(&path, &decomp()).unwrap());
+    assert_eq!(replay.len(), keep - 1);
+    for jobs in JOB_COUNTS {
+        let opts = enterprise_opts()
+            .with_jobs(jobs)
+            .with_resume(replay.clone());
+        let (found, resumed) = search_service_with_health(&ctx, load, budget, &opts).unwrap();
+        assert_eq!(answer(found), reference, "jobs={jobs}");
+        assert_eq!(
+            resumed.journal_replayed,
+            replay.len() as u64,
+            "jobs={jobs}: {resumed}"
+        );
+        assert_eq!(
+            resumed.candidates_scored + resumed.journal_replayed,
+            health.candidates_scored,
+            "jobs={jobs}: every candidate is replayed or scored once: {resumed}"
         );
     }
     std::fs::remove_file(&path).ok();

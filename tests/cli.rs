@@ -435,8 +435,23 @@ fn most_class_evaluations_replay_from_the_class_memo() {
     // Candidates are enumerated with mechanism settings innermost, so a
     // maintenance-level swap leaves every class but the hard one as the
     // previous candidate had it. An enumeration order that separated them
-    // would leave the memo idle and show here.
-    let out = fixture_design(&["--jobs", "1"]);
+    // would leave the memo idle and show here. A tier frontier evaluates
+    // every candidate in enumeration order; a service query evaluates only
+    // the candidates its budget leaves, so it cuts those runs short.
+    let out = run(&[
+        "sweep",
+        "--paper-ecommerce",
+        "--tier",
+        "application",
+        "--load",
+        "400",
+        "--max-extra",
+        "4",
+        "--max-spares",
+        "2",
+        "--jobs",
+        "1",
+    ]);
     let err = stderr(&out);
     assert!(out.status.success(), "stderr: {err}");
     let (solved, total) = err
@@ -451,6 +466,62 @@ fn most_class_evaluations_replay_from_the_class_memo() {
         "only {} of {total} class evaluations replayed: {err}",
         total - solved
     );
+}
+
+/// The paper service at load 400 under a 40 min/yr budget with `extra`
+/// flags.
+fn sub_floor_design(extra: &[&str]) -> Output {
+    let mut args = vec![
+        "design",
+        "--paper-ecommerce",
+        "--load",
+        "400",
+        "--max-downtime",
+        "40m",
+    ];
+    args.extend_from_slice(extra);
+    run(&args)
+}
+
+#[test]
+fn a_budget_below_the_database_floor_is_proved_by_the_database_tier_alone() {
+    // The database tier's most available design is down 45.9 min/yr, and
+    // no composition is more available than one of its tiers. The tier has
+    // the fewest candidates (16 at the default bounds, 12 at the exact
+    // engine's), so the query evaluates those and stops.
+    for (extra, most) in [
+        (&[][..], 16),
+        (
+            &["--engine", "ctmc", "--max-extra", "4", "--max-spares", "2"][..],
+            12,
+        ),
+    ] {
+        let out = sub_floor_design(extra);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(4), "{extra:?}: {err}");
+        assert!(err.contains("no design"), "{extra:?}: {err}");
+        let (models, _) = stats_pair(&err, "models ", " / ");
+        assert!(models <= most, "{extra:?}: {models} models: {err}");
+    }
+}
+
+#[test]
+fn a_budget_directed_query_prints_the_full_frontiers_answer() {
+    // What the load-400 / 88-min fixture printed when every tier's full
+    // frontier was evaluated.
+    let expected = "minimum-cost design: $248160.00 per year\n\
+                    expected annual downtime: 86.67 min\n  \
+                    web: rA x5 [maintenanceA.level=bronze]\n  \
+                    application: rC x3 [maintenanceA.level=bronze]\n  \
+                    database: rG x1 (+1 inactive spare) [maintenanceB.level=bronze]\n";
+    for jobs in ["1", "2"] {
+        let out = fixture_design(&["--jobs", jobs]);
+        assert!(out.status.success(), "stderr: {}", stderr(&out));
+        assert_eq!(stdout(&out), expected, "--jobs {jobs}");
+        let err = stderr(&out);
+        let (models, _) = stats_pair(&err, "models ", " / ");
+        assert!(models < 444, "every candidate evaluated: {err}");
+    }
 }
 
 #[test]
