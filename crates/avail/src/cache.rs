@@ -30,8 +30,8 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 /// carries the memo, so [`evaluate`](AvailabilityEngine::evaluate) and
 /// [`evaluate_with_health`](AvailabilityEngine::evaluate_with_health),
 /// which run on a fresh session, never hit. The cache itself holds only
-/// its atomic hit/miss counters, so one instance can be shared by every
-/// worker of a parallel search, each with its own session.
+/// its atomic hit/miss counters, so one instance can be shared across
+/// threads, each with its own session.
 ///
 /// # Examples
 ///

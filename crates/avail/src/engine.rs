@@ -121,11 +121,11 @@ pub fn worse_residual(a: Option<f64>, b: Option<f64>) -> Option<f64> {
 /// are provided: they run it on a fresh [`EvalSession`] and drop what the
 /// caller did not ask for.
 ///
-/// Engines are required to be `Send + Sync`: the search layer fans
-/// candidate evaluations out across scoped threads, all sharing one
-/// `&dyn AvailabilityEngine`. Stateless engines satisfy this for free;
-/// decorators with interior state (caches, call counters) must use atomics
-/// or locks rather than `Cell`/`RefCell`.
+/// Engines are required to be `Send + Sync`, so that callers may share
+/// one `&dyn AvailabilityEngine` (and the `Aved` holding it) across
+/// threads, though each search runs on its calling thread. Stateless
+/// engines satisfy this for free; decorators with interior state (caches,
+/// call counters) must use atomics or locks rather than `Cell`/`RefCell`.
 pub trait AvailabilityEngine: Send + Sync {
     /// Evaluates the steady-state availability of a tier.
     ///

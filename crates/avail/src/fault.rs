@@ -8,12 +8,12 @@
 //! search, is the candidate index) or by a structural predicate on the
 //! model being evaluated — so a failing search reproduces exactly.
 //!
-//! Call-index schedules are only deterministic for serial searches: a
-//! parallel search interleaves calls from several workers, so the call at
-//! index `k` lands on a nondeterministic candidate. Model-predicate faults
-//! ([`FaultInjectingEngine::with_fault_when`]) stay deterministic under any
-//! parallelism — the fault follows the model, not the schedule — which is
-//! what the parallel-determinism test suite uses.
+//! Call-index schedules depend on the order of evaluation: when a search
+//! evaluates fewer or other models, the call at index `k` lands on another
+//! candidate. Model-predicate faults
+//! ([`FaultInjectingEngine::with_fault_when`]) follow the model, not the
+//! schedule, so they hit the same candidates however the calls are
+//! ordered.
 //!
 //! This is the harness that proves the evaluation path degrades gracefully:
 //! the fallback chain, the per-candidate isolation in the search loop, and
@@ -68,7 +68,7 @@ pub struct FaultInjectingEngine<'a> {
     faults_by_call: BTreeMap<u64, InjectedFault>,
     faults_by_model: Vec<(ModelPredicate, InjectedFault)>,
     // Atomics, not `Cell`s: the engine trait is `Send + Sync` so one
-    // decorator can be shared across the parallel search's workers.
+    // decorator can be shared across threads.
     calls: AtomicU64,
     injected: AtomicU64,
 }
@@ -100,9 +100,8 @@ impl<'a> FaultInjectingEngine<'a> {
 
     /// Schedules `fault` for every evaluation whose model satisfies
     /// `predicate`. Unlike call-index schedules, model-keyed faults hit the
-    /// same candidates no matter how evaluations interleave across threads
-    /// or how a cache reorders them — the deterministic choice for testing
-    /// parallel searches. Explicit [`Self::with_fault_at`] schedules take
+    /// same candidates no matter how a search or a cache orders the
+    /// evaluations. Explicit [`Self::with_fault_at`] schedules take
     /// precedence on calls matching both.
     #[must_use]
     pub fn with_fault_when(

@@ -1,4 +1,4 @@
-//! Per-worker evaluation context that makes repeated solves cheap.
+//! Per-search evaluation context that makes repeated solves cheap.
 //!
 //! The search layer evaluates thousands of neighboring candidate designs.
 //! Neighbors differ in a handful of rates (a maintenance contract swap, a
@@ -27,8 +27,8 @@
 //! solve would have produced.
 //!
 //! Engines stay `Send + Sync` because all mutable state lives here: each
-//! search worker thread owns its own session and passes it down by
-//! `&mut` through [`AvailabilityEngine::evaluate_with_session`].
+//! search sweep owns its own session and passes it down by `&mut`
+//! through [`AvailabilityEngine::evaluate_with_session`].
 //!
 //! [`Explored::repatch`]: aved_markov::Explored::repatch
 //! [`AvailabilityEngine::evaluate_with_session`]: crate::AvailabilityEngine::evaluate_with_session
@@ -293,8 +293,8 @@ impl SessionStats {
 /// [`AvailabilityEngine::evaluate_with_session`] calls.
 ///
 /// A session is cheap to create and grows to the working-set size of the
-/// chains it has seen; each search worker thread keeps one for its whole
-/// shard. Dropping the session drops all cached state. Results never
+/// chains it has seen; each search sweep keeps one for all of its
+/// batches. Dropping the session drops all cached state. Results never
 /// depend on it: on every solver path they are bit-identical with or
 /// without a session (see `DESIGN.md`, "Evaluation sessions").
 ///

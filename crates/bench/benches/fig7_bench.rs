@@ -83,10 +83,9 @@ fn print_reuse_on_the_job_frontier(
     let cached = frontier(&caching);
     let tiers = caching.hits() + caching.misses();
     println!(
-        "fig7 job frontier ({} job(s)): models {} / {} candidates; class memo replays {:.4} \
+        "fig7 job frontier: models {} / {} candidates; class memo replays {:.4} \
          of {classes} class evaluations in {:.1} ms (bare DecompositionEngine); \
          CachingEngine hits {} of {tiers} tier evaluations in {:.1} ms",
-        health.jobs,
         health.models_evaluated,
         health.candidates_scored,
         health.session.class_hits as f64 / classes as f64,

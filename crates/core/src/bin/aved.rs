@@ -143,8 +143,7 @@ GOVERNANCE = [--candidate-timeout DUR] [--max-states N]
 
 durations use the spec syntax: 30s, 2m, 8h, 650d
 
---jobs N evaluates candidates on N worker threads (default: one per
-available CPU); the selected design is identical at any worker count.
+--jobs N is accepted and ignored: every search runs on one thread.
 
 --strict aborts a search on the first evaluation failure instead of
 skipping the failing candidate and reporting it in the health summary.
@@ -152,7 +151,7 @@ skipping the failing candidate and reporting it in the health summary.
 --candidate-timeout and --max-states bound each candidate's solve; a
 candidate that exhausts its budget is skipped and reported (or aborts
 the run under --strict). --search-deadline bounds the whole sweep:
-when it passes — or on SIGINT/SIGTERM — workers drain at the next
+when it passes — or on SIGINT/SIGTERM — the search stops at the next
 candidate boundary, the best design found so far is printed, and the
 process exits with code 6.
 
@@ -282,6 +281,16 @@ fn parse_duration(s: &str) -> Result<Duration, CliError> {
         .map_err(|e: aved::units::ParseDurationError| CliError::usage(e.to_string()))
 }
 
+/// Parses `--load`: a positive, finite number of throughput units.
+fn parse_load(s: &str) -> Result<f64, CliError> {
+    match s.parse::<f64>() {
+        Ok(load) if load.is_finite() && load > 0.0 => Ok(load),
+        _ => Err(CliError::usage(format!(
+            "bad --load value {s:?}: need a positive, finite number"
+        ))),
+    }
+}
+
 /// Parses a spec-syntax duration into the `std` duration the budget layer
 /// speaks.
 fn parse_std_duration(s: &str) -> Result<std::time::Duration, CliError> {
@@ -308,12 +317,15 @@ fn design(flags: &Flags<'_>) -> Result<(), CliError> {
                 flags.value("--max-execution-time"),
             ) {
                 (Some(load), Some(downtime), None) => {
-                    let load: f64 = load
-                        .parse()
-                        .map_err(|_| CliError::usage("bad --load value"))?;
-                    ServiceRequirement::enterprise(load, parse_duration(downtime)?)
+                    ServiceRequirement::enterprise(parse_load(load)?, parse_duration(downtime)?)
                 }
-                (None, None, Some(t)) => ServiceRequirement::job(parse_duration(t)?),
+                (None, None, Some(t)) => {
+                    let t = parse_duration(t)?;
+                    if t.is_zero() {
+                        return Err(CliError::usage("--max-execution-time must be positive"));
+                    }
+                    ServiceRequirement::job(t)
+                }
                 _ => return Err(CliError::usage(
                     "need --requirement FILE, or --load + --max-downtime, or --max-execution-time",
                 )),
@@ -418,12 +430,10 @@ fn parse_search_options(
             .parse()
             .map_err(|_| CliError::usage("bad --max-extra value"))?;
     }
-    // The CLI defaults to one worker per CPU (jobs = 0 is the library's
-    // auto-detect marker); the library itself defaults to serial.
-    options.jobs = match flags.value("--jobs") {
-        Some(v) => v.parse().map_err(|_| CliError::usage("bad --jobs value"))?,
-        None => 0,
-    };
+    // `--jobs` is inert, but a bad value is still a usage error.
+    if let Some(v) = flags.value("--jobs") {
+        options.jobs = v.parse().map_err(|_| CliError::usage("bad --jobs value"))?;
+    }
     options.strict = flags.has("--strict");
     if let Some(v) = flags.value("--candidate-timeout") {
         options = options.with_candidate_timeout(parse_std_duration(v)?);
@@ -472,19 +482,17 @@ fn parse_search_options(
     Ok(options)
 }
 
-/// One-line workload summary on stderr: worker count, availability models
-/// evaluated against the candidates scored from them, cache traffic,
-/// dominance pruning, class evaluations solved against all of them (the
-/// rest replayed from the class memo), session reuse, per-phase timing.
-/// Stderr
+/// One-line workload summary on stderr: availability models evaluated
+/// against the candidates scored from them, cache traffic, dominance
+/// pruning, class evaluations solved against all of them (the rest
+/// replayed from the class memo), session reuse, per-phase timing. Stderr
 /// so pipelines that consume the design on stdout are unaffected.
 fn report_stats(health: &aved::search::SearchHealth) {
     eprintln!(
-        "search: {} job(s), models {} / {}, cache {}/{} hit, {} candidate(s) pruned by cost, \
+        "search: models {} / {}, cache {}/{} hit, {} candidate(s) pruned by cost, \
          classes {} solved / {}, warm {}/{} hit, {} rebuild(s) avoided, \
          {} budget-exhausted, {} replayed from journal, \
          enumerate {:.1} ms + solve {:.1} ms + merge {:.1} ms (total {:.1} ms)",
-        health.jobs,
         health.models_evaluated,
         health.candidates_scored,
         health.cache_hits,
@@ -512,7 +520,7 @@ fn parse_pin(pin: &str) -> Result<(&str, &str, ParamValue), CliError> {
     let (mech, param) = target.split_once('.').ok_or_else(malformed)?;
     let value = match value.parse::<Duration>() {
         Ok(d) => ParamValue::Duration(d),
-        Err(_) => ParamValue::Level(value.to_owned()),
+        Err(_) => ParamValue::Level(value.into()),
     };
     Ok((mech, param, value))
 }
@@ -531,11 +539,11 @@ fn sweep(flags: &Flags<'_>) -> Result<(), CliError> {
     let tier = flags
         .value("--tier")
         .ok_or_else(|| CliError::usage("missing --tier NAME"))?;
-    let load: f64 = flags
-        .value("--load")
-        .ok_or_else(|| CliError::usage("missing --load UNITS"))?
-        .parse()
-        .map_err(|_| CliError::usage("bad --load value"))?;
+    let load = parse_load(
+        flags
+            .value("--load")
+            .ok_or_else(|| CliError::usage("missing --load UNITS"))?,
+    )?;
     let inner = DecompositionEngine::default();
     let options =
         parse_search_options(flags, &JournalEngine::new("decomp", inner.max_concurrent()))?;

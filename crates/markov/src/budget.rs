@@ -179,10 +179,9 @@ impl SolveBudget {
     /// A timeout reaching past the last representable instant sets no
     /// deadline.
     ///
-    /// Without a per-candidate deadline this is `self`, borrowed: a budget
-    /// shared by concurrent workers holds one cancellation token, and
-    /// cloning it on every evaluation would make the workers contend for
-    /// the token's reference count.
+    /// Without a per-candidate deadline this is `self`, borrowed: cloning
+    /// it would bump its cancellation token's reference count on every
+    /// evaluation.
     #[must_use]
     pub fn for_candidate(&self) -> Cow<'_, SolveBudget> {
         match self

@@ -79,34 +79,75 @@ pub struct TierDesign {
     settings: SettingList,
 }
 
+/// One mechanism setting: the mechanism's parameter and its value.
+type Setting = ((MechanismName, ParamName), ParamValue);
+
 /// A tier design's mechanism settings, sorted by (mechanism, parameter),
 /// each key once: a map kept as a short sorted list, since a design has a
-/// few settings and a search builds and clones designs by the thousand. It
-/// prints as a map does.
-#[derive(Clone, PartialEq, Default)]
-struct SettingList(Vec<((MechanismName, ParamName), ParamValue)>);
+/// few settings and a search builds and clones designs by the thousand. A
+/// single setting, the common case, is held inline, so such a design
+/// allocates nothing for it. It prints as a map does.
+#[derive(Clone)]
+enum SettingList {
+    One(Setting),
+    /// None, or two or more.
+    Many(Vec<Setting>),
+}
+
+impl Default for SettingList {
+    fn default() -> SettingList {
+        SettingList::Many(Vec::new())
+    }
+}
+
+impl PartialEq for SettingList {
+    fn eq(&self, other: &SettingList) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
 
 impl std::fmt::Debug for SettingList {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_map()
-            .entries(self.0.iter().map(|(key, value)| (key, value)))
+            .entries(self.as_slice().iter().map(|(key, value)| (key, value)))
             .finish()
     }
 }
 
 impl SettingList {
+    fn as_slice(&self) -> &[Setting] {
+        match self {
+            SettingList::One(setting) => std::slice::from_ref(setting),
+            SettingList::Many(settings) => settings,
+        }
+    }
+
     /// The position of the setting of `mechanism`'s `param`: `Ok` when
     /// present, `Err` with its insertion point otherwise.
     fn find(&self, mechanism: &str, param: &str) -> Result<usize, usize> {
-        self.0
+        self.as_slice()
             .binary_search_by(|((m, p), _)| (m.as_str(), p.as_str()).cmp(&(mechanism, param)))
     }
 
     /// Sets `mechanism`'s `param` to `value`, replacing any earlier value.
     fn set(&mut self, mechanism: MechanismName, param: ParamName, value: ParamValue) {
-        match self.find(mechanism.as_str(), param.as_str()) {
-            Ok(at) => self.0[at].1 = value,
-            Err(at) => self.0.insert(at, ((mechanism, param), value)),
+        match (self.find(mechanism.as_str(), param.as_str()), &mut *self) {
+            (Ok(_), SettingList::One(setting)) => setting.1 = value,
+            (Ok(at), SettingList::Many(settings)) => settings[at].1 = value,
+            (Err(at), _) => {
+                let setting = ((mechanism, param), value);
+                *self = match std::mem::take(self) {
+                    SettingList::Many(settings) if settings.is_empty() => SettingList::One(setting),
+                    list => {
+                        let mut settings = match list {
+                            SettingList::One(only) => vec![only],
+                            SettingList::Many(settings) => settings,
+                        };
+                        settings.insert(at, setting);
+                        SettingList::Many(settings)
+                    }
+                };
+            }
         }
     }
 }
@@ -122,8 +163,11 @@ mod settings_serde {
         settings: &SettingList,
         serializer: S,
     ) -> Result<S::Ok, S::Error> {
-        let entries: Vec<(&MechanismName, &ParamName, &ParamValue)> =
-            settings.0.iter().map(|((m, p), v)| (m, p, v)).collect();
+        let entries: Vec<(&MechanismName, &ParamName, &ParamValue)> = settings
+            .as_slice()
+            .iter()
+            .map(|((m, p), v)| (m, p, v))
+            .collect();
         entries.serialize(serializer)
     }
 
@@ -220,14 +264,14 @@ impl TierDesign {
     /// once.
     #[must_use]
     pub fn settings(&self) -> &[((MechanismName, ParamName), ParamValue)] {
-        &self.settings.0
+        self.settings.as_slice()
     }
 
     /// Reads one setting.
     #[must_use]
     pub fn setting(&self, mechanism: &str, param: &str) -> Option<&ParamValue> {
         let at = self.settings.find(mechanism, param).ok()?;
-        Some(&self.settings.0[at].1)
+        Some(&self.settings()[at].1)
     }
 }
 
@@ -256,10 +300,9 @@ impl std::fmt::Display for TierDesign {
                 if self.n_spare == 1 { "" } else { "s" }
             )?;
         }
-        if !self.settings.0.is_empty() {
+        if !self.settings().is_empty() {
             let settings: Vec<String> = self
-                .settings
-                .0
+                .settings()
                 .iter()
                 .map(|((m, p), v)| format!("{m}.{p}={v}"))
                 .collect();
@@ -610,6 +653,35 @@ mod tests {
         let text = design.to_string();
         assert_eq!(text.lines().count(), 2);
         assert!(text.starts_with("web: rA x2"));
+    }
+
+    #[test]
+    fn settings_stay_sorted_with_one_entry_per_key_at_any_count() {
+        let level = |l: &str| ParamValue::Level(l.into());
+        let keys = |td: &TierDesign| -> Vec<String> {
+            td.settings()
+                .iter()
+                .map(|((m, p), v)| format!("{m}.{p}={v}"))
+                .collect()
+        };
+        let one = TierDesign::new("web", "rA", 1, 0).with_setting("m", "b", level("x"));
+        assert_eq!(keys(&one), ["m.b=x"]);
+        let one = one.with_setting("m", "b", level("y"));
+        assert_eq!(keys(&one), ["m.b=y"], "a set key is replaced");
+        let three = one
+            .clone()
+            .with_setting("m", "c", level("z"))
+            .with_setting("m", "a", level("w"))
+            .with_setting("m", "c", level("v"));
+        assert_eq!(keys(&three), ["m.a=w", "m.b=y", "m.c=v"]);
+        assert_eq!(three.setting("m", "b"), Some(&level("y")));
+        assert_eq!(three.setting("m", "d"), None);
+        let same = TierDesign::new("web", "rA", 1, 0)
+            .with_setting("m", "c", level("v"))
+            .with_setting("m", "b", level("y"))
+            .with_setting("m", "a", level("w"));
+        assert_eq!(three, same, "equality ignores insertion order");
+        assert_ne!(three, one);
     }
 
     #[test]

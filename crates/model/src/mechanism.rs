@@ -8,6 +8,8 @@
 //! per component at design time. The attributes a mechanism can set are the
 //! [`EffectKind`]s.
 
+use std::sync::Arc;
+
 use aved_units::{Duration, Money};
 use serde::{Deserialize, Serialize};
 
@@ -17,8 +19,9 @@ use crate::{MechanismName, ModelError, ParamName};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ParamRange {
     /// A finite list of named levels (`[bronze,silver,gold,platinum]`,
-    /// `[central,peer]`).
-    Levels(Vec<String>),
+    /// `[central,peer]`), shared with every [`ParamValue::Level`] the
+    /// range enumerates.
+    Levels(Vec<Arc<str>>),
     /// A geometric progression of durations (`[1m-24h;*1.05]`): `min`,
     /// `min·factor`, `min·factor²`, … up to and including the last value
     /// `<= max` (and `max` itself if the progression overshoots it by less
@@ -85,7 +88,7 @@ impl ParamRange {
     #[must_use]
     pub fn contains(&self, value: &ParamValue) -> bool {
         match (self, value) {
-            (ParamRange::Levels(levels), ParamValue::Level(l)) => levels.iter().any(|x| x == l),
+            (ParamRange::Levels(levels), ParamValue::Level(l)) => levels.contains(l),
             (ParamRange::GeometricDuration { min, max, .. }, ParamValue::Duration(d)) => {
                 *d >= *min && *d <= *max
             }
@@ -109,8 +112,9 @@ impl ParamRange {
 /// A concrete setting for a mechanism parameter.
 #[derive(Debug, Clone, PartialEq, PartialOrd, Serialize, Deserialize)]
 pub enum ParamValue {
-    /// A named level (`gold`, `peer`, ...).
-    Level(String),
+    /// A named level (`gold`, `peer`, ...), shared so that cloning a
+    /// setting into every candidate design copies a pointer.
+    Level(Arc<str>),
     /// A duration (checkpoint interval).
     Duration(Duration),
 }
@@ -416,7 +420,7 @@ impl Mechanism {
                     ParamValue::Level(l) => Err(ModelError::ValueOutOfRange {
                         mechanism: self.name.to_string(),
                         param: param.to_string(),
-                        value: l,
+                        value: l.to_string(),
                     }),
                 }
             }
@@ -505,7 +509,7 @@ mod tests {
         let mut s = BTreeMap::new();
         s.insert(
             (MechanismName::new("maintenanceA"), ParamName::new("level")),
-            ParamValue::Level(level.to_owned()),
+            ParamValue::Level(level.into()),
         );
         s
     }

@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use aved_avail::{CancelToken, SolveBudget};
 use aved_model::{
-    EffectKind, Infrastructure, MechanismName, MechanismUse, ParamValue, ResourceOption,
+    EffectKind, Infrastructure, MechanismName, MechanismUse, ParamName, ParamValue, ResourceOption,
     ResourceType, SpareMode, TierDesign, TierName,
 };
 
@@ -34,10 +34,9 @@ pub struct SearchOptions {
     /// search instead of skipping the candidate and recording the skip in
     /// the search's `SearchHealth` report.
     pub strict: bool,
-    /// Worker threads for candidate evaluation. `0` means auto-detect from
-    /// the machine's available parallelism; the library default is `1`
-    /// (serial) so results and engine call orders stay deterministic unless
-    /// the caller opts in. The selected design is identical at any value.
+    /// Inert: a search runs on the calling thread whatever this says. Kept
+    /// so that callers which set it, and the `--jobs` flag, still compile
+    /// and parse; see [`effective_jobs`].
     pub jobs: usize,
     /// Cost-dominance pruning: skip evaluating candidates that already cost
     /// strictly more than a known-feasible design. On by default; pruning
@@ -79,7 +78,7 @@ pub struct SearchOptions {
 impl Default for SearchOptions {
     /// Up to 8 extra actives, up to 3 spares, fully-inactive spares (the
     /// restriction the paper's application-tier example makes), nothing
-    /// pinned, serial evaluation, pruning on.
+    /// pinned, pruning on.
     fn default() -> SearchOptions {
         SearchOptions {
             max_extra_active: 8,
@@ -114,13 +113,6 @@ impl SearchOptions {
     #[must_use]
     pub fn with_strict(mut self) -> SearchOptions {
         self.strict = true;
-        self
-    }
-
-    /// Evaluates candidates on `jobs` worker threads (`0` = auto-detect).
-    #[must_use]
-    pub fn with_jobs(mut self, jobs: usize) -> SearchOptions {
-        self.jobs = jobs;
         self
     }
 
@@ -209,6 +201,14 @@ impl SearchOptions {
     }
 }
 
+/// The number of worker threads a search runs on for a requested
+/// [`SearchOptions::jobs`]: always one, since every search runs on the
+/// calling thread.
+#[must_use]
+pub fn effective_jobs(_requested: usize) -> usize {
+    1
+}
+
 /// The delegations of the components of `option`'s resource, in walk
 /// order ([`ComponentType::delegations`](aved_model::ComponentType::delegations)).
 fn delegations<'i>(
@@ -261,8 +261,8 @@ pub fn enumerate_settings(
     infrastructure: &Infrastructure,
     mechanisms: &[MechanismName],
     pins: &[(MechanismName, String, ParamValue)],
-) -> Vec<Vec<(MechanismName, String, ParamValue)>> {
-    let mut combos: Vec<Vec<(MechanismName, String, ParamValue)>> = vec![Vec::new()];
+) -> Vec<Vec<(MechanismName, ParamName, ParamValue)>> {
+    let mut combos: Vec<Vec<(MechanismName, ParamName, ParamValue)>> = vec![Vec::new()];
     for mech_name in mechanisms {
         let Some(mech) = infrastructure.mechanism(mech_name.as_str()) else {
             continue;
@@ -280,11 +280,7 @@ pub fn enumerate_settings(
             for combo in &combos {
                 for value in &values {
                     let mut extended = combo.clone();
-                    extended.push((
-                        mech_name.clone(),
-                        param.name().as_str().to_owned(),
-                        value.clone(),
-                    ));
+                    extended.push((mech_name.clone(), param.name().clone(), value.clone()));
                     next.push(extended);
                 }
             }
@@ -337,7 +333,7 @@ fn max_total(infrastructure: &Infrastructure, option: &ResourceOption) -> u32 {
 /// exactly when their combinations share a projection, wherever they sit
 /// in enumeration order.
 pub(crate) struct SettingsPlan {
-    combos: Vec<Vec<(MechanismName, String, ParamValue)>>,
+    combos: Vec<Vec<(MechanismName, ParamName, ParamValue)>>,
     /// The projection of each combination.
     projection: Vec<usize>,
     /// The number of distinct projections.
@@ -421,7 +417,7 @@ impl SettingsPlan {
                         TierDesign::new(tier.clone(), option.resource().clone(), n_active, n_spare)
                             .with_spare_mode(spare_mode.clone());
                     for (mech, param, value) in combo {
-                        td = td.with_setting(mech.clone(), param.as_str(), value.clone());
+                        td = td.with_setting(mech.clone(), param.clone(), value.clone());
                     }
                     emit(td, block * self.projections + projection);
                 }
@@ -717,5 +713,12 @@ mod tests {
         let hour = std::time::Duration::from_secs(3600);
         let bounded = SearchOptions::default().with_search_deadline(hour);
         assert_eq!(bounded.eval_budget(start).deadline(), Some(start + hour));
+    }
+
+    #[test]
+    fn effective_jobs_is_one_at_any_request() {
+        for requested in [0, 1, 2, 8, usize::MAX] {
+            assert_eq!(effective_jobs(requested), 1, "{requested}");
+        }
     }
 }

@@ -245,8 +245,8 @@ pub fn evaluate_enterprise_design(
 
 /// [`evaluate_enterprise_design`] with a caller-owned [`EvalSession`]: the
 /// session carries solver scratch and cached chain structure across calls,
-/// so sweeps over neighboring designs (the search workers' locality-ordered
-/// shards) avoid re-exploring chains and reallocating solver buffers. The
+/// so sweeps over neighboring designs (a search's locality-ordered
+/// batches) avoid re-exploring chains and reallocating solver buffers. The
 /// result is bit-identical to the session-free path.
 ///
 /// # Errors

@@ -449,24 +449,20 @@ mod tests {
             }
             let expected = pareto_by(every, |e| e.expected_job_time().unwrap());
             let distinct = distinct_job_models(&ctx, "computation", &grid, &options);
-            for jobs in [1, 2] {
-                let engine = RecordingEngine::default();
-                let ctx = fx.context(&engine);
-                let (frontier, health) =
-                    job_frontier(&ctx, "computation", &grid, &options.clone().with_jobs(jobs))
-                        .unwrap();
-                assert_eq!(engine.calls(), distinct, "jobs={jobs}");
-                assert_eq!(engine.distinct(), distinct, "jobs={jobs}");
-                assert_eq!(health.models_evaluated, distinct as u64, "jobs={jobs}");
-                assert_eq!(
-                    health.candidates_scored,
-                    2 * health.models_evaluated,
-                    "jobs={jobs}: each model serves both storage locations"
-                );
-                assert_eq!(frontier.len(), expected.len(), "jobs={jobs}");
-                for (got, want) in frontier.iter().zip(&expected) {
-                    assert_bit_identical(got, want, &format!("jobs={jobs}"));
-                }
+            let engine = RecordingEngine::default();
+            let ctx = fx.context(&engine);
+            let (frontier, health) = job_frontier(&ctx, "computation", &grid, &options).unwrap();
+            assert_eq!(engine.calls(), distinct);
+            assert_eq!(engine.distinct(), distinct);
+            assert_eq!(health.models_evaluated, distinct as u64);
+            assert_eq!(
+                health.candidates_scored,
+                2 * health.models_evaluated,
+                "each model serves both storage locations"
+            );
+            assert_eq!(frontier.len(), expected.len());
+            for (got, want) in frontier.iter().zip(&expected) {
+                assert_bit_identical(got, want, "job frontier");
             }
         }
     }

@@ -42,8 +42,8 @@ impl SkippedCandidate {
 
 /// How degraded a search run was: candidates skipped after evaluation
 /// failures, solver fallbacks taken, the worst accepted balance residual,
-/// and how the work got done — worker count, availability models
-/// evaluated, cache traffic, candidates pruned by cost dominance, and
+/// and how the work got done — availability models evaluated, cache
+/// traffic, candidates pruned by cost dominance, and
 /// per-phase wall-clock time.
 ///
 /// Equality ignores the timing and workload fields (`wall_time`, the phase
@@ -81,9 +81,8 @@ pub struct SearchHealth {
     pub cache_hits: u64,
     /// Model-cache misses (inner engine evaluations), when reported.
     pub cache_misses: u64,
-    /// Worker threads the search actually used (after resolving `jobs = 0`
-    /// to the machine's parallelism). Zero when the entry point predates
-    /// the parallel executor.
+    /// Inert: one for every search, which runs on the calling thread, and
+    /// zero in a report no search produced. Kept for callers that read it.
     pub jobs: usize,
     /// Wall-clock time spent enumerating candidates.
     pub enumeration_time: std::time::Duration,
@@ -92,7 +91,7 @@ pub struct SearchHealth {
     /// Wall-clock time spent scoring candidates from their models,
     /// merging results and selecting designs.
     pub merge_time: std::time::Duration,
-    /// The workers' evaluation-session counters, summed: solves, warm
+    /// The sweeps' evaluation-session counters, summed: solves, warm
     /// hits, iterations, rebuilds avoided and class results replayed.
     pub session: SessionStats,
     /// Candidates abandoned because a per-candidate resource budget ran
@@ -140,7 +139,7 @@ impl SearchHealth {
 
     /// Folds another search's health into this one (used when a service
     /// search aggregates its per-tier frontier sweeps). Wall and phase
-    /// times add, counters add, the worker count keeps the maximum.
+    /// times add, counters add, `jobs` keeps the maximum.
     pub fn merge(&mut self, other: SearchHealth) {
         self.skipped.extend(other.skipped);
         self.fallbacks_taken += other.fallbacks_taken;
@@ -162,7 +161,7 @@ impl SearchHealth {
     }
 
     /// Folds one evaluation session's accumulated statistics into this
-    /// report (called once per worker session when a search finishes).
+    /// report (called once per sweep when a search finishes).
     pub fn absorb_session(&mut self, stats: &SessionStats) {
         self.session.absorb(stats);
     }
@@ -201,9 +200,6 @@ impl std::fmt::Display for SearchHealth {
                 self.cache_hits,
                 self.cache_hits + self.cache_misses
             )?;
-        }
-        if self.jobs > 0 {
-            write!(f, ", {} job(s)", self.jobs)?;
         }
         let session = &self.session;
         if session.solves > 0 {
@@ -281,7 +277,7 @@ mod tests {
             candidates_scored: 400,
             cache_hits: 100,
             cache_misses: 4,
-            jobs: 4,
+            jobs: 0,
             enumeration_time: ms(1),
             solve_time: ms(3),
             merge_time: ms(1),
@@ -306,7 +302,7 @@ mod tests {
             candidates_scored: 200,
             cache_hits: 50,
             cache_misses: 6,
-            jobs: 2,
+            jobs: 1,
             enumeration_time: ms(2),
             solve_time: ms(4),
             merge_time: ms(1),
@@ -331,7 +327,7 @@ mod tests {
         assert_eq!(a.candidates_scored, 600);
         assert_eq!(a.cache_hits, 150);
         assert_eq!(a.cache_misses, 10);
-        assert_eq!(a.jobs, 4, "worker count keeps the maximum");
+        assert_eq!(a.jobs, 1, "a merge of searches reads one job");
         assert_eq!(a.enumeration_time, ms(3));
         assert_eq!(a.solve_time, ms(7));
         assert_eq!(a.merge_time, ms(2));
@@ -392,7 +388,7 @@ mod tests {
             candidates_scored: 40,
             cache_hits: 9,
             cache_misses: 3,
-            jobs: 4,
+            jobs: 1,
             session: SessionStats {
                 solves: 12,
                 warm_hits: 10,
@@ -412,7 +408,7 @@ mod tests {
         assert!(s.contains("7 pruned by cost"), "{s}");
         assert!(s.contains("models 4 / 40"), "{s}");
         assert!(s.contains("cache 9/12 hit"), "{s}");
-        assert!(s.contains("4 job(s)"), "{s}");
+        assert!(!s.contains("job(s)"), "{s}");
         assert!(s.contains("warm 10/12 hit"), "{s}");
         assert!(s.contains("8 rebuild(s) avoided"), "{s}");
         assert!(s.contains("5 class result(s) reused"), "{s}");

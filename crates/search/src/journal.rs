@@ -356,9 +356,9 @@ struct JournalWriter {
 }
 
 /// An append-only journal of candidate evaluations, written as the sweep
-/// runs. Thread-compatible with the search loops: the writer lives behind
-/// a mutex, but the search only appends from its single-threaded merge
-/// fold, so there is no contention in practice.
+/// runs. The writer lives behind a mutex, so a journal may be shared
+/// across threads; a search appends from its fold on the calling thread,
+/// so there is no contention in practice.
 #[derive(Debug)]
 pub struct SweepJournal {
     path: PathBuf,

@@ -29,14 +29,8 @@
 //! point reports a [`SearchHealth`] saying how degraded the run was —
 //! candidates skipped, solver fallbacks taken, worst accepted residual.
 //!
-//! Searches are also parallel: candidate evaluations fan out across scoped
-//! threads ([`SearchOptions::with_jobs`], `0` = auto-detect, requests
-//! clamped to the machine's parallelism), sharing the engine and a
-//! dominance-pruning best-cost cell, with results merged in candidate
-//! order so the selected design is bit-identical to the serial walk at
-//! any worker count (see the [`parallel`](parallel_map_with) module docs
-//! for the argument). A [`CachingEngine`] shared by the workers keeps its
-//! results in each worker's evaluation session.
+//! Searches run on the calling thread. A [`CachingEngine`] keeps its
+//! results in the search's evaluation session.
 //!
 //! Searches are governed: a [`SolveBudget`](aved_avail::SolveBudget)
 //! derived from [`SearchOptions`] bounds each candidate's evaluation
@@ -48,11 +42,11 @@
 //! same winner, bit-for-bit.
 //!
 //! Candidate batches stay in enumeration order — parameter-locality order,
-//! where neighbors differ in one knob — and are sharded contiguously across
-//! workers, each carrying an [`aved_avail::EvalSession`] that reuses solver
-//! scratch and chain structure (rate-only in-place rebuilds) between
-//! neighboring solves. A session only saves work: every reported metric is
-//! bit-identical to a fresh-session evaluation of the same design.
+//! where neighbors differ in one knob — and each sweep carries one
+//! [`aved_avail::EvalSession`] that reuses solver scratch and chain
+//! structure (rate-only in-place rebuilds) between neighboring solves. A
+//! session only saves work: every reported metric is bit-identical to a
+//! fresh-session evaluation of the same design.
 //! [`SearchHealth`] reports the hit rates and rebuilds avoided.
 
 mod candidate;
@@ -63,7 +57,6 @@ mod frontier;
 mod health;
 mod journal;
 mod multi_tier;
-mod parallel;
 mod sensitivity;
 mod sweep;
 #[cfg(test)]
@@ -71,7 +64,7 @@ mod test_fixtures;
 mod tier_search;
 
 pub use aved_avail::CachingEngine;
-pub use candidate::{enumerate_settings, enumerate_tier_candidates, SearchOptions};
+pub use candidate::{effective_jobs, enumerate_settings, enumerate_tier_candidates, SearchOptions};
 pub use context::EvalContext;
 pub use error::SearchError;
 pub use evaluate::{
@@ -84,6 +77,5 @@ pub use journal::{
     enterprise_key, job_key, JournalEngine, JournalReplay, ReplayEntry, SweepJournal,
 };
 pub use multi_tier::{search_service_with_health, ServiceDesign};
-pub use parallel::{effective_jobs, parallel_map_with};
 pub use sensitivity::{mtbf_sensitivity, scale_mtbfs, SensitivityRow};
 pub use tier_search::{search_job_tier, search_tier, SearchOutcome, SearchStats};

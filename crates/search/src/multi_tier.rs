@@ -596,29 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_service_search_matches_serial() {
-        let fx = app_tier_fixture();
-        let inner = DecompositionEngine::default();
-        let engine = CachingEngine::new(&inner);
-        let ctx = fx.context(&engine);
-        let budget = Duration::from_mins(800.0);
-        let serial = search_service_with_health(&ctx, 400.0, budget, &small_opts())
-            .unwrap()
-            .0
-            .unwrap();
-        for jobs in [2, 8] {
-            let parallel =
-                search_service_with_health(&ctx, 400.0, budget, &small_opts().with_jobs(jobs))
-                    .unwrap()
-                    .0
-                    .unwrap();
-            assert_eq!(parallel.cost(), serial.cost(), "jobs={jobs}");
-            assert_eq!(parallel.to_design(), serial.to_design(), "jobs={jobs}");
-            assert_eq!(parallel.annual_downtime(), serial.annual_downtime());
-        }
-    }
-
-    #[test]
     fn strict_service_search_fails_fast() {
         let fx = app_tier_fixture();
         let inner = DecompositionEngine::default();
@@ -846,7 +823,7 @@ mod tests {
         };
         let ctx = fx.context(&engine);
         let deadline = std::time::Duration::from_millis(20);
-        let o = small_opts().with_jobs(1).with_search_deadline(deadline);
+        let o = small_opts().with_search_deadline(deadline);
         let started = Instant::now();
         let (_, health) =
             search_service_with_health(&ctx, 400.0, Duration::from_mins(5000.0), &o).unwrap();

@@ -78,8 +78,7 @@ pub fn scale_mtbfs(infrastructure: &Infrastructure, factor: f64) -> Infrastructu
 ///
 /// The rows come back in the order of `scales`; a scale of exactly `1.0`
 /// reproduces the baseline. The context's engine and catalog are reused;
-/// only the infrastructure is perturbed. Each inner search parallelizes
-/// per [`SearchOptions::jobs`] — nothing extra to configure here.
+/// only the infrastructure is perturbed.
 ///
 /// # Errors
 ///

@@ -6,24 +6,21 @@
 //! the active/spare split, the spare mode and the settings of the
 //! mechanisms the model reads, and so one tier model. [`Sweep::run`]
 //! derives and evaluates each design's model once and scores every
-//! candidate from that one result. With more than one worker
-//! ([`SearchOptions::jobs`]) the designs are evaluated first, on scoped
-//! threads in contiguous shards of enumeration order — parameter-locality
-//! order, where neighbors differ in one knob — so each worker's
-//! [`EvalSession`] reuses chain structure from one model to the next. The
-//! fold then walks the candidates **in enumeration order**, where every
-//! decision is made, so results are identical at any worker count (see
-//! [`crate::parallel`](crate::parallel_map_with) for the argument). The
-//! searches run one batch per resource-count level; the frontiers run one
-//! batch over every option and level. A service query enumerates each
-//! tier's batch once and runs it several times — level ranges for a
-//! search, then the whole batch under a cost cap — and the batch keeps
-//! what each run evaluated, so no candidate is evaluated twice.
+//! candidate from that one result. It walks the candidates **in
+//! enumeration order** — parameter-locality order, where neighbors differ
+//! in one knob — on the calling thread, so the sweep's one
+//! [`EvalSession`] reuses chain structure from one model to the next, and
+//! evaluates a design only when it reaches the design's first candidate
+//! that is neither pruned nor replayed. The searches run one batch per
+//! resource-count level; the frontiers run one batch over every option
+//! and level. A service query enumerates each tier's batch once and runs
+//! it several times — level ranges for a search, then the whole batch
+//! under a cost cap — and the batch keeps what each run evaluated, so no
+//! candidate is evaluated twice.
 //! [`Objective`] supplies everything that differs between enterprise and
 //! finite-job sweeps.
 
 use std::ops::{Range, RangeInclusive};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use aved_avail::{EvalSession, SolveBudget};
@@ -36,7 +33,6 @@ use crate::evaluate::{
     Assessment,
 };
 use crate::journal::{enterprise_key, job_key};
-use crate::parallel::{effective_jobs, parallel_map_with};
 use crate::{EvalContext, EvaluatedDesign, ReplayEntry, SearchError, SearchHealth, SearchOptions};
 
 /// What a sweep optimizes.
@@ -201,9 +197,9 @@ enum Fold {
 /// without evaluating, journaling or counting it again.
 #[derive(Default)]
 pub(crate) struct Batch<'t> {
-    /// Each availability design's option and the index of its first
-    /// candidate, whose design stands in for all of them in the tier model.
-    designs: Vec<(&'t ResourceOption, usize)>,
+    /// Each availability design's option. The first of the design's
+    /// candidates to be scored stands in for all of them in the tier model.
+    designs: Vec<&'t ResourceOption>,
     /// Each design's evaluation, once made: `Ok(None)` when the design
     /// cannot serve the requirement at all.
     assessments: Vec<Option<Result<Option<Assessment>, SearchError>>>,
@@ -270,7 +266,7 @@ fn evaluated(assessment: &Result<Option<Assessment>, SearchError>) -> bool {
 
 /// `true` once the sweep must stop at the next availability-design
 /// boundary: the cancellation token fired or the deadline passed.
-/// Monotone, so one post-batch check turns worker-observed stops into a
+/// Monotone, so one post-run check turns a stop the fold observed into a
 /// clean best-so-far result.
 fn stopping(budget: &SolveBudget) -> bool {
     budget.is_cancelled() || budget.deadline_exceeded()
@@ -287,10 +283,10 @@ pub(crate) struct Sweep<'s, 'c> {
     /// The whole sweep's budget: the absolute deadline, the per-candidate
     /// limits and the cancellation token.
     budget: SolveBudget,
-    /// One evaluation session per worker, reused across every batch: chain
-    /// shapes recur between levels (same n/m/s splits with different
-    /// rates), so the sessions keep paying off sweep-wide.
-    sessions: Vec<EvalSession>,
+    /// The evaluation session, reused across every batch: chain shapes
+    /// recur between levels (same n/m/s splits with different rates), so
+    /// the session keeps paying off sweep-wide.
+    session: EvalSession,
     /// The cost bound: no costed candidate dearer than it is evaluated.
     /// A search starts without one and lowers it to the cheapest feasible
     /// cost it folds, across batches, since no dearer candidate can win.
@@ -312,7 +308,6 @@ impl<'s, 'c> Sweep<'s, 'c> {
         search_start: Instant,
     ) -> Result<Self, SearchError> {
         let enumerating = Instant::now();
-        let jobs = effective_jobs(options.jobs);
         let budget = options.eval_budget(search_start);
         let tier = ctx.tier(tier_name)?;
         let plans = tier
@@ -325,14 +320,12 @@ impl<'s, 'c> Sweep<'s, 'c> {
             tier,
             options,
             plans,
-            sessions: (0..jobs.max(1))
-                .map(|_| EvalSession::new().with_budget(budget.clone()))
-                .collect(),
+            session: EvalSession::new().with_budget(budget.clone()),
             budget,
             bound: None,
             bound_fixed: false,
             health: SearchHealth {
-                jobs,
+                jobs: 1,
                 enumeration_time: enumerating.elapsed(),
                 ..SearchHealth::default()
             },
@@ -395,7 +388,7 @@ impl<'s, 'c> Sweep<'s, 'c> {
             |design, availability| {
                 let availability = first_design + availability;
                 if availability == designs.len() {
-                    designs.push((resource_option, candidates.len()));
+                    designs.push(resource_option);
                 }
                 candidates.push(Candidate {
                     design,
@@ -424,23 +417,16 @@ impl<'s, 'c> Sweep<'s, 'c> {
     /// marked interrupted at the end of the run; the caller then returns
     /// its best-so-far result.
     ///
-    /// Each availability design is derived and evaluated once, however
-    /// many candidates share it, and the fold scores every candidate from
-    /// that one result. The fold walks the candidates in enumeration order
-    /// and makes every decision there — prune, replay or score, journal,
-    /// accept — so results are identical at any worker count. A candidate
-    /// is scored when it is neither pruned nor replayed from the resume
-    /// journal; a design whose evaluation failed gives that error to each
-    /// of its candidates. A candidate an earlier run of the batch folded is
-    /// handed to `accept` again, unless pruned, but not evaluated,
-    /// journaled or counted again.
-    ///
-    /// With more than one worker, the workers first evaluate, in parallel,
-    /// every design that has a candidate to score as of the run's start;
-    /// a fatal failure stops them. The fold evaluates any design still
-    /// missing when it reaches the design's first candidate to score — on
-    /// one worker, every design — so a design whose candidates the fold
-    /// prunes before it gets there is never evaluated.
+    /// The fold walks the candidates in enumeration order and makes every
+    /// decision there — prune, replay or score, journal, accept. A
+    /// candidate is scored when it is neither pruned nor replayed from the
+    /// resume journal. Each availability design is derived and evaluated
+    /// once, when the fold reaches its first candidate to score, and every
+    /// candidate of the design is scored from that one result, so a design
+    /// whose candidates are all pruned is never evaluated. A design whose
+    /// evaluation failed gives that error to each of its candidates. A
+    /// candidate an earlier run of the batch folded is handed to `accept`
+    /// again, unless pruned, but not evaluated, journaled or counted again.
     ///
     /// Costed candidates are pruned by cost when [`SearchOptions::prune`]
     /// is set: a candidate that costs strictly more than the sweep's bound
@@ -454,11 +440,10 @@ impl<'s, 'c> Sweep<'s, 'c> {
         range: Range<usize>,
         mut accept: impl FnMut(EvaluatedDesign) -> Result<(), SearchError>,
     ) -> Result<(), SearchError> {
-        let solving = Instant::now();
+        let merging = Instant::now();
         let (ctx, options, budget) = (self.ctx, self.options, &self.budget);
         let tier = self.tier.name().as_str();
         let mut bound = self.bound;
-        let pruned = |bound, c: &Candidate| options.prune && beaten(bound, c.cost);
         let first = range.start;
         let keys: Vec<String> = if options.journal.is_some() || options.resume.is_some() {
             let key = |c: &Candidate| objective.journal_key(tier, &c.design);
@@ -476,44 +461,10 @@ impl<'s, 'c> Sweep<'s, 'c> {
             candidates,
         } = batch;
 
-        if self.health.jobs > 1 {
-            let mut needed = vec![false; designs.len()];
-            for (i, c) in candidates[range.clone()].iter().enumerate() {
-                let replayed = replays.get(i).is_some_and(Option::is_some);
-                needed[c.availability] |=
-                    assessments[c.availability].is_none() && !replayed && !pruned(bound, c);
-            }
-            let work: Vec<usize> = (0..needed.len()).filter(|&d| needed[d]).collect();
-            let abort = AtomicBool::new(false);
-            let assessed = parallel_map_with(
-                self.health.jobs,
-                &mut self.sessions,
-                &work,
-                |session, _, &d| {
-                    if abort.load(Ordering::Relaxed) || stopping(budget) {
-                        return None;
-                    }
-                    let (option, first) = designs[d];
-                    let td = &candidates[first].design;
-                    let result = objective.assess(ctx, option, td, session);
-                    if matches!(&result, Err(e) if fatal(e, options.strict)) {
-                        abort.store(true, Ordering::Relaxed);
-                    }
-                    Some(result)
-                },
-            );
-            for (d, result) in work.into_iter().zip(assessed) {
-                self.health.models_evaluated += u64::from(result.as_ref().is_some_and(evaluated));
-                assessments[d] = result;
-            }
-        }
-        self.health.solve_time += solving.elapsed();
-
-        let merging = Instant::now();
         let mut evaluating = std::time::Duration::ZERO;
         for i in range {
             let c = &mut candidates[i];
-            if pruned(bound, c) {
+            if options.prune && beaten(bound, c.cost) {
                 if c.state == Fold::Pending {
                     c.state = Fold::Pruned;
                     self.health.candidates_pruned += 1;
@@ -527,15 +478,15 @@ impl<'s, 'c> Sweep<'s, 'c> {
             } else {
                 let assessment = &mut assessments[c.availability];
                 if assessment.is_none() {
-                    // Not evaluated by the workers: evaluate it here, unless
-                    // the sweep is stopping (the post-run check records the
-                    // interruption).
+                    // First candidate of its design to score: evaluate the
+                    // design, unless the sweep is stopping (the post-run
+                    // check records the interruption).
                     if stopping(budget) {
                         continue;
                     }
                     let started = Instant::now();
-                    let option = designs[c.availability].0;
-                    let result = objective.assess(ctx, option, &c.design, &mut self.sessions[0]);
+                    let option = designs[c.availability];
+                    let result = objective.assess(ctx, option, &c.design, &mut self.session);
                     self.health.models_evaluated += u64::from(evaluated(&result));
                     *assessment = Some(result);
                     evaluating += started.elapsed();
@@ -543,7 +494,7 @@ impl<'s, 'c> Sweep<'s, 'c> {
                 self.health.candidates_scored += u64::from(fresh);
                 match assessment.as_ref().expect("evaluated above") {
                     Ok(Some(a)) => {
-                        let option = designs[c.availability].0;
+                        let option = designs[c.availability];
                         objective.score(ctx, option, &c.design, c.cost, a)
                     }
                     Ok(None) => Ok(None),
@@ -595,11 +546,9 @@ impl<'s, 'c> Sweep<'s, 'c> {
         Ok(())
     }
 
-    /// Ends the sweep, folding in the worker sessions' statistics.
+    /// Ends the sweep, folding in its session's statistics.
     pub(crate) fn finish(mut self, started: Instant) -> SearchHealth {
-        for session in &self.sessions {
-            self.health.absorb_session(session.stats());
-        }
+        self.health.absorb_session(self.session.stats());
         self.health.wall_time = started.elapsed();
         self.health
     }

@@ -84,8 +84,8 @@ const DEGRADE_PATIENCE: usize = 2;
 /// [`SearchOptions::strict`] is set, in which case the first failure
 /// aborts the search.
 ///
-/// Candidate evaluations run on [`SearchOptions::jobs`] worker threads;
-/// the selected design is identical at any worker count.
+/// The search runs on the calling thread; candidates are evaluated in
+/// enumeration order.
 ///
 /// # Errors
 ///
@@ -259,8 +259,7 @@ mod tests {
         app_tier_fixture, job_fixture, maintenance_innermost_job_fixture, RecordingEngine,
     };
     use crate::{
-        effective_jobs, enumerate_tier_candidates, evaluate_enterprise_design, evaluate_job_design,
-        CachingEngine,
+        enumerate_tier_candidates, evaluate_enterprise_design, evaluate_job_design, CachingEngine,
     };
     use aved_avail::DecompositionEngine;
     use aved_model::ParamValue;
@@ -548,28 +547,20 @@ mod tests {
             "the scan reaches twice the winner's size"
         );
 
-        for jobs in [1, 2] {
-            let engine = RecordingEngine::default();
-            let ctx = fx.context(&engine);
-            let out =
-                search_job_tier(&ctx, "computation", deadline, &o.clone().with_jobs(jobs)).unwrap();
-            let best = out.best().expect("feasible");
-            assert_eq!(best, &reference, "jobs={jobs}");
-            assert_eq!(
-                best.expected_job_time().map(|t| t.seconds().to_bits()),
-                reference.expected_job_time().map(|t| t.seconds().to_bits()),
-                "jobs={jobs}"
-            );
-            let h = out.health();
-            assert!(h.models_evaluated > 4, "jobs={jobs}: {h}");
-            assert_eq!(
-                engine.calls(),
-                engine.distinct(),
-                "jobs={jobs}: a model evaluated twice"
-            );
-            assert_eq!(h.models_evaluated, engine.calls() as u64, "jobs={jobs}");
-            assert!(h.candidates_scored > h.models_evaluated, "jobs={jobs}: {h}");
-        }
+        let engine = RecordingEngine::default();
+        let ctx = fx.context(&engine);
+        let out = search_job_tier(&ctx, "computation", deadline, &o).unwrap();
+        let best = out.best().expect("feasible");
+        assert_eq!(best, &reference);
+        assert_eq!(
+            best.expected_job_time().map(|t| t.seconds().to_bits()),
+            reference.expected_job_time().map(|t| t.seconds().to_bits()),
+        );
+        let h = out.health();
+        assert!(h.models_evaluated > 4, "{h}");
+        assert_eq!(engine.calls(), engine.distinct(), "a model evaluated twice");
+        assert_eq!(h.models_evaluated, engine.calls() as u64);
+        assert!(h.candidates_scored > h.models_evaluated, "{h}");
     }
 
     #[test]
@@ -735,36 +726,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_search_matches_serial_winner() {
-        let fx = app_tier_fixture();
-        let engine = DecompositionEngine::default();
-        let ctx = fx.context(&engine);
-        let serial = search_tier(
-            &ctx,
-            "application",
-            800.0,
-            Duration::from_mins(500.0),
-            &opts(),
-        )
-        .unwrap();
-        for jobs in [2, 8] {
-            let parallel = search_tier(
-                &ctx,
-                "application",
-                800.0,
-                Duration::from_mins(500.0),
-                &opts().with_jobs(jobs),
-            )
-            .unwrap();
-            let (s, p) = (serial.best().unwrap(), parallel.best().unwrap());
-            assert_eq!(s.cost(), p.cost(), "jobs={jobs}");
-            assert_eq!(s.design(), p.design(), "jobs={jobs}");
-            assert_eq!(s.annual_downtime(), p.annual_downtime(), "jobs={jobs}");
-            assert_eq!(parallel.health().jobs, effective_jobs(jobs));
-        }
-    }
-
-    #[test]
     fn reported_winner_matches_a_fresh_session_evaluation() {
         let fx = app_tier_fixture();
         let engine = DecompositionEngine::default();
@@ -810,7 +771,7 @@ mod tests {
         )
         .unwrap();
         let h = out.health();
-        assert_eq!(h.jobs, 1, "library default is serial");
+        assert_eq!(h.jobs, 1, "a search runs on the calling thread");
         assert!(h.solve_time > std::time::Duration::ZERO);
         assert!(h.solve_time <= h.wall_time);
         assert!(h.enumeration_time + h.solve_time + h.merge_time <= h.wall_time);

@@ -7,7 +7,7 @@
 //! the (cost, flat index) minimum over the whole cross product, the first
 //! tier's index varying fastest. The two must agree on the designs and on
 //! the bits of the cost and the downtime, over random loads and budgets,
-//! under both engines and at one and two workers. One fixture has the
+//! under both engines. One fixture has the
 //! paper's whole-dollar costs; the other adds cents, so that sums of costs
 //! round and a cap computed without rounding up would cut off answers.
 
@@ -190,8 +190,7 @@ impl Reference {
 }
 
 /// Compares the search with the reference at each of `loads`, over
-/// `draws` random and `draws` exact budgets plus the tier floors, at one
-/// and two workers.
+/// `draws` random and `draws` exact budgets plus the tier floors.
 fn check(
     infra: &Infrastructure,
     engine: &dyn AvailabilityEngine,
@@ -215,33 +214,22 @@ fn check(
         for budget in budgets {
             let expected = reference.as_ref().and_then(|r| r.answer(budget));
             answered[usize::from(expected.is_some())] += 1;
-            for jobs in [1, 2] {
-                let (found, health) = search_service_with_health(
-                    &ctx,
-                    load,
-                    budget,
-                    &options.clone().with_jobs(jobs),
+            let (found, health) = search_service_with_health(&ctx, load, budget, options).unwrap();
+            assert!(!health.is_degraded(), "{health}");
+            let found: Option<Answer> = found.map(|sd| {
+                (
+                    sd.tiers().iter().map(|e| e.design().clone()).collect(),
+                    sd.cost().dollars().to_bits(),
+                    sd.annual_downtime().minutes().to_bits(),
                 )
-                .unwrap();
-                assert!(!health.is_degraded(), "{health}");
-                let found: Option<Answer> = found.map(|sd| {
-                    (
-                        sd.tiers().iter().map(|e| e.design().clone()).collect(),
-                        sd.cost().dollars().to_bits(),
-                        sd.annual_downtime().minutes().to_bits(),
-                    )
-                });
-                assert_eq!(
-                    found, expected,
-                    "load {load}, budget {budget:?}, {jobs} job(s)"
-                );
-                // Under a whole year the cost bound is exact, and each cap
-                // leaves out every candidate dearer than the tier's
-                // cheapest: caps that missed the answer would fall back to
-                // the full frontiers and prune nothing.
-                if budget == whole_year && reference.is_some() {
-                    assert!(health.candidates_pruned > 0, "load {load}: {health}");
-                }
+            });
+            assert_eq!(found, expected, "load {load}, budget {budget:?}");
+            // Under a whole year the cost bound is exact, and each cap
+            // leaves out every candidate dearer than the tier's cheapest:
+            // caps that missed the answer would fall back to the full
+            // frontiers and prune nothing.
+            if budget == whole_year && reference.is_some() {
+                assert!(health.candidates_pruned > 0, "load {load}: {health}");
             }
         }
     }

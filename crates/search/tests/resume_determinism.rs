@@ -6,7 +6,7 @@
 //! wrapped engine trips the [`CancelToken`] after a fixed number of
 //! evaluations, simulating SIGINT at a deterministic point), its journal
 //! is reloaded, and the resumed search must reproduce the uninterrupted
-//! reference winner at one worker and at eight. A second scenario
+//! reference winner. A second scenario
 //! truncates the journal mid-record, as a hard kill (`kill -9`) during a
 //! write would, and resumes from the mangled file.
 
@@ -25,8 +25,6 @@ use aved_search::{
     JournalEngine, JournalReplay, SearchOptions, SweepJournal,
 };
 use aved_units::Duration;
-
-const JOB_COUNTS: [usize; 2] = [1, 8];
 
 /// The engine every journal here is written and replayed under: the
 /// default decomposition engine at its default depth.
@@ -183,29 +181,22 @@ fn fig6_killed_sweep_resumes_to_the_reference_winner() {
         journal.flush().unwrap();
     }
 
-    // Resume at one worker and at eight; both must land on the reference.
+    // The resumed run must land on the reference.
     let replay = Arc::new(JournalReplay::load(&path, &decomp()).unwrap());
     assert!(
         !replay.is_empty(),
         "the killed sweep journaled its progress"
     );
-    for jobs in JOB_COUNTS {
-        let opts = enterprise_opts()
-            .with_jobs(jobs)
-            .with_resume(replay.clone());
-        let resumed = search_tier(&ctx, "application", load, budget, &opts).unwrap();
-        let best = resumed.best().expect("feasible after resume");
-        assert_bit_identical(reference_best, best, &format!("fig6 resume jobs={jobs}"));
-        assert!(
-            resumed.health().journal_replayed > 0,
-            "jobs={jobs}: resume must replay, not re-solve: {}",
-            resumed.health()
-        );
-        assert!(
-            !resumed.health().interrupted,
-            "jobs={jobs}: runs to the end"
-        );
-    }
+    let opts = enterprise_opts().with_resume(replay);
+    let resumed = search_tier(&ctx, "application", load, budget, &opts).unwrap();
+    let best = resumed.best().expect("feasible after resume");
+    assert_bit_identical(reference_best, best, "fig6 resume");
+    assert!(
+        resumed.health().journal_replayed > 0,
+        "resume must replay, not re-solve: {}",
+        resumed.health()
+    );
+    assert!(!resumed.health().interrupted, "runs to the end");
     std::fs::remove_file(&path).ok();
 }
 
@@ -249,17 +240,15 @@ fn fig7_killed_job_sweep_resumes_to_the_reference_winner() {
 
     let replay = Arc::new(JournalReplay::load(&path, &decomp()).unwrap());
     assert!(!replay.is_empty());
-    for jobs in JOB_COUNTS {
-        let opts = job_opts().with_jobs(jobs).with_resume(replay.clone());
-        let resumed = search_job_tier(&ctx, "computation", deadline, &opts).unwrap();
-        let best = resumed.best().expect("feasible after resume");
-        assert_bit_identical(reference_best, best, &format!("fig7 resume jobs={jobs}"));
-        assert!(
-            resumed.health().journal_replayed > 0,
-            "jobs={jobs}: {}",
-            resumed.health()
-        );
-    }
+    let opts = job_opts().with_resume(replay);
+    let resumed = search_job_tier(&ctx, "computation", deadline, &opts).unwrap();
+    let best = resumed.best().expect("feasible after resume");
+    assert_bit_identical(reference_best, best, "fig7 resume");
+    assert!(
+        resumed.health().journal_replayed > 0,
+        "{}",
+        resumed.health()
+    );
     std::fs::remove_file(&path).ok();
 }
 
@@ -291,20 +280,18 @@ fn partly_replayed_availability_designs_resume_to_the_reference_winner() {
 
     let replay = Arc::new(JournalReplay::load(&path, &decomp()).unwrap());
     assert_eq!(replay.len(), kept.len() - 1);
-    for jobs in JOB_COUNTS {
-        let opts = job_opts().with_jobs(jobs).with_resume(replay.clone());
-        let resumed = search_job_tier(&ctx, "computation", deadline, &opts).unwrap();
-        let label = format!("fig7 partial resume jobs={jobs}");
-        assert_bit_identical(reference_best, resumed.best().expect("feasible"), &label);
-        let (r, h) = (reference.health(), resumed.health());
-        assert_eq!(h.journal_replayed, replay.len() as u64, "{label}: {h}");
-        assert_eq!(h.models_evaluated, r.models_evaluated, "{label}: {h}");
-        assert_eq!(
-            h.candidates_scored + h.journal_replayed,
-            r.candidates_scored,
-            "{label}: every candidate is replayed or scored once"
-        );
-    }
+    let opts = job_opts().with_resume(replay.clone());
+    let resumed = search_job_tier(&ctx, "computation", deadline, &opts).unwrap();
+    let label = "fig7 partial resume";
+    assert_bit_identical(reference_best, resumed.best().expect("feasible"), label);
+    let (r, h) = (reference.health(), resumed.health());
+    assert_eq!(h.journal_replayed, replay.len() as u64, "{label}: {h}");
+    assert_eq!(h.models_evaluated, r.models_evaluated, "{label}: {h}");
+    assert_eq!(
+        h.candidates_scored + h.journal_replayed,
+        r.candidates_scored,
+        "{label}: every candidate is replayed or scored once"
+    );
     std::fs::remove_file(&path).ok();
 }
 
@@ -348,17 +335,13 @@ fn journal_truncated_mid_record_still_resumes_to_the_reference_winner() {
 
     let replay = Arc::new(JournalReplay::load(&path, &decomp()).unwrap());
     assert!(!replay.is_empty(), "the intact prefix must survive");
-    for jobs in JOB_COUNTS {
-        let opts = enterprise_opts()
-            .with_jobs(jobs)
-            .with_resume(replay.clone());
-        let resumed = search_tier(&ctx, "application", load, budget, &opts).unwrap();
-        assert_bit_identical(
-            reference_best,
-            resumed.best().expect("feasible"),
-            &format!("fig6 torn-journal resume jobs={jobs}"),
-        );
-    }
+    let opts = enterprise_opts().with_resume(replay);
+    let resumed = search_tier(&ctx, "application", load, budget, &opts).unwrap();
+    assert_bit_identical(
+        reference_best,
+        resumed.best().expect("feasible"),
+        "fig6 torn-journal resume",
+    );
     std::fs::remove_file(&path).ok();
 }
 
@@ -410,22 +393,14 @@ fn capped_service_query_resumes_from_a_truncated_journal() {
 
     let replay = Arc::new(JournalReplay::load(&path, &decomp()).unwrap());
     assert_eq!(replay.len(), keep - 1);
-    for jobs in JOB_COUNTS {
-        let opts = enterprise_opts()
-            .with_jobs(jobs)
-            .with_resume(replay.clone());
-        let (found, resumed) = search_service_with_health(&ctx, load, budget, &opts).unwrap();
-        assert_eq!(answer(found), reference, "jobs={jobs}");
-        assert_eq!(
-            resumed.journal_replayed,
-            replay.len() as u64,
-            "jobs={jobs}: {resumed}"
-        );
-        assert_eq!(
-            resumed.candidates_scored + resumed.journal_replayed,
-            health.candidates_scored,
-            "jobs={jobs}: every candidate is replayed or scored once: {resumed}"
-        );
-    }
+    let opts = enterprise_opts().with_resume(replay.clone());
+    let (found, resumed) = search_service_with_health(&ctx, load, budget, &opts).unwrap();
+    assert_eq!(answer(found), reference);
+    assert_eq!(resumed.journal_replayed, replay.len() as u64, "{resumed}");
+    assert_eq!(
+        resumed.candidates_scored + resumed.journal_replayed,
+        health.candidates_scored,
+        "every candidate is replayed or scored once: {resumed}"
+    );
     std::fs::remove_file(&path).ok();
 }

@@ -300,10 +300,10 @@ pub(crate) fn parse_param_range(number: usize, body: &str) -> Result<ParamRange,
         }
         Ok(ParamRange::GeometricDuration { min, max, factor })
     } else {
-        let levels: Vec<String> = body
+        let levels: Vec<std::sync::Arc<str>> = body
             .split(|c: char| c == ',' || c.is_whitespace())
             .filter(|s| !s.is_empty())
-            .map(str::to_owned)
+            .map(Into::into)
             .collect();
         if levels.is_empty() {
             return Err(value_err(number, "parameter range must not be empty"));

@@ -60,10 +60,10 @@ pub fn parse_requirement(text: &str) -> Result<ServiceRequirement, SpecError> {
                     SpecErrorKind::Value("throughput must be a number".into()),
                 )
             })?;
-            if throughput <= 0.0 {
+            if !(throughput.is_finite() && throughput > 0.0) {
                 return Err(SpecError::new(
                     line.number,
-                    SpecErrorKind::Value("throughput must be positive".into()),
+                    SpecErrorKind::Value("throughput must be positive and finite".into()),
                 ));
             }
             let downtime = duration_attr(line, "downtime")?;

@@ -177,6 +177,20 @@ mechanism=checkpoint
     assert!(matches!(err.kind(), SpecErrorKind::Value(_)));
 }
 
+/// A throughput that is not a finite number is a value error, not a
+/// panic in the requirement's constructor.
+#[test]
+fn non_finite_throughput_is_a_value_error() {
+    for throughput in ["nan", "NaN", "inf", "-inf"] {
+        let text = format!("requirement=enterprise throughput={throughput} downtime=100m\n");
+        let err = parse_requirement(&text).unwrap_err();
+        assert!(
+            matches!(err.kind(), SpecErrorKind::Value(_)),
+            "{throughput}: {err}"
+        );
+    }
+}
+
 /// Zero-minimum geometric ranges (`0 * factor = 0` never advances) are
 /// rejected before they can hang enumeration.
 #[test]

@@ -530,3 +530,77 @@ fn an_expired_deadline_interrupts_the_default_engine() {
     assert_eq!(out.status.code(), Some(6), "stderr: {}", stderr(&out));
     assert!(stderr(&out).contains("interrupted"), "{}", stderr(&out));
 }
+
+#[test]
+fn bad_loads_and_a_zero_deadline_exit_2_with_usage() {
+    let mut commands: Vec<Vec<&str>> = Vec::new();
+    for load in ["0", "-5", "nan", "inf"] {
+        commands.push(vec![
+            "design",
+            "--paper-ecommerce",
+            "--load",
+            load,
+            "--max-downtime",
+            "10m",
+        ]);
+        commands.push(vec![
+            "sweep",
+            "--paper-ecommerce",
+            "--tier",
+            "web",
+            "--load",
+            load,
+        ]);
+    }
+    commands.push(vec![
+        "design",
+        "--paper-scientific",
+        "--max-execution-time",
+        "0s",
+    ]);
+    for args in commands {
+        let out = run(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains("usage"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn a_query_evaluates_the_same_models_at_any_jobs_setting() {
+    let queries: [(&[&str], (u64, u64)); 2] = [
+        (
+            &[
+                "--paper-ecommerce",
+                "--load",
+                "1000",
+                "--max-downtime",
+                "100m",
+            ],
+            (88, 88),
+        ),
+        (
+            &["--paper-scientific", "--max-execution-time", "200h"],
+            (1, 300),
+        ),
+    ];
+    for (query, models) in queries {
+        let mut answers = Vec::new();
+        for jobs in ["1", "2"] {
+            let mut args = vec!["design"];
+            args.extend_from_slice(query);
+            args.extend(["--jobs", jobs]);
+            let out = run(&args);
+            let err = stderr(&out);
+            assert!(out.status.success(), "{args:?}: {err}");
+            assert_eq!(
+                stats_pair(&err, "models ", " / "),
+                models,
+                "{args:?}: {err}"
+            );
+            answers.push(stdout(&out));
+        }
+        assert_eq!(answers[0], answers[1], "{query:?}");
+    }
+}

@@ -217,8 +217,7 @@ fn fig7_job_frontier_evaluates_each_distinct_model_once() {
         ..SearchOptions::default()
     }
     .with_pin("maintenanceA", "level", ParamValue::Level("bronze".into()))
-    .with_pin("maintenanceB", "level", ParamValue::Level("bronze".into()))
-    .with_jobs(2);
+    .with_pin("maintenanceB", "level", ParamValue::Level("bronze".into()));
     let totals = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000];
     let (_, health) = job_frontier(&ctx, "computation", &totals, &options).unwrap();
 
@@ -308,7 +307,7 @@ fn fig7_storage_location_switches_to_peer_at_scale() {
     // Small clusters checkpoint to central storage; large clusters hit the
     // central bottleneck and switch to peer storage.
     let storage = |e: &EvaluatedDesign| match e.design().setting("checkpoint", "storage_location") {
-        Some(ParamValue::Level(l)) => l.clone(),
+        Some(ParamValue::Level(l)) => l.to_string(),
         other => panic!("missing storage location: {other:?}"),
     };
     let small = fig7_best(500.0); // few nodes

@@ -236,8 +236,8 @@ proptest! {
         mttrs in proptest::collection::vec(arb_duration(), 1..5),
     ) {
         let n = levels.len().min(mttrs.len());
-        let levels: Vec<String> = levels.into_iter().take(n)
-            .enumerate().map(|(i, l)| format!("{l}_{i}")).collect();
+        let levels: Vec<std::sync::Arc<str>> = levels.into_iter().take(n)
+            .enumerate().map(|(i, l)| format!("{l}_{i}").into()).collect();
         let mttrs: Vec<Duration> = mttrs.into_iter().take(n).collect();
         let costs: Vec<Money> = (0..n)
             .map(|i| Money::from_dollars(f64::from(costs_seed + i as u32)))
