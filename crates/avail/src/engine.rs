@@ -124,8 +124,8 @@ pub fn worse_residual(a: Option<f64>, b: Option<f64>) -> Option<f64> {
 /// Engines are required to be `Send + Sync`, so that callers may share
 /// one `&dyn AvailabilityEngine` (and the `Aved` holding it) across
 /// threads, though each search runs on its calling thread. Stateless
-/// engines satisfy this for free; decorators with interior state (caches,
-/// call counters) must use atomics or locks rather than `Cell`/`RefCell`.
+/// engines satisfy this for free; decorators with interior state (call
+/// counters) must use atomics or locks rather than `Cell`/`RefCell`.
 pub trait AvailabilityEngine: Send + Sync {
     /// Evaluates the steady-state availability of a tier.
     ///

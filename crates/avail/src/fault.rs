@@ -1,12 +1,12 @@
 //! Deterministic fault injection for resilience testing.
 //!
-//! [`FaultInjectingEngine`] wraps any [`AvailabilityEngine`] (like the
-//! [`CachingEngine`](crate::CachingEngine) decorator) and injects
+//! [`FaultInjectingEngine`] wraps any [`AvailabilityEngine`] and injects
 //! failures into chosen evaluations: solver non-convergence errors and NaN
 //! availability results. Faults are selected **deterministically** — by
-//! the 0-based index of the evaluation call (which, in an uncached serial
-//! search, is the candidate index) or by a structural predicate on the
-//! model being evaluated — so a failing search reproduces exactly.
+//! the 0-based index of the evaluation call (in a search, the order in
+//! which it first evaluates each availability design) or by a structural
+//! predicate on the model being evaluated — so a failing search
+//! reproduces exactly.
 //!
 //! Call-index schedules depend on the order of evaluation: when a search
 //! evaluates fewer or other models, the call at index `k` lands on another
@@ -100,9 +100,9 @@ impl<'a> FaultInjectingEngine<'a> {
 
     /// Schedules `fault` for every evaluation whose model satisfies
     /// `predicate`. Unlike call-index schedules, model-keyed faults hit the
-    /// same candidates no matter how a search or a cache orders the
-    /// evaluations. Explicit [`Self::with_fault_at`] schedules take
-    /// precedence on calls matching both.
+    /// same candidates no matter how a search orders the evaluations.
+    /// Explicit [`Self::with_fault_at`] schedules take precedence on calls
+    /// matching both.
     #[must_use]
     pub fn with_fault_when(
         mut self,

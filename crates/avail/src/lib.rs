@@ -27,13 +27,14 @@
 //!
 //! For sweeps over many neighboring models, [`EvalSession`] carries
 //! reusable solver scratch, structurally-cached chains (rebuilt in place
-//! when only rates change) and small memos of recent results between
-//! [`AvailabilityEngine::evaluate_with_session`] calls; [`SessionStats`]
-//! reports how much work that avoided. A session never changes a result.
-//! [`CachingEngine`] memoizes whole tier evaluations in the session.
+//! when only rates change) and a small memo of recent per-class results
+//! between [`AvailabilityEngine::evaluate_with_session`] calls;
+//! [`SessionStats`] reports how much work that avoided. A session never
+//! changes a result.
 //!
-//! An engine — including a decorator such as [`CachingEngine`] or
-//! [`FaultInjectingEngine`] — implements only [`AvailabilityEngine::evaluate_with_session`];
+//! An engine — including a decorator such as [`FaultInjectingEngine`] or
+//! the call-counting [`CachingEngine`] — implements only
+//! [`AvailabilityEngine::evaluate_with_session`];
 //! [`AvailabilityEngine::evaluate`] and
 //! [`AvailabilityEngine::evaluate_with_health`] run it on a fresh session.
 

@@ -15,16 +15,12 @@
 //! to the next, so every result is bit-identical to a one-shot
 //! evaluation.
 //!
-//! The session also keeps two small memos of recent results, both one
-//! [`SlotMemo`] design: the decomposition engine's per-class results (a
-//! §4.1 level swap changes only the hard-failure class, so the other
-//! classes of the next candidate replay the result of an identical class
-//! solved just before) and the tier results of every
-//! [`CachingEngine`](crate::CachingEngine) evaluating through the session
-//! (candidates that differ only in settings the availability model does
-//! not read share one model, and sit next to each other). A solve is a
-//! pure function of its model, so a replayed result is the result the
-//! solve would have produced.
+//! The session also keeps a small memo of recent results, a
+//! [`SlotMemo`]: the decomposition engine's per-class results (a §4.1
+//! level swap changes only the hard-failure class, so the other classes
+//! of the next candidate replay the result of an identical class solved
+//! just before). A solve is a pure function of its model, so a replayed
+//! result is the result the solve would have produced.
 //!
 //! Engines stay `Send + Sync` because all mutable state lives here: each
 //! search sweep owns its own session and passes it down by `&mut`
@@ -187,26 +183,19 @@ impl ClassKey {
 /// "Evaluation sessions").
 const CLASS_SLOTS: usize = 16;
 
-/// Tier results every [`CachingEngine`] evaluating through one session
-/// keeps between them (see `DESIGN.md`, "Session memo").
-///
-/// [`CachingEngine`]: crate::CachingEngine
-const TIER_SLOTS: usize = 4;
-
-/// One memo slot: a result filed under its owner and key, stamped with the
-/// last time it was stored or replayed.
+/// One memo slot: a result filed under its key, stamped with the last
+/// time it was stored or replayed.
 #[derive(Debug)]
 struct Slot<K> {
-    entry: Option<(u64, K, (TierAvailability, EvalHealth))>,
+    entry: Option<(K, (TierAvailability, EvalHealth))>,
     used: u64,
 }
 
 /// A memo of the `N` most recently used results: a fixed array searched
-/// by exact `==` on the owner id and key, refilled least recently used
-/// first. A refill overwrites the slot's key through `clone_from`, so once
-/// every slot holds a key as large as the ones it is refilled with, the
-/// memo neither hashes nor allocates. Only accepted results are stored,
-/// never errors.
+/// by exact `==` on the key, refilled least recently used first. A refill
+/// overwrites the slot's key through `clone_from`, so once every slot
+/// holds a key as large as the ones it is refilled with, the memo neither
+/// hashes nor allocates. Only accepted results are stored, never errors.
 #[derive(Debug)]
 pub(crate) struct SlotMemo<K, const N: usize> {
     slots: [Slot<K>; N],
@@ -226,21 +215,20 @@ impl<K, const N: usize> Default for SlotMemo<K, N> {
 }
 
 impl<K: Clone + PartialEq, const N: usize> SlotMemo<K, N> {
-    /// The result stored under `owner` and `key`, if any, marked as just
-    /// used.
-    pub(crate) fn get(&mut self, owner: u64, key: &K) -> Option<(TierAvailability, EvalHealth)> {
+    /// The result stored under `key`, if any, marked as just used.
+    pub(crate) fn get(&mut self, key: &K) -> Option<(TierAvailability, EvalHealth)> {
         self.clock += 1;
         let slot = self
             .slots
             .iter_mut()
-            .find(|slot| matches!(&slot.entry, Some((o, k, _)) if *o == owner && k == key))?;
+            .find(|slot| matches!(&slot.entry, Some((k, _)) if k == key))?;
         slot.used = self.clock;
-        slot.entry.as_ref().map(|(.., result)| *result)
+        slot.entry.as_ref().map(|(_, result)| *result)
     }
 
-    /// Stores `result` under `owner` and `key` in place of the least
-    /// recently used entry.
-    pub(crate) fn insert(&mut self, owner: u64, key: &K, result: (TierAvailability, EvalHealth)) {
+    /// Stores `result` under `key` in place of the least recently used
+    /// entry.
+    pub(crate) fn insert(&mut self, key: &K, result: (TierAvailability, EvalHealth)) {
         self.clock += 1;
         let oldest = self
             .slots
@@ -249,12 +237,11 @@ impl<K: Clone + PartialEq, const N: usize> SlotMemo<K, N> {
             .expect("the memo has slots");
         oldest.used = self.clock;
         match &mut oldest.entry {
-            Some((o, k, r)) => {
-                *o = owner;
+            Some((k, r)) => {
                 k.clone_from(key);
                 *r = result;
             }
-            None => oldest.entry = Some((owner, key.clone(), result)),
+            None => oldest.entry = Some((key.clone(), result)),
         }
     }
 }
@@ -309,12 +296,9 @@ pub struct EvalSession {
     /// The single-class model the decomposition engine rewrites in place
     /// for each class it evaluates; `None` until the first one.
     pub(crate) single_class: Option<TierModel>,
-    /// Recent per-class results of the decomposition engine, all filed
-    /// under owner 0: the key holds every input of the class's solve.
+    /// Recent per-class results of the decomposition engine: the key
+    /// holds every input of the class's solve.
     pub(crate) class_memo: SlotMemo<ClassKey, CLASS_SLOTS>,
-    /// Recent tier results of `CachingEngine`s, each filed under the id of
-    /// the cache that stored it.
-    pub(crate) tier_memo: SlotMemo<TierModel, TIER_SLOTS>,
     pub(crate) stats: SessionStats,
     pub(crate) budget: SolveBudget,
 }

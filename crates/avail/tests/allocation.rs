@@ -8,15 +8,14 @@
 //! the solver lends its answer out of the scratch. What remains is the one
 //! attempt trail each solve returns. A decomposition evaluation whose
 //! classes all replay from the session's class memo runs no solve and
-//! allocates nothing at all, and neither does a `CachingEngine` hit or
-//! refill of the session's tier memo.
+//! allocates nothing at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use aved_avail::{
-    export_sharpe_markov, AvailabilityEngine, CachingEngine, CtmcEngine, DecompositionEngine,
-    EvalSession, FailureClass, TierModel,
+    export_sharpe_markov, AvailabilityEngine, CtmcEngine, DecompositionEngine, EvalSession,
+    FailureClass, TierModel,
 };
 use aved_units::Duration;
 
@@ -191,53 +190,4 @@ fn memoised_decomposition_evaluations_allocate_nothing() {
             "a replayed evaluation allocated (soft {soft}, spares {spares})"
         );
     }
-}
-
-#[test]
-fn cache_hits_and_refills_allocate_nothing_in_a_warm_session() {
-    // Tier models that differ only in their class labels: distinct models
-    // to the cache, but the same class inputs to the decomposition engine,
-    // so every miss replays its classes from the class memo and runs no
-    // solve. The labels have one length, so a refill fits its slot.
-    let labelled = |i: usize| {
-        paper_tier(5, 4, 1, 3, 1.0)
-            .classes()
-            .iter()
-            .fold(TierModel::new(5, 4, 1), |tier, class| {
-                tier.with_class(FailureClass::new(
-                    format!("{}#{i:02}", class.label()),
-                    class.rate(),
-                    class.mttr(),
-                    class.failover_time(),
-                    class.uses_failover(),
-                ))
-            })
-    };
-    // More models than the tier memo keeps: cycling through them refills
-    // a slot on every call.
-    let models: Vec<TierModel> = (0..20).map(labelled).collect();
-    let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
-    let mut session = EvalSession::new();
-    for model in &models {
-        engine.evaluate_with_session(model, &mut session).unwrap();
-    }
-    let (solves, misses) = (session.stats().solves, engine.misses());
-
-    let last = models.last().unwrap();
-    let hit = allocations(|| engine.evaluate_with_session(last, &mut session).unwrap());
-    assert_eq!(engine.hits(), 1, "the last model is still in the memo");
-    assert_eq!(hit, 0, "a hit allocated");
-
-    let refills = models
-        .iter()
-        .map(|model| allocations(|| engine.evaluate_with_session(model, &mut session).unwrap()))
-        .max()
-        .unwrap();
-    assert_eq!(
-        (engine.misses() - misses, session.stats().solves - solves),
-        (20, 0),
-        "every call refilled a slot and replayed its classes"
-    );
-    assert_eq!(refills, 0, "a refill allocated");
 }

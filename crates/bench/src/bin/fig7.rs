@@ -13,7 +13,7 @@
 use aved::avail::DecompositionEngine;
 use aved::model::ParamValue;
 use aved::scenario;
-use aved::search::{search_job_tier, CachingEngine, EvalContext, SearchOptions};
+use aved::search::{search_job_tier, EvalContext, SearchOptions};
 use aved::units::Duration;
 use aved_bench::{csv_dir_from_args, geometric_grid, Csv, Family};
 
@@ -22,8 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let infrastructure = scenario::infrastructure()?;
     let service = scenario::scientific()?;
     let catalog = scenario::catalog();
-    let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
+    let engine = DecompositionEngine::default();
     let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
     let options = SearchOptions {
         max_spares: 3,

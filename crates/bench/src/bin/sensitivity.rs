@@ -9,7 +9,7 @@
 
 use aved::avail::DecompositionEngine;
 use aved::scenario;
-use aved::search::{mtbf_sensitivity, CachingEngine, EvalContext, SearchOptions};
+use aved::search::{mtbf_sensitivity, EvalContext, SearchOptions};
 use aved::units::Duration;
 use aved_bench::{csv_dir_from_args, Csv};
 
@@ -18,8 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let infrastructure = scenario::infrastructure()?;
     let service = scenario::ecommerce()?;
     let catalog = scenario::catalog();
-    let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
+    let engine = DecompositionEngine::default();
     let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
     let options = SearchOptions::default();
     let scales = [0.25, 0.5, 1.0, 2.0, 4.0];

@@ -9,10 +9,12 @@
 //! aved dump   --infrastructure infra.aved
 //! ```
 //!
-//! The built-in paper scenario is used when `--paper` replaces the model
-//! flags. Performance functions are resolved from the paper catalog; for
-//! custom services whose functions are not in the catalog, constant
-//! (`performance=N`) references always work.
+//! The built-in paper scenarios are used when `--paper-ecommerce` or
+//! `--paper-scientific` replaces the model flags. Performance functions
+//! are resolved from the paper catalog; for custom services whose
+//! functions are not in the catalog, constant (`performance=N`)
+//! references always work. Each command accepts only the flags it reads;
+//! any other flag is a usage error (exit 2).
 
 use std::process::ExitCode;
 
@@ -134,7 +136,7 @@ usage:
   aved dump   --infrastructure FILE
   aved sweep  (--paper-ecommerce | --infrastructure FILE --service FILE)
               --tier NAME --load UNITS [--max-spares N] [--max-extra N]
-              [--jobs N] [--pin MECH.PARAM=VALUE]... [GOVERNANCE]
+              [--jobs N] [--pin MECH.PARAM=VALUE]... [--strict] [GOVERNANCE]
   aved export-markov --infrastructure FILE --resource NAME
               --active N --min N [--spares N] [--pin MECH.PARAM=VALUE]...
 
@@ -206,11 +208,43 @@ mod signals {
     }
 }
 
+/// The flags that take no value.
+const SWITCHES: &str = "--paper-ecommerce --paper-scientific --explain --strict";
+
+/// The flags `load_infrastructure` reads.
+const INFRASTRUCTURE_FLAGS: &str = "--paper-ecommerce --paper-scientific --infrastructure";
+
+/// The flags `parse_search_options` reads.
+const SEARCH_FLAGS: &str = "--max-spares --max-extra --jobs --strict --candidate-timeout \
+                            --max-states --search-deadline --resume --journal --pin";
+
+/// A command's arguments, checked against the flags it accepts.
 struct Flags<'a> {
     args: &'a [String],
 }
 
 impl<'a> Flags<'a> {
+    /// The arguments of `command`, which accepts the flags listed in
+    /// `accepted`: every argument is an accepted flag or the value of the
+    /// one before it.
+    fn new(command: &str, args: &'a [String], accepted: &[&str]) -> Result<Flags<'a>, CliError> {
+        let listed = |flags: &str, arg: &str| flags.split_whitespace().any(|flag| flag == arg);
+        let mut rest = args.iter().map(String::as_str);
+        while let Some(arg) = rest.next() {
+            if !accepted.iter().any(|flags| listed(flags, arg)) {
+                return Err(CliError::usage(if arg.starts_with('-') {
+                    format!("unknown flag {arg:?} for {command}")
+                } else {
+                    format!("unexpected argument {arg:?} for {command}")
+                }));
+            }
+            if !listed(SWITCHES, arg) {
+                rest.next();
+            }
+        }
+        Ok(Flags { args })
+    }
+
     fn value(&self, name: &str) -> Option<&'a str> {
         self.args
             .iter()
@@ -240,15 +274,37 @@ fn run(args: &[String]) -> Result<(), CliError> {
     let Some(command) = args.first() else {
         return Err(CliError::usage("missing command"));
     };
-    let flags = Flags { args: &args[1..] };
-    match command.as_str() {
-        "design" => design(&flags),
-        "check" => check(&flags),
-        "dump" => dump(&flags),
-        "export-markov" => export_markov(&flags),
-        "sweep" => sweep(&flags),
-        other => Err(CliError::usage(format!("unknown command {other:?}"))),
-    }
+    type Command = fn(&Flags<'_>) -> Result<(), CliError>;
+    let (handler, accepted): (Command, &[&str]) = match command.as_str() {
+        "design" => (
+            design,
+            &[
+                INFRASTRUCTURE_FLAGS,
+                SEARCH_FLAGS,
+                "--service --requirement --load --max-downtime --max-execution-time \
+                 --engine --explain",
+            ],
+        ),
+        "check" => (check, &[INFRASTRUCTURE_FLAGS, "--service"]),
+        "dump" => (dump, &[INFRASTRUCTURE_FLAGS]),
+        "export-markov" => (
+            export_markov,
+            &[
+                INFRASTRUCTURE_FLAGS,
+                "--resource --active --min --spares --pin",
+            ],
+        ),
+        "sweep" => (
+            sweep,
+            &[
+                INFRASTRUCTURE_FLAGS,
+                SEARCH_FLAGS,
+                "--service --tier --load",
+            ],
+        ),
+        other => return Err(CliError::usage(format!("unknown command {other:?}"))),
+    };
+    handler(&Flags::new(command, &args[1..], accepted)?)
 }
 
 fn load_infrastructure(flags: &Flags<'_>) -> Result<Infrastructure, CliError> {
@@ -483,20 +539,18 @@ fn parse_search_options(
 }
 
 /// One-line workload summary on stderr: availability models evaluated
-/// against the candidates scored from them, cache traffic, dominance
-/// pruning, class evaluations solved against all of them (the rest
-/// replayed from the class memo), session reuse, per-phase timing. Stderr
-/// so pipelines that consume the design on stdout are unaffected.
+/// against the candidates scored from them, dominance pruning, class
+/// evaluations solved against all of them (the rest replayed from the
+/// class memo), session reuse, per-phase timing. Stderr so pipelines that
+/// consume the design on stdout are unaffected.
 fn report_stats(health: &aved::search::SearchHealth) {
     eprintln!(
-        "search: models {} / {}, cache {}/{} hit, {} candidate(s) pruned by cost, \
+        "search: models {} / {}, {} candidate(s) pruned by cost, \
          classes {} solved / {}, warm {}/{} hit, {} rebuild(s) avoided, \
          {} budget-exhausted, {} replayed from journal, \
          enumerate {:.1} ms + solve {:.1} ms + merge {:.1} ms (total {:.1} ms)",
         health.models_evaluated,
         health.candidates_scored,
-        health.cache_hits,
-        health.cache_hits + health.cache_misses,
         health.candidates_pruned,
         health.session.solves,
         health.session.solves + health.session.class_hits,
@@ -529,7 +583,7 @@ fn parse_pin(pin: &str) -> Result<(&str, &str, ParamValue), CliError> {
 /// a designer needs to pick their own point on the tradeoff.
 fn sweep(flags: &Flags<'_>) -> Result<(), CliError> {
     use aved::avail::DecompositionEngine;
-    use aved::search::{tier_pareto_frontier, CachingEngine, EvalContext};
+    use aved::search::{tier_pareto_frontier, EvalContext};
 
     let infrastructure = load_infrastructure(flags)?;
     let service = load_service(flags)?;
@@ -544,17 +598,16 @@ fn sweep(flags: &Flags<'_>) -> Result<(), CliError> {
             .value("--load")
             .ok_or_else(|| CliError::usage("missing --load UNITS"))?,
     )?;
-    let inner = DecompositionEngine::default();
-    let options =
-        parse_search_options(flags, &JournalEngine::new("decomp", inner.max_concurrent()))?;
+    let engine = DecompositionEngine::default();
+    let options = parse_search_options(
+        flags,
+        &JournalEngine::new("decomp", engine.max_concurrent()),
+    )?;
 
     let catalog = aved::scenario::catalog();
-    let engine = CachingEngine::new(&inner);
     let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
-    let (frontier, mut health) =
+    let (frontier, health) =
         tier_pareto_frontier(&ctx, tier, load, &options).map_err(|e| CliError::engine(&e))?;
-    health.cache_hits = engine.hits();
-    health.cache_misses = engine.misses();
     report_health(&health);
     report_stats(&health);
     if frontier.is_empty() {

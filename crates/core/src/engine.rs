@@ -1,10 +1,10 @@
 //! The turn-key `Aved` engine (the architecture of the paper's Fig. 1).
 
 use aved_avail::{AvailabilityEngine, DecompositionEngine};
-use aved_model::{Design, Infrastructure, Service, ServiceRequirement};
+use aved_model::{Design, Infrastructure, Service, ServiceRequirement, TierDesign};
 use aved_perf::Catalog;
 use aved_search::{
-    search_job_tier, search_service_with_health, CachingEngine, EvalContext, SearchError,
+    search_job_tier, search_service_with_health, EvalContext, EvaluatedDesign, SearchError,
     SearchHealth, SearchOptions,
 };
 use aved_units::{Duration, Money};
@@ -13,6 +13,8 @@ use aved_units::{Duration, Money};
 #[derive(Debug, Clone, PartialEq)]
 pub struct DesignReport {
     design: Design,
+    /// Each tier's performance minimum, in the design's tier order.
+    min_for_perf: Vec<u32>,
     cost: Money,
     annual_downtime: Option<Duration>,
     expected_job_time: Option<Duration>,
@@ -24,6 +26,13 @@ impl DesignReport {
     #[must_use]
     pub fn design(&self) -> &Design {
         &self.design
+    }
+
+    /// Each tier's performance minimum, in the design's tier order: the
+    /// `m` the search derived the tier's availability model with.
+    #[must_use]
+    pub fn min_for_perf(&self) -> &[u32] {
+        &self.min_for_perf
     }
 
     /// Annual cost of the design.
@@ -46,20 +55,22 @@ impl DesignReport {
 
     /// How degraded the search behind this report was (candidates skipped
     /// after engine failures, solver fallbacks taken, the worst accepted
-    /// residual) and how the work got done (models evaluated, model-cache
-    /// hits and misses, candidates pruned by cost dominance, per-phase
-    /// wall time). A clean run has [`SearchHealth::is_degraded`] false.
+    /// residual) and how the work got done (models evaluated, candidates
+    /// pruned by cost dominance, per-phase wall time). A clean run has
+    /// [`SearchHealth::is_degraded`] false.
     #[must_use]
     pub fn health(&self) -> &SearchHealth {
         &self.health
     }
 
-    /// Assembles a report directly from parts. Test helper: real reports
+    /// Assembles a report directly from parts, with every tier's
+    /// performance minimum at its active count. Test helper: real reports
     /// come from [`Aved::design`].
     #[doc(hidden)]
     #[must_use]
     pub fn for_tests(design: Design, cost: Money) -> DesignReport {
         DesignReport {
+            min_for_perf: design.tiers().iter().map(TierDesign::n_active).collect(),
             design,
             cost,
             annual_downtime: None,
@@ -173,23 +184,30 @@ impl Aved {
         service: &Service,
         requirement: &ServiceRequirement,
     ) -> Result<(Option<DesignReport>, SearchHealth), SearchError> {
-        let caching = CachingEngine::new(self.engine.as_ref());
-        let ctx = EvalContext::new(&self.infrastructure, service, &self.catalog, &caching);
+        let ctx = EvalContext::new(
+            &self.infrastructure,
+            service,
+            &self.catalog,
+            self.engine.as_ref(),
+        );
         match requirement {
             ServiceRequirement::Enterprise {
                 min_throughput,
                 max_annual_downtime,
             } => {
-                let (found, mut health) = search_service_with_health(
+                let (found, health) = search_service_with_health(
                     &ctx,
                     *min_throughput,
                     *max_annual_downtime,
                     &self.options,
                 )?;
-                health.cache_hits = caching.hits();
-                health.cache_misses = caching.misses();
                 let report = found.map(|sd| DesignReport {
                     design: sd.to_design(),
+                    min_for_perf: sd
+                        .tiers()
+                        .iter()
+                        .map(EvaluatedDesign::min_for_perf)
+                        .collect(),
                     cost: sd.cost(),
                     annual_downtime: Some(sd.annual_downtime()),
                     expected_job_time: None,
@@ -214,11 +232,10 @@ impl Aved {
                 let tier_name = service.tiers()[0].name().as_str().to_owned();
                 let outcome =
                     search_job_tier(&ctx, &tier_name, *max_execution_time, &self.options)?;
-                let mut health = outcome.health().clone();
-                health.cache_hits = caching.hits();
-                health.cache_misses = caching.misses();
+                let health = outcome.health().clone();
                 let report = outcome.best().map(|best| DesignReport {
                     design: Design::new(vec![best.design().clone()]),
+                    min_for_perf: vec![best.min_for_perf()],
                     cost: best.cost(),
                     annual_downtime: Some(best.annual_downtime()),
                     expected_job_time: best.expected_job_time(),
@@ -273,8 +290,8 @@ mod tests {
             report.health()
         );
         assert!(
-            report.health().cache_misses > 0,
-            "the model cache must see the search's evaluations"
+            report.health().models_evaluated > 0,
+            "the search must evaluate availability models"
         );
         assert_eq!(
             report.health().jobs,

@@ -169,19 +169,9 @@ fn assess(
     })
 }
 
-/// The annual cost of `td`: `cost` when the caller already computed it,
-/// and computed otherwise.
-fn design_cost(
-    ctx: &EvalContext<'_>,
-    td: &TierDesign,
-    cost: Option<Money>,
-) -> Result<Money, SearchError> {
-    let cost = match cost {
-        Some(cost) => cost,
-        None => tier_design_cost(ctx.infrastructure(), td)?.total(),
-    };
-    ensure_finite("cost", cost.dollars())?;
-    Ok(cost)
+/// The annual cost of `td`.
+pub(crate) fn design_cost(ctx: &EvalContext<'_>, td: &TierDesign) -> Result<Money, SearchError> {
+    Ok(tier_design_cost(ctx.infrastructure(), td)?.total())
 }
 
 /// The model half of an enterprise evaluation: the availability of `td`'s
@@ -205,17 +195,17 @@ pub(crate) fn assess_enterprise_design(
     assess(ctx, option, td, min_for_perf, throughput, session).map(Some)
 }
 
-/// The scoring half of an enterprise evaluation: `td`'s cost (`cost`, when
-/// the caller already computed it) next to its design's availability.
+/// The scoring half of an enterprise evaluation: `td`'s `cost` next to
+/// its design's availability.
 pub(crate) fn score_enterprise_design(
-    ctx: &EvalContext<'_>,
     td: &TierDesign,
-    cost: Option<Money>,
+    cost: Money,
     assessment: &Assessment,
 ) -> Result<Option<EvaluatedDesign>, SearchError> {
+    ensure_finite("cost", cost.dollars())?;
     Ok(Some(EvaluatedDesign {
         design: td.clone(),
-        cost: design_cost(ctx, td, cost)?,
+        cost,
         availability: assessment.availability,
         min_for_perf: assessment.min_for_perf,
         expected_job_time: None,
@@ -260,7 +250,7 @@ pub fn evaluate_enterprise_design_in(
     session: &mut EvalSession,
 ) -> Result<Option<EvaluatedDesign>, SearchError> {
     match assess_enterprise_design(ctx, option, td, load, session)? {
-        Some(assessment) => score_enterprise_design(ctx, td, None, &assessment),
+        Some(assessment) => score_enterprise_design(td, design_cost(ctx, td)?, &assessment),
         None => Ok(None),
     }
 }
@@ -292,19 +282,19 @@ pub(crate) fn assess_job_design(
     assess(ctx, option, td, td.n_active(), throughput, session).map(Some)
 }
 
-/// The scoring half of a finite-job evaluation: `td`'s cost (`cost`, when
-/// the caller already computed it) and its expected completion time per
-/// §4.2 (loss-window re-execution, checkpoint overhead, downtime scaling)
-/// from its design's availability. Everything read here beyond the
-/// assessment is `td`'s own: its checkpoint settings and loss window.
+/// The scoring half of a finite-job evaluation: `td`'s `cost` and its
+/// expected completion time per §4.2 (loss-window re-execution,
+/// checkpoint overhead, downtime scaling) from its design's availability.
+/// Everything read here beyond the assessment is `td`'s own: its
+/// checkpoint settings and loss window.
 pub(crate) fn score_job_design(
     ctx: &EvalContext<'_>,
     option: &ResourceOption,
     td: &TierDesign,
-    cost: Option<Money>,
+    cost: Money,
     assessment: &Assessment,
 ) -> Result<Option<EvaluatedDesign>, SearchError> {
-    let cost = design_cost(ctx, td, cost)?;
+    ensure_finite("cost", cost.dollars())?;
 
     // Failure-free computation time, inflated by checkpoint overhead when
     // the option uses a checkpoint mechanism with an mperformance function.
@@ -392,7 +382,7 @@ pub fn evaluate_job_design_in(
     session: &mut EvalSession,
 ) -> Result<Option<EvaluatedDesign>, SearchError> {
     match assess_job_design(ctx, option, td, session)? {
-        Some(assessment) => score_job_design(ctx, option, td, None, &assessment),
+        Some(assessment) => score_job_design(ctx, option, td, design_cost(ctx, td)?, &assessment),
         None => Ok(None),
     }
 }

@@ -1,10 +1,10 @@
 //! Cost/quality Pareto frontiers — the data behind the paper's Figs. 6–8.
 //!
 //! A frontier must evaluate *every* candidate (each one might be a frontier
-//! point), so no cost pruning applies: all options and levels go into one
-//! [`Sweep`] batch. A service query's capped frontiers
-//! ([`crate::search_service_with_health`]) run the same batch under a fixed
-//! cost bound.
+//! point), so its sweep's cost bound is fixed at none and no candidate is
+//! pruned: all options and levels go into one [`Sweep`] batch. A service
+//! query's capped frontiers ([`crate::search_service_with_health`]) run
+//! the same batch under a fixed cost bound.
 
 use std::ops::Range;
 use std::time::Instant;
@@ -83,7 +83,8 @@ fn frontier(
 ) -> Result<(Vec<EvaluatedDesign>, SearchHealth), SearchError> {
     let started = Instant::now();
     let mut sweep = Sweep::new(ctx, tier_name, options, search_start)?;
-    let mut tier = enumerate(&mut sweep, objective, grid, false)?;
+    sweep.fix_bound(None);
+    let mut tier = enumerate(&mut sweep, objective, grid)?;
     let frontier = pareto_frontier(&mut sweep, objective, &mut tier.batch)?;
     Ok((frontier, sweep.finish(started)))
 }
@@ -96,14 +97,13 @@ pub(crate) struct Enumerated<'c> {
     pub(crate) levels: Vec<(usize, u32, Range<usize>)>,
 }
 
-/// Enumerates every candidate of `sweep`'s tier into one batch, costed
-/// when `costed` is set. The resource totals are `objective`'s levels,
-/// or `grid` (any active count allowed) when one is given.
+/// Enumerates and costs every candidate of `sweep`'s tier into one
+/// batch. The resource totals are `objective`'s levels, or `grid` (any
+/// active count allowed) when one is given.
 pub(crate) fn enumerate<'c>(
     sweep: &mut Sweep<'_, 'c>,
     objective: &Objective,
     grid: Option<&[u32]>,
-    costed: bool,
 ) -> Result<Enumerated<'c>, SearchError> {
     let (ctx, options) = (sweep.ctx(), sweep.options());
     let mut batch = Batch::default();
@@ -117,7 +117,7 @@ pub(crate) fn enumerate<'c>(
             },
         };
         for n_total in totals.into_iter().filter(|&n| n > 0) {
-            let range = sweep.level(&mut batch, index, n_total, min_active, costed)?;
+            let range = sweep.level(&mut batch, index, n_total, min_active)?;
             levels.push((index, n_total, range));
         }
     }
@@ -183,7 +183,7 @@ mod tests {
         app_tier_fixture, distinct_job_models, job_fixture, maintenance_innermost_job_fixture,
         RecordingEngine,
     };
-    use crate::{enumerate_tier_candidates, evaluate_job_design, CachingEngine};
+    use crate::{enumerate_tier_candidates, evaluate_job_design};
     use aved_avail::DecompositionEngine;
     use aved_model::ParamValue;
 
@@ -386,8 +386,7 @@ mod tests {
     #[test]
     fn job_frontier_is_monotone_and_spans_resources() {
         let fx = job_fixture();
-        let inner = DecompositionEngine::default();
-        let engine = CachingEngine::new(&inner);
+        let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
         let o = SearchOptions {
             max_extra_active: 0,
@@ -405,6 +404,53 @@ mod tests {
         }
         // Cheap end uses few machineA nodes; expensive end more/faster ones.
         assert!(frontier[0].cost() < frontier.last().unwrap().cost());
+    }
+
+    #[test]
+    fn default_frontiers_equal_unpruned_ones_point_for_point() {
+        // A frontier fixes its cost bound at none, so pruning has nothing
+        // to prune: the default options give the frontier evaluated
+        // without pruning, every metric bit for bit.
+        let fx = app_tier_fixture();
+        let engine = DecompositionEngine::default();
+        let ctx = fx.context(&engine);
+        let options = SearchOptions::default();
+        for load in [400.0, 1000.0] {
+            let (pruned, health) =
+                tier_pareto_frontier(&ctx, "application", load, &options).unwrap();
+            let (exhaustive, _) = tier_pareto_frontier(
+                &ctx,
+                "application",
+                load,
+                &options.clone().without_pruning(),
+            )
+            .unwrap();
+            assert_eq!(health.candidates_pruned, 0, "load {load}: {health}");
+            assert_eq!(pruned.len(), exhaustive.len(), "load {load}");
+            for (a, b) in pruned.iter().zip(&exhaustive) {
+                assert_bit_identical(a, b, &format!("load {load}"));
+            }
+        }
+
+        let fx = job_fixture();
+        let ctx = fx.context(&engine);
+        let options = options
+            .with_pin("maintenanceA", "level", ParamValue::Level("bronze".into()))
+            .with_pin("maintenanceB", "level", ParamValue::Level("bronze".into()));
+        let totals = [1, 2, 4, 8, 16, 32];
+        let (pruned, health) = job_frontier(&ctx, "computation", &totals, &options).unwrap();
+        let (exhaustive, _) = job_frontier(
+            &ctx,
+            "computation",
+            &totals,
+            &options.clone().without_pruning(),
+        )
+        .unwrap();
+        assert_eq!(health.candidates_pruned, 0, "{health}");
+        assert_eq!(pruned.len(), exhaustive.len());
+        for (a, b) in pruned.iter().zip(&exhaustive) {
+            assert_bit_identical(a, b, "job frontier");
+        }
     }
 
     /// Bit-level equality of every metric two evaluations carry.

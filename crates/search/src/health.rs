@@ -42,14 +42,12 @@ impl SkippedCandidate {
 
 /// How degraded a search run was: candidates skipped after evaluation
 /// failures, solver fallbacks taken, the worst accepted balance residual,
-/// and how the work got done — availability models evaluated, cache
-/// traffic, candidates pruned by cost dominance, and
-/// per-phase wall-clock time.
+/// and how the work got done — availability models evaluated, candidates
+/// pruned by cost dominance, and per-phase wall-clock time.
 ///
 /// Equality ignores the timing and workload fields (`wall_time`, the phase
-/// times, `jobs`, model, cache and pruning counters): two runs that made
-/// the same decisions are equal even though their timing is never
-/// reproducible.
+/// times, `jobs`, model and pruning counters): two runs that made the same
+/// decisions are equal even though their timing is never reproducible.
 #[derive(Debug, Clone, Default)]
 pub struct SearchHealth {
     /// Candidates dropped because their evaluation failed.
@@ -76,11 +74,6 @@ pub struct SearchHealth {
     /// Candidates scored from an evaluated availability design (neither
     /// pruned, replayed from a journal, nor skipped).
     pub candidates_scored: u64,
-    /// Model-cache hits during the search, when the caller wired a
-    /// `CachingEngine` in and reported its counters.
-    pub cache_hits: u64,
-    /// Model-cache misses (inner engine evaluations), when reported.
-    pub cache_misses: u64,
     /// Inert: one for every search, which runs on the calling thread, and
     /// zero in a report no search produced. Kept for callers that read it.
     pub jobs: usize,
@@ -148,8 +141,6 @@ impl SearchHealth {
         self.candidates_pruned += other.candidates_pruned;
         self.models_evaluated += other.models_evaluated;
         self.candidates_scored += other.candidates_scored;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
         self.jobs = self.jobs.max(other.jobs);
         self.enumeration_time += other.enumeration_time;
         self.solve_time += other.solve_time;
@@ -191,14 +182,6 @@ impl std::fmt::Display for SearchHealth {
                 f,
                 ", models {} / {}",
                 self.models_evaluated, self.candidates_scored
-            )?;
-        }
-        if self.cache_hits + self.cache_misses > 0 {
-            write!(
-                f,
-                ", cache {}/{} hit",
-                self.cache_hits,
-                self.cache_hits + self.cache_misses
             )?;
         }
         let session = &self.session;
@@ -275,8 +258,6 @@ mod tests {
             candidates_pruned: 10,
             models_evaluated: 12,
             candidates_scored: 400,
-            cache_hits: 100,
-            cache_misses: 4,
             jobs: 0,
             enumeration_time: ms(1),
             solve_time: ms(3),
@@ -300,8 +281,6 @@ mod tests {
             candidates_pruned: 5,
             models_evaluated: 6,
             candidates_scored: 200,
-            cache_hits: 50,
-            cache_misses: 6,
             jobs: 1,
             enumeration_time: ms(2),
             solve_time: ms(4),
@@ -325,8 +304,6 @@ mod tests {
         assert_eq!(a.candidates_pruned, 15);
         assert_eq!(a.models_evaluated, 18);
         assert_eq!(a.candidates_scored, 600);
-        assert_eq!(a.cache_hits, 150);
-        assert_eq!(a.cache_misses, 10);
         assert_eq!(a.jobs, 1, "a merge of searches reads one job");
         assert_eq!(a.enumeration_time, ms(3));
         assert_eq!(a.solve_time, ms(7));
@@ -386,8 +363,6 @@ mod tests {
             candidates_pruned: 7,
             models_evaluated: 4,
             candidates_scored: 40,
-            cache_hits: 9,
-            cache_misses: 3,
             jobs: 1,
             session: SessionStats {
                 solves: 12,
@@ -407,7 +382,7 @@ mod tests {
         assert!(s.contains("1.50e-11"), "{s}");
         assert!(s.contains("7 pruned by cost"), "{s}");
         assert!(s.contains("models 4 / 40"), "{s}");
-        assert!(s.contains("cache 9/12 hit"), "{s}");
+        assert!(!s.contains("cache"), "{s}");
         assert!(!s.contains("job(s)"), "{s}");
         assert!(s.contains("warm 10/12 hit"), "{s}");
         assert!(s.contains("8 rebuild(s) avoided"), "{s}");
@@ -440,8 +415,6 @@ mod tests {
             candidates_pruned: 42,
             models_evaluated: 3,
             candidates_scored: 30,
-            cache_hits: 7,
-            cache_misses: 9,
             jobs: 8,
             solve_time: std::time::Duration::from_millis(50),
             session: SessionStats {

@@ -29,8 +29,8 @@
 //! point reports a [`SearchHealth`] saying how degraded the run was —
 //! candidates skipped, solver fallbacks taken, worst accepted residual.
 //!
-//! Searches run on the calling thread. A [`CachingEngine`] keeps its
-//! results in the search's evaluation session.
+//! Searches run on the calling thread and evaluate through the context's
+//! engine directly; a sweep evaluates each distinct tier model once.
 //!
 //! Searches are governed: a [`SolveBudget`](aved_avail::SolveBudget)
 //! derived from [`SearchOptions`] bounds each candidate's evaluation
@@ -63,6 +63,7 @@ mod sweep;
 mod test_fixtures;
 mod tier_search;
 
+/// Inert call-counting pass-through, kept for callers that name it.
 pub use aved_avail::CachingEngine;
 pub use candidate::{effective_jobs, enumerate_settings, enumerate_tier_candidates, SearchOptions};
 pub use context::EvalContext;

@@ -195,7 +195,7 @@ pub fn search_service_with_health(
     let mut tiers = Vec::new();
     for tier in ctx.service().tiers() {
         let mut sweep = Sweep::new(ctx, tier.name().as_str(), options, started)?;
-        let tier = enumerate(&mut sweep, &query.frontier, None, true)?;
+        let tier = enumerate(&mut sweep, &query.frontier, None)?;
         tiers.push(TierQuery {
             sweep,
             tier,
@@ -321,7 +321,7 @@ impl Query {
                 .tier
                 .batch
                 .cheapest(0..tier.tier.batch.len())
-                .expect("costed"),
+                .expect("the tier has candidates"),
         }
     }
 
@@ -478,7 +478,6 @@ fn compose_frontiers(
 mod tests {
     use super::*;
     use crate::test_fixtures::app_tier_fixture;
-    use crate::CachingEngine;
     use aved_avail::DecompositionEngine;
 
     fn small_opts() -> SearchOptions {
@@ -492,8 +491,7 @@ mod tests {
     #[test]
     fn three_tier_service_meets_requirement() {
         let fx = app_tier_fixture();
-        let inner = DecompositionEngine::default();
-        let engine = CachingEngine::new(&inner);
+        let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
         let design =
             search_service_with_health(&ctx, 400.0, Duration::from_mins(5000.0), &small_opts())
@@ -511,8 +509,7 @@ mod tests {
     #[test]
     fn tighter_service_budget_costs_more() {
         let fx = app_tier_fixture();
-        let inner = DecompositionEngine::default();
-        let engine = CachingEngine::new(&inner);
+        let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
         let loose =
             search_service_with_health(&ctx, 400.0, Duration::from_mins(8000.0), &small_opts())
@@ -531,8 +528,7 @@ mod tests {
     #[test]
     fn impossible_budget_returns_none() {
         let fx = app_tier_fixture();
-        let inner = DecompositionEngine::default();
-        let engine = CachingEngine::new(&inner);
+        let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
         let out =
             search_service_with_health(&ctx, 400.0, Duration::from_secs(0.0001), &small_opts())
@@ -612,8 +608,7 @@ mod tests {
     fn service_downtime_dominates_each_tier() {
         // Service downtime (series) is at least every single tier's.
         let fx = app_tier_fixture();
-        let inner = DecompositionEngine::default();
-        let engine = CachingEngine::new(&inner);
+        let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
         let design =
             search_service_with_health(&ctx, 800.0, Duration::from_mins(6000.0), &small_opts())

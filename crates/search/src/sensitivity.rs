@@ -119,7 +119,6 @@ pub fn mtbf_sensitivity(
 mod tests {
     use super::*;
     use crate::test_fixtures::app_tier_fixture;
-    use crate::CachingEngine;
     use aved_avail::DecompositionEngine;
 
     fn opts() -> SearchOptions {
@@ -156,8 +155,7 @@ mod tests {
     #[test]
     fn unit_scale_reproduces_baseline() {
         let fx = app_tier_fixture();
-        let inner = DecompositionEngine::default();
-        let engine = CachingEngine::new(&inner);
+        let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
         let rows = mtbf_sensitivity(
             &ctx,
@@ -174,8 +172,7 @@ mod tests {
     #[test]
     fn worse_mtbfs_never_reduce_cost() {
         let fx = app_tier_fixture();
-        let inner = DecompositionEngine::default();
-        let engine = CachingEngine::new(&inner);
+        let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
         let rows = mtbf_sensitivity(
             &ctx,
@@ -200,8 +197,7 @@ mod tests {
         // Quadrupled failure rates under a tight budget force a different
         // (more redundant or better-maintained) design family.
         let fx = app_tier_fixture();
-        let inner = DecompositionEngine::default();
-        let engine = CachingEngine::new(&inner);
+        let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
         let rows = mtbf_sensitivity(
             &ctx,

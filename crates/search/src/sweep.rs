@@ -24,13 +24,13 @@ use std::ops::{Range, RangeInclusive};
 use std::time::Instant;
 
 use aved_avail::{EvalSession, SolveBudget};
-use aved_model::{tier_design_cost, ResourceOption, Tier, TierDesign};
+use aved_model::{ResourceOption, Tier, TierDesign};
 use aved_units::{Duration, Money};
 
 use crate::candidate::SettingsPlan;
 use crate::evaluate::{
-    assess_enterprise_design, assess_job_design, score_enterprise_design, score_job_design,
-    Assessment,
+    assess_enterprise_design, assess_job_design, design_cost, score_enterprise_design,
+    score_job_design, Assessment,
 };
 use crate::journal::{enterprise_key, job_key};
 use crate::{EvalContext, EvaluatedDesign, ReplayEntry, SearchError, SearchHealth, SearchOptions};
@@ -121,11 +121,11 @@ impl Objective {
         ctx: &EvalContext<'_>,
         option: &ResourceOption,
         td: &TierDesign,
-        cost: Option<Money>,
+        cost: Money,
         assessment: &Assessment,
     ) -> Result<Option<EvaluatedDesign>, SearchError> {
         match self {
-            Objective::Enterprise { .. } => score_enterprise_design(ctx, td, cost, assessment),
+            Objective::Enterprise { .. } => score_enterprise_design(td, cost, assessment),
             Objective::Job { .. } => score_job_design(ctx, option, td, cost, assessment),
         }
     }
@@ -167,15 +167,13 @@ impl Objective {
     }
 }
 
-/// One candidate of a batch. Searches and service queries cost their
-/// candidates when they enumerate them, because they terminate and prune
-/// on cost; a tier frontier never prunes, so its are costed only when
-/// scored.
+/// One candidate of a batch, costed when enumerated: searches terminate
+/// and every run prunes on cost.
 struct Candidate {
     design: TierDesign,
     /// The batch index of the candidate's availability design.
     availability: usize,
-    cost: Option<Money>,
+    cost: Money,
     state: Fold,
 }
 
@@ -224,11 +222,11 @@ impl Batch<'_> {
         self.candidates.clear();
     }
 
-    /// The cost of the cheapest costed candidate in `range`.
+    /// The cost of the cheapest candidate in `range`, if any.
     pub(crate) fn cheapest(&self, range: Range<usize>) -> Option<Money> {
         self.candidates[range]
             .iter()
-            .filter_map(|c| c.cost)
+            .map(|c| c.cost)
             .min_by(Money::total_cmp)
     }
 
@@ -241,10 +239,9 @@ impl Batch<'_> {
 
 /// `true` when a known-feasible design of cost `bound` prunes a candidate
 /// of cost `cost`: only a strictly cheaper one does, since an equal-cost
-/// candidate still competes on quality. Uncosted candidates are never
-/// pruned.
-fn beaten(bound: Option<Money>, cost: Option<Money>) -> bool {
-    bound.zip(cost).is_some_and(|(bound, cost)| bound < cost)
+/// candidate still competes on quality. No bound prunes nothing.
+fn beaten(bound: Option<Money>, cost: Money) -> bool {
+    bound.is_some_and(|bound| bound < cost)
 }
 
 /// `true` when `e` must end the sweep: a structural error (unknown tier,
@@ -287,7 +284,7 @@ pub(crate) struct Sweep<'s, 'c> {
     /// recur between levels (same n/m/s splits with different rates), so
     /// the session keeps paying off sweep-wide.
     session: EvalSession,
-    /// The cost bound: no costed candidate dearer than it is evaluated.
+    /// The cost bound: no candidate dearer than it is evaluated.
     /// A search starts without one and lowers it to the cheapest feasible
     /// cost it folds, across batches, since no dearer candidate can win.
     bound: Option<Money>,
@@ -346,7 +343,8 @@ impl<'s, 'c> Sweep<'s, 'c> {
     /// candidates costing at most `bound` are evaluated, whatever the runs
     /// fold. A frontier run needs this, since its objective counts every
     /// result as feasible and would otherwise lower the bound to the
-    /// cheapest candidate.
+    /// cheapest candidate; a full frontier fixes it at none, so that no
+    /// candidate is pruned.
     pub(crate) fn fix_bound(&mut self, bound: Option<Money>) {
         self.bound = bound;
         self.bound_fixed = true;
@@ -361,15 +359,14 @@ impl<'s, 'c> Sweep<'s, 'c> {
 
     /// Appends to `batch` the candidates of the tier's `option`-th option
     /// with `n_total` resources, at least `min_active` of them active, in
-    /// enumeration order, and their availability designs; costed when
-    /// `costed` is set. Returns the range of the appended candidates.
+    /// enumeration order, costed, and their availability designs. Returns
+    /// the range of the appended candidates.
     pub(crate) fn level(
         &mut self,
         batch: &mut Batch<'c>,
         option: usize,
         n_total: u32,
         min_active: u32,
-        costed: bool,
     ) -> Result<Range<usize>, SearchError> {
         let enumerating = Instant::now();
         let resource_option = &self.tier.options()[option];
@@ -379,6 +376,8 @@ impl<'s, 'c> Sweep<'s, 'c> {
             candidates,
             ..
         } = batch;
+        let ctx = self.ctx;
+        let mut failed = None;
         self.plans[option].for_each_candidate(
             self.tier.name(),
             resource_option,
@@ -386,6 +385,13 @@ impl<'s, 'c> Sweep<'s, 'c> {
             min_active,
             self.options,
             |design, availability| {
+                let cost = match design_cost(ctx, &design) {
+                    Ok(cost) => cost,
+                    Err(e) => {
+                        failed.get_or_insert(e);
+                        return;
+                    }
+                };
                 let availability = first_design + availability;
                 if availability == designs.len() {
                     designs.push(resource_option);
@@ -393,17 +399,15 @@ impl<'s, 'c> Sweep<'s, 'c> {
                 candidates.push(Candidate {
                     design,
                     availability,
-                    cost: None,
+                    cost,
                     state: Fold::Pending,
                 });
             },
         );
-        batch.assessments.resize_with(batch.designs.len(), || None);
-        if costed {
-            for c in &mut batch.candidates[first_candidate..] {
-                c.cost = Some(tier_design_cost(self.ctx.infrastructure(), &c.design)?.total());
-            }
+        if let Some(e) = failed {
+            return Err(e);
         }
+        batch.assessments.resize_with(batch.designs.len(), || None);
         self.health.enumeration_time += enumerating.elapsed();
         Ok(first_candidate..batch.candidates.len())
     }
@@ -428,9 +432,9 @@ impl<'s, 'c> Sweep<'s, 'c> {
     /// candidate an earlier run of the batch folded is handed to `accept`
     /// again, unless pruned, but not evaluated, journaled or counted again.
     ///
-    /// Costed candidates are pruned by cost when [`SearchOptions::prune`]
-    /// is set: a candidate that costs strictly more than the sweep's bound
-    /// is skipped. Unless [`Sweep::fix_bound`] fixed it, the bound is the
+    /// Candidates are pruned by cost when [`SearchOptions::prune`] is set:
+    /// a candidate that costs strictly more than the sweep's bound is
+    /// skipped. Unless [`Sweep::fix_bound`] fixed it, the bound is the
     /// cheapest feasible design the sweep has folded, in this run or an
     /// earlier one, which a dearer candidate cannot beat.
     pub(crate) fn run(
@@ -560,17 +564,16 @@ mod tests {
 
     #[test]
     fn only_a_strictly_cheaper_feasible_cost_prunes() {
-        let m = |dollars| Some(Money::from_dollars(dollars));
+        let m = Money::from_dollars;
         assert!(
             !beaten(None, m(1e12)),
             "nothing feasible known prunes nothing"
         );
-        assert!(beaten(m(100.0), m(100.01)));
-        assert!(!beaten(m(100.0), m(100.0)), "equal cost still competes");
-        assert!(!beaten(m(100.0), m(99.9)));
+        assert!(beaten(Some(m(100.0)), m(100.01)));
         assert!(
-            !beaten(m(100.0), None),
-            "uncosted candidates are never pruned"
+            !beaten(Some(m(100.0)), m(100.0)),
+            "equal cost still competes"
         );
+        assert!(!beaten(Some(m(100.0)), m(99.9)));
     }
 }

@@ -143,7 +143,7 @@ fn search(
         cost_first(&mut sweep, objective, &mut batch, |sweep, batch, level| {
             batch.clear();
             let (option, n_total, min_active) = level;
-            sweep.level(batch, option, n_total, min_active, true)
+            sweep.level(batch, option, n_total, min_active)
         })?;
     stats.pruned_by_cost = usize::try_from(sweep.health.candidates_pruned).unwrap_or(usize::MAX);
     Ok(SearchOutcome {
@@ -258,9 +258,7 @@ mod tests {
     use crate::test_fixtures::{
         app_tier_fixture, job_fixture, maintenance_innermost_job_fixture, RecordingEngine,
     };
-    use crate::{
-        enumerate_tier_candidates, evaluate_enterprise_design, evaluate_job_design, CachingEngine,
-    };
+    use crate::{enumerate_tier_candidates, evaluate_enterprise_design, evaluate_job_design};
     use aved_avail::DecompositionEngine;
     use aved_model::ParamValue;
     use aved_units::Duration;
@@ -446,8 +444,7 @@ mod tests {
     #[test]
     fn job_search_finds_feasible_design() {
         let fx = job_fixture();
-        let inner = DecompositionEngine::default();
-        let engine = CachingEngine::new(&inner);
+        let engine = RecordingEngine::default();
         let ctx = fx.context(&engine);
         let o = SearchOptions {
             max_extra_active: 2,
@@ -466,11 +463,7 @@ mod tests {
         // checkpoint settings all share one tier model, evaluated once.
         assert_eq!(out.health().models_evaluated, 1);
         assert_eq!(out.health().candidates_scored, 300);
-        assert_eq!(
-            (engine.hits(), engine.misses()),
-            (0, 1),
-            "one evaluation per distinct model leaves the tier memo nothing to replay"
-        );
+        assert_eq!(engine.calls(), 1, "one evaluation per distinct model");
         assert_eq!(
             *out.stats(),
             SearchStats {
@@ -569,8 +562,7 @@ mod tests {
         // designs levels off near 1.03 h, and once two added nodes in a row
         // each shorten it by less than 0.1% the search gives up.
         let fx = job_fixture();
-        let inner = DecompositionEngine::default();
-        let engine = CachingEngine::new(&inner);
+        let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
         let o = SearchOptions {
             max_extra_active: 2,
@@ -596,8 +588,7 @@ mod tests {
     #[test]
     fn job_search_tightening_requirement_raises_cost() {
         let fx = job_fixture();
-        let inner = DecompositionEngine::default();
-        let engine = CachingEngine::new(&inner);
+        let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
         let o = SearchOptions {
             max_extra_active: 2,

@@ -9,8 +9,7 @@ use aved_avail::{DecompositionEngine, FaultInjectingEngine, InjectedFault};
 use aved_model::{Infrastructure, ParamValue, Service};
 use aved_perf::Catalog;
 use aved_search::{
-    job_frontier, search_job_tier, search_tier, CachingEngine, EvalContext, EvaluatedDesign,
-    SearchOptions,
+    job_frontier, search_job_tier, search_tier, EvalContext, EvaluatedDesign, SearchOptions,
 };
 use aved_units::Duration;
 
@@ -146,8 +145,7 @@ fn faulty_engine_frontier_is_the_frontier_of_the_unfaulted_candidates() {
 #[test]
 fn pruning_toggle_is_invisible_in_the_job_search_result() {
     let fx = fig7_fixture();
-    let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
+    let engine = DecompositionEngine::default();
     let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &engine);
     let deadline = Duration::from_hours(100.0);
     let exhaustive =

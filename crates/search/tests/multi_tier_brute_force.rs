@@ -5,8 +5,7 @@
 
 use aved_avail::DecompositionEngine;
 use aved_search::{
-    search_service_with_health, tier_pareto_frontier, CachingEngine, EvalContext, EvaluatedDesign,
-    SearchOptions,
+    search_service_with_health, tier_pareto_frontier, EvalContext, EvaluatedDesign, SearchOptions,
 };
 use aved_units::{Duration, Money};
 
@@ -96,8 +95,7 @@ fn check_budget(ctx: &EvalContext<'_>, load: f64, budget: Duration) -> bool {
 #[test]
 fn composition_matches_brute_force_across_budgets_and_loads() {
     let (infra, svc, catalog) = fixture();
-    let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
+    let engine = DecompositionEngine::default();
     let ctx = EvalContext::new(&infra, &svc, &catalog, &engine);
     for load in [100.0, 400.0] {
         // 12 log-spaced budgets from 100 to 10^4 minutes a year.
@@ -114,8 +112,7 @@ fn composition_is_exact_when_one_tier_dominates() {
     // The database tier is fixed (single option, nActive=[1]), so under a
     // tight budget the choice is between web and application upgrades.
     let (infra, svc, catalog) = fixture();
-    let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
+    let engine = DecompositionEngine::default();
     let ctx = EvalContext::new(&infra, &svc, &catalog, &engine);
     assert!(
         check_budget(&ctx, 400.0, Duration::from_mins(300.0)),

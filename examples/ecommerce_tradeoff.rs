@@ -9,15 +9,14 @@
 
 use aved::avail::DecompositionEngine;
 use aved::scenario;
-use aved::search::{tier_pareto_frontier, CachingEngine, EvalContext, SearchOptions};
+use aved::search::{tier_pareto_frontier, EvalContext, SearchOptions};
 use aved::units::Money;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let infrastructure = scenario::infrastructure()?;
     let service = scenario::ecommerce()?;
     let catalog = scenario::catalog();
-    let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
+    let engine = DecompositionEngine::default();
     let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
     let options = SearchOptions::default();
 

@@ -5,7 +5,7 @@
 
 use aved::avail::{combine_series, SharedSubsystem, TierAvailability};
 use aved::scenario;
-use aved::search::{search_service_with_health, CachingEngine, EvalContext, SearchOptions};
+use aved::search::{search_service_with_health, EvalContext, SearchOptions};
 use aved::units::{Duration, Rate};
 use aved::DecompositionEngine;
 
@@ -13,8 +13,7 @@ fn designed_tiers() -> Vec<TierAvailability> {
     let infrastructure = scenario::infrastructure().unwrap();
     let service = scenario::ecommerce().unwrap();
     let catalog = scenario::catalog();
-    let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
+    let engine = DecompositionEngine::default();
     let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
     let options = SearchOptions {
         max_extra_active: 1,

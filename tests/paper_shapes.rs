@@ -4,12 +4,12 @@
 //! comparative claim the paper makes about Figs. 6, 7 and 8 is asserted
 //! here against our engines.
 
-use aved::avail::{derive_tier_model, DecompositionEngine};
+use aved::avail::{derive_tier_model, DecompositionEngine, FaultInjectingEngine};
 use aved::model::ParamValue;
 use aved::scenario;
 use aved::search::{
-    enumerate_tier_candidates, job_frontier, search_job_tier, tier_pareto_frontier, CachingEngine,
-    EvalContext, EvaluatedDesign, SearchOptions,
+    enumerate_tier_candidates, job_frontier, search_job_tier, tier_pareto_frontier, EvalContext,
+    EvaluatedDesign, SearchOptions,
 };
 use aved::units::Duration;
 
@@ -36,8 +36,7 @@ fn scientific_fx() -> Fx {
 }
 
 fn frontier_at(fx: &Fx, load: f64) -> Vec<EvaluatedDesign> {
-    let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
+    let engine = DecompositionEngine::default();
     let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &engine);
     tier_pareto_frontier(&ctx, "application", load, &SearchOptions::default())
         .unwrap()
@@ -181,8 +180,7 @@ fn fig6_frontier_downtime_spans_the_plotted_decades() {
 
 fn fig7_best(req_hours: f64) -> EvaluatedDesign {
     let fx = scientific_fx();
-    let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
+    let engine = DecompositionEngine::default();
     let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &engine);
     let options = SearchOptions {
         max_spares: 3,
@@ -207,10 +205,10 @@ fn fig7_job_frontier_evaluates_each_distinct_model_once() {
     // Checkpoint settings leave the tier model alone, so the sweep derives
     // and evaluates each distinct model once and scores every checkpoint
     // candidate from it: the engine sees exactly the distinct models,
-    // each once, and the tier memo has nothing left to replay.
+    // each once.
     let fx = scientific_fx();
     let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
+    let engine = FaultInjectingEngine::new(&inner);
     let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &engine);
     let options = SearchOptions {
         max_spares: 3,
@@ -250,8 +248,11 @@ fn fig7_job_frontier_evaluates_each_distinct_model_once() {
             }
         }
     }
-    assert_eq!(engine.hits(), 0, "no model is evaluated twice");
-    assert_eq!(engine.misses(), distinct.len() as u64);
+    assert_eq!(
+        engine.calls(),
+        distinct.len() as u64,
+        "every model is evaluated, none twice"
+    );
     assert_eq!(health.models_evaluated, distinct.len() as u64);
     assert_eq!(health.candidates_scored, candidates);
     assert!(
