@@ -1,8 +1,6 @@
 //! The reference engine: a truncated multi-class CTMC with failover
 //! transients.
 
-use std::collections::hash_map::Entry;
-
 use aved_markov::{explore, ExploreScratch, Explored, FallbackSolver, SolveBudget, SolveScratch};
 use aved_units::Rate;
 
@@ -392,13 +390,14 @@ impl AvailabilityEngine for CtmcEngine {
         // cancellation token carry over unchanged.
         let budget = budget.for_candidate();
 
-        // Same shape seen before: patch the cached chain's rates in place
+        // Same shape seen recently: patch the cached chain's rates in place
         // instead of re-exploring. `repatch` verifies the structure exactly
-        // and leaves the chain untouched on any mismatch, so a (practically
-        // impossible) key collision falls back to a full re-explore below.
-        let cached = match chains.entry(ChainKey::for_model(model, cap)) {
-            Entry::Occupied(entry) => {
-                let cached = entry.into_mut();
+        // and leaves the chain untouched on any mismatch, which falls back
+        // to a full re-explore. A shape not among the cached ones is
+        // explored into the least recently used slot.
+        let key = ChainKey::for_model(model, cap);
+        let cached = match chains.get(&key) {
+            Some(cached) => {
                 let rule = |st: &St, out: &mut Vec<(f64, St)>| {
                     self.successor_rates(model, cap, st, out);
                 };
@@ -409,9 +408,7 @@ impl AvailabilityEngine for CtmcEngine {
                 }
                 cached
             }
-            Entry::Vacant(entry) => {
-                entry.insert(self.cached_chain(model, chain_scratch, &budget)?)
-            }
+            None => chains.insert(&key, self.cached_chain(model, chain_scratch, &budget)?),
         };
         self.evaluate_chain(cached, scratch, stats, &budget)
     }
@@ -420,6 +417,7 @@ impl AvailabilityEngine for CtmcEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::CHAIN_SLOTS;
     use crate::FailureClass;
     use aved_markov::birth_death;
     use aved_units::Duration;
@@ -827,6 +825,37 @@ mod tests {
         }
         assert_eq!(session.cached_chains(), 2);
         assert_eq!(session.stats().rebuilds_avoided, 6);
+    }
+
+    #[test]
+    fn session_keeps_the_most_recently_used_shapes() {
+        // One shape more than the session has slots for: the shape used
+        // least recently makes room, and the others stay cached.
+        let engine = CtmcEngine::default();
+        let mut session = EvalSession::new();
+        let shape = |n: usize| TierModel::new(n as u32, 1, 0).with_class(simple_class(500.0, 5.0));
+        let mut evaluate = |n: usize| {
+            let model = shape(n);
+            let warm = engine
+                .evaluate_with_session(&model, &mut session)
+                .unwrap()
+                .0;
+            let one_shot = engine.evaluate(&model).unwrap();
+            assert_eq!(
+                warm.unavailability().to_bits(),
+                one_shot.unavailability().to_bits()
+            );
+            session.stats().rebuilds_avoided
+        };
+        for n in 1..=CHAIN_SLOTS {
+            assert_eq!(evaluate(n), 0);
+        }
+        // Shape 1 becomes the most recently used, so shape 2 is evicted.
+        assert_eq!(evaluate(1), 1);
+        assert_eq!(evaluate(CHAIN_SLOTS + 1), 1);
+        assert_eq!(evaluate(1), 2);
+        assert_eq!(evaluate(2), 2, "shape 2 was evicted");
+        assert_eq!(session.cached_chains(), CHAIN_SLOTS);
     }
 
     #[test]

@@ -131,7 +131,7 @@ impl DecompositionEngine {
             .unwrap_or_else(|| TierModel::new(0, 0, 0));
         let outcome = model.classes().iter().try_for_each(|class| {
             let key = ClassKey::new(model, class, cap);
-            let (r, health) = match session.class_memo.get(&key) {
+            let (r, health) = match session.class_memo.get(&key).copied() {
                 Some(found) => {
                     // The check a solve makes on entry: a spent budget
                     // fails a replay with the error the solve would return.

@@ -26,8 +26,9 @@
 //! tiers are up).
 //!
 //! For sweeps over many neighboring models, [`EvalSession`] carries
-//! reusable solver scratch, structurally-cached chains (rebuilt in place
-//! when only rates change) and a small memo of recent per-class results
+//! reusable solver scratch, the chains of the most recent structural
+//! shapes (rebuilt in place when only rates change) and a small memo of
+//! recent per-class results
 //! between [`AvailabilityEngine::evaluate_with_session`] calls;
 //! [`SessionStats`] reports how much work that avoided. A session never
 //! changes a result.

@@ -4,23 +4,31 @@
 //! Neighbors differ in a handful of rates (a maintenance contract swap, a
 //! restart-mechanism toggle) far more often than in chain topology.
 //! [`EvalSession`] exploits that: it owns a reusable [`SolveScratch`]
-//! arena, caches explored chains by structural shape for rate-only
-//! in-place rebuilds ([`Explored::repatch`]), and remembers which shapes
-//! already passed a solve so their irreducibility check is skipped. It
-//! also owns the explore scratch (the successor buffer explorations and
-//! repatches fill, and the repatch rate accumulator) and the single-class
-//! model the decomposition engine rewrites for each class, so once its
-//! buffers have grown a repatched evaluation allocates only its solve's
-//! attempt trail. It carries no solution from one solve
+//! arena, keeps the explored chains of recent structural shapes for
+//! rate-only in-place rebuilds ([`Explored::repatch`]), and remembers
+//! which of them already passed a solve so their irreducibility check is
+//! skipped. It also owns the explore scratch (the successor buffer
+//! explorations and repatches fill, and the repatch rate accumulator) and
+//! the single-class model the decomposition engine rewrites for each
+//! class, so once its buffers have grown a repatched evaluation allocates
+//! only its solve's attempt trail. It carries no solution from one solve
 //! to the next, so every result is bit-identical to a one-shot
 //! evaluation.
 //!
-//! The session also keeps a small memo of recent results, a
-//! [`SlotMemo`]: the decomposition engine's per-class results (a §4.1
-//! level swap changes only the hard-failure class, so the other classes
-//! of the next candidate replay the result of an identical class solved
-//! just before). A solve is a pure function of its model, so a replayed
-//! result is the result the solve would have produced.
+//! The session keeps two memos of one design, a [`SlotMemo`]: a fixed
+//! array of slots searched by exact key equality and refilled least
+//! recently used first, so a session holds bounded state however many
+//! shapes a sweep visits.
+//!
+//! - The chain cache holds [`CHAIN_SLOTS`] explored chains, keyed by
+//!   [`ChainKey`]. A shape that fell out of it is explored afresh, which
+//!   costs time, never bits.
+//! - The class memo holds the decomposition engine's recent per-class
+//!   results (a §4.1 level swap changes only the hard-failure class, so
+//!   the other classes of the next candidate replay the result of an
+//!   identical class solved just before). A solve is a pure function of
+//!   its model, so a replayed result is the result the solve would have
+//!   produced.
 //!
 //! Engines stay `Send + Sync` because all mutable state lives here: each
 //! search sweep owns its own session and passes it down by `&mut`
@@ -28,9 +36,6 @@
 //!
 //! [`Explored::repatch`]: aved_markov::Explored::repatch
 //! [`AvailabilityEngine::evaluate_with_session`]: crate::AvailabilityEngine::evaluate_with_session
-
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use aved_markov::{ExploreScratch, Explored, SolveBudget, SolveScratch};
 
@@ -44,11 +49,11 @@ use crate::{EvalHealth, FailureClass, TierAvailability, TierModel};
 /// sparsity structures (rates are always positive, so no transition is ever
 /// pruned by a rate value), which makes a cached chain safe to rebuild
 /// in place via [`Explored::repatch`] — and `repatch` re-verifies the
-/// structure exactly, so even a key collision degrades to a re-explore,
-/// never to a wrong answer.
+/// structure exactly, so a chain it cannot patch is re-explored, never
+/// answered wrong.
 ///
 /// [`Explored::repatch`]: aved_markov::Explored::repatch
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct ChainKey {
     n: u32,
     m: u32,
@@ -83,50 +88,6 @@ impl ChainKey {
             n_classes: classes.len(),
             failover_mask,
         }
-    }
-}
-
-/// The hasher of the chain cache: a word-at-a-time multiply–rotate mix
-/// (the `FxHash` scheme). Keys are a handful of integers derived from the
-/// caller's own models, so `std`'s flood-resistant `SipHash` buys nothing
-/// here and costs more than the lookup it serves, which runs once per
-/// engine call.
-#[derive(Default)]
-pub(crate) struct KeyHasher(u64);
-
-impl KeyHasher {
-    fn mix(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0_u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.mix(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u8(&mut self, v: u8) {
-        self.mix(u64::from(v));
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.mix(u64::from(v));
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.mix(v);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.mix(v as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -183,27 +144,30 @@ impl ClassKey {
 /// "Evaluation sessions").
 const CLASS_SLOTS: usize = 16;
 
-/// One memo slot: a result filed under its key, stamped with the last
-/// time it was stored or replayed.
+/// Chain shapes a session keeps: the fewest that keep as many rebuilds
+/// avoided as an unbounded cache, within 3% on every perfbench workload
+/// (see `DESIGN.md`, "Evaluation sessions").
+pub(crate) const CHAIN_SLOTS: usize = 16;
+
+/// One memo slot: a value filed under its key, stamped with the last time
+/// it was stored or found.
 #[derive(Debug)]
-struct Slot<K> {
-    entry: Option<(K, (TierAvailability, EvalHealth))>,
+struct Slot<K, V> {
+    entry: Option<(K, V)>,
     used: u64,
 }
 
-/// A memo of the `N` most recently used results: a fixed array searched
-/// by exact `==` on the key, refilled least recently used first. A refill
-/// overwrites the slot's key through `clone_from`, so once every slot
-/// holds a key as large as the ones it is refilled with, the memo neither
-/// hashes nor allocates. Only accepted results are stored, never errors.
+/// A memo of the `N` most recently used values: a fixed array searched by
+/// exact `==` on the key, refilled least recently used first. It never
+/// hashes, and it holds at most `N` values whatever it is asked for.
 #[derive(Debug)]
-pub(crate) struct SlotMemo<K, const N: usize> {
-    slots: [Slot<K>; N],
+pub(crate) struct SlotMemo<K, V, const N: usize> {
+    slots: [Slot<K, V>; N],
     clock: u64,
 }
 
-impl<K, const N: usize> Default for SlotMemo<K, N> {
-    fn default() -> SlotMemo<K, N> {
+impl<K, V, const N: usize> Default for SlotMemo<K, V, N> {
+    fn default() -> SlotMemo<K, V, N> {
         SlotMemo {
             slots: std::array::from_fn(|_| Slot {
                 entry: None,
@@ -214,21 +178,21 @@ impl<K, const N: usize> Default for SlotMemo<K, N> {
     }
 }
 
-impl<K: Clone + PartialEq, const N: usize> SlotMemo<K, N> {
-    /// The result stored under `key`, if any, marked as just used.
-    pub(crate) fn get(&mut self, key: &K) -> Option<(TierAvailability, EvalHealth)> {
+impl<K: Clone + PartialEq, V, const N: usize> SlotMemo<K, V, N> {
+    /// The value stored under `key`, if any, marked as just used.
+    pub(crate) fn get(&mut self, key: &K) -> Option<&mut V> {
         self.clock += 1;
         let slot = self
             .slots
             .iter_mut()
             .find(|slot| matches!(&slot.entry, Some((k, _)) if k == key))?;
         slot.used = self.clock;
-        slot.entry.as_ref().map(|(_, result)| *result)
+        slot.entry.as_mut().map(|(_, value)| value)
     }
 
-    /// Stores `result` under `key` in place of the least recently used
-    /// entry.
-    pub(crate) fn insert(&mut self, key: &K, result: (TierAvailability, EvalHealth)) {
+    /// Stores `value` under `key` in place of the least recently used
+    /// entry and returns it there.
+    pub(crate) fn insert(&mut self, key: &K, value: V) -> &mut V {
         self.clock += 1;
         let oldest = self
             .slots
@@ -236,13 +200,15 @@ impl<K: Clone + PartialEq, const N: usize> SlotMemo<K, N> {
             .min_by_key(|slot| slot.used)
             .expect("the memo has slots");
         oldest.used = self.clock;
-        match &mut oldest.entry {
-            Some((k, r)) => {
-                k.clone_from(key);
-                *r = result;
-            }
-            None => oldest.entry = Some((key.clone(), result)),
-        }
+        &mut oldest.entry.insert((key.clone(), value)).1
+    }
+
+    /// The number of slots holding a value.
+    pub(crate) fn len(&self) -> usize {
+        self.slots
+            .iter()
+            .filter(|slot| slot.entry.is_some())
+            .count()
     }
 }
 
@@ -289,7 +255,8 @@ impl SessionStats {
 #[derive(Debug, Default)]
 pub struct EvalSession {
     pub(crate) scratch: SolveScratch,
-    pub(crate) chains: HashMap<ChainKey, CachedChain, BuildHasherDefault<KeyHasher>>,
+    /// Recently explored chains, by structural shape.
+    pub(crate) chains: SlotMemo<ChainKey, CachedChain, CHAIN_SLOTS>,
     /// The successor buffer and rate accumulator every exploration and
     /// repatch uses, shared by all cached chains.
     pub(crate) chain_scratch: ExploreScratch<St>,
@@ -297,8 +264,9 @@ pub struct EvalSession {
     /// for each class it evaluates; `None` until the first one.
     pub(crate) single_class: Option<TierModel>,
     /// Recent per-class results of the decomposition engine: the key
-    /// holds every input of the class's solve.
-    pub(crate) class_memo: SlotMemo<ClassKey, CLASS_SLOTS>,
+    /// holds every input of the class's solve. Only accepted results are
+    /// stored, never errors.
+    pub(crate) class_memo: SlotMemo<ClassKey, (TierAvailability, EvalHealth), CLASS_SLOTS>,
     pub(crate) stats: SessionStats,
     pub(crate) budget: SolveBudget,
 }
@@ -329,7 +297,9 @@ impl EvalSession {
         &self.stats
     }
 
-    /// Number of distinct chain shapes currently cached.
+    /// Number of chain shapes currently cached: at most a fixed number of
+    /// slots, refilled least recently used first, however many shapes the
+    /// session has seen.
     #[must_use]
     pub fn cached_chains(&self) -> usize {
         self.chains.len()

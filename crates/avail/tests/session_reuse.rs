@@ -5,8 +5,10 @@
 //! engine's single-class model. Random tier shapes are evaluated one after
 //! another through one session per engine, each shape twice with different
 //! rates, so every buffer holds data from an unrelated earlier model when
-//! the next one starts. Every answer must equal a one-shot evaluation's
-//! bit for bit.
+//! the next one starts. Then more new chain shapes than the session
+//! keeps evict every cached chain, and the first shapes come back to be
+//! explored afresh. Every answer must equal a one-shot evaluation's bit
+//! for bit, and the session never holds more chains than its slots.
 //!
 //! The decomposition engine also replays per-class results from the
 //! session's class memo. Further passes evaluate every model twice in a
@@ -20,6 +22,10 @@ use aved_avail::{
 };
 use aved_units::Duration;
 use proptest::prelude::*;
+
+/// The chain shapes an [`EvalSession`] keeps before it evicts the least
+/// recently used one.
+const CHAIN_SLOTS: usize = 16;
 
 /// The exact chain of a drawn shape is cut to about this many failed-count
 /// vectors (by dropping classes), so the exact engine stays quick in debug
@@ -136,6 +142,11 @@ fn reused_matches_one_shot(
             reused,
             one_shot
         );
+        prop_assert!(
+            session.cached_chains() <= CHAIN_SLOTS,
+            "{} chains cached",
+            session.cached_chains()
+        );
     }
     Ok(())
 }
@@ -155,25 +166,35 @@ proptest! {
     ) {
         // Every shape once, then every shape again with other rates: the
         // second pass repatches chains the session cached a shape or more
-        // earlier.
-        let pass = |scale: f64, exact: bool| {
-            shapes.iter().map(move |shape| {
+        // earlier. Then the first shape's first class alone at
+        // `CHAIN_SLOTS` active counts above every drawn one: each is a
+        // chain shape the session has not seen, so together they evict
+        // every cached chain, and a last pass explores the drawn shapes
+        // afresh.
+        let top = shapes.iter().map(|shape| shape.n).max().unwrap_or(0);
+        let ladder: Vec<TierModel> = (1..=CHAIN_SLOTS as u32)
+            .map(|step| Shape { n: top + step, ..shapes[0].clone() }.model(1, 1.0))
+            .collect();
+        let pass = |shapes: &[Shape], scale: f64, exact: bool| -> Vec<TierModel> {
+            shapes.iter().map(|shape| {
                 let classes = if exact { shape.exact_classes(depth) } else { shape.classes.len() };
                 shape.model(classes, scale)
-            })
+            }).collect()
         };
-        let decomp: Vec<TierModel> = pass(1.0, false).chain(pass(1.3, false)).collect();
-        let exact: Vec<TierModel> = pass(1.0, true).chain(pass(1.3, true)).collect();
-        reused_matches_one_shot(
-            &DecompositionEngine::default().with_max_concurrent(depth),
-            &mut EvalSession::new(),
-            &decomp,
-        )?;
-        reused_matches_one_shot(
-            &CtmcEngine::default().with_max_concurrent(depth),
-            &mut EvalSession::new(),
-            &exact,
-        )?;
+        let decomp = DecompositionEngine::default().with_max_concurrent(depth);
+        let ctmc = CtmcEngine::default().with_max_concurrent(depth);
+        let engines: [(&dyn AvailabilityEngine, bool); 2] = [(&decomp, false), (&ctmc, true)];
+        for (engine, exact) in engines {
+            let mut session = EvalSession::new();
+            let filling = [
+                pass(&shapes, 1.0, exact),
+                pass(&shapes, 1.3, exact),
+                ladder.clone(),
+            ];
+            reused_matches_one_shot(engine, &mut session, &filling.concat())?;
+            prop_assert_eq!(session.cached_chains(), CHAIN_SLOTS);
+            reused_matches_one_shot(engine, &mut session, &pass(&shapes, 1.6, exact))?;
+        }
     }
 
     #[test]

@@ -143,7 +143,8 @@ usage:
 GOVERNANCE = [--candidate-timeout DUR] [--max-states N]
              [--search-deadline DUR] [--journal FILE] [--resume FILE]
 
-durations use the spec syntax: 30s, 2m, 8h, 650d
+durations use the spec syntax: 30s, 2m, 8h, 650d; only --pin may be
+given more than once
 
 --jobs N is accepted and ignored: every search runs on one thread.
 
@@ -226,9 +227,10 @@ struct Flags<'a> {
 impl<'a> Flags<'a> {
     /// The arguments of `command`, which accepts the flags listed in
     /// `accepted`: every argument is an accepted flag or the value of the
-    /// one before it.
+    /// one before it, and no flag but `--pin` gives a value twice.
     fn new(command: &str, args: &'a [String], accepted: &[&str]) -> Result<Flags<'a>, CliError> {
         let listed = |flags: &str, arg: &str| flags.split_whitespace().any(|flag| flag == arg);
+        let mut given = Vec::new();
         let mut rest = args.iter().map(String::as_str);
         while let Some(arg) = rest.next() {
             if !accepted.iter().any(|flags| listed(flags, arg)) {
@@ -239,6 +241,12 @@ impl<'a> Flags<'a> {
                 }));
             }
             if !listed(SWITCHES, arg) {
+                if arg != "--pin" && given.contains(&arg) {
+                    return Err(CliError::usage(format!(
+                        "flag {arg:?} given more than once for {command}"
+                    )));
+                }
+                given.push(arg);
                 rest.next();
             }
         }

@@ -15,6 +15,9 @@ pub struct DesignReport {
     design: Design,
     /// Each tier's performance minimum, in the design's tier order.
     min_for_perf: Vec<u32>,
+    /// Each tier's unavailability as the search's engine computed it, in
+    /// the design's tier order.
+    tier_unavailability: Vec<f64>,
     cost: Money,
     annual_downtime: Option<Duration>,
     expected_job_time: Option<Duration>,
@@ -33,6 +36,13 @@ impl DesignReport {
     #[must_use]
     pub fn min_for_perf(&self) -> &[u32] {
         &self.min_for_perf
+    }
+
+    /// Each tier's unavailability, in the design's tier order: the
+    /// figure the search's engine computed, which the report's downtime
+    /// contributions add up to.
+    pub(crate) fn tier_unavailability(&self) -> &[f64] {
+        &self.tier_unavailability
     }
 
     /// Annual cost of the design.
@@ -64,13 +74,14 @@ impl DesignReport {
     }
 
     /// Assembles a report directly from parts, with every tier's
-    /// performance minimum at its active count. Test helper: real reports
-    /// come from [`Aved::design`].
+    /// performance minimum at its active count and no downtime. Test
+    /// helper: real reports come from [`Aved::design`].
     #[doc(hidden)]
     #[must_use]
     pub fn for_tests(design: Design, cost: Money) -> DesignReport {
         DesignReport {
             min_for_perf: design.tiers().iter().map(TierDesign::n_active).collect(),
+            tier_unavailability: vec![0.0; design.tiers().len()],
             design,
             cost,
             annual_downtime: None,
@@ -208,6 +219,11 @@ impl Aved {
                         .iter()
                         .map(EvaluatedDesign::min_for_perf)
                         .collect(),
+                    tier_unavailability: sd
+                        .tiers()
+                        .iter()
+                        .map(|tier| tier.availability().unavailability())
+                        .collect(),
                     cost: sd.cost(),
                     annual_downtime: Some(sd.annual_downtime()),
                     expected_job_time: None,
@@ -236,6 +252,7 @@ impl Aved {
                 let report = outcome.best().map(|best| DesignReport {
                     design: Design::new(vec![best.design().clone()]),
                     min_for_perf: vec![best.min_for_perf()],
+                    tier_unavailability: vec![best.availability().unavailability()],
                     cost: best.cost(),
                     annual_downtime: Some(best.annual_downtime()),
                     expected_job_time: best.expected_job_time(),

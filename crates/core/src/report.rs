@@ -15,8 +15,10 @@ use crate::DesignReport;
 /// downtime contributions (largest first) that explain where the residual
 /// downtime comes from. Each tier's model is derived with the performance
 /// minimum the search used ([`DesignReport::min_for_perf`]), and its
-/// classes are evaluated by the default decomposition engine, so under
-/// that engine a tier's contributions sum to the tier's downtime.
+/// classes are evaluated alone by the decomposition engine. Each class
+/// gets its share of their sum of the tier's downtime as the search's
+/// engine computed it, so a tier's contributions sum to that downtime
+/// under every engine.
 ///
 /// # Errors
 ///
@@ -53,8 +55,21 @@ pub fn explain_design(
     if let Some(t) = report.expected_job_time() {
         let _ = writeln!(out, "expected job completion: {:.2} h", t.hours());
     }
-    for (td, &min_for_perf) in report.design().tiers().iter().zip(report.min_for_perf()) {
-        explain_tier(&mut out, infrastructure, service, td, min_for_perf)?;
+    let tiers = report
+        .design()
+        .tiers()
+        .iter()
+        .zip(report.min_for_perf())
+        .zip(report.tier_unavailability());
+    for ((td, &min_for_perf), &unavailability) in tiers {
+        explain_tier(
+            &mut out,
+            infrastructure,
+            service,
+            td,
+            min_for_perf,
+            unavailability,
+        )?;
     }
     Ok(out)
 }
@@ -65,6 +80,7 @@ fn explain_tier(
     service: &Service,
     td: &TierDesign,
     min_for_perf: u32,
+    unavailability: f64,
 ) -> Result<(), SearchError> {
     let _ = writeln!(out, "\n-- {td}");
     let cost = tier_design_cost(infrastructure, td)?;
@@ -86,12 +102,13 @@ fn explain_tier(
     let total: f64 = parts.iter().map(|(_, r)| r.unavailability()).sum();
     let _ = writeln!(out, "   downtime contributions (m = {min_for_perf}):");
     for (label, r) in &parts {
-        let minutes = r.unavailability() * MINUTES_PER_YEAR;
-        let share = if total > 0.0 {
-            100.0 * r.unavailability() / total
+        let fraction = if total > 0.0 {
+            r.unavailability() / total
         } else {
             0.0
         };
+        let minutes = fraction * unavailability * MINUTES_PER_YEAR;
+        let share = 100.0 * fraction;
         let _ = writeln!(
             out,
             "     {label:<24} {minutes:>10.2} min/yr  ({share:>5.1}%)"
@@ -197,6 +214,63 @@ mod tests {
         assert!(redundant > 0, "no tier runs above its performance minimum");
         let text = explain_design(&infrastructure, &service, &report).unwrap();
         assert!(!text.contains("worst case"), "{text}");
+    }
+
+    #[test]
+    fn contributions_sum_to_the_tier_downtime_of_the_searchs_engine() {
+        // The exact engine solves each tier's joint chain, whose downtime
+        // is not the sum of the classes evaluated alone.
+        let infrastructure = scenario::infrastructure().unwrap();
+        let service = scenario::ecommerce().unwrap();
+        let aved = Aved::new(infrastructure.clone())
+            .with_catalog(scenario::catalog())
+            .with_engine(aved_avail::CtmcEngine::default())
+            .with_search_options(SearchOptions {
+                max_extra_active: 4,
+                max_spares: 2,
+                ..SearchOptions::default()
+            });
+        let req = ServiceRequirement::enterprise(400.0, Duration::from_mins(88.0));
+        let report = aved.design(&service, &req).unwrap().expect("feasible");
+        let text = explain_design(&infrastructure, &service, &report).unwrap();
+        // Each tier's rows, as printed.
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        for line in text.lines() {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            if line.starts_with("-- ") {
+                rows.push(Vec::new());
+            } else if let Some(i) = words.iter().position(|&w| w == "min/yr") {
+                rows.last_mut().unwrap().push(words[i - 1].parse().unwrap());
+            }
+        }
+        let tiers = report.design().tiers();
+        assert_eq!(rows.len(), tiers.len(), "{text}");
+        let mut apart = 0.0_f64;
+        for (((td, &m), &unavailability), printed) in tiers
+            .iter()
+            .zip(report.min_for_perf())
+            .zip(report.tier_unavailability())
+            .zip(&rows)
+        {
+            let downtime = unavailability * MINUTES_PER_YEAR;
+            let sum: f64 = printed.iter().sum();
+            let rounding = 0.005 * printed.len() as f64;
+            assert!(
+                (sum - downtime).abs() <= rounding,
+                "{td}: rows sum to {sum}, tier downtime {downtime}\n{text}"
+            );
+            let alone: f64 = tier_contributions(&infrastructure, &service, td, m)
+                .unwrap()
+                .expect("the tier is in the service")
+                .iter()
+                .map(|(_, r)| r.unavailability() * MINUTES_PER_YEAR)
+                .sum();
+            apart = apart.max((alone - downtime).abs());
+        }
+        assert!(apart > 0.5, "the classes alone sum to the tier downtime");
+        let total: f64 = rows.iter().flatten().sum();
+        let reported = report.annual_downtime().unwrap().minutes();
+        assert!((total - reported).abs() <= 0.01 * rows.concat().len() as f64);
     }
 
     #[test]

@@ -309,6 +309,40 @@ fn flags_a_command_does_not_read_exit_2_naming_the_flag() {
 }
 
 #[test]
+fn a_repeated_flag_exits_2_naming_it() {
+    let query = [
+        "design",
+        "--paper-ecommerce",
+        "--load",
+        "400",
+        "--max-downtime",
+        "88m",
+        "--max-extra",
+        "4",
+        "--max-spares",
+        "2",
+    ];
+    let mut args = query.to_vec();
+    args.extend(["--max-extra", "0"]);
+    let out = run(&args);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("\"--max-extra\""), "{err}");
+    assert!(err.contains("usage"), "{err}");
+    assert!(stdout(&out).is_empty());
+    // `--pin` alone may repeat.
+    args = query.to_vec();
+    args.extend([
+        "--pin",
+        "maintenanceA.level=gold",
+        "--pin",
+        "maintenanceB.level=gold",
+    ]);
+    let out = run(&args);
+    assert!(out.status.success(), "{}", stderr(&out));
+}
+
+#[test]
 fn a_malformed_pin_exits_2_with_usage() {
     let infrastructure = concat!(
         env!("CARGO_MANIFEST_DIR"),
