@@ -25,8 +25,9 @@ pub struct FailureClass {
     uses_failover: bool,
 }
 
-/// `clone_from` reuses the label's buffer, so a memo refilling a stored
-/// model in place allocates nothing once the buffer fits.
+/// `clone_from` reuses the label's buffer, so overwriting a stored
+/// single-class model (`TierModel::assign_single_class`) allocates nothing
+/// once the buffer fits.
 impl Clone for FailureClass {
     fn clone(&self) -> FailureClass {
         FailureClass {
@@ -122,31 +123,13 @@ impl FailureClass {
 /// model.check()?;
 /// # Ok::<(), aved_avail::AvailError>(())
 /// ```
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TierModel {
     n: u32,
     m: u32,
     s: u32,
     spares_exposed: bool,
     classes: Vec<FailureClass>,
-}
-
-/// `clone_from` reuses the class list and every label buffer that fits.
-impl Clone for TierModel {
-    fn clone(&self) -> TierModel {
-        TierModel {
-            classes: self.classes.clone(),
-            ..*self
-        }
-    }
-
-    fn clone_from(&mut self, source: &TierModel) {
-        self.n = source.n;
-        self.m = source.m;
-        self.s = source.s;
-        self.spares_exposed = source.spares_exposed;
-        self.classes.clone_from(&source.classes);
-    }
 }
 
 impl TierModel {

@@ -416,7 +416,8 @@ fn design(flags: &Flags<'_>) -> Result<(), CliError> {
         }
         other => return Err(CliError::usage(format!("unknown engine {other:?}"))),
     };
-    let aved = aved.with_search_options(parse_search_options(flags, &engine)?);
+    let options = parse_search_options(flags, &engine, aved.infrastructure())?;
+    let aved = aved.with_search_options(options);
 
     let (report, health) = aved
         .design_with_health(&service, &requirement)
@@ -477,13 +478,19 @@ fn report_health(health: &aved::search::SearchHealth) {
     }
 }
 
-/// Parses the search-bound flags shared by `design` and `sweep`. A
-/// journal is written, and may only be resumed, under `engine`.
+/// Parses the search-bound flags shared by `design` and `sweep`, with
+/// the pins checked against `infrastructure`. A journal is written, and
+/// may only be resumed, under `engine`. The journal is created last, so a
+/// usage error leaves an existing one untouched.
 fn parse_search_options(
     flags: &Flags<'_>,
     engine: &JournalEngine,
+    infrastructure: &Infrastructure,
 ) -> Result<SearchOptions, CliError> {
     let mut options = SearchOptions::default();
+    for (mech, param, value) in parse_pins(flags, infrastructure)? {
+        options = options.with_pin(mech, param, value);
+    }
     if let Some(v) = flags.value("--max-spares") {
         options.max_spares = v
             .parse()
@@ -539,11 +546,37 @@ fn parse_search_options(
     #[cfg(unix)]
     signals::install(&cancel);
     options = options.with_cancel(cancel);
+    Ok(options)
+}
+
+/// Parses every `--pin` and checks it against `infrastructure`: the
+/// mechanism and its parameter exist, the value lies in the parameter's
+/// range, and no parameter is pinned twice.
+fn parse_pins<'a>(
+    flags: &Flags<'a>,
+    infrastructure: &Infrastructure,
+) -> Result<Vec<(&'a str, &'a str, ParamValue)>, CliError> {
+    let mut pins: Vec<(&str, &str, ParamValue)> = Vec::new();
     for pin in flags.values("--pin") {
         let (mech, param, value) = parse_pin(pin)?;
-        options = options.with_pin(mech, param, value);
+        let bad = |why: String| CliError::usage(format!("bad --pin {pin:?}: {why}"));
+        let mechanism = infrastructure
+            .mechanism(mech)
+            .ok_or_else(|| bad(format!("no mechanism {mech:?}")))?;
+        let parameter = mechanism
+            .param(param)
+            .ok_or_else(|| bad(format!("mechanism {mech} has no parameter {param:?}")))?;
+        if !parameter.range().contains(&value) {
+            return Err(bad(format!(
+                "{value} is outside the range of {mech}.{param}"
+            )));
+        }
+        if pins.iter().any(|&(m, p, _)| (m, p) == (mech, param)) {
+            return Err(bad(format!("{mech}.{param} is already pinned")));
+        }
+        pins.push((mech, param, value));
     }
-    Ok(options)
+    Ok(pins)
 }
 
 /// One-line workload summary on stderr: availability models evaluated
@@ -577,7 +610,11 @@ fn report_stats(health: &aved::search::SearchHealth) {
 /// Splits one `--pin MECH.PARAM=VALUE` into its mechanism, parameter and
 /// value: a duration when the value parses as one, a level name otherwise.
 fn parse_pin(pin: &str) -> Result<(&str, &str, ParamValue), CliError> {
-    let malformed = || CliError::usage("pins look like MECH.PARAM=VALUE");
+    let malformed = || {
+        CliError::usage(format!(
+            "bad --pin {pin:?}: pins look like MECH.PARAM=VALUE"
+        ))
+    };
     let (target, value) = pin.split_once('=').ok_or_else(malformed)?;
     let (mech, param) = target.split_once('.').ok_or_else(malformed)?;
     let value = match value.parse::<Duration>() {
@@ -601,6 +638,12 @@ fn sweep(flags: &Flags<'_>) -> Result<(), CliError> {
     let tier = flags
         .value("--tier")
         .ok_or_else(|| CliError::usage("missing --tier NAME"))?;
+    if service.tier(tier).is_none() {
+        return Err(CliError::usage(format!(
+            "unknown tier {tier:?} for service {}",
+            service.name()
+        )));
+    }
     let load = parse_load(
         flags
             .value("--load")
@@ -610,6 +653,7 @@ fn sweep(flags: &Flags<'_>) -> Result<(), CliError> {
     let options = parse_search_options(
         flags,
         &JournalEngine::new("decomp", engine.max_concurrent()),
+        &infrastructure,
     )?;
 
     let catalog = aved::scenario::catalog();
@@ -668,8 +712,7 @@ fn export_markov(flags: &Flags<'_>) -> Result<(), CliError> {
         .map_err(|_| CliError::usage("bad --spares value"))?;
 
     let mut td = TierDesign::new("export", resource, n, s);
-    for pin in flags.values("--pin") {
-        let (mech, param, value) = parse_pin(pin)?;
+    for (mech, param, value) in parse_pins(flags, &infrastructure)? {
         td = td.with_setting(mech, param, value);
     }
 

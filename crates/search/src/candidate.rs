@@ -38,12 +38,6 @@ pub struct SearchOptions {
     /// so that callers which set it, and the `--jobs` flag, still compile
     /// and parse; see [`effective_jobs`].
     pub jobs: usize,
-    /// Cost-dominance pruning: skip evaluating candidates that already cost
-    /// strictly more than a known-feasible design. On by default; pruning
-    /// never changes the selected design, only the work done (see
-    /// `SearchStats::pruned_by_cost`). Disable to force exhaustive
-    /// evaluation, e.g. when auditing the pruning itself.
-    pub prune: bool,
     /// Per-candidate wall-clock allowance: each candidate's availability
     /// evaluation (exploration + every solver attempt) must finish within
     /// this much time or it is abandoned with a budget-exhaustion
@@ -78,7 +72,7 @@ pub struct SearchOptions {
 impl Default for SearchOptions {
     /// Up to 8 extra actives, up to 3 spares, fully-inactive spares (the
     /// restriction the paper's application-tier example makes), nothing
-    /// pinned, pruning on.
+    /// pinned, no budgets, no journal.
     fn default() -> SearchOptions {
         SearchOptions {
             max_extra_active: 8,
@@ -87,7 +81,6 @@ impl Default for SearchOptions {
             pins: Vec::new(),
             strict: false,
             jobs: 1,
-            prune: true,
             candidate_timeout: None,
             max_states: None,
             search_deadline: None,
@@ -113,14 +106,6 @@ impl SearchOptions {
     #[must_use]
     pub fn with_strict(mut self) -> SearchOptions {
         self.strict = true;
-        self
-    }
-
-    /// Disables cost-dominance pruning, forcing every candidate to be
-    /// evaluated.
-    #[must_use]
-    pub fn without_pruning(mut self) -> SearchOptions {
-        self.prune = false;
         self
     }
 

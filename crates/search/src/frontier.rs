@@ -1,15 +1,15 @@
 //! Cost/quality Pareto frontiers — the data behind the paper's Figs. 6–8.
 //!
 //! A frontier must evaluate *every* candidate (each one might be a frontier
-//! point), so its sweep's cost bound is fixed at none and no candidate is
-//! pruned: all options and levels go into one [`Sweep`] batch. A service
-//! query's capped frontiers ([`crate::search_service_with_health`]) run
-//! the same batch under a fixed cost bound.
+//! point), so its sweep runs without a cost bound and prunes nothing: all
+//! options and levels go into one [`Sweep`] batch. A service query's
+//! capped frontiers ([`crate::search_service_with_health`]) run the same
+//! batch under a cost cap that no result lowers.
 
 use std::ops::Range;
 use std::time::Instant;
 
-use aved_units::Duration;
+use aved_units::{Duration, Money};
 
 use crate::sweep::{Batch, Objective, Sweep};
 use crate::{EvalContext, EvaluatedDesign, SearchError, SearchHealth, SearchOptions};
@@ -83,9 +83,8 @@ fn frontier(
 ) -> Result<(Vec<EvaluatedDesign>, SearchHealth), SearchError> {
     let started = Instant::now();
     let mut sweep = Sweep::new(ctx, tier_name, options, search_start)?;
-    sweep.fix_bound(None);
     let mut tier = enumerate(&mut sweep, objective, grid)?;
-    let frontier = pareto_frontier(&mut sweep, objective, &mut tier.batch)?;
+    let frontier = pareto_frontier(&mut sweep, objective, &mut tier.batch, None)?;
     Ok((frontier, sweep.finish(started)))
 }
 
@@ -124,18 +123,20 @@ pub(crate) fn enumerate<'c>(
     Ok(Enumerated { batch, levels })
 }
 
-/// Runs every candidate of `batch` under the sweep's cost bound and keeps
-/// the Pareto-optimal ones under `objective`'s quality.
+/// Runs every candidate of `batch` that costs at most `cap` (all of them
+/// without one) and keeps the Pareto-optimal ones under `objective`'s
+/// quality. The cap never moves: any candidate under it may be a point.
 pub(crate) fn pareto_frontier(
     sweep: &mut Sweep<'_, '_>,
     objective: &Objective,
     batch: &mut Batch<'_>,
+    cap: Option<Money>,
 ) -> Result<Vec<EvaluatedDesign>, SearchError> {
     let mut all: Vec<EvaluatedDesign> = Vec::new();
     let candidates = 0..batch.len();
-    sweep.run(objective, batch, candidates, |e| {
+    sweep.run(objective, batch, candidates, cap, |e| {
         all.push(e);
-        Ok(())
+        Ok(None)
     })?;
     let ranking = Instant::now();
     let unranked = Duration::from_secs(f64::INFINITY);
@@ -183,7 +184,7 @@ mod tests {
         app_tier_fixture, distinct_job_models, job_fixture, maintenance_innermost_job_fixture,
         RecordingEngine,
     };
-    use crate::{enumerate_tier_candidates, evaluate_job_design};
+    use crate::{enumerate_tier_candidates, evaluate_enterprise_design, evaluate_job_design};
     use aved_avail::DecompositionEngine;
     use aved_model::ParamValue;
 
@@ -407,50 +408,67 @@ mod tests {
     }
 
     #[test]
-    fn default_frontiers_equal_unpruned_ones_point_for_point() {
-        // A frontier fixes its cost bound at none, so pruning has nothing
-        // to prune: the default options give the frontier evaluated
-        // without pruning, every metric bit for bit.
+    fn enterprise_frontiers_match_per_candidate_evaluation() {
+        // A frontier runs without a cost bound, so it prunes nothing and
+        // equals the frontier of every candidate evaluated alone, every
+        // metric bit for bit.
         let fx = app_tier_fixture();
         let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
         let options = SearchOptions::default();
         for load in [400.0, 1000.0] {
-            let (pruned, health) =
+            let objective = Objective::downtime_at(load);
+            let expected = per_candidate_frontier(&ctx, "application", &objective, None, &options);
+            let (frontier, health) =
                 tier_pareto_frontier(&ctx, "application", load, &options).unwrap();
-            let (exhaustive, _) = tier_pareto_frontier(
-                &ctx,
-                "application",
-                load,
-                &options.clone().without_pruning(),
-            )
-            .unwrap();
             assert_eq!(health.candidates_pruned, 0, "load {load}: {health}");
-            assert_eq!(pruned.len(), exhaustive.len(), "load {load}");
-            for (a, b) in pruned.iter().zip(&exhaustive) {
-                assert_bit_identical(a, b, &format!("load {load}"));
+            assert_eq!(frontier.len(), expected.len(), "load {load}");
+            for (got, want) in frontier.iter().zip(&expected) {
+                assert_bit_identical(got, want, &format!("load {load}"));
             }
         }
+    }
 
-        let fx = job_fixture();
-        let ctx = fx.context(&engine);
-        let options = options
-            .with_pin("maintenanceA", "level", ParamValue::Level("bronze".into()))
-            .with_pin("maintenanceB", "level", ParamValue::Level("bronze".into()));
-        let totals = [1, 2, 4, 8, 16, 32];
-        let (pruned, health) = job_frontier(&ctx, "computation", &totals, &options).unwrap();
-        let (exhaustive, _) = job_frontier(
-            &ctx,
-            "computation",
-            &totals,
-            &options.clone().without_pruning(),
-        )
-        .unwrap();
-        assert_eq!(health.candidates_pruned, 0, "{health}");
-        assert_eq!(pruned.len(), exhaustive.len());
-        for (a, b) in pruned.iter().zip(&exhaustive) {
-            assert_bit_identical(a, b, "job frontier");
+    /// The Pareto frontier of every candidate of `tier` under `objective`,
+    /// each evaluated alone: the candidates `frontier` enumerates, at
+    /// `objective`'s levels or over the totals `grid`.
+    fn per_candidate_frontier(
+        ctx: &EvalContext<'_>,
+        tier: &str,
+        objective: &Objective,
+        grid: Option<&[u32]>,
+        options: &SearchOptions,
+    ) -> Vec<EvaluatedDesign> {
+        let tier = ctx.tier(tier).unwrap();
+        let mut every = Vec::new();
+        for option in tier.options() {
+            let (min_active, totals): (u32, Vec<u32>) = match grid {
+                Some(grid) => (1, grid.to_vec()),
+                None => match objective.levels(ctx, option, options).unwrap() {
+                    Some((min_active, totals)) => (min_active, totals.collect()),
+                    None => continue,
+                },
+            };
+            for n_total in totals {
+                for td in enumerate_tier_candidates(
+                    ctx.infrastructure(),
+                    tier.name(),
+                    option,
+                    n_total,
+                    min_active,
+                    options,
+                ) {
+                    let evaluated = match *objective {
+                        Objective::Enterprise { load, .. } => {
+                            evaluate_enterprise_design(ctx, option, &td, load)
+                        }
+                        Objective::Job { .. } => evaluate_job_design(ctx, option, &td),
+                    };
+                    every.extend(evaluated.unwrap());
+                }
+            }
         }
+        pareto_by(every, |e| objective.quality(e).unwrap())
     }
 
     /// Bit-level equality of every metric two evaluations carry.
@@ -475,25 +493,14 @@ mod tests {
             "checkpoint_interval",
             ParamValue::Duration(Duration::from_hours(1.0)),
         );
+        let objective = Objective::Job {
+            max_time: Duration::from_secs(f64::INFINITY),
+        };
         for fx in [job_fixture(), maintenance_innermost_job_fixture()] {
             let plain = DecompositionEngine::default();
             let ctx = fx.context(&plain);
-            let mut every = Vec::new();
-            for option in ctx.tier("computation").unwrap().options() {
-                for &n_total in &grid {
-                    for td in enumerate_tier_candidates(
-                        ctx.infrastructure(),
-                        &"computation".into(),
-                        option,
-                        n_total,
-                        1,
-                        &options,
-                    ) {
-                        every.extend(evaluate_job_design(&ctx, option, &td).unwrap());
-                    }
-                }
-            }
-            let expected = pareto_by(every, |e| e.expected_job_time().unwrap());
+            let expected =
+                per_candidate_frontier(&ctx, "computation", &objective, Some(&grid), &options);
             let distinct = distinct_job_models(&ctx, "computation", &grid, &options);
             let engine = RecordingEngine::default();
             let ctx = fx.context(&engine);
@@ -501,6 +508,7 @@ mod tests {
             assert_eq!(engine.calls(), distinct);
             assert_eq!(engine.distinct(), distinct);
             assert_eq!(health.models_evaluated, distinct as u64);
+            assert_eq!(health.candidates_pruned, 0, "{health}");
             assert_eq!(
                 health.candidates_scored,
                 2 * health.models_evaluated,

@@ -164,10 +164,9 @@ fn cheapest_composition<F: AsRef<[EvaluatedDesign]>>(
 ///    one the full frontiers give, bit for bit.
 ///
 /// When step 3 finds no bound, the other tiers run full frontiers, and the
-/// proof of step 2 is re-checked after each. [`SearchOptions::prune`] off
-/// (see [`SearchOptions::without_pruning`]) runs every tier's full frontier
-/// in tier order, with no proof and no cap. `DESIGN.md`, "Budget-directed
-/// evaluation", gives the arguments.
+/// proof of step 2 is re-checked after each. Candidates no run reaches
+/// count as pruned. `DESIGN.md`, "Budget-directed evaluation", gives the
+/// arguments.
 ///
 /// Candidate evaluation failures are isolated to the failing candidate
 /// (unless [`SearchOptions::strict`]). [`SearchOptions::search_deadline`]
@@ -190,7 +189,6 @@ pub fn search_service_with_health(
         frontier: Objective::downtime_at(load),
         load,
         max_downtime,
-        prune: options.prune,
     };
     let mut tiers = Vec::new();
     for tier in ctx.service().tiers() {
@@ -214,7 +212,7 @@ pub fn search_service_with_health(
     // Candidates no run reached count as pruned: never evaluated after the
     // answer was proved, unless the deadline or a cancellation cut the
     // query short.
-    if options.prune && !health.interrupted {
+    if !health.interrupted {
         health.candidates_pruned += pending;
     }
     health.wall_time = started.elapsed();
@@ -238,13 +236,11 @@ struct Query {
     frontier: Objective,
     load: f64,
     max_downtime: Duration,
-    /// [`SearchOptions::prune`]: direct the frontiers by the budget.
-    prune: bool,
 }
 
 impl Query {
     /// The query's answer over enumerated `tiers`, running as few
-    /// candidates as prove it when `prune` is set (steps 2–4 of
+    /// candidates as prove it (steps 2–4 of
     /// [`search_service_with_health`]).
     fn answer(
         &self,
@@ -255,9 +251,7 @@ impl Query {
         }
         // Fewest candidates first (stable: ties keep tier order).
         let mut order: Vec<usize> = (0..tiers.len()).collect();
-        if self.prune {
-            order.sort_by_key(|&i| tiers[i].tier.batch.len());
-        }
+        order.sort_by_key(|&i| tiers[i].tier.batch.len());
         let Some((&first, rest)) = order.split_first() else {
             return Ok(None);
         };
@@ -265,10 +259,10 @@ impl Query {
             return Ok(None);
         }
 
-        let bound = if self.prune && !rest.is_empty() {
-            self.upper_bound(tiers, first, rest)?
-        } else {
+        let bound = if rest.is_empty() {
             None
+        } else {
+            self.upper_bound(tiers, first, rest)?
         };
         if let Some(ub) = bound {
             let mins: Vec<Money> = tiers.iter().map(|t| self.least_cost(t)).collect();
@@ -329,23 +323,22 @@ impl Query {
     /// or over all of them. Candidates an earlier run folded are not
     /// evaluated again.
     fn run(&self, tier: &mut TierQuery<'_, '_>, cap: Option<Money>) -> Result<(), SearchError> {
-        tier.sweep.fix_bound(cap);
-        tier.frontier = pareto_frontier(&mut tier.sweep, &self.frontier, &mut tier.tier.batch)?;
+        tier.frontier =
+            pareto_frontier(&mut tier.sweep, &self.frontier, &mut tier.tier.batch, cap)?;
         tier.complete = cap.is_none() && !tier.sweep.health.interrupted;
         Ok(())
     }
 
     /// Runs tier `i`'s full frontier; `true` when that proves the query
-    /// infeasible: the frontier is empty, or (with `prune`) the tiers run
-    /// in full so far cannot meet the budget whatever the others choose.
+    /// infeasible: the frontier is empty, or the tiers run in full so far
+    /// cannot meet the budget whatever the others choose.
     fn settled_infeasible(
         &self,
         tiers: &mut [TierQuery<'_, '_>],
         i: usize,
     ) -> Result<bool, SearchError> {
         self.run(&mut tiers[i], None)?;
-        let floor = || misses(best_availability(tiers), self.max_downtime);
-        Ok(tiers[i].frontier.is_empty() || (self.prune && floor()))
+        Ok(tiers[i].frontier.is_empty() || misses(best_availability(tiers), self.max_downtime))
     }
 
     /// An upper bound on the answer's cost: the cheapest of a few feasible

@@ -237,9 +237,9 @@ impl Batch<'_> {
     }
 }
 
-/// `true` when a known-feasible design of cost `bound` prunes a candidate
-/// of cost `cost`: only a strictly cheaper one does, since an equal-cost
-/// candidate still competes on quality. No bound prunes nothing.
+/// `true` when cost bound `bound` prunes a candidate of cost `cost`: only
+/// a strictly dearer candidate is pruned, since an equal-cost one still
+/// competes on quality. No bound prunes nothing.
 fn beaten(bound: Option<Money>, cost: Money) -> bool {
     bound.is_some_and(|bound| bound < cost)
 }
@@ -284,13 +284,6 @@ pub(crate) struct Sweep<'s, 'c> {
     /// recur between levels (same n/m/s splits with different rates), so
     /// the session keeps paying off sweep-wide.
     session: EvalSession,
-    /// The cost bound: no candidate dearer than it is evaluated.
-    /// A search starts without one and lowers it to the cheapest feasible
-    /// cost it folds, across batches, since no dearer candidate can win.
-    bound: Option<Money>,
-    /// `true` once [`Sweep::fix_bound`] has fixed `bound`: folding a
-    /// feasible design no longer lowers it.
-    bound_fixed: bool,
     pub(crate) health: SearchHealth,
 }
 
@@ -319,8 +312,6 @@ impl<'s, 'c> Sweep<'s, 'c> {
             plans,
             session: EvalSession::new().with_budget(budget.clone()),
             budget,
-            bound: None,
-            bound_fixed: false,
             health: SearchHealth {
                 jobs: 1,
                 enumeration_time: enumerating.elapsed(),
@@ -337,24 +328,6 @@ impl<'s, 'c> Sweep<'s, 'c> {
     /// The sweep's options.
     pub(crate) fn options(&self) -> &'s SearchOptions {
         self.options
-    }
-
-    /// Fixes the cost bound at `bound`, or at none: from now on only
-    /// candidates costing at most `bound` are evaluated, whatever the runs
-    /// fold. A frontier run needs this, since its objective counts every
-    /// result as feasible and would otherwise lower the bound to the
-    /// cheapest candidate; a full frontier fixes it at none, so that no
-    /// candidate is pruned.
-    pub(crate) fn fix_bound(&mut self, bound: Option<Money>) {
-        self.bound = bound;
-        self.bound_fixed = true;
-    }
-
-    /// Starts a search's cost bound: none, lowered to the cheapest
-    /// feasible cost the runs fold from now on.
-    pub(crate) fn bound_by_feasible(&mut self) {
-        self.bound = None;
-        self.bound_fixed = false;
     }
 
     /// Appends to `batch` the candidates of the tier's `option`-th option
@@ -412,14 +385,14 @@ impl<'s, 'c> Sweep<'s, 'c> {
         Ok(first_candidate..batch.candidates.len())
     }
 
-    /// Runs the candidates of `batch` in `range` under `objective` and hands
-    /// every surviving evaluation, in candidate order, to `accept`. Every
-    /// run of one batch uses objectives of one kind and load, which
-    /// evaluate a design alike, since the batch keeps each design's
-    /// evaluation for the next run. A sweep that is
-    /// stopping — the cancellation token fired or the deadline passed — is
-    /// marked interrupted at the end of the run; the caller then returns
-    /// its best-so-far result.
+    /// Runs the candidates of `batch` in `range` under `objective` and cost
+    /// bound `bound`, and hands every surviving evaluation, in candidate
+    /// order, to `accept`. Every run of one batch uses objectives of one
+    /// kind and load, which evaluate a design alike, since the batch keeps
+    /// each design's evaluation for the next run. A sweep that is stopping
+    /// — the cancellation token fired or the deadline passed — is marked
+    /// interrupted at the end of the run; the caller then returns its
+    /// best-so-far result.
     ///
     /// The fold walks the candidates in enumeration order and makes every
     /// decision there — prune, replay or score, journal, accept. A
@@ -432,22 +405,22 @@ impl<'s, 'c> Sweep<'s, 'c> {
     /// candidate an earlier run of the batch folded is handed to `accept`
     /// again, unless pruned, but not evaluated, journaled or counted again.
     ///
-    /// Candidates are pruned by cost when [`SearchOptions::prune`] is set:
-    /// a candidate that costs strictly more than the sweep's bound is
-    /// skipped. Unless [`Sweep::fix_bound`] fixed it, the bound is the
-    /// cheapest feasible design the sweep has folded, in this run or an
-    /// earlier one, which a dearer candidate cannot beat.
+    /// Every candidate that costs strictly more than the bound is pruned:
+    /// skipped, and counted as pruned until a later run folds it. No bound
+    /// prunes nothing. `accept` returns the new bound when it takes a
+    /// design that no dearer candidate can beat, and the bound drops to it
+    /// for the rest of the run; the caller owns the bound between runs.
     pub(crate) fn run(
         &mut self,
         objective: &Objective,
         batch: &mut Batch<'_>,
         range: Range<usize>,
-        mut accept: impl FnMut(EvaluatedDesign) -> Result<(), SearchError>,
+        mut bound: Option<Money>,
+        mut accept: impl FnMut(EvaluatedDesign) -> Result<Option<Money>, SearchError>,
     ) -> Result<(), SearchError> {
         let merging = Instant::now();
         let (ctx, options, budget) = (self.ctx, self.options, &self.budget);
         let tier = self.tier.name().as_str();
-        let mut bound = self.bound;
         let first = range.start;
         let keys: Vec<String> = if options.journal.is_some() || options.resume.is_some() {
             let key = |c: &Candidate| objective.journal_key(tier, &c.design);
@@ -468,7 +441,7 @@ impl<'s, 'c> Sweep<'s, 'c> {
         let mut evaluating = std::time::Duration::ZERO;
         for i in range {
             let c = &mut candidates[i];
-            if options.prune && beaten(bound, c.cost) {
+            if beaten(bound, c.cost) {
                 if c.state == Fold::Pending {
                     c.state = Fold::Pruned;
                     self.health.candidates_pruned += 1;
@@ -511,12 +484,6 @@ impl<'s, 'c> Sweep<'s, 'c> {
             if matches!(&result, Err(e) if e.is_cancellation()) {
                 continue;
             }
-            if let Ok(Some(e)) = &result {
-                let feasible = objective.quality(e).is_some_and(|q| objective.meets(q));
-                if !self.bound_fixed && feasible && bound.is_none_or(|b| e.cost() < b) {
-                    bound = Some(e.cost());
-                }
-            }
             if fresh {
                 if c.state == Fold::Pruned {
                     self.health.candidates_pruned -= 1;
@@ -535,7 +502,9 @@ impl<'s, 'c> Sweep<'s, 'c> {
                     if fresh {
                         self.health.absorb_eval(e.eval_health());
                     }
-                    accept(e)?;
+                    if let Some(lowered) = accept(e)? {
+                        bound = Some(lowered);
+                    }
                 }
                 Ok(None) => {}
                 Err(e) if fatal(&e, options.strict) => return Err(e),
@@ -545,7 +514,6 @@ impl<'s, 'c> Sweep<'s, 'c> {
         }
         self.health.solve_time += evaluating;
         self.health.merge_time += merging.elapsed().saturating_sub(evaluating);
-        self.bound = bound;
         self.health.interrupted |= stopping(&self.budget);
         Ok(())
     }

@@ -1,16 +1,14 @@
-//! Injected engine faults and the pruning toggle on the paper's fixtures.
+//! Injected engine faults on the paper's fixtures.
 //!
 //! On the Fig. 6 (e-commerce application tier) and Fig. 7 (scientific job
 //! tier) fixtures: model-keyed faults must skip exactly the candidates
 //! whose models they target, leaving the answer the unfaulted candidates
-//! give, and dominance pruning must not change a job search's winner.
+//! give, in a pruned search and in a frontier alike.
 
 use aved_avail::{DecompositionEngine, FaultInjectingEngine, InjectedFault};
 use aved_model::{Infrastructure, ParamValue, Service};
 use aved_perf::Catalog;
-use aved_search::{
-    job_frontier, search_job_tier, search_tier, EvalContext, EvaluatedDesign, SearchOptions,
-};
+use aved_search::{job_frontier, search_tier, EvalContext, EvaluatedDesign, SearchOptions};
 use aved_units::Duration;
 
 struct Fixture {
@@ -83,17 +81,15 @@ fn assert_same_frontier(want: &[EvaluatedDesign], got: &[EvaluatedDesign], label
 fn faulty_engine_skips_exactly_the_faulted_candidates() {
     // Model-keyed fault injection (the fault follows the model, not the
     // call schedule) kills every spare-carrying evaluation, so the winner
-    // is the one a search without spares finds.
-    //
-    // Pruning is off, so every candidate is evaluated and can fail and be
-    // skipped.
+    // is the one a search without spares finds. A skipped candidate never
+    // becomes the incumbent, so it never lowers the cost bound either.
     let fx = fig6_fixture();
     let inner = DecompositionEngine::default();
     let faulty = FaultInjectingEngine::new(&inner)
         .with_fault_when(|m| m.s() >= 1, InjectedFault::NonConvergence);
     let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &faulty);
     let budget = Duration::from_mins(100.0);
-    let opts = enterprise_opts().without_pruning();
+    let opts = enterprise_opts();
     let out = search_tier(&ctx, "application", 1000.0, budget, &opts).unwrap();
     let best = out.best().expect("feasible despite skips");
     let skipped = &out.health().skipped;
@@ -140,21 +136,4 @@ fn faulty_engine_frontier_is_the_frontier_of_the_unfaulted_candidates() {
         .unwrap()
         .0;
     assert_same_frontier(&clean, &frontier, "faulty fig7");
-}
-
-#[test]
-fn pruning_toggle_is_invisible_in_the_job_search_result() {
-    let fx = fig7_fixture();
-    let engine = DecompositionEngine::default();
-    let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &engine);
-    let deadline = Duration::from_hours(100.0);
-    let exhaustive =
-        search_job_tier(&ctx, "computation", deadline, &job_opts().without_pruning()).unwrap();
-    let e = exhaustive.best().expect("feasible");
-    assert_eq!(exhaustive.health().candidates_pruned, 0);
-    let pruned = search_job_tier(&ctx, "computation", deadline, &job_opts()).unwrap();
-    let p = pruned.best().expect("feasible");
-    assert_eq!(e.design(), p.design());
-    assert_eq!(e.cost(), p.cost());
-    assert_eq!(e.expected_job_time(), p.expected_job_time());
 }

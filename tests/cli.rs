@@ -382,6 +382,119 @@ fn a_malformed_pin_exits_2_with_usage() {
     }
 }
 
+/// The load-400 / 88-min enterprise query pinned by `pins`.
+fn pinned_design<'a>(pins: &[&'a str]) -> Vec<&'a str> {
+    let mut args = vec![
+        "design",
+        "--paper-ecommerce",
+        "--load",
+        "400",
+        "--max-downtime",
+        "88m",
+    ];
+    for pin in pins {
+        args.extend(["--pin", pin]);
+    }
+    args
+}
+
+#[test]
+fn pins_and_tiers_the_models_lack_exit_2_naming_them() {
+    let job = [
+        "design",
+        "--paper-scientific",
+        "--max-execution-time",
+        "20h",
+        "--pin",
+        "checkpoint.storage_location=moon",
+    ];
+    let sweep = [
+        "sweep",
+        "--paper-ecommerce",
+        "--tier",
+        "ghost",
+        "--load",
+        "400",
+    ];
+    let export = [
+        "export-markov",
+        "--infrastructure",
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../data/infrastructure.aved"
+        ),
+        "--resource",
+        "rC",
+        "--active",
+        "2",
+        "--min",
+        "2",
+        "--pin",
+        "maintenanceA.level=diamond",
+    ];
+    let twice = ["maintenanceA.level=gold", "maintenanceA.level=bronze"];
+    let cases: [(Vec<&str>, &str); 7] = [
+        (
+            pinned_design(&["maintenanceZ.level=gold"]),
+            "maintenanceZ.level=gold",
+        ),
+        (
+            pinned_design(&["maintenanceA.lvl=gold"]),
+            "maintenanceA.lvl=gold",
+        ),
+        (
+            pinned_design(&["maintenanceA.level=diamond"]),
+            "maintenanceA.level=diamond",
+        ),
+        (job.to_vec(), "checkpoint.storage_location=moon"),
+        (export.to_vec(), "maintenanceA.level=diamond"),
+        (pinned_design(&twice), twice[1]),
+        (sweep.to_vec(), "ghost"),
+    ];
+    for (args, input) in cases {
+        let out = run(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(&format!("{input:?}")), "{args:?}: {err}");
+        assert!(err.contains("usage"), "{args:?}: {err}");
+        assert!(stdout(&out).is_empty(), "{args:?}");
+    }
+}
+
+#[test]
+fn a_usage_error_leaves_an_existing_journal_untouched() {
+    let dir = std::env::temp_dir();
+    let journal = dir.join(format!("aved-cli-untouched-{}.jsonl", std::process::id()));
+    let journal = journal.to_str().unwrap();
+    let mut args = pinned_design(&[]);
+    args.extend(["--journal", journal]);
+    let written = run(&args);
+    assert!(written.status.success(), "stderr: {}", stderr(&written));
+    let before = std::fs::read(journal).unwrap();
+    assert!(before.iter().filter(|&&b| b == b'\n').count() > 1);
+
+    let sweep = vec![
+        "sweep",
+        "--paper-ecommerce",
+        "--tier",
+        "ghost",
+        "--load",
+        "400",
+    ];
+    for mut args in [
+        pinned_design(&["garbage"]),
+        pinned_design(&["maintenanceA.level=diamond"]),
+        pinned_design(&["maintenanceA.level=gold", "maintenanceA.level=bronze"]),
+        sweep,
+    ] {
+        args.extend(["--journal", journal]);
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert_eq!(std::fs::read(journal).unwrap(), before, "{args:?}");
+    }
+    std::fs::remove_file(journal).ok();
+}
+
 #[test]
 fn governance_durations_past_the_clock_range_are_handled() {
     for flag in ["--candidate-timeout", "--search-deadline"] {
