@@ -158,12 +158,12 @@ when it passes — or on SIGINT/SIGTERM — the search stops at the next
 candidate boundary, the best design found so far is printed, and the
 process exits with code 6.
 
---journal FILE checkpoints every candidate outcome to an append-only
-file as the sweep runs; --resume FILE replays such a journal so an
-interrupted sweep continues where it stopped and provably selects the
-same winner. The same path may be passed to both. A journal records its
-engine and truncation depth, and resuming it under another engine or
-depth is refused (exit 3).
+--journal FILE checkpoints every candidate group's outcome to an
+append-only file as the sweep runs; --resume FILE replays such a journal
+so an interrupted sweep continues where it stopped and provably selects
+the same winner. The same path may be passed to both. A journal records
+its format version, engine and truncation depth, and resuming one of
+another version, engine or depth is refused (exit 3).
 
 exit codes: 0 success, 2 usage, 3 unreadable/unparsable model or journal files,
 4 no feasible design, 5 evaluation-engine failure,

@@ -1,6 +1,7 @@
 //! Resolved designs (paper §4: the output of the design-space search).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -26,6 +27,29 @@ pub enum SpareMode {
 }
 
 impl SpareMode {
+    /// The mode of component slot `slot` of a resource with `n_slots`
+    /// slots: [`modes`](Self::modes)`(n_slots)[slot]`, without building
+    /// the list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `PerComponent` assignment has the wrong length.
+    #[must_use]
+    pub fn mode(&self, slot: usize, n_slots: usize) -> OperationalMode {
+        match self {
+            SpareMode::AllInactive => OperationalMode::Inactive,
+            SpareMode::AllActive => OperationalMode::Active,
+            SpareMode::PerComponent(modes) => {
+                assert_eq!(
+                    modes.len(),
+                    n_slots,
+                    "per-component spare modes must cover every slot"
+                );
+                modes[slot]
+            }
+        }
+    }
+
     /// Expands to one mode per component slot.
     ///
     /// # Panics
@@ -79,8 +103,13 @@ pub struct TierDesign {
     settings: SettingList,
 }
 
+/// A mechanism and one of its parameters: the key of a setting, shared
+/// behind one pointer, so that a setting takes 24 bytes and copying it
+/// into a design touches one reference count.
+pub type SettingKey = Arc<(MechanismName, ParamName)>;
+
 /// One mechanism setting: the mechanism's parameter and its value.
-type Setting = ((MechanismName, ParamName), ParamValue);
+type Setting = (SettingKey, ParamValue);
 
 /// A tier design's mechanism settings, sorted by (mechanism, parameter),
 /// each key once: a map kept as a short sorted list, since a design has a
@@ -126,16 +155,17 @@ impl SettingList {
     /// present, `Err` with its insertion point otherwise.
     fn find(&self, mechanism: &str, param: &str) -> Result<usize, usize> {
         self.as_slice()
-            .binary_search_by(|((m, p), _)| (m.as_str(), p.as_str()).cmp(&(mechanism, param)))
+            .binary_search_by(|(key, _)| (key.0.as_str(), key.1.as_str()).cmp(&(mechanism, param)))
     }
 
-    /// Sets `mechanism`'s `param` to `value`, replacing any earlier value.
-    fn set(&mut self, mechanism: MechanismName, param: ParamName, value: ParamValue) {
-        match (self.find(mechanism.as_str(), param.as_str()), &mut *self) {
+    /// Sets the parameter `key` names to `value`, replacing any earlier
+    /// value.
+    fn set(&mut self, key: SettingKey, value: ParamValue) {
+        match (self.find(key.0.as_str(), key.1.as_str()), &mut *self) {
             (Ok(_), SettingList::One(setting)) => setting.1 = value,
             (Ok(at), SettingList::Many(settings)) => settings[at].1 = value,
             (Err(at), _) => {
-                let setting = ((mechanism, param), value);
+                let setting = (key, value);
                 *self = match std::mem::take(self) {
                     SettingList::Many(settings) if settings.is_empty() => SettingList::One(setting),
                     list => {
@@ -166,7 +196,7 @@ mod settings_serde {
         let entries: Vec<(&MechanismName, &ParamName, &ParamValue)> = settings
             .as_slice()
             .iter()
-            .map(|((m, p), v)| (m, p, v))
+            .map(|(key, v)| (&key.0, &key.1, v))
             .collect();
         entries.serialize(serializer)
     }
@@ -177,7 +207,7 @@ mod settings_serde {
         let entries: Vec<(MechanismName, ParamName, ParamValue)> = Vec::deserialize(deserializer)?;
         let mut settings = SettingList::default();
         for (m, p, v) in entries {
-            settings.set(m, p, v);
+            settings.set(super::Arc::new((m, p)), v);
         }
         Ok(settings)
     }
@@ -215,12 +245,19 @@ impl TierDesign {
 
     /// Sets one mechanism parameter.
     #[must_use]
-    pub fn with_setting<M, P>(mut self, mechanism: M, param: P, value: ParamValue) -> TierDesign
+    pub fn with_setting<M, P>(self, mechanism: M, param: P, value: ParamValue) -> TierDesign
     where
         M: Into<MechanismName>,
         P: Into<ParamName>,
     {
-        self.settings.set(mechanism.into(), param.into(), value);
+        self.with_keyed_setting(Arc::new((mechanism.into(), param.into())), value)
+    }
+
+    /// Sets the mechanism parameter `key` names, sharing the key: the
+    /// allocation-free form of [`with_setting`](Self::with_setting).
+    #[must_use]
+    pub fn with_keyed_setting(mut self, key: SettingKey, value: ParamValue) -> TierDesign {
+        self.settings.set(key, value);
         self
     }
 
@@ -263,7 +300,7 @@ impl TierDesign {
     /// All mechanism settings, sorted by (mechanism, parameter), each
     /// once.
     #[must_use]
-    pub fn settings(&self) -> &[((MechanismName, ParamName), ParamValue)] {
+    pub fn settings(&self) -> &[(SettingKey, ParamValue)] {
         self.settings.as_slice()
     }
 
@@ -304,7 +341,7 @@ impl std::fmt::Display for TierDesign {
             let settings: Vec<String> = self
                 .settings()
                 .iter()
-                .map(|((m, p), v)| format!("{m}.{p}={v}"))
+                .map(|(key, v)| format!("{}.{}={v}", key.0, key.1))
                 .collect();
             write!(f, " [{}]", settings.join(", "))?;
         }
@@ -405,7 +442,8 @@ impl Design {
                 }
             }
             // Mechanism settings within range.
-            for ((mech, param), value) in td.settings() {
+            for (key, value) in td.settings() {
+                let (mech, param) = &**key;
                 let mechanism = infrastructure.mechanism(mech.as_str()).ok_or_else(|| {
                     ModelError::UnknownMechanism {
                         context: format!("design for tier {}", td.tier()),
@@ -600,7 +638,7 @@ impl Design {
                 .settings()
                 .iter()
                 .chain(new.settings())
-                .map(|(key, _)| key.clone())
+                .map(|(key, _)| (**key).clone())
                 .collect();
             for (mech, param) in keys {
                 let from = old.setting(mech.as_str(), param.as_str()).cloned();
@@ -661,7 +699,7 @@ mod tests {
         let keys = |td: &TierDesign| -> Vec<String> {
             td.settings()
                 .iter()
-                .map(|((m, p), v)| format!("{m}.{p}={v}"))
+                .map(|(key, v)| format!("{}.{}={v}", key.0, key.1))
                 .collect()
         };
         let one = TierDesign::new("web", "rA", 1, 0).with_setting("m", "b", level("x"));

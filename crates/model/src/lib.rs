@@ -35,7 +35,7 @@ mod service;
 
 pub use component::{ComponentType, DurationSpec, FailureMode};
 pub use cost::{design_cost, tier_design_cost, CostBreakdown};
-pub use design::{Design, DesignChange, SpareMode, TierDesign};
+pub use design::{Design, DesignChange, SettingKey, SpareMode, TierDesign};
 pub use error::ModelError;
 pub use infrastructure::Infrastructure;
 pub use mechanism::{

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use aved_units::{Duration, Money};
 use serde::{Deserialize, Serialize};
 
-use crate::{MechanismName, ModelError, ParamName};
+use crate::{MechanismName, ModelError, ParamName, SettingKey};
 
 /// The domain of one mechanism configuration parameter.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -280,6 +280,21 @@ pub struct Mechanism {
     cost: MechanismCost,
     /// The declared effects, indexed by [`EffectKind`].
     effects: [Option<EffectValue>; 3],
+    #[serde(skip)]
+    keys: SettingKeys,
+}
+
+/// The setting key of each of a mechanism's parameters, built on first use
+/// and shared by every design that sets the parameter, so that designs
+/// kept by the thousand do not each hold their own. They follow from the
+/// mechanism's name and parameters, which equality compares.
+#[derive(Debug, Clone, Default)]
+struct SettingKeys(std::sync::OnceLock<Vec<SettingKey>>);
+
+impl PartialEq for SettingKeys {
+    fn eq(&self, _: &SettingKeys) -> bool {
+        true
+    }
 }
 
 impl Mechanism {
@@ -290,6 +305,7 @@ impl Mechanism {
             params: Vec::new(),
             cost: MechanismCost::Fixed(Money::ZERO),
             effects: [None, None, None],
+            keys: SettingKeys::default(),
         }
     }
 
@@ -297,7 +313,18 @@ impl Mechanism {
     #[must_use]
     pub fn with_param(mut self, p: Parameter) -> Mechanism {
         self.params.push(p);
+        self.keys = SettingKeys::default();
         self
+    }
+
+    /// The key of each parameter's settings, in [`params`](Self::params)
+    /// order: pass it to [`TierDesign::with_keyed_setting`](crate::TierDesign::with_keyed_setting)
+    /// to share it.
+    pub fn setting_keys(&self) -> &[SettingKey] {
+        self.keys.0.get_or_init(|| {
+            let key = |p: &Parameter| SettingKey::new((self.name.clone(), p.name().clone()));
+            self.params.iter().map(key).collect()
+        })
     }
 
     /// Sets a flat annual cost.

@@ -5,8 +5,8 @@ use std::time::Instant;
 
 use aved_avail::{CancelToken, SolveBudget};
 use aved_model::{
-    EffectKind, Infrastructure, MechanismName, MechanismUse, ParamName, ParamValue, ResourceOption,
-    ResourceType, SpareMode, TierDesign, TierName,
+    EffectKind, Infrastructure, Mechanism, MechanismCost, MechanismName, MechanismUse, ParamName,
+    ParamValue, ResourceOption, ResourceType, SettingKey, SpareMode, TierDesign, TierName,
 };
 
 use crate::journal::{JournalReplay, SweepJournal};
@@ -235,46 +235,6 @@ pub fn relevant_mechanisms(
         .collect()
 }
 
-/// Enumerates every combination of parameter settings across the given
-/// mechanisms (Cartesian product of all parameter ranges).
-///
-/// Each returned setting assignment is a list of
-/// `(mechanism, parameter, value)` triples ready to apply to a
-/// [`TierDesign`].
-#[must_use]
-pub fn enumerate_settings(
-    infrastructure: &Infrastructure,
-    mechanisms: &[MechanismName],
-    pins: &[(MechanismName, String, ParamValue)],
-) -> Vec<Vec<(MechanismName, ParamName, ParamValue)>> {
-    let mut combos: Vec<Vec<(MechanismName, ParamName, ParamValue)>> = vec![Vec::new()];
-    for mech_name in mechanisms {
-        let Some(mech) = infrastructure.mechanism(mech_name.as_str()) else {
-            continue;
-        };
-        for param in mech.params() {
-            let pinned = pins
-                .iter()
-                .find(|(m, p, _)| m == mech_name && p == param.name().as_str())
-                .map(|(_, _, v)| v.clone());
-            let values = match pinned {
-                Some(v) => vec![v],
-                None => param.range().values(),
-            };
-            let mut next = Vec::with_capacity(combos.len() * values.len());
-            for combo in &combos {
-                for value in &values {
-                    let mut extended = combo.clone();
-                    extended.push((mech_name.clone(), param.name().clone(), value.clone()));
-                    next.push(extended);
-                }
-            }
-            combos = next;
-        }
-    }
-    combos
-}
-
 /// The mechanisms whose settings enter an option's tier model: those its
 /// resource's components delegate an attribute to whose kind
 /// [enters the tier model](EffectKind::enters_tier_model). An effect reads
@@ -309,76 +269,182 @@ fn max_total(infrastructure: &Infrastructure, option: &ResourceOption) -> u32 {
         .unwrap_or(u32::MAX)
 }
 
-/// One option's mechanism-setting combinations, enumerated once per sweep.
+/// One setting: its mechanism and parameter, and its value.
+type Setting = (SettingKey, ParamValue);
+
+/// How a mechanism setting enters a candidate's evaluation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SettingKind {
+    /// Its mechanism sets an attribute of the tier model
+    /// (`model_mechanisms`).
+    Model,
+    /// It selects its mechanism's [`MechanismCost::Table`] entry.
+    Cost,
+    /// Neither, so only a candidate's quality reads it: a finite job's
+    /// completion time reads a checkpoint's interval and storage location.
+    QualityOnly,
+}
+
+/// The kind of `mechanism`'s parameter `param` for a tier option whose
+/// model reads the mechanisms `model`.
+fn setting_kind(model: &[&MechanismName], mechanism: &Mechanism, param: &ParamName) -> SettingKind {
+    match mechanism.cost_spec() {
+        _ if model.contains(&mechanism.name()) => SettingKind::Model,
+        MechanismCost::Table { param: p, .. } if p == param => SettingKind::Cost,
+        _ => SettingKind::QualityOnly,
+    }
+}
+
+/// `td` with `settings` applied.
+fn with_settings(mut td: TierDesign, settings: &[Setting]) -> TierDesign {
+    for (key, value) in settings {
+        td = td.with_keyed_setting(key.clone(), value.clone());
+    }
+    td
+}
+
+/// One option's mechanism settings, enumerated once per sweep: each
+/// parameter of the option's relevant mechanisms takes each value of its
+/// range, or its pinned value, the last parameter varying fastest.
 ///
-/// Each combination is tagged with its projection onto the settings the
-/// tier model reads (see `model_mechanisms`), numbered in order of first
-/// appearance. Two candidates with the same active/spare split and spare
-/// mode therefore share an *availability design* — one tier model —
-/// exactly when their combinations share a projection, wherever they sit
-/// in enumeration order.
+/// The candidates of one (split, spare mode) *block* that agree on every
+/// setting but the varying quality-only ones — [`SettingKind::QualityOnly`]
+/// parameters with more than one value — form a *group*: they share a tier
+/// model and a cost, so a search keeps only the group's best. The plan
+/// lists each group's shared settings and, once for all groups, the *grid*
+/// of the varying settings, each with its offset: a candidate enumerates
+/// at its group's offset in the block plus its point's. Each group's
+/// projection onto the settings its tier model reads is numbered in order
+/// of first appearance; the groups of a block that share a projection
+/// share an *availability design*, one tier model.
 pub(crate) struct SettingsPlan {
-    combos: Vec<Vec<(MechanismName, ParamName, ParamValue)>>,
-    /// The projection of each combination.
+    /// Each group's shared settings and offset, in enumeration order.
+    groups: Vec<(Vec<Setting>, usize)>,
+    /// Each group's projection, and the number of distinct projections.
     projection: Vec<usize>,
-    /// The number of distinct projections.
     projections: usize,
+    /// Each grid point's settings and offset, in enumeration order.
+    points: Vec<(Vec<Setting>, usize)>,
     /// The most resources a design may hold under the components'
     /// `max_instances` bounds.
     max_total: u32,
 }
 
 impl SettingsPlan {
-    /// Enumerates `option`'s settings combinations under `pins` and
-    /// projects each onto the settings its tier model reads.
+    /// Enumerates `option`'s settings under `pins` into groups and grid.
     pub(crate) fn new(
         infrastructure: &Infrastructure,
         option: &ResourceOption,
         pins: &[(MechanismName, String, ParamValue)],
     ) -> SettingsPlan {
-        let mechanisms = relevant_mechanisms(infrastructure, option);
-        let combos = enumerate_settings(infrastructure, &mechanisms, pins);
-        let read = model_mechanisms(infrastructure, option);
-        let mut seen: Vec<Vec<&ParamValue>> = Vec::new();
-        let projection = combos
-            .iter()
-            .map(|combo| {
-                let key: Vec<&ParamValue> = combo
+        let model = model_mechanisms(infrastructure, option);
+        // Each parameter, last first, with its values, its stride in
+        // enumeration order and whether it varies in the grid.
+        let (mut params, mut stride) = (Vec::new(), 1);
+        for name in relevant_mechanisms(infrastructure, option).iter().rev() {
+            let Some(mech) = infrastructure.mechanism(name.as_str()) else {
+                continue;
+            };
+            for (param, key) in mech.params().iter().zip(mech.setting_keys()).rev() {
+                let pin = pins
                     .iter()
-                    .filter(|(m, _, _)| read.contains(&m))
-                    .map(|(_, _, v)| v)
-                    .collect();
+                    .find(|(m, p, _)| m == name && p == param.name().as_str());
+                let values = pin.map_or_else(|| param.range().values(), |p| vec![p.2.clone()]);
+                let kind = setting_kind(&model, mech, param.name());
+                let grid = values.len() > 1 && kind == SettingKind::QualityOnly;
+                let len = values.len();
+                params.push((key.clone(), values, stride, grid));
+                stride *= len;
+            }
+        }
+        let product = |grid: bool| {
+            let mut combos: Vec<(Vec<Setting>, usize)> = vec![(Vec::new(), 0)];
+            for (key, values, stride, _) in params.iter().rev().filter(|p| p.3 == grid) {
+                let mut next = Vec::with_capacity(combos.len() * values.len());
+                for (combo, at) in &combos {
+                    for (k, value) in values.iter().enumerate() {
+                        let mut combo = combo.clone();
+                        combo.push((key.clone(), value.clone()));
+                        next.push((combo, at + k * stride));
+                    }
+                }
+                combos = next;
+            }
+            combos
+        };
+        let groups = product(false);
+        let mut seen: Vec<Vec<&ParamValue>> = Vec::new();
+        let projection = groups
+            .iter()
+            .map(|(group, _)| {
+                let read = group.iter().filter(|(key, _)| model.contains(&&key.0));
+                let key: Vec<&ParamValue> = read.map(|(_, v)| v).collect();
                 seen.iter().position(|k| *k == key).unwrap_or_else(|| {
                     seen.push(key);
                     seen.len() - 1
                 })
             })
             .collect();
-        let projections = seen.len();
         SettingsPlan {
-            combos,
+            projections: seen.len(),
             projection,
-            projections,
+            points: product(true),
+            groups,
             max_total: max_total(infrastructure, option),
         }
     }
 
-    /// Calls `emit` with each of `option`'s resolved tier designs with
-    /// exactly `n_total` resources, in enumeration order: every
+    /// The number of points in each group's grid.
+    pub(crate) fn points(&self) -> usize {
+        self.points.len()
+    }
+
+    /// The offset of grid point `point` from its group's first candidate.
+    pub(crate) fn point_offset(&self, point: usize) -> usize {
+        self.points[point].1
+    }
+
+    /// The candidate at `point` of the group `representative` holds the
+    /// shared settings of; `None` when the grid has no such point.
+    pub(crate) fn design(&self, representative: &TierDesign, point: usize) -> Option<TierDesign> {
+        let (settings, _) = self.points.get(point)?;
+        Some(with_settings(representative.clone(), settings))
+    }
+
+    /// One candidate of `tier` on `option` per group and grid point, group
+    /// by group: every settings combination, in the order the grid scorer
+    /// indexes them.
+    pub(crate) fn combinations<'a>(
+        &'a self,
+        tier: &TierName,
+        option: &ResourceOption,
+    ) -> impl Iterator<Item = TierDesign> + 'a {
+        let base = TierDesign::new(tier.clone(), option.resource().clone(), 1, 0);
+        self.groups.iter().flat_map(move |(group, _)| {
+            let representative = with_settings(base.clone(), group);
+            let points = self.points.iter();
+            points.map(move |(point, _)| with_settings(representative.clone(), point))
+        })
+    }
+
+    /// Calls `emit` with one representative of each group of `option`'s
+    /// designs with exactly `n_total` resources, in enumeration order: every
     /// active/spare split (respecting the option's `nActive` constraint and
-    /// the minimum `min_active`), every spare mode, every settings
-    /// combination. There are none when `n_total` resources would need
-    /// more instances of a component than its `max_instances`. Next to each design comes the number of its
-    /// availability design within these `n_total` resources — its split,
-    /// spare mode and projection — numbered in order of first appearance.
-    pub(crate) fn for_each_candidate(
+    /// the minimum `min_active`), every spare mode, every group. There are
+    /// none when `n_total` resources would need more instances of a
+    /// component than its `max_instances`. Next to each representative
+    /// come the number of its availability design within these `n_total`
+    /// resources — split, spare mode and projection — numbered in order of
+    /// first appearance, its group's index in the plan, and the offset of
+    /// its first candidate among those of these `n_total` resources.
+    pub(crate) fn for_each_group(
         &self,
         tier: &TierName,
         option: &ResourceOption,
         n_total: u32,
         min_active: u32,
         options: &SearchOptions,
-        mut emit: impl FnMut(TierDesign, usize),
+        mut emit: impl FnMut(TierDesign, usize, usize, usize),
     ) {
         if n_total > self.max_total {
             return;
@@ -397,14 +463,18 @@ impl SettingsPlan {
                 &options.spare_modes
             };
             for spare_mode in spare_modes {
-                for (combo, projection) in self.combos.iter().zip(&self.projection) {
-                    let mut td =
-                        TierDesign::new(tier.clone(), option.resource().clone(), n_active, n_spare)
-                            .with_spare_mode(spare_mode.clone());
-                    for (mech, param, value) in combo {
-                        td = td.with_setting(mech.clone(), param.clone(), value.clone());
-                    }
-                    emit(td, block * self.projections + projection);
+                let td =
+                    TierDesign::new(tier.clone(), option.resource().clone(), n_active, n_spare)
+                        .with_spare_mode(spare_mode.clone());
+                let first = block * self.groups.len() * self.points();
+                for (group, (settings, at)) in self.groups.iter().enumerate() {
+                    let availability = block * self.projections + self.projection[group];
+                    emit(
+                        with_settings(td.clone(), settings),
+                        availability,
+                        group,
+                        first + at,
+                    );
                 }
                 block += 1;
             }
@@ -426,16 +496,23 @@ pub fn enumerate_tier_candidates(
     min_active: u32,
     options: &SearchOptions,
 ) -> Vec<TierDesign> {
+    let plan = SettingsPlan::new(infrastructure, option, &options.pins);
     let mut out = Vec::new();
-    SettingsPlan::new(infrastructure, option, &options.pins).for_each_candidate(
+    plan.for_each_group(
         tier,
         option,
         n_total,
         min_active,
         options,
-        |td, _| out.push(td),
+        |td, _, _, at| {
+            let points = plan.points.iter();
+            out.extend(
+                points.map(|(point, offset)| (at + offset, with_settings(td.clone(), point))),
+            );
+        },
     );
-    out
+    out.sort_by_key(|&(at, _)| at);
+    out.into_iter().map(|(_, td)| td).collect()
 }
 
 #[cfg(test)]
@@ -509,18 +586,34 @@ mod tests {
             "mode",
             ParamRange::Levels(vec!["x".into(), "y".into(), "z".into()]),
         )));
-        let combos = enumerate_settings(&infra, &["maintenanceA".into(), "other".into()], &[]);
-        // 2 levels x 3 modes.
-        assert_eq!(combos.len(), 6);
-        for combo in &combos {
-            assert_eq!(combo.len(), 2);
-        }
+        let opt = option().with_mechanism(MechanismUse::new("other", None));
+        let opts = SearchOptions::default();
+        let cands = enumerate_tier_candidates(&infra, &"t".into(), &opt, 1, 1, &opts);
+        // 2 levels x 3 modes, the mode (last) varying fastest.
+        let combos: Vec<String> = cands
+            .iter()
+            .map(|td| {
+                let value = |m, p| td.setting(m, p).unwrap().to_string();
+                format!(
+                    "{}/{}",
+                    value("maintenanceA", "level"),
+                    value("other", "mode")
+                )
+            })
+            .collect();
+        let expected = [
+            "bronze/x", "bronze/y", "bronze/z", "gold/x", "gold/y", "gold/z",
+        ];
+        assert_eq!(combos, expected);
     }
 
     #[test]
     fn unknown_mechanisms_are_skipped() {
-        let combos = enumerate_settings(&infra(), &["ghost".into()], &[]);
-        assert_eq!(combos, vec![Vec::new()]);
+        let opt = option().with_mechanism(MechanismUse::new("ghost", None));
+        let opts = SearchOptions::default();
+        let cands = enumerate_tier_candidates(&infra(), &"t".into(), &opt, 1, 1, &opts);
+        assert_eq!(cands.len(), 2, "the two maintenance levels alone");
+        assert!(cands.iter().all(|td| td.settings().len() == 1));
     }
 
     #[test]
@@ -659,8 +752,56 @@ mod tests {
         // 2 maintenance levels x 3 schedules x 2 checkpoint intervals, of
         // which the tier model tells apart only the first two factors.
         let plan = SettingsPlan::new(&infra, &option(), &[]);
-        assert_eq!(plan.combos.len(), 12);
+        assert_eq!(plan.groups.len() * plan.points(), 12);
         assert_eq!(plan.projections, 6);
+    }
+
+    #[test]
+    fn settings_are_classified_as_model_cost_or_quality_only() {
+        // The paper's scientific option: the maintenance level sets the
+        // tier model, the checkpoint's settings only the completion time.
+        let infra =
+            aved_spec::parse_infrastructure(include_str!("../../../data/infrastructure.aved"))
+                .unwrap();
+        let rh = ResourceOption::new(
+            "rH",
+            Sizing::Static,
+            FailureScope::Tier,
+            NActiveSpec::List(vec![1]),
+            PerfRef::Const(100.0),
+        )
+        .with_mechanism(MechanismUse::new("checkpoint", Some("mperfH".into())));
+        let kind = |infra: &Infrastructure, mech: &str, param: &str| {
+            let model = model_mechanisms(infra, &rh);
+            let mechanism = infra.mechanism(mech).unwrap();
+            setting_kind(&model, mechanism, &param.into())
+        };
+        assert_eq!(kind(&infra, "maintenanceA", "level"), SettingKind::Model);
+        for param in ["checkpoint_interval", "storage_location"] {
+            assert_eq!(kind(&infra, "checkpoint", param), SettingKind::QualityOnly);
+        }
+        let plan = SettingsPlan::new(&infra, &rh, &[]);
+        assert_eq!((plan.groups.len(), plan.points()), (4, 300));
+
+        // A storage-keyed cost table makes the location a cost setting:
+        // it moves from the grid into the groups.
+        let checkpoint = infra.mechanism("checkpoint").unwrap().clone();
+        let keyed = checkpoint.with_cost_table(
+            "storage_location",
+            vec![Money::from_dollars(0.0), Money::from_dollars(50.0)],
+        );
+        let infra = infra.with_mechanism(keyed);
+        assert_eq!(
+            kind(&infra, "checkpoint", "storage_location"),
+            SettingKind::Cost
+        );
+        assert_eq!(
+            kind(&infra, "checkpoint", "checkpoint_interval"),
+            SettingKind::QualityOnly
+        );
+        let plan = SettingsPlan::new(&infra, &rh, &[]);
+        assert_eq!((plan.groups.len(), plan.points()), (8, 150));
+        assert_eq!(plan.projections, 4, "the location still shares the model");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 
 use aved_avail::{derive_tier_model, loss_window, EvalHealth, EvalSession, TierAvailability};
 use aved_jobtime::JobParams;
-use aved_model::{tier_design_cost, ResourceOption, TierDesign};
+use aved_model::{tier_design_cost, MechanismName, ParamValue, ResourceOption, TierDesign};
+use aved_perf::{CheckpointOverhead, StorageLocation};
 use aved_units::{Duration, Money, Rate};
 
 use crate::{EvalContext, SearchError};
@@ -141,6 +142,26 @@ pub(crate) struct Assessment {
     throughput: f64,
 }
 
+impl Assessment {
+    /// Candidate `td` of this assessment's design at `cost`, with its
+    /// completion time when it is a finite job's.
+    pub(crate) fn evaluated(
+        &self,
+        td: TierDesign,
+        cost: Money,
+        expected_job_time: Option<Duration>,
+    ) -> EvaluatedDesign {
+        EvaluatedDesign {
+            design: td,
+            cost,
+            availability: self.availability,
+            min_for_perf: self.min_for_perf,
+            expected_job_time,
+            health: self.health,
+        }
+    }
+}
+
 /// Derives the tier model of `td` with `min_for_perf` as its performance
 /// minimum and runs the context's engine on it.
 fn assess(
@@ -198,19 +219,12 @@ pub(crate) fn assess_enterprise_design(
 /// The scoring half of an enterprise evaluation: `td`'s `cost` next to
 /// its design's availability.
 pub(crate) fn score_enterprise_design(
-    td: &TierDesign,
+    td: TierDesign,
     cost: Money,
     assessment: &Assessment,
-) -> Result<Option<EvaluatedDesign>, SearchError> {
+) -> Result<EvaluatedDesign, SearchError> {
     ensure_finite("cost", cost.dollars())?;
-    Ok(Some(EvaluatedDesign {
-        design: td.clone(),
-        cost,
-        availability: assessment.availability,
-        min_for_perf: assessment.min_for_perf,
-        expected_job_time: None,
-        health: assessment.health,
-    }))
+    Ok(assessment.evaluated(td, cost, None))
 }
 
 /// Evaluates a candidate design of an enterprise-service tier under a
@@ -250,7 +264,9 @@ pub fn evaluate_enterprise_design_in(
     session: &mut EvalSession,
 ) -> Result<Option<EvaluatedDesign>, SearchError> {
     match assess_enterprise_design(ctx, option, td, load, session)? {
-        Some(assessment) => score_enterprise_design(td, design_cost(ctx, td)?, &assessment),
+        Some(assessment) => {
+            score_enterprise_design(td.clone(), design_cost(ctx, td)?, &assessment).map(Some)
+        }
         None => Ok(None),
     }
 }
@@ -282,69 +298,118 @@ pub(crate) fn assess_job_design(
     assess(ctx, option, td, td.n_active(), throughput, session).map(Some)
 }
 
-/// The scoring half of a finite-job evaluation: `td`'s `cost` and its
-/// expected completion time per §4.2 (loss-window re-execution,
-/// checkpoint overhead, downtime scaling) from its design's availability.
-/// Everything read here beyond the assessment is `td`'s own: its
-/// checkpoint settings and loss window.
-pub(crate) fn score_job_design(
+/// The checkpoint overhead function of each of `option`'s mechanism uses
+/// that declares one, next to its mechanism, in the option's order:
+/// resolved once per option.
+pub(crate) fn checkpoint_overheads<'o>(
     ctx: &EvalContext<'_>,
-    option: &ResourceOption,
-    td: &TierDesign,
-    cost: Money,
-    assessment: &Assessment,
-) -> Result<Option<EvaluatedDesign>, SearchError> {
-    ensure_finite("cost", cost.dollars())?;
+    option: &'o ResourceOption,
+) -> Result<Vec<(&'o MechanismName, CheckpointOverhead)>, SearchError> {
+    let declared = option.mechanisms().iter().filter_map(|mu| {
+        let mperf = ctx.catalog().resolve_mperf(mu.mperformance()?);
+        Some(
+            mperf
+                .map(|mperf| (mu.mechanism(), mperf))
+                .map_err(SearchError::from),
+        )
+    });
+    declared.collect()
+}
 
-    // Failure-free computation time, inflated by checkpoint overhead when
-    // the option uses a checkpoint mechanism with an mperformance function.
-    let base_hours = job_size(ctx)? / assessment.throughput;
-    let mut multiplier = 1.0;
-    for mu in option.mechanisms() {
-        let Some(mperf_name) = mu.mperformance() else {
-            continue;
-        };
-        let mperf = ctx.catalog().resolve_mperf(mperf_name)?;
-        let storage = match td.setting(mu.mechanism().as_str(), "storage_location") {
-            Some(aved_model::ParamValue::Level(l)) => l
+/// What a candidate's completion time reads beyond its availability
+/// design and active count: each checkpoint's overhead function, storage
+/// location and interval, and the loss window. The candidates of one
+/// group differ only here.
+#[derive(Debug, Clone)]
+pub(crate) struct JobPoint {
+    checkpoints: Vec<(CheckpointOverhead, StorageLocation, Duration)>,
+    loss_window: Option<Duration>,
+}
+
+/// The job point of candidate `td` of an option with checkpoint
+/// `overheads`: its checkpoint settings and loss window.
+pub(crate) fn job_point(
+    ctx: &EvalContext<'_>,
+    overheads: &[(&MechanismName, CheckpointOverhead)],
+    td: &TierDesign,
+) -> Result<JobPoint, SearchError> {
+    let checkpoints = overheads.iter().map(|&(mechanism, mperf)| {
+        let storage = match td.setting(mechanism.as_str(), "storage_location") {
+            Some(ParamValue::Level(l)) => l
                 .parse()
                 .map_err(|e: String| SearchError::RequirementMismatch { detail: e })?,
-            _ => aved_perf::StorageLocation::Central,
+            _ => StorageLocation::Central,
         };
-        let interval = match td.setting(mu.mechanism().as_str(), "checkpoint_interval") {
-            Some(aved_model::ParamValue::Duration(d)) => *d,
+        let interval = match td.setting(mechanism.as_str(), "checkpoint_interval") {
+            Some(ParamValue::Duration(d)) => *d,
             _ => {
                 return Err(SearchError::RequirementMismatch {
-                    detail: format!("design does not set {}.checkpoint_interval", mu.mechanism()),
+                    detail: format!("design does not set {mechanism}.checkpoint_interval"),
                 })
             }
         };
-        multiplier *= mperf.multiplier(storage, interval, td.n_active());
-    }
-    let work_time = Duration::from_hours(base_hours * multiplier);
+        Ok((mperf, storage, interval))
+    });
+    Ok(JobPoint {
+        checkpoints: checkpoints.collect::<Result<_, _>>()?,
+        loss_window: loss_window(ctx.infrastructure(), td)?,
+    })
+}
 
-    let lw = loss_window(ctx.infrastructure(), td)?;
-    let system_mtbf = assessment.failure_rate.mean_time();
-    let availability = assessment.availability;
-    let mut params = JobParams::new(work_time)
-        .with_uptime_fraction(availability.availability().max(f64::MIN_POSITIVE));
-    if system_mtbf.seconds().is_finite() && !system_mtbf.is_zero() {
-        params = params.with_system_mtbf(system_mtbf);
-    }
-    if let Some(lw) = lw {
-        params = params.with_loss_window(lw);
-    }
-    let expected = params.expected_completion();
-    ensure_finite("expected job time", expected.seconds())?;
+/// The half of a finite-job score that every candidate of a group
+/// shares: its failure-free computation time, active count, uptime and
+/// system MTBF, from its design's assessment.
+pub(crate) struct JobPrelude {
+    base_hours: f64,
+    n_active: u32,
+    uptime: f64,
+    system_mtbf: Option<Duration>,
+}
 
-    Ok(Some(EvaluatedDesign {
-        design: td.clone(),
-        cost,
-        availability,
-        min_for_perf: assessment.min_for_perf,
-        expected_job_time: Some(expected),
-        health: assessment.health,
-    }))
+impl JobPrelude {
+    /// The prelude of candidates of `n_active` active resources that cost
+    /// `cost`, from their design's `assessment`.
+    pub(crate) fn new(
+        ctx: &EvalContext<'_>,
+        cost: Money,
+        assessment: &Assessment,
+        n_active: u32,
+    ) -> Result<JobPrelude, SearchError> {
+        ensure_finite("cost", cost.dollars())?;
+        let system_mtbf = assessment.failure_rate.mean_time();
+        Ok(JobPrelude {
+            base_hours: job_size(ctx)? / assessment.throughput,
+            n_active,
+            uptime: assessment
+                .availability
+                .availability()
+                .max(f64::MIN_POSITIVE),
+            system_mtbf: (system_mtbf.seconds().is_finite() && !system_mtbf.is_zero())
+                .then_some(system_mtbf),
+        })
+    }
+
+    /// The per-candidate kernel: the expected completion time per §4.2 of
+    /// the candidate at `point` — the failure-free time inflated by its
+    /// checkpoint overhead, then loss-window re-execution and downtime
+    /// scaling.
+    pub(crate) fn job_time(&self, point: &JobPoint) -> Result<Duration, SearchError> {
+        let mut multiplier = 1.0;
+        for &(mperf, storage, interval) in &point.checkpoints {
+            multiplier *= mperf.multiplier(storage, interval, self.n_active);
+        }
+        let work_time = Duration::from_hours(self.base_hours * multiplier);
+        let mut params = JobParams::new(work_time).with_uptime_fraction(self.uptime);
+        if let Some(mtbf) = self.system_mtbf {
+            params = params.with_system_mtbf(mtbf);
+        }
+        if let Some(lw) = point.loss_window {
+            params = params.with_loss_window(lw);
+        }
+        let expected = params.expected_completion();
+        ensure_finite("expected job time", expected.seconds())?;
+        Ok(expected)
+    }
 }
 
 /// Evaluates a candidate design of a finite-job tier: cost, availability,
@@ -381,18 +446,90 @@ pub fn evaluate_job_design_in(
     td: &TierDesign,
     session: &mut EvalSession,
 ) -> Result<Option<EvaluatedDesign>, SearchError> {
-    match assess_job_design(ctx, option, td, session)? {
-        Some(assessment) => score_job_design(ctx, option, td, design_cost(ctx, td)?, &assessment),
-        None => Ok(None),
-    }
+    let Some(assessment) = assess_job_design(ctx, option, td, session)? else {
+        return Ok(None);
+    };
+    let cost = design_cost(ctx, td)?;
+    let prelude = JobPrelude::new(ctx, cost, &assessment, td.n_active())?;
+    let point = job_point(ctx, &checkpoint_overheads(ctx, option)?, td)?;
+    let expected = prelude.job_time(&point)?;
+    Ok(Some(assessment.evaluated(td.clone(), cost, Some(expected))))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidate::SettingsPlan;
     use crate::test_fixtures::{app_tier_fixture, job_fixture};
-    use aved_avail::CtmcEngine;
+    use aved_avail::{AvailError, AvailabilityEngine, CtmcEngine, TierModel};
     use aved_model::{ParamValue, SpareMode};
+    use proptest::prelude::*;
+
+    /// Answers every model with one availability.
+    struct Fixed(TierAvailability);
+
+    impl AvailabilityEngine for Fixed {
+        fn evaluate_with_session(
+            &self,
+            _: &TierModel,
+            _: &mut EvalSession,
+        ) -> Result<(TierAvailability, EvalHealth), AvailError> {
+            Ok((self.0, EvalHealth::default()))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The grid scorer's kernel — a group's prelude and the job point
+        /// its option's plan lists for the candidate — gives every
+        /// candidate the completion time `evaluate_job_design` gives it
+        /// alone, bit for bit.
+        #[test]
+        fn grid_kernel_matches_the_per_candidate_path(
+            n in 1_u32..1001,
+            point in 0_usize..300,
+            machine_b in prop::bool::ANY,
+            unavailability in 1e-9_f64..0.5,
+            events_per_hour in 1e-6_f64..1.0,
+        ) {
+            let resource = if machine_b { "rI" } else { "rH" };
+            let fx = job_fixture();
+            let availability = TierAvailability::new(unavailability, Rate::per_hour(events_per_hour));
+            let engine = Fixed(availability);
+            let ctx = fx.context(&engine);
+            let tier = ctx.tier("computation").unwrap();
+            let option = tier.option_for(resource).unwrap();
+            let maintenance = if resource == "rH" { "maintenanceA" } else { "maintenanceB" };
+            let representative = TierDesign::new("computation", resource, n, 0).with_setting(
+                maintenance,
+                "level",
+                ParamValue::Level("bronze".into()),
+            );
+            let pins = [(maintenance.into(), "level".to_owned(), ParamValue::Level("bronze".into()))];
+            let plan = SettingsPlan::new(ctx.infrastructure(), option, &pins);
+            let td = plan.design(&representative, point).unwrap();
+            let alone = evaluate_job_design(&ctx, option, &td).unwrap().unwrap();
+
+            let mut session = EvalSession::new();
+            let assessment = assess_job_design(&ctx, option, &representative, &mut session)
+                .unwrap()
+                .unwrap();
+            let cost = design_cost(&ctx, &representative).unwrap();
+            let prelude = JobPrelude::new(&ctx, cost, &assessment, n).unwrap();
+            let overheads = checkpoint_overheads(&ctx, option).unwrap();
+            let grid: Vec<_> = plan
+                .combinations(tier.name(), option)
+                .map(|td| job_point(&ctx, &overheads, &td))
+                .collect();
+            let kernel = prelude.job_time(grid[point].as_ref().unwrap()).unwrap();
+            prop_assert_eq!(
+                kernel.seconds().to_bits(),
+                alone.expected_job_time().unwrap().seconds().to_bits()
+            );
+            prop_assert_eq!(cost.dollars().to_bits(), alone.cost().dollars().to_bits());
+        }
+    }
 
     #[test]
     fn enterprise_evaluation_produces_cost_and_downtime() {

@@ -89,8 +89,8 @@ fn frontier(
 }
 
 /// Every candidate of one tier, enumerated up front.
-pub(crate) struct Enumerated<'c> {
-    pub(crate) batch: Batch<'c>,
+pub(crate) struct Enumerated {
+    pub(crate) batch: Batch,
     /// Each level's option index, resource total and range of `batch`, in
     /// enumeration order.
     pub(crate) levels: Vec<(usize, u32, Range<usize>)>,
@@ -103,7 +103,7 @@ pub(crate) fn enumerate<'c>(
     sweep: &mut Sweep<'_, 'c>,
     objective: &Objective,
     grid: Option<&[u32]>,
-) -> Result<Enumerated<'c>, SearchError> {
+) -> Result<Enumerated, SearchError> {
     let (ctx, options) = (sweep.ctx(), sweep.options());
     let mut batch = Batch::default();
     let mut levels = Vec::new();
@@ -129,7 +129,7 @@ pub(crate) fn enumerate<'c>(
 pub(crate) fn pareto_frontier(
     sweep: &mut Sweep<'_, '_>,
     objective: &Objective,
-    batch: &mut Batch<'_>,
+    batch: &mut Batch,
     cap: Option<Money>,
 ) -> Result<Vec<EvaluatedDesign>, SearchError> {
     let mut all: Vec<EvaluatedDesign> = Vec::new();
@@ -182,7 +182,7 @@ mod tests {
     use super::*;
     use crate::test_fixtures::{
         app_tier_fixture, distinct_job_models, job_fixture, maintenance_innermost_job_fixture,
-        RecordingEngine,
+        tied_job_fixture, RecordingEngine,
     };
     use crate::{enumerate_tier_candidates, evaluate_enterprise_design, evaluate_job_design};
     use aved_avail::DecompositionEngine;
@@ -480,6 +480,38 @@ mod tests {
         let bits = |e: &EvaluatedDesign| e.expected_job_time().map(|t| t.seconds().to_bits());
         assert_eq!(bits(a), bits(b), "{label}");
         assert_eq!(a.eval_health(), b.eval_health(), "{label}");
+    }
+
+    #[test]
+    fn job_frontier_over_the_whole_grid_matches_per_candidate_evaluation() {
+        // Every checkpoint setting is a point of the grid here, and the
+        // tied fixture's audit levels score alike: each group's point on
+        // the frontier must be the one a stable sort of every candidate
+        // keeps, the first of its ties.
+        let grid = [1, 8, 64];
+        let options = small_opts()
+            .with_pin("maintenanceA", "level", ParamValue::Level("bronze".into()))
+            .with_pin("maintenanceB", "level", ParamValue::Level("bronze".into()));
+        let objective = Objective::Job {
+            max_time: Duration::from_secs(f64::INFINITY),
+        };
+        // 2 storage locations x 150 intervals, times 2 audit levels.
+        for (fx, points) in [(job_fixture(), 300), (tied_job_fixture(), 600)] {
+            let engine = DecompositionEngine::default();
+            let ctx = fx.context(&engine);
+            let expected =
+                per_candidate_frontier(&ctx, "computation", &objective, Some(&grid), &options);
+            let (frontier, health) = job_frontier(&ctx, "computation", &grid, &options).unwrap();
+            assert_eq!(frontier.len(), expected.len());
+            for (got, want) in frontier.iter().zip(&expected) {
+                assert_bit_identical(got, want, "whole-grid job frontier");
+            }
+            assert_eq!(
+                health.candidates_scored,
+                points * health.models_evaluated,
+                "every candidate of each group counts: {health}"
+            );
+        }
     }
 
     #[test]

@@ -124,9 +124,10 @@ impl SearchHealth {
         !self.skipped.is_empty() || self.fallbacks_taken > 0 || self.interrupted
     }
 
-    /// Folds one successful evaluation's health into this report.
-    pub fn absorb_eval(&mut self, eval: EvalHealth) {
-        self.fallbacks_taken += u64::from(eval.fallbacks);
+    /// Folds the health of one successful evaluation that `candidates`
+    /// candidates share into this report: each counts its fallbacks.
+    pub fn absorb_eval(&mut self, eval: EvalHealth, candidates: u64) {
+        self.fallbacks_taken += u64::from(eval.fallbacks) * candidates;
         self.worst_residual = worse_residual(self.worst_residual, eval.worst_residual);
     }
 
@@ -234,15 +235,19 @@ mod tests {
     #[test]
     fn absorbing_eval_health_accumulates_fallbacks_and_residual() {
         let mut h = SearchHealth::default();
-        h.absorb_eval(EvalHealth {
+        let shared = EvalHealth {
             fallbacks: 2,
             worst_residual: Some(1e-12),
-        });
-        h.absorb_eval(EvalHealth {
-            fallbacks: 0,
-            worst_residual: Some(3e-11),
-        });
-        assert_eq!(h.fallbacks_taken, 2);
+        };
+        h.absorb_eval(shared, 3);
+        h.absorb_eval(
+            EvalHealth {
+                fallbacks: 0,
+                worst_residual: Some(3e-11),
+            },
+            1,
+        );
+        assert_eq!(h.fallbacks_taken, 6, "each candidate counts the fallbacks");
         assert_eq!(h.worst_residual, Some(3e-11));
         assert!(h.is_degraded());
     }

@@ -2,9 +2,11 @@
 //!
 //! A sweep that is killed — by a deadline, a signal, or a crash — has
 //! already paid for every candidate it evaluated. [`SweepJournal`] persists
-//! those evaluations as they complete: one JSONL record per candidate,
-//! keyed by everything that determines the evaluation's result (tier,
-//! load, and the full resolved design), with every floating-point metric
+//! those evaluations as they complete: one JSONL record per candidate
+//! group (the candidates that differ only in quality-only settings, of
+//! which a sweep keeps the best), keyed by everything that determines the
+//! group's result (tier, load, and the group's shared settings), holding
+//! its best candidate's grid point and every floating-point metric
 //! stored as its IEEE-754 bit pattern so a replay is *bit-identical*, not
 //! merely close. [`JournalReplay`] loads a journal back and the search
 //! loops consult it before evaluating: a hit skips the solver entirely and
@@ -37,8 +39,10 @@ const FLUSH_INTERVAL: usize = 64;
 /// without it.
 const FORMAT: &str = "aved-sweep-journal";
 
-/// The header version. Version 2 added the engine identity.
-const VERSION: u64 = 2;
+/// The header version. Version 2 added the engine identity; version 3
+/// keys records by candidate group and records the best candidate's grid
+/// point.
+const VERSION: u64 = 3;
 
 /// The engine a journal's outcomes were computed by: its kind and its
 /// truncation depth. A journal records it in its header, and replays only
@@ -73,8 +77,8 @@ impl JournalEngine {
         )
     }
 
-    /// Checks a journal's first line: it must be a journal header that
-    /// names this engine and depth.
+    /// Checks a journal's first line: it must be a journal header of this
+    /// version that names this engine and depth.
     fn check_header(&self, line: &str) -> std::io::Result<()> {
         let invalid = |detail: String| std::io::Error::new(std::io::ErrorKind::InvalidData, detail);
         if raw_str_field(line, "format") != Some(FORMAT) {
@@ -87,6 +91,11 @@ impl JournalEngine {
                 "the journal header records no engine and truncation depth, so its \
                  outcomes cannot be matched to this run (engine {} at depth {})",
                 self.kind, self.depth
+            ))),
+            Some(_) if u64_field(line, "version") != Some(VERSION) => Err(invalid(format!(
+                "the journal header records version {}, but this build reads only version \
+                 {VERSION} journals, which record one outcome per candidate group",
+                u64_field(line, "version").map_or("none".into(), |v| v.to_string())
             ))),
             Some((kind, depth)) if kind != self.kind || depth != self.depth => {
                 Err(invalid(format!(
@@ -194,26 +203,32 @@ fn bits(v: f64) -> String {
     format!("{:016x}", v.to_bits())
 }
 
-/// The journal key of one enterprise-tier candidate: everything that
-/// determines its evaluation result. The load enters as exact bits (the
-/// performance minimum depends on it); the downtime requirement does not
-/// (it only selects among results, never changes them).
+/// The journal key of one enterprise-tier candidate group, whose
+/// candidates share the settings of `td`: everything that determines the
+/// group's result, since the infrastructure fixes the grid of the settings
+/// `td` leaves out. The load enters as exact bits (the performance minimum
+/// depends on it); the downtime requirement does not (it only selects
+/// among results, never changes them).
 #[must_use]
 pub fn enterprise_key(tier: &str, load: f64, td: &TierDesign) -> String {
     format!("e|{tier}|{}|{td:?}", bits(load))
 }
 
-/// The journal key of one finite-job-tier candidate.
+/// The journal key of one finite-job-tier candidate group, whose
+/// candidates share the settings of `td`.
 #[must_use]
 pub fn job_key(tier: &str, td: &TierDesign) -> String {
     format!("j|{tier}|{td:?}")
 }
 
-/// One replayed candidate outcome, decoded from a journal line.
+/// One replayed candidate-group outcome, decoded from a journal line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReplayEntry {
-    /// The candidate evaluated successfully; all metrics as recorded bits.
+    /// The group evaluated successfully: the grid point of its best
+    /// candidate, and all that candidate's metrics as recorded bits.
     Design {
+        /// The best candidate's point in the group's quality-only grid.
+        point: usize,
         /// Annual cost, exact bits.
         cost: f64,
         /// Steady-state unavailability, exact bits.
@@ -244,6 +259,7 @@ impl ReplayEntry {
         let key = str_field(line, "key")?;
         let entry = match raw_str_field(line, "outcome")? {
             "design" => ReplayEntry::Design {
+                point: usize::try_from(u64_field(line, "point")?).ok()?,
                 cost: bits_field(line, "cost")?,
                 unavailability: bits_field(line, "unavailability")?,
                 event_rate: bits_field(line, "event_rate")?,
@@ -261,23 +277,34 @@ impl ReplayEntry {
         Some((key, entry))
     }
 
-    /// Reconstructs the evaluation result this entry recorded, for design
-    /// `td`. Recorded failures come back as candidate-scoped availability
-    /// errors so the isolation policy treats a replayed failure exactly
-    /// like a live one; so do records whose decoded metrics are out of
-    /// range (a corrupted journal must degrade to a skipped candidate,
-    /// never a panic).
+    /// The grid point of the group's best candidate; `0` for a group
+    /// without one.
+    pub(crate) fn point(&self) -> usize {
+        match self {
+            ReplayEntry::Design { point, .. } => *point,
+            _ => 0,
+        }
+    }
+
+    /// Reconstructs the evaluation result this entry recorded, for the
+    /// group's candidate `td` at [`point`](Self::point), `None` when the
+    /// grid has no such point. Recorded failures come back as
+    /// candidate-scoped availability errors so the isolation policy treats
+    /// a replayed failure exactly like a live one; so do records whose
+    /// decoded metrics or point are out of range (a corrupted journal must
+    /// degrade to skipped candidates, never a panic).
     pub(crate) fn into_result(
         self,
-        td: &TierDesign,
+        td: Option<TierDesign>,
     ) -> Result<Option<EvaluatedDesign>, SearchError> {
-        fn corrupt(what: &str, value: f64) -> SearchError {
+        fn corrupt(what: &str, value: impl std::fmt::Display) -> SearchError {
             SearchError::Avail(AvailError::InvalidModel {
                 detail: format!("journal record holds an invalid {what} ({value})"),
             })
         }
         match self {
             ReplayEntry::Design {
+                point,
                 cost,
                 unavailability,
                 event_rate,
@@ -300,8 +327,9 @@ impl ReplayEntry {
                         return Err(corrupt("job time", t));
                     }
                 }
+                let td = td.ok_or_else(|| corrupt("grid point", point))?;
                 Ok(Some(EvaluatedDesign::from_parts(
-                    td.clone(),
+                    td,
                     Money::from_dollars(cost),
                     TierAvailability::new(unavailability, Rate::per_hour(event_rate)),
                     min_for_perf,
@@ -320,13 +348,17 @@ impl ReplayEntry {
     }
 }
 
-/// Serializes one evaluation result as a journal line (without newline).
-fn render_record(key: &str, result: &Result<Option<EvaluatedDesign>, SearchError>) -> String {
+/// A candidate group's outcome as a journal records it: its best
+/// candidate and that candidate's grid point, nothing, or the failure.
+pub(crate) type Outcome<'e> = Result<Option<(usize, &'e EvaluatedDesign)>, &'e SearchError>;
+
+/// Serializes one group's outcome as a journal line (without newline).
+fn render_record(key: &str, outcome: Outcome<'_>) -> String {
     let key = json_escape(key);
-    match result {
-        Ok(Some(e)) => {
+    match outcome {
+        Ok(Some((point, e))) => {
             let mut line = format!(
-                r#"{{"key":"{key}","outcome":"design","cost":"{}","unavailability":"{}","event_rate":"{}","min_for_perf":{},"fallbacks":{}"#,
+                r#"{{"key":"{key}","outcome":"design","point":{point},"cost":"{}","unavailability":"{}","event_rate":"{}","min_for_perf":{},"fallbacks":{}"#,
                 bits(e.cost().dollars()),
                 bits(e.availability().unavailability()),
                 bits(e.availability().down_event_rate().per_hour_value()),
@@ -355,7 +387,7 @@ struct JournalWriter {
     unsynced: usize,
 }
 
-/// An append-only journal of candidate evaluations, written as the sweep
+/// An append-only journal of candidate-group outcomes, written as the sweep
 /// runs. The writer lives behind a mutex, so a journal may be shared
 /// across threads; a search appends from its fold on the calling thread,
 /// so there is no contention in practice.
@@ -401,11 +433,11 @@ impl SweepJournal {
         &self.path
     }
 
-    /// Appends one candidate outcome. I/O errors are swallowed after
-    /// poisoning the writer: journaling is a best-effort safety net and
-    /// must never fail the sweep it protects.
-    pub(crate) fn record(&self, key: &str, result: &Result<Option<EvaluatedDesign>, SearchError>) {
-        let line = render_record(key, result);
+    /// Appends one candidate group's outcome. I/O errors are swallowed
+    /// after poisoning the writer: journaling is a best-effort safety net
+    /// and must never fail the sweep it protects.
+    pub(crate) fn record(&self, key: &str, outcome: Outcome<'_>) {
+        let line = render_record(key, outcome);
         let Ok(mut guard) = self.writer.lock() else {
             return;
         };
@@ -450,7 +482,7 @@ impl Drop for SweepJournal {
     }
 }
 
-/// A loaded journal: completed candidate evaluations keyed for replay.
+/// A loaded journal: completed candidate-group outcomes keyed for replay.
 ///
 /// Later records win over earlier ones for the same key (a resumed sweep
 /// appending to a copy re-records replayed candidates; the values are
@@ -512,7 +544,7 @@ impl JournalReplay {
         Ok(replay)
     }
 
-    /// Number of replayable candidate records.
+    /// Number of replayable candidate-group records.
     #[must_use]
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -530,7 +562,7 @@ impl JournalReplay {
         self.malformed
     }
 
-    /// Looks up a candidate by its journal key.
+    /// Looks up a candidate group by its journal key.
     #[must_use]
     pub fn lookup(&self, key: &str) -> Option<&ReplayEntry> {
         self.entries.get(key)
@@ -584,11 +616,11 @@ mod tests {
         let journal = SweepJournal::create(&path, &decomp()).unwrap();
         let e = sample_design();
         let key = enterprise_key("application", 800.0, e.design());
-        journal.record(&key, &Ok(Some(e.clone())));
-        journal.record(&job_key("computation", e.design()), &Ok(None));
+        journal.record(&key, Ok(Some((7, &e))));
+        journal.record(&job_key("computation", e.design()), Ok(None));
         journal.record(
             "failing-key",
-            &Err(SearchError::NonFiniteEvaluation {
+            Err(&SearchError::NonFiniteEvaluation {
                 detail: "cost = NaN".into(),
             }),
         );
@@ -599,7 +631,14 @@ mod tests {
         assert_eq!(replay.malformed(), 0);
 
         let entry = replay.lookup(&key).expect("recorded key").clone();
-        let replayed = entry.into_result(e.design()).unwrap().unwrap();
+        assert_eq!(entry.point(), 7, "the best candidate's grid point");
+        let beyond = entry.clone().into_result(None).unwrap_err();
+        assert!(beyond.is_candidate_scoped(), "{beyond}");
+        assert!(beyond.to_string().contains("grid point (7)"), "{beyond}");
+        let replayed = entry
+            .into_result(Some(e.design().clone()))
+            .unwrap()
+            .unwrap();
         assert_eq!(replayed.design(), e.design());
         assert_eq!(
             replayed.cost().dollars().to_bits(),
@@ -622,12 +661,12 @@ mod tests {
                 .lookup(&job_key("computation", e.design()))
                 .cloned()
                 .unwrap()
-                .into_result(e.design())
+                .into_result(Some(e.design().clone()))
                 .unwrap(),
             None
         );
         let failed = replay.lookup("failing-key").cloned().unwrap();
-        let err = failed.into_result(e.design()).unwrap_err();
+        let err = failed.into_result(Some(e.design().clone())).unwrap_err();
         assert!(err.is_candidate_scoped(), "{err}");
         assert!(err.to_string().contains("cost = NaN"), "{err}");
 
@@ -640,8 +679,8 @@ mod tests {
         let journal = SweepJournal::create(&path, &decomp()).unwrap();
         let e = sample_design();
         let key = enterprise_key("application", 400.0, e.design());
-        journal.record(&key, &Ok(Some(e.clone())));
-        journal.record("other", &Ok(None));
+        journal.record(&key, Ok(Some((0, &e))));
+        journal.record("other", Ok(None));
         journal.flush().unwrap();
         drop(journal);
 
@@ -670,7 +709,7 @@ mod tests {
     fn replay_refuses_another_engine_or_depth() {
         let path = tmp("engine-identity");
         let journal = SweepJournal::create(&path, &decomp()).unwrap();
-        journal.record("k", &Ok(None));
+        journal.record("k", Ok(None));
         drop(journal);
         for other in [
             JournalEngine::new("ctmc", 5),
@@ -704,6 +743,24 @@ mod tests {
             err.to_string().contains("no engine and truncation depth"),
             "{err}"
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn replay_refuses_a_version_2_journal() {
+        // Version 2 recorded one outcome per candidate; its keys name full
+        // designs, not groups, and its records no grid point.
+        let path = tmp("version-2");
+        std::fs::write(
+            &path,
+            "{\"format\":\"aved-sweep-journal\",\"version\":2,\"engine\":\"decomp\",\"depth\":5}\n\
+             {\"key\":\"k\",\"outcome\":\"rejected\"}\n",
+        )
+        .unwrap();
+        let err = JournalReplay::load(&path, &decomp()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("version 2"), "{err}");
+        assert!(err.to_string().contains("only version 3"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

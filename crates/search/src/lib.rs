@@ -65,7 +65,7 @@ mod tier_search;
 
 /// Inert call-counting pass-through, kept for callers that name it.
 pub use aved_avail::CachingEngine;
-pub use candidate::{effective_jobs, enumerate_settings, enumerate_tier_candidates, SearchOptions};
+pub use candidate::{effective_jobs, enumerate_tier_candidates, SearchOptions};
 pub use context::EvalContext;
 pub use error::SearchError;
 pub use evaluate::{

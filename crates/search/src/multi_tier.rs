@@ -223,7 +223,7 @@ pub fn search_service_with_health(
 /// frontier as last run.
 struct TierQuery<'s, 'c> {
     sweep: Sweep<'s, 'c>,
-    tier: Enumerated<'c>,
+    tier: Enumerated,
     frontier: Vec<EvaluatedDesign>,
     /// `true` once `frontier` is the full frontier of an uninterrupted
     /// sweep.

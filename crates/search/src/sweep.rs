@@ -1,24 +1,21 @@
 //! The one candidate sweep behind every search and frontier (paper §4.1).
 //!
-//! A [`Sweep`] evaluates batches of one tier's candidates. Candidates that
-//! differ only in settings the tier model does not read — a checkpoint's
-//! interval and storage location (§4.2) — share one *availability design*:
-//! the active/spare split, the spare mode and the settings of the
-//! mechanisms the model reads, and so one tier model. [`Sweep::run`]
-//! derives and evaluates each design's model once and scores every
-//! candidate from that one result. It walks the candidates **in
-//! enumeration order** — parameter-locality order, where neighbors differ
-//! in one knob — on the calling thread, so the sweep's one
-//! [`EvalSession`] reuses chain structure from one model to the next, and
-//! evaluates a design only when it reaches the design's first candidate
-//! that is neither pruned nor replayed. The searches run one batch per
+//! A [`Sweep`] runs batches of one tier's candidates, enumerated as
+//! groups (see [`SettingsPlan`]): the candidates of a group differ only in
+//! quality-only settings — a checkpoint's interval and storage location
+//! (§4.2) — and share a tier model and a cost; groups that differ only in
+//! cost settings still share their *availability design* and so their
+//! tier model. [`Sweep::run`] derives and evaluates each design's model
+//! once, scores each group's candidates from it in one loop, and keeps the
+//! group's best. It walks the groups **in enumeration order** —
+//! parameter-locality order, where neighbors differ in one knob — on the
+//! calling thread, so the sweep's one [`EvalSession`] reuses chain
+//! structure from one model to the next. The searches run one batch per
 //! resource-count level; the frontiers run one batch over every option
 //! and level. A service query enumerates each tier's batch once and runs
-//! it several times — level ranges for a search, then the whole batch
-//! under a cost cap — and the batch keeps what each run evaluated, so no
-//! candidate is evaluated twice.
-//! [`Objective`] supplies everything that differs between enterprise and
-//! finite-job sweeps.
+//! it several times, and the batch keeps what each run evaluated, so no
+//! candidate is evaluated twice. [`Objective`] supplies everything that
+//! differs between enterprise and finite-job sweeps.
 
 use std::ops::{Range, RangeInclusive};
 use std::time::Instant;
@@ -29,8 +26,8 @@ use aved_units::{Duration, Money};
 
 use crate::candidate::SettingsPlan;
 use crate::evaluate::{
-    assess_enterprise_design, assess_job_design, design_cost, score_enterprise_design,
-    score_job_design, Assessment,
+    assess_enterprise_design, assess_job_design, checkpoint_overheads, design_cost, job_point,
+    score_enterprise_design, Assessment, JobPoint, JobPrelude,
 };
 use crate::journal::{enterprise_key, job_key};
 use crate::{EvalContext, EvaluatedDesign, ReplayEntry, SearchError, SearchHealth, SearchOptions};
@@ -114,20 +111,53 @@ impl Objective {
         }
     }
 
-    /// The scoring half: candidate `td` of an availability design, scored
-    /// from that design's `assessment`.
+    /// The scoring half: every candidate of group `c`, scored from its
+    /// design's `assessment`. A job scores `grid`, the job points of the
+    /// group's candidates, in one loop; the candidates of an enterprise
+    /// group share one downtime, so its first is its best.
     fn score(
         &self,
         ctx: &EvalContext<'_>,
-        option: &ResourceOption,
-        td: &TierDesign,
-        cost: Money,
+        plan: &SettingsPlan,
+        grid: &[Result<JobPoint, SearchError>],
+        c: &Candidate,
         assessment: &Assessment,
-    ) -> Result<Option<EvaluatedDesign>, SearchError> {
-        match self {
-            Objective::Enterprise { .. } => score_enterprise_design(td, cost, assessment),
-            Objective::Job { .. } => score_job_design(ctx, option, td, cost, assessment),
-        }
+    ) -> Scores {
+        let materialise = |point| plan.design(&c.design, point).expect("a point of the grid");
+        let scores = match self {
+            Objective::Enterprise { .. } => {
+                score_enterprise_design(materialise(0), c.cost, assessment).map(|e| Scores {
+                    best: Some((0, e)),
+                    scored: c.points,
+                    failed: Vec::new(),
+                })
+            }
+            Objective::Job { .. } => JobPrelude::new(ctx, c.cost, assessment, c.design.n_active())
+                .map(|prelude| {
+                    // The grid scorer: one kernel call per point, and the
+                    // first point of least completion time kept.
+                    let mut scores = Scores::default();
+                    let mut best: Option<(usize, Duration)> = None;
+                    for (point, job) in grid.iter().enumerate() {
+                        let time = job.as_ref().map_err(Clone::clone);
+                        match time.and_then(|job| prelude.job_time(job)) {
+                            Ok(t) => {
+                                scores.scored += 1;
+                                if best.is_none_or(|(_, b)| t < b) {
+                                    best = Some((point, t));
+                                }
+                            }
+                            Err(e) => scores.failed.push((point, e)),
+                        }
+                    }
+                    scores.best = best.map(|(point, t)| {
+                        let e = assessment.evaluated(materialise(point), c.cost, Some(t));
+                        (point, e)
+                    });
+                    scores
+                }),
+        };
+        scores.unwrap_or_else(|e| Scores::failed(c.points, &e))
     }
 
     /// The quality metric, smaller is better. Job evaluations always carry
@@ -167,17 +197,61 @@ impl Objective {
     }
 }
 
-/// One candidate of a batch, costed when enumerated: searches terminate
-/// and every run prunes on cost.
+/// One group of a batch — the candidates of one block that share every
+/// setting but their varying quality-only ones, and so a tier model and a
+/// cost — costed when enumerated: searches terminate and every run prunes
+/// on cost. A group is pruned, evaluated, journaled and handed on whole,
+/// but counts as its candidates.
 struct Candidate {
+    /// The group's representative: the settings its candidates share.
     design: TierDesign,
-    /// The batch index of the candidate's availability design.
+    /// The batch index of the group's availability design.
     availability: usize,
+    /// The tier option's index, and the group's index in its plan.
+    option: usize,
+    group: usize,
+    /// The number of candidates: the points of the plan's grid.
+    points: usize,
+    /// The enumeration position of the group's first candidate among all
+    /// the batch's candidates.
+    position: usize,
     cost: Money,
     state: Fold,
 }
 
-/// Where a candidate stands in its batch's runs.
+/// A group's scores: its first candidate of best quality, by grid point;
+/// how many of its candidates scored; and each point whose score failed.
+#[derive(Default)]
+struct Scores {
+    best: Option<(usize, EvaluatedDesign)>,
+    scored: usize,
+    failed: Vec<(usize, SearchError)>,
+}
+
+impl Scores {
+    /// The scores of a group of `points` candidates that all failed with
+    /// `e`.
+    fn failed(points: usize, e: &SearchError) -> Scores {
+        let failed = (0..points).map(|point| (point, e.clone())).collect();
+        Scores {
+            failed,
+            ..Scores::default()
+        }
+    }
+
+    /// What the journal records of the group: its best candidate and that
+    /// candidate's point; else, when candidates failed, the first failure;
+    /// else nothing.
+    fn outcome(&self) -> Result<Option<(usize, &EvaluatedDesign)>, &SearchError> {
+        match (&self.best, self.failed.first()) {
+            (Some((point, e)), _) => Ok(Some((*point, e))),
+            (None, Some((_, e))) => Err(e),
+            (None, None) => Ok(None),
+        }
+    }
+}
+
+/// Where a group stands in its batch's runs.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Fold {
     /// Not yet run, or run while the sweep was stopping.
@@ -188,41 +262,46 @@ enum Fold {
     Folded,
 }
 
-/// Candidates of one or more levels and the availability designs they
-/// share, each design listed once, in order of first appearance. A batch
-/// keeps each design's evaluation and each candidate's [`Fold`] across
-/// [`Sweep::run`]s, so running a candidate again re-delivers its result
+/// Groups of one or more levels and the availability designs they share,
+/// each design listed once, in order of first appearance. A batch keeps
+/// each design's evaluation and each group's [`Fold`] across
+/// [`Sweep::run`]s, so running a group again re-delivers its result
 /// without evaluating, journaling or counting it again.
 #[derive(Default)]
-pub(crate) struct Batch<'t> {
-    /// Each availability design's option. The first of the design's
-    /// candidates to be scored stands in for all of them in the tier model.
-    designs: Vec<&'t ResourceOption>,
-    /// Each design's evaluation, once made: `Ok(None)` when the design
-    /// cannot serve the requirement at all.
+pub(crate) struct Batch {
+    /// Each availability design's evaluation, once made by the first of
+    /// its groups to score: `Ok(None)` when the design cannot serve the
+    /// requirement at all.
     assessments: Vec<Option<Result<Option<Assessment>, SearchError>>>,
     candidates: Vec<Candidate>,
+    /// The number of candidates the groups hold.
+    positions: usize,
 }
 
-impl Batch<'_> {
-    /// The number of candidates.
+impl Batch {
+    /// The number of groups.
     pub(crate) fn len(&self) -> usize {
         self.candidates.len()
     }
 
-    /// `true` when the batch holds no candidate.
+    /// `true` when the batch holds no group.
     pub(crate) fn is_empty(&self) -> bool {
         self.candidates.is_empty()
     }
 
     /// Empties the batch, keeping its allocations.
     pub(crate) fn clear(&mut self) {
-        self.designs.clear();
         self.assessments.clear();
         self.candidates.clear();
+        self.positions = 0;
     }
 
-    /// The cost of the cheapest candidate in `range`, if any.
+    /// The number of candidates the groups in `range` hold.
+    pub(crate) fn points(&self, range: Range<usize>) -> usize {
+        self.candidates[range].iter().map(|c| c.points).sum()
+    }
+
+    /// The cost of the cheapest group in `range`, if any.
     pub(crate) fn cheapest(&self, range: Range<usize>) -> Option<Money> {
         self.candidates[range]
             .iter()
@@ -233,8 +312,28 @@ impl Batch<'_> {
     /// The number of candidates no run has folded or pruned yet.
     pub(crate) fn pending(&self) -> u64 {
         let pending = self.candidates.iter().filter(|c| c.state == Fold::Pending);
-        pending.count() as u64
+        pending.map(|c| c.points as u64).sum()
     }
+}
+
+/// Hands `accept` every best candidate in `waiting` that enumerates before
+/// `position`, in enumeration order, and lowers `bound` as it returns.
+fn release(
+    waiting: &mut Vec<(usize, EvaluatedDesign)>,
+    position: usize,
+    bound: &mut Option<Money>,
+    accept: &mut impl FnMut(EvaluatedDesign) -> Result<Option<Money>, SearchError>,
+) -> Result<(), SearchError> {
+    if waiting.len() > 1 {
+        waiting.sort_by_key(|w| std::cmp::Reverse(w.0));
+    }
+    while waiting.last().is_some_and(|w| w.0 < position) {
+        let (_, e) = waiting.pop().expect("checked above");
+        if let Some(lowered) = accept(e)? {
+            *bound = Some(lowered);
+        }
+    }
+    Ok(())
 }
 
 /// `true` when cost bound `bound` prunes a candidate of cost `cost`: only
@@ -274,9 +373,12 @@ pub(crate) struct Sweep<'s, 'c> {
     ctx: &'s EvalContext<'c>,
     pub(crate) tier: &'c Tier,
     options: &'s SearchOptions,
-    /// The settings combinations of each of the tier's options, enumerated
-    /// once for the whole sweep.
+    /// The settings of each of the tier's options, enumerated once for the
+    /// whole sweep.
     plans: Vec<SettingsPlan>,
+    /// The job points of each option's groups and grid points, group by
+    /// group, built when a job run first reaches the option.
+    grids: Vec<Option<Vec<Result<JobPoint, SearchError>>>>,
     /// The whole sweep's budget: the absolute deadline, the per-candidate
     /// limits and the cancellation token.
     budget: SolveBudget,
@@ -309,6 +411,7 @@ impl<'s, 'c> Sweep<'s, 'c> {
             ctx,
             tier,
             options,
+            grids: tier.options().iter().map(|_| None).collect(),
             plans,
             session: EvalSession::new().with_budget(budget.clone()),
             budget,
@@ -330,34 +433,35 @@ impl<'s, 'c> Sweep<'s, 'c> {
         self.options
     }
 
-    /// Appends to `batch` the candidates of the tier's `option`-th option
-    /// with `n_total` resources, at least `min_active` of them active, in
+    /// Appends to `batch` the groups of the tier's `option`-th option with
+    /// `n_total` resources, at least `min_active` of them active, in
     /// enumeration order, costed, and their availability designs. Returns
-    /// the range of the appended candidates.
+    /// the range of the appended groups.
     pub(crate) fn level(
         &mut self,
-        batch: &mut Batch<'c>,
+        batch: &mut Batch,
         option: usize,
         n_total: u32,
         min_active: u32,
     ) -> Result<Range<usize>, SearchError> {
         let enumerating = Instant::now();
         let resource_option = &self.tier.options()[option];
-        let (first_design, first_candidate) = (batch.designs.len(), batch.candidates.len());
+        let plan = &self.plans[option];
+        let (first_design, first_candidate) = (batch.assessments.len(), batch.candidates.len());
         let Batch {
-            designs,
+            assessments,
             candidates,
-            ..
+            positions,
         } = batch;
         let ctx = self.ctx;
         let mut failed = None;
-        self.plans[option].for_each_candidate(
+        plan.for_each_group(
             self.tier.name(),
             resource_option,
             n_total,
             min_active,
             self.options,
-            |design, availability| {
+            |design, availability, group, offset| {
                 let cost = match design_cost(ctx, &design) {
                     Ok(cost) => cost,
                     Err(e) => {
@@ -366,12 +470,16 @@ impl<'s, 'c> Sweep<'s, 'c> {
                     }
                 };
                 let availability = first_design + availability;
-                if availability == designs.len() {
-                    designs.push(resource_option);
+                if availability == assessments.len() {
+                    assessments.push(None);
                 }
                 candidates.push(Candidate {
                     design,
                     availability,
+                    option,
+                    group,
+                    points: plan.points(),
+                    position: *positions + offset,
                     cost,
                     state: Fold::Pending,
                 });
@@ -380,45 +488,72 @@ impl<'s, 'c> Sweep<'s, 'c> {
         if let Some(e) = failed {
             return Err(e);
         }
-        batch.assessments.resize_with(batch.designs.len(), || None);
+        *positions += (candidates.len() - first_candidate) * plan.points();
         self.health.enumeration_time += enumerating.elapsed();
         Ok(first_candidate..batch.candidates.len())
     }
 
-    /// Runs the candidates of `batch` in `range` under `objective` and cost
-    /// bound `bound`, and hands every surviving evaluation, in candidate
-    /// order, to `accept`. Every run of one batch uses objectives of one
-    /// kind and load, which evaluate a design alike, since the batch keeps
-    /// each design's evaluation for the next run. A sweep that is stopping
-    /// — the cancellation token fired or the deadline passed — is marked
+    /// Builds the job points of every option a group of `candidates`
+    /// belongs to, unless built already.
+    fn build_grids(&mut self, candidates: &[Candidate]) {
+        for c in candidates {
+            if self.grids[c.option].is_some() {
+                continue;
+            }
+            let option = &self.tier.options()[c.option];
+            let plan = &self.plans[c.option];
+            let overheads = checkpoint_overheads(self.ctx, option);
+            let points = plan.combinations(self.tier.name(), option).map(|td| {
+                let overheads = overheads.as_ref().map_err(Clone::clone)?;
+                job_point(self.ctx, overheads, &td)
+            });
+            self.grids[c.option] = Some(points.collect());
+        }
+    }
+
+    /// Runs the groups of `batch` in `range` under `objective` and cost
+    /// bound `bound`, and hands the best candidate of each surviving group
+    /// to `accept`. Returns the number of candidates whose scores the run
+    /// delivered. Every run of one batch uses objectives of one kind and
+    /// load, which evaluate a design alike, since the batch keeps each
+    /// design's evaluation for the next run. A sweep that is stopping —
+    /// the cancellation token fired or the deadline passed — is marked
     /// interrupted at the end of the run; the caller then returns its
     /// best-so-far result.
     ///
-    /// The fold walks the candidates in enumeration order and makes every
-    /// decision there — prune, replay or score, journal, accept. A
-    /// candidate is scored when it is neither pruned nor replayed from the
-    /// resume journal. Each availability design is derived and evaluated
-    /// once, when the fold reaches its first candidate to score, and every
-    /// candidate of the design is scored from that one result, so a design
-    /// whose candidates are all pruned is never evaluated. A design whose
-    /// evaluation failed gives that error to each of its candidates. A
-    /// candidate an earlier run of the batch folded is handed to `accept`
-    /// again, unless pruned, but not evaluated, journaled or counted again.
+    /// The fold walks the groups in enumeration order and makes every
+    /// decision there — prune, replay or score, journal. A group is scored
+    /// when it is neither pruned nor replayed from the resume journal.
+    /// Each availability design is derived and evaluated once, when the
+    /// fold reaches its first group to score, so a design whose groups are
+    /// all pruned is never evaluated. One loop scores a group's grid from
+    /// that evaluation and materialises only its first candidate of best
+    /// quality: the one that either consumer — the cost-first win rule,
+    /// which takes a strictly better quality, and the stable Pareto sort —
+    /// keeps of the group. It reaches `accept` at its own enumeration
+    /// position, after the best candidates of other groups that enumerate
+    /// before it, so ties between groups resolve as they would candidate by
+    /// candidate. A failed evaluation fails each candidate of its groups. A
+    /// group an earlier run folded is handed on again, unless pruned, but
+    /// not evaluated, journaled or counted again.
     ///
-    /// Every candidate that costs strictly more than the bound is pruned:
-    /// skipped, and counted as pruned until a later run folds it. No bound
-    /// prunes nothing. `accept` returns the new bound when it takes a
+    /// Every group that costs strictly more than the bound is pruned, and
+    /// its candidates counted as pruned until a later run folds it. No
+    /// bound prunes nothing. `accept` returns the new bound when it takes a
     /// design that no dearer candidate can beat, and the bound drops to it
     /// for the rest of the run; the caller owns the bound between runs.
     pub(crate) fn run(
         &mut self,
         objective: &Objective,
-        batch: &mut Batch<'_>,
+        batch: &mut Batch,
         range: Range<usize>,
         mut bound: Option<Money>,
         mut accept: impl FnMut(EvaluatedDesign) -> Result<Option<Money>, SearchError>,
-    ) -> Result<(), SearchError> {
+    ) -> Result<usize, SearchError> {
         let merging = Instant::now();
+        if matches!(objective, Objective::Job { .. }) {
+            self.build_grids(&batch.candidates[range.clone()]);
+        }
         let (ctx, options, budget) = (self.ctx, self.options, &self.budget);
         let tier = self.tier.name().as_str();
         let first = range.start;
@@ -433,89 +568,117 @@ impl<'s, 'c> Sweep<'s, 'c> {
             None => Vec::new(),
         };
         let Batch {
-            designs,
             assessments,
             candidates,
+            ..
         } = batch;
 
+        let mut delivered = 0;
+        // Best candidates of groups whose positions the fold has not
+        // passed yet.
+        let mut waiting = Vec::new();
         let mut evaluating = std::time::Duration::ZERO;
         for i in range {
             let c = &mut candidates[i];
+            release(&mut waiting, c.position, &mut bound, &mut accept)?;
+            let points = c.points as u64;
             if beaten(bound, c.cost) {
                 if c.state == Fold::Pending {
                     c.state = Fold::Pruned;
-                    self.health.candidates_pruned += 1;
+                    self.health.candidates_pruned += points;
                 }
                 continue;
             }
             let fresh = c.state != Fold::Folded;
+            let plan = &self.plans[c.option];
             let replay = replays.get(i - first).copied().flatten();
-            let result = if let Some(entry) = replay {
-                entry.clone().into_result(&c.design)
+            let scores = if let Some(entry) = replay {
+                let point = entry.point();
+                match entry.clone().into_result(plan.design(&c.design, point)) {
+                    Ok(best) => Scores {
+                        best: best.map(|e| (point, e)),
+                        scored: c.points,
+                        failed: Vec::new(),
+                    },
+                    Err(e) => Scores::failed(c.points, &e),
+                }
             } else {
                 let assessment = &mut assessments[c.availability];
                 if assessment.is_none() {
-                    // First candidate of its design to score: evaluate the
+                    // First group of its design to score: evaluate the
                     // design, unless the sweep is stopping (the post-run
                     // check records the interruption).
                     if stopping(budget) {
                         continue;
                     }
                     let started = Instant::now();
-                    let option = designs[c.availability];
+                    let option = &self.tier.options()[c.option];
                     let result = objective.assess(ctx, option, &c.design, &mut self.session);
                     self.health.models_evaluated += u64::from(evaluated(&result));
                     *assessment = Some(result);
                     evaluating += started.elapsed();
                 }
-                self.health.candidates_scored += u64::from(fresh);
+                if fresh {
+                    self.health.candidates_scored += points;
+                }
+                let grid = self.grids[c.option].as_deref();
+                let grid = grid.map_or(&[][..], |g| &g[c.group * c.points..][..c.points]);
                 match assessment.as_ref().expect("evaluated above") {
-                    Ok(Some(a)) => {
-                        let option = designs[c.availability];
-                        objective.score(ctx, option, &c.design, c.cost, a)
-                    }
-                    Ok(None) => Ok(None),
-                    Err(e) => Err(e.clone()),
+                    Ok(Some(a)) => objective.score(ctx, plan, grid, c, a),
+                    Ok(None) => Scores::default(),
+                    Err(e) => Scores::failed(c.points, e),
                 }
             };
             // A cancellation is not a candidate outcome: the caller's
             // post-run check turns it into a clean interruption, and it is
             // never journaled (re-evaluate it on resume).
-            if matches!(&result, Err(e) if e.is_cancellation()) {
+            if scores
+                .failed
+                .first()
+                .is_some_and(|(_, e)| e.is_cancellation())
+            {
                 continue;
             }
             if fresh {
                 if c.state == Fold::Pruned {
-                    self.health.candidates_pruned -= 1;
+                    self.health.candidates_pruned -= points;
                 }
                 c.state = Fold::Folded;
-                self.health.journal_replayed += u64::from(replay.is_some());
-                if matches!(&result, Err(e) if e.is_budget_exhaustion()) {
-                    self.health.budget_exhausted += 1;
+                if replay.is_some() {
+                    self.health.journal_replayed += points;
                 }
+                let exhausted = scores
+                    .failed
+                    .iter()
+                    .filter(|(_, e)| e.is_budget_exhaustion());
+                self.health.budget_exhausted += exhausted.count() as u64;
                 if let Some(journal) = &options.journal {
-                    journal.record(&keys[i - first], &result);
+                    journal.record(&keys[i - first], scores.outcome());
                 }
             }
-            match result {
-                Ok(Some(e)) => {
-                    if fresh {
-                        self.health.absorb_eval(e.eval_health());
-                    }
-                    if let Some(lowered) = accept(e)? {
-                        bound = Some(lowered);
-                    }
+            for (point, e) in scores.failed {
+                if fatal(&e, options.strict) {
+                    return Err(e);
                 }
-                Ok(None) => {}
-                Err(e) if fatal(&e, options.strict) => return Err(e),
-                Err(e) if fresh => self.health.record_skip(&c.design, &e),
-                Err(_) => {}
+                if fresh {
+                    let td = plan.design(&c.design, point).expect("a point of the grid");
+                    self.health.record_skip(&td, &e);
+                }
+            }
+            if let Some((point, e)) = scores.best {
+                if fresh {
+                    self.health
+                        .absorb_eval(e.eval_health(), scores.scored as u64);
+                }
+                delivered += scores.scored;
+                waiting.push((c.position + plan.point_offset(point), e));
             }
         }
+        release(&mut waiting, usize::MAX, &mut bound, &mut accept)?;
         self.health.solve_time += evaluating;
         self.health.merge_time += merging.elapsed().saturating_sub(evaluating);
         self.health.interrupted |= stopping(&self.budget);
-        Ok(())
+        Ok(delivered)
     }
 
     /// Ends the sweep, folding in its session's statistics.
@@ -543,5 +706,40 @@ mod tests {
             "equal cost still competes"
         );
         assert!(!beaten(Some(m(100.0)), m(99.9)));
+    }
+
+    #[test]
+    fn waiting_bests_reach_accept_in_enumeration_order() {
+        // Interleaved groups: the first group's best enumerates at 9, the
+        // second's at 4. Each is handed on only once the fold passes its
+        // position, the earlier first, so a tie between them resolves as
+        // it would candidate by candidate.
+        let best = |n_active| {
+            EvaluatedDesign::from_parts(
+                TierDesign::new("t", "r", n_active, 0),
+                Money::from_dollars(10.0),
+                aved_avail::TierAvailability::new(0.0, aved_units::Rate::ZERO),
+                1,
+                None,
+                aved_avail::EvalHealth::default(),
+            )
+        };
+        let mut waiting = vec![(9, best(9)), (4, best(4))];
+        let seen = std::cell::RefCell::new(Vec::new());
+        let mut accept = |e: EvaluatedDesign| {
+            seen.borrow_mut().push(e.design().n_active());
+            Ok((e.design().n_active() == 4).then(|| e.cost()))
+        };
+        let mut bound = None;
+        release(&mut waiting, 4, &mut bound, &mut accept).unwrap();
+        assert!(seen.borrow().is_empty(), "nothing enumerates before 4");
+        release(&mut waiting, 7, &mut bound, &mut accept).unwrap();
+        assert_eq!(
+            (seen.borrow().as_slice(), bound),
+            (&[4][..], Some(Money::from_dollars(10.0)))
+        );
+        release(&mut waiting, usize::MAX, &mut bound, &mut accept).unwrap();
+        assert_eq!(*seen.borrow(), [4, 9]);
+        assert!(waiting.is_empty());
     }
 }

@@ -76,6 +76,32 @@ pub fn maintenance_innermost_job_fixture() -> Fixture {
     }
 }
 
+/// The scientific application with a second quality-only mechanism on
+/// each option: an `audit` whose two levels change nothing, enumerated
+/// after the checkpoint settings. Every checkpoint setting then scores
+/// twice with the same completion time, a tie the first candidate must
+/// win.
+pub fn tied_job_fixture() -> Fixture {
+    let paper = include_str!("../../../data/infrastructure.aved");
+    let service = include_str!("../../../data/scientific.aved");
+    let audited = service.replace(
+        "nActive)=mperfH.dat",
+        "nActive)=mperfH.dat\n      mechanism=audit",
+    );
+    let audited = audited.replace(
+        "nActive)=mperfI.dat",
+        "nActive)=mperfI.dat\n      mechanism=audit",
+    );
+    assert_eq!(audited.matches("mechanism=audit").count(), 2);
+    let audit = "mechanism=audit\n  param=level range=[first,second]\n  cost=0\n";
+    Fixture {
+        infrastructure: aved_spec::parse_infrastructure(&format!("{paper}\n{audit}"))
+            .expect("audited infrastructure spec parses"),
+        service: aved_spec::parse_service(&audited).expect("audited service spec parses"),
+        catalog: aved_perf::paper::catalog(),
+    }
+}
+
 /// Delegates to the decomposition engine and records every model it is
 /// asked to evaluate (by its exact `Debug` rendering, which round-trips
 /// every rate bit for bit).

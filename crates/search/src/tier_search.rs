@@ -164,10 +164,10 @@ fn search(
 pub(crate) fn cost_first<'c>(
     sweep: &mut Sweep<'_, 'c>,
     objective: &Objective,
-    batch: &mut Batch<'c>,
+    batch: &mut Batch,
     mut level: impl FnMut(
         &mut Sweep<'_, 'c>,
-        &mut Batch<'c>,
+        &mut Batch,
         (usize, u32, u32),
     ) -> Result<Range<usize>, SearchError>,
 ) -> Result<(Option<EvaluatedDesign>, SearchStats), SearchError> {
@@ -189,7 +189,7 @@ pub(crate) fn cost_first<'c>(
             if range.is_empty() {
                 continue;
             }
-            stats.cost_evaluations += range.len();
+            stats.cost_evaluations += batch.points(range.clone());
             stats.totals_explored += 1;
 
             // Termination: every candidate at this count (and, since cost
@@ -207,28 +207,28 @@ pub(crate) fn cost_first<'c>(
             // cost is the run's bound: no dearer candidate can win.
             let mut best_quality_here: Option<Duration> = None;
             let bound = best.as_ref().map(EvaluatedDesign::cost);
-            sweep.run(objective, batch, range, bound, |evaluated| {
-                stats.quality_evaluations += 1;
-                let q = objective.quality(&evaluated).ok_or_else(|| {
-                    SearchError::RequirementMismatch {
-                        detail: "job evaluation yielded no completion time".into(),
+            stats.quality_evaluations +=
+                sweep.run(objective, batch, range, bound, |evaluated| {
+                    let q = objective.quality(&evaluated).ok_or_else(|| {
+                        SearchError::RequirementMismatch {
+                            detail: "job evaluation yielded no completion time".into(),
+                        }
+                    })?;
+                    if best_quality_here.is_none_or(|h| q < h) {
+                        best_quality_here = Some(q);
                     }
+                    let wins = objective.meets(q)
+                        && best.as_ref().is_none_or(|b| {
+                            evaluated.cost() < b.cost()
+                                || (evaluated.cost() == b.cost()
+                                    && objective.quality(b).is_none_or(|bq| q < bq))
+                        });
+                    let cost = evaluated.cost();
+                    if wins {
+                        best = Some(evaluated);
+                    }
+                    Ok(wins.then_some(cost))
                 })?;
-                if best_quality_here.is_none_or(|h| q < h) {
-                    best_quality_here = Some(q);
-                }
-                let wins = objective.meets(q)
-                    && best.as_ref().is_none_or(|b| {
-                        evaluated.cost() < b.cost()
-                            || (evaluated.cost() == b.cost()
-                                && objective.quality(b).is_none_or(|bq| q < bq))
-                    });
-                let cost = evaluated.cost();
-                if wins {
-                    best = Some(evaluated);
-                }
-                Ok(wins.then_some(cost))
-            })?;
 
             // Interruption stops the whole search at this batch boundary
             // with its best-so-far result; partial batch data must not feed
@@ -260,12 +260,17 @@ pub(crate) fn cost_first<'c>(
 mod tests {
     use super::*;
     use crate::test_fixtures::{
-        app_tier_fixture, job_fixture, maintenance_innermost_job_fixture, RecordingEngine,
+        app_tier_fixture, job_fixture, maintenance_innermost_job_fixture, tied_job_fixture,
+        RecordingEngine,
     };
-    use crate::{enumerate_tier_candidates, evaluate_enterprise_design, evaluate_job_design};
+    use crate::{
+        enumerate_tier_candidates, evaluate_enterprise_design, evaluate_job_design,
+        evaluate_job_design_in,
+    };
     use aved_avail::DecompositionEngine;
     use aved_model::ParamValue;
     use aved_units::Duration;
+    use aved_units::Money;
 
     fn opts() -> SearchOptions {
         SearchOptions {
@@ -569,6 +574,151 @@ mod tests {
         assert_eq!(h.models_evaluated, engine.calls() as u64);
         assert!(h.candidates_scored > h.models_evaluated, "{h}");
         assert!(h.candidates_pruned > 0, "{h}");
+    }
+
+    /// The cost-first loop of §4.1 candidate by candidate: every candidate
+    /// the search would enumerate, each scored alone through
+    /// [`evaluate_job_design_in`], under the same win rule, cost bound and
+    /// stall rule as [`cost_first`]. The reference for the grid scorer.
+    /// Each (option, resource total) level is evaluated once, for every
+    /// deadline, in one session.
+    struct PerCandidateJobSearch<'a> {
+        ctx: EvalContext<'a>,
+        options: SearchOptions,
+        session: aved_avail::EvalSession,
+        levels: std::collections::HashMap<(usize, u32), Vec<EvaluatedDesign>>,
+    }
+
+    impl PerCandidateJobSearch<'_> {
+        fn best(&mut self, deadline: Duration) -> Option<EvaluatedDesign> {
+            let objective = Objective::Job { max_time: deadline };
+            let (ctx, options) = (&self.ctx, &self.options);
+            let tier = ctx.tier("computation").unwrap();
+            let mut best: Option<EvaluatedDesign> = None;
+            let time = |e: &EvaluatedDesign| e.expected_job_time().unwrap();
+            for (index, option) in tier.options().iter().enumerate() {
+                let Some((min_active, totals)) = objective.levels(ctx, option, options).unwrap()
+                else {
+                    continue;
+                };
+                let (mut prev, mut degrading) = (None, 0);
+                for n_total in totals {
+                    let level = self.levels.entry((index, n_total)).or_insert_with(|| {
+                        let all = enumerate_tier_candidates(
+                            ctx.infrastructure(),
+                            tier.name(),
+                            option,
+                            n_total,
+                            1,
+                            options,
+                        );
+                        let session = &mut self.session;
+                        let mut evaluate = |td| evaluate_job_design_in(ctx, option, td, session);
+                        all.iter()
+                            .map(|td| evaluate(td).unwrap().unwrap())
+                            .collect()
+                    });
+                    let candidates: Vec<&EvaluatedDesign> = level
+                        .iter()
+                        .filter(|e| e.design().n_active() >= min_active)
+                        .collect();
+                    let Some(cheapest) =
+                        candidates.iter().map(|e| e.cost()).min_by(Money::total_cmp)
+                    else {
+                        continue;
+                    };
+                    if best.as_ref().is_some_and(|b| cheapest > b.cost()) {
+                        break;
+                    }
+                    let mut here: Option<Duration> = None;
+                    for e in candidates {
+                        if best.as_ref().is_some_and(|b| e.cost() > b.cost()) {
+                            continue; // pruned
+                        }
+                        let q = time(e);
+                        here = Some(here.map_or(q, |h| h.min(q)));
+                        let wins = q <= deadline
+                            && best.as_ref().is_none_or(|b| {
+                                e.cost() < b.cost() || (e.cost() == b.cost() && q < time(b))
+                            });
+                        if wins {
+                            best = Some(e.clone());
+                        }
+                    }
+                    if best.is_none() {
+                        match (prev, here) {
+                            (Some(p), Some(h)) if objective.stalled(p, h) => degrading += 1,
+                            (_, Some(_)) => degrading = 0,
+                            _ => {}
+                        }
+                        if degrading >= DEGRADE_PATIENCE {
+                            break;
+                        }
+                    }
+                    prev = here.or(prev);
+                }
+            }
+            best
+        }
+    }
+
+    #[test]
+    fn job_search_is_bit_identical_to_the_per_candidate_loop() {
+        // The scientific-job benchmark's options: the 13.9-14.2 h deadlines
+        // are those where the stall rule decides the answer, the 40
+        // log-spaced ones span 1-1000 h. The tied fixture's audit levels
+        // score alike, so a grid scorer keeping the last tie fails it; the
+        // maintenance-innermost fixture interleaves groups.
+        let bronze = || {
+            SearchOptions {
+                max_spares: 3,
+                ..SearchOptions::default()
+            }
+            .with_pin("maintenanceA", "level", ParamValue::Level("bronze".into()))
+            .with_pin("maintenanceB", "level", ParamValue::Level("bronze".into()))
+        };
+        let log_spaced = (0..40).map(|k| 10_f64.powf(3.0 * f64::from(k) / 39.0));
+        let mut deadlines: Vec<f64> = vec![13.9, 14.0, 14.1, 14.2];
+        deadlines.extend(log_spaced);
+        let small = SearchOptions {
+            max_extra_active: 2,
+            max_spares: 1,
+            ..SearchOptions::default()
+        };
+        let cases = [
+            (job_fixture(), bronze(), deadlines),
+            (
+                maintenance_innermost_job_fixture(),
+                small.clone(),
+                vec![20.0, 50.0, 200.0],
+            ),
+            (tied_job_fixture(), bronze(), vec![14.0, 50.0, 200.0]),
+        ];
+        for (fx, options, deadlines) in cases {
+            let engine = DecompositionEngine::default();
+            let ctx = fx.context(&engine);
+            let mut reference = PerCandidateJobSearch {
+                ctx: fx.context(&engine),
+                options: options.clone(),
+                session: aved_avail::EvalSession::new(),
+                levels: std::collections::HashMap::new(),
+            };
+            for hours in deadlines {
+                let deadline = Duration::from_hours(hours);
+                let expected = reference.best(deadline);
+                let out = search_job_tier(&ctx, "computation", deadline, &options).unwrap();
+                let got = out.best();
+                assert_eq!(
+                    got.map(|e| e.design()),
+                    expected.as_ref().map(|e| e.design())
+                );
+                let bits = |e: &EvaluatedDesign| {
+                    let time = e.expected_job_time().unwrap().seconds();
+                    (e.cost().dollars().to_bits(), time.to_bits())
+                };
+                assert_eq!(got.map(bits), expected.as_ref().map(bits), "{hours} h");
+            }
+        }
     }
 
     #[test]

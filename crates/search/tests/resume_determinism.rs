@@ -254,10 +254,12 @@ fn fig7_killed_job_sweep_resumes_to_the_reference_winner() {
 
 #[test]
 fn partly_replayed_availability_designs_resume_to_the_reference_winner() {
-    // Every other record of a full job-sweep journal survives, so each
-    // availability design's candidates are split between replay and live
-    // scoring: the resumed sweep must evaluate every design again and
-    // still land on the reference winner, to the bit.
+    // Every other record of a full job-sweep journal survives. A record
+    // holds one candidate group — here one availability design's 300
+    // checkpoint settings (2 storage locations x 150 intervals) — so the
+    // resumed sweep replays half the groups whole, evaluates the other
+    // half's designs again, and must still land on the reference winner,
+    // to the bit.
     let fx = fig7_fixture();
     let deadline = Duration::from_hours(50.0);
     let engine = DecompositionEngine::default();
@@ -285,8 +287,13 @@ fn partly_replayed_availability_designs_resume_to_the_reference_winner() {
     let label = "fig7 partial resume";
     assert_bit_identical(reference_best, resumed.best().expect("feasible"), label);
     let (r, h) = (reference.health(), resumed.health());
-    assert_eq!(h.journal_replayed, replay.len() as u64, "{label}: {h}");
-    assert_eq!(h.models_evaluated, r.models_evaluated, "{label}: {h}");
+    let records = replay.len() as u64;
+    assert_eq!(h.journal_replayed, 300 * records, "{label}: {h}");
+    assert_eq!(
+        h.models_evaluated + records,
+        r.models_evaluated,
+        "{label}: {h}"
+    );
     assert_eq!(
         h.candidates_scored + h.journal_replayed,
         r.candidates_scored,

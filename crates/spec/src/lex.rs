@@ -8,6 +8,8 @@
 //! with unbalanced `(`/`[` continue onto the next line, which is how the
 //! paper wraps long `mperformance(...)` attributes.
 
+use std::borrow::Cow;
+
 use crate::{SpecError, SpecErrorKind};
 
 /// An attribute value.
@@ -110,8 +112,9 @@ impl Line {
 /// Returns [`SpecError`] with the offending line number for malformed
 /// attributes, unterminated brackets or references.
 pub fn lex_document(text: &str) -> Result<Vec<Line>, SpecError> {
-    // First pass: strip comments, join continuation lines.
-    let mut logical: Vec<(usize, String)> = Vec::new();
+    // First pass: strip comments, join continuation lines. A line that
+    // continues nowhere is lexed from the text itself.
+    let mut logical: Vec<(usize, Cow<'_, str>)> = Vec::new();
     let mut pending: Option<(usize, String)> = None;
     for (idx, raw) in text.lines().enumerate() {
         let number = idx + 1;
@@ -120,9 +123,6 @@ pub fn lex_document(text: &str) -> Result<Vec<Line>, SpecError> {
             None => raw,
         };
         let trimmed = without_comment.trim();
-        if trimmed.is_empty() && pending.is_none() {
-            continue;
-        }
         match pending.take() {
             Some((start, mut acc)) => {
                 acc.push(' ');
@@ -130,16 +130,12 @@ pub fn lex_document(text: &str) -> Result<Vec<Line>, SpecError> {
                 if unbalanced(&acc) {
                     pending = Some((start, acc));
                 } else {
-                    logical.push((start, acc));
+                    logical.push((start, Cow::Owned(acc)));
                 }
             }
-            None => {
-                if unbalanced(trimmed) {
-                    pending = Some((number, trimmed.to_owned()));
-                } else {
-                    logical.push((number, trimmed.to_owned()));
-                }
-            }
+            None if trimmed.is_empty() => {}
+            None if unbalanced(trimmed) => pending = Some((number, trimmed.to_owned())),
+            None => logical.push((number, Cow::Borrowed(trimmed))),
         }
     }
     if let Some((start, acc)) = pending {
@@ -153,7 +149,9 @@ pub fn lex_document(text: &str) -> Result<Vec<Line>, SpecError> {
         .into_iter()
         .map(|(number, body)| {
             let attrs = lex_line(&body).map_err(|e| {
-                SpecError::new(number, SpecErrorKind::Lex(e.message)).with_column(e.column)
+                // The 1-based character column of the offending byte.
+                let column = body[..e.offset].chars().count() + 1;
+                SpecError::new(number, SpecErrorKind::Lex(e.message)).with_column(column)
             })?;
             if attrs.is_empty() {
                 return Err(SpecError::new(
@@ -169,136 +167,136 @@ pub fn lex_document(text: &str) -> Result<Vec<Line>, SpecError> {
 /// Whether parens/brackets are unbalanced (more opens than closes).
 fn unbalanced(s: &str) -> bool {
     let mut depth = 0_i32;
-    for c in s.chars() {
-        match c {
-            '(' | '[' => depth += 1,
-            ')' | ']' => depth -= 1,
+    for b in s.bytes() {
+        match b {
+            b'(' | b'[' => depth += 1,
+            b')' | b']' => depth -= 1,
             _ => {}
         }
     }
     depth > 0
 }
 
-/// A lexing failure within one logical line: where (1-based column into
-/// the joined logical text) and what.
+/// A lexing failure within one logical line: where (the byte offset of
+/// the offending character in the joined logical text) and what.
 struct LexFailure {
-    column: usize,
+    offset: usize,
     message: String,
 }
 
 impl LexFailure {
-    fn at(column: usize, message: String) -> LexFailure {
-        LexFailure { column, message }
+    fn at(offset: usize, message: String) -> LexFailure {
+        LexFailure { offset, message }
     }
+}
+
+/// The byte offset of the first character at or after `from` in `s` that
+/// `stop` accepts, or `s.len()` when none does.
+fn scan(s: &str, from: usize, stop: impl Fn(char) -> bool) -> usize {
+    s[from..].find(stop).map_or(s.len(), |k| from + k)
+}
+
+/// The byte offset just past the bracket or parenthesis closing the one
+/// that opens at `open`, counting `opens`/`closes` as nesting, or `None`
+/// when the text ends first.
+fn closing(s: &str, open: usize, opens: &[u8], closes: &[u8]) -> Option<usize> {
+    let mut depth = 0_i32;
+    for (k, b) in s.bytes().enumerate().skip(open) {
+        if opens.contains(&b) {
+            depth += 1;
+        } else if closes.contains(&b) {
+            depth -= 1;
+            if depth == 0 {
+                return Some(k + 1);
+            }
+        }
+    }
+    None
 }
 
 fn lex_line(body: &str) -> Result<Vec<Attr>, LexFailure> {
     let mut attrs = Vec::new();
-    let chars: Vec<char> = body.chars().collect();
+    let n = body.len();
     let mut i = 0;
-    let n = chars.len();
     loop {
-        while i < n && chars[i].is_whitespace() {
-            i += 1;
-        }
+        i = scan(body, i, |c| !c.is_whitespace());
         if i >= n {
             break;
         }
         // Attribute name: up to '(', '=' or whitespace.
         let name_start = i;
-        while i < n && chars[i] != '(' && chars[i] != '=' && !chars[i].is_whitespace() {
-            i += 1;
-        }
-        let name: String = chars[name_start..i].iter().collect();
+        i = scan(body, i, |c| c == '(' || c == '=' || c.is_whitespace());
+        let name = &body[name_start..i];
         if name.is_empty() {
-            return Err(LexFailure::at(i + 1, "expected attribute name".into()));
+            return Err(LexFailure::at(i, "expected attribute name".into()));
         }
         // Optional (args).
         let mut args = Vec::new();
-        if i < n && chars[i] == '(' {
-            let mut depth = 1;
-            let args_start = i + 1;
-            i += 1;
-            while i < n && depth > 0 {
-                match chars[i] {
-                    '(' | '[' => depth += 1,
-                    ')' | ']' => depth -= 1,
-                    _ => {}
-                }
-                i += 1;
-            }
-            if depth > 0 {
+        if body[i..].starts_with('(') {
+            let Some(end) = closing(body, i, b"([", b")]") else {
                 return Err(LexFailure::at(
-                    args_start,
+                    i,
                     format!("unterminated argument list for {name}"),
                 ));
-            }
-            let inner: String = chars[args_start..i - 1].iter().collect();
-            args = split_top_level_commas(&inner);
+            };
+            args = split_top_level_commas(&body[i + 1..end - 1]);
+            i = end;
         }
         // '='
-        if i >= n || chars[i] != '=' {
+        if !body[i..].starts_with('=') {
             return Err(LexFailure::at(
-                i + 1,
+                i,
                 format!("expected '=' after attribute {name}"),
             ));
         }
         i += 1;
         // Value.
-        if i >= n {
-            return Err(LexFailure::at(
-                i + 1,
-                format!("missing value for attribute {name}"),
-            ));
-        }
-        let value = match chars[i] {
-            '<' => {
-                let ref_open = i + 1;
-                let start = i + 1;
-                while i < n && chars[i] != '>' {
-                    i += 1;
-                }
-                if i >= n {
+        let value = match body.as_bytes().get(i) {
+            None => {
+                return Err(LexFailure::at(
+                    i,
+                    format!("missing value for attribute {name}"),
+                ))
+            }
+            Some(b'<') => {
+                let Some(close) = body[i..].find('>').map(|k| i + k) else {
                     return Err(LexFailure::at(
-                        ref_open,
+                        i,
                         format!("unterminated reference for attribute {name}"),
                     ));
-                }
-                let r: String = chars[start..i].iter().collect();
-                i += 1;
-                Value::Ref(r.trim().to_owned())
+                };
+                let r = body[i + 1..close].trim();
+                i = close + 1;
+                Value::Ref(r.to_owned())
             }
-            '[' => {
-                let bracket_open = i + 1;
-                let mut depth = 1;
-                let start = i + 1;
-                i += 1;
-                while i < n && depth > 0 {
-                    match chars[i] {
-                        '[' => depth += 1,
-                        ']' => depth -= 1,
-                        _ => {}
-                    }
-                    i += 1;
-                }
-                if depth > 0 {
+            Some(b'[') => {
+                let Some(end) = closing(body, i, b"[", b"]") else {
                     return Err(LexFailure::at(
-                        bracket_open,
+                        i,
                         format!("unterminated bracket for attribute {name}"),
                     ));
+                };
+                let mut inner = String::with_capacity(end - i);
+                for word in body[i + 1..end - 1].split_whitespace() {
+                    if !inner.is_empty() {
+                        inner.push(' ');
+                    }
+                    inner.push_str(word);
                 }
-                let inner: String = chars[start..i - 1].iter().collect();
-                Value::Bracket(inner.split_whitespace().collect::<Vec<_>>().join(" "))
+                i = end;
+                Value::Bracket(inner)
             }
-            _ => {
+            Some(_) => {
                 let start = i;
-                while i < n && !chars[i].is_whitespace() {
-                    i += 1;
-                }
-                Value::Word(chars[start..i].iter().collect())
+                i = scan(body, i, char::is_whitespace);
+                Value::Word(body[start..i].to_owned())
             }
         };
-        attrs.push(Attr { name, args, value });
+        attrs.push(Attr {
+            name: name.to_owned(),
+            args,
+            value,
+        });
     }
     Ok(attrs)
 }
@@ -306,26 +304,21 @@ fn lex_line(body: &str) -> Result<Vec<Attr>, LexFailure> {
 fn split_top_level_commas(s: &str) -> Vec<String> {
     let mut out = Vec::new();
     let mut depth = 0_i32;
-    let mut current = String::new();
-    for c in s.chars() {
-        match c {
-            '[' | '(' => {
-                depth += 1;
-                current.push(c);
+    let mut start = 0;
+    for (k, b) in s.bytes().enumerate() {
+        match b {
+            b'[' | b'(' => depth += 1,
+            b']' | b')' => depth -= 1,
+            b',' if depth == 0 => {
+                out.push(s[start..k].trim().to_owned());
+                start = k + 1;
             }
-            ']' | ')' => {
-                depth -= 1;
-                current.push(c);
-            }
-            ',' if depth == 0 => {
-                out.push(current.trim().to_owned());
-                current.clear();
-            }
-            _ => current.push(c),
+            _ => {}
         }
     }
-    if !current.trim().is_empty() {
-        out.push(current.trim().to_owned());
+    let last = s[start..].trim();
+    if !last.is_empty() {
+        out.push(last.to_owned());
     }
     out
 }

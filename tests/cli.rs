@@ -596,6 +596,34 @@ fn resume_is_refused_under_another_engine() {
     std::fs::remove_file(journal).ok();
 }
 
+#[test]
+fn a_version_2_journal_is_refused_with_exit_3() {
+    // Version 2 journals hold one record per candidate, keyed by its full
+    // design; version 3 keys a record by candidate group. Resuming an old
+    // journal must fail cleanly, not replay nothing or the wrong records.
+    let dir = std::env::temp_dir();
+    let journal = dir.join(format!("aved-cli-v2-{}.jsonl", std::process::id()));
+    let journal = journal.to_str().unwrap();
+    let written = fixture_design(&["--journal", journal]);
+    assert!(written.status.success(), "stderr: {}", stderr(&written));
+    let text = std::fs::read_to_string(journal).unwrap();
+    let (header, records) = text.split_once('\n').unwrap();
+    assert!(header.contains(r#""version":3"#), "{header}");
+    let old = header.replace(r#""version":3"#, r#""version":2"#);
+    std::fs::write(journal, format!("{old}\n{records}")).unwrap();
+    let refused = fixture_design(&["--resume", journal]);
+    assert_eq!(
+        refused.status.code(),
+        Some(3),
+        "stderr: {}",
+        stderr(&refused)
+    );
+    let err = stderr(&refused);
+    assert!(err.contains("version 2"), "{err}");
+    assert!(stdout(&refused).is_empty(), "no design is printed");
+    std::fs::remove_file(journal).ok();
+}
+
 /// The load-400 / 88-min fixture's `design` command with `extra` flags.
 fn fixture_design(extra: &[&str]) -> Output {
     let mut args = vec![
