@@ -63,7 +63,7 @@ pub fn tier_design_cost(
             tier: td.tier().to_string(),
             resource: td.resource().to_string(),
         })?;
-    let n_slots = resource.components().len();
+    let spare_modes = td.spare_mode().modes(resource.components().len());
 
     let mut breakdown = CostBreakdown::default();
     for (slot_idx, slot) in resource.components().iter().enumerate() {
@@ -76,7 +76,7 @@ pub fn tier_design_cost(
         breakdown.active_components +=
             component.cost(OperationalMode::Active) * f64::from(td.n_active());
         breakdown.spare_components +=
-            component.cost(td.spare_mode().mode(slot_idx, n_slots)) * f64::from(td.n_spare());
+            component.cost(spare_modes[slot_idx]) * f64::from(td.n_spare());
 
         // Mechanisms applied to this component (maintenance contracts,
         // checkpointing): per-level tables are per covered instance.

@@ -27,29 +27,6 @@ pub enum SpareMode {
 }
 
 impl SpareMode {
-    /// The mode of component slot `slot` of a resource with `n_slots`
-    /// slots: [`modes`](Self::modes)`(n_slots)[slot]`, without building
-    /// the list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a `PerComponent` assignment has the wrong length.
-    #[must_use]
-    pub fn mode(&self, slot: usize, n_slots: usize) -> OperationalMode {
-        match self {
-            SpareMode::AllInactive => OperationalMode::Inactive,
-            SpareMode::AllActive => OperationalMode::Active,
-            SpareMode::PerComponent(modes) => {
-                assert_eq!(
-                    modes.len(),
-                    n_slots,
-                    "per-component spare modes must cover every slot"
-                );
-                modes[slot]
-            }
-        }
-    }
-
     /// Expands to one mode per component slot.
     ///
     /// # Panics

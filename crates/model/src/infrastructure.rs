@@ -112,16 +112,19 @@ impl Infrastructure {
     }
 
     /// The mechanisms a component delegates attributes to, deduplicated,
-    /// in the order of [`ComponentType::delegations`]. A component has a
-    /// handful of delegations, so each is checked against those before it
-    /// rather than collected.
+    /// in the order of [`ComponentType::delegations`].
+    #[must_use]
     pub fn mechanisms_of_component<'c>(
         &self,
         component: &'c ComponentType,
-    ) -> impl Iterator<Item = &'c MechanismName> {
-        let delegated = move || component.delegations().map(|(_, m, _)| m);
-        let first = move |&(at, m): &(usize, &MechanismName)| !delegated().take(at).any(|n| n == m);
-        delegated().enumerate().filter(first).map(|(_, m)| m)
+    ) -> Vec<&'c MechanismName> {
+        let mut acc: Vec<&MechanismName> = Vec::new();
+        for (_, m, _) in component.delegations() {
+            if !acc.contains(&m) {
+                acc.push(m);
+            }
+        }
+        acc
     }
 
     /// Resolves one duration attribute of `component` under a design's
@@ -409,7 +412,8 @@ mod tests {
             ))
             .with_loss_window(DurationSpec::FromMechanism("checkpoint".into()));
         let i = Infrastructure::new();
-        let names: Vec<&str> = i.mechanisms_of_component(&c).map(|m| m.as_str()).collect();
+        let mechs = i.mechanisms_of_component(&c);
+        let names: Vec<&str> = mechs.iter().map(|m| m.as_str()).collect();
         assert_eq!(names, vec!["m", "checkpoint"]);
     }
 }

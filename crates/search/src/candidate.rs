@@ -1,5 +1,6 @@
 //! Enumeration of resolved tier-design candidates.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -250,6 +251,45 @@ fn model_mechanisms<'i>(
     distinct(read.map(|(_, m)| m))
 }
 
+/// The mechanisms whose settings a finite job's completion time reads
+/// beyond its tier model: those the option declares a checkpoint overhead
+/// (mperformance) function for, and those its components delegate their
+/// loss window to.
+fn job_mechanisms<'a>(
+    infrastructure: &'a Infrastructure,
+    option: &'a ResourceOption,
+) -> Vec<&'a MechanismName> {
+    let loss = delegations(infrastructure, option).filter(|d| d.0 == EffectKind::LossWindow);
+    let overheads = option
+        .mechanisms()
+        .iter()
+        .filter(|mu| mu.mperformance().is_some());
+    distinct(
+        loss.map(|d| d.1)
+            .chain(overheads.map(MechanismUse::mechanism)),
+    )
+}
+
+/// Numbers `groups` by the values their settings give the mechanisms
+/// `read`, in order of first appearance: each group's number, and the
+/// first group of each number.
+fn number_by(
+    groups: &[(Vec<Setting>, usize)],
+    read: &[&MechanismName],
+) -> (Vec<usize>, Vec<usize>) {
+    let (mut numbers, mut seen) = (Vec::new(), Vec::<(Vec<&ParamValue>, usize)>::new());
+    for (at, (group, _)) in groups.iter().enumerate() {
+        let values = group.iter().filter(|(key, _)| read.contains(&&key.0));
+        let values: Vec<&ParamValue> = values.map(|(_, v)| v).collect();
+        let number = seen.iter().position(|(v, _)| *v == values);
+        numbers.push(number.unwrap_or(seen.len()));
+        if number.is_none() {
+            seen.push((values, at));
+        }
+    }
+    (numbers, seen.into_iter().map(|(_, at)| at).collect())
+}
+
 /// The most resources a tier design of `option` may hold: the tightest
 /// `max_instances` bound of its resource's components, divided by the
 /// number of the resource's slots that component fills. `u32::MAX` when no
@@ -313,16 +353,23 @@ fn with_settings(mut td: TierDesign, settings: &[Setting]) -> TierDesign {
 /// model and a cost, so a search keeps only the group's best. The plan
 /// lists each group's shared settings and, once for all groups, the *grid*
 /// of the varying settings, each with its offset: a candidate enumerates
-/// at its group's offset in the block plus its point's. Each group's
-/// projection onto the settings its tier model reads is numbered in order
-/// of first appearance; the groups of a block that share a projection
-/// share an *availability design*, one tier model.
+/// at its group's offset in the block plus its point's. The groups are
+/// numbered twice by the values their settings give some mechanisms, in
+/// order of first appearance: by those the tier model reads — the groups
+/// of a block with one number share an *availability design*, one tier
+/// model — and by those a job's completion time reads beyond it — groups
+/// with one number share their candidates' job points.
 pub(crate) struct SettingsPlan {
     /// Each group's shared settings and offset, in enumeration order.
     groups: Vec<(Vec<Setting>, usize)>,
-    /// Each group's projection, and the number of distinct projections.
-    projection: Vec<usize>,
-    projections: usize,
+    /// Each group's number by its tier model's settings, and the number
+    /// of such numbers.
+    model: Vec<usize>,
+    models: usize,
+    /// Each group's number by its job points' settings, and the first
+    /// group of each number.
+    job: Vec<usize>,
+    job_groups: Vec<usize>,
     /// Each grid point's settings and offset, in enumeration order.
     points: Vec<(Vec<Setting>, usize)>,
     /// The most resources a design may hold under the components'
@@ -373,21 +420,13 @@ impl SettingsPlan {
             combos
         };
         let groups = product(false);
-        let mut seen: Vec<Vec<&ParamValue>> = Vec::new();
-        let projection = groups
-            .iter()
-            .map(|(group, _)| {
-                let read = group.iter().filter(|(key, _)| model.contains(&&key.0));
-                let key: Vec<&ParamValue> = read.map(|(_, v)| v).collect();
-                seen.iter().position(|k| *k == key).unwrap_or_else(|| {
-                    seen.push(key);
-                    seen.len() - 1
-                })
-            })
-            .collect();
+        let (model, models) = number_by(&groups, &model);
+        let (job, job_groups) = number_by(&groups, &job_mechanisms(infrastructure, option));
         SettingsPlan {
-            projections: seen.len(),
-            projection,
+            model,
+            models: models.len(),
+            job,
+            job_groups,
             points: product(true),
             groups,
             max_total: max_total(infrastructure, option),
@@ -411,20 +450,28 @@ impl SettingsPlan {
         Some(with_settings(representative.clone(), settings))
     }
 
-    /// One candidate of `tier` on `option` per group and grid point, group
-    /// by group: every settings combination, in the order the grid scorer
-    /// indexes them.
-    pub(crate) fn combinations<'a>(
+    /// One candidate of `tier` on `option` per grid point of the first
+    /// group of each job number, in that order: the candidates whose job
+    /// points every group's candidates share. Those of `group` are at
+    /// [`job_points`](Self::job_points)`(group)`.
+    pub(crate) fn job_designs<'a>(
         &'a self,
         tier: &TierName,
         option: &ResourceOption,
     ) -> impl Iterator<Item = TierDesign> + 'a {
         let base = TierDesign::new(tier.clone(), option.resource().clone(), 1, 0);
-        self.groups.iter().flat_map(move |(group, _)| {
-            let representative = with_settings(base.clone(), group);
+        self.job_groups.iter().flat_map(move |&group| {
+            let representative = with_settings(base.clone(), &self.groups[group].0);
             let points = self.points.iter();
             points.map(move |(point, _)| with_settings(representative.clone(), point))
         })
+    }
+
+    /// Where the candidates of `group` sit among the
+    /// [`job_designs`](Self::job_designs).
+    pub(crate) fn job_points(&self, group: usize) -> Range<usize> {
+        let first = self.job[group] * self.points();
+        first..first + self.points()
     }
 
     /// Calls `emit` with one representative of each group of `option`'s
@@ -434,7 +481,7 @@ impl SettingsPlan {
     /// none when `n_total` resources would need more instances of a
     /// component than its `max_instances`. Next to each representative
     /// come the number of its availability design within these `n_total`
-    /// resources — split, spare mode and projection — numbered in order of
+    /// resources — split, spare mode and model number — numbered in order of
     /// first appearance, its group's index in the plan, and the offset of
     /// its first candidate among those of these `n_total` resources.
     pub(crate) fn for_each_group(
@@ -468,7 +515,7 @@ impl SettingsPlan {
                         .with_spare_mode(spare_mode.clone());
                 let first = block * self.groups.len() * self.points();
                 for (group, (settings, at)) in self.groups.iter().enumerate() {
-                    let availability = block * self.projections + self.projection[group];
+                    let availability = block * self.models + self.model[group];
                     emit(
                         with_settings(td.clone(), settings),
                         availability,
@@ -753,7 +800,7 @@ mod tests {
         // which the tier model tells apart only the first two factors.
         let plan = SettingsPlan::new(&infra, &option(), &[]);
         assert_eq!(plan.groups.len() * plan.points(), 12);
-        assert_eq!(plan.projections, 6);
+        assert_eq!(plan.models, 6);
     }
 
     #[test]
@@ -782,6 +829,7 @@ mod tests {
         }
         let plan = SettingsPlan::new(&infra, &rh, &[]);
         assert_eq!((plan.groups.len(), plan.points()), (4, 300));
+        assert_eq!(plan.job_groups, [0], "every group shares its job points");
 
         // A storage-keyed cost table makes the location a cost setting:
         // it moves from the grid into the groups.
@@ -801,7 +849,8 @@ mod tests {
         );
         let plan = SettingsPlan::new(&infra, &rh, &[]);
         assert_eq!((plan.groups.len(), plan.points()), (8, 150));
-        assert_eq!(plan.projections, 4, "the location still shares the model");
+        assert_eq!(plan.models, 4, "the location still shares the model");
+        assert_eq!(plan.job_groups, [0, 1], "but not the job points");
     }
 
     #[test]

@@ -519,10 +519,11 @@ mod tests {
             let prelude = JobPrelude::new(&ctx, cost, &assessment, n).unwrap();
             let overheads = checkpoint_overheads(&ctx, option).unwrap();
             let grid: Vec<_> = plan
-                .combinations(tier.name(), option)
+                .job_designs(tier.name(), option)
                 .map(|td| job_point(&ctx, &overheads, &td))
                 .collect();
-            let kernel = prelude.job_time(grid[point].as_ref().unwrap()).unwrap();
+            let job = &grid[plan.job_points(0)][point];
+            let kernel = prelude.job_time(job.as_ref().unwrap()).unwrap();
             prop_assert_eq!(
                 kernel.seconds().to_bits(),
                 alone.expected_job_time().unwrap().seconds().to_bits()

@@ -82,7 +82,7 @@ fn frontier(
     search_start: Instant,
 ) -> Result<(Vec<EvaluatedDesign>, SearchHealth), SearchError> {
     let started = Instant::now();
-    let mut sweep = Sweep::new(ctx, tier_name, options, search_start)?;
+    let mut sweep = Sweep::new(ctx, tier_name, objective, options, search_start)?;
     let mut tier = enumerate(&mut sweep, objective, grid)?;
     let frontier = pareto_frontier(&mut sweep, objective, &mut tier.batch, None)?;
     Ok((frontier, sweep.finish(started)))

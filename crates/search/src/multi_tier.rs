@@ -192,7 +192,7 @@ pub fn search_service_with_health(
     };
     let mut tiers = Vec::new();
     for tier in ctx.service().tiers() {
-        let mut sweep = Sweep::new(ctx, tier.name().as_str(), options, started)?;
+        let mut sweep = Sweep::new(ctx, tier.name().as_str(), &query.frontier, options, started)?;
         let tier = enumerate(&mut sweep, &query.frontier, None)?;
         tiers.push(TierQuery {
             sweep,
@@ -206,7 +206,7 @@ pub fn search_service_with_health(
     let mut health = SearchHealth::default();
     let mut pending = 0;
     for t in tiers {
-        pending += t.tier.batch.pending();
+        pending += t.sweep.pending(&t.tier.batch);
         health.merge(t.sweep.finish(started));
     }
     // Candidates no run reached count as pruned: never evaluated after the

@@ -112,9 +112,10 @@ impl Objective {
     }
 
     /// The scoring half: every candidate of group `c`, scored from its
-    /// design's `assessment`. A job scores `grid`, the job points of the
-    /// group's candidates, in one loop; the candidates of an enterprise
-    /// group share one downtime, so its first is its best.
+    /// design's `assessment`; `Err` when the group fails as a whole. A job
+    /// scores `grid`, the job points of the group's candidates, in one
+    /// loop; the candidates of an enterprise group share one downtime, so
+    /// its first is its best.
     fn score(
         &self,
         ctx: &EvalContext<'_>,
@@ -122,42 +123,36 @@ impl Objective {
         grid: &[Result<JobPoint, SearchError>],
         c: &Candidate,
         assessment: &Assessment,
-    ) -> Scores {
+    ) -> Result<Scores, SearchError> {
         let materialise = |point| plan.design(&c.design, point).expect("a point of the grid");
-        let scores = match self {
+        match self {
             Objective::Enterprise { .. } => {
-                score_enterprise_design(materialise(0), c.cost, assessment).map(|e| Scores {
+                let e = score_enterprise_design(materialise(0), c.cost, assessment)?;
+                Ok(Scores {
                     best: Some((0, e)),
-                    scored: c.points,
                     failed: Vec::new(),
                 })
             }
-            Objective::Job { .. } => JobPrelude::new(ctx, c.cost, assessment, c.design.n_active())
-                .map(|prelude| {
-                    // The grid scorer: one kernel call per point, and the
-                    // first point of least completion time kept.
-                    let mut scores = Scores::default();
-                    let mut best: Option<(usize, Duration)> = None;
-                    for (point, job) in grid.iter().enumerate() {
-                        let time = job.as_ref().map_err(Clone::clone);
-                        match time.and_then(|job| prelude.job_time(job)) {
-                            Ok(t) => {
-                                scores.scored += 1;
-                                if best.is_none_or(|(_, b)| t < b) {
-                                    best = Some((point, t));
-                                }
-                            }
-                            Err(e) => scores.failed.push((point, e)),
-                        }
+            Objective::Job { .. } => {
+                let prelude = JobPrelude::new(ctx, c.cost, assessment, c.design.n_active())?;
+                // The grid scorer: one kernel call per point, and the first
+                // point of least completion time kept.
+                let (mut best, mut failed) = (None::<(usize, Duration)>, Vec::new());
+                for (point, job) in grid.iter().enumerate() {
+                    let time = job.as_ref().map_err(Clone::clone);
+                    match time.and_then(|job| prelude.job_time(job)) {
+                        Ok(t) if best.is_none_or(|(_, b)| t < b) => best = Some((point, t)),
+                        Ok(_) => {}
+                        Err(e) => failed.push((point, e)),
                     }
-                    scores.best = best.map(|(point, t)| {
-                        let e = assessment.evaluated(materialise(point), c.cost, Some(t));
-                        (point, e)
-                    });
-                    scores
-                }),
-        };
-        scores.unwrap_or_else(|e| Scores::failed(c.points, &e))
+                }
+                let best = best.map(|(point, t)| {
+                    let e = assessment.evaluated(materialise(point), c.cost, Some(t));
+                    (point, e)
+                });
+                Ok(Scores { best, failed })
+            }
+        }
     }
 
     /// The quality metric, smaller is better. Job evaluations always carry
@@ -207,11 +202,10 @@ struct Candidate {
     design: TierDesign,
     /// The batch index of the group's availability design.
     availability: usize,
-    /// The tier option's index, and the group's index in its plan.
+    /// The tier option's index, and the group's index in its plan; the
+    /// group has a candidate per point of the plan's grid.
     option: usize,
     group: usize,
-    /// The number of candidates: the points of the plan's grid.
-    points: usize,
     /// The enumeration position of the group's first candidate among all
     /// the batch's candidates.
     position: usize,
@@ -219,36 +213,12 @@ struct Candidate {
     state: Fold,
 }
 
-/// A group's scores: its first candidate of best quality, by grid point;
-/// how many of its candidates scored; and each point whose score failed.
+/// A group's scores: its first candidate of best quality, by grid point,
+/// and each point whose score failed.
 #[derive(Default)]
 struct Scores {
     best: Option<(usize, EvaluatedDesign)>,
-    scored: usize,
     failed: Vec<(usize, SearchError)>,
-}
-
-impl Scores {
-    /// The scores of a group of `points` candidates that all failed with
-    /// `e`.
-    fn failed(points: usize, e: &SearchError) -> Scores {
-        let failed = (0..points).map(|point| (point, e.clone())).collect();
-        Scores {
-            failed,
-            ..Scores::default()
-        }
-    }
-
-    /// What the journal records of the group: its best candidate and that
-    /// candidate's point; else, when candidates failed, the first failure;
-    /// else nothing.
-    fn outcome(&self) -> Result<Option<(usize, &EvaluatedDesign)>, &SearchError> {
-        match (&self.best, self.failed.first()) {
-            (Some((point, e)), _) => Ok(Some((*point, e))),
-            (None, Some((_, e))) => Err(e),
-            (None, None) => Ok(None),
-        }
-    }
 }
 
 /// Where a group stands in its batch's runs.
@@ -296,23 +266,12 @@ impl Batch {
         self.positions = 0;
     }
 
-    /// The number of candidates the groups in `range` hold.
-    pub(crate) fn points(&self, range: Range<usize>) -> usize {
-        self.candidates[range].iter().map(|c| c.points).sum()
-    }
-
     /// The cost of the cheapest group in `range`, if any.
     pub(crate) fn cheapest(&self, range: Range<usize>) -> Option<Money> {
         self.candidates[range]
             .iter()
             .map(|c| c.cost)
             .min_by(Money::total_cmp)
-    }
-
-    /// The number of candidates no run has folded or pruned yet.
-    pub(crate) fn pending(&self) -> u64 {
-        let pending = self.candidates.iter().filter(|c| c.state == Fold::Pending);
-        pending.map(|c| c.points as u64).sum()
     }
 }
 
@@ -376,9 +335,9 @@ pub(crate) struct Sweep<'s, 'c> {
     /// The settings of each of the tier's options, enumerated once for the
     /// whole sweep.
     plans: Vec<SettingsPlan>,
-    /// The job points of each option's groups and grid points, group by
-    /// group, built when a job run first reaches the option.
-    grids: Vec<Option<Vec<Result<JobPoint, SearchError>>>>,
+    /// The job points of each option's
+    /// [`job_designs`](SettingsPlan::job_designs), in a job sweep.
+    grids: Vec<Vec<Result<JobPoint, SearchError>>>,
     /// The whole sweep's budget: the absolute deadline, the per-candidate
     /// limits and the cancellation token.
     budget: SolveBudget,
@@ -390,28 +349,40 @@ pub(crate) struct Sweep<'s, 'c> {
 }
 
 impl<'s, 'c> Sweep<'s, 'c> {
-    /// Starts a sweep of the tier named `tier_name`. Its deadline counts
-    /// from `search_start`, the start of the outermost search, so a
-    /// multi-tier search shares one deadline across its tiers.
+    /// Starts a sweep of the tier named `tier_name` under objectives of
+    /// `objective`'s kind. Its deadline counts from `search_start`, the
+    /// start of the outermost search, so a multi-tier search shares one
+    /// deadline across its tiers.
     pub(crate) fn new(
         ctx: &'s EvalContext<'c>,
         tier_name: &str,
+        objective: &Objective,
         options: &'s SearchOptions,
         search_start: Instant,
     ) -> Result<Self, SearchError> {
         let enumerating = Instant::now();
         let budget = options.eval_budget(search_start);
         let tier = ctx.tier(tier_name)?;
-        let plans = tier
+        let plans: Vec<SettingsPlan> = tier
             .options()
             .iter()
             .map(|option| SettingsPlan::new(ctx.infrastructure(), option, &options.pins))
             .collect();
+        let grids = match objective {
+            Objective::Enterprise { .. } => Vec::new(),
+            Objective::Job { .. } => (tier.options().iter().zip(&plans))
+                .map(|(option, plan)| {
+                    let overheads = checkpoint_overheads(ctx, option);
+                    let point = |td| job_point(ctx, overheads.as_ref().map_err(Clone::clone)?, &td);
+                    plan.job_designs(tier.name(), option).map(point).collect()
+                })
+                .collect(),
+        };
         Ok(Sweep {
             ctx,
             tier,
             options,
-            grids: tier.options().iter().map(|_| None).collect(),
+            grids,
             plans,
             session: EvalSession::new().with_budget(budget.clone()),
             budget,
@@ -431,6 +402,19 @@ impl<'s, 'c> Sweep<'s, 'c> {
     /// The sweep's options.
     pub(crate) fn options(&self) -> &'s SearchOptions {
         self.options
+    }
+
+    /// The number of candidates the groups of `batch` in `range` hold.
+    pub(crate) fn points(&self, batch: &Batch, range: Range<usize>) -> usize {
+        let groups = batch.candidates[range].iter();
+        groups.map(|c| self.plans[c.option].points()).sum()
+    }
+
+    /// The number of candidates of `batch` no run has folded or pruned
+    /// yet.
+    pub(crate) fn pending(&self, batch: &Batch) -> u64 {
+        let pending = batch.candidates.iter().filter(|c| c.state == Fold::Pending);
+        pending.map(|c| self.plans[c.option].points() as u64).sum()
     }
 
     /// Appends to `batch` the groups of the tier's `option`-th option with
@@ -478,7 +462,6 @@ impl<'s, 'c> Sweep<'s, 'c> {
                     availability,
                     option,
                     group,
-                    points: plan.points(),
                     position: *positions + offset,
                     cost,
                     state: Fold::Pending,
@@ -491,24 +474,6 @@ impl<'s, 'c> Sweep<'s, 'c> {
         *positions += (candidates.len() - first_candidate) * plan.points();
         self.health.enumeration_time += enumerating.elapsed();
         Ok(first_candidate..batch.candidates.len())
-    }
-
-    /// Builds the job points of every option a group of `candidates`
-    /// belongs to, unless built already.
-    fn build_grids(&mut self, candidates: &[Candidate]) {
-        for c in candidates {
-            if self.grids[c.option].is_some() {
-                continue;
-            }
-            let option = &self.tier.options()[c.option];
-            let plan = &self.plans[c.option];
-            let overheads = checkpoint_overheads(self.ctx, option);
-            let points = plan.combinations(self.tier.name(), option).map(|td| {
-                let overheads = overheads.as_ref().map_err(Clone::clone)?;
-                job_point(self.ctx, overheads, &td)
-            });
-            self.grids[c.option] = Some(points.collect());
-        }
     }
 
     /// Runs the groups of `batch` in `range` under `objective` and cost
@@ -551,9 +516,6 @@ impl<'s, 'c> Sweep<'s, 'c> {
         mut accept: impl FnMut(EvaluatedDesign) -> Result<Option<Money>, SearchError>,
     ) -> Result<usize, SearchError> {
         let merging = Instant::now();
-        if matches!(objective, Objective::Job { .. }) {
-            self.build_grids(&batch.candidates[range.clone()]);
-        }
         let (ctx, options, budget) = (self.ctx, self.options, &self.budget);
         let tier = self.tier.name().as_str();
         let first = range.start;
@@ -581,27 +543,24 @@ impl<'s, 'c> Sweep<'s, 'c> {
         for i in range {
             let c = &mut candidates[i];
             release(&mut waiting, c.position, &mut bound, &mut accept)?;
-            let points = c.points as u64;
+            let plan = &self.plans[c.option];
+            let points = plan.points();
             if beaten(bound, c.cost) {
                 if c.state == Fold::Pending {
                     c.state = Fold::Pruned;
-                    self.health.candidates_pruned += points;
+                    self.health.candidates_pruned += points as u64;
                 }
                 continue;
             }
             let fresh = c.state != Fold::Folded;
-            let plan = &self.plans[c.option];
             let replay = replays.get(i - first).copied().flatten();
             let scores = if let Some(entry) = replay {
                 let point = entry.point();
-                match entry.clone().into_result(plan.design(&c.design, point)) {
-                    Ok(best) => Scores {
-                        best: best.map(|e| (point, e)),
-                        scored: c.points,
-                        failed: Vec::new(),
-                    },
-                    Err(e) => Scores::failed(c.points, &e),
-                }
+                let best = entry.clone().into_result(plan.design(&c.design, point));
+                best.map(|best| Scores {
+                    best: best.map(|e| (point, e)),
+                    failed: Vec::new(),
+                })
             } else {
                 let assessment = &mut assessments[c.availability];
                 if assessment.is_none() {
@@ -619,58 +578,68 @@ impl<'s, 'c> Sweep<'s, 'c> {
                     evaluating += started.elapsed();
                 }
                 if fresh {
-                    self.health.candidates_scored += points;
+                    self.health.candidates_scored += points as u64;
                 }
-                let grid = self.grids[c.option].as_deref();
-                let grid = grid.map_or(&[][..], |g| &g[c.group * c.points..][..c.points]);
+                let grid = self.grids.get(c.option);
+                let grid = grid.map_or(&[][..], |g| &g[plan.job_points(c.group)]);
                 match assessment.as_ref().expect("evaluated above") {
                     Ok(Some(a)) => objective.score(ctx, plan, grid, c, a),
-                    Ok(None) => Scores::default(),
-                    Err(e) => Scores::failed(c.points, e),
+                    Ok(None) => Ok(Scores::default()),
+                    Err(e) => Err(e.clone()),
                 }
             };
             // A cancellation is not a candidate outcome: the caller's
             // post-run check turns it into a clean interruption, and it is
             // never journaled (re-evaluate it on resume).
-            if scores
-                .failed
-                .first()
-                .is_some_and(|(_, e)| e.is_cancellation())
-            {
+            if scores.as_ref().is_err_and(SearchError::is_cancellation) {
                 continue;
+            }
+            // Each failed candidate's point and error; a group that failed
+            // as a whole failed at every point.
+            let failed: Vec<(usize, &SearchError)> = match &scores {
+                Ok(scores) => scores.failed.iter().map(|(point, e)| (*point, e)).collect(),
+                Err(e) => (0..points).map(|point| (point, e)).collect(),
+            };
+            // A fatal failure ends the sweep before the group is journaled,
+            // so a resumed sweep scores the group again and fails alike.
+            if let Some(&(_, e)) = failed.iter().find(|(_, e)| fatal(e, options.strict)) {
+                return Err(e.clone());
             }
             if fresh {
                 if c.state == Fold::Pruned {
-                    self.health.candidates_pruned -= points;
+                    self.health.candidates_pruned -= points as u64;
                 }
                 c.state = Fold::Folded;
                 if replay.is_some() {
-                    self.health.journal_replayed += points;
+                    self.health.journal_replayed += points as u64;
                 }
-                let exhausted = scores
-                    .failed
-                    .iter()
-                    .filter(|(_, e)| e.is_budget_exhaustion());
+                let exhausted = failed.iter().filter(|(_, e)| e.is_budget_exhaustion());
                 self.health.budget_exhausted += exhausted.count() as u64;
-                if let Some(journal) = &options.journal {
-                    journal.record(&keys[i - first], scores.outcome());
+                // A group only some of whose candidates failed is not
+                // journaled: a resumed sweep scores it again, skips and all.
+                let outcome = match &scores {
+                    Ok(s) if s.failed.is_empty() => Some(Ok(s.best.as_ref().map(|(p, e)| (*p, e)))),
+                    Ok(_) => None,
+                    Err(e) => Some(Err(e)),
+                };
+                if let (Some(journal), Some(outcome)) = (&options.journal, outcome) {
+                    journal.record(&keys[i - first], outcome);
                 }
-            }
-            for (point, e) in scores.failed {
-                if fatal(&e, options.strict) {
-                    return Err(e);
-                }
-                if fresh {
+                for &(point, e) in &failed {
                     let td = plan.design(&c.design, point).expect("a point of the grid");
-                    self.health.record_skip(&td, &e);
+                    self.health.record_skip(&td, e);
                 }
             }
-            if let Some((point, e)) = scores.best {
+            if let Ok(Scores {
+                best: Some((point, e)),
+                failed,
+            }) = scores
+            {
+                let scored = points - failed.len();
                 if fresh {
-                    self.health
-                        .absorb_eval(e.eval_health(), scores.scored as u64);
+                    self.health.absorb_eval(e.eval_health(), scored as u64);
                 }
-                delivered += scores.scored;
+                delivered += scored;
                 waiting.push((c.position + plan.point_offset(point), e));
             }
         }

@@ -136,7 +136,7 @@ fn search(
     options: &SearchOptions,
 ) -> Result<SearchOutcome, SearchError> {
     let started = Instant::now();
-    let mut sweep = Sweep::new(ctx, tier_name, options, started)?;
+    let mut sweep = Sweep::new(ctx, tier_name, objective, options, started)?;
     // Each level is enumerated when the loop reaches it, into one batch.
     let mut batch = Batch::default();
     let (best, mut stats) =
@@ -189,7 +189,7 @@ pub(crate) fn cost_first<'c>(
             if range.is_empty() {
                 continue;
             }
-            stats.cost_evaluations += batch.points(range.clone());
+            stats.cost_evaluations += sweep.points(batch, range.clone());
             stats.totals_explored += 1;
 
             // Termination: every candidate at this count (and, since cost

@@ -411,3 +411,66 @@ fn capped_service_query_resumes_from_a_truncated_journal() {
     );
     std::fs::remove_file(&path).ok();
 }
+
+/// The Fig. 7 fixture whose checkpoint intervals start at 1e-300 s and
+/// grow tenfold: the shortest ones inflate the failure-free time past any
+/// finite completion time, so every availability design has candidates
+/// whose scores fail, next to candidates that score.
+fn non_finite_fixture() -> Fixture {
+    let paper = include_str!("../../../data/infrastructure.aved");
+    let range = "range=[1m-24h;*1.05]";
+    assert!(paper.contains(range), "the bundled checkpoint range moved");
+    let tiny = format!("range=[0.{}1s-24h;*10]", "0".repeat(299));
+    Fixture {
+        infrastructure: aved_spec::parse_infrastructure(&paper.replace(range, &tiny)).unwrap(),
+        ..fig7_fixture()
+    }
+}
+
+#[test]
+fn groups_with_failed_candidates_resume_to_the_uninterrupted_outcome() {
+    // A group some of whose candidates fail is left out of the journal, so
+    // a resumed sweep scores it again: under --strict it stops with the
+    // uninterrupted run's error, and without it records the same skips.
+    let fx = non_finite_fixture();
+    let deadline = Duration::from_hours(50.0);
+    let engine = DecompositionEngine::default();
+    let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &engine);
+    let search = |opts: &SearchOptions| search_job_tier(&ctx, "computation", deadline, opts);
+    let strict = || job_opts().with_strict();
+    let reference = search(&job_opts()).unwrap();
+    assert!(
+        !reference.health().skipped.is_empty(),
+        "{}",
+        reference.health()
+    );
+    let strict_error = search(&strict()).unwrap_err().to_string();
+
+    for (tag, opts) in [("lenient", job_opts()), ("strict", strict())] {
+        let path = temp_journal(&format!("non-finite-{tag}"));
+        {
+            let journal = Arc::new(SweepJournal::create(&path, &decomp()).unwrap());
+            search(&opts.clone().with_journal(journal.clone())).ok();
+            journal.flush().unwrap();
+        }
+        let replay = Arc::new(JournalReplay::load(&path, &decomp()).unwrap());
+        let error = search(&strict().with_resume(replay.clone())).unwrap_err();
+        assert_eq!(
+            error.to_string(),
+            strict_error,
+            "{tag} journal, strict resume"
+        );
+        let resumed = search(&job_opts().with_resume(replay)).unwrap();
+        let label = format!("{tag} journal, lenient resume");
+        match (reference.best(), resumed.best()) {
+            (Some(a), Some(b)) => assert_bit_identical(a, b, &label),
+            (a, b) => assert_eq!(a.is_some(), b.is_some(), "{label}"),
+        }
+        assert_eq!(
+            resumed.health().skipped,
+            reference.health().skipped,
+            "{label}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+}
