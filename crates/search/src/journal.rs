@@ -11,6 +11,9 @@
 //! merely close. [`JournalReplay`] loads a journal back and the search
 //! loops consult it before evaluating: a hit skips the solver entirely and
 //! reconstructs the recorded [`EvaluatedDesign`](crate::EvaluatedDesign).
+//! A group only some of whose candidates failed, and a failure that ends
+//! the sweep, are not recorded: a resumed sweep scores them again and so
+//! meets the same skips or the same error.
 //!
 //! The format is deliberately dumb: a header line, then one self-contained
 //! JSON object per line. Appends are buffered and fsynced every
