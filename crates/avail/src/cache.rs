@@ -9,7 +9,7 @@ use crate::{AvailError, AvailabilityEngine, EvalHealth, EvalSession, TierAvailab
 ///
 /// Inert as a cache: it keeps no results, so [`hits`](Self::hits) always
 /// reads 0 and [`misses`](Self::misses) counts the calls. A search sweep
-/// evaluates each distinct tier model once, so no search ever replayed a
+/// evaluates each candidate group's tier model once, so no search replayed a
 /// remembered tier result; the type, `new`, `hits` and `misses` stay
 /// because the design-query benchmark's traced path wraps and reads them
 /// by name. Evaluate through the engine itself instead.

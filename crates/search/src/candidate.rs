@@ -1,4 +1,6 @@
-//! Enumeration of resolved tier-design candidates.
+//! Enumeration of resolved tier-design candidates, in the order every
+//! sweep walks them: group by group, each group's grid of quality-only
+//! settings innermost (see [`SettingsPlan`]).
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -273,12 +275,9 @@ fn job_mechanisms<'a>(
 /// Numbers `groups` by the values their settings give the mechanisms
 /// `read`, in order of first appearance: each group's number, and the
 /// first group of each number.
-fn number_by(
-    groups: &[(Vec<Setting>, usize)],
-    read: &[&MechanismName],
-) -> (Vec<usize>, Vec<usize>) {
+fn number_by(groups: &[Vec<Setting>], read: &[&MechanismName]) -> (Vec<usize>, Vec<usize>) {
     let (mut numbers, mut seen) = (Vec::new(), Vec::<(Vec<&ParamValue>, usize)>::new());
-    for (at, (group, _)) in groups.iter().enumerate() {
+    for (at, group) in groups.iter().enumerate() {
         let values = group.iter().filter(|(key, _)| read.contains(&&key.0));
         let values: Vec<&ParamValue> = values.map(|(_, v)| v).collect();
         let number = seen.iter().position(|(v, _)| *v == values);
@@ -312,27 +311,34 @@ fn max_total(infrastructure: &Infrastructure, option: &ResourceOption) -> u32 {
 /// One setting: its mechanism and parameter, and its value.
 type Setting = (SettingKey, ParamValue);
 
-/// How a mechanism setting enters a candidate's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SettingKind {
-    /// Its mechanism sets an attribute of the tier model
-    /// (`model_mechanisms`).
-    Model,
-    /// It selects its mechanism's [`MechanismCost::Table`] entry.
-    Cost,
-    /// Neither, so only a candidate's quality reads it: a finite job's
-    /// completion time reads a checkpoint's interval and storage location.
-    QualityOnly,
+/// `true` when only a candidate's quality reads `mechanism`'s parameter
+/// `param`, for a tier option whose model reads the mechanisms `model`:
+/// its mechanism sets no attribute of the tier model
+/// (`model_mechanisms`), and it selects no [`MechanismCost::Table`]
+/// entry. A finite job's completion time reads a checkpoint's interval
+/// and storage location.
+fn quality_only(model: &[&MechanismName], mechanism: &Mechanism, param: &ParamName) -> bool {
+    let priced =
+        matches!(mechanism.cost_spec(), MechanismCost::Table { param: p, .. } if p == param);
+    !priced && !model.contains(&mechanism.name())
 }
 
-/// The kind of `mechanism`'s parameter `param` for a tier option whose
-/// model reads the mechanisms `model`.
-fn setting_kind(model: &[&MechanismName], mechanism: &Mechanism, param: &ParamName) -> SettingKind {
-    match mechanism.cost_spec() {
-        _ if model.contains(&mechanism.name()) => SettingKind::Model,
-        MechanismCost::Table { param: p, .. } if p == param => SettingKind::Cost,
-        _ => SettingKind::QualityOnly,
+/// Every combination of `params`' values, the last parameter varying
+/// fastest.
+fn product(params: &[(SettingKey, Vec<ParamValue>)]) -> Vec<Vec<Setting>> {
+    let mut combos = vec![Vec::new()];
+    for (key, values) in params {
+        let extend = |combo: &Vec<Setting>, value: &ParamValue| {
+            let mut combo = combo.clone();
+            combo.push((key.clone(), value.clone()));
+            combo
+        };
+        let next = combos
+            .iter()
+            .flat_map(|c| values.iter().map(|v| extend(c, v)));
+        combos = next.collect();
     }
+    combos
 }
 
 /// `td` with `settings` applied.
@@ -345,33 +351,28 @@ fn with_settings(mut td: TierDesign, settings: &[Setting]) -> TierDesign {
 
 /// One option's mechanism settings, enumerated once per sweep: each
 /// parameter of the option's relevant mechanisms takes each value of its
-/// range, or its pinned value, the last parameter varying fastest.
+/// range, or its pinned value.
 ///
-/// The candidates of one (split, spare mode) *block* that agree on every
-/// setting but the varying quality-only ones — [`SettingKind::QualityOnly`]
-/// parameters with more than one value — form a *group*: they share a tier
-/// model and a cost, so a search keeps only the group's best. The plan
-/// lists each group's shared settings and, once for all groups, the *grid*
-/// of the varying settings, each with its offset: a candidate enumerates
-/// at its group's offset in the block plus its point's. The groups are
-/// numbered twice by the values their settings give some mechanisms, in
-/// order of first appearance: by those the tier model reads — the groups
-/// of a block with one number share an *availability design*, one tier
-/// model — and by those a job's completion time reads beyond it — groups
-/// with one number share their candidates' job points.
+/// The *grid* is the quality-only (`quality_only`) parameters with more
+/// than one value. The candidates of one (split, spare mode) *block* that
+/// agree on every other setting form a *group*: they share a tier model
+/// and a cost, so a sweep evaluates the group's model once and keeps only
+/// its best. A block enumerates group by group, and a group point by
+/// point of the grid: the group settings and the grid settings each in
+/// declared order, the last varying fastest, the grid innermost. The
+/// groups are numbered by the values their settings give the mechanisms
+/// a job's completion time reads beyond the tier model, in order of first
+/// appearance: groups with one number share their candidates' job
+/// points.
 pub(crate) struct SettingsPlan {
-    /// Each group's shared settings and offset, in enumeration order.
-    groups: Vec<(Vec<Setting>, usize)>,
-    /// Each group's number by its tier model's settings, and the number
-    /// of such numbers.
-    model: Vec<usize>,
-    models: usize,
+    /// Each group's shared settings, in enumeration order.
+    groups: Vec<Vec<Setting>>,
     /// Each group's number by its job points' settings, and the first
     /// group of each number.
     job: Vec<usize>,
     job_groups: Vec<usize>,
-    /// Each grid point's settings and offset, in enumeration order.
-    points: Vec<(Vec<Setting>, usize)>,
+    /// Each grid point's settings, in enumeration order.
+    points: Vec<Vec<Setting>>,
     /// The most resources a design may hold under the components'
     /// `max_instances` bounds.
     max_total: u32,
@@ -385,49 +386,32 @@ impl SettingsPlan {
         pins: &[(MechanismName, String, ParamValue)],
     ) -> SettingsPlan {
         let model = model_mechanisms(infrastructure, option);
-        // Each parameter, last first, with its values, its stride in
-        // enumeration order and whether it varies in the grid.
-        let (mut params, mut stride) = (Vec::new(), 1);
-        for name in relevant_mechanisms(infrastructure, option).iter().rev() {
+        // Each parameter with its values, in declared order, on the group
+        // side or in the grid.
+        let (mut group, mut grid) = (Vec::new(), Vec::new());
+        for name in relevant_mechanisms(infrastructure, option) {
             let Some(mech) = infrastructure.mechanism(name.as_str()) else {
                 continue;
             };
-            for (param, key) in mech.params().iter().zip(mech.setting_keys()).rev() {
+            for (param, key) in mech.params().iter().zip(mech.setting_keys()) {
                 let pin = pins
                     .iter()
-                    .find(|(m, p, _)| m == name && p == param.name().as_str());
+                    .find(|(m, p, _)| *m == name && p == param.name().as_str());
                 let values = pin.map_or_else(|| param.range().values(), |p| vec![p.2.clone()]);
-                let kind = setting_kind(&model, mech, param.name());
-                let grid = values.len() > 1 && kind == SettingKind::QualityOnly;
-                let len = values.len();
-                params.push((key.clone(), values, stride, grid));
-                stride *= len;
+                let side = if values.len() > 1 && quality_only(&model, mech, param.name()) {
+                    &mut grid
+                } else {
+                    &mut group
+                };
+                side.push((key.clone(), values));
             }
         }
-        let product = |grid: bool| {
-            let mut combos: Vec<(Vec<Setting>, usize)> = vec![(Vec::new(), 0)];
-            for (key, values, stride, _) in params.iter().rev().filter(|p| p.3 == grid) {
-                let mut next = Vec::with_capacity(combos.len() * values.len());
-                for (combo, at) in &combos {
-                    for (k, value) in values.iter().enumerate() {
-                        let mut combo = combo.clone();
-                        combo.push((key.clone(), value.clone()));
-                        next.push((combo, at + k * stride));
-                    }
-                }
-                combos = next;
-            }
-            combos
-        };
-        let groups = product(false);
-        let (model, models) = number_by(&groups, &model);
+        let groups = product(&group);
         let (job, job_groups) = number_by(&groups, &job_mechanisms(infrastructure, option));
         SettingsPlan {
-            model,
-            models: models.len(),
             job,
             job_groups,
-            points: product(true),
+            points: product(&grid),
             groups,
             max_total: max_total(infrastructure, option),
         }
@@ -438,15 +422,10 @@ impl SettingsPlan {
         self.points.len()
     }
 
-    /// The offset of grid point `point` from its group's first candidate.
-    pub(crate) fn point_offset(&self, point: usize) -> usize {
-        self.points[point].1
-    }
-
     /// The candidate at `point` of the group `representative` holds the
     /// shared settings of; `None` when the grid has no such point.
     pub(crate) fn design(&self, representative: &TierDesign, point: usize) -> Option<TierDesign> {
-        let (settings, _) = self.points.get(point)?;
+        let settings = self.points.get(point)?;
         Some(with_settings(representative.clone(), settings))
     }
 
@@ -461,9 +440,9 @@ impl SettingsPlan {
     ) -> impl Iterator<Item = TierDesign> + 'a {
         let base = TierDesign::new(tier.clone(), option.resource().clone(), 1, 0);
         self.job_groups.iter().flat_map(move |&group| {
-            let representative = with_settings(base.clone(), &self.groups[group].0);
+            let representative = with_settings(base.clone(), &self.groups[group]);
             let points = self.points.iter();
-            points.map(move |(point, _)| with_settings(representative.clone(), point))
+            points.map(move |point| with_settings(representative.clone(), point))
         })
     }
 
@@ -475,15 +454,12 @@ impl SettingsPlan {
     }
 
     /// Calls `emit` with one representative of each group of `option`'s
-    /// designs with exactly `n_total` resources, in enumeration order: every
-    /// active/spare split (respecting the option's `nActive` constraint and
-    /// the minimum `min_active`), every spare mode, every group. There are
-    /// none when `n_total` resources would need more instances of a
-    /// component than its `max_instances`. Next to each representative
-    /// come the number of its availability design within these `n_total`
-    /// resources — split, spare mode and model number — numbered in order of
-    /// first appearance, its group's index in the plan, and the offset of
-    /// its first candidate among those of these `n_total` resources.
+    /// designs with exactly `n_total` resources, and the group's index in
+    /// the plan, in enumeration order: every active/spare split
+    /// (respecting the option's `nActive` constraint and the minimum
+    /// `min_active`), every spare mode, every group. There are none when
+    /// `n_total` resources would need more instances of a component than
+    /// its `max_instances`.
     pub(crate) fn for_each_group(
         &self,
         tier: &TierName,
@@ -491,13 +467,12 @@ impl SettingsPlan {
         n_total: u32,
         min_active: u32,
         options: &SearchOptions,
-        mut emit: impl FnMut(TierDesign, usize, usize, usize),
+        mut emit: impl FnMut(TierDesign, usize),
     ) {
         if n_total > self.max_total {
             return;
         }
         let max_spares = options.max_spares.min(n_total.saturating_sub(1));
-        let mut block = 0;
         for n_spare in 0..=max_spares {
             let n_active = n_total - n_spare;
             if n_active < min_active.max(1) || !option.n_active().contains(n_active) {
@@ -513,17 +488,9 @@ impl SettingsPlan {
                 let td =
                     TierDesign::new(tier.clone(), option.resource().clone(), n_active, n_spare)
                         .with_spare_mode(spare_mode.clone());
-                let first = block * self.groups.len() * self.points();
-                for (group, (settings, at)) in self.groups.iter().enumerate() {
-                    let availability = block * self.models + self.model[group];
-                    emit(
-                        with_settings(td.clone(), settings),
-                        availability,
-                        group,
-                        first + at,
-                    );
+                for (group, settings) in self.groups.iter().enumerate() {
+                    emit(with_settings(td.clone(), settings), group);
                 }
-                block += 1;
             }
         }
     }
@@ -532,7 +499,9 @@ impl SettingsPlan {
 /// Enumerates all resolved tier designs with exactly `n_total` resources
 /// for one resource option: every active/spare split (respecting the
 /// option's `nActive` constraint and the minimum `min_active`), every spare
-/// mode, every mechanism-setting combination. None when `n_total` exceeds
+/// mode, every mechanism-setting combination, in the order a sweep walks
+/// them ([`SettingsPlan`]): each group's candidates together, the
+/// quality-only settings that vary innermost. None when `n_total` exceeds
 /// a component's `max_instances` bound.
 #[must_use]
 pub fn enumerate_tier_candidates(
@@ -545,21 +514,14 @@ pub fn enumerate_tier_candidates(
 ) -> Vec<TierDesign> {
     let plan = SettingsPlan::new(infrastructure, option, &options.pins);
     let mut out = Vec::new();
-    plan.for_each_group(
-        tier,
-        option,
-        n_total,
-        min_active,
-        options,
-        |td, _, _, at| {
-            let points = plan.points.iter();
-            out.extend(
-                points.map(|(point, offset)| (at + offset, with_settings(td.clone(), point))),
-            );
-        },
-    );
-    out.sort_by_key(|&(at, _)| at);
-    out.into_iter().map(|(_, td)| td).collect()
+    plan.for_each_group(tier, option, n_total, min_active, options, |td, _| {
+        out.extend(
+            plan.points
+                .iter()
+                .map(|point| with_settings(td.clone(), point)),
+        );
+    });
+    out
 }
 
 #[cfg(test)]
@@ -570,6 +532,11 @@ mod tests {
         NActiveSpec, ParamRange, Parameter, PerfRef, ResourceComponent, Sizing,
     };
     use aved_units::{Duration, Money};
+
+    use crate::test_fixtures::{
+        app_tier_fixture, job_fixture, mpi_first_job_fixture, storage_priced_job_fixture,
+        tied_job_fixture, Fixture,
+    };
 
     fn infra() -> Infrastructure {
         Infrastructure::new()
@@ -799,33 +766,26 @@ mod tests {
         // 2 maintenance levels x 3 schedules x 2 checkpoint intervals, of
         // which the tier model tells apart only the first two factors.
         let plan = SettingsPlan::new(&infra, &option(), &[]);
-        assert_eq!(plan.groups.len() * plan.points(), 12);
-        assert_eq!(plan.models, 6);
+        assert_eq!((plan.groups.len(), plan.points()), (6, 2));
     }
 
     #[test]
     fn settings_are_classified_as_model_cost_or_quality_only() {
         // The paper's scientific option: the maintenance level sets the
         // tier model, the checkpoint's settings only the completion time.
-        let infra =
-            aved_spec::parse_infrastructure(include_str!("../../../data/infrastructure.aved"))
-                .unwrap();
-        let rh = ResourceOption::new(
-            "rH",
-            Sizing::Static,
-            FailureScope::Tier,
-            NActiveSpec::List(vec![1]),
-            PerfRef::Const(100.0),
-        )
-        .with_mechanism(MechanismUse::new("checkpoint", Some("mperfH".into())));
-        let kind = |infra: &Infrastructure, mech: &str, param: &str| {
-            let model = model_mechanisms(infra, &rh);
-            let mechanism = infra.mechanism(mech).unwrap();
-            setting_kind(&model, mechanism, &param.into())
+        let rh = || {
+            let fx = job_fixture();
+            let tier = fx.service.tier("computation").unwrap();
+            (tier.option_for("rH").unwrap().clone(), fx.infrastructure)
         };
-        assert_eq!(kind(&infra, "maintenanceA", "level"), SettingKind::Model);
+        let (rh, infra) = rh();
+        let quality_only = |infra: &Infrastructure, mech: &str, param: &str| {
+            let model = model_mechanisms(infra, &rh);
+            super::quality_only(&model, infra.mechanism(mech).unwrap(), &param.into())
+        };
+        assert!(!quality_only(&infra, "maintenanceA", "level"));
         for param in ["checkpoint_interval", "storage_location"] {
-            assert_eq!(kind(&infra, "checkpoint", param), SettingKind::QualityOnly);
+            assert!(quality_only(&infra, "checkpoint", param), "{param}");
         }
         let plan = SettingsPlan::new(&infra, &rh, &[]);
         assert_eq!((plan.groups.len(), plan.points()), (4, 300));
@@ -833,24 +793,134 @@ mod tests {
 
         // A storage-keyed cost table makes the location a cost setting:
         // it moves from the grid into the groups.
-        let checkpoint = infra.mechanism("checkpoint").unwrap().clone();
-        let keyed = checkpoint.with_cost_table(
-            "storage_location",
-            vec![Money::from_dollars(0.0), Money::from_dollars(50.0)],
-        );
-        let infra = infra.with_mechanism(keyed);
-        assert_eq!(
-            kind(&infra, "checkpoint", "storage_location"),
-            SettingKind::Cost
-        );
-        assert_eq!(
-            kind(&infra, "checkpoint", "checkpoint_interval"),
-            SettingKind::QualityOnly
-        );
+        let infra = storage_priced_job_fixture().infrastructure;
+        assert!(!quality_only(&infra, "checkpoint", "storage_location"));
+        assert!(quality_only(&infra, "checkpoint", "checkpoint_interval"));
         let plan = SettingsPlan::new(&infra, &rh, &[]);
         assert_eq!((plan.groups.len(), plan.points()), (8, 150));
-        assert_eq!(plan.models, 4, "the location still shares the model");
-        assert_eq!(plan.job_groups, [0, 1], "but not the job points");
+        assert_eq!(
+            plan.job_groups,
+            [0, 1],
+            "the locations do not share job points"
+        );
+    }
+
+    /// Every design of `option` with `n_total` resources, by a plain
+    /// odometer: the splits, the spare modes, then each relevant
+    /// parameter's values in declared order, the last varying fastest —
+    /// but with `grid_last`, the quality-only parameters with more than one
+    /// value behind all others.
+    fn odometer(
+        infra: &Infrastructure,
+        option: &ResourceOption,
+        n_total: u32,
+        options: &SearchOptions,
+        grid_last: bool,
+    ) -> Vec<TierDesign> {
+        let model = model_mechanisms(infra, option);
+        let mut params = Vec::new();
+        for name in relevant_mechanisms(infra, option) {
+            let Some(mech) = infra.mechanism(name.as_str()) else {
+                continue;
+            };
+            for param in mech.params() {
+                let pin = (options.pins.iter())
+                    .find(|(m, p, _)| *m == name && p == param.name().as_str());
+                let values = pin.map_or_else(|| param.range().values(), |p| vec![p.2.clone()]);
+                let grid = values.len() > 1 && quality_only(&model, mech, param.name());
+                params.push((
+                    grid_last && grid,
+                    name.clone(),
+                    param.name().clone(),
+                    values,
+                ));
+            }
+        }
+        params.sort_by_key(|p| p.0);
+        let mut out = Vec::new();
+        for n_spare in 0..=options.max_spares.min(n_total - 1) {
+            let n_active = n_total - n_spare;
+            if !option.n_active().contains(n_active) {
+                continue;
+            }
+            let modes = match n_spare {
+                0 => &options.spare_modes[..1],
+                _ => &options.spare_modes[..],
+            };
+            for mode in modes {
+                let td = TierDesign::new("t", option.resource().clone(), n_active, n_spare);
+                let mut designs = vec![td.with_spare_mode(mode.clone())];
+                for (_, mech, param, values) in &params {
+                    let set = |td: &TierDesign, v: &ParamValue| {
+                        td.clone()
+                            .with_setting(mech.clone(), param.clone(), v.clone())
+                    };
+                    designs = (designs.iter())
+                        .flat_map(|td| values.iter().map(|v| set(td, v)))
+                        .collect();
+                }
+                out.extend(designs);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn enumeration_is_the_odometer_with_the_grid_innermost() {
+        let pinned = SearchOptions::default()
+            .with_pin("maintenanceA", "level", ParamValue::Level("gold".into()))
+            .with_pin("maintenanceB", "level", ParamValue::Level("gold".into()));
+        let hot = SearchOptions {
+            max_spares: 2,
+            ..SearchOptions::default()
+        }
+        .with_hot_spares();
+        let option_sets = [SearchOptions::default(), pinned, hot];
+        let options_of = |fx: Fixture| {
+            let tiers = fx.service.tiers().iter();
+            let options: Vec<ResourceOption> = tiers.flat_map(|t| t.options().to_vec()).collect();
+            (fx.infrastructure, options)
+        };
+        // (infrastructure, options, whether the options are the paper's)
+        let cases = [
+            (options_of(job_fixture()), true),
+            (options_of(app_tier_fixture()), true),
+            ((rejuvenation_and_checkpoint_infra(), vec![option()]), false),
+            (options_of(tied_job_fixture()), false),
+            (options_of(mpi_first_job_fixture()), false),
+        ];
+        let mut reordered = 0;
+        for ((infra, tier_options), paper) in cases {
+            for option in &tier_options {
+                for options in &option_sets {
+                    for n_total in 1..=3 {
+                        let got = enumerate_tier_candidates(
+                            &infra,
+                            &"t".into(),
+                            option,
+                            n_total,
+                            1,
+                            options,
+                        );
+                        let label = format!("{} at {n_total}", option.resource());
+                        assert!(!got.is_empty(), "{label}");
+                        assert_eq!(
+                            got,
+                            odometer(&infra, option, n_total, options, true),
+                            "{label}"
+                        );
+                        // On the paper's options the declared order has the
+                        // grid innermost already.
+                        let plain = odometer(&infra, option, n_total, options, false);
+                        if paper {
+                            assert_eq!(got, plain, "{label}");
+                        }
+                        reordered += usize::from(got != plain);
+                    }
+                }
+            }
+        }
+        assert!(reordered > 0, "the mpi-first rH declares its grid first");
     }
 
     #[test]

@@ -181,8 +181,8 @@ where
 mod tests {
     use super::*;
     use crate::test_fixtures::{
-        app_tier_fixture, distinct_job_models, job_fixture, maintenance_innermost_job_fixture,
-        tied_job_fixture, RecordingEngine,
+        app_tier_fixture, distinct_job_models, job_fixture, mpi_first_job_fixture,
+        storage_priced_job_fixture, tied_job_fixture, RecordingEngine,
     };
     use crate::{enumerate_tier_candidates, evaluate_enterprise_design, evaluate_job_design};
     use aved_avail::DecompositionEngine;
@@ -487,7 +487,9 @@ mod tests {
         // Every checkpoint setting is a point of the grid here, and the
         // tied fixture's audit levels score alike: each group's point on
         // the frontier must be the one a stable sort of every candidate
-        // keeps, the first of its ties.
+        // keeps, the first of its ties. A priced storage location is a
+        // group setting instead, and its two groups each evaluate the
+        // tier model they share.
         let grid = [1, 8, 64];
         let options = small_opts()
             .with_pin("maintenanceA", "level", ParamValue::Level("bronze".into()))
@@ -495,13 +497,23 @@ mod tests {
         let objective = Objective::Job {
             max_time: Duration::from_secs(f64::INFINITY),
         };
-        // 2 storage locations x 150 intervals, times 2 audit levels.
-        for (fx, points) in [(job_fixture(), 300), (tied_job_fixture(), 600)] {
-            let engine = DecompositionEngine::default();
-            let ctx = fx.context(&engine);
+        // (fixture, grid points per group, groups per tier model): 2
+        // storage locations x 150 intervals, times 2 audit levels.
+        let cases = [
+            (job_fixture(), 300, 1),
+            (tied_job_fixture(), 600, 1),
+            (storage_priced_job_fixture(), 150, 2),
+        ];
+        for (fx, points, sharing) in cases {
+            let plain = DecompositionEngine::default();
+            let ctx = fx.context(&plain);
             let expected =
                 per_candidate_frontier(&ctx, "computation", &objective, Some(&grid), &options);
+            let engine = RecordingEngine::default();
+            let ctx = fx.context(&engine);
             let (frontier, health) = job_frontier(&ctx, "computation", &grid, &options).unwrap();
+            assert_eq!(engine.calls(), sharing * engine.distinct());
+            assert_eq!(health.models_evaluated, engine.calls() as u64);
             assert_eq!(frontier.len(), expected.len());
             for (got, want) in frontier.iter().zip(&expected) {
                 assert_bit_identical(got, want, "whole-grid job frontier");
@@ -516,9 +528,8 @@ mod tests {
 
     #[test]
     fn job_frontier_evaluates_each_distinct_model_once_and_matches_per_candidate_evaluation() {
-        // The second fixture enumerates the model-read maintenance level
-        // fastest, so the candidates sharing a model are scattered through
-        // enumeration order; the grouping must not care.
+        // The second fixture declares the checkpoint settings before the
+        // model-read maintenance level; the grid still varies fastest.
         let grid = [1, 2, 4, 8, 16, 32];
         let options = small_opts().with_pin(
             "checkpoint",
@@ -528,7 +539,7 @@ mod tests {
         let objective = Objective::Job {
             max_time: Duration::from_secs(f64::INFINITY),
         };
-        for fx in [job_fixture(), maintenance_innermost_job_fixture()] {
+        for fx in [job_fixture(), mpi_first_job_fixture()] {
             let plain = DecompositionEngine::default();
             let ctx = fx.context(&plain);
             let expected =

@@ -67,11 +67,11 @@ pub struct SearchHealth {
     /// proved infeasible. A candidate skipped this way and evaluated later
     /// in the same query is not counted.
     pub candidates_pruned: u64,
-    /// Availability designs whose tier model was derived and evaluated:
-    /// one per distinct model the sweep needed, however many candidates
-    /// share it.
+    /// Candidate groups whose tier model was derived and evaluated: one
+    /// per group the sweep scored, however many candidates it holds (on
+    /// the bundled specs, one per distinct model).
     pub models_evaluated: u64,
-    /// Candidates scored from an evaluated availability design (neither
+    /// Candidates scored from their group's evaluated model (neither
     /// pruned, replayed from a journal, nor skipped).
     pub candidates_scored: u64,
     /// Inert: one for every search, which runs on the calling thread, and

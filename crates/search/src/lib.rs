@@ -30,7 +30,8 @@
 //! candidates skipped, solver fallbacks taken, worst accepted residual.
 //!
 //! Searches run on the calling thread and evaluate through the context's
-//! engine directly; a sweep evaluates each distinct tier model once.
+//! engine directly; a sweep evaluates each candidate group's tier model
+//! once.
 //!
 //! Searches are governed: a [`SolveBudget`](aved_avail::SolveBudget)
 //! derived from [`SearchOptions`] bounds each candidate's evaluation
@@ -42,7 +43,8 @@
 //! same winner, bit-for-bit.
 //!
 //! Candidate batches stay in enumeration order — parameter-locality order,
-//! where neighbors differ in one knob — and each sweep carries one
+//! where neighbors differ in one knob and each group's quality-only
+//! settings vary innermost — and each sweep carries one
 //! [`aved_avail::EvalSession`] that reuses solver scratch and chain
 //! structure (rate-only in-place rebuilds) between neighboring solves. A
 //! session only saves work: every reported metric is bit-identical to a

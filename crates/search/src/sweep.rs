@@ -3,14 +3,14 @@
 //! A [`Sweep`] runs batches of one tier's candidates, enumerated as
 //! groups (see [`SettingsPlan`]): the candidates of a group differ only in
 //! quality-only settings — a checkpoint's interval and storage location
-//! (§4.2) — and share a tier model and a cost; groups that differ only in
-//! cost settings still share their *availability design* and so their
-//! tier model. [`Sweep::run`] derives and evaluates each design's model
-//! once, scores each group's candidates from it in one loop, and keeps the
-//! group's best. It walks the groups **in enumeration order** —
-//! parameter-locality order, where neighbors differ in one knob — on the
-//! calling thread, so the sweep's one [`EvalSession`] reuses chain
-//! structure from one model to the next. The searches run one batch per
+//! (§4.2) — and share a tier model and a cost, so a group is one
+//! *availability design*. [`Sweep::run`] derives and evaluates each
+//! group's model once, scores its candidates from it in one loop, and
+//! hands on the group's best. It walks the groups **in enumeration
+//! order** — parameter-locality order, where neighbors differ in one knob,
+//! and a group's candidates are contiguous — on the calling thread, so the
+//! sweep's one [`EvalSession`] reuses chain structure from one model to
+//! the next. The searches run one batch per
 //! resource-count level; the frontiers run one batch over every option
 //! and level. A service query enumerates each tier's batch once and runs
 //! it several times, and the batch keeps what each run evaluated, so no
@@ -95,7 +95,7 @@ impl Objective {
     }
 
     /// The model half of a candidate's evaluation, shared by every
-    /// candidate of its availability design; `td` is any one of them.
+    /// candidate of its group; `td` is any one of them.
     fn assess(
         &self,
         ctx: &EvalContext<'_>,
@@ -112,7 +112,7 @@ impl Objective {
     }
 
     /// The scoring half: every candidate of group `c`, scored from its
-    /// design's `assessment`; `Err` when the group fails as a whole. A job
+    /// `assessment`; `Err` when the group fails as a whole. A job
     /// scores `grid`, the job points of the group's candidates, in one
     /// loop; the candidates of an enterprise group share one downtime, so
     /// its first is its best.
@@ -200,16 +200,15 @@ impl Objective {
 struct Candidate {
     /// The group's representative: the settings its candidates share.
     design: TierDesign,
-    /// The batch index of the group's availability design.
-    availability: usize,
     /// The tier option's index, and the group's index in its plan; the
     /// group has a candidate per point of the plan's grid.
     option: usize,
     group: usize,
-    /// The enumeration position of the group's first candidate among all
-    /// the batch's candidates.
-    position: usize,
     cost: Money,
+    /// The evaluation of the group's tier model, once made by its first
+    /// score: `Ok(None)` when the design cannot serve the requirement at
+    /// all.
+    assessment: Option<Result<Option<Assessment>, SearchError>>,
     state: Fold,
 }
 
@@ -232,20 +231,13 @@ enum Fold {
     Folded,
 }
 
-/// Groups of one or more levels and the availability designs they share,
-/// each design listed once, in order of first appearance. A batch keeps
-/// each design's evaluation and each group's [`Fold`] across
-/// [`Sweep::run`]s, so running a group again re-delivers its result
-/// without evaluating, journaling or counting it again.
+/// The groups of one or more levels, in enumeration order. A batch keeps
+/// each group's evaluation and [`Fold`] across [`Sweep::run`]s, so
+/// running a group again re-delivers its result without evaluating,
+/// journaling or counting it again.
 #[derive(Default)]
 pub(crate) struct Batch {
-    /// Each availability design's evaluation, once made by the first of
-    /// its groups to score: `Ok(None)` when the design cannot serve the
-    /// requirement at all.
-    assessments: Vec<Option<Result<Option<Assessment>, SearchError>>>,
     candidates: Vec<Candidate>,
-    /// The number of candidates the groups hold.
-    positions: usize,
 }
 
 impl Batch {
@@ -261,9 +253,7 @@ impl Batch {
 
     /// Empties the batch, keeping its allocations.
     pub(crate) fn clear(&mut self) {
-        self.assessments.clear();
         self.candidates.clear();
-        self.positions = 0;
     }
 
     /// The cost of the cheapest group in `range`, if any.
@@ -273,26 +263,6 @@ impl Batch {
             .map(|c| c.cost)
             .min_by(Money::total_cmp)
     }
-}
-
-/// Hands `accept` every best candidate in `waiting` that enumerates before
-/// `position`, in enumeration order, and lowers `bound` as it returns.
-fn release(
-    waiting: &mut Vec<(usize, EvaluatedDesign)>,
-    position: usize,
-    bound: &mut Option<Money>,
-    accept: &mut impl FnMut(EvaluatedDesign) -> Result<Option<Money>, SearchError>,
-) -> Result<(), SearchError> {
-    if waiting.len() > 1 {
-        waiting.sort_by_key(|w| std::cmp::Reverse(w.0));
-    }
-    while waiting.last().is_some_and(|w| w.0 < position) {
-        let (_, e) = waiting.pop().expect("checked above");
-        if let Some(lowered) = accept(e)? {
-            *bound = Some(lowered);
-        }
-    }
-    Ok(())
 }
 
 /// `true` when cost bound `bound` prunes a candidate of cost `cost`: only
@@ -312,17 +282,17 @@ fn fatal(e: &SearchError, strict: bool) -> bool {
     !e.is_cancellation() && (strict || !e.is_candidate_scoped())
 }
 
-/// `true` when an availability design's evaluation derived its tier model
-/// and ran the engine, or failed trying; `false` when the design cannot
-/// serve the requirement at all.
+/// `true` when a group's evaluation derived its tier model and ran the
+/// engine, or failed trying; `false` when the design cannot serve the
+/// requirement at all.
 fn evaluated(assessment: &Result<Option<Assessment>, SearchError>) -> bool {
     !matches!(assessment, Ok(None))
 }
 
-/// `true` once the sweep must stop at the next availability-design
-/// boundary: the cancellation token fired or the deadline passed.
-/// Monotone, so one post-run check turns a stop the fold observed into a
-/// clean best-so-far result.
+/// `true` once the sweep must stop at the next group boundary: the
+/// cancellation token fired or the deadline passed. Monotone, so one
+/// post-run check turns a stop the fold observed into a clean
+/// best-so-far result.
 fn stopping(budget: &SolveBudget) -> bool {
     budget.is_cancelled() || budget.deadline_exceeded()
 }
@@ -419,8 +389,7 @@ impl<'s, 'c> Sweep<'s, 'c> {
 
     /// Appends to `batch` the groups of the tier's `option`-th option with
     /// `n_total` resources, at least `min_active` of them active, in
-    /// enumeration order, costed, and their availability designs. Returns
-    /// the range of the appended groups.
+    /// enumeration order, costed. Returns the range of the appended groups.
     pub(crate) fn level(
         &mut self,
         batch: &mut Batch,
@@ -429,51 +398,33 @@ impl<'s, 'c> Sweep<'s, 'c> {
         min_active: u32,
     ) -> Result<Range<usize>, SearchError> {
         let enumerating = Instant::now();
-        let resource_option = &self.tier.options()[option];
-        let plan = &self.plans[option];
-        let (first_design, first_candidate) = (batch.assessments.len(), batch.candidates.len());
-        let Batch {
-            assessments,
-            candidates,
-            positions,
-        } = batch;
-        let ctx = self.ctx;
+        let (ctx, first) = (self.ctx, batch.candidates.len());
         let mut failed = None;
-        plan.for_each_group(
+        self.plans[option].for_each_group(
             self.tier.name(),
-            resource_option,
+            &self.tier.options()[option],
             n_total,
             min_active,
             self.options,
-            |design, availability, group, offset| {
-                let cost = match design_cost(ctx, &design) {
-                    Ok(cost) => cost,
-                    Err(e) => {
-                        failed.get_or_insert(e);
-                        return;
-                    }
-                };
-                let availability = first_design + availability;
-                if availability == assessments.len() {
-                    assessments.push(None);
-                }
-                candidates.push(Candidate {
+            |design, group| match design_cost(ctx, &design) {
+                Ok(cost) => batch.candidates.push(Candidate {
                     design,
-                    availability,
                     option,
                     group,
-                    position: *positions + offset,
                     cost,
+                    assessment: None,
                     state: Fold::Pending,
-                });
+                }),
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
             },
         );
         if let Some(e) = failed {
             return Err(e);
         }
-        *positions += (candidates.len() - first_candidate) * plan.points();
         self.health.enumeration_time += enumerating.elapsed();
-        Ok(first_candidate..batch.candidates.len())
+        Ok(first..batch.candidates.len())
     }
 
     /// Runs the groups of `batch` in `range` under `objective` and cost
@@ -488,19 +439,18 @@ impl<'s, 'c> Sweep<'s, 'c> {
     ///
     /// The fold walks the groups in enumeration order and makes every
     /// decision there — prune, replay or score, journal. A group is scored
-    /// when it is neither pruned nor replayed from the resume journal.
-    /// Each availability design is derived and evaluated once, when the
-    /// fold reaches its first group to score, so a design whose groups are
-    /// all pruned is never evaluated. One loop scores a group's grid from
-    /// that evaluation and materialises only its first candidate of best
-    /// quality: the one that either consumer — the cost-first win rule,
-    /// which takes a strictly better quality, and the stable Pareto sort —
-    /// keeps of the group. It reaches `accept` at its own enumeration
-    /// position, after the best candidates of other groups that enumerate
-    /// before it, so ties between groups resolve as they would candidate by
-    /// candidate. A failed evaluation fails each candidate of its groups. A
-    /// group an earlier run folded is handed on again, unless pruned, but
-    /// not evaluated, journaled or counted again.
+    /// when it is neither pruned nor replayed from the resume journal, and
+    /// its tier model is derived and evaluated when it first scores, so a
+    /// pruned group is never evaluated. One loop scores the group's grid
+    /// from that evaluation and materialises only its first candidate of
+    /// best quality: the one that either consumer — the cost-first win
+    /// rule, which takes a strictly better quality, and the stable Pareto
+    /// sort — keeps of the group. A group's candidates are contiguous in
+    /// enumeration order, so handing its best to `accept` as soon as it is
+    /// scored resolves ties between groups as candidate by candidate. A
+    /// failed evaluation fails each candidate of the group. A group an
+    /// earlier run folded is handed on again, unless pruned, but not
+    /// evaluated, journaled or counted again.
     ///
     /// Every group that costs strictly more than the bound is pruned, and
     /// its candidates counted as pruned until a later run folds it. No
@@ -518,10 +468,10 @@ impl<'s, 'c> Sweep<'s, 'c> {
         let merging = Instant::now();
         let (ctx, options, budget) = (self.ctx, self.options, &self.budget);
         let tier = self.tier.name().as_str();
-        let first = range.start;
+        let candidates = &mut batch.candidates[range];
         let keys: Vec<String> = if options.journal.is_some() || options.resume.is_some() {
             let key = |c: &Candidate| objective.journal_key(tier, &c.design);
-            batch.candidates[range.clone()].iter().map(key).collect()
+            candidates.iter().map(key).collect()
         } else {
             Vec::new()
         };
@@ -529,20 +479,10 @@ impl<'s, 'c> Sweep<'s, 'c> {
             Some(replay) => keys.iter().map(|key| replay.lookup(key)).collect(),
             None => Vec::new(),
         };
-        let Batch {
-            assessments,
-            candidates,
-            ..
-        } = batch;
 
         let mut delivered = 0;
-        // Best candidates of groups whose positions the fold has not
-        // passed yet.
-        let mut waiting = Vec::new();
         let mut evaluating = std::time::Duration::ZERO;
-        for i in range {
-            let c = &mut candidates[i];
-            release(&mut waiting, c.position, &mut bound, &mut accept)?;
+        for (i, c) in candidates.iter_mut().enumerate() {
             let plan = &self.plans[c.option];
             let points = plan.points();
             if beaten(bound, c.cost) {
@@ -553,7 +493,7 @@ impl<'s, 'c> Sweep<'s, 'c> {
                 continue;
             }
             let fresh = c.state != Fold::Folded;
-            let replay = replays.get(i - first).copied().flatten();
+            let replay = replays.get(i).copied().flatten();
             let scores = if let Some(entry) = replay {
                 let point = entry.point();
                 let best = entry.clone().into_result(plan.design(&c.design, point));
@@ -562,11 +502,10 @@ impl<'s, 'c> Sweep<'s, 'c> {
                     failed: Vec::new(),
                 })
             } else {
-                let assessment = &mut assessments[c.availability];
-                if assessment.is_none() {
-                    // First group of its design to score: evaluate the
-                    // design, unless the sweep is stopping (the post-run
-                    // check records the interruption).
+                if c.assessment.is_none() {
+                    // The group's first score: evaluate its design, unless
+                    // the sweep is stopping (the post-run check records the
+                    // interruption).
                     if stopping(budget) {
                         continue;
                     }
@@ -574,7 +513,7 @@ impl<'s, 'c> Sweep<'s, 'c> {
                     let option = &self.tier.options()[c.option];
                     let result = objective.assess(ctx, option, &c.design, &mut self.session);
                     self.health.models_evaluated += u64::from(evaluated(&result));
-                    *assessment = Some(result);
+                    c.assessment = Some(result);
                     evaluating += started.elapsed();
                 }
                 if fresh {
@@ -582,7 +521,7 @@ impl<'s, 'c> Sweep<'s, 'c> {
                 }
                 let grid = self.grids.get(c.option);
                 let grid = grid.map_or(&[][..], |g| &g[plan.job_points(c.group)]);
-                match assessment.as_ref().expect("evaluated above") {
+                match c.assessment.as_ref().expect("evaluated above") {
                     Ok(Some(a)) => objective.score(ctx, plan, grid, c, a),
                     Ok(None) => Ok(Scores::default()),
                     Err(e) => Err(e.clone()),
@@ -623,7 +562,7 @@ impl<'s, 'c> Sweep<'s, 'c> {
                     Err(e) => Some(Err(e)),
                 };
                 if let (Some(journal), Some(outcome)) = (&options.journal, outcome) {
-                    journal.record(&keys[i - first], outcome);
+                    journal.record(&keys[i], outcome);
                 }
                 for &(point, e) in &failed {
                     let td = plan.design(&c.design, point).expect("a point of the grid");
@@ -631,7 +570,7 @@ impl<'s, 'c> Sweep<'s, 'c> {
                 }
             }
             if let Ok(Scores {
-                best: Some((point, e)),
+                best: Some((_, e)),
                 failed,
             }) = scores
             {
@@ -640,10 +579,11 @@ impl<'s, 'c> Sweep<'s, 'c> {
                     self.health.absorb_eval(e.eval_health(), scored as u64);
                 }
                 delivered += scored;
-                waiting.push((c.position + plan.point_offset(point), e));
+                if let Some(lowered) = accept(e)? {
+                    bound = Some(lowered);
+                }
             }
         }
-        release(&mut waiting, usize::MAX, &mut bound, &mut accept)?;
         self.health.solve_time += evaluating;
         self.health.merge_time += merging.elapsed().saturating_sub(evaluating);
         self.health.interrupted |= stopping(&self.budget);
@@ -675,40 +615,5 @@ mod tests {
             "equal cost still competes"
         );
         assert!(!beaten(Some(m(100.0)), m(99.9)));
-    }
-
-    #[test]
-    fn waiting_bests_reach_accept_in_enumeration_order() {
-        // Interleaved groups: the first group's best enumerates at 9, the
-        // second's at 4. Each is handed on only once the fold passes its
-        // position, the earlier first, so a tie between them resolves as
-        // it would candidate by candidate.
-        let best = |n_active| {
-            EvaluatedDesign::from_parts(
-                TierDesign::new("t", "r", n_active, 0),
-                Money::from_dollars(10.0),
-                aved_avail::TierAvailability::new(0.0, aved_units::Rate::ZERO),
-                1,
-                None,
-                aved_avail::EvalHealth::default(),
-            )
-        };
-        let mut waiting = vec![(9, best(9)), (4, best(4))];
-        let seen = std::cell::RefCell::new(Vec::new());
-        let mut accept = |e: EvaluatedDesign| {
-            seen.borrow_mut().push(e.design().n_active());
-            Ok((e.design().n_active() == 4).then(|| e.cost()))
-        };
-        let mut bound = None;
-        release(&mut waiting, 4, &mut bound, &mut accept).unwrap();
-        assert!(seen.borrow().is_empty(), "nothing enumerates before 4");
-        release(&mut waiting, 7, &mut bound, &mut accept).unwrap();
-        assert_eq!(
-            (seen.borrow().as_slice(), bound),
-            (&[4][..], Some(Money::from_dollars(10.0)))
-        );
-        release(&mut waiting, usize::MAX, &mut bound, &mut accept).unwrap();
-        assert_eq!(*seen.borrow(), [4, 9]);
-        assert!(waiting.is_empty());
     }
 }

@@ -56,9 +56,10 @@ pub fn job_fixture() -> Fixture {
 /// The scientific application on an infrastructure whose rH resource
 /// lists its mpi component, whose loss window the checkpoint mechanism
 /// sets, before the machine whose repairs the maintenance contract sets.
-/// The model-read maintenance level then varies fastest in enumeration
-/// order, so candidates sharing a tier model are never adjacent.
-pub fn maintenance_innermost_job_fixture() -> Fixture {
+/// The quality-only checkpoint settings are then declared before the
+/// model-read maintenance level, and only the grid's move innermost keeps
+/// each group's candidates together.
+pub fn mpi_first_job_fixture() -> Fixture {
     let paper = include_str!("../../../data/infrastructure.aved");
     let rh = "resource=rH reconfig_time=0
   component=machineA depend=null startup=30s
@@ -99,6 +100,24 @@ pub fn tied_job_fixture() -> Fixture {
             .expect("audited infrastructure spec parses"),
         service: aved_spec::parse_service(&audited).expect("audited service spec parses"),
         catalog: aved_perf::paper::catalog(),
+    }
+}
+
+/// The scientific application with a priced storage location: a
+/// `cost(storage_location)` table makes the location a cost setting, so
+/// two groups, one per location, share each tier model.
+pub fn storage_priced_job_fixture() -> Fixture {
+    let paper = include_str!("../../../data/infrastructure.aved");
+    let free = "  cost=0\n  loss_window=checkpoint_interval";
+    let priced = "  cost(storage_location)=[0 50]\n  loss_window=checkpoint_interval";
+    assert!(
+        paper.contains(free),
+        "the bundled checkpoint mechanism moved"
+    );
+    Fixture {
+        infrastructure: aved_spec::parse_infrastructure(&paper.replace(free, priced))
+            .expect("priced infrastructure spec parses"),
+        ..job_fixture()
     }
 }
 

@@ -260,8 +260,8 @@ pub(crate) fn cost_first<'c>(
 mod tests {
     use super::*;
     use crate::test_fixtures::{
-        app_tier_fixture, job_fixture, maintenance_innermost_job_fixture, tied_job_fixture,
-        RecordingEngine,
+        app_tier_fixture, job_fixture, mpi_first_job_fixture, storage_priced_job_fixture,
+        tied_job_fixture, RecordingEngine,
     };
     use crate::{
         enumerate_tier_candidates, evaluate_enterprise_design, evaluate_job_design,
@@ -496,9 +496,9 @@ mod tests {
 
     #[test]
     fn job_search_evaluates_each_distinct_model_once_and_matches_exhaustive_evaluation() {
-        // The model-read maintenance level varies fastest in this fixture's
-        // enumeration, so candidates sharing a model are never adjacent.
-        let fx = maintenance_innermost_job_fixture();
+        // This fixture declares the checkpoint settings before the
+        // model-read maintenance level; the grid still varies fastest.
+        let fx = mpi_first_job_fixture();
         let plain = DecompositionEngine::default();
         let ctx = fx.context(&plain);
         let o = SearchOptions {
@@ -520,10 +520,15 @@ mod tests {
             1,
             &o,
         );
+        let setting = |i: usize, mechanism, param| first[i].setting(mechanism, param);
         assert_ne!(
-            first[0].setting("maintenanceA", "level"),
-            first[1].setting("maintenanceA", "level"),
-            "the maintenance level must vary fastest"
+            setting(0, "checkpoint", "storage_location"),
+            setting(1, "checkpoint", "storage_location"),
+            "the checkpoint setting, declared first, must vary fastest"
+        );
+        assert_eq!(
+            setting(0, "maintenanceA", "level"),
+            setting(1, "maintenanceA", "level")
         );
         let deadline = Duration::from_hours(50.0);
 
@@ -668,7 +673,9 @@ mod tests {
         // are those where the stall rule decides the answer, the 40
         // log-spaced ones span 1-1000 h. The tied fixture's audit levels
         // score alike, so a grid scorer keeping the last tie fails it; the
-        // maintenance-innermost fixture interleaves groups.
+        // mpi-first fixture declares the grid before the model settings;
+        // the storage-priced one has two groups, one per location, share
+        // each tier model. Each scored group evaluates its model once.
         let bronze = || {
             SearchOptions {
                 max_spares: 3,
@@ -686,15 +693,22 @@ mod tests {
             ..SearchOptions::default()
         };
         let cases = [
-            (job_fixture(), bronze(), deadlines),
+            (job_fixture(), bronze(), deadlines, 300),
             (
-                maintenance_innermost_job_fixture(),
+                mpi_first_job_fixture(),
                 small.clone(),
                 vec![20.0, 50.0, 200.0],
+                300,
             ),
-            (tied_job_fixture(), bronze(), vec![14.0, 50.0, 200.0]),
+            (tied_job_fixture(), bronze(), vec![14.0, 50.0, 200.0], 600),
+            (
+                storage_priced_job_fixture(),
+                bronze(),
+                vec![14.0, 50.0, 200.0],
+                150,
+            ),
         ];
-        for (fx, options, deadlines) in cases {
+        for (fx, options, deadlines, points) in cases {
             let engine = DecompositionEngine::default();
             let ctx = fx.context(&engine);
             let mut reference = PerCandidateJobSearch {
@@ -717,6 +731,8 @@ mod tests {
                     (e.cost().dollars().to_bits(), time.to_bits())
                 };
                 assert_eq!(got.map(bits), expected.as_ref().map(bits), "{hours} h");
+                let h = out.health();
+                assert_eq!(h.candidates_scored, points * h.models_evaluated, "{h}");
             }
         }
     }
